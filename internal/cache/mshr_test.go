@@ -6,8 +6,13 @@ import (
 	"memsim/internal/sim"
 )
 
+// fnWaiter adapts a function to the Waiter interface.
+type fnWaiter func(sim.Time)
+
+func (f fnWaiter) Fire(at sim.Time) { f(at) }
+
 func TestMSHRAllocateLookupComplete(t *testing.T) {
-	tb := NewMSHRTable(8)
+	tb := NewMSHRTable[fnWaiter](8)
 	if tb.Capacity() != 8 || tb.Len() != 0 || tb.Full() {
 		t.Fatal("fresh table state wrong")
 	}
@@ -20,7 +25,7 @@ func TestMSHRAllocateLookupComplete(t *testing.T) {
 		t.Fatal("Lookup did not find allocated entry")
 	}
 	var fillAt sim.Time
-	m.Waiters = append(m.Waiters, func(at sim.Time) { fillAt = at })
+	m.Waiters = append(m.Waiters, fnWaiter(func(at sim.Time) { fillAt = at }))
 	tb.Complete(0x40, 123*sim.Nanosecond)
 	if fillAt != 123*sim.Nanosecond {
 		t.Fatalf("waiter fired with %v, want 123ns", fillAt)
@@ -31,7 +36,7 @@ func TestMSHRAllocateLookupComplete(t *testing.T) {
 }
 
 func TestMSHRMergeSemantics(t *testing.T) {
-	tb := NewMSHRTable(2)
+	tb := NewMSHRTable[fnWaiter](2)
 	m := tb.Allocate(0x80, true)
 	if !m.PrefetchOnly {
 		t.Fatal("prefetch allocation not marked")
@@ -39,7 +44,7 @@ func TestMSHRMergeSemantics(t *testing.T) {
 	// A demand miss merging into the prefetch clears PrefetchOnly.
 	m.PrefetchOnly = false
 	n := 0
-	m.Waiters = append(m.Waiters, func(sim.Time) { n++ }, func(sim.Time) { n++ })
+	m.Waiters = append(m.Waiters, fnWaiter(func(sim.Time) { n++ }), fnWaiter(func(sim.Time) { n++ }))
 	tb.Complete(0x80, 0)
 	if n != 2 {
 		t.Fatalf("waiters fired %d times, want 2", n)
@@ -47,7 +52,7 @@ func TestMSHRMergeSemantics(t *testing.T) {
 }
 
 func TestMSHRFull(t *testing.T) {
-	tb := NewMSHRTable(2)
+	tb := NewMSHRTable[fnWaiter](2)
 	tb.Allocate(0x40, false)
 	tb.Allocate(0x80, false)
 	if !tb.Full() {
@@ -63,7 +68,7 @@ func TestMSHRFull(t *testing.T) {
 }
 
 func TestMSHRAllocateFullPanics(t *testing.T) {
-	tb := NewMSHRTable(1)
+	tb := NewMSHRTable[fnWaiter](1)
 	tb.Allocate(0x40, false)
 	defer func() {
 		if recover() == nil {
@@ -74,7 +79,7 @@ func TestMSHRAllocateFullPanics(t *testing.T) {
 }
 
 func TestMSHRDuplicatePanics(t *testing.T) {
-	tb := NewMSHRTable(4)
+	tb := NewMSHRTable[fnWaiter](4)
 	tb.Allocate(0x40, false)
 	defer func() {
 		if recover() == nil {
@@ -85,7 +90,7 @@ func TestMSHRDuplicatePanics(t *testing.T) {
 }
 
 func TestMSHRCompleteUnknownPanics(t *testing.T) {
-	tb := NewMSHRTable(4)
+	tb := NewMSHRTable[fnWaiter](4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Complete of unknown block did not panic")
@@ -97,8 +102,8 @@ func TestMSHRCompleteUnknownPanics(t *testing.T) {
 func TestMSHRZeroCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewMSHRTable(0) did not panic")
+			t.Fatal("NewMSHRTable[fnWaiter](0) did not panic")
 		}
 	}()
-	NewMSHRTable(0)
+	NewMSHRTable[fnWaiter](0)
 }

@@ -421,7 +421,8 @@ func (ch *Channel) Access(now sim.Time, spans []addrmap.Span, class Class, write
 			// any active adjacent banks, then activate.
 			self, neighbors := dev.Precharges(c.Bank, c.Row)
 			prechargeDone := (*ready)[c.Bank]
-			for _, nb := range neighbors {
+			for i := 0; i < neighbors.Len(); i++ {
+				nb := neighbors.At(i)
 				t := ch.reserveRow(max(now, (*ready)[nb]))
 				res.Start = min(res.Start, t)
 				done := t + tm.PRER

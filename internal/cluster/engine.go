@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"memsim/internal/core"
@@ -94,7 +94,7 @@ func (r *run) barrier() int {
 	r.inbox = append(r.inbox, r.mem.outbox...)
 	r.mem.outbox = r.mem.outbox[:0]
 
-	sort.Slice(r.inbox, func(i, j int) bool { return msgLess(r.inbox[i], r.inbox[j]) })
+	slices.SortFunc(r.inbox, msgCmp)
 	for _, m := range r.inbox {
 		r.hashMessage(m)
 		if m.Kind == msgRequest {
@@ -276,7 +276,7 @@ func (r *run) runParallel(ctx context.Context) error {
 		if i < len(r.systems) {
 			adv = r.systems[i].sched.RunUntil
 		}
-		//lint:ignore simdeterminism shard workers synchronize at epoch barriers; within an epoch each owns its scheduler exclusively, and the merge order is canonical (see msgLess)
+		//lint:ignore simdeterminism shard workers synchronize at epoch barriers; within an epoch each owns its scheduler exclusively, and the merge order is canonical (see msgCmp)
 		go step(i, func(end sim.Time) { adv(end) })
 	}
 	stop := func() {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 
 	"memsim/internal/addrmap"
@@ -56,18 +57,19 @@ type message struct {
 	NeedFirst bool
 }
 
-// msgLess is the canonical merge order: delivery time, then source
-// shard, then per-source sequence. The triple is unique (Seq never
-// repeats within a Src), so the order is total and independent of
-// which goroutine produced which message first.
-func msgLess(a, b message) bool {
-	if a.DeliverAt != b.DeliverAt {
-		return a.DeliverAt < b.DeliverAt
+// msgCmp is the canonical merge order, as a three-way comparator for
+// slices.SortFunc: delivery time, then source shard, then per-source
+// sequence. The triple is unique (Seq never repeats within a Src), so
+// the order is total and independent of which goroutine produced which
+// message first.
+func msgCmp(a, b message) int {
+	if c := cmp.Compare(a.DeliverAt, b.DeliverAt); c != 0 {
+		return c
 	}
-	if a.Src != b.Src {
-		return a.Src < b.Src
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
 	}
-	return a.Seq < b.Seq
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // systemShard wraps one core system: its private scheduler, the
@@ -158,6 +160,9 @@ func (sh *systemShard) onDeliver(at sim.Time, m message) {
 		delete(sh.pending, m.ID)
 		if r.OnComplete != nil {
 			r.OnComplete(at)
+		}
+		if r.OnRelease != nil {
+			r.OnRelease(r)
 		}
 	default:
 		panic(fmt.Sprintf("cluster: %s: unexpected message kind %d", sh.label, m.Kind))

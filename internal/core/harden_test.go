@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -59,6 +60,10 @@ func TestFaultClassesAllCaught(t *testing.T) {
 			case inject.DuplicateFill:
 				if correrr == nil {
 					t.Errorf("duplicate-fill should surface as CorruptionError, got %T", err)
+				} else if msg := fmt.Sprint(correrr.PanicValue); !strings.Contains(msg, "MSHR complete for unknown block") {
+					// The second fill must reach the MSHR table, not trip
+					// over a recycled request or slot first.
+					t.Errorf("duplicate-fill panicked with %q, want the MSHR table's unknown-block panic", msg)
 				}
 			case inject.PhantomMSHR:
 				if inverr == nil {
@@ -100,6 +105,11 @@ func TestDropCompletionCaughtByWatchdogAlone(t *testing.T) {
 	}
 	if wderr.WindowCycles != 50_000 {
 		t.Errorf("WindowCycles = %d, want 50000", wderr.WindowCycles)
+	}
+	// The lost fill's MSHR entry leaks: its slot must still be held,
+	// not recycled for a later miss.
+	if !strings.Contains(wderr.Dump, "\n  block=") {
+		t.Errorf("dump lists no leaked MSHR entry:\n%s", wderr.Dump)
 	}
 }
 

@@ -86,7 +86,7 @@ func (s *System) armObs() {
 		func() float64 { return float64(s.prefetchSkipped) })
 	reg.GaugeFunc("memsim_core_mshr_occupancy",
 		"Outstanding demand-miss entries in the MSHR table.",
-		func() float64 { return float64(len(s.mshrs.Blocks())) })
+		func() float64 { return float64(s.mshrs.Len()) })
 	reg.GaugeFunc("memsim_core_prefetches_inflight",
 		"Prefetch fills currently in flight.",
 		func() float64 { return float64(len(s.inflight)) })

@@ -51,9 +51,22 @@ type System struct {
 	// pfBuf holds prefetch candidates routed to a controller that was
 	// not the one asking (independent interleaving only).
 	pfBuf [][]uint64
+	// rowOpenFn is rowOpenGlobal bound once, so bank-aware prefetch
+	// pulls allocate no method value.
+	rowOpenFn func(block uint64) bool
 
-	mshrs    *cache.MSHRTable
-	inflight map[uint64]*pfFill // prefetch fills in flight, by L2 block
+	mshrs    *cache.MSHRTable[waiter]
+	inflight map[uint64]*missReq // prefetch fills in flight, by L2 block
+
+	// freeReqs and freeWBs are the free lists of pooled fill requests
+	// (see missReq) and writebacks; both grow lazily to the peak number
+	// in flight. recycleWB, bound once, returns a writeback to its list.
+	freeReqs  *missReq
+	freeWBs   []*memctrl.Request
+	recycleWB func(*memctrl.Request)
+	// onNewRequest, when set (tests only), observes every request the
+	// hierarchy builds, just before it leaves for a controller.
+	onNewRequest func(*memctrl.Request)
 
 	capacity uint64
 
@@ -106,10 +119,164 @@ type System struct {
 	}
 }
 
-// pfFill tracks one in-flight prefetch so demand misses can merge.
-type pfFill struct {
-	demand  bool // a demand miss merged into this fill
-	waiters []func(sim.Time)
+// reqKind says which fill a pooled miss request carries.
+type reqKind uint8
+
+const (
+	demandReq     reqKind = iota // L2 demand miss
+	prefetchReq                  // hardware prefetch fill
+	swPrefetchReq                // software prefetch fill
+)
+
+// missReq is one pooled fill transfer: the controller request plus the
+// hierarchy state its completions need. Its callbacks are bound once,
+// when the pool first builds it; the controller's (or fabric's)
+// OnRelease puts it back on the free list after its last callback and
+// any paranoid tracking release have run.
+type missReq struct {
+	memctrl.Request
+	s     *System
+	kind  reqKind
+	block uint64 // global block address
+	write bool   // a demand store miss installs the block dirty
+	// mshr is a demand miss's table entry: its slot holds still until
+	// the fill completes.
+	mshr *cache.MSHR[waiter]
+	// A prefetch fill's merge state: whether a demand miss merged into
+	// it, and the merged requests' waiters.
+	demand  bool
+	waiters []waiter
+
+	firstData, complete func(sim.Time)
+	release             func(*memctrl.Request)
+	next                *missReq // free-list link
+	live                bool     // taken from the free list, not yet released
+}
+
+// waiter is a request merged into an outstanding fill: the fill
+// installs its block in the L1 and then completes the load (complete
+// is nil for stores).
+type waiter struct {
+	s        *System
+	addr     uint64
+	write    bool
+	complete func(sim.Time)
+}
+
+// Fire implements cache.Waiter.
+func (w waiter) Fire(at sim.Time) {
+	w.s.fillL1(w.addr, w.write)
+	if w.complete != nil {
+		w.complete(at)
+	}
+}
+
+// newReq takes a fill request from the free list, building one when
+// the list is empty, and sets it up as a kind transfer of one L2 block
+// at addr for block.
+func (s *System) newReq(kind reqKind, addr, block uint64, write bool) *missReq {
+	r := s.freeReqs
+	if r == nil {
+		r = &missReq{s: s}
+		r.firstData = r.onFirstData
+		r.complete = r.onComplete
+		r.release = r.recycle
+	} else {
+		s.freeReqs, r.next = r.next, nil
+	}
+	r.live = true
+	r.kind, r.block, r.write = kind, block, write
+	// Software prefetches keep the Demand class: they compete like loads.
+	r.Request = memctrl.Request{Addr: addr, Size: uint64(s.cfg.L2Block), Class: channel.Demand, OnComplete: r.complete, OnRelease: r.release}
+	switch kind {
+	case demandReq:
+		r.OnFirstData = r.firstData
+	case prefetchReq:
+		r.Class = channel.Prefetch
+	}
+	if s.onNewRequest != nil {
+		s.onNewRequest(&r.Request)
+	}
+	return r
+}
+
+// recycle returns a released fill request to the free list.
+func (r *missReq) recycle(*memctrl.Request) {
+	if !r.live {
+		panic(fmt.Sprintf("core: request for block %#x released twice", r.block))
+	}
+	r.live = false
+	r.mshr, r.demand = nil, false
+	r.waiters = r.waiters[:0]
+	r.next, r.s.freeReqs = r.s.freeReqs, r
+}
+
+// newWriteback takes a writeback of size bytes at addr from its free
+// list. Writebacks carry no callbacks, so they pool as bare requests
+// released through one shared function: a writeback queue that demand
+// misses starve for a long stretch then costs no more heap than
+// unpooled requests did.
+func (s *System) newWriteback(addr uint64, size int) *memctrl.Request {
+	var r *memctrl.Request
+	if n := len(s.freeWBs); n > 0 {
+		r = s.freeWBs[n-1]
+		s.freeWBs = s.freeWBs[:n-1]
+	} else {
+		r = new(memctrl.Request)
+	}
+	*r = memctrl.Request{Addr: addr, Size: uint64(size), Class: channel.Writeback, Write: true, OnRelease: s.recycleWB}
+	if s.onNewRequest != nil {
+		s.onNewRequest(r)
+	}
+	return r
+}
+
+// onFirstData releases the loads waiting on a demand miss once the
+// critical word arrives; later merges complete at full-line install.
+func (r *missReq) onFirstData(at sim.Time) { r.s.mshrs.Fire(r.mshr, at) }
+
+// onComplete is the full-line arrival of a demand, prefetch or
+// software-prefetch fill.
+func (r *missReq) onComplete(at sim.Time) {
+	s := r.s
+	switch r.kind {
+	case demandReq:
+		if s.inj.Tick(inject.DropCompletion) {
+			return // the fill is lost; the MSHR entry leaks
+		}
+		s.deliverDemand(r.block, r.write, at)
+		s.completions++
+		if s.inj.Tick(inject.DuplicateFill) {
+			// The second Complete panics on the unknown block; Run
+			// recovers it into a CorruptionError.
+			s.deliverDemand(r.block, r.write, at)
+		}
+	case prefetchReq:
+		s.completions++
+		delete(s.inflight, r.block)
+		s.installL2(r.block, false, !r.demand)
+		if r.demand && s.pf != nil {
+			// A late prefetch the demand stream caught up with: count
+			// it as used.
+			s.pf.RecordSettled(true)
+		}
+		for _, w := range r.waiters {
+			w.Fire(at)
+		}
+		s.core.Wake()
+	case swPrefetchReq:
+		s.completions++
+		s.installL2(r.block, false, true)
+		s.mshrs.Complete(r.block, at)
+		s.core.Wake()
+	}
+}
+
+// deliverDemand installs a demand fill and retires its MSHR entry.
+func (s *System) deliverDemand(block uint64, write bool, at sim.Time) {
+	s.installL2(block, write, false)
+	s.mshrs.Complete(block, at)
+	s.core.Wake()
 }
 
 // ExternalMemory is the memory-backend seam: a fabric that resolves
@@ -180,12 +347,14 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		sched:    sim.NewSchedulerEngine(engine),
 		l1:       l1,
 		l2:       l2,
-		mshrs:    cache.NewMSHRTable(cfg.MSHRs),
-		inflight: make(map[uint64]*pfFill),
+		mshrs:    cache.NewMSHRTable[waiter](cfg.MSHRs),
+		inflight: make(map[uint64]*missReq),
 		capacity: groupGeom.Capacity() * uint64(groups),
 		pfBuf:    make([][]uint64, groups),
 		extMem:   mem,
 	}
+	s.rowOpenFn = s.rowOpenGlobal
+	s.recycleWB = func(r *memctrl.Request) { s.freeWBs = append(s.freeWBs, r) }
 	if mem != nil {
 		// The fabric owns all channel state; build nothing local.
 		groups = 0
@@ -505,27 +674,19 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	}
 
 	// Merge into an in-flight prefetch: the "late prefetch" case.
+	w := waiter{s: s, addr: addr, write: write, complete: complete}
 	if fill, ok := s.inflight[block]; ok {
 		fill.demand = true
 		s.tr.Instant(obs.EvLateMerge, 0, block, 0)
 		s.lateMerges++
 		s.notifyPrefetcher(addr)
-		if complete != nil {
-			w := s.fillWaiter(addr, write, complete)
-			fill.waiters = append(fill.waiters, w)
-		} else {
-			fill.waiters = append(fill.waiters, func(sim.Time) { s.fillL1(addr, write) })
-		}
+		fill.waiters = append(fill.waiters, w)
 		return cpu.Reply{Accepted: true}
 	}
 
 	// Merge into an outstanding demand miss.
 	if m, ok := s.mshrs.Lookup(block); ok {
-		if complete != nil {
-			m.Waiters = append(m.Waiters, s.fillWaiter(addr, write, complete))
-		} else {
-			m.Waiters = append(m.Waiters, func(sim.Time) { s.fillL1(addr, write) })
-		}
+		m.Waiters = append(m.Waiters, w)
 		return cpu.Reply{Accepted: true}
 	}
 
@@ -534,55 +695,14 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	}
 
 	m := s.mshrs.Allocate(block, false)
-	if complete != nil {
-		m.Waiters = append(m.Waiters, s.fillWaiter(addr, write, complete))
-	} else {
-		m.Waiters = append(m.Waiters, func(sim.Time) { s.fillL1(addr, write) })
-	}
+	m.Waiters = append(m.Waiters, w)
 
 	s.notifyPrefetcher(addr)
 
-	s.submit(&memctrl.Request{
-		Addr:  block,
-		Size:  uint64(s.cfg.L2Block),
-		Class: channel.Demand,
-		OnFirstData: func(at sim.Time) {
-			// Critical word: release the waiting loads registered so
-			// far; later merges complete at full-line install.
-			ws := m.Waiters
-			m.Waiters = nil
-			for _, w := range ws {
-				w(at)
-			}
-		},
-		OnComplete: func(at sim.Time) {
-			if s.inj.Tick(inject.DropCompletion) {
-				return // the fill is lost; the MSHR entry leaks
-			}
-			deliver := func() {
-				s.installL2(block, write, false)
-				s.mshrs.Complete(block, at)
-				s.core.Wake()
-			}
-			deliver()
-			s.completions++
-			if s.inj.Tick(inject.DuplicateFill) {
-				// The second Complete panics on the unknown block; Run
-				// recovers it into a CorruptionError.
-				deliver()
-			}
-		},
-	})
+	r := s.newReq(demandReq, block, block, write)
+	r.mshr = m
+	s.submit(&r.Request)
 	return cpu.Reply{Accepted: true}
-}
-
-// fillWaiter builds the completion action for a demand miss: fill the
-// L1 and release the load.
-func (s *System) fillWaiter(addr uint64, write bool, complete func(sim.Time)) func(sim.Time) {
-	return func(at sim.Time) {
-		s.fillL1(addr, write)
-		complete(at)
-	}
 }
 
 // fillL1 installs the block containing addr into the L1, absorbing the
@@ -593,12 +713,7 @@ func (s *System) fillL1(addr uint64, write bool) {
 		if !s.l2.MarkDirty(v.Addr) {
 			// The line left the L2 already (non-inclusive corner):
 			// write it back to memory directly.
-			s.submit(&memctrl.Request{
-				Addr:  v.Addr,
-				Size:  uint64(s.cfg.L1Block),
-				Class: channel.Writeback,
-				Write: true,
-			})
+			s.submit(s.newWriteback(v.Addr, s.cfg.L1Block))
 		}
 	}
 }
@@ -628,12 +743,7 @@ func (s *System) installL2(block uint64, dirty, prefetched bool) {
 		s.pf.RecordSettled(false)
 	}
 	if v.Dirty {
-		s.submit(&memctrl.Request{
-			Addr:  v.Addr,
-			Size:  uint64(s.cfg.L2Block),
-			Class: channel.Writeback,
-			Write: true,
-		})
+		s.submit(s.newWriteback(v.Addr, s.cfg.L2Block))
 	}
 }
 
@@ -698,27 +808,9 @@ func (s *System) makePrefetchRequest(block uint64) (*memctrl.Request, bool) {
 		s.dropPrefetch(block, obs.DropDemandPending)
 		return nil, false
 	}
-	fill := &pfFill{}
-	s.inflight[block] = fill
-	return &memctrl.Request{
-		Addr:  s.localAddr(block),
-		Size:  uint64(s.cfg.L2Block),
-		Class: channel.Prefetch,
-		OnComplete: func(at sim.Time) {
-			s.completions++
-			delete(s.inflight, block)
-			s.installL2(block, false, !fill.demand)
-			if fill.demand && s.pf != nil {
-				// A late prefetch the demand stream caught up with:
-				// count it as used.
-				s.pf.RecordSettled(true)
-			}
-			for _, w := range fill.waiters {
-				w(at)
-			}
-			s.core.Wake()
-		},
-	}, true
+	r := s.newReq(prefetchReq, s.localAddr(block), block, false)
+	s.inflight[block] = r
+	return &r.Request, true
 }
 
 // dropPrefetch records a prefetch candidate discarded before issue.
@@ -750,17 +842,7 @@ func (s *System) softwarePrefetch(addr uint64) cpu.Reply {
 	}
 	s.swPrefetches++
 	s.mshrs.Allocate(block, true)
-	s.submit(&memctrl.Request{
-		Addr:  block,
-		Size:  uint64(s.cfg.L2Block),
-		Class: channel.Demand, // software prefetches compete like loads
-		OnComplete: func(at sim.Time) {
-			s.completions++
-			s.installL2(block, false, true)
-			s.mshrs.Complete(block, at)
-			s.core.Wake()
-		},
-	})
+	s.submit(&s.newReq(swPrefetchReq, block, block, false).Request)
 	return done
 }
 
@@ -790,7 +872,7 @@ func (p *prefetchSource) NextPrefetch(now sim.Time) (*memctrl.Request, bool) {
 	}
 
 	for i := 0; i < maxRoutePull; i++ {
-		block, ok := s.pf.Next(s.rowOpenGlobal)
+		block, ok := s.pf.Next(s.rowOpenFn)
 		if !ok {
 			return nil, false
 		}

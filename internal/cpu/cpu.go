@@ -96,11 +96,58 @@ type Stats struct {
 	DroppedPrefetches uint64
 }
 
-// entry is one in-flight instruction.
+// entry is one in-flight instruction: a slot of the ROB ring. Slots
+// never move, so a *entry stays valid for as long as its instruction
+// is in the window; once the instruction retires, the next dispatch
+// into the slot reuses it.
 type entry struct {
-	doneAt     sim.Time // sim.MaxTime while pending
-	op         trace.Op
-	dependents []*entry // dependence-deferred loads waiting on this load
+	doneAt sim.Time // sim.MaxTime while pending
+	op     trace.Op
+	// dependent is the dependence-deferred load waiting on this load's
+	// data, if any. A load depends only on the load dispatched just
+	// before it, so at most one can wait.
+	dependent *entry
+	// loadDone is the slot's completion callback for loads, bound once
+	// in New: a load cannot retire before its data arrives, so the
+	// slot still holds it when the hierarchy fires the callback.
+	loadDone func(sim.Time)
+}
+
+// blockedOp is an access accepted into the window but refused by the
+// hierarchy. A load keeps its ROB slot (it cannot retire before its
+// data arrives); a store carries only its op, because it retires
+// while still blocked and its slot may be reused before the retry.
+type blockedOp struct {
+	op   trace.Op
+	load *entry // nil for stores
+}
+
+// opQueue is a FIFO ring of blocked accesses. It grows by doubling and
+// never shrinks, so a warmed core queues without allocating.
+type opQueue struct {
+	buf     []blockedOp
+	head, n int
+}
+
+func (q *opQueue) push(b blockedOp) {
+	if q.n == len(q.buf) {
+		grown := make([]blockedOp, max(2*len(q.buf), 8))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = b
+	q.n++
+}
+
+// front returns the oldest blocked access; the queue must be non-empty.
+func (q *opQueue) front() blockedOp { return q.buf[q.head] }
+
+func (q *opQueue) pop() {
+	q.buf[q.head] = blockedOp{}
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
 }
 
 // CPU is the core model. Create with New; it schedules itself on the
@@ -111,16 +158,22 @@ type CPU struct {
 	mem   Memory
 	gen   trace.Generator
 
-	// Reorder buffer: a ring of entries, oldest at head.
-	rob   []*entry
+	// Reorder buffer: a ring of entries, oldest at head. The
+	// instruction with dispatch sequence number n lives in slot
+	// n%ROBSize.
+	rob   []entry
 	head  int
 	count int
 
 	// blocked holds accesses accepted into the window but refused by
 	// the hierarchy (MSHRs full), in issue order.
-	blocked []*entry
+	blocked opQueue
 
-	lastLoad *entry // most recent load, for dependence chaining
+	// lastLoad is one plus the dispatch sequence number of the most
+	// recent load, for dependence chaining; zero before the first. A
+	// load whose sequence number is below stats.Retired has retired,
+	// so its data has arrived.
+	lastLoad uint64
 
 	// Instruction stream state.
 	nonMemLeft int
@@ -137,8 +190,8 @@ type CPU struct {
 	// construction so the per-event hot paths schedule without
 	// allocating a closure.
 	stepCB    sim.Callback
-	issueCB   sim.Callback // arg: *entry
-	releaseCB sim.Callback // arg: []*entry, dependents to issue
+	issueCB   sim.Callback // arg: *entry, a deferred load to issue
+	releaseCB sim.Callback // arg: *entry, a deferred dependent to issue
 
 	// credits implements the SustainedIPC dispatch limiter: each cycle
 	// adds SustainedIPC credits (capped at Width) and each dispatched
@@ -169,14 +222,16 @@ func New(sched *sim.Scheduler, mem Memory, gen trace.Generator, cfg Config) (*CP
 		sched: sched,
 		mem:   mem,
 		gen:   gen,
-		rob:   make([]*entry, cfg.ROBSize),
+		rob:   make([]entry, cfg.ROBSize),
+	}
+	for i := range c.rob {
+		e := &c.rob[i]
+		e.loadDone = func(at sim.Time) { c.completeLoad(e, at) }
 	}
 	c.stepCB = func(sim.Time, any) { c.step() }
-	c.issueCB = func(_ sim.Time, arg any) { c.issue(arg.(*entry)) }
+	c.issueCB = func(_ sim.Time, arg any) { c.issueLoad(arg.(*entry)) }
 	c.releaseCB = func(_ sim.Time, arg any) {
-		for _, d := range arg.([]*entry) {
-			c.issue(d)
-		}
+		c.issueLoad(arg.(*entry))
 		c.Wake()
 	}
 	c.armStep(0)
@@ -217,12 +272,12 @@ func (c *CPU) IPC() float64 {
 func (c *CPU) DebugState() string {
 	head := "empty"
 	if c.count > 0 {
-		e := c.rob[c.head]
-		head = fmt.Sprintf("kind=%v addr=%#x doneAt=%v dep=%v deferredDeps=%d",
-			e.op.Kind, e.op.Addr, e.doneAt, e.op.DependsOnPrev, len(e.dependents))
+		e := &c.rob[c.head]
+		head = fmt.Sprintf("kind=%v addr=%#x doneAt=%v dep=%v deferredDep=%v",
+			e.op.Kind, e.op.Addr, e.doneAt, e.op.DependsOnPrev, e.dependent != nil)
 	}
 	return fmt.Sprintf("count=%d blocked=%d exhausted=%v dispatched=%d stepArmed=%v head{%s}",
-		c.count, len(c.blocked), c.exhausted, c.dispatched, c.stepArmed, head)
+		c.count, c.blocked.n, c.exhausted, c.dispatched, c.stepArmed, head)
 }
 
 // Wake nudges a stalled core, e.g. after the hierarchy frees an MSHR.
@@ -271,54 +326,46 @@ func (c *CPU) nextInstr() (trace.Op, bool, bool) {
 	return c.nextInstr()
 }
 
-// push appends an entry at the ROB tail.
-func (c *CPU) push(e *entry) {
-	c.rob[(c.head+c.count)%c.cfg.ROBSize] = e
-	c.count++
-}
-
-// completeLoad records a load's data arrival and releases dependents.
+// completeLoad records a load's data arrival and releases its
+// dependent.
 func (c *CPU) completeLoad(e *entry, at sim.Time) {
 	e.doneAt = at
-	deps := e.dependents
-	e.dependents = nil
-	for _, d := range deps {
-		c.issue(d)
+	if d := e.dependent; d != nil {
+		e.dependent = nil
+		c.issueLoad(d)
 	}
 	c.Wake()
 }
 
-// issue sends an entry's memory operation to the hierarchy, or parks it
-// on the blocked list when resources are exhausted.
-func (c *CPU) issue(e *entry) {
-	if len(c.blocked) > 0 {
-		// Preserve issue order behind already-blocked accesses.
-		c.blocked = append(c.blocked, e)
-		return
-	}
-	if !c.tryIssue(e) {
-		c.blocked = append(c.blocked, e)
+// issueLoad issues the load in slot e.
+func (c *CPU) issueLoad(e *entry) { c.issue(blockedOp{op: e.op, load: e}) }
+
+// issue sends a memory operation to the hierarchy, or parks it on the
+// blocked queue when resources are exhausted.
+func (c *CPU) issue(b blockedOp) {
+	// Preserve issue order behind already-blocked accesses.
+	if c.blocked.n > 0 || !c.tryIssue(b) {
+		c.blocked.push(b)
 	}
 }
 
 // tryIssue attempts the access; it reports false on resource rejection.
-func (c *CPU) tryIssue(e *entry) bool {
+func (c *CPU) tryIssue(b blockedOp) bool {
 	var complete func(sim.Time)
-	if e.op.Kind == trace.Load {
-		complete = func(at sim.Time) { c.completeLoad(e, at) }
+	if b.load != nil {
+		complete = b.load.loadDone
 	}
-	rep := c.mem.Access(e.op.Addr, e.op.Kind, complete)
+	rep := c.mem.Access(b.op.Addr, b.op.Kind, complete)
 	if !rep.Accepted {
 		return false
 	}
-	if e.op.Kind == trace.Load && rep.Done {
+	if e := b.load; e != nil && rep.Done {
 		e.doneAt = rep.At
-		// Dependents may have piled up while this load sat deferred or
-		// blocked; release them when its data is available.
-		if len(e.dependents) > 0 {
-			deps := e.dependents
-			e.dependents = nil
-			c.sched.AtCall(rep.At, c.releaseCB, deps)
+		// A dependent may have been deferred while this load sat
+		// deferred or blocked; release it when the data is available.
+		if d := e.dependent; d != nil {
+			e.dependent = nil
+			c.sched.AtCall(rep.At, c.releaseCB, d)
 		}
 	}
 	return true
@@ -336,11 +383,9 @@ func (c *CPU) step() {
 
 	// Retire up to Width completed instructions in order.
 	for n := 0; n < c.cfg.Width && c.count > 0; n++ {
-		e := c.rob[c.head]
-		if e.doneAt > now {
+		if c.rob[c.head].doneAt > now {
 			break
 		}
-		c.rob[c.head] = nil
 		c.head = (c.head + 1) % c.cfg.ROBSize
 		c.count--
 		c.stats.Retired++
@@ -352,12 +397,8 @@ func (c *CPU) step() {
 	}
 
 	// Retry blocked accesses in order.
-	for len(c.blocked) > 0 {
-		if !c.tryIssue(c.blocked[0]) {
-			break
-		}
-		c.blocked[0] = nil
-		c.blocked = c.blocked[1:]
+	for c.blocked.n > 0 && c.tryIssue(c.blocked.front()) {
+		c.blocked.pop()
 	}
 
 	// Dispatch up to Width instructions, throttled by the sustained-IPC
@@ -371,44 +412,52 @@ func (c *CPU) step() {
 	} else {
 		c.credits = limit
 	}
-	for n := 0; n < c.cfg.Width && c.credits >= 1 && c.count < c.cfg.ROBSize && !c.exhausted && len(c.blocked) < c.cfg.StoreBuffer; n++ {
+	for n := 0; n < c.cfg.Width && c.credits >= 1 && c.count < c.cfg.ROBSize && !c.exhausted && c.blocked.n < c.cfg.StoreBuffer; n++ {
 		c.credits--
 		op, isMem, ok := c.nextInstr()
 		if !ok {
 			break
 		}
+		seq := c.dispatched
 		c.dispatched++
-		e := &entry{doneAt: now + period, op: op}
+		// Fill the tail slot field by field: loadDone stays bound.
+		e := &c.rob[(c.head+c.count)%c.cfg.ROBSize]
+		e.doneAt, e.op, e.dependent = now+period, op, nil
+		c.count++
 		if isMem {
 			switch op.Kind {
 			case trace.Load:
 				c.stats.Loads++
 				e.doneAt = sim.MaxTime
-				prod := c.lastLoad
-				c.lastLoad = e
-				if op.DependsOnPrev && prod != nil && prod.doneAt > now {
-					if prod.doneAt == sim.MaxTime {
-						// Producer data time unknown; issue on completion.
-						prod.dependents = append(prod.dependents, e)
-					} else {
-						// Producer completes at a known future time.
-						c.sched.AtCall(prod.doneAt, c.issueCB, e)
-					}
-				} else {
-					c.issue(e)
+				prodSeq := c.lastLoad
+				c.lastLoad = seq + 1
+				// A retired producer's data has arrived; e may even
+				// occupy its slot now.
+				var prod *entry
+				if op.DependsOnPrev && prodSeq > c.stats.Retired {
+					prod = &c.rob[(prodSeq-1)%uint64(c.cfg.ROBSize)]
+				}
+				switch {
+				case prod == nil || prod.doneAt <= now:
+					c.issueLoad(e)
+				case prod.doneAt == sim.MaxTime:
+					// Producer data time unknown; issue on completion.
+					prod.dependent = e
+				default:
+					// Producer completes at a known future time.
+					c.sched.AtCall(prod.doneAt, c.issueCB, e)
 				}
 			case trace.Store:
 				c.stats.Stores++
-				c.issue(e)
+				c.issue(blockedOp{op: op})
 			case trace.SWPrefetch:
 				c.stats.Prefetches++
 				// Prefetches are hints: drop rather than block.
-				if len(c.blocked) > 0 || !c.tryIssue(e) {
+				if c.blocked.n > 0 || !c.tryIssue(blockedOp{op: op}) {
 					c.stats.DroppedPrefetches++
 				}
 			}
 		}
-		c.push(e)
 	}
 
 	// Finished?
@@ -425,7 +474,7 @@ func (c *CPU) step() {
 	// for the head's known completion; otherwise idle until a callback
 	// wakes us.
 	next := now + period
-	canDispatch := !c.exhausted && c.count < c.cfg.ROBSize && len(c.blocked) < c.cfg.StoreBuffer
+	canDispatch := !c.exhausted && c.count < c.cfg.ROBSize && c.blocked.n < c.cfg.StoreBuffer
 	canRetire := c.count > 0 && c.rob[c.head].doneAt <= next
 	switch {
 	case canDispatch || canRetire:

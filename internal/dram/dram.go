@@ -143,20 +143,39 @@ func (d *Device) IsOpen(bank, row int) bool {
 	return d.banks[bank] == int32(row)
 }
 
+// Neighbors lists the at most two active adjacent banks an activate
+// must precharge, lower bank first. It is a value, so reporting it
+// allocates nothing.
+type Neighbors struct {
+	banks [2]int
+	n     int
+}
+
+// Len reports how many neighbors need a precharge.
+func (ns Neighbors) Len() int { return ns.n }
+
+// At returns the i-th neighbor bank, 0 <= i < Len().
+func (ns Neighbors) At(i int) int { return ns.banks[:ns.n][i] }
+
+func (ns *Neighbors) add(bank int) {
+	ns.banks[ns.n] = bank
+	ns.n++
+}
+
 // Precharges reports which precharge operations are required before
 // activating row in bank: the bank itself if it is open at another row,
 // and any active adjacent bank (shared sense amps). If the bank is
 // already open at the requested row, no operations are required.
-func (d *Device) Precharges(bank, row int) (self bool, neighbors []int) {
+func (d *Device) Precharges(bank, row int) (self bool, neighbors Neighbors) {
 	if d.IsOpen(bank, row) {
-		return false, nil
+		return false, neighbors
 	}
 	self = d.banks[bank] != closedRow
 	if bank > 0 && d.banks[bank-1] != closedRow {
-		neighbors = append(neighbors, bank-1)
+		neighbors.add(bank - 1)
 	}
 	if bank < len(d.banks)-1 && d.banks[bank+1] != closedRow {
-		neighbors = append(neighbors, bank+1)
+		neighbors.add(bank + 1)
 	}
 	return self, neighbors
 }

@@ -112,7 +112,7 @@ func TestActivateClosesNeighbors(t *testing.T) {
 func TestPrechargesForClosedBank(t *testing.T) {
 	d := NewDevice()
 	self, neighbors := d.Precharges(4, 7)
-	if self || len(neighbors) != 0 {
+	if self || neighbors.Len() != 0 {
 		t.Errorf("closed bank Precharges = %v,%v, want false,nil", self, neighbors)
 	}
 }
@@ -121,7 +121,7 @@ func TestPrechargesRowHitNeedsNothing(t *testing.T) {
 	d := NewDevice()
 	d.Activate(4, 7)
 	self, neighbors := d.Precharges(4, 7)
-	if self || len(neighbors) != 0 {
+	if self || neighbors.Len() != 0 {
 		t.Errorf("row-hit Precharges = %v,%v, want false,nil", self, neighbors)
 	}
 }
@@ -133,7 +133,7 @@ func TestPrechargesRowMiss(t *testing.T) {
 	if !self {
 		t.Error("row miss should require self precharge")
 	}
-	if len(neighbors) != 0 {
+	if neighbors.Len() != 0 {
 		t.Errorf("unexpected neighbor precharges %v", neighbors)
 	}
 }
@@ -145,7 +145,7 @@ func TestPrechargesNeighborConflict(t *testing.T) {
 	if self {
 		t.Error("closed bank should not need self precharge")
 	}
-	if len(neighbors) != 1 || neighbors[0] != 3 {
+	if neighbors.Len() != 1 || neighbors.At(0) != 3 {
 		t.Errorf("neighbors = %v, want [3]", neighbors)
 	}
 }
@@ -162,7 +162,7 @@ func TestPrechargesBothNeighbors(t *testing.T) {
 	if self {
 		t.Error("self precharge not needed for closed bank 4")
 	}
-	if len(neighbors) != 2 {
+	if neighbors.Len() != 2 {
 		t.Fatalf("neighbors = %v, want both 3 and 5", neighbors)
 	}
 }
@@ -171,13 +171,13 @@ func TestEdgeBanks(t *testing.T) {
 	d := NewDevice()
 	d.Activate(1, 5)
 	_, neighbors := d.Precharges(0, 3)
-	if len(neighbors) != 1 || neighbors[0] != 1 {
+	if neighbors.Len() != 1 || neighbors.At(0) != 1 {
 		t.Errorf("bank 0 neighbors = %v, want [1]", neighbors)
 	}
 	d.PrechargeAll()
 	d.Activate(BanksPerDevice-2, 5)
 	_, neighbors = d.Precharges(BanksPerDevice-1, 3)
-	if len(neighbors) != 1 || neighbors[0] != BanksPerDevice-2 {
+	if neighbors.Len() != 1 || neighbors.At(0) != BanksPerDevice-2 {
 		t.Errorf("top bank neighbors = %v", neighbors)
 	}
 }
@@ -245,7 +245,7 @@ func TestPropertyActivateThenHit(t *testing.T) {
 		d := NewDevice()
 		d.Activate(b, r)
 		self, neighbors := d.Precharges(b, r)
-		return d.IsOpen(b, r) && !self && len(neighbors) == 0
+		return d.IsOpen(b, r) && !self && neighbors.Len() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -96,6 +96,8 @@ type Arbiter struct {
 	// decideCB is the pre-bound decision callback, bound once at
 	// construction so arming costs no allocation.
 	decideCB sim.Callback
+	// spans is the reused buffer decide decomposes each transfer into.
+	spans []addrmap.Span
 
 	shares []ShareStats
 	queued int
@@ -191,8 +193,8 @@ func (a *Arbiter) decide() {
 	}
 	now := a.sched.Now()
 
-	spans := addrmap.Spans(a.mapper, r.Addr, r.Size)
-	res := a.ch.Access(now, spans, r.Class, r.Write)
+	a.spans = addrmap.AppendSpans(a.spans[:0], a.mapper, r.Addr, r.Size)
+	res := a.ch.Access(now, a.spans, r.Class, r.Write)
 	sh := &a.shares[r.Sys]
 	sh.Issued[r.Class]++
 	sh.DataTime += res.DataTime

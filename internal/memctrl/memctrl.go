@@ -30,14 +30,31 @@ type Request struct {
 	Class channel.Class
 	// Write marks writebacks (data flows to the devices).
 	Write bool
+	// tracked marks a transfer counted in the controller's pending
+	// table (see EnableTracking); its completion releases the count.
+	// It sits beside Write so the struct stays eight words.
+	tracked bool
 	// OnFirstData, if non-nil, fires when the first data packet
 	// completes: the critical word is available.
 	OnFirstData func(sim.Time)
 	// OnComplete, if non-nil, fires when the last data packet
 	// completes: the full block has transferred.
 	OnComplete func(sim.Time)
+	// OnRelease, if non-nil, receives the request once whoever holds
+	// it is done with it: at the last-data event, after OnComplete and the
+	// paranoid tracking release, or at issue when no callback and no
+	// tracking waits on the transfer. An owner that pools requests may
+	// reuse this one from then on.
+	OnRelease func(*Request)
 
 	submitted sim.Time
+}
+
+// release hands the request back to its owner.
+func (r *Request) release() {
+	if r.OnRelease != nil {
+		r.OnRelease(r)
+	}
 }
 
 // PrefetchSource supplies prefetch requests on demand. NextPrefetch is
@@ -141,9 +158,15 @@ type Controller struct {
 	alts       []schedAlt
 	onDecision func(DecisionRecord)
 
-	// decideCB is the pre-bound decision callback (see sim.Callback),
-	// bound once at construction so arming costs no allocation.
-	decideCB sim.Callback
+	// decideCB and completeCB are the pre-bound decision and
+	// last-data callbacks (see sim.Callback), bound once at
+	// construction so arming and completion scheduling cost no
+	// allocation; completeCB's payload is the *Request.
+	decideCB   sim.Callback
+	completeCB sim.Callback
+
+	// spans is the reused buffer decide decomposes each transfer into.
+	spans []addrmap.Span
 
 	// pending, when tracking is enabled, counts queued plus in-flight
 	// transfers per block address so the paranoid invariant checker can
@@ -165,6 +188,7 @@ type Controller struct {
 func New(sched *sim.Scheduler, ch *channel.Channel, mapper addrmap.Mapper) *Controller {
 	c := &Controller{sched: sched, ch: ch, mapper: mapper, policy: FCFS{}}
 	c.decideCB = func(sim.Time, any) { c.decide() }
+	c.completeCB = func(at sim.Time, arg any) { c.complete(at, arg.(*Request)) }
 	c.rowOpenFn = func(r *Request) bool { return c.ch.RowOpen(c.mapper.Map(r.Addr)) }
 	return c
 }
@@ -240,20 +264,31 @@ func (c *Controller) EnableTracking() {
 // transfer. Only meaningful after EnableTracking.
 func (c *Controller) HasPending(addr uint64) bool { return c.pending[addr] > 0 }
 
-// track registers a transfer for addr and returns a completion wrapper
-// that releases the registration strictly after the original callback
-// runs, so observers between events never see an MSHR entry outlive
-// its transfer accounting.
-func (c *Controller) track(addr uint64, inner func(sim.Time)) func(sim.Time) {
-	c.pending[addr]++
-	return func(at sim.Time) {
-		if inner != nil {
-			inner(at)
-		}
-		if c.pending[addr]--; c.pending[addr] <= 0 {
-			delete(c.pending, addr)
+// track registers r's transfer in the pending table when tracking is
+// on. The completion releases the registration strictly after
+// OnComplete runs, so observers between events never see an MSHR
+// entry outlive its transfer accounting.
+func (c *Controller) track(r *Request) {
+	if c.pending != nil {
+		c.pending[r.Addr]++
+		r.tracked = true
+	}
+}
+
+// complete is the last-data event: OnComplete, then the tracking
+// release, then the owner's release. It is scheduled for every
+// request something waits on, so it always runs after OnFirstData.
+func (c *Controller) complete(at sim.Time, r *Request) {
+	if r.OnComplete != nil {
+		r.OnComplete(at)
+	}
+	if r.tracked {
+		r.tracked = false
+		if c.pending[r.Addr]--; c.pending[r.Addr] <= 0 {
+			delete(c.pending, r.Addr)
 		}
 	}
+	r.release()
 }
 
 // DebugState summarizes the controller for diagnostic dumps.
@@ -277,9 +312,7 @@ func (c *Controller) Pending() bool {
 // writebacks wait in their own lower-priority queue.
 func (c *Controller) Submit(r *Request) {
 	r.submitted = c.sched.Now()
-	if c.pending != nil {
-		r.OnComplete = c.track(r.Addr, r.OnComplete)
-	}
+	c.track(r)
 	if r.Class == channel.Writeback {
 		c.writebacks = append(c.writebacks, r)
 	} else {
@@ -338,13 +371,11 @@ func (c *Controller) decide() {
 		r = pr
 		r.submitted = now
 		c.tr.Instant(obs.EvPrefetchIssue, c.group, r.Addr, 0)
-		if c.pending != nil {
-			r.OnComplete = c.track(r.Addr, r.OnComplete)
-		}
+		c.track(r)
 	}
 
-	spans := addrmap.Spans(c.mapper, r.Addr, r.Size)
-	res := c.ch.Access(now, spans, r.Class, r.Write)
+	c.spans = addrmap.AppendSpans(c.spans[:0], c.mapper, r.Addr, r.Size)
+	res := c.ch.Access(now, c.spans, r.Class, r.Write)
 	c.stats.Issued[r.Class]++
 	if r.Class == channel.Demand {
 		c.stats.DemandLatency += res.FirstData - r.submitted
@@ -354,11 +385,15 @@ func (c *Controller) decide() {
 	if r.Class == channel.Prefetch && res.LastData > c.prefetchInFlight {
 		c.prefetchInFlight = res.LastData
 	}
+	// The request's last event releases it: the last-data event when
+	// anything waits on the transfer, else this issue.
 	if r.OnFirstData != nil {
 		c.sched.AtCall(res.FirstData, fireFirstData, r)
 	}
-	if r.OnComplete != nil {
-		c.sched.AtCall(res.LastData, fireComplete, r)
+	if r.OnFirstData != nil || r.OnComplete != nil || r.tracked {
+		c.sched.AtCall(res.LastData, c.completeCB, r)
+	} else {
+		r.release()
 	}
 
 	// The next decision may be made once this access's command packets
@@ -369,13 +404,12 @@ func (c *Controller) decide() {
 	}
 }
 
-// fireFirstData and fireComplete are the completion dispatchers: the
-// scheduled event carries the *Request as its payload, so completion
-// scheduling allocates nothing. The fire time equals the scheduled
-// channel-result time (Access never returns past times), matching the
-// timestamps the request callbacks were promised.
+// fireFirstData is the first-data dispatcher: the scheduled event
+// carries the *Request as its payload, so scheduling allocates
+// nothing. The fire time equals the scheduled channel-result time
+// (Access never returns past times), matching the timestamp the
+// callback was promised.
 func fireFirstData(at sim.Time, arg any) { arg.(*Request).OnFirstData(at) }
-func fireComplete(at sim.Time, arg any)  { arg.(*Request).OnComplete(at) }
 
 // pop removes and returns the next request from the queue as chosen by
 // the issue policy. With a single queued request the policy is not

@@ -172,6 +172,9 @@ type Engine struct {
 	cfg   Config
 	queue []*region // index 0 = highest issue priority
 	index map[uint64]*region
+	// free holds entries that left the queue, reused by later regions
+	// so a warmed engine allocates nothing.
+	free []*region
 
 	// Accuracy throttle state.
 	windowUsed, windowSettled int
@@ -239,13 +242,7 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 	}
 
 	n := e.cfg.BlocksPerRegion()
-	r := &region{
-		base:   base,
-		bitmap: make([]uint64, (n+63)/64),
-		start:  e.blockIndex(addr),
-		scan:   1,
-	}
-	r.pending = n
+	r := e.newRegion(base, e.blockIndex(addr))
 	r.markDone(r.start)
 	for i := 0; i < n; i++ {
 		if i == r.start {
@@ -260,6 +257,7 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 	if r.pending == 0 {
 		// Everything else already cached; nothing to queue.
 		e.stats.RegionsCompleted++
+		e.free = append(e.free, r)
 		return
 	}
 
@@ -276,6 +274,7 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 			e.queue = e.queue[:len(e.queue)-1]
 		}
 		delete(e.index, victim.base)
+		e.free = append(e.free, victim)
 		e.tr.Instant(obs.EvRegionReplace, 0, victim.base, 0)
 		e.stats.RegionsReplaced++
 	}
@@ -290,6 +289,22 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 		e.queue[0] = r
 	}
 	e.index[base] = r
+}
+
+// newRegion returns a fresh entry for the region at base triggered by
+// a miss to block start, reusing a freed entry when one is available.
+func (e *Engine) newRegion(base uint64, start int) *region {
+	n := e.cfg.BlocksPerRegion()
+	var r *region
+	if k := len(e.free); k > 0 {
+		r = e.free[k-1]
+		e.free = e.free[:k-1]
+		clear(r.bitmap)
+	} else {
+		r = &region{bitmap: make([]uint64, (n+63)/64)}
+	}
+	r.base, r.start, r.scan, r.pending = base, start, 1, n
+	return r
 }
 
 // promote moves r to the head of the queue.
@@ -312,6 +327,7 @@ func (e *Engine) retire(r *region, completed bool) {
 		}
 	}
 	delete(e.index, r.base)
+	e.free = append(e.free, r)
 	if completed {
 		e.stats.RegionsCompleted++
 	}
@@ -362,11 +378,12 @@ func (e *Engine) Next(rowOpen func(block uint64) bool) (blockAddr uint64, ok boo
 		return e.Next(rowOpen)
 	}
 	pick.markDone(i)
+	block := pick.base + uint64(i*e.cfg.BlockBytes)
 	if pick.pending == 0 {
 		e.retire(pick, true)
 	}
 	e.stats.Issued++
-	return pick.base + uint64(i*e.cfg.BlockBytes), true
+	return block, true
 }
 
 // RecordSettled feeds the accuracy throttle: the caller reports each

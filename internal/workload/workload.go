@@ -217,8 +217,9 @@ func (g *generator) streamBase(s int) uint64 {
 // Next implements trace.Generator. The stream never ends.
 func (g *generator) Next() (trace.Op, bool) {
 	if len(g.pending) > 0 {
+		// Shift rather than reslice so the buffer keeps its capacity.
 		op := g.pending[0]
-		g.pending = g.pending[1:]
+		g.pending = g.pending[:copy(g.pending, g.pending[1:])]
 		return op, true
 	}
 
