@@ -28,12 +28,7 @@ func benchConfig(n int, parallel bool) Config {
 func BenchmarkClusterSeq(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("systems=%d", n), func(b *testing.B) {
-			cfg := benchConfig(n, false)
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchRun(b, benchConfig(n, false))
 		})
 	}
 }
@@ -44,12 +39,7 @@ func BenchmarkClusterSeq(b *testing.B) {
 func BenchmarkClusterPar(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("systems=%d", n), func(b *testing.B) {
-			cfg := benchConfig(n, true)
-			for i := 0; i < b.N; i++ {
-				if _, err := Run(context.Background(), cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchRun(b, benchConfig(n, true))
 		})
 	}
 }
@@ -69,15 +59,25 @@ func BenchmarkClusterBarrier(b *testing.B) {
 		LinkLatency: DefaultLinkLatency / 4,
 		Parallel:    true,
 	}
-	var epochs uint64
+	if res := benchRun(b, cfg); res.Epochs > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*res.Epochs), "ns/epoch")
+	}
+}
+
+// benchRun runs cfg b.N times, reporting allocations and the fabric's
+// messages per epoch so the per-message cost shows next to ns/op and
+// allocs/op. It returns the last run's result (every run is the same).
+func benchRun(b *testing.B, cfg Config) Result {
+	b.ReportAllocs()
+	var res Result
 	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), cfg)
-		if err != nil {
+		var err error
+		if res, err = Run(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
-		epochs = res.Epochs
 	}
-	if epochs > 0 {
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*epochs), "ns/epoch")
+	if res.Epochs > 0 {
+		b.ReportMetric(float64(res.Messages)/float64(res.Epochs), "msgs/epoch")
 	}
+	return res
 }

@@ -24,13 +24,29 @@ type run struct {
 	mem     *memoryShard
 	delta   sim.Time
 
+	// scheds lists every shard's scheduler in canonical order
+	// (systems by index, then the memory shard), and ahead[i] is what
+	// shard i's last RunUntil reported: its earliest pending event.
+	scheds []*sim.Scheduler
+	ahead  []lookahead
+	// advance runs every shard up to an epoch end, filling ahead; the
+	// engine choice is which function this is.
+	advance func(end sim.Time) error
+
 	epochs   uint64
 	messages uint64
 	now      sim.Time // fabric clock: the last barrier's epoch end
 	hash     uint64   // FNV-1a digest of the barrier fire log
 
-	// inbox is the barrier's reusable merge buffer.
+	// inbox is the barrier's reusable merge buffer. It holds the last
+	// barrier's messages, in canonical order, until the next barrier.
 	inbox []message
+}
+
+// lookahead is one shard's earliest pending event (ok=false: none).
+type lookahead struct {
+	at sim.Time
+	ok bool
 }
 
 // Run executes the cluster to completion and returns the merged
@@ -38,37 +54,11 @@ type run struct {
 // selected by cfg.Parallel; both follow the identical epoch/barrier
 // protocol and produce bit-identical results.
 func Run(ctx context.Context, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-
-	r := &run{cfg: cfg, delta: cfg.LinkLatency}
-	for i, spec := range cfg.Systems {
-		prof, err := workload.ByName(spec.Bench)
-		if err != nil {
-			return Result{}, err
-		}
-		sysCfg := cfg.systemConfig(i)
-		gen, err := prof.Generator(spec.Seed, sysCfg.SoftwarePrefetch && spec.SWPrefetch)
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: system %d (%s): %w", i, spec.Bench, err)
-		}
-		sh := newSystemShard(i, spec.Label(i), cfg.LinkLatency)
-		sys, err := core.NewExternal(sysCfg, gen, sh)
-		if err != nil {
-			return Result{}, fmt.Errorf("cluster: system %d (%s): %w", i, spec.Bench, err)
-		}
-		sh.attach(sys)
-		r.systems = append(r.systems, sh)
-	}
-	mem, err := newMemoryShard(len(cfg.Systems), cfg, len(cfg.Systems))
+	r, err := newRun(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	r.mem = mem
-
-	if cfg.Parallel {
+	if r.cfg.Parallel {
 		err = r.runParallel(ctx)
 	} else {
 		err = r.runSequential(ctx)
@@ -77,6 +67,44 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	return r.collect()
+}
+
+// newRun validates cfg and builds every shard, ready for its first
+// epoch.
+func newRun(cfg Config) (*run, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+
+	r := &run{cfg: cfg, delta: cfg.LinkLatency}
+	for i, spec := range cfg.Systems {
+		prof, err := workload.ByName(spec.Bench)
+		if err != nil {
+			return nil, err
+		}
+		sysCfg := cfg.systemConfig(i)
+		gen, err := prof.Generator(spec.Seed, sysCfg.SoftwarePrefetch && spec.SWPrefetch)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: system %d (%s): %w", i, spec.Bench, err)
+		}
+		sh := newSystemShard(i, spec.Label(i), cfg.LinkLatency)
+		sys, err := core.NewExternal(sysCfg, gen, sh)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: system %d (%s): %w", i, spec.Bench, err)
+		}
+		sh.attach(sys)
+		r.systems = append(r.systems, sh)
+		r.scheds = append(r.scheds, sh.sched)
+	}
+	mem, err := newMemoryShard(len(cfg.Systems), cfg, len(cfg.Systems))
+	if err != nil {
+		return nil, err
+	}
+	r.mem = mem
+	r.scheds = append(r.scheds, mem.sched)
+	r.ahead = make([]lookahead, len(r.scheds))
+	return r, nil
 }
 
 // barrier merges every shard's outbox in canonical order, folds the
@@ -150,21 +178,24 @@ func (r *run) hashMessage(m message) {
 // so skipping them changes nothing observable. The jump never passes
 // the boundary containing the earliest event, so a message posted at
 // time t still delivers at t+Δ, strictly beyond the window end, and
-// the barrier protocol's later-epoch delivery guarantee holds. The
-// decision reads only barrier-time shard state, so both engines skip
-// identically.
+// the barrier protocol's later-epoch delivery guarantee holds.
+//
+// The earliest event is the minimum of what each shard's RunUntil
+// reported and of the deliveries the barrier just injected (the inbox
+// is sorted, so its first message delivers first); nothing else
+// schedules between an epoch's end and the next epoch. The decision
+// reads only barrier-time state, so both engines skip identically.
 func (r *run) nextEpochEnd(end sim.Time) sim.Time {
 	var minNext sim.Time
-	have := false
-	consider := func(t sim.Time, ok bool) {
-		if ok && (!have || t < minNext) {
-			minNext, have = t, true
+	have := len(r.inbox) > 0
+	if have {
+		minNext = r.inbox[0].DeliverAt
+	}
+	for _, la := range r.ahead {
+		if la.ok && (!have || la.at < minNext) {
+			minNext, have = la.at, true
 		}
 	}
-	for _, sh := range r.systems {
-		consider(sh.sched.NextAt())
-	}
-	consider(r.mem.sched.NextAt())
 	if !have || minNext <= end+r.delta {
 		return end + r.delta
 	}
@@ -177,7 +208,7 @@ func (r *run) nextEpochEnd(end sim.Time) sim.Time {
 // quiet. Valid only at a barrier with no messages in flight.
 func (r *run) terminal() bool {
 	for _, sh := range r.systems {
-		if !sh.sys.Done() || len(sh.pending) > 0 {
+		if !sh.sys.Done() || sh.live > 0 {
 			return false
 		}
 	}
@@ -220,6 +251,45 @@ func (r *run) checkBarrier(ctx context.Context, exchanged int) (done bool, err e
 	return false, nil
 }
 
+// epoch runs one round of the protocol shared by both engines:
+// advance every shard to the next barrier, exchange messages, then
+// check termination, deadlock and cancellation. It reports done=true
+// when the cluster completed.
+func (r *run) epoch(ctx context.Context) (done bool, err error) {
+	end := r.nextEpochEnd(r.now)
+	if err := r.advance(end); err != nil {
+		return false, err
+	}
+	r.epochs++
+	r.now = end
+	return r.checkBarrier(ctx, r.barrier())
+}
+
+// loop primes the lookahead, then runs epochs until the cluster
+// completes or fails. Advancing to time zero fires only what the first
+// epoch would fire first anyway, in the same order, and nothing it
+// posts can leave before that epoch's barrier.
+func (r *run) loop(ctx context.Context) error {
+	if err := r.advance(0); err != nil {
+		return err
+	}
+	for {
+		done, err := r.epoch(ctx)
+		if done || err != nil {
+			return err
+		}
+	}
+}
+
+// advanceSequential steps every shard through the epoch on the
+// calling goroutine, in canonical order.
+func (r *run) advanceSequential(end sim.Time) error {
+	for i, s := range r.scheds {
+		r.ahead[i].at, r.ahead[i].ok = s.RunUntil(end)
+	}
+	return nil
+}
+
 // runSequential is the reference engine: one goroutine steps every
 // shard through each epoch in canonical order (systems by index, then
 // the memory shard), then runs the barrier.
@@ -229,71 +299,51 @@ func (r *run) runSequential(ctx context.Context) (err error) {
 			err = fmt.Errorf("cluster: shard panic: %v", p)
 		}
 	}()
-	var end sim.Time
-	for {
-		end = r.nextEpochEnd(end)
-		for _, sh := range r.systems {
-			sh.sched.RunUntil(end)
-		}
-		r.mem.sched.RunUntil(end)
-		r.epochs++
-		r.now = end
-		n := r.barrier()
-		done, err := r.checkBarrier(ctx, n)
-		if done || err != nil {
-			return err
-		}
-	}
+	r.advance = r.advanceSequential
+	return r.loop(ctx)
 }
 
 // runParallel is the sharded engine: one long-lived worker goroutine
-// per shard (systems and memory), advancing in lockstep epochs. A
-// worker owns its shard's scheduler and outbox exclusively between
-// barriers — shards share no state during an epoch — so the only
-// synchronization is the epoch start/finish handshake, and the merge
-// itself runs on the driver goroutine over quiescent shards.
+// per shard (systems and memory), advancing in lockstep epochs.
 func (r *run) runParallel(ctx context.Context) error {
-	nw := len(r.systems) + 1
-	advance := make([]chan sim.Time, nw)
+	defer r.startWorkers()()
+	return r.loop(ctx)
+}
+
+// startWorkers installs the parallel engine's advance and returns the
+// function that stops its workers. A worker owns its shard's scheduler,
+// outbox and lookahead slot exclusively between barriers — shards
+// share no state during an epoch — so the only synchronization is the
+// epoch start/finish handshake, and the merge itself runs on the
+// driver goroutine over quiescent shards.
+func (r *run) startWorkers() (stop func()) {
+	nw := len(r.scheds)
+	start := make([]chan sim.Time, nw)
 	done := make(chan struct{}, nw)
 	panics := make([]any, nw)
 	var wg sync.WaitGroup
 
-	step := func(i int, f func(sim.Time)) {
+	work := func(i int) {
 		defer wg.Done()
-		for end := range advance[i] {
+		for end := range start[i] {
 			func() {
 				defer func() { panics[i] = recover() }()
-				f(end)
+				r.ahead[i].at, r.ahead[i].ok = r.scheds[i].RunUntil(end)
 			}()
 			done <- struct{}{}
 		}
 	}
-	for i := range advance {
-		advance[i] = make(chan sim.Time, 1)
+	for i := range start {
+		start[i] = make(chan sim.Time, 1)
 		wg.Add(1)
-		adv := r.mem.sched.RunUntil
-		if i < len(r.systems) {
-			adv = r.systems[i].sched.RunUntil
-		}
 		//lint:ignore simdeterminism shard workers synchronize at epoch barriers; within an epoch each owns its scheduler exclusively, and the merge order is canonical (see msgCmp)
-		go step(i, func(end sim.Time) { adv(end) })
+		go work(i)
 	}
-	stop := func() {
-		for _, c := range advance {
-			close(c)
-		}
-		wg.Wait()
-	}
-	defer stop()
-
-	var end sim.Time
-	for {
-		end = r.nextEpochEnd(end)
-		for _, c := range advance {
+	r.advance = func(end sim.Time) error {
+		for _, c := range start {
 			c <- end
 		}
-		for range advance {
+		for range start {
 			<-done
 		}
 		for i, p := range panics {
@@ -301,12 +351,12 @@ func (r *run) runParallel(ctx context.Context) error {
 				return fmt.Errorf("cluster: shard %d panic: %v", i, p)
 			}
 		}
-		r.epochs++
-		r.now = end
-		n := r.barrier()
-		finished, err := r.checkBarrier(ctx, n)
-		if finished || err != nil {
-			return err
+		return nil
+	}
+	return func() {
+		for _, c := range start {
+			close(c)
 		}
+		wg.Wait()
 	}
 }

@@ -30,7 +30,7 @@ const (
 
 // message is one cross-shard event. It is pure comparable data — no
 // pointers, no closures — so shards share nothing: request closures
-// stay on the owning system shard, keyed by ID in its pending table.
+// stay on the owning system shard, in its pending table.
 type message struct {
 	// DeliverAt is the absolute delivery time: send time plus the link
 	// latency, which always lands in a strictly later epoch.
@@ -42,8 +42,12 @@ type message struct {
 	Seq uint64
 
 	Kind msgKind
-	// Sys is the owning system and ID the request's slot in that
-	// system's pending table.
+	// Slot is the request's index in the owning system's pending
+	// table, echoed back on completions. It is routing, not protocol:
+	// neither the merge order nor the fire-log digest reads it.
+	Slot uint32
+	// Sys is the owning system and ID the request's per-system
+	// sequence number, which the occupant of Slot must carry.
 	Sys int
 	ID  uint64
 
@@ -72,10 +76,49 @@ func msgCmp(a, b message) int {
 	return cmp.Compare(a.Seq, b.Seq)
 }
 
+// msgPool recycles the *message payloads of delivery events: inject
+// copies a message into a free slot, and the delivery callback copies
+// it back out and returns the slot before acting on it, so a slot is
+// never live past its own event. Passing a pointer through the
+// event's payload keeps scheduling allocation-free.
+type msgPool struct {
+	free  []*message
+	built int // slots ever made; equals len(free) when none is in flight
+}
+
+func (p *msgPool) get(m message) *message {
+	var slot *message
+	if n := len(p.free); n > 0 {
+		slot = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		slot = new(message)
+		p.built++
+	}
+	*slot = m
+	return slot
+}
+
+// take copies the message out of its slot and recycles the slot.
+func (p *msgPool) take(slot *message) message {
+	m := *slot
+	p.free = append(p.free, slot)
+	return m
+}
+
+// pendingEntry is one slot of a system's pending table: the live
+// request and the ID of the message that carried it out. A nil req
+// marks a free slot.
+type pendingEntry struct {
+	id  uint64
+	req *memctrl.Request
+}
+
 // systemShard wraps one core system: its private scheduler, the
-// pending table mapping request IDs to the live *memctrl.Request
-// closures, and the outbox drained at each barrier. It implements
-// core.ExternalMemory, so the system's miss path lands in Submit.
+// pending table holding the live *memctrl.Request of every
+// outstanding transfer, and the outbox drained at each barrier. It
+// implements core.ExternalMemory, so the system's miss path lands in
+// Submit.
 type systemShard struct {
 	idx   int
 	label string
@@ -83,22 +126,27 @@ type systemShard struct {
 	sched *sim.Scheduler
 	link  sim.Time
 
-	nextID  uint64
-	seq     uint64
-	pending map[uint64]*memctrl.Request
-	outbox  []message
+	nextID uint64
+	seq    uint64
+	outbox []message
 
+	// pending is indexed by message.Slot; freeSlots stacks the
+	// unoccupied indices and live counts the occupied ones.
+	pending   []pendingEntry
+	freeSlots []uint32
+	live      int
+
+	msgs      msgPool
 	deliverCB sim.Callback
 }
 
 func newSystemShard(idx int, label string, link sim.Time) *systemShard {
 	sh := &systemShard{
-		idx:     idx,
-		label:   label,
-		link:    link,
-		pending: make(map[uint64]*memctrl.Request),
+		idx:   idx,
+		label: label,
+		link:  link,
 	}
-	sh.deliverCB = func(at sim.Time, arg any) { sh.onDeliver(at, arg.(message)) }
+	sh.deliverCB = func(at sim.Time, arg any) { sh.onDeliver(at, sh.msgs.take(arg.(*message))) }
 	return sh
 }
 
@@ -109,14 +157,24 @@ func (sh *systemShard) attach(sys *core.System) {
 	sh.sched = sys.Sched()
 }
 
-// Submit implements core.ExternalMemory: park the request in the
-// pending table and post its wire form to the outbox.
+// Submit implements core.ExternalMemory: park the request in a free
+// pending slot and post its wire form to the outbox.
 func (sh *systemShard) Submit(r *memctrl.Request) {
 	id := sh.nextID
 	sh.nextID++
-	sh.pending[id] = r
+	var slot uint32
+	if n := len(sh.freeSlots); n > 0 {
+		slot = sh.freeSlots[n-1]
+		sh.freeSlots = sh.freeSlots[:n-1]
+	} else {
+		slot = uint32(len(sh.pending))
+		sh.pending = append(sh.pending, pendingEntry{})
+	}
+	sh.pending[slot] = pendingEntry{id: id, req: r}
+	sh.live++
 	sh.post(message{
 		Kind:      msgRequest,
+		Slot:      slot,
 		Sys:       sh.idx,
 		ID:        id,
 		Addr:      r.Addr,
@@ -142,22 +200,27 @@ func (sh *systemShard) post(m message) {
 // scheduler sequence numbers — and therefore same-instant event order
 // — are identical in both engines.
 func (sh *systemShard) inject(m message) {
-	sh.sched.AtCall(m.DeliverAt, sh.deliverCB, m)
+	sh.sched.AtCall(m.DeliverAt, sh.deliverCB, sh.msgs.get(m))
 }
 
 // onDeliver resolves an incoming completion against the pending table.
+// The slot's occupant must be the request the message was sent for: a
+// completion for a closed slot, or for a slot since reused by a later
+// request, is a protocol violation.
 func (sh *systemShard) onDeliver(at sim.Time, m message) {
-	r, ok := sh.pending[m.ID]
-	if !ok {
+	if int(m.Slot) >= len(sh.pending) || sh.pending[m.Slot].req == nil || sh.pending[m.Slot].id != m.ID {
 		panic(fmt.Sprintf("cluster: %s: completion for unknown request %d (kind %d)", sh.label, m.ID, m.Kind))
 	}
+	r := sh.pending[m.Slot].req
 	switch m.Kind {
 	case msgFirstData:
 		if r.OnFirstData != nil {
 			r.OnFirstData(at)
 		}
 	case msgComplete:
-		delete(sh.pending, m.ID)
+		sh.pending[m.Slot] = pendingEntry{}
+		sh.freeSlots = append(sh.freeSlots, m.Slot)
+		sh.live--
 		if r.OnComplete != nil {
 			r.OnComplete(at)
 		}
@@ -189,7 +252,25 @@ type memoryShard struct {
 	blockBytes uint64
 	skew       uint64
 
+	msgs      msgPool
+	reqs      []*fabricReq // free fabric requests
+	reqsBuilt int          // fabric requests ever made
 	requestCB sim.Callback
+}
+
+// fabricReq is one in-flight transfer on the memory shard: the
+// arbiter's request plus the routing its completion messages echo
+// back. Entries are pooled. Both callbacks are bound once, when the
+// entry is first built; onFirst is installed as OnFirstData only for
+// requests that asked for it. An entry returns to the pool at the end
+// of its onComplete, the last event the arbiter fires for it (first
+// data never lands after the last data, and at the same instant it was
+// scheduled first).
+type fabricReq struct {
+	memctrl.ArbRequest
+	id                  uint64
+	slot                uint32
+	onFirst, onComplete func(sim.Time)
 }
 
 // fabricBlockBytes is the channel-stripe granule. Systems submit
@@ -209,7 +290,7 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 		blockBytes: fabricBlockBytes,
 		skew:       skewBlocks * fabricBlockBytes,
 	}
-	ms.requestCB = func(at sim.Time, arg any) { ms.onRequest(at, arg.(message)) }
+	ms.requestCB = func(at sim.Time, arg any) { ms.onRequest(at, ms.msgs.take(arg.(*message))) }
 	if cfg.Obs.Trace {
 		// The fabric gets its own trace lanes (one channel/bank pair
 		// per physical channel) exported as the "fabric" process next
@@ -251,7 +332,25 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 
 // inject schedules an incoming request's arrival at the fabric.
 func (ms *memoryShard) inject(m message) {
-	ms.sched.AtCall(m.DeliverAt, ms.requestCB, m)
+	ms.sched.AtCall(m.DeliverAt, ms.requestCB, ms.msgs.get(m))
+}
+
+// newFabricReq takes a free fabric request, or builds one with its
+// callbacks bound.
+func (ms *memoryShard) newFabricReq() *fabricReq {
+	if n := len(ms.reqs); n > 0 {
+		f := ms.reqs[n-1]
+		ms.reqs = ms.reqs[:n-1]
+		return f
+	}
+	ms.reqsBuilt++
+	f := &fabricReq{}
+	f.onFirst = func(at sim.Time) { ms.post(msgFirstData, f, at) }
+	f.onComplete = func(at sim.Time) {
+		ms.post(msgComplete, f, at)
+		ms.reqs = append(ms.reqs, f)
+	}
+	return f
 }
 
 // localAddr compacts a fabric address into its channel's private
@@ -269,30 +368,32 @@ func (ms *memoryShard) localAddr(addr uint64) uint64 {
 func (ms *memoryShard) onRequest(_ sim.Time, m message) {
 	addr := (m.Addr + uint64(m.Sys)*ms.skew) % ms.capacity
 	ch := int(addr / ms.blockBytes % uint64(len(ms.arbs)))
-	sys, id := m.Sys, m.ID
-	ar := &memctrl.ArbRequest{
-		Sys:   sys,
-		Addr:  ms.localAddr(addr),
-		Size:  m.Size,
-		Class: m.Class,
-		Write: m.Write,
+	f := ms.newFabricReq()
+	f.id, f.slot = m.ID, m.Slot
+	f.ArbRequest = memctrl.ArbRequest{
+		Sys:        m.Sys,
+		Addr:       ms.localAddr(addr),
+		Size:       m.Size,
+		Class:      m.Class,
+		Write:      m.Write,
+		OnComplete: f.onComplete,
 	}
 	if m.NeedFirst {
-		ar.OnFirstData = func(at sim.Time) { ms.post(msgFirstData, sys, id, at) }
+		f.OnFirstData = f.onFirst
 	}
-	ar.OnComplete = func(at sim.Time) { ms.post(msgComplete, sys, id, at) }
-	ms.arbs[ch].Submit(ar)
+	ms.arbs[ch].Submit(&f.ArbRequest)
 }
 
-// post queues a completion message back to the owning system.
-func (ms *memoryShard) post(kind msgKind, sys int, id uint64, at sim.Time) {
+// post queues a completion message for f back to its owning system.
+func (ms *memoryShard) post(kind msgKind, f *fabricReq, at sim.Time) {
 	ms.outbox = append(ms.outbox, message{
 		DeliverAt: at + ms.link,
 		Src:       ms.idx,
 		Seq:       ms.seq,
 		Kind:      kind,
-		Sys:       sys,
-		ID:        id,
+		Slot:      f.slot,
+		Sys:       f.Sys,
+		ID:        f.id,
 	})
 	ms.seq++
 }

@@ -337,7 +337,13 @@ func (s *Scheduler) Run() {
 // RunUntil executes events with timestamps <= t, then advances the
 // clock to exactly t. Events scheduled during execution are honored if
 // they fall within the window.
-func (s *Scheduler) RunUntil(t Time) {
+//
+// It reports the timestamp of the earliest event still pending, which
+// it peeked to stop its loop, and ok=false when the queue is empty.
+// Canceled events at the head are discarded on the way, so the
+// reported time is a live event's. Epoch drivers (internal/cluster)
+// use it as their lookahead to skip event-free epochs wholesale.
+func (s *Scheduler) RunUntil(t Time) (next Time, ok bool) {
 	for s.q != nil {
 		e := s.q.peek()
 		if e == nil {
@@ -349,6 +355,7 @@ func (s *Scheduler) RunUntil(t Time) {
 			continue
 		}
 		if e.when > t {
+			next, ok = e.when, true
 			break
 		}
 		s.q.pop()
@@ -357,26 +364,7 @@ func (s *Scheduler) RunUntil(t Time) {
 	if t > s.now {
 		s.now = t
 	}
-}
-
-// NextAt reports the timestamp of the earliest pending event, ok=false
-// when the queue is empty. Canceled events at the head are discarded
-// on the way, so the reported time is a live event's. Epoch drivers
-// (internal/cluster) use it to skip event-free epochs wholesale.
-func (s *Scheduler) NextAt() (Time, bool) {
-	for s.q != nil {
-		e := s.q.peek()
-		if e == nil {
-			break
-		}
-		if e.canceled {
-			s.q.pop()
-			s.release(e)
-			continue
-		}
-		return e.when, true
-	}
-	return 0, false
+	return next, ok
 }
 
 // RunWhile executes events while cond returns true and events remain.

@@ -234,24 +234,55 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 	}
 }
 
-// Property: RunUntil(t) leaves the clock at exactly t and fires exactly
-// the events with timestamps <= t.
+// Property: RunUntil(t) leaves the clock at exactly t, fires exactly
+// the live events with timestamps <= t, and returns the earliest live
+// event still pending — skipping canceled ones — with ok=false when
+// none is left. Holds on every engine.
 func TestPropertyRunUntilBoundary(t *testing.T) {
-	f := func(delays []uint16, cut uint16) bool {
-		s := NewScheduler()
-		fired := 0
-		want := 0
-		for _, d := range delays {
-			if Time(d) <= Time(cut) {
-				want++
+	for _, eng := range engines {
+		f := func(delays []uint16, cancel []bool, cut uint16) bool {
+			s := NewSchedulerEngine(eng)
+			fired, want := 0, 0
+			var wantNext Time
+			wantOK := false
+			for i, d := range delays {
+				e := s.Schedule(Time(d), func() { fired++ })
+				if i < len(cancel) && cancel[i] {
+					e.Cancel()
+					continue
+				}
+				switch {
+				case Time(d) <= Time(cut):
+					want++
+				case !wantOK || Time(d) < wantNext:
+					wantNext, wantOK = Time(d), true
+				}
 			}
-			s.Schedule(Time(d), func() { fired++ })
+			next, ok := s.RunUntil(Time(cut))
+			return fired == want && s.Now() == Time(cut) && ok == wantOK && (!ok || next == wantNext)
 		}
-		s.RunUntil(Time(cut))
-		return fired == want && s.Now() == Time(cut)
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("%v: %v", eng, err)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+}
+
+// RunUntil on an empty queue — never used, or drained — reports no
+// next event.
+func TestRunUntilEmptyReportsNone(t *testing.T) {
+	var zero Scheduler
+	if _, ok := zero.RunUntil(10); ok {
+		t.Error("zero scheduler: RunUntil reported a pending event")
+	}
+	for _, eng := range engines {
+		s := NewSchedulerEngine(eng)
+		s.Schedule(5, func() {})
+		if next, ok := s.RunUntil(4); !ok || next != 5 {
+			t.Errorf("%v: RunUntil(4) = (%v, %v), want (5ps, true)", eng, next, ok)
+		}
+		if _, ok := s.RunUntil(5); ok {
+			t.Errorf("%v: drained queue: RunUntil reported a pending event", eng)
+		}
 	}
 }
 
