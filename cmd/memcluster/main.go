@@ -41,7 +41,6 @@ func main() {
 		link      = flag.Duration("link", 0, "system-to-fabric link latency (= epoch width; 0 = 10ns)")
 		instrs    = flag.Uint64("instrs", 100_000, "measured instructions per system")
 		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions per system")
-		engine    = flag.String("engine", "", "event scheduler engine: calendar or heap")
 		parallel  = flag.Bool("parallel", false, "run shards on goroutines (bit-identical to sequential)")
 		baselines = flag.Bool("baselines", false, "also run each system alone: slowdown, weighted speedup, fairness")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this wall-clock time (0 = none)")
@@ -71,7 +70,6 @@ func main() {
 		LinkLatency:       sim.Time(link.Nanoseconds()) * sim.Nanosecond,
 		MaxInstrs:         *instrs,
 		WarmupInstrs:      *warmup,
-		Engine:            *engine,
 		Parallel:          *parallel,
 		Obs:               obs.Config{Trace: *traceOut != ""},
 	}

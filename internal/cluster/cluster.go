@@ -101,10 +101,6 @@ type Config struct {
 	MaxInstrs    uint64 `json:"max_instrs,omitempty"`
 	WarmupInstrs uint64 `json:"warmup_instrs,omitempty"`
 
-	// Engine selects the event-scheduler implementation for all shards
-	// ("", "calendar", "heap").
-	Engine string `json:"engine,omitempty"`
-
 	// Parallel selects the sharded engine: one goroutine per shard
 	// with epoch barriers. False runs the sequential reference engine
 	// (identical protocol, shards stepped in canonical order on one
@@ -171,9 +167,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: %w", err)
 		}
 	}
-	if _, err := sim.ParseEngine(c.Engine); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
 	if c.BankTiming != "" && !policy.Timings.Known(c.BankTiming) {
 		return fmt.Errorf("cluster: unknown bank timing %q (have %s)",
 			c.BankTiming, strings.Join(policy.Timings.Names(), ", "))
@@ -200,7 +193,6 @@ func (c Config) systemConfig(i int) core.Config {
 	cfg.Mapping = c.Mapping
 	cfg.Timing = c.Timing
 	cfg.ClosedPage = c.ClosedPage
-	cfg.Engine = c.Engine
 	if c.MaxInstrs > 0 {
 		cfg.MaxInstrs = c.MaxInstrs
 		cfg.WarmupInstrs = c.WarmupInstrs

@@ -178,7 +178,6 @@ func TestValidate(t *testing.T) {
 		{"unknown bench", func(c *Config) { c.Systems[0].Bench = "nope" }, "nope"},
 		{"bad channels", func(c *Config) { c.Channels = -1 }, "Channels"},
 		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, "LinkLatency"},
-		{"bad engine", func(c *Config) { c.Engine = "quantum" }, "engine"},
 		{"unknown bank timing", func(c *Config) { c.BankTiming = "exotic" }, "bank timing"},
 	}
 	for _, tc := range cases {

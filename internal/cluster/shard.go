@@ -279,13 +279,9 @@ type fabricReq struct {
 const fabricBlockBytes = 64
 
 func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
-	engine, err := sim.ParseEngine(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
 	ms := &memoryShard{
 		idx:        idx,
-		sched:      sim.NewSchedulerEngine(engine),
+		sched:      sim.NewScheduler(),
 		link:       cfg.LinkLatency,
 		blockBytes: fabricBlockBytes,
 		skew:       skewBlocks * fabricBlockBytes,

@@ -14,7 +14,6 @@ import (
 	"memsim/internal/obs"
 	"memsim/internal/policy"
 	"memsim/internal/prefetch"
-	"memsim/internal/sim"
 )
 
 // PrefetchConfig enables and tunes the prefetch engine.
@@ -164,14 +163,6 @@ type Config struct {
 	// 200M-instruction samples; our shorter synthetic samples need the
 	// explicit warmup.)
 	WarmupInstrs uint64
-
-	// Engine selects the event-scheduler implementation: "" or
-	// "calendar" for the bucketed calendar queue (default), "heap" for
-	// the reference container/heap engine. The two realize the same
-	// deterministic event order (the differential harness in
-	// internal/sim/difftest holds them to it); "heap" exists for
-	// regression triage and cross-engine testing.
-	Engine string
 
 	// SoftwarePrefetch enables execution of software prefetch
 	// instructions; when false the simulator discards them as fetched,
@@ -342,10 +333,6 @@ func (c Config) Validate() error {
 		v.Range("Prefetch.ThrottleWindow", int64(p.ThrottleWindow), 0, 1<<20)
 		v.Check(p.ThrottleAccuracy >= 0 && p.ThrottleAccuracy <= 1,
 			"Prefetch.ThrottleAccuracy", p.ThrottleAccuracy, "must be in [0, 1]")
-	}
-
-	if _, err := sim.ParseEngine(c.Engine); err != nil {
-		v.Reject("Engine", c.Engine, `must be one of "", "calendar", "heap"`)
 	}
 
 	v.Check(c.Harden.WatchdogCycles >= 0, "Harden.WatchdogCycles", c.Harden.WatchdogCycles, "must be >= 0")

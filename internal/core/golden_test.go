@@ -9,7 +9,8 @@ import (
 	"sort"
 	"testing"
 
-	"memsim/internal/obs"
+	"memsim/internal/cache"
+	"memsim/internal/prefetch"
 	"memsim/internal/workload"
 )
 
@@ -41,8 +42,14 @@ type goldenEntry struct {
 // paper's main axes (base vs tuned prefetch, mapping, channel count,
 // row policy) plus the extensions with the most distinctive event
 // traffic (independent channels with reordering, stream prefetch); the
-// rest pin one fixture per policy-zoo scheme: each FR-FCFS variant,
+// next four pin one fixture per policy-zoo scheme: each FR-FCFS variant,
 // the tiered-latency bank, and the row-reuse fast path.
+//
+// The remaining cells cover every scheduling, timing and prefetch
+// scheme, two XOR-mapped channels, paranoid hardening, and
+// counterfactual tracing. Their fixture entries were recorded with the
+// reference container/heap event queue, so the calendar queue is held
+// to the heap's full-system output.
 func goldenConfigs() []struct {
 	Name string
 	Cfg  Config
@@ -82,6 +89,46 @@ func goldenConfigs() []struct {
 	reuse.Mapping = "xor"
 	reuse.BankTiming = "rowreuse"
 
+	two := Base()
+	two.Channels = 2
+	two.Mapping = "xor"
+
+	paranoid := Tuned()
+	paranoid.Harden.Paranoid = true
+	paranoid.Harden.WatchdogCycles = 1 << 20
+
+	fcfs := frfcfs
+	fcfs.SchedPolicy = "fcfs"
+
+	capWide := frfcfsCap
+	capWide.ReorderWindow = 8
+
+	flat := tiered
+	flat.BankTiming = "flat"
+
+	prefetchCell := func(scheme string) Config {
+		cfg := Base()
+		cfg.Prefetch = PrefetchConfig{
+			Enabled:     true,
+			Scheme:      scheme,
+			Lookahead:   4,
+			TableSize:   8,
+			RegionBytes: 4096,
+			QueueDepth:  8,
+			Policy:      prefetch.LIFO,
+			BankAware:   true,
+			Scheduled:   true,
+			Insert:      cache.LRU,
+		}
+		return cfg
+	}
+
+	// Counterfactual tracing must not perturb the run: alternates see
+	// recorded inputs only.
+	cf := Tuned()
+	cf.Counterfactual = true
+	cf.Obs.Trace = true
+
 	return []struct {
 		Name string
 		Cfg  Config
@@ -96,6 +143,15 @@ func goldenConfigs() []struct {
 		{"frfcfs-cap", frfcfsCap},
 		{"tiered-latency", tiered},
 		{"row-reuse", reuse},
+		{"two-channel-xor", two},
+		{"tuned-paranoid", paranoid},
+		{"sched-fcfs", fcfs},
+		{"sched-frfcfs-cap", capWide},
+		{"timing-flat", flat},
+		{"prefetch-region", prefetchCell("region")},
+		{"prefetch-sequential", prefetchCell("sequential")},
+		{"prefetch-stream", prefetchCell("stream")},
+		{"counterfactual", cf},
 	}
 }
 
@@ -110,7 +166,7 @@ func TestGoldenResults(t *testing.T) {
 		cfg := gc.Cfg
 		cfg.MaxInstrs = goldenInstrs
 		cfg.WarmupInstrs = goldenInstrs
-		cfg.Obs = obs.Config{Metrics: true}
+		cfg.Obs.Metrics = true
 		p, err := workload.ByName("gcc")
 		if err != nil {
 			t.Fatal(err)

@@ -339,12 +339,10 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		return nil, err
 	}
 
-	// Validate vetted the engine name already; the error is unreachable.
-	engine, _ := sim.ParseEngine(cfg.Engine)
 	s := &System{
 		cfg:      cfg,
 		clock:    sim.NewClock(cfg.ClockHz),
-		sched:    sim.NewSchedulerEngine(engine),
+		sched:    sim.NewScheduler(),
 		l1:       l1,
 		l2:       l2,
 		mshrs:    cache.NewMSHRTable[waiter](cfg.MSHRs),

@@ -44,15 +44,15 @@ func (m *pendingMemory) Access(addr uint64, kind trace.Kind, complete func(sim.T
 	if m.outstanding > m.maxOutstanding {
 		m.maxOutstanding = m.outstanding
 	}
-	m.sched.Schedule(m.latency, func() {
+	m.sched.ScheduleCall(m.latency, func(now sim.Time, _ any) {
 		m.outstanding--
 		if complete != nil {
-			complete(m.sched.Now())
+			complete(now)
 		}
 		if m.onFree != nil {
 			m.onFree()
 		}
-	})
+	}, nil)
 	return Reply{Accepted: true}
 }
 

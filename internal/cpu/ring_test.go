@@ -36,14 +36,14 @@ func (m *scriptedMemory) Access(addr uint64, kind trace.Kind, complete func(sim.
 	}
 	m.busy++
 	m.log = append(m.log, fmt.Sprintf("miss %v %#x@%v", kind, addr, now))
-	m.sched.Schedule(m.missLat, func() {
+	m.sched.ScheduleCall(m.missLat, func(now sim.Time, _ any) {
 		m.busy--
 		if complete != nil {
-			m.log = append(m.log, fmt.Sprintf("done %#x@%v", addr, m.sched.Now()))
-			complete(m.sched.Now())
+			m.log = append(m.log, fmt.Sprintf("done %#x@%v", addr, now))
+			complete(now)
 		}
 		m.wake()
-	})
+	}, nil)
 	return Reply{Accepted: true}
 }
 

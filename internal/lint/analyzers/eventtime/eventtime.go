@@ -8,14 +8,14 @@
 // code runs:
 //
 //   - a time argument built by subtracting from Scheduler.Now()
-//     (`s.At(s.Now()-penalty, fn)`): the subtraction lands in the past
-//     whenever the penalty is positive, and the runtime clamp turns
-//     the intended delay into "immediately", skewing all downstream
-//     timing;
+//     (`s.AtCall(s.Now()-penalty, cb, arg)`): the subtraction lands in
+//     the past whenever the penalty is positive, and the runtime clamp
+//     turns the intended delay into "immediately", skewing all
+//     downstream timing;
 //
 //   - a bare non-zero integer literal passed where a sim.Time is
-//     expected (`s.Schedule(100, fn)`): raw picosecond counts are
-//     never what the author meant — real delays are derived from
+//     expected (`s.ScheduleCall(100, cb, arg)`): raw picosecond counts
+//     are never what the author meant — real delays are derived from
 //     timing configuration or written as a multiple of a sim unit
 //     (100*sim.Nanosecond). A literal 0 ("fire as soon as possible")
 //     is idiomatic and allowed.
@@ -34,7 +34,7 @@ import (
 // Analyzer is the eventtime pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "eventtime",
-	Doc: "flag sim.Scheduler scheduling calls (Schedule, At, ScheduleCall, AtCall) that subtract from Now() or pass a bare integer literal\n\n" +
+	Doc: "flag sim.Scheduler scheduling calls (ScheduleCall, AtCall) that subtract from Now() or pass a bare integer literal\n\n" +
 		"Subtracting from Now() schedules in the past (the runtime clamps it, silently skewing timing); " +
 		"bare non-zero literals bypass the sim.Time unit system.",
 	Run: run,
@@ -63,8 +63,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// schedulerMethod reports whether call invokes Schedule or At on a
-// sim.Scheduler, returning the method name. Matching is by receiver
+// schedulerMethod reports whether call invokes ScheduleCall or AtCall
+// on a sim.Scheduler, returning the method name. Matching is by receiver
 // type name and package name so fixtures with a stub sim package
 // exercise the same path as the real memsim/internal/sim.
 func schedulerMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
@@ -77,7 +77,7 @@ func schedulerMethod(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 		return "", false
 	}
 	switch fn.Name() {
-	case "Schedule", "At", "ScheduleCall", "AtCall":
+	case "ScheduleCall", "AtCall":
 	default:
 		return "", false
 	}

@@ -7,7 +7,7 @@ import (
 	"memsim/internal/lint/analyzers/eventtime"
 )
 
-// TestFixtures covers Scheduler.At/Schedule call sites: subtraction
+// TestFixtures covers Scheduler.AtCall/ScheduleCall call sites: subtraction
 // from Now() (clamped to the past), bare integer literals where a
 // sim.Time is expected, and the clean forms (unit-multiplied literals,
 // named constants, Now()+delta, zero).

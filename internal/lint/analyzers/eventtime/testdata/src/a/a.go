@@ -13,32 +13,21 @@ type component struct {
 // Schedulerish must NOT match: right methods, wrong type name.
 type Schedulerish struct{}
 
-func (s *Schedulerish) Schedule(delay sim.Time, fn func()) {}
+func (s *Schedulerish) ScheduleCall(delay sim.Time, cb sim.Callback, arg any) {}
 
-func bad(s *sim.Scheduler, fn func()) {
-	s.At(s.Now()-penalty, fn)           // want `Scheduler.At called with a time subtracted from Now\(\)`
-	s.At(s.Now()-2*sim.Nanosecond, fn)  // want `Scheduler.At called with a time subtracted from Now\(\)`
-	s.Schedule(100, fn)                 // want `Scheduler.Schedule called with bare integer literal 100`
-	s.Schedule(-3, fn)                  // want `Scheduler.Schedule called with bare integer literal 3`
-	s.At((s.Now()-penalty)+penalty, fn) // want `Scheduler.At called with a time subtracted from Now\(\)`
+func bad(s *sim.Scheduler, cb sim.Callback) {
+	s.AtCall(s.Now()-penalty, cb, nil)           // want `Scheduler.AtCall called with a time subtracted from Now\(\)`
+	s.AtCall(s.Now()-2*sim.Nanosecond, cb, nil)  // want `Scheduler.AtCall called with a time subtracted from Now\(\)`
+	s.ScheduleCall(100, cb, nil)                 // want `Scheduler.ScheduleCall called with bare integer literal 100`
+	s.ScheduleCall(-3, cb, nil)                  // want `Scheduler.ScheduleCall called with bare integer literal 3`
+	s.AtCall((s.Now()-penalty)+penalty, cb, nil) // want `Scheduler.AtCall called with a time subtracted from Now\(\)`
 }
 
-func badPrebound(s *sim.Scheduler, cb sim.Callback) {
-	s.AtCall(s.Now()-penalty, cb, nil) // want `Scheduler.AtCall called with a time subtracted from Now\(\)`
-	s.ScheduleCall(200, cb, nil)       // want `Scheduler.ScheduleCall called with bare integer literal 200`
-}
-
-func clean(s *sim.Scheduler, c *component, fn func()) {
-	s.Schedule(0, fn)                  // immediate-schedule idiom is allowed
-	s.Schedule(100*sim.Nanosecond, fn) // unit-typed literals are fine
-	s.Schedule(penalty, fn)            // named constants are fine
-	s.Schedule(c.latency, fn)
-	s.At(s.Now()+c.latency, fn)
-	c.sched.Schedule(100, fn) // wrong receiver type: not the sim kernel
-}
-
-func cleanPrebound(s *sim.Scheduler, c *component, cb sim.Callback) {
-	s.ScheduleCall(0, cb, nil) // immediate-schedule idiom is allowed
+func clean(s *sim.Scheduler, c *component, cb sim.Callback) {
+	s.ScheduleCall(0, cb, nil)                  // immediate-schedule idiom is allowed
+	s.ScheduleCall(100*sim.Nanosecond, cb, nil) // unit-typed literals are fine
+	s.ScheduleCall(penalty, cb, nil)            // named constants are fine
 	s.ScheduleCall(c.latency, cb, nil)
 	s.AtCall(s.Now()+c.latency, cb, nil)
+	c.sched.ScheduleCall(100, cb, nil) // wrong receiver type: not the sim kernel
 }

@@ -1,7 +1,7 @@
 // Package sim is a stub of memsim/internal/sim for eventtime fixtures:
-// the analyzer matches Scheduler.At/Schedule by package name, receiver
-// type name and method name, so this stub exercises the same code path
-// as the real kernel.
+// the analyzer matches Scheduler.ScheduleCall/AtCall by package name,
+// receiver type name and method name, so this stub exercises the same
+// code path as the real kernel.
 package sim
 
 // Time is a simulated timestamp or duration in picoseconds.
@@ -20,12 +20,6 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Callback mirrors the pre-bound event handler form.
 type Callback func(now Time, arg any)
-
-// Schedule queues fn after delay.
-func (s *Scheduler) Schedule(delay Time, fn func()) {}
-
-// At queues fn at absolute time t.
-func (s *Scheduler) At(t Time, fn func()) {}
 
 // ScheduleCall queues the pre-bound cb with arg after delay.
 func (s *Scheduler) ScheduleCall(delay Time, cb Callback, arg any) {}

@@ -134,10 +134,10 @@ func TestDemandBypassesQueuedPrefetches(t *testing.T) {
 	c.SetPrefetchSource(src)
 	c.Kick()
 	// Let two prefetches go, then inject a demand.
-	s.Schedule(100*sim.Nanosecond, func() {
+	s.ScheduleCall(100*sim.Nanosecond, func(sim.Time, any) {
 		c.Submit(&Request{Addr: 0x1000, Size: 64, Class: channel.Demand,
 			OnFirstData: func(sim.Time) { order = append(order, "demand") }})
-	})
+	}, nil)
 	s.Run()
 	// The demand must not be last: prefetches queued behind it at
 	// submission time complete after it.

@@ -4,10 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"memsim/internal/addrmap"
 	"memsim/internal/channel"
 	"memsim/internal/dram"
-	"memsim/internal/sim"
 )
 
 // pickCase builds a queue where open marks the row-open entries.
@@ -60,39 +58,12 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
-// TestSetReorderWindowShim pins the legacy knob's mapping onto the
-// policy seam: window > 1 arms capped FR-FCFS, anything else FCFS.
-func TestSetReorderWindowShim(t *testing.T) {
-	g := addrmap.Geometry{Channels: 1, DevicesPerChannel: 1}
-	ch, err := channel.New(channel.Config{Geometry: g, Timing: dram.Part800x40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := addrmap.NewBase(g)
-	c := New(sim.NewScheduler(), ch, m)
-	if got := c.Policy().Name(); got != "fcfs" {
-		t.Fatalf("default policy = %q, want fcfs", got)
-	}
-	c.SetReorderWindow(8)
-	if got := c.Policy().Name(); got != "frfcfs-cap" {
-		t.Fatalf("after SetReorderWindow(8): %q", got)
-	}
-	c.SetReorderWindow(0)
-	if got := c.Policy().Name(); got != "fcfs" {
-		t.Fatalf("after SetReorderWindow(0): %q", got)
-	}
-	c.SetPolicy(nil)
-	if got := c.Policy().Name(); got != "fcfs" {
-		t.Fatalf("after SetPolicy(nil): %q", got)
-	}
-}
-
 // TestDecisionRecording drives the reorder scenario with counterfactual
 // recording armed and checks the recorded snapshot: queue addresses,
 // open-row flags, the primary's choice, and each alternative's pick on
 // the same snapshot.
 func TestDecisionRecording(t *testing.T) {
-	s, c, _ := newReorderController(t, 4)
+	s, c, _ := newReorderController(t, FRFCFS{Window: 4})
 	c.EnableCounterfactual([]IssuePolicy{FCFS{}, FRFCFS{}})
 	var records []DecisionRecord
 	c.OnDecision(func(r DecisionRecord) { records = append(records, r) })

@@ -8,7 +8,7 @@
 //
 // The tables are populated by init functions in this package and are
 // read-only afterwards; Names always returns a sorted copy, so every
-// consumer (validation errors, difftest matrices, counterfactual
+// consumer (validation errors, test matrices, counterfactual
 // alternative sets) enumerates the zoo in one deterministic order.
 package policy
 

@@ -63,7 +63,7 @@ func TestUnknownLookupError(t *testing.T) {
 }
 
 // TestRegisteredNames locks the zoo membership of all four tables; a
-// new scheme must extend this list (and its golden/difftest coverage).
+// new scheme must extend this list (and its golden coverage).
 func TestRegisteredNames(t *testing.T) {
 	for _, tc := range []struct {
 		kind string

@@ -76,7 +76,6 @@ type ConfigOverrides struct {
 	ReorderWindow    *int    `json:"reorder_window,omitempty"`    // open-row-first issue window
 	SchedPolicy      *string `json:"sched_policy,omitempty"`      // "fcfs", "frfcfs", "frfcfs-cap"
 	BankTiming       *string `json:"bank_timing,omitempty"`       // "flat", "tiered", "rowreuse"
-	Engine           *string `json:"engine,omitempty"`            // "calendar", "heap"
 	Prefetch         *bool   `json:"prefetch,omitempty"`          // enable the tuned prefetch engine
 	PrefetchScheme   *string `json:"prefetch_scheme,omitempty"`   // "region", "sequential", "stream"
 	SoftwarePrefetch *bool   `json:"software_prefetch,omitempty"` // execute software prefetches
@@ -127,9 +126,6 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 		}
 		if o.BankTiming != nil {
 			cfg.BankTiming = *o.BankTiming
-		}
-		if o.Engine != nil {
-			cfg.Engine = *o.Engine
 		}
 		if o.Prefetch != nil {
 			if *o.Prefetch {

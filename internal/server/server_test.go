@@ -377,6 +377,7 @@ func TestMalformedBodies(t *testing.T) {
 		{"wrong type", `{"instrs":"many"}`, http.StatusBadRequest, codeWrongType},
 		{"wrong root type", `"a string"`, http.StatusBadRequest, codeWrongType},
 		{"unknown field", `{"bogus":1}`, http.StatusBadRequest, codeUnknownField},
+		{"retired engine field", `{"config":{"engine":"heap"}}`, http.StatusBadRequest, codeUnknownField},
 		{"trailing document", `{}{"preset":"base"}`, http.StatusBadRequest, codeMalformedJSON},
 		{"oversized", `{"benchmarks":["` + strings.Repeat("a", 600) + `"]}`, http.StatusRequestEntityTooLarge, codeOversized},
 		{"unknown preset", `{"preset":"exotic"}`, http.StatusBadRequest, codeInvalidSpec},

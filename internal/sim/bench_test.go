@@ -8,8 +8,7 @@ import (
 // benchChains is the steady-state pending-event population for the
 // scheduler microbenchmarks: roughly what a 4-channel tuned-prefetch
 // run keeps in flight (core steps, controller decisions, transfer
-// completions, monitors), and enough that the heap's O(log n) sift
-// has real depth to lose.
+// completions, monitors).
 const benchChains = 256
 
 // benchDelays mixes core-cycle, DRAM-command and transfer-latency
@@ -17,10 +16,10 @@ const benchChains = 256
 // hammering one.
 var benchDelays = [8]Time{625, 1250, 1875, 3750, 9375, 20 * Nanosecond, 45 * Nanosecond, 625}
 
-// benchEngine measures steady-state event throughput on the pooled
-// fast path: benchChains self-rescheduling callbacks, b.N pops.
-func benchEngine(b *testing.B, eng Engine) {
-	s := NewSchedulerEngine(eng)
+// BenchmarkSchedulerCalendar measures steady-state event throughput:
+// benchChains self-rescheduling callbacks, b.N pops.
+func BenchmarkSchedulerCalendar(b *testing.B) {
+	s := NewScheduler()
 	n := 0
 	var tick Callback
 	tick = func(_ Time, arg any) {
@@ -39,59 +38,27 @@ func benchEngine(b *testing.B, eng Engine) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-func BenchmarkSchedulerCalendar(b *testing.B) { benchEngine(b, EngineCalendar) }
-func BenchmarkSchedulerHeap(b *testing.B)     { benchEngine(b, EngineHeap) }
-
-// benchEngineClosure is the same workload on the closure form, which
-// allocates an Event per schedule: the path legacy callers and
-// cancelable monitors still use.
-func benchEngineClosure(b *testing.B, eng Engine) {
-	s := NewSchedulerEngine(eng)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		s.Schedule(benchDelays[n&7], tick)
-	}
-	for c := 0; c < benchChains; c++ {
-		s.Schedule(Time(c%17)*111, tick)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkSchedulerCalendarClosure(b *testing.B) { benchEngineClosure(b, EngineCalendar) }
-func BenchmarkSchedulerHeapClosure(b *testing.B)     { benchEngineClosure(b, EngineHeap) }
-
-// BenchmarkSchedulerPending sweeps the pending-set size to show how
-// each engine scales: the heap's per-op cost grows with log n, the
-// calendar queue's stays flat.
+// BenchmarkSchedulerPending sweeps the pending-set size to show that
+// the calendar queue's per-event cost stays flat as the queue grows.
 func BenchmarkSchedulerPending(b *testing.B) {
 	for _, pending := range []int{16, 256, 4096} {
-		for _, eng := range []Engine{EngineCalendar, EngineHeap} {
-			b.Run(fmt.Sprintf("%v/%d", eng, pending), func(b *testing.B) {
-				s := NewSchedulerEngine(eng)
-				n := 0
-				var tick Callback
-				tick = func(Time, any) {
-					n++
-					s.ScheduleCall(benchDelays[n&7], tick, nil)
-				}
-				for c := 0; c < pending; c++ {
-					s.ScheduleCall(Time(c%29)*77, tick, nil)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.Step()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
-			})
-		}
+		b.Run(fmt.Sprintf("calendar/%d", pending), func(b *testing.B) {
+			s := NewScheduler()
+			n := 0
+			var tick Callback
+			tick = func(Time, any) {
+				n++
+				s.ScheduleCall(benchDelays[n&7], tick, nil)
+			}
+			for c := 0; c < pending; c++ {
+				s.ScheduleCall(Time(c%29)*77, tick, nil)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Step()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
 	}
 }

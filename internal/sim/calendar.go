@@ -20,10 +20,10 @@ import "math/bits"
 // depends only on the queued events, never on host state, so the pop
 // sequence is the same total (when, seq) order a heap produces.
 type calQueue struct {
-	buckets []*Event
+	buckets []*event
 	mask    uint64
 	shift   uint
-	n       int    // queued events, including canceled ones
+	n       int    // queued events
 	curDay  uint64 // rotation cursor: no queued event has day < curDay
 
 	// Sizing activity, surfaced through Scheduler.DebugState.
@@ -46,7 +46,7 @@ const (
 
 func newCalQueue() *calQueue {
 	return &calQueue{
-		buckets: make([]*Event, calMinBuckets),
+		buckets: make([]*event, calMinBuckets),
 		mask:    calMinBuckets - 1,
 		shift:   calInitShift,
 	}
@@ -55,7 +55,7 @@ func newCalQueue() *calQueue {
 // before reports whether a fires strictly before b in the scheduler's
 // total order: earlier timestamp, or same timestamp and earlier
 // sequence number (FIFO among same-tick events).
-func before(a, b *Event) bool {
+func before(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -64,37 +64,23 @@ func before(a, b *Event) bool {
 
 func (q *calQueue) day(t Time) uint64 { return uint64(t) >> q.shift }
 
-func (q *calQueue) size() int { return q.n }
-
 // push inserts e, keeping its bucket's list sorted by (when, seq).
 // Sequence numbers grow monotonically, so a same-tick burst appends
 // behind its predecessors and FIFO order is structural, not repaired.
-func (q *calQueue) push(e *Event) {
+func (q *calQueue) push(e *event) {
 	// Drag the cursor back if e lands behind it, restoring the scan
 	// invariant that no queued event has day < curDay. The cursor can
 	// legitimately be ahead of the clock: peeking at a far-future event
-	// advances it (RunUntil peeks past its window boundary, discarding
-	// canceled events on the way), while the clock stays put — and the
-	// next insert is bounded by the clock, not the cursor. Without the
-	// clamp such an insert would sit behind the cursor and the scan
-	// would hand out later events first. Found by difftest seed 0.
+	// advances it (RunUntil peeks past its window boundary), while the
+	// clock stays put — and the next insert is bounded by the clock,
+	// not the cursor. Without the clamp such an insert would sit behind
+	// the cursor and the scan would hand out later events first. Found
+	// by difftest seed 0.
 	d := q.day(e.when)
 	if d < q.curDay {
 		q.curDay = d
 	}
-	b := d & q.mask
-	p := q.buckets[b]
-	if p == nil || before(e, p) {
-		e.next = p
-		q.buckets[b] = e
-	} else {
-		for p.next != nil && before(p.next, e) {
-			p = p.next
-		}
-		e.next = p.next
-		p.next = e
-	}
-	q.n++
+	q.link(e)
 	if q.n > 2*len(q.buckets) && len(q.buckets) < calMaxBuckets {
 		q.grows++
 		q.resize(2 * len(q.buckets))
@@ -104,7 +90,7 @@ func (q *calQueue) push(e *Event) {
 // peek returns the earliest queued event without removing it, or nil.
 // It advances the day cursor to that event's day, so the following pop
 // (and any repeat peek) finds it again in one bucket probe.
-func (q *calQueue) peek() *Event {
+func (q *calQueue) peek() *event {
 	if q.n == 0 {
 		return nil
 	}
@@ -122,7 +108,7 @@ func (q *calQueue) peek() *Event {
 	// the cursor straight to the earliest head. Heads are per-bucket
 	// minima, so the global minimum is among them; equal timestamps
 	// share a bucket, so comparing heads never has to tie-break.
-	var best *Event
+	var best *event
 	for _, e := range q.buckets {
 		if e != nil && (best == nil || before(e, best)) {
 			best = e
@@ -133,7 +119,7 @@ func (q *calQueue) peek() *Event {
 }
 
 // pop removes and returns the earliest queued event, or nil.
-func (q *calQueue) pop() *Event {
+func (q *calQueue) pop() *event {
 	e := q.peek()
 	if e == nil {
 		return nil
@@ -156,7 +142,7 @@ func (q *calQueue) pop() *Event {
 // amortized O(1); and because the new shape is a pure function of the
 // queued events, resizing preserves determinism.
 func (q *calQueue) resize(nb int) {
-	evs := make([]*Event, 0, q.n)
+	evs := make([]*event, 0, q.n)
 	lo, hi := MaxTime, Time(0)
 	for i, e := range q.buckets {
 		for e != nil {
@@ -183,7 +169,7 @@ func (q *calQueue) resize(nb int) {
 		}
 	}
 
-	q.buckets = make([]*Event, nb)
+	q.buckets = make([]*event, nb)
 	q.mask = uint64(nb) - 1
 	q.shift = shift
 	q.n = 0
@@ -193,18 +179,24 @@ func (q *calQueue) resize(nb int) {
 	for _, e := range evs {
 		// Reinsert without re-triggering the sizing checks: n was
 		// chosen against the new bucket count already.
-		b := q.day(e.when) & q.mask
-		p := q.buckets[b]
-		if p == nil || before(e, p) {
-			e.next = p
-			q.buckets[b] = e
-		} else {
-			for p.next != nil && before(p.next, e) {
-				p = p.next
-			}
-			e.next = p.next
-			p.next = e
-		}
-		q.n++
+		q.link(e)
 	}
+}
+
+// link inserts e into its bucket, keeping the list sorted by
+// (when, seq), and counts it.
+func (q *calQueue) link(e *event) {
+	b := q.day(e.when) & q.mask
+	p := q.buckets[b]
+	if p == nil || before(e, p) {
+		e.next = p
+		q.buckets[b] = e
+	} else {
+		for p.next != nil && before(p.next, e) {
+			p = p.next
+		}
+		e.next = p.next
+		p.next = e
+	}
+	q.n++
 }

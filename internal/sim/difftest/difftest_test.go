@@ -6,7 +6,7 @@ import (
 	"memsim/internal/sim"
 )
 
-// TestDiffSchedulerRandomPrograms drives both engines with 10k seeded
+// TestDiffSchedulerRandomPrograms drives both schedulers with 10k seeded
 // random programs and demands bit-identical observable behavior. On a
 // divergence the failing seed is printed along with a delta-debugged
 // minimal reproducer, so a regression is immediately replayable with
@@ -38,19 +38,19 @@ func TestGenerateDeterministic(t *testing.T) {
 			t.Fatalf("op %d differs: %v vs %v", i, a.Ops[i], b.Ops[i])
 		}
 	}
-	if Diff(a.Run(sim.EngineCalendar), b.Run(sim.EngineCalendar)) != "" {
-		t.Fatal("same program, same engine produced different traces")
+	if Diff(a.Run(sim.NewScheduler()), b.Run(sim.NewScheduler())) != "" {
+		t.Fatal("same program, same scheduler produced different traces")
 	}
 }
 
 func TestDiffReportsDivergence(t *testing.T) {
 	p := Generate(7, 32)
-	tr := p.Run(sim.EngineCalendar)
+	tr := p.Run(sim.NewScheduler())
 	if Diff(tr, tr) != "" {
 		t.Fatal("trace differs from itself")
 	}
 
-	mut := p.Run(sim.EngineCalendar)
+	mut := p.Run(sim.NewScheduler())
 	if len(mut.Fires) == 0 {
 		t.Fatal("program fired nothing; pick a livelier seed")
 	}
@@ -59,19 +59,19 @@ func TestDiffReportsDivergence(t *testing.T) {
 		t.Fatal("Diff missed a mutated fire record")
 	}
 
-	mut = p.Run(sim.EngineCalendar)
+	mut = p.Run(sim.NewScheduler())
 	mut.Fires = mut.Fires[:len(mut.Fires)-1]
 	if Diff(tr, mut) == "" {
 		t.Fatal("Diff missed a truncated fire log")
 	}
 
-	mut = p.Run(sim.EngineCalendar)
+	mut = p.Run(sim.NewScheduler())
 	mut.Marks[3].Pending++
 	if Diff(tr, mut) == "" {
 		t.Fatal("Diff missed a mutated snapshot")
 	}
 
-	mut = p.Run(sim.EngineCalendar)
+	mut = p.Run(sim.NewScheduler())
 	mut.Fired++
 	if Diff(tr, mut) == "" {
 		t.Fatal("Diff missed a mutated final state")
@@ -79,9 +79,9 @@ func TestDiffReportsDivergence(t *testing.T) {
 }
 
 func TestMinimizeShrinks(t *testing.T) {
-	// The engines (correctly) never diverge, so exercise the shrinker
+	// The schedulers (correctly) never diverge, so exercise the shrinker
 	// against a synthetic failure predicate: "contains both a nested op
-	// and a cancel op". The minimum such program has exactly two ops.
+	// and a run-until op". The minimum such program has exactly two ops.
 	ops := Generate(3, 200).Ops
 	has := func(ops []Op, k OpKind) bool {
 		for _, o := range ops {
@@ -91,7 +91,7 @@ func TestMinimizeShrinks(t *testing.T) {
 		}
 		return false
 	}
-	fails := func(ops []Op) bool { return has(ops, OpNested) && has(ops, OpCancel) }
+	fails := func(ops []Op) bool { return has(ops, OpNested) && has(ops, OpRunUntil) }
 	if !fails(ops) {
 		t.Fatal("generated program lacks the op kinds the predicate needs")
 	}
@@ -116,7 +116,7 @@ func TestOpStrings(t *testing.T) {
 	// The minimal-reproducer report renders ops; keep every kind
 	// printable so a failure message never shows an opaque struct.
 	for k := OpKind(0); k < numOpKinds; k++ {
-		if s := (Op{Kind: k, Delay: 5, Child: 7, Pick: 2}).String(); s == "" {
+		if s := (Op{Kind: k, Delay: 5, Child: 7}).String(); s == "" {
 			t.Fatalf("op kind %d renders empty", k)
 		}
 	}

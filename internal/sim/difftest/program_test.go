@@ -1,18 +1,3 @@
-// Package difftest is the differential test harness for the event
-// engines in internal/sim. It generates randomized but fully seeded
-// scheduler workload programs — interleavings of schedule, cancel,
-// reschedule, nested schedule, single-step and bounded-run operations —
-// executes each against both the calendar-queue engine and the
-// reference heap engine, and asserts the two observable behaviors are
-// identical: same fire order, same timestamps, same clock and
-// queue-depth snapshots after every operation.
-//
-// Both engines realize the same strict total order (when, seq), so any
-// divergence is a bug in one of them; by convention the heap is the
-// specification (it is the original implementation) and the calendar
-// queue is the suspect. On divergence the harness shrinks the failing
-// program with delta debugging so the report carries a minimal
-// reproducer alongside the seed.
 package difftest
 
 import (
@@ -23,22 +8,26 @@ import (
 	"memsim/internal/sim"
 )
 
+// scheduler is the surface a program drives: sim.Scheduler and the
+// heap-ordered Reference both provide it.
+type scheduler interface {
+	ScheduleCall(delay sim.Time, cb sim.Callback, arg any)
+	Step() bool
+	RunUntil(t sim.Time) (next sim.Time, ok bool)
+	Run()
+	Now() sim.Time
+	EventsFired() uint64
+	Pending() int
+}
+
 // OpKind enumerates the scheduler operations a program can perform.
 type OpKind uint8
 
 const (
-	// OpSchedule queues a closure-form event (cancelable handle) at
-	// now+Delay.
-	OpSchedule OpKind = iota
-	// OpScheduleCall queues a pooled pre-bound event at now+Delay.
-	OpScheduleCall
-	// OpCancel cancels the Pick-th previously created handle.
-	OpCancel
-	// OpReschedule cancels the Pick-th handle and schedules a
-	// replacement at now+Delay.
-	OpReschedule
+	// OpScheduleCall queues an event at now+Delay.
+	OpScheduleCall OpKind = iota
 	// OpNested queues an event at now+Delay that, when it fires,
-	// schedules a pooled child at +Child.
+	// schedules a child at +Child.
 	OpNested
 	// OpStep executes the next pending event, if any.
 	OpStep
@@ -48,7 +37,7 @@ const (
 	numOpKinds
 )
 
-var opNames = [...]string{"sched", "call", "cancel", "resched", "nested", "step", "until"}
+var opNames = [...]string{"call", "nested", "step", "until"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opNames) {
@@ -62,15 +51,10 @@ type Op struct {
 	Kind  OpKind
 	Delay sim.Time // relative delay for scheduling ops and RunUntil
 	Child sim.Time // nested child's delay
-	Pick  int      // handle selector for cancel/reschedule
 }
 
 func (o Op) String() string {
 	switch o.Kind {
-	case OpCancel:
-		return fmt.Sprintf("{cancel #%d}", o.Pick)
-	case OpReschedule:
-		return fmt.Sprintf("{resched #%d +%d}", o.Pick, int64(o.Delay))
 	case OpNested:
 		return fmt.Sprintf("{nested +%d child +%d}", int64(o.Delay), int64(o.Child))
 	case OpStep:
@@ -83,7 +67,7 @@ func (o Op) String() string {
 }
 
 // Program is a seeded scheduler workload: the ops are replayed in order
-// against a fresh Scheduler, then the queue is drained.
+// against a fresh scheduler, then the queue is drained.
 type Program struct {
 	Seed int64
 	Ops  []Op
@@ -104,7 +88,6 @@ func Generate(seed int64, nops int) Program {
 			Kind:  OpKind(rng.Intn(int(numOpKinds))),
 			Delay: sim.Time(rng.Intn(5000)), // spans several bucket widths
 			Child: sim.Time(rng.Intn(2000)),
-			Pick:  rng.Intn(1 << 16),
 		}
 		// Same-tick bursts (zero delay) and far-future outliers are the
 		// interesting corners; make both common.
@@ -126,15 +109,18 @@ type Fire struct {
 	Fired uint64   // scheduler's fired counter after it ran
 }
 
-// Mark snapshots scheduler state after one program op.
+// Mark snapshots scheduler state after one program op. Next is the
+// lookahead RunUntil reported, or -1 when it found the queue empty or
+// the op was not a RunUntil.
 type Mark struct {
 	Now     sim.Time
 	Fired   uint64
 	Pending int
+	Next    sim.Time
 }
 
 // Trace is everything a program execution observes about the
-// scheduler. Two engines agree exactly when their Traces are equal.
+// scheduler. Two schedulers agree exactly when their Traces are equal.
 type Trace struct {
 	Fires []Fire
 	Marks []Mark
@@ -142,61 +128,41 @@ type Trace struct {
 	Fired uint64
 }
 
-// Run replays the program against a fresh scheduler backed by the
-// given engine and returns its trace. Event IDs are drawn from one
-// counter shared by schedule-time and fire-time (nested children)
-// assignment; the counter advances identically on both engines as long
-// as the fire orders agree, and once they disagree the Fires records
-// differ anyway.
-func (p Program) Run(engine sim.Engine) Trace {
-	s := sim.NewSchedulerEngine(engine)
+// Run replays the program against s, which must be fresh, and returns
+// its trace. Event IDs are drawn from one counter shared by
+// schedule-time and fire-time (nested children) assignment; the counter
+// advances identically on both schedulers as long as the fire orders
+// agree, and once they disagree the Fires records differ anyway.
+func (p Program) Run(s scheduler) Trace {
 	var tr Trace
-	var handles []*sim.Event
 	nextID := 0
-
-	note := func(id int) {
-		tr.Fires = append(tr.Fires, Fire{ID: id, At: s.Now(), Fired: s.EventsFired()})
+	note := func(_ sim.Time, arg any) {
+		tr.Fires = append(tr.Fires, Fire{ID: arg.(int), At: s.Now(), Fired: s.EventsFired()})
 	}
-	noteCB := func(_ sim.Time, arg any) { note(arg.(int)) }
-	closure := func(id int) func() { return func() { note(id) } }
+	schedule := func(delay sim.Time, cb sim.Callback) {
+		s.ScheduleCall(delay, cb, nextID)
+		nextID++
+	}
 
 	for _, op := range p.Ops {
+		next := sim.Time(-1)
 		switch op.Kind {
-		case OpSchedule:
-			id := nextID
-			nextID++
-			handles = append(handles, s.Schedule(op.Delay, closure(id)))
 		case OpScheduleCall:
-			id := nextID
-			nextID++
-			s.ScheduleCall(op.Delay, noteCB, id)
-		case OpCancel:
-			if len(handles) > 0 {
-				handles[op.Pick%len(handles)].Cancel()
-			}
-		case OpReschedule:
-			if len(handles) > 0 {
-				handles[op.Pick%len(handles)].Cancel()
-				id := nextID
-				nextID++
-				handles = append(handles, s.Schedule(op.Delay, closure(id)))
-			}
+			schedule(op.Delay, note)
 		case OpNested:
-			id := nextID
-			nextID++
 			child := op.Child
-			s.Schedule(op.Delay, func() {
-				note(id)
-				cid := nextID
-				nextID++
-				s.ScheduleCall(child, noteCB, cid)
+			schedule(op.Delay, func(now sim.Time, arg any) {
+				note(now, arg)
+				schedule(child, note)
 			})
 		case OpStep:
 			s.Step()
 		case OpRunUntil:
-			s.RunUntil(s.Now() + op.Delay)
+			if t, ok := s.RunUntil(s.Now() + op.Delay); ok {
+				next = t
+			}
 		}
-		tr.Marks = append(tr.Marks, Mark{Now: s.Now(), Fired: s.EventsFired(), Pending: s.Pending()})
+		tr.Marks = append(tr.Marks, Mark{Now: s.Now(), Fired: s.EventsFired(), Pending: s.Pending(), Next: next})
 	}
 	s.Run()
 	tr.Now, tr.Fired = s.Now(), s.EventsFired()
@@ -228,17 +194,23 @@ func Diff(a, b Trace) string {
 	return ""
 }
 
-// Check runs p against both engines and returns "" on agreement, or a
-// report carrying the divergence, the seed, and a delta-debugged
+// diverges runs p on the calendar queue and on the Reference and
+// describes the first difference, or returns "" when they agree.
+func (p Program) diverges() string {
+	return Diff(p.Run(sim.NewScheduler()), p.Run(&Reference{}))
+}
+
+// Check runs p against both schedulers and returns "" on agreement, or
+// a report carrying the divergence, the seed, and a delta-debugged
 // minimal program.
 func Check(p Program) string {
-	d := Diff(p.Run(sim.EngineCalendar), p.Run(sim.EngineHeap))
+	d := p.diverges()
 	if d == "" {
 		return ""
 	}
 	m := Minimize(p)
 	var b strings.Builder
-	fmt.Fprintf(&b, "engines diverged (seed %d): %s\n", p.Seed, d)
+	fmt.Fprintf(&b, "schedulers diverged (seed %d): %s\n", p.Seed, d)
 	fmt.Fprintf(&b, "minimal reproducer (%d of %d ops):", len(m.Ops), len(p.Ops))
 	for _, op := range m.Ops {
 		fmt.Fprintf(&b, " %v", op)
@@ -246,19 +218,16 @@ func Check(p Program) string {
 	return b.String()
 }
 
-// Minimize shrinks a program that makes the engines diverge, removing
-// chunks of operations while the divergence persists (ddmin over the
-// op list). The result still diverges; if p does not diverge it is
-// returned unchanged.
+// Minimize shrinks a program that makes the schedulers diverge,
+// removing chunks of operations while the divergence persists (ddmin
+// over the op list). The result still diverges; if p does not diverge
+// it is returned unchanged.
 func Minimize(p Program) Program {
-	fails := func(ops []Op) bool {
-		q := Program{Seed: p.Seed, Ops: ops}
-		return Diff(q.Run(sim.EngineCalendar), q.Run(sim.EngineHeap)) != ""
-	}
+	fails := func(ops []Op) bool { return Program{Seed: p.Seed, Ops: ops}.diverges() != "" }
 	return Program{Seed: p.Seed, Ops: minimizeOps(p.Ops, fails)}
 }
 
-// minimizeOps is the engine-agnostic shrinker: it greedily deletes
+// minimizeOps is the scheduler-agnostic shrinker: it greedily deletes
 // chunks of halving sizes as long as fails keeps reporting true.
 func minimizeOps(ops []Op, fails func([]Op) bool) []Op {
 	if !fails(ops) {

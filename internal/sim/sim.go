@@ -10,22 +10,14 @@
 // identical results.
 //
 // The scheduler is backed by a bucketed calendar queue (see
-// calendar.go) with amortized O(1) insert and pop. The original
-// container/heap engine is retained behind the same API (EngineHeap)
-// as the reference implementation for the differential harness in
-// internal/sim/difftest; both engines realize the identical total
-// (when, seq) event order, so they are interchangeable bit-for-bit.
-//
-// Two scheduling forms coexist:
-//
-//   - Schedule and At take a plain closure and return a cancelable
-//     *Event handle. Each call allocates, and the Event is never
-//     reused, so a retained handle stays valid forever.
-//   - ScheduleCall and AtCall take a pre-bound Callback plus an opaque
-//     payload and return nothing. Their events come from a
-//     per-scheduler freelist and are recycled after firing, so
-//     steady-state scheduling on the hot paths (controller decisions,
-//     transfer completions, core steps) is allocation-free.
+// calendar.go) with amortized O(1) insert and pop. Events are scheduled
+// with ScheduleCall or AtCall: a pre-bound Callback plus an opaque
+// payload. The queued records come from a per-scheduler freelist and
+// are recycled after firing, so steady-state scheduling on the hot
+// paths (controller decisions, transfer completions, core steps) is
+// allocation-free. The reference container/heap queue the calendar
+// queue is checked against lives in the differential tests of
+// internal/sim/difftest.
 package sim
 
 import "fmt"
@@ -79,107 +71,27 @@ func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 // nothing.
 type Callback func(now Time, arg any)
 
-// Event is a scheduled callback. The zero Event is invalid; events are
-// created with Scheduler.Schedule or Scheduler.At.
-type Event struct {
+// event is one queued callback, ordered by (when, seq).
+type event struct {
 	when Time
 	seq  uint64
-
-	// Exactly one of fn (closure form) and cb (pre-bound form) is set.
-	fn  func()
-	cb  Callback
-	arg any
-
-	canceled bool
-	// pooled marks freelist-managed events (the pre-bound form). Their
-	// pointers never escape the scheduler, which is what makes reuse
-	// safe: Cancel on a stale handle cannot reach them.
-	pooled bool
-
-	next  *Event // calendar bucket chain / freelist link
-	index int    // heap position (reference engine), -1 once popped
-}
-
-// When reports the simulated time at which the event fires.
-func (e *Event) When() Time { return e.when }
-
-// Cancel prevents a pending event from firing. Canceling an event that
-// already fired or was already canceled is a no-op.
-func (e *Event) Cancel() { e.canceled = true }
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// eventQueue is the pluggable ordering kernel: a priority queue over
-// (when, seq). peek and pop return nil when empty; peek must return
-// the same event the next pop removes.
-type eventQueue interface {
-	push(*Event)
-	peek() *Event
-	pop() *Event
-	size() int
-}
-
-// Engine selects the event-queue implementation backing a Scheduler.
-type Engine uint8
-
-const (
-	// EngineCalendar is the default bucketed calendar queue.
-	EngineCalendar Engine = iota
-	// EngineHeap is the original container/heap queue, kept as the
-	// reference implementation for differential testing.
-	EngineHeap
-)
-
-// String names the engine as accepted by ParseEngine.
-func (e Engine) String() string {
-	if e == EngineHeap {
-		return "heap"
-	}
-	return "calendar"
-}
-
-// ParseEngine resolves an engine name: "" and "calendar" select the
-// calendar queue, "heap" the reference heap.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", "calendar":
-		return EngineCalendar, nil
-	case "heap":
-		return EngineHeap, nil
-	}
-	return EngineCalendar, fmt.Errorf("sim: unknown scheduler engine %q (want \"calendar\" or \"heap\")", name)
+	cb   Callback
+	arg  any
+	next *event // calendar bucket chain / freelist link
 }
 
 // Scheduler is a discrete-event simulation engine. The zero value is
-// ready to use, with the clock at time zero and the calendar-queue
-// engine.
+// ready to use, with the clock at time zero.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	fired  uint64
-	engine Engine
-	q      eventQueue
-	free   *Event // freelist of recycled pooled events
+	now   Time
+	seq   uint64
+	fired uint64
+	q     *calQueue
+	free  *event // freelist of recycled events
 }
 
-// NewScheduler returns a Scheduler with its clock at zero, backed by
-// the calendar queue.
-func NewScheduler() *Scheduler { return NewSchedulerEngine(EngineCalendar) }
-
-// NewSchedulerEngine returns a Scheduler backed by the given engine.
-func NewSchedulerEngine(e Engine) *Scheduler {
-	s := &Scheduler{engine: e}
-	s.q = s.newQueue()
-	return s
-}
-
-func (s *Scheduler) newQueue() eventQueue {
-	if s.engine == EngineHeap {
-		return newRefQueue()
-	}
-	return newCalQueue()
-}
+// NewScheduler returns a Scheduler with its clock at zero.
+func NewScheduler() *Scheduler { return &Scheduler{q: newCalQueue()} }
 
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -188,92 +100,27 @@ func (s *Scheduler) Now() Time { return s.now }
 // useful for progress accounting and tests.
 func (s *Scheduler) EventsFired() uint64 { return s.fired }
 
-// Pending reports the number of events currently queued (including
-// canceled events that have not yet been discarded).
+// Pending reports the number of events currently queued.
 func (s *Scheduler) Pending() int {
 	if s.q == nil {
 		return 0
 	}
-	return s.q.size()
+	return s.q.n
 }
-
-// EngineKind reports which queue implementation backs the scheduler.
-func (s *Scheduler) EngineKind() Engine { return s.engine }
 
 // DebugState summarizes the scheduler for diagnostic dumps.
 func (s *Scheduler) DebugState() string {
-	d := fmt.Sprintf("engine=%v now=%v fired=%d seq=%d pending=%d",
-		s.engine, s.now, s.fired, s.seq, s.Pending())
-	if cq, ok := s.q.(*calQueue); ok {
+	d := fmt.Sprintf("now=%v fired=%d seq=%d pending=%d", s.now, s.fired, s.seq, s.Pending())
+	if q := s.q; q != nil {
 		d += fmt.Sprintf(" buckets=%d width=2^%dps grows=%d shrinks=%d",
-			len(cq.buckets), cq.shift, cq.grows, cq.shrinks)
+			len(q.buckets), q.shift, q.grows, q.shrinks)
 	}
 	return d
 }
 
-// alloc takes an event from the freelist, or makes one.
-func (s *Scheduler) alloc() *Event {
-	e := s.free
-	if e == nil {
-		return &Event{pooled: true}
-	}
-	s.free = e.next
-	e.next = nil
-	return e
-}
-
-// release returns a pooled event to the freelist after it fired or was
-// discarded. Closure-form events are left to the garbage collector:
-// their pointers escaped through the Schedule/At return value, so a
-// caller may still inspect or Cancel them.
-func (s *Scheduler) release(e *Event) {
-	if !e.pooled {
-		return
-	}
-	e.cb = nil
-	e.arg = nil
-	e.canceled = false
-	e.next = s.free
-	s.free = e
-}
-
-// enqueue stamps and queues an event at absolute time t, clamping past
-// times to the present.
-func (s *Scheduler) enqueue(e *Event, t Time) {
-	if t < s.now {
-		t = s.now
-	}
-	e.when = t
-	e.seq = s.seq
-	s.seq++
-	if s.q == nil {
-		s.q = s.newQueue()
-	}
-	s.q.push(e)
-}
-
-// Schedule queues fn to run after delay. A negative delay is treated as
-// zero. Events scheduled for the same instant fire in scheduling order.
-func (s *Scheduler) Schedule(delay Time, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return s.At(s.now+delay, fn)
-}
-
-// At queues fn to run at absolute time t. Times in the past are clamped
-// to the present.
-func (s *Scheduler) At(t Time, fn func()) *Event {
-	e := &Event{fn: fn, index: -1}
-	s.enqueue(e, t)
-	return e
-}
-
 // ScheduleCall queues the pre-bound cb to run with arg after delay. A
-// negative delay is treated as zero. The event is drawn from the
-// scheduler's freelist and recycled after it fires, so the call does
-// not allocate in steady state; in exchange there is no handle and the
-// event cannot be canceled.
+// negative delay is treated as zero. Events scheduled for the same
+// instant fire in scheduling order.
 func (s *Scheduler) ScheduleCall(delay Time, cb Callback, arg any) {
 	if delay < 0 {
 		delay = 0
@@ -282,29 +129,38 @@ func (s *Scheduler) ScheduleCall(delay Time, cb Callback, arg any) {
 }
 
 // AtCall queues the pre-bound cb to run with arg at absolute time t,
-// clamped to the present. Like ScheduleCall it is allocation-free and
-// returns no handle.
+// clamped to the present. The event is drawn from the scheduler's
+// freelist and recycled after it fires, so the call does not allocate
+// in steady state.
 func (s *Scheduler) AtCall(t Time, cb Callback, arg any) {
-	e := s.alloc()
-	e.cb = cb
-	e.arg = arg
-	s.enqueue(e, t)
+	if t < s.now {
+		t = s.now
+	}
+	e := s.free
+	if e == nil {
+		e = &event{}
+	} else {
+		s.free = e.next
+		e.next = nil
+	}
+	e.when, e.seq, e.cb, e.arg = t, s.seq, cb, arg
+	s.seq++
+	if s.q == nil {
+		s.q = newCalQueue()
+	}
+	s.q.push(e)
 }
 
 // fire advances the clock to e and runs its callback. The event is
 // recycled before the callback executes so that rescheduling from
 // inside the callback can reuse it immediately.
-func (s *Scheduler) fire(e *Event) {
+func (s *Scheduler) fire(e *event) {
 	s.now = e.when
 	s.fired++
-	if e.fn != nil {
-		fn := e.fn
-		s.release(e)
-		fn()
-		return
-	}
 	cb, arg := e.cb, e.arg
-	s.release(e)
+	e.cb, e.arg = nil, nil
+	e.next = s.free
+	s.free = e
 	cb(s.now, arg)
 }
 
@@ -314,18 +170,12 @@ func (s *Scheduler) Step() bool {
 	if s.q == nil {
 		return false
 	}
-	for {
-		e := s.q.pop()
-		if e == nil {
-			return false
-		}
-		if e.canceled {
-			s.release(e)
-			continue
-		}
-		s.fire(e)
-		return true
+	e := s.q.pop()
+	if e == nil {
+		return false
 	}
+	s.fire(e)
+	return true
 }
 
 // Run executes events until the queue is empty.
@@ -340,19 +190,13 @@ func (s *Scheduler) Run() {
 //
 // It reports the timestamp of the earliest event still pending, which
 // it peeked to stop its loop, and ok=false when the queue is empty.
-// Canceled events at the head are discarded on the way, so the
-// reported time is a live event's. Epoch drivers (internal/cluster)
-// use it as their lookahead to skip event-free epochs wholesale.
+// Epoch drivers (internal/cluster) use it as their lookahead to skip
+// event-free epochs wholesale.
 func (s *Scheduler) RunUntil(t Time) (next Time, ok bool) {
 	for s.q != nil {
 		e := s.q.peek()
 		if e == nil {
 			break
-		}
-		if e.canceled {
-			s.q.pop()
-			s.release(e)
-			continue
 		}
 		if e.when > t {
 			next, ok = e.when, true

@@ -11,7 +11,7 @@ func TestZeroSchedulerUsable(t *testing.T) {
 		t.Fatalf("zero scheduler Now = %v, want 0", s.Now())
 	}
 	ran := false
-	s.Schedule(5*Nanosecond, func() { ran = true })
+	s.ScheduleCall(5*Nanosecond, func(Time, any) { ran = true }, nil)
 	s.Run()
 	if !ran {
 		t.Fatal("event did not run")
@@ -24,9 +24,10 @@ func TestZeroSchedulerUsable(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	s := NewScheduler()
 	var order []int
-	s.Schedule(30, func() { order = append(order, 3) })
-	s.Schedule(10, func() { order = append(order, 1) })
-	s.Schedule(20, func() { order = append(order, 2) })
+	record := func(_ Time, arg any) { order = append(order, arg.(int)) }
+	s.ScheduleCall(30, record, 3)
+	s.ScheduleCall(10, record, 1)
+	s.ScheduleCall(20, record, 2)
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v, want [1 2 3]", order)
@@ -36,9 +37,9 @@ func TestScheduleOrdering(t *testing.T) {
 func TestSameTimestampFIFO(t *testing.T) {
 	s := NewScheduler()
 	var order []int
+	record := func(_ Time, arg any) { order = append(order, arg.(int)) }
 	for i := 0; i < 10; i++ {
-		i := i
-		s.Schedule(100, func() { order = append(order, i) })
+		s.ScheduleCall(100, record, i)
 	}
 	s.Run()
 	for i, v := range order {
@@ -50,59 +51,39 @@ func TestSameTimestampFIFO(t *testing.T) {
 
 func TestNegativeDelayClamped(t *testing.T) {
 	s := NewScheduler()
-	s.Schedule(100, func() {
-		e := s.Schedule(-50, func() {})
-		if e.When() != s.Now() {
-			t.Errorf("negative delay scheduled at %v, want now %v", e.When(), s.Now())
-		}
-	})
+	var at Time = -1
+	s.ScheduleCall(100, func(Time, any) {
+		s.ScheduleCall(-50, func(now Time, _ any) { at = now }, nil)
+	}, nil)
 	s.Run()
+	if at != 100 {
+		t.Fatalf("negative delay fired at %v, want now 100", at)
+	}
 }
 
 func TestAtClampsPast(t *testing.T) {
 	s := NewScheduler()
-	s.Schedule(100, func() {
-		e := s.At(10, func() {})
-		if e.When() != 100 {
-			t.Errorf("past At scheduled for %v, want 100", e.When())
-		}
-	})
+	var at Time = -1
+	s.ScheduleCall(100, func(Time, any) {
+		s.AtCall(10, func(now Time, _ any) { at = now }, nil)
+	}, nil)
 	s.Run()
-}
-
-func TestCancel(t *testing.T) {
-	s := NewScheduler()
-	ran := false
-	e := s.Schedule(10, func() { ran = true })
-	e.Cancel()
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if at != 100 {
+		t.Fatalf("past AtCall fired at %v, want 100", at)
 	}
-	s.Run()
-	if ran {
-		t.Fatal("canceled event ran")
-	}
-}
-
-func TestCancelIdempotent(t *testing.T) {
-	s := NewScheduler()
-	e := s.Schedule(10, func() {})
-	e.Cancel()
-	e.Cancel() // must not panic
-	s.Run()
 }
 
 func TestEventChaining(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	var tick func()
-	tick = func() {
+	var tick Callback
+	tick = func(Time, any) {
 		count++
 		if count < 100 {
-			s.Schedule(Nanosecond, tick)
+			s.ScheduleCall(Nanosecond, tick, nil)
 		}
 	}
-	s.Schedule(0, tick)
+	s.ScheduleCall(0, tick, nil)
 	s.Run()
 	if count != 100 {
 		t.Fatalf("count = %d, want 100", count)
@@ -118,9 +99,9 @@ func TestEventChaining(t *testing.T) {
 func TestRunUntil(t *testing.T) {
 	s := NewScheduler()
 	var fired []Time
+	record := func(now Time, _ any) { fired = append(fired, now) }
 	for _, d := range []Time{10, 20, 30, 40} {
-		d := d
-		s.Schedule(d, func() { fired = append(fired, d) })
+		s.ScheduleCall(d, record, nil)
 	}
 	s.RunUntil(25)
 	if len(fired) != 2 {
@@ -141,38 +122,27 @@ func TestRunUntil(t *testing.T) {
 func TestRunUntilHonorsNewEventsInWindow(t *testing.T) {
 	s := NewScheduler()
 	var fired []string
-	s.Schedule(10, func() {
-		fired = append(fired, "a")
-		s.Schedule(5, func() { fired = append(fired, "b") })  // t=15
-		s.Schedule(50, func() { fired = append(fired, "c") }) // t=60
-	})
+	record := func(_ Time, arg any) { fired = append(fired, arg.(string)) }
+	s.ScheduleCall(10, func(now Time, _ any) {
+		record(now, "a")
+		s.ScheduleCall(5, record, "b")  // t=15
+		s.ScheduleCall(50, record, "c") // t=60
+	}, nil)
 	s.RunUntil(20)
 	if len(fired) != 2 || fired[0] != "a" || fired[1] != "b" {
 		t.Fatalf("fired = %v, want [a b]", fired)
 	}
 }
 
-func TestRunUntilSkipsCanceled(t *testing.T) {
-	s := NewScheduler()
-	e := s.Schedule(10, func() { t.Fatal("canceled event ran") })
-	e.Cancel()
-	ran := false
-	s.Schedule(20, func() { ran = true })
-	s.RunUntil(30)
-	if !ran {
-		t.Fatal("live event did not run")
-	}
-}
-
 func TestRunWhile(t *testing.T) {
 	s := NewScheduler()
 	count := 0
-	var tick func()
-	tick = func() {
+	var tick Callback
+	tick = func(Time, any) {
 		count++
-		s.Schedule(1, tick)
+		s.ScheduleCall(1, tick, nil)
 	}
-	s.Schedule(0, tick)
+	s.ScheduleCall(0, tick, nil)
 	s.RunWhile(func() bool { return count < 10 })
 	if count != 10 {
 		t.Fatalf("count = %d, want 10", count)
@@ -182,7 +152,7 @@ func TestRunWhile(t *testing.T) {
 func TestPending(t *testing.T) {
 	s := NewScheduler()
 	for i := 0; i < 5; i++ {
-		s.Schedule(Time(i), func() {})
+		s.ScheduleCall(Time(i), func(Time, any) {}, nil)
 	}
 	if s.Pending() != 5 {
 		t.Fatalf("Pending = %d, want 5", s.Pending())
@@ -218,8 +188,9 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 	f := func(delays []uint16) bool {
 		s := NewScheduler()
 		var fired []Time
+		record := func(now Time, _ any) { fired = append(fired, now) }
 		for _, d := range delays {
-			s.Schedule(Time(d), func() { fired = append(fired, s.Now()) })
+			s.ScheduleCall(Time(d), record, nil)
 		}
 		s.Run()
 		for i := 1; i < len(fired); i++ {
@@ -235,35 +206,28 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 }
 
 // Property: RunUntil(t) leaves the clock at exactly t, fires exactly
-// the live events with timestamps <= t, and returns the earliest live
-// event still pending — skipping canceled ones — with ok=false when
-// none is left. Holds on every engine.
+// the events with timestamps <= t, and returns the earliest event still
+// pending, with ok=false when none is left.
 func TestPropertyRunUntilBoundary(t *testing.T) {
-	for _, eng := range engines {
-		f := func(delays []uint16, cancel []bool, cut uint16) bool {
-			s := NewSchedulerEngine(eng)
-			fired, want := 0, 0
-			var wantNext Time
-			wantOK := false
-			for i, d := range delays {
-				e := s.Schedule(Time(d), func() { fired++ })
-				if i < len(cancel) && cancel[i] {
-					e.Cancel()
-					continue
-				}
-				switch {
-				case Time(d) <= Time(cut):
-					want++
-				case !wantOK || Time(d) < wantNext:
-					wantNext, wantOK = Time(d), true
-				}
+	f := func(delays []uint16, cut uint16) bool {
+		s := NewScheduler()
+		fired, want := 0, 0
+		var wantNext Time
+		wantOK := false
+		for _, d := range delays {
+			s.ScheduleCall(Time(d), func(Time, any) { fired++ }, nil)
+			switch {
+			case Time(d) <= Time(cut):
+				want++
+			case !wantOK || Time(d) < wantNext:
+				wantNext, wantOK = Time(d), true
 			}
-			next, ok := s.RunUntil(Time(cut))
-			return fired == want && s.Now() == Time(cut) && ok == wantOK && (!ok || next == wantNext)
 		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%v: %v", eng, err)
-		}
+		next, ok := s.RunUntil(Time(cut))
+		return fired == want && s.Now() == Time(cut) && ok == wantOK && (!ok || next == wantNext)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -274,15 +238,13 @@ func TestRunUntilEmptyReportsNone(t *testing.T) {
 	if _, ok := zero.RunUntil(10); ok {
 		t.Error("zero scheduler: RunUntil reported a pending event")
 	}
-	for _, eng := range engines {
-		s := NewSchedulerEngine(eng)
-		s.Schedule(5, func() {})
-		if next, ok := s.RunUntil(4); !ok || next != 5 {
-			t.Errorf("%v: RunUntil(4) = (%v, %v), want (5ps, true)", eng, next, ok)
-		}
-		if _, ok := s.RunUntil(5); ok {
-			t.Errorf("%v: drained queue: RunUntil reported a pending event", eng)
-		}
+	s := NewScheduler()
+	s.ScheduleCall(5, func(Time, any) {}, nil)
+	if next, ok := s.RunUntil(4); !ok || next != 5 {
+		t.Errorf("RunUntil(4) = (%v, %v), want (5ps, true)", next, ok)
+	}
+	if _, ok := s.RunUntil(5); ok {
+		t.Error("drained queue: RunUntil reported a pending event")
 	}
 }
 
@@ -337,17 +299,18 @@ func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		s := NewScheduler()
 		var fired []Time
-		var tick func()
+		record := func(now Time, _ any) { fired = append(fired, now) }
+		var tick Callback
 		n := 0
-		tick = func() {
-			fired = append(fired, s.Now())
+		tick = func(now Time, _ any) {
+			record(now, nil)
 			n++
 			if n < 50 {
-				s.Schedule(Time(n%7)*Nanosecond, tick)
-				s.Schedule(Time(n%3)*Nanosecond, func() { fired = append(fired, s.Now()) })
+				s.ScheduleCall(Time(n%7)*Nanosecond, tick, nil)
+				s.ScheduleCall(Time(n%3)*Nanosecond, record, nil)
 			}
 		}
-		s.Schedule(0, tick)
+		s.ScheduleCall(0, tick, nil)
 		s.Run()
 		return fired
 	}
@@ -367,14 +330,14 @@ func TestRunWhileSampled(t *testing.T) {
 	// fired events: 100 events at stride 10 means 11 checks.
 	s := NewScheduler()
 	count, coarse := 0, 0
-	var tick func()
-	tick = func() {
+	var tick Callback
+	tick = func(Time, any) {
 		count++
 		if count < 100 {
-			s.Schedule(1, tick)
+			s.ScheduleCall(1, tick, nil)
 		}
 	}
-	s.Schedule(0, tick)
+	s.ScheduleCall(0, tick, nil)
 	s.RunWhileSampled(func() bool { return true }, 10, func() bool {
 		coarse++
 		return true
@@ -392,12 +355,12 @@ func TestRunWhileSampledStops(t *testing.T) {
 	// strides) stops the loop at 20 events.
 	s := NewScheduler()
 	count, coarse := 0, 0
-	var tick func()
-	tick = func() {
+	var tick Callback
+	tick = func(Time, any) {
 		count++
-		s.Schedule(1, tick)
+		s.ScheduleCall(1, tick, nil)
 	}
-	s.Schedule(0, tick)
+	s.ScheduleCall(0, tick, nil)
 	s.RunWhileSampled(func() bool { return true }, 10, func() bool {
 		coarse++
 		return coarse < 3
