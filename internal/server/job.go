@@ -194,9 +194,10 @@ func (sp *JobSpec) Cost(defaultInstrs, defaultWarmup uint64) uint64 {
 }
 
 // Job is one stored job record: the spec as admitted, its lifecycle
-// state, and — once done — the per-benchmark results. Records persist
-// in the store's jobs.json after every transition, so a killed daemon
-// knows on restart exactly which jobs to re-adopt.
+// state, and — once done — the per-benchmark results. Each record
+// persists to its own file in the store (jobs/<id>.json) after every
+// transition, so a killed daemon knows on restart exactly which jobs to
+// re-adopt.
 type Job struct {
 	// ID is the external handle ("j000042"); Seq its allocation order,
 	// which is also the re-adoption order after a restart.

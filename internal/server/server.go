@@ -5,13 +5,13 @@
 //
 // The robustness contract, in order of importance:
 //
-//   - Crash safety. Every job transition persists to a jobs.json
-//     store and every finished spec to a per-job checkpoint manifest,
-//     both written atomically. A killed daemon restarted over the
-//     same state directory re-adopts interrupted jobs and resumes
-//     them from their manifests; because the simulator is
-//     deterministic, the resumed results are bit-identical to an
-//     uninterrupted run.
+//   - Crash safety. Every job transition persists that job's own
+//     record file (jobs/<id>.json) and every finished spec its per-job
+//     checkpoint manifest, both written atomically. A killed daemon
+//     restarted over the same state directory re-adopts interrupted
+//     jobs and resumes them from their manifests; because the
+//     simulator is deterministic, the resumed results are
+//     bit-identical to an uninterrupted run.
 //   - Graceful degradation. Admission control — a bounded queue with
 //     watermarks on queued and in-flight work, plus per-client token
 //     buckets — sheds load with 429 + Retry-After instead of growing
@@ -62,7 +62,8 @@ var (
 
 // Config tunes the service. Zero values take the documented defaults.
 type Config struct {
-	// StateDir holds jobs.json and the per-job checkpoint manifests.
+	// StateDir holds the job records (jobs/<id>.json) and the per-job
+	// checkpoint manifests.
 	StateDir string
 	// Workers bounds concurrently executing jobs (default 2).
 	Workers int
@@ -197,7 +198,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	if q := store.Quarantined(); q != "" {
-		cfg.Logger.Printf("job store was corrupt; quarantined as %s and starting fresh", q)
+		cfg.Logger.Printf("job store held corrupt data; quarantined as %s, every other record loaded", q)
 	}
 
 	adm := newAdmission(cfg.QueueDepth, cfg.Workers)
@@ -472,7 +473,7 @@ func (s *Service) Drain(ctx context.Context) error {
 
 // Kill simulates a SIGKILL for the fault drills: workers abandon their
 // jobs without any store writes, leaving the state directory exactly
-// as a real crash would — jobs.json still claiming a job is running,
+// as a real crash would — a job record still claiming it is running,
 // the manifest holding whatever specs finished. It waits for the
 // workers only so tests do not race the dying goroutines.
 func (s *Service) Kill() {

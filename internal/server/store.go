@@ -2,98 +2,203 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"memsim/internal/vfs"
 )
 
-// storeVersion guards the jobs.json schema, mirroring the checkpoint
-// manifest's version gate.
+// storeVersion guards the job record schema (and the legacy jobs.json
+// one), mirroring the checkpoint manifest's version gate.
 const storeVersion = 1
 
-// storeFile is the serialized layout of jobs.json.
-type storeFile struct {
+// record is the serialized layout of one job record file,
+// jobs/<id>.json.
+type record struct {
+	Version int  `json:"version"`
+	Job     *Job `json:"job"`
+}
+
+// legacyFile is the layout of the single jobs.json older daemons kept
+// every record in. It is only ever read, to import it.
+type legacyFile struct {
 	Version int             `json:"version"`
 	NextSeq uint64          `json:"next_seq"`
 	Jobs    map[string]*Job `json:"jobs"`
 }
 
-// Store is the durable job store: every job record lives in one
-// jobs.json inside the state directory, flushed atomically (temp file
-// + rename) after every transition, alongside one checkpoint manifest
-// per job carrying its per-spec results. Together they are the crash
-// safety of the service: jobs.json says which jobs were in flight,
-// the manifests say which of their specs already finished, and a
-// restarted daemon re-adopts the difference.
+// Store is the durable job store: each job record lives in its own
+// jobs/<id>.json inside the state directory, flushed atomically (temp
+// file + rename) after every transition of that job, alongside one
+// checkpoint manifest per job carrying its per-spec results. Together
+// they are the crash safety of the service: the records say which jobs
+// were in flight, the manifests say which of their specs already
+// finished, and a restarted daemon re-adopts the difference. A
+// transition rewrites only the record it changed, so its cost does not
+// grow with the number of jobs stored.
 type Store struct {
 	mu          sync.Mutex
 	fs          vfs.FS
 	dir         string
-	path        string
+	jobsDir     string
 	jobs        map[string]*Job
+	dirty       map[string]bool // records whose last flush failed; Save retries them
 	nextSeq     uint64
-	saveErr     error  // first flush failure, surfaced by Save
-	quarantined string // where a corrupt jobs.json was moved, "" if none
+	saveErr     error    // first transition flush failure, surfaced by Save
+	quarantined []string // where corrupt data was moved at open
 }
 
 // OpenStore opens (or initializes) the job store in dir on the real
 // filesystem. See OpenStoreFS.
 func OpenStore(dir string) (*Store, error) { return OpenStoreFS(dir, vfs.OS) }
 
-// OpenStoreFS opens (or initializes) the job store in dir on fsys. A
-// jobs.json that does not parse — the signature of a crash mid-write
-// before the atomic flush discipline existed, or of outside
-// interference — is quarantined (jobs.json.corrupt, then .corrupt.1,
-// .corrupt.2, ... so repeated corruptions keep their evidence) and a
-// fresh store starts, matching the checkpoint manifest's degradation
-// policy: losing job metadata must not brick the service.
+// OpenStoreFS opens (or initializes) the job store in dir on fsys and
+// loads every jobs/*.json record. A record that does not parse — crash
+// damage or outside interference — is quarantined (<id>.json.corrupt,
+// then .corrupt.1, .corrupt.2, ... so repeated corruptions keep their
+// evidence) and every other record still loads, matching the
+// checkpoint manifest's degradation policy: losing one job's metadata
+// must not brick the service. A record of another schema version is a
+// hard error.
+//
+// A jobs.json left by an older daemon is imported first: its records
+// are written out one by one, then the file is removed. A crash
+// mid-import leaves jobs.json in place, so the next open simply
+// imports it again. A jobs.json that does not parse is quarantined
+// like a record; a version mismatch is a hard error.
 func OpenStoreFS(dir string, fsys vfs.FS) (*Store, error) {
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	s := &Store{
+		fs:      fsys,
+		dir:     dir,
+		jobsDir: filepath.Join(dir, "jobs"),
+		jobs:    make(map[string]*Job),
+		dirty:   make(map[string]bool),
+	}
+	if err := fsys.MkdirAll(s.jobsDir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		fs:   fsys,
-		dir:  dir,
-		path: filepath.Join(dir, "jobs.json"),
-		jobs: make(map[string]*Job),
+	if err := s.importLegacy(); err != nil {
+		return nil, err
 	}
-	data, err := fsys.ReadFile(s.path)
-	if os.IsNotExist(err) {
-		return s, nil
-	}
+	names, err := fsys.ReadDir(s.jobsDir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var f storeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		q, qerr := vfs.Quarantine(fsys, s.path)
-		if qerr != nil {
-			return nil, fmt.Errorf("store %s: unparseable (%v) and quarantine failed: %w", s.path, err, qerr)
+	for _, name := range names {
+		// Every name carries its job's sequence number: temp files and
+		// quarantined records too, so no ID is ever handed out twice
+		// and a new job never inherits an old job's manifest.
+		s.nextSeq = max(s.nextSeq, nameSeq(name))
+		if filepath.Ext(name) != ".json" {
+			continue
 		}
-		s.quarantined = q
-		return s, nil
+		if err := s.load(filepath.Join(s.jobsDir, name)); err != nil {
+			return nil, err
+		}
 	}
-	if f.Version != storeVersion {
-		return nil, fmt.Errorf("store %s: version %d, want %d", s.path, f.Version, storeVersion)
-	}
-	if f.Jobs != nil {
-		s.jobs = f.Jobs
-	}
-	s.nextSeq = f.NextSeq
 	return s, nil
 }
 
-// Quarantined reports where OpenStore moved a corrupt jobs.json, or ""
-// when the load was clean.
+// nameSeq parses the sequence number out of a record file name
+// ("j000042.json", "j000042.json.tmp", "j000042.json.corrupt.1"), or
+// returns 0 for a name of another shape.
+func nameSeq(name string) uint64 {
+	digits, ok := strings.CutPrefix(name, "j")
+	if !ok {
+		return 0
+	}
+	var seq uint64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			break
+		}
+		seq = seq*10 + uint64(c-'0')
+	}
+	return seq
+}
+
+// load reads one record file into the store, quarantining it when it
+// does not parse.
+func (s *Store) load(path string) error {
+	data, err := s.fs.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	var rec record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return s.quarantine(path, err)
+	}
+	if rec.Version != storeVersion {
+		return fmt.Errorf("store %s: version %d, want %d", path, rec.Version, storeVersion)
+	}
+	if rec.Job == nil {
+		return s.quarantine(path, errors.New("no job in record"))
+	}
+	s.jobs[rec.Job.ID] = rec.Job
+	return nil
+}
+
+// quarantine moves an unparseable file aside, keeping it as evidence.
+func (s *Store) quarantine(path string, cause error) error {
+	q, err := vfs.Quarantine(s.fs, path)
+	if err != nil {
+		return fmt.Errorf("store %s: unparseable (%v) and quarantine failed: %w", path, cause, err)
+	}
+	s.quarantined = append(s.quarantined, q)
+	return nil
+}
+
+// importLegacy converts an older daemon's jobs.json into per-job
+// records and removes it. Until the removal lands the legacy file stays
+// the source of truth, so an interrupted import is simply redone.
+func (s *Store) importLegacy() error {
+	path := filepath.Join(s.dir, "jobs.json")
+	data, err := s.fs.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	var f legacyFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return s.quarantine(path, err)
+	}
+	if f.Version != storeVersion {
+		return fmt.Errorf("store %s: version %d, want %d", path, f.Version, storeVersion)
+	}
+	ids := make([]string, 0, len(f.Jobs))
+	for id := range f.Jobs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if j := f.Jobs[id]; j != nil {
+			if err := s.write(j); err != nil {
+				return err
+			}
+		}
+	}
+	s.nextSeq = f.NextSeq
+	if err := s.fs.Remove(path); err != nil {
+		return fmt.Errorf("store: import %s: %w", path, err)
+	}
+	return nil
+}
+
+// Quarantined reports where OpenStore moved corrupt data — a record or
+// a legacy jobs.json — comma-separated when there was more than one,
+// or "" when the load was clean.
 func (s *Store) Quarantined() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.quarantined
+	return strings.Join(s.quarantined, ", ")
 }
 
 // Dir reports the state directory.
@@ -104,7 +209,10 @@ func (s *Store) ManifestPath(id string) string {
 	return filepath.Join(s.dir, "job-"+id+".manifest.json")
 }
 
-// Create allocates, records, and persists a new queued job.
+// Create allocates, records, and persists a new queued job. When the
+// record cannot be persisted the job does not exist: it is neither
+// listed nor flushed by a later Save, and the next Create allocates a
+// fresh ID.
 func (s *Store) Create(spec JobSpec, benches []string, client string, now time.Time) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,8 +226,11 @@ func (s *Store) Create(spec JobSpec, benches []string, client string, now time.T
 		Client:     client,
 		EnqueuedAt: now.UTC(),
 	}
+	if err := s.write(j); err != nil {
+		return Job{}, err
+	}
 	s.jobs[j.ID] = j
-	return *j, s.flushLocked()
+	return *j, nil
 }
 
 // Get returns a copy of the job record.
@@ -134,7 +245,8 @@ func (s *Store) Get(id string) (Job, bool) {
 }
 
 // Update applies mutate to the job under the store lock and persists
-// the result, returning the updated copy.
+// its record, returning the updated copy. A record whose flush fails
+// keeps the update in memory and is flushed again by Save.
 func (s *Store) Update(id string, mutate func(*Job)) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -143,7 +255,16 @@ func (s *Store) Update(id string, mutate func(*Job)) (Job, error) {
 		return Job{}, fmt.Errorf("store: no job %s", id)
 	}
 	mutate(j)
-	return *j, s.flushLocked()
+	err := s.write(j)
+	if err != nil {
+		s.dirty[id] = true
+		if s.saveErr == nil {
+			s.saveErr = err
+		}
+	} else {
+		delete(s.dirty, id)
+	}
+	return *j, err
 }
 
 // List returns every job record in allocation order.
@@ -171,30 +292,35 @@ func (s *Store) Pending() []Job {
 	return out
 }
 
-// Save flushes the store, reporting the first error from any earlier
-// flush as well; the drain path calls it so an interrupted daemon
-// leaves a complete record.
+// Save flushes every record whose last flush failed, reporting the
+// first error from any earlier transition flush as well; the drain
+// path calls it so an interrupted daemon leaves a complete record.
 func (s *Store) Save() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.flushLocked(); err != nil {
-		return err
+	ids := make([]string, 0, len(s.dirty))
+	for id := range s.dirty {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		if err := s.write(s.jobs[id]); err != nil {
+			return err
+		}
+		delete(s.dirty, id)
 	}
 	return s.saveErr
 }
 
-// flushLocked writes jobs.json atomically (temp file + rename), so a
-// kill mid-write never leaves a truncated store.
-func (s *Store) flushLocked() error {
-	data, err := json.MarshalIndent(storeFile{Version: storeVersion, NextSeq: s.nextSeq, Jobs: s.jobs}, "", "  ")
+// write persists one job's record atomically (temp file + rename), so
+// a kill mid-write never leaves a truncated record.
+func (s *Store) write(j *Job) error {
+	data, err := json.Marshal(record{Version: storeVersion, Job: j})
 	if err == nil {
-		err = vfs.WriteFileAtomic(s.fs, s.path, data, 0o644)
+		err = vfs.WriteFileAtomic(s.fs, filepath.Join(s.jobsDir, j.ID+".json"), data, 0o644)
 	}
 	if err != nil {
-		err = fmt.Errorf("store %s: %w", filepath.Base(s.path), err)
-		if s.saveErr == nil {
-			s.saveErr = err
-		}
+		return fmt.Errorf("store %s: %w", j.ID, err)
 	}
-	return err
+	return nil
 }

@@ -249,6 +249,14 @@ func (f *Fault) Stat(name string) (fs.FileInfo, error) {
 	return f.inner.Stat(name)
 }
 
+// ReadDir passes through unless the process is dead.
+func (f *Fault) ReadDir(name string) ([]string, error) {
+	if err := f.dead(); err != nil {
+		return nil, err
+	}
+	return f.inner.ReadDir(name)
+}
+
 // faultFile routes a Create handle's publishing boundary (Sync/Close)
 // through the injector, buffering writes so torn and corrupt faults
 // can act on the complete payload.

@@ -190,6 +190,25 @@ func (m *Mem) Stat(name string) (fs.FileInfo, error) {
 	return nil, notExist("stat", name)
 }
 
+// ReadDir returns the sorted names of the files directly inside the
+// named directory.
+func (m *Mem) ReadDir(name string) ([]string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	name = memClean(name)
+	if !m.dirs[name] {
+		return nil, notExist("readdir", name)
+	}
+	var out []string
+	for f := range m.files {
+		if path.Dir(f) == name {
+			out = append(out, path.Base(f))
+		}
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
 // Files returns every file path in sorted order.
 func (m *Mem) Files() []string {
 	m.mu.Lock()

@@ -19,7 +19,8 @@
 // durability story is built from. Every mutating operation (WriteFile,
 // Rename, Remove, MkdirAll, and File.Sync/Close on a Create handle) is
 // one persistence boundary; a crash between two boundaries loses
-// nothing that was not already at risk inside one of them.
+// nothing that was not already at risk inside one of them. Reads
+// (ReadFile, Stat, ReadDir) are not boundaries.
 package vfs
 
 import (
@@ -65,6 +66,11 @@ type FS interface {
 	MkdirAll(name string, perm fs.FileMode) error
 	// Stat describes the named file.
 	Stat(name string) (fs.FileInfo, error)
+	// ReadDir returns the names of the regular files directly inside
+	// the named directory, sorted; subdirectories are omitted. A
+	// missing directory yields an error satisfying
+	// errors.Is(err, fs.ErrNotExist).
+	ReadDir(name string) ([]string, error)
 }
 
 // OS is the production filesystem: the os package, verbatim.
@@ -83,6 +89,19 @@ func (osFS) MkdirAll(name string, perm fs.FileMode) error {
 	return os.MkdirAll(name, perm)
 }
 func (osFS) Stat(name string) (fs.FileInfo, error) { return os.Stat(name) }
+func (osFS) ReadDir(name string) ([]string, error) {
+	entries, err := os.ReadDir(name)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, 0, len(entries))
+	for _, e := range entries {
+		if !e.IsDir() {
+			out = append(out, e.Name())
+		}
+	}
+	return out, nil
+}
 
 // WriteFileAtomic writes data to path with the crash-safe flush
 // discipline shared by the job store and the checkpoint manifests:

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -37,6 +38,7 @@ func (p prefixFS) MkdirAll(name string, perm fs.FileMode) error {
 	return OS.MkdirAll(p.abs(name), perm)
 }
 func (p prefixFS) Stat(name string) (fs.FileInfo, error) { return OS.Stat(p.abs(name)) }
+func (p prefixFS) ReadDir(name string) ([]string, error) { return OS.ReadDir(p.abs(name)) }
 
 // TestConformance runs the same durable-writer sequence against every
 // implementation: both must behave identically at the seam.
@@ -49,6 +51,9 @@ func TestConformance(t *testing.T) {
 			}
 			if _, err := fsys.Stat("absent"); !os.IsNotExist(err) {
 				t.Fatalf("missing stat error = %v", err)
+			}
+			if _, err := fsys.ReadDir("absent"); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("missing readdir error = %v", err)
 			}
 			// Writing under a missing parent fails; MkdirAll cures it.
 			if err := fsys.WriteFile("d/sub/f", []byte("x"), 0o644); err == nil {
@@ -90,6 +95,21 @@ func TestConformance(t *testing.T) {
 			}
 			if got, _ := fsys.ReadFile("d/sub/g"); string(got) != "stream" {
 				t.Fatalf("streamed content = %q", got)
+			}
+			// ReadDir lists the directory's own files, sorted: not the
+			// subdirectory, not the files beneath it.
+			if err := fsys.WriteFile("d/sub/a", []byte("a"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := fsys.MkdirAll("d/sub/inner", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := fsys.WriteFile("d/sub/inner/h", []byte("h"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			names, err := fsys.ReadDir("d/sub")
+			if err != nil || strings.Join(names, ",") != "a,f,g" {
+				t.Fatalf("readdir = %q, %v", names, err)
 			}
 			// Rename replaces, Remove deletes.
 			if err := fsys.Rename("d/sub/g", "d/sub/f"); err != nil {
@@ -199,6 +219,9 @@ func TestFaultClasses(t *testing.T) {
 				if _, err := f.ReadFile("before"); !errors.Is(err, ErrCrashed) {
 					t.Fatalf("dead process read = %v", err)
 				}
+				if _, err := f.ReadDir("."); !errors.Is(err, ErrCrashed) {
+					t.Fatalf("dead process readdir = %v", err)
+				}
 				if err := f.WriteFile("after", []byte("x"), 0o644); !errors.Is(err, ErrCrashed) {
 					t.Fatalf("dead process write = %v", err)
 				}
@@ -253,6 +276,9 @@ func TestFaultCountsBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := f.Stat("d/a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.ReadDir("d"); err != nil {
 		t.Fatal(err)
 	}
 	h, err := f.Create("d/b") // handle itself is free...

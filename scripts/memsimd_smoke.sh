@@ -2,7 +2,9 @@
 # End-to-end smoke drill for cmd/memsimd, run by CI under the race
 # detector: start the daemon, submit a tiny job, poll it to done,
 # scrape /metrics, poke a malformed body, then SIGTERM and assert the
-# clean-drain exit code.
+# clean-drain exit code and the job's record file. A second daemon on
+# the same state directory must serve the finished job from that
+# record without re-adopting it, and drain cleanly too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,15 +21,28 @@ cleanup() {
 trap cleanup EXIT
 
 go build -race -o "$bindir/memsimd" ./cmd/memsimd
-"$bindir/memsimd" -listen "$listen" -state "$state" -workers 1 &
-pid=$!
 
-up=""
-for _ in $(seq 1 100); do
-    if curl -fsS "$base/healthz" >/dev/null 2>&1; then up=1; break; fi
-    sleep 0.2
-done
-[ -n "$up" ] || { echo "daemon never came up"; exit 1; }
+start_daemon() {
+    "$bindir/memsimd" -listen "$listen" -state "$state" -workers 1 &
+    pid=$!
+    local up=""
+    for _ in $(seq 1 100); do
+        if curl -fsS "$base/healthz" >/dev/null 2>&1; then up=1; break; fi
+        sleep 0.2
+    done
+    [ -n "$up" ] || { echo "daemon never came up"; exit 1; }
+}
+
+# Graceful drain: SIGTERM must exit 0 (clean).
+drain_daemon() {
+    kill -TERM "$pid"
+    local rc=0
+    wait "$pid" || rc=$?
+    pid=""
+    [ "$rc" = 0 ] || { echo "drain exit code $rc, want 0"; exit 1; }
+}
+
+start_daemon
 
 id=$(curl -fsS -X POST "$base/jobs" \
     -d '{"benchmarks":["gcc"],"instrs":20000,"warmup":30000}' |
@@ -63,11 +78,18 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$base/jobs" -d '{"bogus":
 [ "$code" = 400 ] || { echo "malformed body answered $code, want 400"; exit 1; }
 curl -fsS "$base/healthz" >/dev/null
 
-# Graceful drain: SIGTERM must exit 0 (clean) with the store flushed.
-kill -TERM "$pid"
-rc=0
-wait "$pid" || rc=$?
-pid=""
-[ "$rc" = 0 ] || { echo "drain exit code $rc, want 0"; exit 1; }
-[ -s "$state/jobs.json" ] || { echo "store not flushed on drain"; exit 1; }
+drain_daemon
+[ -s "$state/jobs/$id.json" ] || { echo "job record $id not flushed on drain"; exit 1; }
+
+# Restart on the same state directory: the finished job is served from
+# its record, with results, and nothing is re-adopted.
+start_daemon
+job=$(curl -fsS "$base/jobs/$id")
+case "$job" in
+    *'"state":"done"'*'"results":['*) ;;
+    *) echo "after restart, job $id = $job"; exit 1 ;;
+esac
+curl -fsS "$base/metrics" | grep -Fxq 'memsimd_jobs_resumed_total 0' ||
+    { echo "restart re-adopted a finished job"; exit 1; }
+drain_daemon
 echo "memsimd smoke OK"
