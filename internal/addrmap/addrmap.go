@@ -348,3 +348,15 @@ func AppendSpans(dst []Span, m Mapper, addr, size uint64) []Span {
 	}
 	return dst
 }
+
+// Stripe interleaves blocks of block bytes across n independent
+// channels: it returns the channel owning addr's block and addr
+// compacted into that channel's private address space. With n <= 1
+// every address belongs to channel 0 unchanged.
+func Stripe(addr, block uint64, n int) (ch int, local uint64) {
+	if n <= 1 {
+		return 0, addr
+	}
+	nb := uint64(n)
+	return int(addr / block % nb), addr/block/nb*block + addr%block
+}

@@ -346,3 +346,20 @@ func TestPropertySpansCoverage(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestStripe(t *testing.T) {
+	// Blocks round-robin over the channels and compact densely into
+	// each channel's space; the byte offset within a block survives.
+	for i := uint64(0); i < 16; i++ {
+		addr := i*64 + 5
+		ch, local := Stripe(addr, 64, 4)
+		if ch != int(i%4) || local != i/4*64+5 {
+			t.Fatalf("Stripe(%#x) = (%d, %#x), want (%d, %#x)", addr, ch, local, i%4, i/4*64+5)
+		}
+	}
+	for _, n := range []int{0, 1} {
+		if ch, local := Stripe(0x12345, 64, n); ch != 0 || local != 0x12345 {
+			t.Fatalf("Stripe over %d channels = (%d, %#x), want identity", n, ch, local)
+		}
+	}
+}

@@ -95,7 +95,7 @@ type Result struct {
 	// DataTime is the data-bus time this access consumed: one packet
 	// time per column packet. The data bus serializes all traffic, so
 	// summing DataTime per requester yields exact occupancy shares
-	// (the cluster arbiter's fairness accounting).
+	// (memctrl.ShareStats, the cluster's fairness accounting).
 	DataTime sim.Time
 	// RowHit reports whether the first span of the access found its row
 	// open in the sense amps.

@@ -6,9 +6,10 @@
 // programs contending for the same scarce channel slots.
 //
 // Execution is sharded: every system owns a private scheduler, and the
-// shared channels live on one memory shard with a multi-requester
-// arbiter per channel (priority classes demand > writeback > prefetch,
-// round-robin across systems within a class). Shards advance in
+// shared channels live on one memory shard with a shared
+// memctrl.Controller per channel (demand misses and unscheduled
+// prefetches before writebacks, round-robin across systems within a
+// class). Shards advance in
 // bounded epochs of LinkLatency simulated time and exchange messages
 // only at epoch barriers, in a canonical sort order, so the parallel
 // engine is bit-identical to the sequential reference regardless of
@@ -71,7 +72,7 @@ type Config struct {
 	Systems []SystemSpec `json:"systems"`
 
 	// Channels and DevicesPerChannel shape the shared Rambus fabric:
-	// Channels independent channels, each with its own arbiter, blocks
+	// Channels independent channels, each with its own controller, blocks
 	// striped across them. Zero values take core.Base()'s geometry.
 	Channels          int `json:"channels,omitempty"`
 	DevicesPerChannel int `json:"devices_per_channel,omitempty"`

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"memsim/internal/core"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 )
@@ -82,8 +83,36 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 //
 //	go test ./internal/cluster -run TestGoldenCluster -update
 func TestGoldenCluster(t *testing.T) {
-	got := marshal(t, mustRun(t, testConfig()))
-	path := filepath.Join("testdata", "golden_cluster.json")
+	checkGolden(t, "golden_cluster.json", marshal(t, mustRun(t, testConfig())))
+}
+
+// TestTunedPrefetchGolden pins the shared controllers' prefetch
+// discipline: members run the paper's tuned region prefetcher, which
+// the fabric degrades to unscheduled prefetches queued FIFO with each
+// member's demand misses. Both engines must reproduce the fixture;
+// regenerate with
+//
+//	go test ./internal/cluster -run TestTunedPrefetchGolden -update
+func TestTunedPrefetchGolden(t *testing.T) {
+	cfg := testConfig()
+	for i := range cfg.Systems {
+		sc := core.Base()
+		sc.Prefetch = core.TunedPrefetch()
+		cfg.Systems[i].Config = &sc
+	}
+	got := marshal(t, mustRun(t, cfg))
+	checkGolden(t, "golden_cluster_prefetch.json", got)
+	cfg.Parallel = true
+	if par := marshal(t, mustRun(t, cfg)); !bytes.Equal(par, got) {
+		t.Fatal("parallel result differs from sequential reference")
+	}
+}
+
+// checkGolden compares got against the fixture testdata/name, first
+// rewriting the fixture under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -219,7 +219,7 @@ func TestFabricConservation(t *testing.T) {
 }
 
 // Epoch counts for the allocation pin: warm until every pool, free
-// list, outbox and arbiter queue has reached its working size, then
+// list, outbox and controller queue has reached its working size, then
 // measure a fixed stretch of epochs.
 const (
 	allocWarmEpochs = 200_000

@@ -103,9 +103,9 @@ func (r *run) collect() (Result, error) {
 
 	// Per-system shares, summed over channels.
 	shares := make([]memctrl.ShareStats, len(r.systems))
-	for _, arb := range r.mem.arbs {
-		for sys, sh := range arb.Shares() {
-			shares[sys] = shares[sys].Add(sh)
+	for _, c := range r.mem.ctrls {
+		for sys := range shares {
+			shares[sys] = shares[sys].Add(c.Share(sys))
 		}
 	}
 	var totalData sim.Time

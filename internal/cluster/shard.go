@@ -232,17 +232,17 @@ func (sh *systemShard) onDeliver(at sim.Time, m message) {
 	}
 }
 
-// memoryShard owns the shared fabric: one arbiter+channel+mapper per
-// physical channel, all on one private scheduler. It receives request
-// messages at barriers, skews each system into its own slice of the
-// physical address space, stripes blocks across channels, and posts
-// completions back through its outbox.
+// memoryShard owns the shared fabric: one shared controller, channel
+// and mapper per physical channel, all on one private scheduler. It
+// receives request messages at barriers, skews each system into its
+// own slice of the physical address space, stripes blocks across
+// channels, and posts completions back through its outbox.
 type memoryShard struct {
 	idx   int
 	sched *sim.Scheduler
 	link  sim.Time
 
-	arbs   []*memctrl.Arbiter
+	ctrls  []*memctrl.Controller
 	chns   []*channel.Channel
 	obs    *obs.Observer // fabric-level channel/bank lanes (tracing only)
 	seq    uint64
@@ -259,15 +259,15 @@ type memoryShard struct {
 }
 
 // fabricReq is one in-flight transfer on the memory shard: the
-// arbiter's request plus the routing its completion messages echo
+// controller's request plus the routing its completion messages echo
 // back. Entries are pooled. Both callbacks are bound once, when the
 // entry is first built; onFirst is installed as OnFirstData only for
 // requests that asked for it. An entry returns to the pool at the end
-// of its onComplete, the last event the arbiter fires for it (first
+// of its onComplete, the last event the controller fires for it (first
 // data never lands after the last data, and at the same instant it was
 // scheduled first).
 type fabricReq struct {
-	memctrl.ArbRequest
+	memctrl.Request
 	id                  uint64
 	slot                uint32
 	onFirst, onComplete func(sim.Time)
@@ -313,15 +313,11 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 		if err != nil {
 			return nil, err
 		}
-		arb, err := memctrl.NewArbiter(ms.sched, chn, mapr, nsys)
-		if err != nil {
-			return nil, err
-		}
 		if ms.obs != nil {
 			chn.Observe(ms.obs, c)
 		}
 		ms.chns = append(ms.chns, chn)
-		ms.arbs = append(ms.arbs, arb)
+		ms.ctrls = append(ms.ctrls, memctrl.NewShared(ms.sched, chn, mapr, nsys))
 	}
 	return ms, nil
 }
@@ -349,26 +345,16 @@ func (ms *memoryShard) newFabricReq() *fabricReq {
 	return f
 }
 
-// localAddr compacts a fabric address into its channel's private
-// space (the same block-stripe compaction core uses for independent
-// interleaving).
-func (ms *memoryShard) localAddr(addr uint64) uint64 {
-	n := uint64(len(ms.arbs))
-	if n == 1 {
-		return addr
-	}
-	return addr/ms.blockBytes/n*ms.blockBytes + addr%ms.blockBytes
-}
-
-// onRequest lands a system's transfer on the owning channel's arbiter.
+// onRequest lands a system's transfer on the controller of the channel
+// owning its block, compacted into that channel's private space.
 func (ms *memoryShard) onRequest(_ sim.Time, m message) {
 	addr := (m.Addr + uint64(m.Sys)*ms.skew) % ms.capacity
-	ch := int(addr / ms.blockBytes % uint64(len(ms.arbs)))
+	ch, local := addrmap.Stripe(addr, ms.blockBytes, len(ms.ctrls))
 	f := ms.newFabricReq()
 	f.id, f.slot = m.ID, m.Slot
-	f.ArbRequest = memctrl.ArbRequest{
-		Sys:        m.Sys,
-		Addr:       ms.localAddr(addr),
+	f.Request = memctrl.Request{
+		Sys:        uint16(m.Sys),
+		Addr:       local,
 		Size:       m.Size,
 		Class:      m.Class,
 		Write:      m.Write,
@@ -377,7 +363,7 @@ func (ms *memoryShard) onRequest(_ sim.Time, m message) {
 	if m.NeedFirst {
 		f.OnFirstData = f.onFirst
 	}
-	ms.arbs[ch].Submit(&f.ArbRequest)
+	ms.ctrls[ch].Submit(&f.Request)
 }
 
 // post queues a completion message for f back to its owning system.
@@ -388,21 +374,21 @@ func (ms *memoryShard) post(kind msgKind, f *fabricReq, at sim.Time) {
 		Seq:       ms.seq,
 		Kind:      kind,
 		Slot:      f.slot,
-		Sys:       f.Sys,
+		Sys:       int(f.Sys),
 		ID:        f.id,
 	})
 	ms.seq++
 }
 
 // quiet reports whether the fabric can never act again without new
-// input: no scheduled events, no queued or armed arbiters, nothing
+// input: no scheduled events, no queued or armed controllers, nothing
 // waiting to leave.
 func (ms *memoryShard) quiet() bool {
 	if ms.sched.Pending() > 0 || len(ms.outbox) > 0 {
 		return false
 	}
-	for _, a := range ms.arbs {
-		if a.Pending() {
+	for _, c := range ms.ctrls {
+		if c.Pending() {
 			return false
 		}
 	}

@@ -120,8 +120,8 @@ func (s *System) checkInvariants() []string {
 	// flight at its controller; an MSHR entry with nothing behind it
 	// will never drain and silently eats miss capacity.
 	for _, block := range s.mshrs.Blocks() {
-		g := s.group(block)
-		if !s.ctrls[g].HasPending(s.localAddr(block)) {
+		g, local := s.stripe(block)
+		if !s.ctrls[g].HasPending(local) {
 			add("MSHR block %#x has no queued or in-flight transfer at controller %d", block, g)
 		}
 	}
@@ -133,8 +133,8 @@ func (s *System) checkInvariants() []string {
 	}
 	slices.Sort(pfBlocks)
 	for _, b := range pfBlocks {
-		g := s.group(b)
-		if !s.ctrls[g].HasPending(s.localAddr(b)) {
+		g, local := s.stripe(b)
+		if !s.ctrls[g].HasPending(local) {
 			add("prefetch fill %#x has no queued or in-flight transfer at controller %d", b, g)
 		}
 	}

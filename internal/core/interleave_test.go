@@ -94,11 +94,12 @@ func TestLocalAddressCompaction(t *testing.T) {
 	// each group's private space.
 	for i := uint64(0); i < 16; i++ {
 		addr := i * 64
-		if got, want := sys.group(addr), int(i%4); got != want {
-			t.Fatalf("group(%#x) = %d, want %d", addr, got, want)
+		g, local := sys.stripe(addr)
+		if want := int(i % 4); g != want {
+			t.Fatalf("stripe(%#x) group = %d, want %d", addr, g, want)
 		}
-		if got, want := sys.localAddr(addr), i/4*64; got != want {
-			t.Fatalf("localAddr(%#x) = %#x, want %#x", addr, got, want)
+		if want := i / 4 * 64; local != want {
+			t.Fatalf("stripe(%#x) local = %#x, want %#x", addr, local, want)
 		}
 	}
 }

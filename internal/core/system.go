@@ -464,25 +464,12 @@ func prefetchParams(cfg Config) policy.PrefetchParams {
 	}
 }
 
-// group routes a physical address to its controller: always 0 when
-// ganged, the block-stripe index when independent.
-func (s *System) group(addr uint64) int {
-	if len(s.ctrls) <= 1 {
-		return 0
-	}
-	return int(addr / uint64(s.cfg.L2Block) % uint64(len(s.ctrls)))
-}
-
-// localAddr compacts a global physical address into its channel
-// group's private address space (identity when ganged or when the
-// memory backend is external: the fabric does its own translation).
-func (s *System) localAddr(addr uint64) uint64 {
-	n := uint64(len(s.ctrls))
-	if n <= 1 {
-		return addr
-	}
-	bs := uint64(s.cfg.L2Block)
-	return addr/bs/n*bs + addr%bs
+// stripe routes a global physical address to its controller and
+// compacts it into that channel group's private address space: group
+// 0 and the address unchanged when ganged or when the memory backend
+// is external (the fabric does its own translation).
+func (s *System) stripe(addr uint64) (group int, local uint64) {
+	return addrmap.Stripe(addr, uint64(s.cfg.L2Block), len(s.ctrls))
 }
 
 // submit routes a request built on global addresses to its controller,
@@ -493,8 +480,8 @@ func (s *System) submit(r *memctrl.Request) {
 		s.extMem.Submit(r)
 		return
 	}
-	g := s.group(r.Addr)
-	r.Addr = s.localAddr(r.Addr)
+	g, local := s.stripe(r.Addr)
+	r.Addr = local
 	if s.inj != nil && r.Class == channel.Demand {
 		s.injectOnSubmit(g, r)
 	}
@@ -503,8 +490,8 @@ func (s *System) submit(r *memctrl.Request) {
 
 // rowOpenGlobal reports whether the block's row is open in its group.
 func (s *System) rowOpenGlobal(block uint64) bool {
-	g := s.group(block)
-	return s.chns[g].RowOpen(s.maprs[g].Map(s.localAddr(block)))
+	g, local := s.stripe(block)
+	return s.chns[g].RowOpen(s.maprs[g].Map(local))
 }
 
 // snapshotBaseline records all counters at the warmup boundary so the
@@ -774,7 +761,8 @@ func (s *System) notifyPrefetcher(addr uint64) {
 				if s.extMem != nil {
 					s.extMem.Submit(r)
 				} else {
-					s.ctrls[s.group(block)].Submit(r)
+					g, _ := s.stripe(block)
+					s.ctrls[g].Submit(r)
 				}
 			}
 		}
@@ -806,7 +794,8 @@ func (s *System) makePrefetchRequest(block uint64) (*memctrl.Request, bool) {
 		s.dropPrefetch(block, obs.DropDemandPending)
 		return nil, false
 	}
-	r := s.newReq(prefetchReq, s.localAddr(block), block, false)
+	_, local := s.stripe(block)
+	r := s.newReq(prefetchReq, local, block, false)
 	s.inflight[block] = r
 	return &r.Request, true
 }
@@ -874,7 +863,7 @@ func (p *prefetchSource) NextPrefetch(now sim.Time) (*memctrl.Request, bool) {
 		if !ok {
 			return nil, false
 		}
-		g := s.group(block)
+		g, _ := s.stripe(block)
 		if g != p.group {
 			// Route to the owning controller and keep looking.
 			s.pfBuf[g] = append(s.pfBuf[g], block)

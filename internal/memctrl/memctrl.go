@@ -3,12 +3,22 @@
 // of Figure 4, which forwards any pending L2 demand miss or writeback
 // before it will forward a prefetch request.
 //
-// Demand misses issue strictly in order; the controller pipelines
-// requests on the Rambus channel but does not reorder or interleave
-// commands from multiple requests (Section 4.4). Prefetches are pulled
-// from a PrefetchSource only at instants when the channel is otherwise
-// completely idle, so they add channel contention only when a demand
-// miss arrives while a prefetch is already in progress.
+// One Controller drives one logical Rambus channel for one or more
+// requesters. A private channel (New) has a single requester, the
+// system that owns it. A shared channel (NewShared) serves the member
+// systems of a cluster: each requester has its own demand and
+// writeback queues, grants rotate round-robin across requesters within
+// a queue class, and per-requester ShareStats account each system's
+// share of the channel. The class priority is the same in both forms.
+//
+// Within a queue the IssuePolicy picks the next request. The default,
+// FCFS, issues strictly in order; the controller pipelines requests on
+// the channel but does not reorder or interleave commands from
+// multiple requests (Section 4.4). Unscheduled prefetches wait in the
+// demand queue. Scheduled prefetches are pulled from a PrefetchSource
+// only at instants when the channel is otherwise completely idle, so
+// they add channel contention only when a demand miss arrives while a
+// prefetch is already in progress.
 package memctrl
 
 import (
@@ -32,8 +42,11 @@ type Request struct {
 	Write bool
 	// tracked marks a transfer counted in the controller's pending
 	// table (see EnableTracking); its completion releases the count.
-	// It sits beside Write so the struct stays eight words.
 	tracked bool
+	// Sys is the requester index on a shared controller, 0 on a
+	// private one. It sits beside Write and tracked so the struct
+	// stays eight words: every queued writeback holds one.
+	Sys uint16
 	// OnFirstData, if non-nil, fires when the first data packet
 	// completes: the critical word is available.
 	OnFirstData func(sim.Time)
@@ -122,15 +135,73 @@ func (s Stats) MeanDemandLatency() sim.Time {
 	return s.DemandLatency / sim.Time(s.Issued[channel.Demand])
 }
 
-// Controller schedules requests onto one logical Rambus channel.
+// ShareStats accounts one requester's share of a channel: how many
+// accesses of each class it was granted, the exact data-bus time those
+// transfers consumed (the channel serializes all data traffic, so
+// summing per-requester DataTime yields occupancy shares that add up
+// to the channel's total busy time), queueing delay, and the queue
+// high-water mark across the requester's demand and writeback queues.
+type ShareStats struct {
+	Issued    [3]uint64
+	DataTime  sim.Time
+	QueueWait sim.Time
+	MaxQueue  int
+}
+
+// Add returns the field-wise sum (aggregating one system's shares
+// across multiple channels); MaxQueue takes the larger value.
+func (s ShareStats) Add(o ShareStats) ShareStats {
+	r := ShareStats{
+		DataTime:  s.DataTime + o.DataTime,
+		QueueWait: s.QueueWait + o.QueueWait,
+		MaxQueue:  max(s.MaxQueue, o.MaxQueue),
+	}
+	for i := range s.Issued {
+		r.Issued[i] = s.Issued[i] + o.Issued[i]
+	}
+	return r
+}
+
+// Total reports the total accesses granted across classes.
+func (s ShareStats) Total() uint64 {
+	var t uint64
+	for _, n := range s.Issued {
+		t += n
+	}
+	return t
+}
+
+// Queue classes, in priority order: any queued demand miss (or
+// unscheduled prefetch) issues before any writeback.
+const (
+	demandQ = iota
+	writebackQ
+	numQueues
+)
+
+// queueOf names the queue class a request waits in.
+func queueOf(c channel.Class) int {
+	if c == channel.Writeback {
+		return writebackQ
+	}
+	return demandQ
+}
+
+// Controller schedules requests from one or more requesters onto one
+// logical Rambus channel.
 type Controller struct {
 	sched  *sim.Scheduler
 	ch     *channel.Channel
 	mapper addrmap.Mapper
 
-	demand     []*Request
-	writebacks []*Request
-	source     PrefetchSource
+	// queues[sys] holds requester sys's queues, indexed by queue class.
+	queues [][numQueues][]*Request
+	// queued counts the requests waiting in each queue class, summed
+	// over requesters.
+	queued [numQueues]int
+	// rr[q] is the next requester considered for queue class q.
+	rr     [numQueues]int
+	source PrefetchSource
 
 	// gate is the earliest time the next issue decision may be made:
 	// the previous access's last command packet placement.
@@ -158,11 +229,9 @@ type Controller struct {
 	alts       []schedAlt
 	onDecision func(DecisionRecord)
 
-	// decideCB and completeCB are the pre-bound decision and
-	// last-data callbacks (see sim.Callback), bound once at
-	// construction so arming and completion scheduling cost no
-	// allocation; completeCB's payload is the *Request.
-	decideCB   sim.Callback
+	// completeCB is the pre-bound last-data callback (see
+	// sim.Callback), bound once at construction so completion
+	// scheduling costs no allocation; its payload is the *Request.
 	completeCB sim.Callback
 
 	// spans is the reused buffer decide decomposes each transfer into.
@@ -175,7 +244,8 @@ type Controller struct {
 	// default.
 	pending map[uint64]int
 
-	stats Stats
+	stats  Stats
+	shares []ShareStats
 
 	// Observability hooks (see Observe); nil-safe when observability
 	// is off.
@@ -184,10 +254,24 @@ type Controller struct {
 	demandLat *obs.Histogram
 }
 
-// New wires a controller to a channel and address mapping.
+// New wires a private controller, serving a single requester, to a
+// channel and address mapping.
 func New(sched *sim.Scheduler, ch *channel.Channel, mapper addrmap.Mapper) *Controller {
-	c := &Controller{sched: sched, ch: ch, mapper: mapper, policy: FCFS{}}
-	c.decideCB = func(sim.Time, any) { c.decide() }
+	return NewShared(sched, ch, mapper, 1)
+}
+
+// NewShared wires a controller serving requesters requesters (at least
+// one) to a channel and address mapping. A request names its
+// requester in Request.Sys.
+func NewShared(sched *sim.Scheduler, ch *channel.Channel, mapper addrmap.Mapper, requesters int) *Controller {
+	c := &Controller{
+		sched:  sched,
+		ch:     ch,
+		mapper: mapper,
+		policy: FCFS{},
+		queues: make([][numQueues][]*Request, requesters),
+		shares: make([]ShareStats, requesters),
+	}
 	c.completeCB = func(at sim.Time, arg any) { c.complete(at, arg.(*Request)) }
 	c.rowOpenFn = func(r *Request) bool { return c.ch.RowOpen(c.mapper.Map(r.Addr)) }
 	return c
@@ -230,15 +314,12 @@ func (c *Controller) OnDecision(fn func(DecisionRecord)) { c.onDecision = fn }
 // Stats returns a snapshot of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
+// Share reports requester sys's share of the channel.
+func (c *Controller) Share(sys int) ShareStats { return c.shares[sys] }
+
 // Channel exposes the attached channel (for bank-state queries and
 // utilization statistics).
 func (c *Controller) Channel() *channel.Channel { return c.ch }
-
-// Mapper exposes the address mapping.
-func (c *Controller) Mapper() addrmap.Mapper { return c.mapper }
-
-// QueuedDemands reports the current demand queue length.
-func (c *Controller) QueuedDemands() int { return len(c.demand) }
 
 // EnableTracking turns on per-address accounting of queued and
 // in-flight transfers, the substrate of the paranoid invariant
@@ -283,7 +364,7 @@ func (c *Controller) complete(at sim.Time, r *Request) {
 // DebugState summarizes the controller for diagnostic dumps.
 func (c *Controller) DebugState(now sim.Time) string {
 	s := fmt.Sprintf("demand=%d writebacks=%d armed=%v gate=now%+v issued=%v",
-		len(c.demand), len(c.writebacks), c.armed, c.gate-now, c.stats.Issued)
+		c.queued[demandQ], c.queued[writebackQ], c.armed, c.gate-now, c.stats.Issued)
 	if c.pending != nil {
 		s += fmt.Sprintf(" tracked=%d", len(c.pending))
 	}
@@ -293,26 +374,34 @@ func (c *Controller) DebugState(now sim.Time) string {
 // Pending reports whether any request is queued or a decision event is
 // armed (used by run loops to detect quiescence).
 func (c *Controller) Pending() bool {
-	return len(c.demand) > 0 || len(c.writebacks) > 0 || c.armed
+	return c.queued[demandQ] > 0 || c.queued[writebackQ] > 0 || c.armed
 }
 
-// Submit enqueues a request. Demand and (in the unscheduled-prefetch
-// configuration) prefetch requests share the in-order demand queue;
-// writebacks wait in their own lower-priority queue.
+// Submit enqueues a request on its requester's queues. Demand and (in
+// the unscheduled-prefetch configuration) prefetch requests share the
+// in-order demand queue; writebacks wait in their own lower-priority
+// queue. A request from an unknown requester panics.
 func (c *Controller) Submit(r *Request) {
-	r.submitted = c.sched.Now()
+	if int(r.Sys) >= len(c.queues) {
+		panic(fmt.Sprintf("memctrl: request from unknown requester %d (have %d)", r.Sys, len(c.queues)))
+	}
+	now := c.sched.Now()
+	r.submitted = now
 	c.track(r)
-	if r.Class == channel.Writeback {
-		c.writebacks = append(c.writebacks, r)
-	} else {
-		if r.Class == channel.Demand && c.sched.Now() < c.prefetchInFlight {
-			c.tr.Instant(obs.EvDemandBypass, c.group, r.Addr, 0)
-			c.stats.PrefetchesBehindDemand++
-		}
-		c.demand = append(c.demand, r)
-		if len(c.demand) > c.stats.MaxDemandQueue {
-			c.stats.MaxDemandQueue = len(c.demand)
-		}
+	if r.Class == channel.Demand && now < c.prefetchInFlight {
+		c.tr.Instant(obs.EvDemandBypass, c.group, r.Addr, 0)
+		c.stats.PrefetchesBehindDemand++
+	}
+	qc := queueOf(r.Class)
+	q := &c.queues[r.Sys]
+	q[qc] = append(q[qc], r)
+	c.queued[qc]++
+	if qc == demandQ && c.queued[demandQ] > c.stats.MaxDemandQueue {
+		c.stats.MaxDemandQueue = c.queued[demandQ]
+	}
+	sh := &c.shares[r.Sys]
+	if depth := len(q[demandQ]) + len(q[writebackQ]); depth > sh.MaxQueue {
+		sh.MaxQueue = depth
 	}
 	c.arm()
 }
@@ -328,7 +417,7 @@ func (c *Controller) arm() {
 		return
 	}
 	c.armed = true
-	c.sched.AtCall(c.gate, c.decideCB, nil)
+	c.sched.AtCall(c.gate, fireDecide, c)
 }
 
 // decide is the access prioritizer: demand misses first, then
@@ -337,13 +426,8 @@ func (c *Controller) decide() {
 	c.armed = false
 	now := c.sched.Now()
 
-	var r *Request
-	switch {
-	case len(c.demand) > 0:
-		r = c.pop(&c.demand)
-	case len(c.writebacks) > 0:
-		r = c.pop(&c.writebacks)
-	default:
+	r := c.grant()
+	if r == nil {
 		if c.source == nil {
 			return
 		}
@@ -366,6 +450,10 @@ func (c *Controller) decide() {
 	c.spans = addrmap.AppendSpans(c.spans[:0], c.mapper, r.Addr, r.Size)
 	res := c.ch.Access(now, c.spans, r.Class, r.Write)
 	c.stats.Issued[r.Class]++
+	sh := &c.shares[r.Sys]
+	sh.Issued[r.Class]++
+	sh.DataTime += res.DataTime
+	sh.QueueWait += now - r.submitted
 	if r.Class == channel.Demand {
 		c.stats.DemandLatency += res.FirstData - r.submitted
 		c.stats.DemandQueueWait += now - r.submitted
@@ -388,10 +476,14 @@ func (c *Controller) decide() {
 	// The next decision may be made once this access's command packets
 	// have all been placed.
 	c.gate = res.CmdDone
-	if len(c.demand) > 0 || len(c.writebacks) > 0 || c.source != nil {
+	if c.queued[demandQ] > 0 || c.queued[writebackQ] > 0 || c.source != nil {
 		c.arm()
 	}
 }
+
+// fireDecide is the decision dispatcher: the event payload is the
+// *Controller, so arming allocates nothing.
+func fireDecide(_ sim.Time, arg any) { arg.(*Controller).decide() }
 
 // fireFirstData is the first-data dispatcher: the scheduled event
 // carries the *Request as its payload, so scheduling allocates
@@ -399,6 +491,34 @@ func (c *Controller) decide() {
 // (Access never returns past times), matching the timestamp the
 // callback was promised.
 func fireFirstData(at sim.Time, arg any) { arg.(*Request).OnFirstData(at) }
+
+// grant takes the next queued request: the highest-priority non-empty
+// queue class, in it the first requester with work at or after the
+// class's round-robin cursor, and in that requester's queue the issue
+// policy's pick. The cursor then moves past the granted requester, so
+// persistent contenders alternate instead of the lowest index winning
+// every slot.
+func (c *Controller) grant() *Request {
+	n := len(c.queues)
+	for qc := range c.rr {
+		if c.queued[qc] == 0 {
+			continue
+		}
+		// Some requester has work in this class, so the scan stops.
+		sys := c.rr[qc]
+		for len(c.queues[sys][qc]) == 0 {
+			if sys++; sys == n {
+				sys = 0
+			}
+		}
+		if c.rr[qc] = sys + 1; c.rr[qc] == n {
+			c.rr[qc] = 0
+		}
+		c.queued[qc]--
+		return c.pop(&c.queues[sys][qc])
+	}
+	return nil
+}
 
 // pop removes and returns the next request from the queue as chosen by
 // the issue policy. With a single queued request the policy is not

@@ -51,7 +51,7 @@ func (c *Controller) Observe(ob *obs.Observer, group int) {
 		func() float64 { return float64(c.stats.Reordered) }, ctrl)
 	reg.GaugeFunc("memsim_memctrl_demand_queue_depth",
 		"Demand requests currently queued.",
-		func() float64 { return float64(len(c.demand)) }, ctrl)
+		func() float64 { return float64(c.queued[demandQ]) }, ctrl)
 	reg.GaugeFunc("memsim_memctrl_demand_queue_max",
 		"High-water mark of the demand queue.",
 		func() float64 { return float64(c.stats.MaxDemandQueue) }, ctrl)

@@ -3,9 +3,6 @@ package memctrl
 import (
 	"reflect"
 	"testing"
-
-	"memsim/internal/channel"
-	"memsim/internal/dram"
 )
 
 // pickCase builds a queue where open marks the row-open entries.
@@ -63,15 +60,12 @@ func TestPolicyNames(t *testing.T) {
 // open-row flags, the primary's choice, and each alternative's pick on
 // the same snapshot.
 func TestDecisionRecording(t *testing.T) {
-	s, c, _ := newReorderController(t, FRFCFS{Window: 4})
+	s, c, _ := newReorderController(t, FRFCFS{Window: 4}, 1)
 	c.EnableCounterfactual([]IssuePolicy{FCFS{}, FRFCFS{}})
 	var records []DecisionRecord
 	c.OnDecision(func(r DecisionRecord) { records = append(records, r) })
 
-	c.Submit(&Request{Addr: 0, Size: 64, Class: channel.Demand})
-	conflict := uint64(dram.RowBytes) * dram.BanksPerDevice
-	c.Submit(&Request{Addr: conflict, Size: 64, Class: channel.Demand})
-	c.Submit(&Request{Addr: 512, Size: 64, Class: channel.Demand})
+	submitCase(c, 0, hitBehindConflict)
 	s.Run()
 
 	if len(records) < 2 {
@@ -80,7 +74,7 @@ func TestDecisionRecording(t *testing.T) {
 	// The first decision sees all three requests on cold banks: nothing
 	// is open, so every policy falls back to the oldest request.
 	cold := records[0]
-	if !reflect.DeepEqual(cold.Addrs, []uint64{0, conflict, 512}) {
+	if !reflect.DeepEqual(cold.Addrs, []uint64{0, conflictAddr, 512}) {
 		t.Fatalf("cold queue = %v", cold.Addrs)
 	}
 	if cold.Chosen != 0 {
@@ -90,7 +84,7 @@ func TestDecisionRecording(t *testing.T) {
 	// targets the same bank's next row while 512 is a row hit, so the
 	// row-aware policies jump the queue and FCFS does not.
 	warm := records[1]
-	if !reflect.DeepEqual(warm.Addrs, []uint64{conflict, 512}) {
+	if !reflect.DeepEqual(warm.Addrs, []uint64{conflictAddr, 512}) {
 		t.Fatalf("warm queue = %v", warm.Addrs)
 	}
 	if !reflect.DeepEqual(warm.Open, []bool{false, true}) {
