@@ -6,10 +6,18 @@
 // The insertion position is the mechanism of Section 4.1: prefetched
 // blocks loaded with LRU priority can displace at most one way's worth
 // of referenced data, bounding pollution when prefetch accuracy is low.
+//
+// A cache is two flat arrays, not one slice per set: lines holds
+// NumSets×Assoc 8-byte lines, set s owning the Assoc-line run starting
+// at s×Assoc, and occupied counts each set's resident lines. A set's
+// resident lines lead its run, ordered from MRU to LRU, so recency
+// updates shift lines within the run and building a cache costs three
+// allocations whatever its size.
 package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"memsim/internal/obs"
@@ -59,7 +67,10 @@ func (c Config) Validate() error {
 	if c.BlockBytes <= 0 || bits.OnesCount64(uint64(c.BlockBytes)) != 1 {
 		return fmt.Errorf("cache %s: block size %d not a power of two", c.Name, c.BlockBytes)
 	}
-	if c.Assoc <= 0 {
+	if c.BlockBytes < minBlockBytes {
+		return fmt.Errorf("cache %s: block size %d below %d bytes", c.Name, c.BlockBytes, minBlockBytes)
+	}
+	if c.Assoc <= 0 || c.Assoc > math.MaxUint16 {
 		return fmt.Errorf("cache %s: associativity %d invalid", c.Name, c.Assoc)
 	}
 	if c.SizeBytes <= 0 || c.SizeBytes%int64(c.Assoc*c.BlockBytes) != 0 {
@@ -75,14 +86,38 @@ func (c Config) Validate() error {
 // NumSets reports the number of sets.
 func (c Config) NumSets() int { return int(c.SizeBytes) / (c.Assoc * c.BlockBytes) }
 
-// line is one cache block. Lines live in per-set slices ordered from
-// MRU (index 0) to LRU (last index).
-type line struct {
-	block      uint64 // block-aligned address
-	valid      bool
-	dirty      bool
-	prefetched bool // filled by prefetch and not yet demand-referenced
+// line is one resident cache block: its block-aligned address, with
+// the state flags in the low bits that the alignment leaves zero.
+type line uint64
+
+const (
+	// lineDirty marks a modified block.
+	lineDirty line = 1 << iota
+	// linePrefetched marks a block filled by prefetch and not yet
+	// demand-referenced.
+	linePrefetched
+
+	lineFlags = lineDirty | linePrefetched
+	// minBlockBytes is the smallest block whose alignment leaves room
+	// for the flags.
+	minBlockBytes = int(lineFlags) + 1
+)
+
+func newLine(block uint64, dirty, prefetched bool) line {
+	ln := line(block)
+	if dirty {
+		ln |= lineDirty
+	}
+	if prefetched {
+		ln |= linePrefetched
+	}
+	return ln
 }
+
+func (l line) block() uint64       { return uint64(l &^ lineFlags) }
+func (l line) dirty() bool         { return l&lineDirty != 0 }
+func (l line) prefetched() bool    { return l&linePrefetched != 0 }
+func (l line) holds(b uint64) bool { return l.block() == b }
 
 // Victim describes a block evicted by Insert.
 type Victim struct {
@@ -143,11 +178,13 @@ func (s Stats) PrefetchAccuracy() float64 {
 // Cache is a set-associative, writeback, write-allocate cache model.
 // It tracks tags and recency only; data contents are not simulated.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	setMask uint64
-	shift   uint
-	stats   Stats
+	cfg      Config
+	lines    []line   // NumSets runs of Assoc lines, each MRU first
+	occupied []uint16 // resident lines per set
+	assoc    int
+	setMask  uint64
+	shift    uint
+	stats    Stats
 
 	// PrefetchUsedHook, if set, fires each time a demand access first
 	// references a prefetched block (the prefetch accuracy throttle's
@@ -164,16 +201,15 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{
-		cfg:     cfg,
-		sets:    make([][]line, cfg.NumSets()),
-		setMask: uint64(cfg.NumSets() - 1),
-		shift:   uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, 0, cfg.Assoc)
-	}
-	return c, nil
+	sets := cfg.NumSets()
+	return &Cache{
+		cfg:      cfg,
+		lines:    make([]line, sets*cfg.Assoc),
+		occupied: make([]uint16, sets),
+		assoc:    cfg.Assoc,
+		setMask:  uint64(sets - 1),
+		shift:    uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
+	}, nil
 }
 
 // Config reports the cache configuration.
@@ -189,6 +225,19 @@ func (c *Cache) BlockAddr(addr uint64) uint64 {
 
 func (c *Cache) setIndex(block uint64) uint64 { return (block >> c.shift) & c.setMask }
 
+// ways returns set si's whole run of Assoc lines and how many of them
+// are resident.
+func (c *Cache) ways(si uint64) ([]line, int) {
+	base := int(si) * c.assoc
+	return c.lines[base : base+c.assoc], int(c.occupied[si])
+}
+
+// resident returns the resident lines of block's set, MRU first.
+func (c *Cache) resident(block uint64) []line {
+	set, n := c.ways(c.setIndex(block))
+	return set[:n]
+}
+
 // Access performs a demand lookup, updating recency and statistics.
 // On a hit the block moves to MRU; a write marks it dirty. It reports
 // whether the block was present.
@@ -198,21 +247,20 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	if write {
 		c.stats.Writes++
 	}
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].block == block {
-			if set[i].prefetched {
-				set[i].prefetched = false
+	set := c.resident(block)
+	for i, ln := range set {
+		if ln.holds(block) {
+			if ln.prefetched() {
+				ln &^= linePrefetched
 				c.stats.PrefetchUsed++
 				if c.PrefetchUsedHook != nil {
 					c.PrefetchUsedHook()
 				}
 			}
 			if write {
-				set[i].dirty = true
+				ln |= lineDirty
 			}
 			// Move to MRU.
-			ln := set[i]
 			copy(set[1:i+1], set[:i])
 			set[0] = ln
 			return true
@@ -227,9 +275,8 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // build region bitmaps.
 func (c *Cache) Contains(addr uint64) bool {
 	block := c.BlockAddr(addr)
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].block == block {
+	for _, ln := range c.resident(block) {
+		if ln.holds(block) {
 			return true
 		}
 	}
@@ -244,41 +291,44 @@ func (c *Cache) Contains(addr uint64) bool {
 func (c *Cache) Insert(addr uint64, pos InsertPos, dirty, prefetched bool) Victim {
 	block := c.BlockAddr(addr)
 	si := c.setIndex(block)
-	set := c.sets[si]
+	set, n := c.ways(si)
 	if prefetched {
 		c.stats.PrefetchFills++
 	}
 
 	// Already resident: reposition only (can happen when a demand fill
 	// races a prefetch of the same block).
-	for i := range set {
-		if set[i].valid && set[i].block == block {
-			ln := set[i]
-			ln.dirty = ln.dirty || dirty
-			ln.prefetched = ln.prefetched && prefetched
-			set = append(set[:i], set[i+1:]...)
-			c.sets[si] = insertAt(set, c.place(pos, len(set)), ln)
+	for i, ln := range set[:n] {
+		if ln.holds(block) {
+			if dirty {
+				ln |= lineDirty
+			}
+			if !prefetched {
+				ln &^= linePrefetched
+			}
+			copy(set[i:n-1], set[i+1:n])
+			insertAt(set, n-1, c.place(pos, n-1), ln)
 			return Victim{}
 		}
 	}
 
 	var victim Victim
-	if len(set) >= c.cfg.Assoc {
+	if n >= c.assoc {
 		// Evict the LRU line.
-		v := set[len(set)-1]
-		set = set[:len(set)-1]
-		victim = Victim{Addr: v.block, Dirty: v.dirty, Valid: true, Prefetched: v.prefetched}
+		n--
+		v := set[n]
+		victim = Victim{Addr: v.block(), Dirty: v.dirty(), Valid: true, Prefetched: v.prefetched()}
 		c.stats.Evictions++
-		if v.dirty {
+		if v.dirty() {
 			c.stats.DirtyEvictions++
 		}
-		if v.prefetched {
-			c.tr.Instant(obs.EvPollution, 0, v.block, 0)
+		if v.prefetched() {
+			c.tr.Instant(obs.EvPollution, 0, v.block(), 0)
 			c.stats.PrefetchEvicted++
 		}
 	}
-	ln := line{block: block, valid: true, dirty: dirty, prefetched: prefetched}
-	c.sets[si] = insertAt(set, c.place(pos, len(set)), ln)
+	insertAt(set, n, c.place(pos, n), newLine(block, dirty, prefetched))
+	c.occupied[si] = uint16(n + 1)
 	return victim
 }
 
@@ -292,9 +342,9 @@ func (c *Cache) place(pos InsertPos, n int) int {
 	case SMRU:
 		idx = 1
 	case SLRU:
-		idx = c.cfg.Assoc - 2
+		idx = c.assoc - 2
 	case LRU:
-		idx = c.cfg.Assoc - 1
+		idx = c.assoc - 1
 	default:
 		panic(fmt.Sprintf("cache: invalid insert position %d", pos))
 	}
@@ -307,11 +357,11 @@ func (c *Cache) place(pos InsertPos, n int) int {
 	return idx
 }
 
-func insertAt(set []line, i int, ln line) []line {
-	set = append(set, line{})
-	copy(set[i+1:], set[i:])
+// insertAt places ln at index i of the n-line chain set[:n], shifting
+// the lines from i on one place toward LRU; set has room for n+1.
+func insertAt(set []line, n, i int, ln line) {
+	copy(set[i+1:n+1], set[i:n])
 	set[i] = ln
-	return set
 }
 
 // MarkDirty sets the dirty bit of a resident block without disturbing
@@ -319,10 +369,10 @@ func insertAt(set []line, i int, ln line) []line {
 // this cache use it. It reports whether the block was present.
 func (c *Cache) MarkDirty(addr uint64) bool {
 	block := c.BlockAddr(addr)
-	set := c.sets[c.setIndex(block)]
-	for i := range set {
-		if set[i].valid && set[i].block == block {
-			set[i].dirty = true
+	set := c.resident(block)
+	for i, ln := range set {
+		if ln.holds(block) {
+			set[i] |= lineDirty
 			return true
 		}
 	}
@@ -334,12 +384,12 @@ func (c *Cache) MarkDirty(addr uint64) bool {
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	block := c.BlockAddr(addr)
 	si := c.setIndex(block)
-	set := c.sets[si]
-	for i := range set {
-		if set[i].valid && set[i].block == block {
-			dirty = set[i].dirty
-			c.sets[si] = append(set[:i], set[i+1:]...)
-			return true, dirty
+	set, n := c.ways(si)
+	for i, ln := range set[:n] {
+		if ln.holds(block) {
+			copy(set[i:n-1], set[i+1:n])
+			c.occupied[si] = uint16(n - 1)
+			return true, ln.dirty()
 		}
 	}
 	return false, false
@@ -348,40 +398,38 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // ResidentBlocks reports how many valid blocks the cache holds.
 func (c *Cache) ResidentBlocks() int {
 	n := 0
-	for _, set := range c.sets {
-		n += len(set)
+	for _, f := range c.occupied {
+		n += int(f)
 	}
 	return n
 }
 
 // CheckIntegrity validates the recency-chain structure of every set:
-// occupancy within associativity, no invalid or duplicate lines, and
-// every line indexed into the set its address selects. The paranoid
+// occupancy within associativity, no duplicate lines, and every line
+// aligned and indexed into the set its address selects. The paranoid
 // invariant checker runs it periodically; a violation means the chain
 // manipulation code corrupted the cache.
 func (c *Cache) CheckIntegrity() error {
-	for si, set := range c.sets {
-		if len(set) > c.cfg.Assoc {
+	for si := range c.occupied {
+		set, n := c.ways(uint64(si))
+		if n > c.assoc {
 			return fmt.Errorf("cache %s: set %d holds %d lines, associativity %d",
-				c.cfg.Name, si, len(set), c.cfg.Assoc)
+				c.cfg.Name, si, n, c.assoc)
 		}
+		set = set[:n]
 		for i, ln := range set {
-			if !ln.valid {
-				return fmt.Errorf("cache %s: set %d way %d holds an invalid line",
-					c.cfg.Name, si, i)
-			}
-			if got := c.setIndex(ln.block); got != uint64(si) {
+			if got := c.setIndex(ln.block()); got != uint64(si) {
 				return fmt.Errorf("cache %s: block %#x in set %d, maps to set %d",
-					c.cfg.Name, ln.block, si, got)
+					c.cfg.Name, ln.block(), si, got)
 			}
-			if ln.block != c.BlockAddr(ln.block) {
+			if ln.block() != c.BlockAddr(ln.block()) {
 				return fmt.Errorf("cache %s: unaligned block %#x in set %d",
-					c.cfg.Name, ln.block, si)
+					c.cfg.Name, ln.block(), si)
 			}
 			for j := i + 1; j < len(set); j++ {
-				if set[j].block == ln.block {
+				if set[j].holds(ln.block()) {
 					return fmt.Errorf("cache %s: block %#x duplicated in set %d (ways %d and %d)",
-						c.cfg.Name, ln.block, si, i, j)
+						c.cfg.Name, ln.block(), si, i, j)
 				}
 			}
 		}

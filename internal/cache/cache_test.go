@@ -30,6 +30,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 1024, Assoc: 0, BlockBytes: 64},       // zero assoc
 		{SizeBytes: 1000, Assoc: 4, BlockBytes: 64},       // size not divisible
 		{SizeBytes: 4 * 3 * 64, Assoc: 4, BlockBytes: 64}, // 3 sets
+		{SizeBytes: 64, Assoc: 4, BlockBytes: 2},          // no room for line flags
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -347,9 +348,10 @@ func TestPropertyPrefetchConservation(t *testing.T) {
 		}
 		s := c.Stats()
 		resident := uint64(0)
-		for _, set := range c.sets {
-			for _, ln := range set {
-				if ln.valid && ln.prefetched {
+		for si := range c.occupied {
+			set, n := c.ways(uint64(si))
+			for _, ln := range set[:n] {
+				if ln.prefetched() {
 					resident++
 				}
 			}

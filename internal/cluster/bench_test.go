@@ -24,11 +24,12 @@ func benchConfig(n int, parallel bool) Config {
 }
 
 // BenchmarkClusterSeq measures the sequential reference engine at
-// 1/2/4/8 systems — the shard-scaling curve's single-threaded anchor.
+// 1/2/4/8 systems — the shard-scaling curve's single-threaded anchor —
+// with the wall time per epoch beside ns/op.
 func BenchmarkClusterSeq(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("systems=%d", n), func(b *testing.B) {
-			benchRun(b, benchConfig(n, false))
+			reportEpochCost(b, benchRun(b, benchConfig(n, false)))
 		})
 	}
 }
@@ -46,8 +47,10 @@ func BenchmarkClusterPar(b *testing.B) {
 
 // BenchmarkClusterBarrier isolates the epoch-barrier overhead: a
 // 2-system cluster with a tiny instruction budget but a short link
-// latency spends most of its wall time in epoch turnover, so ns/op
-// here tracks the per-epoch fixed cost (sort, inject, handshake).
+// latency spends most of its wall time in epoch turnover, so ns/epoch
+// here tracks the per-epoch fixed cost (lookahead, advance, merge,
+// inject). It runs the sequential engine: the parallel engine's
+// goroutine handshake would dominate the measurement.
 func BenchmarkClusterBarrier(b *testing.B) {
 	cfg := Config{
 		Systems: []SystemSpec{
@@ -57,9 +60,14 @@ func BenchmarkClusterBarrier(b *testing.B) {
 		Channels:    1,
 		MaxInstrs:   2_000,
 		LinkLatency: DefaultLinkLatency / 4,
-		Parallel:    true,
 	}
-	if res := benchRun(b, cfg); res.Epochs > 0 {
+	reportEpochCost(b, benchRun(b, cfg))
+}
+
+// reportEpochCost reports the benchmark's wall time per epoch of res,
+// the result every iteration produced.
+func reportEpochCost(b *testing.B, res Result) {
+	if res.Epochs > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*res.Epochs), "ns/epoch")
 	}
 }

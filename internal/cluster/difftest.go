@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"memsim/internal/obs"
 	"memsim/internal/sim"
 )
 
@@ -28,7 +29,8 @@ var diffProfiles = []string{"mcf", "swim", "facerec", "twolf", "gzip", "art"}
 // a few hundred to a couple thousand instructions each, 1–4 channels,
 // and a link latency between 4 and 32 ns. Prefetching and closed-page
 // policy toggle per program so the differential surface covers the
-// fabric's class priorities.
+// fabric's class priorities, and observability toggles so it covers
+// the clocks the results read.
 func GenProgram(seed uint64) Config {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	n := 1 + rng.Intn(4)
@@ -46,6 +48,14 @@ func GenProgram(seed uint64) Config {
 			Seed:  uint64(rng.Intn(1 << 16)),
 		}
 		cfg.Systems = append(cfg.Systems, spec)
+	}
+	// A quarter of programs arm metrics and the timeline. Their final
+	// reads — the memsim_sim_now_ps gauge, Snapshot's timeline sample —
+	// see each shard's clock, which the sequential engine brings
+	// forward only at the end for shards it skipped, while the parallel
+	// engine advances every shard through every epoch.
+	if rng.Intn(4) == 0 {
+		cfg.Obs = obs.Config{Metrics: true, SampleEvery: sim.Time(1+rng.Intn(8)) * sim.Microsecond}
 	}
 	return cfg
 }

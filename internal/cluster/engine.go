@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"memsim/internal/core"
@@ -25,11 +24,14 @@ type run struct {
 	delta   sim.Time
 
 	// scheds lists every shard's scheduler in canonical order
-	// (systems by index, then the memory shard), and ahead[i] is what
-	// shard i's last RunUntil reported: its earliest pending event.
+	// (systems by index, then the memory shard), and outs their
+	// outboxes in the same order. ahead[i] is shard i's earliest
+	// pending event: what its last RunUntil reported, lowered by every
+	// delivery the barrier injected since.
 	scheds []*sim.Scheduler
+	outs   []*outbox
 	ahead  []lookahead
-	// advance runs every shard up to an epoch end, filling ahead; the
+	// advance runs the shards up to an epoch end, updating ahead; the
 	// engine choice is which function this is.
 	advance func(end sim.Time) error
 
@@ -38,15 +40,22 @@ type run struct {
 	now      sim.Time // fabric clock: the last barrier's epoch end
 	hash     uint64   // FNV-1a digest of the barrier fire log
 
-	// inbox is the barrier's reusable merge buffer. It holds the last
-	// barrier's messages, in canonical order, until the next barrier.
-	inbox []message
+	// tap, when set, sees every message the barrier exchanges, in
+	// canonical order. Tests audit the protocol through it.
+	tap func(*message)
 }
 
 // lookahead is one shard's earliest pending event (ok=false: none).
 type lookahead struct {
 	at sim.Time
 	ok bool
+}
+
+// lower records a delivery injected at t.
+func (la *lookahead) lower(t sim.Time) {
+	if !la.ok || t < la.at {
+		la.at, la.ok = t, true
+	}
 }
 
 // Run executes the cluster to completion and returns the merged
@@ -96,6 +105,7 @@ func newRun(cfg Config) (*run, error) {
 		sh.attach(sys)
 		r.systems = append(r.systems, sh)
 		r.scheds = append(r.scheds, sh.sched)
+		r.outs = append(r.outs, &sh.outbox)
 	}
 	mem, err := newMemoryShard(len(cfg.Systems), cfg, len(cfg.Systems))
 	if err != nil {
@@ -103,72 +113,106 @@ func newRun(cfg Config) (*run, error) {
 	}
 	r.mem = mem
 	r.scheds = append(r.scheds, mem.sched)
+	r.outs = append(r.outs, &mem.outbox)
+	// Until the priming advance reports, any shard may hold an event
+	// at time zero.
 	r.ahead = make([]lookahead, len(r.scheds))
+	for i := range r.ahead {
+		r.ahead[i] = lookahead{ok: true}
+	}
 	return r, nil
 }
 
 // barrier merges every shard's outbox in canonical order, folds the
 // batch into the fire-log digest, and injects each message into its
-// destination scheduler. It returns the number of messages exchanged.
-// Injection order is the canonical order, so destination-scheduler
-// sequence numbers — and with them all same-instant tie-breaks — are
-// engine-independent.
+// destination scheduler, lowering that shard's lookahead. It returns
+// the number of messages exchanged. Injection order is the canonical
+// order, so destination-scheduler sequence numbers — and with them
+// all same-instant tie-breaks — are engine-independent.
+//
+// Each outbox is in canonical order already, so the merge takes the
+// earliest head each time: the lowest delivery time, and among equal
+// times the lowest source, which is the first found scanning outboxes
+// in shard order.
 func (r *run) barrier() int {
-	r.inbox = r.inbox[:0]
-	for _, sh := range r.systems {
-		r.inbox = append(r.inbox, sh.outbox...)
-		sh.outbox = sh.outbox[:0]
-	}
-	r.inbox = append(r.inbox, r.mem.outbox...)
-	r.mem.outbox = r.mem.outbox[:0]
-
-	slices.SortFunc(r.inbox, msgCmp)
-	for _, m := range r.inbox {
+	n := 0
+	for {
+		var m *message
+		var from *outbox
+		for _, o := range r.outs {
+			if o.next < len(o.msgs) {
+				if h := &o.msgs[o.next]; m == nil || h.DeliverAt < m.DeliverAt {
+					m, from = h, o
+				}
+			}
+		}
+		if m == nil {
+			break
+		}
+		from.next++
+		n++
 		r.hashMessage(m)
+		if r.tap != nil {
+			r.tap(m)
+		}
 		if m.Kind == msgRequest {
 			r.mem.inject(m)
+			r.ahead[len(r.systems)].lower(m.DeliverAt)
 		} else {
 			r.systems[m.Sys].inject(m)
+			r.ahead[m.Sys].lower(m.DeliverAt)
 		}
 	}
-	r.messages += uint64(len(r.inbox))
-	return len(r.inbox)
+	if n > 0 {
+		for _, o := range r.outs {
+			o.flip()
+		}
+	}
+	r.messages += uint64(n)
+	return n
 }
 
-// FNV-1a 64-bit, folded field by field so the digest has no
-// dependence on struct layout.
+// FNV-1a 64-bit, folded byte by byte over fixed fields so the digest
+// has no dependence on struct layout.
 const (
 	fnvOffset = 0xcbf29ce484222325
 	fnvPrime  = 0x100000001b3
 )
 
-func (r *run) hashWord(v uint64) {
+// hashMessage folds m into the fire-log digest, which starts at the
+// FNV offset basis: six fixed words, each byte by byte, least
+// significant first.
+func (r *run) hashMessage(m *message) {
+	flags := uint64(0)
+	if m.Write {
+		flags = 1
+	}
+	if m.NeedFirst {
+		flags |= 2
+	}
+	words := [...]uint64{
+		uint64(m.DeliverAt),
+		uint64(m.Src)<<32 | uint64(m.Kind)<<16 | uint64(m.Sys),
+		m.Seq,
+		m.ID,
+		m.Addr,
+		uint64(m.Size)<<8 | uint64(m.Class)<<2 | flags,
+	}
 	h := r.hash
 	if h == 0 {
 		h = fnvOffset
 	}
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
+	for _, v := range words {
+		h = (h ^ v&0xff) * fnvPrime
+		h = (h ^ v>>8&0xff) * fnvPrime
+		h = (h ^ v>>16&0xff) * fnvPrime
+		h = (h ^ v>>24&0xff) * fnvPrime
+		h = (h ^ v>>32&0xff) * fnvPrime
+		h = (h ^ v>>40&0xff) * fnvPrime
+		h = (h ^ v>>48&0xff) * fnvPrime
+		h = (h ^ v>>56) * fnvPrime
 	}
 	r.hash = h
-}
-
-func (r *run) hashMessage(m message) {
-	r.hashWord(uint64(m.DeliverAt))
-	r.hashWord(uint64(m.Src)<<32 | uint64(uint8(m.Kind))<<16 | uint64(uint16(m.Sys)))
-	r.hashWord(m.Seq)
-	r.hashWord(m.ID)
-	r.hashWord(m.Addr)
-	w := uint64(0)
-	if m.Write {
-		w = 1
-	}
-	if m.NeedFirst {
-		w |= 2
-	}
-	r.hashWord(m.Size<<8 | uint64(m.Class)<<2 | w)
 }
 
 // nextEpochEnd picks the next barrier time after end. The base step is
@@ -180,17 +224,14 @@ func (r *run) hashMessage(m message) {
 // time t still delivers at t+Δ, strictly beyond the window end, and
 // the barrier protocol's later-epoch delivery guarantee holds.
 //
-// The earliest event is the minimum of what each shard's RunUntil
-// reported and of the deliveries the barrier just injected (the inbox
-// is sorted, so its first message delivers first); nothing else
-// schedules between an epoch's end and the next epoch. The decision
-// reads only barrier-time state, so both engines skip identically.
+// The earliest event is the minimum lookahead: the barrier lowered
+// each destination's lookahead to the deliveries it injected, and
+// nothing else schedules between an epoch's end and the next epoch.
+// The decision reads only barrier-time state, so both engines skip
+// identically.
 func (r *run) nextEpochEnd(end sim.Time) sim.Time {
 	var minNext sim.Time
-	have := len(r.inbox) > 0
-	if have {
-		minNext = r.inbox[0].DeliverAt
-	}
+	have := false
 	for _, la := range r.ahead {
 		if la.ok && (!have || la.at < minNext) {
 			minNext, have = la.at, true
@@ -268,26 +309,49 @@ func (r *run) epoch(ctx context.Context) (done bool, err error) {
 // loop primes the lookahead, then runs epochs until the cluster
 // completes or fails. Advancing to time zero fires only what the first
 // epoch would fire first anyway, in the same order, and nothing it
-// posts can leave before that epoch's barrier.
+// posts can leave before that epoch's barrier. On completion every
+// shard's clock is brought to the fabric clock, where the result is
+// read.
 func (r *run) loop(ctx context.Context) error {
 	if err := r.advance(0); err != nil {
 		return err
 	}
 	for {
 		done, err := r.epoch(ctx)
-		if done || err != nil {
+		if err != nil {
 			return err
+		}
+		if done {
+			r.catchUp()
+			return nil
 		}
 	}
 }
 
-// advanceSequential steps every shard through the epoch on the
-// calling goroutine, in canonical order.
+// advanceSequential steps the shards through the epoch on the calling
+// goroutine, in canonical order. A shard whose earliest event lies
+// beyond the epoch has nothing to fire in it and is skipped: its clock
+// stays behind until an event or catchUp moves it. Nothing reads a
+// shard's clock between its events but the result, so a skipped shard
+// is indistinguishable from one advanced through an idle epoch.
 func (r *run) advanceSequential(end sim.Time) error {
 	for i, s := range r.scheds {
-		r.ahead[i].at, r.ahead[i].ok = s.RunUntil(end)
+		if la := &r.ahead[i]; la.ok && la.at <= end {
+			la.at, la.ok = s.RunUntil(end)
+		}
 	}
 	return nil
+}
+
+// catchUp advances every shard's clock to the fabric clock. It fires
+// nothing: every shard's earliest event lies beyond the last epoch.
+// The final samples and gauges (Snapshot's timeline sample, the
+// memsim_sim_now_ps series) then read the same time under both
+// engines.
+func (r *run) catchUp() {
+	for _, s := range r.scheds {
+		s.RunUntil(r.now)
+	}
 }
 
 // runSequential is the reference engine: one goroutine steps every

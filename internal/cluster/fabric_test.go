@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"memsim/internal/core"
 	"memsim/internal/memctrl"
@@ -75,12 +76,12 @@ func TestStaleCompletionPanics(t *testing.T) {
 			OnFirstData: func(sim.Time) {},
 			OnComplete:  func(sim.Time) { completed++ },
 		})
-		m := sh.outbox[len(sh.outbox)-1]
-		sh.outbox = sh.outbox[:0]
+		m := sh.outbox.msgs[len(sh.outbox.msgs)-1]
+		sh.outbox.msgs = sh.outbox.msgs[:0]
 		return m
 	}
 	deliver := func(req message, kind msgKind) {
-		sh.inject(message{
+		sh.inject(&message{
 			DeliverAt: sh.sched.Now() + DefaultLinkLatency,
 			Src:       1,
 			Kind:      kind,
@@ -120,9 +121,9 @@ type fabricLedger struct {
 	requests, firsts, noFirst  int
 }
 
-func (l *fabricLedger) observe(t *testing.T, msgs []message) {
+func (l *fabricLedger) observe(t *testing.T, m *message) {
 	t.Helper()
-	for _, m := range msgs {
+	{
 		key := [2]uint64{uint64(m.Sys), m.ID}
 		_, known := l.needFirst[key]
 		switch m.Kind {
@@ -156,7 +157,7 @@ func (l *fabricLedger) observe(t *testing.T, msgs []message) {
 // pools on both engines: every request gets exactly one completion,
 // first data arrives iff the request asked for it and always before
 // its completion, and at termination no pending slot is occupied and
-// every pooled message and fabric request is back on its free list.
+// every pooled fabric request is back on its free list.
 func TestFabricConservation(t *testing.T) {
 	// The 4-system mix runs the tuned configuration, so region
 	// prefetches — transfers that want no first-data message — cross
@@ -187,9 +188,9 @@ func TestFabricConservation(t *testing.T) {
 					first:     map[[2]uint64]bool{},
 					complete:  map[[2]uint64]bool{},
 				}
+				r.tap = func(m *message) { l.observe(t, m) }
 				for done := false; !done; {
 					done = mustEpoch(t, r)
-					l.observe(t, r.inbox)
 				}
 
 				if l.firsts == 0 || (mix.name == "mix4" && l.noFirst == 0) {
@@ -203,12 +204,6 @@ func TestFabricConservation(t *testing.T) {
 					if sh.live != 0 || len(sh.freeSlots) != len(sh.pending) {
 						t.Errorf("%s: %d live pending slots, %d of %d free", sh.label, sh.live, len(sh.freeSlots), len(sh.pending))
 					}
-					if len(sh.msgs.free) != sh.msgs.built {
-						t.Errorf("%s: %d of %d message slots free", sh.label, len(sh.msgs.free), sh.msgs.built)
-					}
-				}
-				if len(r.mem.msgs.free) != r.mem.msgs.built {
-					t.Errorf("memory shard: %d of %d message slots free", len(r.mem.msgs.free), r.mem.msgs.built)
 				}
 				if len(r.mem.reqs) != r.mem.reqsBuilt {
 					t.Errorf("memory shard: %d of %d fabric requests free", len(r.mem.reqs), r.mem.reqsBuilt)
@@ -260,20 +255,17 @@ func TestWarmedClusterAllocatesNothing(t *testing.T) {
 			step(allocWarmEpochs)
 
 			var requests, completions int
-			count := func() {
-				for _, m := range r.inbox {
-					switch m.Kind {
-					case msgRequest:
-						requests++
-					case msgComplete:
-						completions++
-					}
+			r.tap = func(m *message) {
+				switch m.Kind {
+				case msgRequest:
+					requests++
+				case msgComplete:
+					completions++
 				}
 			}
 			if got := testing.AllocsPerRun(5, func() {
 				for i := 0; i < allocStepEpochs; i++ {
 					mustEpoch(t, r)
-					count()
 				}
 			}); got != 0 {
 				t.Errorf("%v allocations per %d epochs, want 0", got, allocStepEpochs)
@@ -283,5 +275,13 @@ func TestWarmedClusterAllocatesNothing(t *testing.T) {
 				t.Errorf("measured window carried %d requests and %d completions", requests, completions)
 			}
 		})
+	}
+}
+
+// TestMessageSize pins the wire form at 48 bytes: the barrier and the
+// deliveries touch every message, so its size is per-message cost.
+func TestMessageSize(t *testing.T) {
+	if got := unsafe.Sizeof(message{}); got > 48 {
+		t.Fatalf("message is %d bytes, want at most 48", got)
 	}
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"cmp"
 	"fmt"
 
 	"memsim/internal/addrmap"
@@ -29,81 +28,75 @@ const (
 )
 
 // message is one cross-shard event. It is pure comparable data — no
-// pointers, no closures — so shards share nothing: request closures
-// stay on the owning system shard, in its pending table.
+// pointers, no closures — so it carries no reference into its sender's
+// state: request closures stay on the owning system shard, in its
+// pending table. Fields are ordered and narrowed to pack it into 48
+// bytes.
 type message struct {
 	// DeliverAt is the absolute delivery time: send time plus the link
 	// latency, which always lands in a strictly later epoch.
 	DeliverAt sim.Time
-	// Src is the sending shard (systems 0..N-1, memory shard N) and
-	// Seq its per-source send counter; together with DeliverAt they
-	// define the canonical total order messages are merged in.
-	Src int
+	// Seq is the per-source send counter; with DeliverAt and Src it
+	// defines the canonical total order messages are merged in.
 	Seq uint64
+	// ID is the request's per-system sequence number, which the
+	// occupant of Slot must carry.
+	ID uint64
 
-	Kind msgKind
+	// Request payload (msgRequest only): Size is the transfer's length
+	// in bytes and Class its channel.Class.
+	Addr uint64
+	Size uint32
+
 	// Slot is the request's index in the owning system's pending
 	// table, echoed back on completions. It is routing, not protocol:
 	// neither the merge order nor the fire-log digest reads it.
 	Slot uint32
-	// Sys is the owning system and ID the request's per-system
-	// sequence number, which the occupant of Slot must carry.
-	Sys int
-	ID  uint64
+	// Src is the sending shard (systems 0..N-1, memory shard N) and
+	// Sys the owning system.
+	Src, Sys uint16
 
-	// Request payload (msgRequest only).
-	Addr, Size uint64
-	Class      channel.Class
-	Write      bool
+	Kind  msgKind
+	Class uint8
+	Write bool
 	// NeedFirst marks requests whose submitter wants the critical-word
 	// callback, so the memory shard sends msgFirstData only when
 	// someone is listening.
 	NeedFirst bool
 }
 
-// msgCmp is the canonical merge order, as a three-way comparator for
-// slices.SortFunc: delivery time, then source shard, then per-source
-// sequence. The triple is unique (Seq never repeats within a Src), so
-// the order is total and independent of which goroutine produced which
-// message first.
-func msgCmp(a, b message) int {
-	if c := cmp.Compare(a.DeliverAt, b.DeliverAt); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Src, b.Src); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Seq, b.Seq)
+// outbox holds a shard's posted messages until the barrier injects
+// them. A shard's clock never goes back and its Seq only rises, so
+// each outbox is already in canonical order (DeliverAt, then Seq) and
+// the barrier merges outboxes without sorting.
+//
+// Deliveries point into the outbox itself, so no message is copied
+// after post builds it. That is safe because an outbox has two
+// buffers: the barrier flips them, and posts of the next epoch fill
+// the other one while the injected batch is delivered. A message sent
+// during the epoch ending at e delivers by e+Δ, no later than the next
+// barrier, so every message of a batch has fired before a later flip
+// hands its buffer back to post.
+type outbox struct {
+	msgs  []message // posted this epoch, in canonical order
+	spare []message // the previous batch, delivered during this epoch
+	next  int       // the barrier's merge cursor into msgs
 }
 
-// msgPool recycles the *message payloads of delivery events: inject
-// copies a message into a free slot, and the delivery callback copies
-// it back out and returns the slot before acting on it, so a slot is
-// never live past its own event. Passing a pointer through the
-// event's payload keeps scheduling allocation-free.
-type msgPool struct {
-	free  []*message
-	built int // slots ever made; equals len(free) when none is in flight
-}
-
-func (p *msgPool) get(m message) *message {
-	var slot *message
-	if n := len(p.free); n > 0 {
-		slot = p.free[n-1]
-		p.free = p.free[:n-1]
-	} else {
-		slot = new(message)
-		p.built++
+// post appends m to the outbox. A delivery time earlier than the last
+// one would break the merge's order, so it is a bug.
+func (o *outbox) post(m message) {
+	if n := len(o.msgs); n > 0 && m.DeliverAt < o.msgs[n-1].DeliverAt {
+		panic(fmt.Sprintf("cluster: shard %d posted a message for %v after one for %v", m.Src, m.DeliverAt, o.msgs[n-1].DeliverAt))
 	}
-	*slot = m
-	return slot
+	o.msgs = append(o.msgs, m)
 }
 
-// take copies the message out of its slot and recycles the slot.
-func (p *msgPool) take(slot *message) message {
-	m := *slot
-	p.free = append(p.free, slot)
-	return m
+// flip hands the drained batch to its deliveries and takes the other
+// buffer for the next epoch's posts.
+func (o *outbox) flip() {
+	o.msgs, o.spare = o.spare[:0], o.msgs
+	o.next = 0
 }
 
 // pendingEntry is one slot of a system's pending table: the live
@@ -128,7 +121,7 @@ type systemShard struct {
 
 	nextID uint64
 	seq    uint64
-	outbox []message
+	outbox outbox
 
 	// pending is indexed by message.Slot; freeSlots stacks the
 	// unoccupied indices and live counts the occupied ones.
@@ -136,7 +129,6 @@ type systemShard struct {
 	freeSlots []uint32
 	live      int
 
-	msgs      msgPool
 	deliverCB sim.Callback
 }
 
@@ -146,7 +138,7 @@ func newSystemShard(idx int, label string, link sim.Time) *systemShard {
 		label: label,
 		link:  link,
 	}
-	sh.deliverCB = func(at sim.Time, arg any) { sh.onDeliver(at, sh.msgs.take(arg.(*message))) }
+	sh.deliverCB = func(at sim.Time, arg any) { sh.onDeliver(at, arg.(*message)) }
 	return sh
 }
 
@@ -172,42 +164,39 @@ func (sh *systemShard) Submit(r *memctrl.Request) {
 	}
 	sh.pending[slot] = pendingEntry{id: id, req: r}
 	sh.live++
-	sh.post(message{
-		Kind:      msgRequest,
-		Slot:      slot,
-		Sys:       sh.idx,
+	// The message leaves the shard at the next barrier. Its Size
+	// field holds any transfer: one L2 block at most, and
+	// core.Config caps a cache at 1 GB.
+	sh.outbox.post(message{
+		DeliverAt: sh.sched.Now() + sh.link,
+		Seq:       sh.seq,
 		ID:        id,
 		Addr:      r.Addr,
-		Size:      r.Size,
-		Class:     r.Class,
+		Size:      uint32(r.Size),
+		Slot:      slot,
+		Src:       uint16(sh.idx),
+		Sys:       uint16(sh.idx),
+		Kind:      msgRequest,
+		Class:     uint8(r.Class),
 		Write:     r.Write,
 		NeedFirst: r.OnFirstData != nil,
 	})
-}
-
-// post stamps and queues an outgoing message; it leaves the shard at
-// the next barrier.
-func (sh *systemShard) post(m message) {
-	m.DeliverAt = sh.sched.Now() + sh.link
-	m.Src = sh.idx
-	m.Seq = sh.seq
 	sh.seq++
-	sh.outbox = append(sh.outbox, m)
 }
 
 // inject schedules an incoming message's delivery on the shard's own
 // scheduler. Called at barriers only, in canonical message order, so
 // scheduler sequence numbers — and therefore same-instant event order
 // — are identical in both engines.
-func (sh *systemShard) inject(m message) {
-	sh.sched.AtCall(m.DeliverAt, sh.deliverCB, sh.msgs.get(m))
+func (sh *systemShard) inject(m *message) {
+	sh.sched.AtCall(m.DeliverAt, sh.deliverCB, m)
 }
 
 // onDeliver resolves an incoming completion against the pending table.
 // The slot's occupant must be the request the message was sent for: a
 // completion for a closed slot, or for a slot since reused by a later
 // request, is a protocol violation.
-func (sh *systemShard) onDeliver(at sim.Time, m message) {
+func (sh *systemShard) onDeliver(at sim.Time, m *message) {
 	if int(m.Slot) >= len(sh.pending) || sh.pending[m.Slot].req == nil || sh.pending[m.Slot].id != m.ID {
 		panic(fmt.Sprintf("cluster: %s: completion for unknown request %d (kind %d)", sh.label, m.ID, m.Kind))
 	}
@@ -246,13 +235,12 @@ type memoryShard struct {
 	chns   []*channel.Channel
 	obs    *obs.Observer // fabric-level channel/bank lanes (tracing only)
 	seq    uint64
-	outbox []message
+	outbox outbox
 
 	capacity   uint64
 	blockBytes uint64
 	skew       uint64
 
-	msgs      msgPool
 	reqs      []*fabricReq // free fabric requests
 	reqsBuilt int          // fabric requests ever made
 	requestCB sim.Callback
@@ -286,7 +274,7 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 		blockBytes: fabricBlockBytes,
 		skew:       skewBlocks * fabricBlockBytes,
 	}
-	ms.requestCB = func(at sim.Time, arg any) { ms.onRequest(at, ms.msgs.take(arg.(*message))) }
+	ms.requestCB = func(at sim.Time, arg any) { ms.onRequest(at, arg.(*message)) }
 	if cfg.Obs.Trace {
 		// The fabric gets its own trace lanes (one channel/bank pair
 		// per physical channel) exported as the "fabric" process next
@@ -323,8 +311,8 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 }
 
 // inject schedules an incoming request's arrival at the fabric.
-func (ms *memoryShard) inject(m message) {
-	ms.sched.AtCall(m.DeliverAt, ms.requestCB, ms.msgs.get(m))
+func (ms *memoryShard) inject(m *message) {
+	ms.sched.AtCall(m.DeliverAt, ms.requestCB, m)
 }
 
 // newFabricReq takes a free fabric request, or builds one with its
@@ -347,16 +335,16 @@ func (ms *memoryShard) newFabricReq() *fabricReq {
 
 // onRequest lands a system's transfer on the controller of the channel
 // owning its block, compacted into that channel's private space.
-func (ms *memoryShard) onRequest(_ sim.Time, m message) {
+func (ms *memoryShard) onRequest(_ sim.Time, m *message) {
 	addr := (m.Addr + uint64(m.Sys)*ms.skew) % ms.capacity
 	ch, local := addrmap.Stripe(addr, ms.blockBytes, len(ms.ctrls))
 	f := ms.newFabricReq()
 	f.id, f.slot = m.ID, m.Slot
 	f.Request = memctrl.Request{
-		Sys:        uint16(m.Sys),
+		Sys:        m.Sys,
 		Addr:       local,
-		Size:       m.Size,
-		Class:      m.Class,
+		Size:       uint64(m.Size),
+		Class:      channel.Class(m.Class),
 		Write:      m.Write,
 		OnComplete: f.onComplete,
 	}
@@ -368,14 +356,14 @@ func (ms *memoryShard) onRequest(_ sim.Time, m message) {
 
 // post queues a completion message for f back to its owning system.
 func (ms *memoryShard) post(kind msgKind, f *fabricReq, at sim.Time) {
-	ms.outbox = append(ms.outbox, message{
+	ms.outbox.post(message{
 		DeliverAt: at + ms.link,
-		Src:       ms.idx,
 		Seq:       ms.seq,
-		Kind:      kind,
-		Slot:      f.slot,
-		Sys:       int(f.Sys),
 		ID:        f.id,
+		Slot:      f.slot,
+		Src:       uint16(ms.idx),
+		Sys:       f.Sys,
+		Kind:      kind,
 	})
 	ms.seq++
 }
@@ -384,7 +372,7 @@ func (ms *memoryShard) post(kind msgKind, f *fabricReq, at sim.Time) {
 // input: no scheduled events, no queued or armed controllers, nothing
 // waiting to leave.
 func (ms *memoryShard) quiet() bool {
-	if ms.sched.Pending() > 0 || len(ms.outbox) > 0 {
+	if ms.sched.Pending() > 0 || len(ms.outbox.msgs) > 0 {
 		return false
 	}
 	for _, c := range ms.ctrls {

@@ -241,7 +241,7 @@ func (c Config) resolvedSched() (name string, window int) {
 // fuzz harness drive Validate with arbitrary field values.
 const (
 	maxCacheBytes = 1 << 30 // 1 GB per cache level
-	maxCacheSets  = 1 << 22 // caps the per-set slice table allocation
+	maxCacheSets  = 1 << 22 // caps the per-set table allocation
 	maxMSHRs      = 1024
 	maxQueueDepth = 4096 // prefetch regions / stream table / buffer blocks
 	minClockHz    = 1e3

@@ -132,13 +132,20 @@ type opQueue struct {
 func (q *opQueue) push(b blockedOp) {
 	if q.n == len(q.buf) {
 		grown := make([]blockedOp, max(2*len(q.buf), 8))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
+		k := copy(grown, q.buf[q.head:])
+		copy(grown[k:], q.buf[:q.head])
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = b
+	q.buf[wrap(q.head+q.n, len(q.buf))] = b
 	q.n++
+}
+
+// wrap reduces a ring index in [0, 2n) into [0, n) without dividing.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
 }
 
 // front returns the oldest blocked access; the queue must be non-empty.
@@ -146,7 +153,7 @@ func (q *opQueue) front() blockedOp { return q.buf[q.head] }
 
 func (q *opQueue) pop() {
 	q.buf[q.head] = blockedOp{}
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = wrap(q.head+1, len(q.buf))
 	q.n--
 }
 
@@ -172,8 +179,9 @@ type CPU struct {
 	// lastLoad is one plus the dispatch sequence number of the most
 	// recent load, for dependence chaining; zero before the first. A
 	// load whose sequence number is below stats.Retired has retired,
-	// so its data has arrived.
-	lastLoad uint64
+	// so its data has arrived. lastLoadSlot is that load's ROB slot.
+	lastLoad     uint64
+	lastLoadSlot int
 
 	// Instruction stream state.
 	nonMemLeft int
@@ -386,7 +394,7 @@ func (c *CPU) step() {
 		if c.rob[c.head].doneAt > now {
 			break
 		}
-		c.head = (c.head + 1) % c.cfg.ROBSize
+		c.head = wrap(c.head+1, c.cfg.ROBSize)
 		c.count--
 		c.stats.Retired++
 	}
@@ -421,7 +429,8 @@ func (c *CPU) step() {
 		seq := c.dispatched
 		c.dispatched++
 		// Fill the tail slot field by field: loadDone stays bound.
-		e := &c.rob[(c.head+c.count)%c.cfg.ROBSize]
+		slot := wrap(c.head+c.count, c.cfg.ROBSize)
+		e := &c.rob[slot]
 		e.doneAt, e.op, e.dependent = now+period, op, nil
 		c.count++
 		if isMem {
@@ -429,13 +438,13 @@ func (c *CPU) step() {
 			case trace.Load:
 				c.stats.Loads++
 				e.doneAt = sim.MaxTime
-				prodSeq := c.lastLoad
-				c.lastLoad = seq + 1
+				prodSeq, prodSlot := c.lastLoad, c.lastLoadSlot
+				c.lastLoad, c.lastLoadSlot = seq+1, slot
 				// A retired producer's data has arrived; e may even
 				// occupy its slot now.
 				var prod *entry
 				if op.DependsOnPrev && prodSeq > c.stats.Retired {
-					prod = &c.rob[(prodSeq-1)%uint64(c.cfg.ROBSize)]
+					prod = &c.rob[prodSlot]
 				}
 				switch {
 				case prod == nil || prod.doneAt <= now:

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 
 	"memsim/internal/sim"
@@ -25,6 +26,71 @@ func TestDiffSchedulerRandomPrograms(t *testing.T) {
 		if report := Check(Generate(seed, diffProgramOps)); report != "" {
 			t.Fatalf("%s\nreplay: Check(Generate(%d, %d))", report, seed, diffProgramOps)
 		}
+	}
+}
+
+// TestDiffSchedulerSparsePrograms drives both schedulers with sparse
+// programs (GenerateSparse): at most four pending events, tens to
+// hundreds of nanoseconds apart. They exercise the calendar queue's
+// cached minimum, pushes earlier than the cached minimum, and the
+// bucket-width retune, which the test requires to have fired.
+const (
+	sparseProgramCount = 2_000
+	sparseProgramOps   = 400
+)
+
+func TestDiffSchedulerSparsePrograms(t *testing.T) {
+	n := sparseProgramCount
+	if testing.Short() {
+		n = 200
+	}
+	retuned := 0
+	for seed := int64(0); seed < int64(n); seed++ {
+		p := GenerateSparse(seed, sparseProgramOps)
+		if report := Check(p); report != "" {
+			t.Fatalf("%s\nreplay: Check(GenerateSparse(%d, %d))", report, seed, sparseProgramOps)
+		}
+		for _, m := range p.Run(&Reference{}).Marks {
+			if m.Pending > sparseMaxPending {
+				t.Fatalf("seed %d: %d events pending, sparse programs keep at most %d", seed, m.Pending, sparseMaxPending)
+			}
+		}
+		s := sim.NewScheduler()
+		p.Run(s)
+		if !strings.Contains(s.DebugState(), " retunes=0") {
+			retuned++
+		}
+	}
+	if retuned == 0 {
+		t.Fatalf("none of %d sparse programs retuned the calendar width", n)
+	}
+}
+
+// TestSparseSchedulingAllocatesNothing pins the sparse scheduling
+// paths at zero allocations once warm: schedules into a few-event
+// queue, a RunUntil that caches the minimum, a schedule earlier than
+// it, a drain, and the width retunes those gaps provoke.
+func TestSparseSchedulingAllocatesNothing(t *testing.T) {
+	s := sim.NewScheduler()
+	noop := func(sim.Time, any) {}
+	round := 0
+	rounds := func(n int) {
+		for i := 0; i < n; i++ {
+			round++
+			g := sim.Time(10+(round*37)%490) * sim.Nanosecond
+			s.ScheduleCall(4*g, noop, nil)
+			s.ScheduleCall(2*g, noop, nil)
+			s.RunUntil(s.Now() + g)
+			s.ScheduleCall(g/2, noop, nil)
+			s.Run()
+		}
+	}
+	rounds(500)
+	if strings.Contains(s.DebugState(), " retunes=0") {
+		t.Fatalf("warm-up never retuned the calendar width: %s", s.DebugState())
+	}
+	if got := testing.AllocsPerRun(10, func() { rounds(200) }); got != 0 {
+		t.Fatalf("%v allocations per 200 sparse rounds, want 0", got)
 	}
 }
 

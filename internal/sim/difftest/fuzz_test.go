@@ -31,12 +31,14 @@ func fuzzProgram(data []byte) Program {
 // assigned in scheduling order, which is the same-tick FIFO order.
 func FuzzCalendarQueue(f *testing.F) {
 	// Seed corpus: a same-tick burst, a run-until-heavy mix, far-future
-	// jumps (exercising the sparse-year cursor path), and the shape of
-	// difftest seed 0's cursor regression.
+	// jumps (exercising the sparse-year cursor path), the shape of
+	// difftest seed 0's cursor regression, and a sparse program long
+	// enough to retune the bucket width.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 10, 0, 3, 5, 0, 1, 20, 0, 3, 1, 0, 3, 255, 255})
 	f.Add([]byte{128, 1, 0, 0, 5, 0, 129, 2, 0, 2, 0, 0, 3, 0, 128})
 	f.Add([]byte{0, 17, 13, 3, 81, 4, 0, 93, 0})
+	f.Add(sparseFuzzSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
 		cal := p.Run(sim.NewScheduler())
@@ -53,4 +55,17 @@ func FuzzCalendarQueue(f *testing.F) {
 			t.Fatalf("calendar queue diverged from the heap: %s", d)
 		}
 	})
+}
+
+// sparseFuzzSeed encodes a sparse program (GenerateSparse) in
+// fuzzProgram's byte form. Delays shrink eightfold to fit 16 bits, so
+// events sit 1–60 ns apart: still many empty 1 ns days per pop, and
+// 300 ops cross the calendar queue's retune window.
+func sparseFuzzSeed() []byte {
+	var b []byte
+	for _, op := range GenerateSparse(1, 300).Ops {
+		d := op.Delay / 8
+		b = append(b, byte(op.Kind), byte(d), byte(d>>8))
+	}
+	return b
 }

@@ -102,6 +102,39 @@ func Generate(seed int64, nops int) Program {
 	return Program{Seed: seed, Ops: ops}
 }
 
+// Sparse programs keep at most sparseMaxPending events queued, each
+// scheduling delay and run-ahead between sparseMinGap and
+// sparseMaxGap: a few events tens to hundreds of nanoseconds apart, as
+// on a cluster's memory shard. On the calendar queue's 1 ns starting
+// width every pop walks many empty days, so long programs cross the
+// width retune; with so few events, RunUntil's peek caches the minimum
+// and later schedules often land before it.
+const (
+	sparseMaxPending = 4
+	sparseMinGap     = 10 * sim.Nanosecond
+	sparseMaxGap     = 500 * sim.Nanosecond
+)
+
+// GenerateSparse derives a sparse program of nops operations from
+// seed. It tracks the pending count by replaying each op on a
+// Reference as it goes, offering scheduling ops only while fewer than
+// sparseMaxPending events are queued.
+func GenerateSparse(seed int64, nops int) Program {
+	rng := rand.New(rand.NewSource(seed))
+	gap := func() sim.Time { return sparseMinGap + sim.Time(rng.Int63n(int64(sparseMaxGap-sparseMinGap)+1)) }
+	x := newExec(&Reference{})
+	ops := make([]Op, nops)
+	for i := range ops {
+		op := Op{Kind: OpKind(rng.Intn(int(numOpKinds))), Delay: gap(), Child: gap()}
+		if x.s.Pending() >= sparseMaxPending && (op.Kind == OpScheduleCall || op.Kind == OpNested) {
+			op.Kind = OpRunUntil
+		}
+		x.apply(op)
+		ops[i] = op
+	}
+	return Program{Seed: seed, Ops: ops}
+}
+
 // Fire records one observed event execution.
 type Fire struct {
 	ID    int      // deterministic event identity
@@ -129,44 +162,62 @@ type Trace struct {
 }
 
 // Run replays the program against s, which must be fresh, and returns
-// its trace. Event IDs are drawn from one counter shared by
-// schedule-time and fire-time (nested children) assignment; the counter
-// advances identically on both schedulers as long as the fire orders
-// agree, and once they disagree the Fires records differ anyway.
+// its trace.
 func (p Program) Run(s scheduler) Trace {
-	var tr Trace
-	nextID := 0
-	note := func(_ sim.Time, arg any) {
-		tr.Fires = append(tr.Fires, Fire{ID: arg.(int), At: s.Now(), Fired: s.EventsFired()})
-	}
-	schedule := func(delay sim.Time, cb sim.Callback) {
-		s.ScheduleCall(delay, cb, nextID)
-		nextID++
-	}
-
+	x := newExec(s)
 	for _, op := range p.Ops {
-		next := sim.Time(-1)
-		switch op.Kind {
-		case OpScheduleCall:
-			schedule(op.Delay, note)
-		case OpNested:
-			child := op.Child
-			schedule(op.Delay, func(now sim.Time, arg any) {
-				note(now, arg)
-				schedule(child, note)
-			})
-		case OpStep:
-			s.Step()
-		case OpRunUntil:
-			if t, ok := s.RunUntil(s.Now() + op.Delay); ok {
-				next = t
-			}
-		}
-		tr.Marks = append(tr.Marks, Mark{Now: s.Now(), Fired: s.EventsFired(), Pending: s.Pending(), Next: next})
+		x.apply(op)
 	}
 	s.Run()
-	tr.Now, tr.Fired = s.Now(), s.EventsFired()
-	return tr
+	x.tr.Now, x.tr.Fired = s.Now(), s.EventsFired()
+	return x.tr
+}
+
+// exec applies program ops to one scheduler, recording its trace.
+// Event IDs are drawn from one counter shared by schedule-time and
+// fire-time (nested children) assignment; the counter advances
+// identically on both schedulers as long as the fire orders agree,
+// and once they disagree the Fires records differ anyway.
+type exec struct {
+	s      scheduler
+	tr     Trace
+	nextID int
+	note   sim.Callback
+}
+
+func newExec(s scheduler) *exec {
+	x := &exec{s: s}
+	x.note = func(_ sim.Time, arg any) {
+		x.tr.Fires = append(x.tr.Fires, Fire{ID: arg.(int), At: s.Now(), Fired: s.EventsFired()})
+	}
+	return x
+}
+
+func (x *exec) schedule(delay sim.Time, cb sim.Callback) {
+	x.s.ScheduleCall(delay, cb, x.nextID)
+	x.nextID++
+}
+
+// apply performs one op and marks the scheduler state after it.
+func (x *exec) apply(op Op) {
+	next := sim.Time(-1)
+	switch op.Kind {
+	case OpScheduleCall:
+		x.schedule(op.Delay, x.note)
+	case OpNested:
+		child := op.Child
+		x.schedule(op.Delay, func(now sim.Time, arg any) {
+			x.note(now, arg)
+			x.schedule(child, x.note)
+		})
+	case OpStep:
+		x.s.Step()
+	case OpRunUntil:
+		if t, ok := x.s.RunUntil(x.s.Now() + op.Delay); ok {
+			next = t
+		}
+	}
+	x.tr.Marks = append(x.tr.Marks, Mark{Now: x.s.Now(), Fired: x.s.EventsFired(), Pending: x.s.Pending(), Next: next})
 }
 
 // Diff compares two traces and describes the first divergence, or

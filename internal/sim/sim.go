@@ -112,8 +112,8 @@ func (s *Scheduler) Pending() int {
 func (s *Scheduler) DebugState() string {
 	d := fmt.Sprintf("now=%v fired=%d seq=%d pending=%d", s.now, s.fired, s.seq, s.Pending())
 	if q := s.q; q != nil {
-		d += fmt.Sprintf(" buckets=%d width=2^%dps grows=%d shrinks=%d",
-			len(q.buckets), q.shift, q.grows, q.shrinks)
+		d += fmt.Sprintf(" buckets=%d width=2^%dps grows=%d shrinks=%d retunes=%d",
+			len(q.buckets), q.shift, q.grows, q.shrinks, q.retunes)
 	}
 	return d
 }
