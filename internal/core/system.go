@@ -549,6 +549,10 @@ func (s *System) RunContext(ctx context.Context) (res Result, err error) {
 			res, err = Result{}, s.recoverCorruption(p)
 		}
 	}()
+	// cond is checked between Steps, not between the core cycles one
+	// Step runs inline: fatal is set only by the hardening monitors'
+	// tick events, which Advance never runs ahead of, and Done ends
+	// the core's own loop.
 	cond := func() bool { return s.fatal == nil && !s.core.Done() }
 	canceled := false
 	done := ctx.Done()

@@ -13,6 +13,14 @@
 // Stores retire through a bounded store buffer without stalling
 // retirement. This is the minimal structure that reproduces both
 // latency-bound and bandwidth-bound behaviour.
+//
+// The core runs one cycle per activation, on a cycle edge. When a cycle
+// wants another, the core asks the scheduler to Advance to that edge
+// and runs it in the same callback; it queues a step only when another
+// event is due first, or a RunUntil window or a sampled-loop stride
+// ends before it. A busy core thus costs one queued event per run of
+// undisturbed cycles, while every cycle still counts as a fired event
+// at the same time and in the same order as a queued step.
 package cpu
 
 import (
@@ -242,7 +250,7 @@ func New(sched *sim.Scheduler, mem Memory, gen trace.Generator, cfg Config) (*CP
 		c.issueLoad(arg.(*entry))
 		c.Wake()
 	}
-	c.armStep(0)
+	c.Wake()
 	return c, nil
 }
 
@@ -291,19 +299,18 @@ func (c *CPU) DebugState() string {
 // Wake nudges a stalled core, e.g. after the hierarchy frees an MSHR.
 func (c *CPU) Wake() {
 	if !c.finished {
-		c.armStep(0)
+		c.armAt(c.cfg.Clock.NextEdge(c.sched.Now()))
 	}
 }
 
-// armStep schedules a step at the next cycle edge at or after
-// now+delay, if one is not already scheduled.
-func (c *CPU) armStep(delay sim.Time) {
+// armAt schedules a step at cycle edge t, if one is not already
+// scheduled.
+func (c *CPU) armAt(t sim.Time) {
 	if c.stepArmed {
 		return
 	}
 	c.stepArmed = true
-	at := c.cfg.Clock.NextEdge(c.sched.Now() + delay)
-	c.sched.AtCall(at, c.stepCB, nil)
+	c.sched.AtCall(t, c.stepCB, nil)
 }
 
 // nextInstr pulls the next instruction from the stream. It returns
@@ -379,13 +386,27 @@ func (c *CPU) tryIssue(b blockedOp) bool {
 	return true
 }
 
-// step runs one core cycle: retire, retry blocked accesses, dispatch,
-// and re-arm.
+// step runs core cycles from now on. After each cycle that wants
+// another, it runs that cycle inline when the scheduler's Advance
+// allows (nothing else is due first) and schedules it otherwise.
 func (c *CPU) step() {
 	c.stepArmed = false
-	if c.finished {
-		return
+	for !c.finished {
+		at, more := c.cycle()
+		if !more {
+			return
+		}
+		if !c.sched.Advance(at) {
+			c.armAt(at)
+			return
+		}
 	}
+}
+
+// cycle runs one core cycle (retire, retry blocked accesses, dispatch)
+// and reports the cycle edge at which the core next wants to run, or
+// more=false when it has finished or idles until a callback wakes it.
+func (c *CPU) cycle() (at sim.Time, more bool) {
 	now := c.sched.Now()
 	period := c.cfg.Clock.Period()
 
@@ -476,19 +497,20 @@ func (c *CPU) step() {
 		if c.OnDone != nil {
 			c.OnDone()
 		}
-		return
+		return 0, false
 	}
 
-	// Re-arm: next cycle if progress is possible then; otherwise wait
-	// for the head's known completion; otherwise idle until a callback
-	// wakes us.
+	// Next cycle if progress is possible then (steps run on cycle
+	// edges, so now+period is one); otherwise the edge of the head's
+	// known completion; otherwise idle until a callback wakes us.
 	next := now + period
 	canDispatch := !c.exhausted && c.count < c.cfg.ROBSize && c.blocked.n < c.cfg.StoreBuffer
 	canRetire := c.count > 0 && c.rob[c.head].doneAt <= next
 	switch {
 	case canDispatch || canRetire:
-		c.armStep(period)
+		return next, true
 	case c.count > 0 && c.rob[c.head].doneAt < sim.MaxTime:
-		c.armStep(c.rob[c.head].doneAt - now)
+		return c.cfg.Clock.NextEdge(c.rob[c.head].doneAt), true
 	}
+	return 0, false
 }

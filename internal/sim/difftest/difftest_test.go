@@ -66,6 +66,35 @@ func TestDiffSchedulerSparsePrograms(t *testing.T) {
 	}
 }
 
+// TestDiffSchedulerTickingPrograms drives both schedulers with ticking
+// programs (GenerateTicking): self-re-arming tickers that run their
+// next tick inline through Advance on the calendar queue and schedule
+// every tick on the Reference, among schedules, nested schedules and
+// RunUntil windows. The fire logs, the fired counts and every snapshot
+// must agree, and the calendar queue must have run ticks inline.
+const (
+	tickingProgramCount = 2_000
+	tickingProgramOps   = 128
+)
+
+func TestDiffSchedulerTickingPrograms(t *testing.T) {
+	n := tickingProgramCount
+	if testing.Short() {
+		n = 200
+	}
+	inline := 0
+	for seed := int64(0); seed < int64(n); seed++ {
+		p := GenerateTicking(seed, tickingProgramOps)
+		if report := Check(p); report != "" {
+			t.Fatalf("%s\nreplay: Check(GenerateTicking(%d, %d))", report, seed, tickingProgramOps)
+		}
+		inline += p.Run(sim.NewScheduler()).Inline
+	}
+	if inline == 0 {
+		t.Fatalf("none of %d ticking programs ran a tick inline", n)
+	}
+}
+
 // TestSparseSchedulingAllocatesNothing pins the sparse scheduling
 // paths at zero allocations once warm: schedules into a few-event
 // queue, a RunUntil that caches the minimum, a schedule earlier than
@@ -181,7 +210,7 @@ func TestMinimizeKeepsPassingProgram(t *testing.T) {
 func TestOpStrings(t *testing.T) {
 	// The minimal-reproducer report renders ops; keep every kind
 	// printable so a failure message never shows an opaque struct.
-	for k := OpKind(0); k < numOpKinds; k++ {
+	for k := OpKind(0); k <= OpTicker; k++ {
 		if s := (Op{Kind: k, Delay: 5, Child: 7}).String(); s == "" {
 			t.Fatalf("op kind %d renders empty", k)
 		}

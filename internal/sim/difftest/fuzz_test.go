@@ -11,15 +11,32 @@ import (
 // a nested op's child delay. The high selector bit stretches the delay
 // by 2^20, reaching across bucket rotations so the fuzzer can mix the
 // calendar queue's near, wrapped and sparse-year paths in one input.
+// Selector bit 0x40 makes the op a ticker whose period is the delay's
+// low byte and whose tick count comes from its high byte. A program
+// with a ticker is a ticking program, so its steps become RunUntil
+// windows (see GenerateTicking).
 func fuzzProgram(data []byte) Program {
 	var p Program
+	ticking := false
 	for i := 0; i+2 < len(data); i += 3 {
 		sel := data[i]
 		delay := sim.Time(data[i+1]) | sim.Time(data[i+2])<<8
 		if sel&0x80 != 0 {
 			delay <<= 20
 		}
-		p.Ops = append(p.Ops, Op{Kind: OpKind(sel % uint8(numOpKinds)), Delay: delay, Child: sim.Time(data[i+1])})
+		op := Op{Kind: OpKind(sel % uint8(numOpKinds)), Delay: delay, Child: sim.Time(data[i+1])}
+		if sel&0x40 != 0 {
+			op.Kind, op.Ticks = OpTicker, 1+int(data[i+2])%tickingMaxTicks
+			ticking = true
+		}
+		p.Ops = append(p.Ops, op)
+	}
+	if ticking {
+		for i := range p.Ops {
+			if p.Ops[i].Kind == OpStep {
+				p.Ops[i].Kind = OpRunUntil
+			}
+		}
 	}
 	return p
 }
@@ -32,13 +49,15 @@ func fuzzProgram(data []byte) Program {
 func FuzzCalendarQueue(f *testing.F) {
 	// Seed corpus: a same-tick burst, a run-until-heavy mix, far-future
 	// jumps (exercising the sparse-year cursor path), the shape of
-	// difftest seed 0's cursor regression, and a sparse program long
-	// enough to retune the bucket width.
+	// difftest seed 0's cursor regression, a sparse program long
+	// enough to retune the bucket width, and tickers cut by RunUntil
+	// windows and by events due with their next tick.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 10, 0, 3, 5, 0, 1, 20, 0, 3, 1, 0, 3, 255, 255})
 	f.Add([]byte{128, 1, 0, 0, 5, 0, 129, 2, 0, 2, 0, 0, 3, 0, 128})
 	f.Add([]byte{0, 17, 13, 3, 81, 4, 0, 93, 0})
 	f.Add(sparseFuzzSeed())
+	f.Add([]byte{0x40, 100, 20, 0, 250, 0, 3, 120, 1, 0x40, 7, 3, 1, 50, 0, 3, 255, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
 		cal := p.Run(sim.NewScheduler())

@@ -12,6 +12,7 @@ import (
 // heap-ordered Reference both provide it.
 type scheduler interface {
 	ScheduleCall(delay sim.Time, cb sim.Callback, arg any)
+	Advance(t sim.Time) bool
 	Step() bool
 	RunUntil(t sim.Time) (next sim.Time, ok bool)
 	Run()
@@ -34,10 +35,18 @@ const (
 	// OpRunUntil runs the scheduler up to now+Delay.
 	OpRunUntil
 
+	// numOpKinds counts the kinds Generate and GenerateSparse draw
+	// from.
 	numOpKinds
+
+	// OpTicker starts a ticker at now+Delay: Ticks events, each Child
+	// after the last, where each tick runs the next inline through
+	// Advance when the scheduler allows and schedules it otherwise, as
+	// the core steps. Only ticking programs carry it.
+	OpTicker = numOpKinds
 )
 
-var opNames = [...]string{"call", "nested", "step", "until"}
+var opNames = [...]string{"call", "nested", "step", "until", "ticker"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opNames) {
@@ -50,7 +59,8 @@ func (k OpKind) String() string {
 type Op struct {
 	Kind  OpKind
 	Delay sim.Time // relative delay for scheduling ops and RunUntil
-	Child sim.Time // nested child's delay
+	Child sim.Time // nested child's delay; a ticker's period
+	Ticks int      // a ticker's event count
 }
 
 func (o Op) String() string {
@@ -61,6 +71,8 @@ func (o Op) String() string {
 		return "{step}"
 	case OpRunUntil:
 		return fmt.Sprintf("{until +%d}", int64(o.Delay))
+	case OpTicker:
+		return fmt.Sprintf("{ticker +%d every +%d x%d}", int64(o.Delay), int64(o.Child), o.Ticks)
 	default:
 		return fmt.Sprintf("{%v +%d}", o.Kind, int64(o.Delay))
 	}
@@ -135,6 +147,41 @@ func GenerateSparse(seed int64, nops int) Program {
 	return Program{Seed: seed, Ops: ops}
 }
 
+// Ticking programs mix tickers (OpTicker) with schedules, nested
+// schedules and RunUntil windows. They leave out Step: a calendar-queue
+// Step may carry a ticker's inline ticks where the Reference, whose
+// Advance always declines, fires one event, so the two snapshot
+// different states after it. Fire logs, RunUntil snapshots and the
+// final state still agree exactly.
+const (
+	tickingMaxTicks  = 64
+	tickingMaxPeriod = 1000
+)
+
+// GenerateTicking derives a ticking program of nops operations from
+// seed.
+func GenerateTicking(seed int64, nops int) Program {
+	rng := rand.New(rand.NewSource(seed))
+	kinds := [...]OpKind{OpScheduleCall, OpNested, OpRunUntil, OpTicker}
+	ops := make([]Op, nops)
+	for i := range ops {
+		op := Op{
+			Kind:  kinds[rng.Intn(len(kinds))],
+			Delay: sim.Time(rng.Intn(5000)),
+			Child: sim.Time(rng.Intn(2000)),
+		}
+		if rng.Intn(8) == 0 {
+			op.Delay = 0
+		}
+		if op.Kind == OpTicker {
+			op.Child = sim.Time(rng.Intn(tickingMaxPeriod + 1))
+			op.Ticks = 1 + rng.Intn(tickingMaxTicks)
+		}
+		ops[i] = op
+	}
+	return Program{Seed: seed, Ops: ops}
+}
+
 // Fire records one observed event execution.
 type Fire struct {
 	ID    int      // deterministic event identity
@@ -159,6 +206,9 @@ type Trace struct {
 	Marks []Mark
 	Now   sim.Time
 	Fired uint64
+	// Inline counts the ticks that ran inline through Advance. It
+	// differs between the schedulers by design, and Diff ignores it.
+	Inline int
 }
 
 // Run replays the program against s, which must be fresh, and returns
@@ -198,6 +248,36 @@ func (x *exec) schedule(delay sim.Time, cb sim.Callback) {
 	x.nextID++
 }
 
+// startTicker schedules the first of ticks events, period apart. A
+// tick takes a new event ID for its successor, runs it inline when
+// Advance allows and schedules it otherwise. Every third tick also
+// schedules a plain event due with the next tick, which fires first
+// (same-tick FIFO), so Advance must decline there.
+func (x *exec) startTicker(delay, period sim.Time, ticks int) {
+	left := ticks
+	var tick sim.Callback
+	tick = func(now sim.Time, arg any) {
+		for {
+			x.note(now, arg)
+			if left--; left <= 0 {
+				return
+			}
+			if left%3 == 0 {
+				x.schedule(period, x.note)
+			}
+			id := x.nextID
+			x.nextID++
+			if !x.s.Advance(x.s.Now() + period) {
+				x.s.ScheduleCall(period, tick, id)
+				return
+			}
+			x.tr.Inline++
+			now, arg = x.s.Now(), id
+		}
+	}
+	x.schedule(delay, tick)
+}
+
 // apply performs one op and marks the scheduler state after it.
 func (x *exec) apply(op Op) {
 	next := sim.Time(-1)
@@ -216,6 +296,8 @@ func (x *exec) apply(op Op) {
 		if t, ok := x.s.RunUntil(x.s.Now() + op.Delay); ok {
 			next = t
 		}
+	case OpTicker:
+		x.startTicker(op.Delay, op.Child, op.Ticks)
 	}
 	x.tr.Marks = append(x.tr.Marks, Mark{Now: x.s.Now(), Fired: x.s.EventsFired(), Pending: x.s.Pending(), Next: next})
 }

@@ -63,6 +63,10 @@ func (r *Reference) ScheduleCall(delay sim.Time, cb sim.Callback, arg any) {
 	r.seq++
 }
 
+// Advance always declines, so a ticker schedules every tick and the
+// Reference fires each one from its heap.
+func (r *Reference) Advance(sim.Time) bool { return false }
+
 // fire pops the earliest event, advances the clock to it and runs it.
 func (r *Reference) fire() {
 	e := heap.Pop(&r.h).(refEvent)

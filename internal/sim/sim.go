@@ -18,6 +18,13 @@
 // allocation-free. The reference container/heap queue the calendar
 // queue is checked against lives in the differential tests of
 // internal/sim/difftest.
+//
+// A component that re-arms itself every cycle (the core) need not
+// queue each activation: Advance moves the clock straight to its next
+// activation, counting it as a fired event, whenever that activation
+// would be the next event to fire anyway. One Step, and one callback,
+// may therefore carry many such inline events; fire order, times and
+// EventsFired are those of the queued form.
 package sim
 
 import "fmt"
@@ -88,6 +95,13 @@ type Scheduler struct {
 	fired uint64
 	q     *calQueue
 	free  *event // freelist of recycled events
+
+	// Advance's limits, set by the loop that is running: the end of a
+	// RunUntil window while windowed, and the fired count at which
+	// RunWhileSampled must regain control (zero: none).
+	horizon  Time
+	windowed bool
+	stop     uint64
 }
 
 // NewScheduler returns a Scheduler with its clock at zero.
@@ -164,8 +178,38 @@ func (s *Scheduler) fire(e *event) {
 	cb(s.now, arg)
 }
 
+// Advance moves the clock to t and counts one fired event, as if an
+// event scheduled now for t had just fired, when that event would be
+// the next to fire: no pending event is due at or before t, t lies
+// within the running RunUntil window, and RunWhileSampled's current
+// stride is not used up. Otherwise it declines and changes nothing. A
+// self-re-arming component calls it from inside its own callback to
+// run its next activation inline, and schedules that activation only
+// when Advance declines; fire order, times and EventsFired are the
+// same either way. The advance consumes one sequence number, as the
+// event would have. A t in the past counts as now.
+func (s *Scheduler) Advance(t Time) bool {
+	if t < s.now {
+		t = s.now
+	}
+	if (s.windowed && t > s.horizon) || (s.stop != 0 && s.fired >= s.stop) {
+		return false
+	}
+	if s.q != nil {
+		if e := s.q.peek(); e != nil && e.when <= t {
+			return false
+		}
+	}
+	s.now = t
+	s.fired++
+	s.seq++
+	return true
+}
+
 // Step executes the next pending event, advancing the clock to its
-// timestamp. It reports false when no events remain.
+// timestamp. It reports false when no events remain. One Step may
+// carry several fired events: the callback can run further activations
+// inline through Advance.
 func (s *Scheduler) Step() bool {
 	if s.q == nil {
 		return false
@@ -191,8 +235,12 @@ func (s *Scheduler) Run() {
 // It reports the timestamp of the earliest event still pending, which
 // it peeked to stop its loop, and ok=false when the queue is empty.
 // Epoch drivers (internal/cluster) use it as their lookahead to skip
-// event-free epochs wholesale.
+// event-free epochs wholesale. Advance never runs past t while it
+// runs.
 func (s *Scheduler) RunUntil(t Time) (next Time, ok bool) {
+	horizon, windowed := s.horizon, s.windowed
+	s.horizon, s.windowed = t, true
+	defer func() { s.horizon, s.windowed = horizon, windowed }()
 	for s.q != nil {
 		e := s.q.peek()
 		if e == nil {
@@ -212,7 +260,10 @@ func (s *Scheduler) RunUntil(t Time) (next Time, ok bool) {
 }
 
 // RunWhile executes events while cond returns true and events remain.
-// cond is evaluated before each event.
+// cond is evaluated before each Step, not between the events a Step
+// carries inline (see Advance): a condition that only events in the
+// queue can change, or that the inline-running component checks
+// itself, stops the loop exactly where it would stop between events.
 func (s *Scheduler) RunWhile(cond func() bool) {
 	for cond() && s.Step() {
 	}
@@ -233,7 +284,9 @@ func (s *Scheduler) RunWhile(cond func() bool) {
 // cond stops the loop is still sampled. (Previously the check ran
 // before the next event instead, so the loop could exit through cond
 // with a crossed boundary never observed — a run's last partial
-// stride went unsampled.)
+// stride went unsampled.) Advance declines once a stride is used up,
+// so inline events never carry the count past a boundary: coarse
+// sees EventsFired at exactly every stride multiple.
 func (s *Scheduler) RunWhileSampled(cond func() bool, stride uint64, coarse func() bool) {
 	if stride == 0 {
 		stride = 1
@@ -241,16 +294,18 @@ func (s *Scheduler) RunWhileSampled(cond func() bool, stride uint64, coarse func
 	if !coarse() {
 		return
 	}
-	next := s.fired + stride
+	stop := s.stop
+	defer func() { s.stop = stop }()
+	s.stop = s.fired + stride
 	for cond() {
 		if !s.Step() {
 			return
 		}
-		if s.fired >= next {
+		if s.fired >= s.stop {
 			if !coarse() {
 				return
 			}
-			next = s.fired + stride
+			s.stop = s.fired + stride
 		}
 	}
 }
