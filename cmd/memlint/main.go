@@ -1,20 +1,14 @@
 // Command memlint runs the simulator-specific static analysis suite
 // (see internal/lint and DESIGN.md §9) over Go packages.
 //
-// Standalone:
+// Usage:
 //
 //	go run ./cmd/memlint ./...
 //
 // prints one line per finding (file:line:col: message (analyzer)) and
 // exits 1 when anything is found, 0 when the tree is clean, 2 on an
-// internal error.
-//
-// As a vet tool, memlint speaks the cmd/go unitchecker protocol
-// (-V=full, -flags, and single *.cfg invocations), so it can run under
-// the build cache with:
-//
-//	go build -o /tmp/memlint ./cmd/memlint
-//	go vet -vettool=/tmp/memlint ./...
+// internal error. All matched packages are analyzed together, so the
+// interprocedural analyzers see the whole module.
 //
 // False positives are suppressed in source with
 // `//lint:ignore <analyzer> <reason>`; an unexplained directive is
@@ -22,10 +16,8 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -39,25 +31,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// cmd/go probes vet tools before handing them packages: -V=full
-	// asks for an identity line for the build cache, -flags for the
-	// supported flag set (we expose none).
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "-V":
-			return printVersion()
-		case a == "-flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	// cmd/go invokes the tool as `memlint [flags] <pkg>.cfg`; any
-	// flags it chooses to pass (e.g. -json) are irrelevant to a
-	// suite with no options.
-	if len(args) > 0 && strings.HasSuffix(args[len(args)-1], ".cfg") {
-		return unitchecker(args[len(args)-1])
-	}
-
 	fs := flag.NewFlagSet("memlint", flag.ContinueOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: memlint [packages]")
@@ -81,10 +54,9 @@ func run(args []string) int {
 		return 2
 	}
 	// All matched packages form one Module, giving the
-	// interprocedural analyzers (atomiccross, errdropip, …) their
+	// interprocedural analyzers (atomiccross, errdrop, …) their
 	// whole-program view: a call graph that crosses package
-	// boundaries. Under `go vet -vettool` each package arrives alone
-	// and the same analyzers degrade to per-package scope.
+	// boundaries.
 	mod := analysis.NewModule(pkgs)
 	found := 0
 	for _, pkg := range pkgs {
@@ -103,42 +75,4 @@ func run(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// printVersion emits the identity line cmd/go parses when probing a
-// vet tool: "<path> version devel ... buildID=<hex>". cmd/go takes the
-// last field as the tool's content ID for its action cache, so the
-// binary's own hash is the right identity — any change to the suite's
-// logic changes it. The format mirrors objabi.AddVersionFlag, which is
-// private to the go toolchain yet forms part of the vettool contract.
-func printVersion() int {
-	progname, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memlint:", err)
-		return 2
-	}
-	f, err := os.Open(progname)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "memlint:", err)
-		return 2
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, "memlint:", err)
-		return 2
-	}
-	fmt.Printf("%s version devel suite=%s buildID=%x\n", progname, suiteID(), h.Sum(nil))
-	return 0
-}
-
-// suiteID folds the analyzer names into the -V=full identity line for
-// human readers of `memlint -V=full`; cache identity comes from the
-// binary hash.
-func suiteID() string {
-	names := make([]string, 0, len(lint.Suite()))
-	for _, a := range lint.Suite() {
-		names = append(names, a.Name)
-	}
-	return strings.Join(names, ",")
 }

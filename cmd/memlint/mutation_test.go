@@ -9,11 +9,13 @@ import (
 )
 
 // TestSeededMutations proves the CI lint gate has teeth: it copies the
-// module, reintroduces one known violation per interprocedural
-// analyzer — the exact checkpoint-save discard errdropip first caught
-// in cmd/sweep, plus seeded atomiccross/ctxflow/unitflow violations
-// modelled on the invariants the suite pins — builds memlint from the
-// mutated tree, and requires the run to fail naming all four.
+// module, reintroduces one known violation per interprocedural rule —
+// the exact checkpoint-save discard errdrop's wrapper rule first
+// caught in cmd/sweep, a scheduler deadline subtracted from Now() in
+// the memory controller, plus seeded atomiccross/ctxflow/unitflow
+// violations modelled on the invariants the suite pins — builds
+// memlint from the mutated tree, and requires the run to report each
+// one under its analyzer.
 func TestSeededMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and re-analyzes the whole module")
@@ -25,13 +27,20 @@ func TestSeededMutations(t *testing.T) {
 	tmp := t.TempDir()
 	copyModule(t, root, tmp)
 
-	// errdropip: revert the cmd/sweep fix — discard the checkpoint
-	// save in the error path again.
+	// errdrop: revert the cmd/sweep fix — discard the checkpoint save
+	// in the error path again. saveManifest is a wrapper, so only the
+	// inherited must-check set catches it.
 	mutate(t, filepath.Join(tmp, "cmd/sweep/main.go"),
 		`if serr := saveManifest(manifest); serr != nil {
 				fmt.Fprintln(os.Stderr, "sweep: checkpoint save failed:", serr)
 			}`,
 		`saveManifest(manifest)`)
+
+	// unitflow: a decision deadline that subtracts from Now() lands in
+	// the past and is clamped to the present.
+	mutate(t, filepath.Join(tmp, "internal/memctrl/memctrl.go"),
+		`c.sched.AtCall(c.gate, fireDecide, c)`,
+		`c.sched.AtCall(c.sched.Now()-c.gate, fireDecide, c)`)
 
 	// atomiccross, ctxflow, unitflow: one violation each, seeded into
 	// a server-side file so the package is goroutine-bearing.
@@ -82,11 +91,28 @@ func mutantUnits(d time.Duration) mutantCfg {
 	if err == nil {
 		t.Fatalf("memlint passed a tree with seeded violations:\n%s", out)
 	}
-	for _, analyzer := range []string{"(errdropip)", "(atomiccross)", "(ctxflow)", "(unitflow)"} {
-		if !strings.Contains(string(out), analyzer) {
-			t.Errorf("seeded %s violation not reported; output:\n%s", analyzer, out)
+	for _, want := range []struct{ file, analyzer string }{
+		{"cmd/sweep/main.go", "(errdrop)"},
+		{"internal/memctrl/memctrl.go", "(unitflow)"},
+		{"internal/server/zz_mutant.go", "(atomiccross)"},
+		{"internal/server/zz_mutant.go", "(ctxflow)"},
+		{"internal/server/zz_mutant.go", "(unitflow)"},
+	} {
+		if !reported(string(out), want.file, want.analyzer) {
+			t.Errorf("seeded %s violation in %s not reported; output:\n%s", want.analyzer, want.file, out)
 		}
 	}
+}
+
+// reported reports whether some output line names both file and
+// analyzer.
+func reported(out, file, analyzer string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, file) && strings.HasSuffix(line, analyzer) {
+			return true
+		}
+	}
+	return false
 }
 
 // mutate applies one exact-match replacement, failing loudly if the

@@ -8,8 +8,8 @@
 // An Analyzer inspects one type-checked package at a time and reports
 // Diagnostics. The memlint suite (see internal/lint/analyzers/...)
 // uses it to enforce simulator-specific invariants — determinism,
-// event-time sanity, error propagation, stats wiring — that go vet
-// cannot express.
+// time units, error propagation, stats wiring — that go vet cannot
+// express.
 package analysis
 
 import (
@@ -49,10 +49,9 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Module is the whole-program view for interprocedural analyzers.
-	// It always holds at least the package under analysis; drivers
-	// that load the full module (cmd/memlint standalone, the fixture
-	// harness) populate it with every package so call graphs can cross
-	// package boundaries.
+	// It always holds at least the package under analysis; the drivers
+	// (cmd/memlint, the fixture harness) populate it with every loaded
+	// package so call graphs can cross package boundaries.
 	Module *Module
 
 	// Report delivers one diagnostic. The runner installs a wrapper
@@ -83,19 +82,6 @@ type Package struct {
 	Files     []*ast.File
 	Types     *types.Package
 	TypesInfo *types.Info
-}
-
-// Run applies each analyzer to pkg, applies //lint:ignore suppression,
-// and returns the surviving diagnostics in source order. Malformed or
-// reasonless directives surface as diagnostics of the built-in
-// lintdirective analyzer, which callers include in the suite; Run
-// itself only consumes well-formed directives.
-//
-// Run wraps pkg in a single-package Module, so interprocedural
-// analyzers see exactly one package; drivers with the whole module in
-// hand call RunPackage instead.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunPackage(NewModule([]*Package{pkg}), pkg, analyzers)
 }
 
 // sortDiagnostics orders diagnostics by file position, then analyzer

@@ -3,12 +3,10 @@ package analysis
 import "fmt"
 
 // Module is the whole-program view the interprocedural analyzers
-// (atomiccross, ctxflow, unitflow, errdropip) work against: every
-// module package the driver loaded, plus a cache for facts that are
-// expensive to build and shared across analyzers and packages — the
-// call graph, function summaries. A Module with a single package is
-// the degenerate mode the vet-tool driver runs in, where analyses
-// gracefully lose their cross-package reach.
+// (atomiccross, ctxflow, unitflow, errdrop) work against: every module
+// package the driver loaded, plus a cache for facts that are expensive
+// to build and shared across analyzers and packages — the call graph,
+// function summaries.
 type Module struct {
 	Packages []*Package
 
@@ -50,8 +48,10 @@ func (m *Module) PackageFor(path string) *Package {
 
 // RunPackage applies each analyzer to one package of mod, applies
 // //lint:ignore suppression, and returns the surviving diagnostics in
-// source order. When the suite includes the lintdirective analyzer it
-// also audits the package's suppressions: a well-formed directive
+// source order. Malformed or reasonless directives surface as
+// diagnostics of the built-in lintdirective analyzer, which callers
+// include in the suite. When the suite includes it, RunPackage also
+// audits the package's suppressions: a well-formed directive
 // whose named analyzers all ran yet which suppressed nothing is stale
 // and reported, so dead //lint:ignore comments cannot accumulate.
 func RunPackage(mod *Module, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {

@@ -29,3 +29,12 @@ func TestHandlerFixtures(t *testing.T) {
 func TestVFSFixtures(t *testing.T) {
 	analysistest.Run(t, "testdata", errdrop.Analyzer, "dur")
 }
+
+// TestWrapperFixtures covers the inherited must-check set: the
+// inheritance chain (direct wrap, two hops, %w wrapping, named-result
+// naked return, cross-package wrappers), the non-inheriting shapes
+// (handled locally, taint killed by reassignment, deliberate _
+// discard), and a dropped root reported exactly once.
+func TestWrapperFixtures(t *testing.T) {
+	analysistest.Run(t, "testdata", errdrop.Analyzer, "wrap/a", "wrap/b")
+}

@@ -42,9 +42,13 @@ import (
 
 // simCorePackages are the packages that execute inside the event loop,
 // where wall-clock time, global randomness and goroutines are banned
-// outright. Matched as trailing "internal/<name>" path segments so the
+// outright: the simulator proper plus the obs hooks and the cluster
+// fabric. Matched as trailing "internal/<name>" path segments so the
 // analyzer works identically on the real module and on test fixtures.
-var simCorePackages = []string{"sim", "core", "memctrl", "channel", "prefetch", "cache", "obs", "cluster", "policy", "dram"}
+var simCorePackages = []string{
+	"sim", "core", "cpu", "cache", "memctrl", "channel", "dram", "addrmap",
+	"prefetch", "policy", "workload", "trace", "stats", "obs", "cluster",
+}
 
 // Analyzer is the simdeterminism pass.
 var Analyzer = &analysis.Analyzer{

@@ -14,7 +14,7 @@ import (
 // accumulation, map clear, seeded rand), and //lint:ignore suppression
 // in both placements.
 func TestFixtures(t *testing.T) {
-	analysistest.Run(t, "testdata", simdeterminism.Analyzer, "a/internal/core", "b/report")
+	analysistest.Run(t, "testdata", simdeterminism.Analyzer, "a/internal/core", "a/internal/cpu", "b/report")
 }
 
 func TestInSimCore(t *testing.T) {
@@ -30,6 +30,11 @@ func TestInSimCore(t *testing.T) {
 		{"memsim/internal/cache", true},
 		{"memsim/internal/policy", true},
 		{"memsim/internal/dram", true},
+		{"memsim/internal/cpu", true},
+		{"memsim/internal/addrmap", true},
+		{"memsim/internal/workload", true},
+		{"memsim/internal/trace", true},
+		{"memsim/internal/stats", true},
 		{"memsim/internal/experiments", false},
 		{"memsim/internal/harden", false},
 		{"memsim/cmd/memsim", false},

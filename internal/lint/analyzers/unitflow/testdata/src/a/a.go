@@ -14,20 +14,20 @@ type cfg struct {
 
 // laundered converts wall nanoseconds without the unit multiply: the
 // taint survives the sim.Time conversion into the scheduler call.
-func laundered(s *sim.Scheduler, d time.Duration) {
-	s.Schedule(sim.Time(d.Nanoseconds()), func() {}) // want `wall-clock nanoseconds passed as sim.Time`
+func laundered(s *sim.Scheduler, cb sim.Callback, d time.Duration) {
+	s.ScheduleCall(sim.Time(d.Nanoseconds()), cb, nil) // want `wall-clock nanoseconds passed as sim.Time`
 	ns := d.Nanoseconds()
-	s.At(sim.Time(ns), func() {}) // want `wall-clock nanoseconds passed as sim.Time`
+	s.AtCall(sim.Time(ns), cb, nil) // want `wall-clock nanoseconds passed as sim.Time`
 }
 
 // blessed is the canonical conversion idiom: multiplying by a sim
 // unit yields genuine picoseconds.
-func blessed(s *sim.Scheduler, d time.Duration) {
-	s.Schedule(sim.Time(d.Nanoseconds())*sim.Nanosecond, func() {})
+func blessed(s *sim.Scheduler, cb sim.Callback, d time.Duration) {
+	s.ScheduleCall(sim.Time(d.Nanoseconds())*sim.Nanosecond, cb, nil)
 	ns := d.Nanoseconds()
-	s.At(sim.Time(ns)*sim.Nanosecond, func() {})
-	s.Schedule(100*sim.Nanosecond, func() {})
-	s.At(s.Now()+2*sim.Microsecond, func() {})
+	s.AtCall(sim.Time(ns)*sim.Nanosecond, cb, nil)
+	s.ScheduleCall(100*sim.Nanosecond, cb, nil)
+	s.AtCall(s.Now()+2*sim.Microsecond, cb, nil)
 }
 
 // crossArith mixes picoseconds and nanoseconds in one expression.
@@ -42,11 +42,11 @@ func assigned(c *cfg, d time.Duration) {
 }
 
 // literalLaundered hides a bare integer behind a variable and a
-// conversion, past eventtime's syntactic check.
-func literalLaundered(s *sim.Scheduler) {
+// conversion.
+func literalLaundered(s *sim.Scheduler, cb sim.Callback) {
 	n := 100
-	s.Schedule(sim.Time(n), func() {}) // want `bare integer laundered into a sim.Time argument`
-	s.Schedule(sim.Time(n)*sim.Nanosecond, func() {})
+	s.ScheduleCall(sim.Time(n), cb, nil) // want `bare integer laundered into a sim.Time argument`
+	s.ScheduleCall(sim.Time(n)*sim.Nanosecond, cb, nil)
 }
 
 // backConversion leaks picoseconds into a Duration; dividing by a sim
@@ -60,15 +60,15 @@ func backConversionBlessed(t sim.Time) time.Duration {
 }
 
 // simNative arithmetic stays silent.
-func simNative(s *sim.Scheduler, t sim.Time) {
-	s.At(t+sim.Millisecond, func() {})
-	s.Schedule(t/2, func() {})
+func simNative(s *sim.Scheduler, cb sim.Callback, t sim.Time) {
+	s.AtCall(t+sim.Millisecond, cb, nil)
+	s.ScheduleCall(t/2, cb, nil)
 	elapsed := s.Now() - t
-	s.Schedule(elapsed, func() {})
+	s.ScheduleCall(elapsed, cb, nil)
 }
 
 // ignored demonstrates the escape hatch.
-func ignored(s *sim.Scheduler, d time.Duration) {
+func ignored(s *sim.Scheduler, cb sim.Callback, d time.Duration) {
 	//lint:ignore unitflow this fixture deliberately schedules raw nanoseconds
-	s.Schedule(sim.Time(d.Nanoseconds()), func() {})
+	s.ScheduleCall(sim.Time(d.Nanoseconds()), cb, nil)
 }

@@ -1,7 +1,7 @@
 // Package sim is a stub of memsim/internal/sim for unitflow fixtures:
-// the analyzer matches the Time type and unit constants by package and
-// type name, so this stub exercises the same code paths as the real
-// kernel.
+// the analyzer matches the Time type, the unit constants and the
+// Scheduler's methods by package and type name, so this stub exercises
+// the same code paths as the real kernel.
 package sim
 
 // Time is a simulated timestamp or duration in picoseconds.
@@ -19,6 +19,9 @@ const (
 // Nanoseconds reports t as wall-clock-comparable nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
+// Callback mirrors the pre-bound event handler form.
+type Callback func(now Time, arg any)
+
 // Scheduler is a stub of the discrete-event engine.
 type Scheduler struct {
 	now Time
@@ -27,8 +30,11 @@ type Scheduler struct {
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
 
-// Schedule queues fn after delay.
-func (s *Scheduler) Schedule(delay Time, fn func()) {}
+// ScheduleCall queues the pre-bound cb with arg after delay.
+func (s *Scheduler) ScheduleCall(delay Time, cb Callback, arg any) {}
 
-// At queues fn at absolute time t.
-func (s *Scheduler) At(t Time, fn func()) {}
+// AtCall queues the pre-bound cb with arg at absolute time t.
+func (s *Scheduler) AtCall(t Time, cb Callback, arg any) {}
+
+// Advance moves the clock to t when nothing else is due first.
+func (s *Scheduler) Advance(t Time) bool { return false }

@@ -1,8 +1,7 @@
 // Package unitflow type-taints time units through each function's CFG
 // to keep sim.Time (picoseconds) and time.Duration / integer
-// nanoseconds from mixing. The eventtime analyzer (PR 3) catches the
-// syntactic shapes — a bare literal or a time.Duration expression
-// directly at a scheduler call — but a conversion launders them:
+// nanoseconds from mixing, and keeps the scheduler's deadlines out of
+// the past. A conversion launders units silently:
 // `sim.Time(d.Nanoseconds())` type-checks, compiles, and schedules an
 // event a thousand times too early, exactly the class of silent unit
 // bug the paper's latency accounting cannot survive.
@@ -21,12 +20,22 @@
 // unit converts the other way, yielding WALL nanoseconds fit for
 // time.Duration. Diagnostics fire on: a WALL value assigned or passed
 // into a sim.Time slot; sim.Time added to / subtracted from WALL; a
-// laundered LIT variable reaching a sim.Time parameter; and a
-// sim.Time value converted directly to time.Duration.
+// LIT value — a non-zero constant such as `ScheduleCall(100, …)` or a
+// laundered variable — reaching a sim.Time parameter; and a sim.Time
+// value converted directly to time.Duration. A literal 0 ("fire as
+// soon as possible") is idiomatic and allowed.
+//
+// One rule is specific to sim.Scheduler: a sim.Time argument of a
+// Scheduler method built by subtracting from Now()
+// (`s.AtCall(s.Now()-penalty, cb, arg)`) lands in the past whenever
+// the penalty is positive. The scheduler clamps it to the present,
+// turning the intended delay into "immediately" and skewing all
+// downstream timing, so it is reported before the code runs.
 package unitflow
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 
@@ -37,9 +46,10 @@ import (
 // Analyzer is the unitflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "unitflow",
-	Doc: "flag wall-clock nanoseconds and laundered literals flowing into sim.Time picoseconds\n\n" +
+	Doc: "flag wall-clock nanoseconds and bare literals flowing into sim.Time picoseconds, and scheduler times subtracted from Now()\n\n" +
 		"Convert with the blessed idiom sim.Time(ns) * sim.Nanosecond (and back with " +
-		"t / sim.Nanosecond); a raw conversion keeps the wrong unit. Silence intentional " +
+		"t / sim.Nanosecond); a raw conversion keeps the wrong unit. A Scheduler deadline " +
+		"below Now() is clamped to the present, silently skewing timing. Silence intentional " +
 		"cases with //lint:ignore unitflow <reason>.",
 	Run: run,
 }
@@ -118,9 +128,15 @@ func checkExpr(pass *analysis.Pass, env *dataflow.Env, e ast.Expr) {
 		if sig == nil {
 			return
 		}
+		method := schedulerMethod(info, e)
 		for i, arg := range e.Args {
 			p := paramAt(sig, i)
 			if p == nil || !isSimTime(p.Type()) {
+				continue
+			}
+			if method != "" && subtractsFromNow(info, arg) {
+				pass.Reportf(arg.Pos(),
+					"%s called with a time subtracted from Now(): the result lands in the past and is clamped to the present, silently skewing event timing", method)
 				continue
 			}
 			switch exprUnit(info, env, arg) {
@@ -129,7 +145,10 @@ func checkExpr(pass *analysis.Pass, env *dataflow.Env, e ast.Expr) {
 					"wall-clock nanoseconds passed as sim.Time picoseconds; use sim.Time(ns) * sim.Nanosecond")
 			case litU:
 				if tv, ok := info.Types[arg]; ok && tv.Value != nil {
-					// A direct constant is eventtime's syntactic beat.
+					if constant.Sign(tv.Value) != 0 {
+						pass.Reportf(arg.Pos(),
+							"bare integer %s passed as a sim.Time argument: write it as a multiple of a sim unit (e.g. %s*sim.Nanosecond) or derive it from timing configuration", tv.Value, tv.Value)
+					}
 					continue
 				}
 				pass.Reportf(arg.Pos(),
@@ -259,8 +278,7 @@ func exprUnit(info *types.Info, env *dataflow.Env, e ast.Expr) uint8 {
 	case *ast.Ident:
 		return identUnit(info, env, e)
 	case *ast.SelectorExpr:
-		if fn, ok := info.Uses[e.Sel].(*types.Func); ok {
-			_ = fn
+		if _, ok := info.Uses[e.Sel].(*types.Func); ok {
 			return unknown // method value, not a call
 		}
 		return identUnit(info, env, e.Sel)
@@ -294,17 +312,14 @@ func identUnit(info *types.Info, env *dataflow.Env, id *ast.Ident) uint8 {
 }
 
 // constUnit classifies a constant by its type: typed sim.Time
-// constants (sim.Nanosecond) are SIM, typed Durations WALL, untyped
-// integers LIT.
+// constants (sim.Nanosecond) are SIM, typed Durations WALL, and any
+// other constant LIT.
 func constUnit(t types.Type) uint8 {
 	switch {
 	case isSimTime(t):
 		return simU
 	case isDuration(t):
 		return wallU
-	}
-	if b, ok := t.(*types.Basic); ok && b.Info()&types.IsUntyped != 0 {
-		return litU
 	}
 	return litU
 }
@@ -443,6 +458,46 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
+}
+
+// schedulerMethod returns "Scheduler.<name>" when call invokes a
+// method of sim.Scheduler, or "". Matching is by package and receiver
+// type name, so fixtures with a stub sim package exercise the same
+// path as the real memsim/internal/sim.
+func schedulerMethod(info *types.Info, call *ast.CallExpr) string {
+	fn := calleeOf(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "sim" {
+		return ""
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Name() != "Scheduler" {
+		return ""
+	}
+	return "Scheduler." + fn.Name()
+}
+
+// subtractsFromNow reports whether e contains a `Now() - x`
+// subexpression, Now being a method of package sim.
+func subtractsFromNow(info *types.Info, e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if bin, ok := n.(*ast.BinaryExpr); ok && bin.Op == token.SUB {
+			if call, ok := ast.Unparen(bin.X).(*ast.CallExpr); ok {
+				fn := calleeOf(info, call)
+				found = fn != nil && fn.Name() == "Now" && fn.Pkg() != nil && fn.Pkg().Name() == "sim"
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // callSignature resolves the signature of a (non-conversion) call.

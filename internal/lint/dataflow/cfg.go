@@ -1,6 +1,6 @@
 // Package dataflow is the analysis engine underneath the
 // interprocedural memlint analyzers (atomiccross, ctxflow, unitflow,
-// errdropip; DESIGN.md §14): a basic-block control-flow graph built
+// errdrop; DESIGN.md §14): a basic-block control-flow graph built
 // from syntax, a generic forward worklist solver over lattice facts, a
 // deterministic variable environment, and a module-wide call-graph
 // approximation from type-checked call sites. Everything is standard

@@ -31,6 +31,11 @@ func parse(t *testing.T, src string) (*token.FileSet, *analysis.Package) {
 	}
 }
 
+// run applies analyzers to pkg alone.
+func run(pkg *analysis.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	return analysis.RunPackage(analysis.NewModule([]*analysis.Package{pkg}), pkg, analyzers)
+}
+
 // probe reports every short variable declaration, giving the
 // suppression tests a predictable diagnostic to aim directives at.
 var probe = &analysis.Analyzer{
@@ -51,9 +56,8 @@ var probe = &analysis.Analyzer{
 
 func TestSuite(t *testing.T) {
 	want := []string{
-		"simdeterminism", "eventtime", "errdrop", "statreg",
-		"atomiccross", "ctxflow", "unitflow", "errdropip",
-		"lintdirective",
+		"simdeterminism", "errdrop", "statreg", "atomiccross",
+		"ctxflow", "unitflow", "lintdirective",
 	}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
@@ -77,7 +81,7 @@ func f() int {
 	//lint:ignore probe testing the own-line placement
 	b := 2
 	c := 3 //lint:ignore probe testing the trailing placement
-	//lint:ignore eventtime directive for a different analyzer
+	//lint:ignore unitflow directive for a different analyzer
 	d := 4
 	//lint:ignore all testing the wildcard
 	e := 5
@@ -85,7 +89,7 @@ func f() int {
 }
 `
 	fset, pkg := parse(t, src)
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{probe})
+	diags, err := run(pkg, []*analysis.Analyzer{probe})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -117,7 +121,7 @@ var c = 3
 var d = 4
 `
 	fset, pkg := parse(t, src)
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{analysis.Lintdirective})
+	diags, err := run(pkg, []*analysis.Analyzer{analysis.Lintdirective})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -153,7 +157,7 @@ var other = 3
 var kept = 4
 `
 	fset, pkg := parse(t, src)
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{probe, analysis.Lintdirective})
+	diags, err := run(pkg, []*analysis.Analyzer{probe, analysis.Lintdirective})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -183,7 +187,7 @@ func f() int {
 }
 `
 	_, pkg := parse(t, src)
-	diags, err := analysis.Run(pkg, []*analysis.Analyzer{probe})
+	diags, err := run(pkg, []*analysis.Analyzer{probe})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

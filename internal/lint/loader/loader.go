@@ -24,7 +24,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"slices"
 
 	"memsim/internal/lint/analysis"
 )
@@ -196,15 +195,7 @@ func (l *Loader) check(path string, full bool) (*analysis.Package, error) {
 		files = append(files, f)
 	}
 
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
+	info := newInfo()
 	cfg := types.Config{
 		Importer: l,
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
@@ -245,19 +236,12 @@ func (l *Loader) check(path string, full bool) (*analysis.Package, error) {
 	}, nil
 }
 
-// Check type-checks an already-parsed package (the fixture path used
-// by analysistest): files were parsed into fset by the caller, imports
-// resolve first through extra, then through the loader's own cache.
+// CheckFiles type-checks an already-parsed package (the fixture path
+// used by analysistest): files were parsed into fset by the caller,
+// imports resolve first through extra, then through the loader's own
+// cache.
 func (l *Loader) CheckFiles(pkgPath string, fset *token.FileSet, files []*ast.File, extra map[string]*types.Package) (*analysis.Package, error) {
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
+	info := newInfo()
 	cfg := types.Config{
 		Importer: importerFunc(func(path string) (*types.Package, error) {
 			if p, ok := extra[path]; ok {
@@ -280,18 +264,20 @@ func (l *Loader) CheckFiles(pkgPath string, fset *token.FileSet, files []*ast.Fi
 	}, nil
 }
 
+// newInfo returns a types.Info recording everything the analyzers
+// read.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Implicits:  make(map[ast.Node]types.Object),
+		Scopes:     make(map[ast.Node]*types.Scope),
+		Instances:  make(map[*ast.Ident]types.Instance),
+	}
+}
+
 type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// SortedImportPaths reports every import path currently cached, sorted
-// — a debugging aid and a determinism-friendly way to inspect loader
-// state in tests.
-func (l *Loader) SortedImportPaths() []string {
-	paths := make([]string, 0, len(l.meta))
-	for p := range l.meta {
-		paths = append(paths, p)
-	}
-	slices.Sort(paths)
-	return paths
-}

@@ -1,20 +1,15 @@
 #!/bin/sh
-# lint.sh — build memlint once and run the suite both ways it ships:
+# lint.sh — build memlint once and run the suite over the module:
 #
-#   standalone      memlint ./...          module scope: the
-#                   interprocedural analyzers (atomiccross, ctxflow,
-#                   unitflow, errdropip) see the whole tree and its
-#                   cross-package call graph
-#   vet tool        go vet -vettool=...    unitchecker protocol under
-#                   the go build cache; the same analyzers degrade to
-#                   per-package scope, so this leg mostly proves the
-#                   protocol plumbing and caching stay healthy
+#   memlint ./...   module scope: the interprocedural analyzers
+#                   (atomiccross, ctxflow, unitflow, errdrop) see the
+#                   whole tree and its cross-package call graph
 #
 # Usage: scripts/lint.sh [packages...]     default ./...
 #
 # The loader shells out to `go list -deps -json` per invocation; the
 # explicit warm-up below populates the go build metadata cache once so
-# both legs (and a CI re-run on the same runner) hit it.
+# the run (and a CI re-run on the same runner) hits it.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,10 +25,7 @@ go build -o "$bin" ./cmd/memlint
 echo "lint.sh: warming go list metadata cache"
 go list -deps -json $pkgs >/dev/null
 
-echo "lint.sh: memlint (standalone, module scope)"
+echo "lint.sh: memlint (module scope)"
 "$bin" $pkgs
-
-echo "lint.sh: go vet -vettool (unitchecker, per-package scope)"
-go vet -vettool="$bin" $pkgs
 
 echo "lint.sh: clean"
