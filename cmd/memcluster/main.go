@@ -21,6 +21,7 @@ import (
 
 	"memsim/internal/cluster"
 	"memsim/internal/obs"
+	"memsim/internal/policy"
 	"memsim/internal/sim"
 	"memsim/internal/vfs"
 	"memsim/internal/workload"
@@ -34,10 +35,10 @@ func main() {
 		swpf      = flag.Bool("swprefetch", false, "execute software prefetch instructions in every system")
 		channels  = flag.Int("channels", 0, "shared Rambus channels (0 = base config)")
 		devices   = flag.Int("devices", 0, "devices per channel (0 = base config)")
-		mapping   = flag.String("mapping", "", "address mapping: base, swap, or xor")
+		mapping   = flag.String("mapping", "", "address mapping: "+strings.Join(policy.Mappings.Names(), ", ")+" (default base)")
 		part      = flag.String("part", "", "DRDRAM part: 800-40, 800-50, or 800-34")
 		closed    = flag.Bool("closed-page", false, "close the row after every access")
-		banktime  = flag.String("banktiming", "", "shared-channel bank timing: flat, tiered, or rowreuse (default flat)")
+		banktime  = flag.String("banktiming", "", "shared-channel bank timing: "+strings.Join(policy.Timings.Names(), ", ")+" (default flat)")
 		link      = flag.Duration("link", 0, "system-to-fabric link latency (= epoch width; 0 = 10ns)")
 		instrs    = flag.Uint64("instrs", 100_000, "measured instructions per system")
 		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions per system")

@@ -10,12 +10,13 @@ import (
 
 // TestSeededMutations proves the CI lint gate has teeth: it copies the
 // module, reintroduces one known violation per interprocedural rule —
-// the exact checkpoint-save discard errdrop's wrapper rule first
-// caught in cmd/sweep, a scheduler deadline subtracted from Now() in
-// the memory controller, plus seeded atomiccross/ctxflow/unitflow
-// violations modelled on the invariants the suite pins — builds
-// memlint from the mutated tree, and requires the run to report each
-// one under its analyzer.
+// a discarded drain error in cmd/memsimd that only errdrop's wrapper
+// rule sees (the shape it first caught in cmd/sweep's checkpoint
+// save), a scheduler deadline subtracted from Now() in the memory
+// controller, plus seeded atomiccross/ctxflow/unitflow violations
+// modelled on the invariants the suite pins — builds memlint from the
+// mutated tree, and requires the run to report each one under its
+// analyzer.
 func TestSeededMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and re-analyzes the whole module")
@@ -27,14 +28,16 @@ func TestSeededMutations(t *testing.T) {
 	tmp := t.TempDir()
 	copyModule(t, root, tmp)
 
-	// errdrop: revert the cmd/sweep fix — discard the checkpoint save
-	// in the error path again. saveManifest is a wrapper, so only the
-	// inherited must-check set catches it.
-	mutate(t, filepath.Join(tmp, "cmd/sweep/main.go"),
-		`if serr := saveManifest(manifest); serr != nil {
-				fmt.Fprintln(os.Stderr, "sweep: checkpoint save failed:", serr)
-			}`,
-		`saveManifest(manifest)`)
+	// errdrop: discard the daemon's drain error, losing the final job
+	// store flush. Service.Drain returns Store.Save's error, which
+	// returns the vfs write's, so only the inherited must-check set
+	// catches it.
+	mutate(t, filepath.Join(tmp, "cmd/memsimd/main.go"),
+		`if err := svc.Drain(ctx); err != nil {
+		logger.Printf("drain degraded: %v", err)
+		return exitDegraded
+	}`,
+		`svc.Drain(ctx)`)
 
 	// unitflow: a decision deadline that subtracts from Now() lands in
 	// the past and is clamped to the present.
@@ -92,7 +95,7 @@ func mutantUnits(d time.Duration) mutantCfg {
 		t.Fatalf("memlint passed a tree with seeded violations:\n%s", out)
 	}
 	for _, want := range []struct{ file, analyzer string }{
-		{"cmd/sweep/main.go", "(errdrop)"},
+		{"cmd/memsimd/main.go", "(errdrop)"},
 		{"internal/memctrl/memctrl.go", "(unitflow)"},
 		{"internal/server/zz_mutant.go", "(atomiccross)"},
 		{"internal/server/zz_mutant.go", "(ctxflow)"},

@@ -17,8 +17,10 @@ import (
 	"strings"
 
 	"memsim"
+	"memsim/internal/cache"
 	"memsim/internal/channel"
 	"memsim/internal/dram"
+	"memsim/internal/policy"
 	"memsim/internal/sim"
 	"memsim/internal/vfs"
 )
@@ -27,22 +29,22 @@ func main() {
 	var (
 		bench    = flag.String("bench", "swim", "benchmark profile (see -list)")
 		list     = flag.Bool("list", false, "list benchmark profiles and exit")
-		mapping  = flag.String("mapping", "base", "address mapping: base, swap, or xor")
+		mapping  = flag.String("mapping", "base", "address mapping: "+strings.Join(policy.Mappings.Names(), ", "))
 		channels = flag.Int("channels", 4, "physical Rambus channels")
 		devices  = flag.Int("devices", 0, "devices per channel (default keeps 8 total)")
 		block    = flag.Int("block", 64, "L2 block size in bytes")
 		l2size   = flag.String("l2", "1MB", "L2 capacity (e.g. 1MB, 4MB)")
 		part     = flag.String("part", "800-40", "DRDRAM part: 800-40, 800-50, or 800-34")
 		pf       = flag.Bool("prefetch", false, "enable tuned scheduled region prefetching")
-		scheme   = flag.String("scheme", "region", "prefetch scheme: region, sequential, or stream")
+		scheme   = flag.String("scheme", "region", "prefetch scheme: "+strings.Join(policy.Prefetchers.Names(), ", "))
 		region   = flag.Int("region", 4096, "prefetch region bytes")
 		reorder  = flag.Int("reorder", 0, "open-row-first reorder window (0 = in-order)")
-		sched    = flag.String("sched", "", "issue policy: fcfs, frfcfs, or frfcfs-cap (default: derived from -reorder)")
-		banktime = flag.String("banktiming", "", "bank timing scheme: flat, tiered, or rowreuse (default flat)")
+		sched    = flag.String("sched", "", "issue policy: "+strings.Join(policy.Sched.Names(), ", ")+" (default: derived from -reorder)")
+		banktime = flag.String("banktiming", "", "bank timing scheme: "+strings.Join(policy.Timings.Names(), ", ")+" (default flat)")
 		counter  = flag.Bool("counterfactual", false, "trace what each alternative policy would have decided (requires -trace-out)")
 		refresh  = flag.Bool("refresh", false, "model DRAM refresh")
-		interlv  = flag.String("interleaving", "ganged", "channel organization: ganged or independent")
-		insert   = flag.String("insert", "LRU", "prefetch insertion priority: MRU, SMRU, SLRU, LRU")
+		interlv  = flag.String("interleaving", "ganged", "channel organization: "+strings.Join(policy.Interleavings.Names(), ", "))
+		insert   = flag.String("insert", "LRU", "prefetch insertion priority, one of "+fmt.Sprint(cache.Positions))
 		fifo     = flag.Bool("fifo", false, "use FIFO region prioritization instead of LIFO")
 		unsched  = flag.Bool("unscheduled", false, "issue prefetches as ordinary requests (Table 4 pathology)")
 		swpf     = flag.Bool("swprefetch", false, "execute software prefetch instructions")
@@ -121,17 +123,9 @@ func main() {
 			cfg.Prefetch.Policy = memsim.FIFO
 			cfg.Prefetch.BankAware = false
 		}
-		switch strings.ToUpper(*insert) {
-		case "MRU":
-			cfg.Prefetch.Insert = memsim.InsertMRU
-		case "SMRU":
-			cfg.Prefetch.Insert = memsim.InsertSMRU
-		case "SLRU":
-			cfg.Prefetch.Insert = memsim.InsertSLRU
-		case "LRU":
-			cfg.Prefetch.Insert = memsim.InsertLRU
-		default:
-			fatal(fmt.Errorf("unknown insertion priority %q", *insert))
+		cfg.Prefetch.Insert, err = insertPos(*insert)
+		if err != nil {
+			fatal(err)
 		}
 	}
 
@@ -169,6 +163,16 @@ func main() {
 	if err := exportObs(sys.Obs(), *traceOut, *metricsOut, *metricsJSON, *samplesOut); err != nil {
 		fatal(err)
 	}
+}
+
+// insertPos resolves an insertion priority by name, in any case.
+func insertPos(name string) (cache.InsertPos, error) {
+	for _, p := range cache.Positions {
+		if strings.EqualFold(p.String(), name) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown insertion priority %q", name)
 }
 
 // exportObs writes the enabled observability outputs after a run,

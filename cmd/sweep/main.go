@@ -10,7 +10,8 @@
 // command and data utilization, prefetch accuracy, and a status column
 // ("ok", or "FAILED: reason" for points lost under -keep-going).
 //
-// Long sweeps get the same resilience as cmd/experiments:
+// Each point runs through cmd/experiments' batch runner, so long
+// sweeps get the same resilience:
 // -timeout-per-run and -retries bound and re-attempt wedged points,
 // -keep-going emits a FAILED row instead of aborting the sweep, and
 // -checkpoint/-resume skip points an earlier (possibly interrupted)
@@ -24,7 +25,6 @@ package main
 import (
 	"context"
 	"encoding/csv"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,7 +32,6 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"memsim"
 	"memsim/internal/experiments"
@@ -66,7 +65,7 @@ func main() {
 	os.Exit(code)
 }
 
-func sweep(ctx context.Context, w *csv.Writer) (int, error) {
+func sweep(ctx context.Context, w *csv.Writer) (code int, err error) {
 	var (
 		bench  = flag.String("bench", "swim", "benchmark profile")
 		param  = flag.String("param", "block", "swept parameter: block, channels, l2mb, region, lookahead, reorder, mshrs")
@@ -103,6 +102,38 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 	case *checkpoint != "":
 		manifest = experiments.NewManifest(*checkpoint)
 	}
+	if manifest != nil {
+		// Flush the checkpoint on every exit, so even an aborted sweep
+		// leaves a resumable record.
+		defer func() {
+			serr := manifest.Save()
+			switch {
+			case serr == nil:
+			case err == nil:
+				code, err = exitFailed, serr
+			default:
+				fmt.Fprintln(os.Stderr, "sweep: checkpoint save failed:", serr)
+			}
+		}()
+	}
+
+	// Each point is a one-spec batch: the runner resolves it from the
+	// checkpoint or simulates it under the per-point deadline and retry
+	// policy, recording it in the manifest.
+	runner, err := experiments.NewRunner(experiments.Options{
+		Instrs:        *instrs,
+		Warmup:        *warmup,
+		Benchmarks:    []string{*bench},
+		Parallelism:   1,
+		Seed:          *seed,
+		Context:       ctx,
+		TimeoutPerRun: *timeout,
+		Retries:       *retries,
+		Checkpoint:    manifest,
+	})
+	if err != nil {
+		return exitFailed, err
+	}
 
 	if err := w.Write([]string{*param, "ipc", "l2_miss_rate", "miss_latency_cycles",
 		"cmd_util", "data_util", "pf_accuracy", "status"}); err != nil {
@@ -122,8 +153,6 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 		if *pf {
 			cfg.Prefetch = memsim.TunedPrefetch()
 		}
-		cfg.MaxInstrs = *instrs
-		cfg.WarmupInstrs = *warmup
 
 		switch *param {
 		case "block":
@@ -148,11 +177,8 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 			return exitFailed, fmt.Errorf("unknown parameter %q", *param)
 		}
 
-		res, err := runPoint(ctx, cfg, *bench, *seed, manifest, *timeout, *retries)
+		results, err := runner.RunBenches(cfg, false)
 		if err != nil {
-			if serr := saveManifest(manifest); serr != nil {
-				fmt.Fprintln(os.Stderr, "sweep: checkpoint save failed:", serr)
-			}
 			if ctx.Err() != nil {
 				return exitInterrupted, fmt.Errorf("interrupted at %s=%d: %w", *param, v, context.Cause(ctx))
 			}
@@ -163,12 +189,13 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 			degraded = true
 			fmt.Fprintln(os.Stderr, "sweep:", pointErr, "(continuing)")
 			if werr := w.Write([]string{strconv.Itoa(v), "", "", "", "", "", "",
-				"FAILED: " + firstLine(err)}); werr != nil {
+				"FAILED: " + experiments.FirstLine(err)}); werr != nil {
 				return exitFailed, werr
 			}
 			w.Flush()
 			continue
 		}
+		res := results[0]
 		clock := sim.NewClock(cfg.ClockHz)
 		rec := []string{
 			strconv.Itoa(v),
@@ -185,69 +212,8 @@ func sweep(ctx context.Context, w *csv.Writer) (int, error) {
 		}
 		w.Flush()
 	}
-	if err := saveManifest(manifest); err != nil {
-		return exitFailed, err
-	}
 	if degraded {
 		return exitDegraded, nil
 	}
 	return exitOK, nil
-}
-
-// runPoint resolves one sweep point: from the checkpoint when
-// possible, else by simulating under the per-point deadline with the
-// retry policy, recording successes in the manifest.
-func runPoint(ctx context.Context, cfg memsim.Config, bench string, seed uint64,
-	manifest *experiments.Manifest, timeout time.Duration, retries int) (memsim.Result, error) {
-	key := experiments.SpecKey(bench, seed, false, cfg)
-	if manifest != nil {
-		if res, ok := manifest.Lookup(key); ok {
-			return res, nil
-		}
-	}
-	var errs []error
-	for attempt := 0; attempt <= retries; attempt++ {
-		// Generators are stateful; rebuild per attempt.
-		gen, err := memsim.Workload(bench, seed, false)
-		if err != nil {
-			return memsim.Result{}, err
-		}
-		rctx := ctx
-		cancel := context.CancelFunc(func() {})
-		if timeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, timeout)
-		}
-		res, err := memsim.RunContext(rctx, cfg, gen)
-		cancel()
-		if err == nil {
-			if manifest != nil {
-				_ = manifest.Record(key, bench, res, nil)
-			}
-			return res, nil
-		}
-		errs = append(errs, err)
-		if ctx.Err() != nil || !experiments.Retryable(err) {
-			break
-		}
-	}
-	return memsim.Result{}, errors.Join(errs...)
-}
-
-// saveManifest flushes the checkpoint so even an aborted sweep leaves
-// a resumable record.
-func saveManifest(m *experiments.Manifest) error {
-	if m == nil {
-		return nil
-	}
-	return m.Save()
-}
-
-// firstLine compresses an error (watchdog aborts carry state dumps) to
-// its headline for the CSV status cell.
-func firstLine(err error) string {
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
 }

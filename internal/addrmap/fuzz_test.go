@@ -13,17 +13,16 @@ func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(1<<40-64), uint8(2), uint8(8), uint8(4))
 	f.Add(uint64(4096), uint8(2), uint8(1), uint8(16))
 
-	names := []string{"base", "swap", "xor"}
-
 	f.Fuzz(func(t *testing.T, addr uint64, which, channels, devices uint8) {
 		g := Geometry{
 			Channels:          1 << (channels % 4),
 			DevicesPerChannel: 1 << (devices % 5),
 		}
-		name := names[int(which)%len(names)]
-		m, err := ByName(name, g)
+		mc := mappers[int(which)%len(mappers)]
+		name := mc.name
+		m, err := mc.build(g)
 		if err != nil {
-			t.Fatalf("ByName(%q, %+v): %v", name, g, err)
+			t.Fatalf("%s over %+v: %v", name, g, err)
 		}
 
 		unit := g.UnitBytes()

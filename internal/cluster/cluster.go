@@ -38,6 +38,11 @@ const MaxSystems = 64
 // keeps epochs coarse enough that barrier overhead stays small.
 const DefaultLinkLatency = 10 * sim.Nanosecond
 
+// fabricInterleaving organizes the shared channels: each one behind
+// its own controller, blocks striped across them. Member systems take
+// the same organization, so both sides agree on the address space.
+const fabricInterleaving = "independent"
+
 // skewBlocks offsets each system's physical address space within the
 // shared fabric by this many 64-byte blocks (a prime, so systems with
 // identical workloads still exercise different rows and banks, the
@@ -168,7 +173,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: %w", err)
 		}
 	}
-	if c.BankTiming != "" && !policy.Timings.Known(c.BankTiming) {
+	if policy.Timings.Validate(c.BankTiming, policy.TimingParams{}) != nil {
 		return fmt.Errorf("cluster: unknown bank timing %q (have %s)",
 			c.BankTiming, strings.Join(policy.Timings.Names(), ", "))
 	}
@@ -190,7 +195,7 @@ func (c Config) systemConfig(i int) core.Config {
 	}
 	cfg.Channels = c.Channels
 	cfg.DevicesPerChannel = c.DevicesPerChannel
-	cfg.Interleaving = "independent"
+	cfg.Interleaving = fabricInterleaving
 	cfg.Mapping = c.Mapping
 	cfg.Timing = c.Timing
 	cfg.ClosedPage = c.ClosedPage

@@ -217,6 +217,20 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
 	}
+	// A valid config checks without allocating, whichever bank timing
+	// it names: validation is the whole set-up cost memcluster pays
+	// before Run.
+	for _, timing := range []string{"", "flat", "rowreuse"} {
+		cfg := testConfig().withDefaults()
+		cfg.BankTiming = timing
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("Validate with bank timing %q: %v allocations, want 0", timing, allocs)
+		}
+	}
 }
 
 // TestCancellation verifies a canceled context stops the run with a

@@ -282,22 +282,17 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 		ms.obs = obs.New(obs.Config{Trace: true, TraceEvents: cfg.Obs.TraceEvents}, ms.sched.Now)
 	}
 
-	geom := addrmap.Geometry{Channels: 1, DevicesPerChannel: cfg.DevicesPerChannel}
-	ms.capacity = geom.Capacity() * uint64(cfg.Channels)
-	chCfg := channel.Config{Geometry: geom, Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
-	for c := 0; c < cfg.Channels; c++ {
-		mapr, err := addrmap.ByName(cfg.Mapping, geom)
-		if err != nil {
-			return nil, err
-		}
-		// Each channel gets a fresh timing-policy instance: rowreuse
-		// tracks per-bank state that must not be shared across channels.
-		ccfg := chCfg
-		ccfg.TimingPol, err = policy.NewTiming(cfg.BankTiming, policy.TimingParams{})
-		if err != nil {
-			return nil, err
-		}
-		chn, err := channel.New(ccfg)
+	org, err := policy.NewOrganization(fabricInterleaving,
+		addrmap.Geometry{Channels: cfg.Channels, DevicesPerChannel: cfg.DevicesPerChannel})
+	if err != nil {
+		return nil, err
+	}
+	ms.capacity = org.Capacity()
+	ms.chns = make([]*channel.Channel, 0, org.Groups)
+	ms.ctrls = make([]*memctrl.Controller, 0, org.Groups)
+	chCfg := channel.Config{Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
+	for c := 0; c < org.Groups; c++ {
+		chn, mapr, err := org.NewGroup(cfg.Mapping, cfg.BankTiming, chCfg)
 		if err != nil {
 			return nil, err
 		}

@@ -5,8 +5,7 @@
 package core
 
 import (
-	"strings"
-
+	"memsim/internal/addrmap"
 	"memsim/internal/cache"
 	"memsim/internal/dram"
 	"memsim/internal/harden"
@@ -220,20 +219,6 @@ func TunedPrefetch() PrefetchConfig {
 	}
 }
 
-// resolvedSched resolves the effective scheduling scheme name and scan
-// window: SchedPolicy wins when set; otherwise the legacy
-// ReorderWindow encoding maps onto the zoo ("frfcfs-cap" when > 1,
-// "fcfs" otherwise), keeping every pre-zoo config byte-identical.
-func (c Config) resolvedSched() (name string, window int) {
-	if c.SchedPolicy != "" {
-		return c.SchedPolicy, c.ReorderWindow
-	}
-	if c.ReorderWindow > 1 {
-		return "frfcfs-cap", c.ReorderWindow
-	}
-	return "fcfs", 0
-}
-
 // Bounds enforced by Validate beyond structural realizability. They
 // exist so that a validated Config is safe to build: allocation sizes
 // stay sane and every downstream constructor precondition holds, which
@@ -243,7 +228,6 @@ const (
 	maxCacheBytes = 1 << 30 // 1 GB per cache level
 	maxCacheSets  = 1 << 22 // caps the per-set table allocation
 	maxMSHRs      = 1024
-	maxQueueDepth = 4096 // prefetch regions / stream table / buffer blocks
 	minClockHz    = 1e3
 	maxClockHz    = 1e12
 )
@@ -280,28 +264,14 @@ func (c Config) Validate() error {
 	v.Range("Channels", int64(c.Channels), 1, 64)
 	v.Pow2("DevicesPerChannel", c.DevicesPerChannel)
 	v.Range("DevicesPerChannel", int64(c.DevicesPerChannel), 1, 64)
-	if !policy.Mappings.Known(c.Mapping) {
-		v.Reject("Mapping", c.Mapping, "must be one of %s", strings.Join(policy.Mappings.Names(), ", "))
-	}
+	v.Merge("", policy.Mappings.Validate(c.Mapping, c.geometry()))
 	v.Check(c.Timing.Packet > 0, "Timing", c.Timing.Name, "part has no packet time")
 	v.Check(c.Timing.PRER >= 0 && c.Timing.ACT >= 0 && c.Timing.CAC >= 0,
 		"Timing", c.Timing.Name, "part has a negative command latency")
-	switch c.Interleaving {
-	case "", "ganged", "independent":
-	default:
-		v.Reject("Interleaving", c.Interleaving, `must be one of "", "ganged", "independent"`)
-	}
+	v.Merge("", policy.Interleavings.Validate(c.Interleaving, c.geometry()))
 	v.Range("ReorderWindow", int64(c.ReorderWindow), 0, 1024)
-	if c.SchedPolicy != "" {
-		if !policy.Sched.Known(c.SchedPolicy) {
-			v.Reject("SchedPolicy", c.SchedPolicy, "must be empty or one of %s", strings.Join(policy.Sched.Names(), ", "))
-		} else if c.SchedPolicy == "frfcfs-cap" && c.ReorderWindow < 2 {
-			v.Reject("SchedPolicy", c.SchedPolicy, "needs ReorderWindow >= 2 as its scan bound, got %d", c.ReorderWindow)
-		}
-	}
-	if c.BankTiming != "" && !policy.Timings.Known(c.BankTiming) {
-		v.Reject("BankTiming", c.BankTiming, "must be empty or one of %s", strings.Join(policy.Timings.Names(), ", "))
-	}
+	v.Merge("", policy.Sched.Validate(c.SchedPolicy, c.schedParams()))
+	v.Merge("", policy.Timings.Validate(c.BankTiming, policy.TimingParams{}))
 	v.Check(!c.Counterfactual || c.Obs.Trace, "Counterfactual", c.Counterfactual,
 		"requires Obs.Trace: decision tracing writes through the event tracer")
 
@@ -310,26 +280,9 @@ func (c Config) Validate() error {
 
 	if c.Prefetch.Enabled {
 		p := c.Prefetch
-		switch p.Scheme {
-		case "", "region":
-			v.Merge("Prefetch", prefetch.Config{
-				RegionBytes:      p.RegionBytes,
-				BlockBytes:       c.L2Block,
-				QueueDepth:       p.QueueDepth,
-				Policy:           p.Policy,
-				ThrottleAccuracy: p.ThrottleAccuracy,
-				ThrottleWindow:   p.ThrottleWindow,
-			}.Validate())
-			v.Range("Prefetch.RegionBytes", int64(p.RegionBytes), 1, 1<<24)
-			v.Range("Prefetch.QueueDepth", int64(p.QueueDepth), 1, maxQueueDepth)
-		case "sequential", "stream":
-			v.Range("Prefetch.Lookahead", int64(p.Lookahead), 1, 1024)
-			v.Range("Prefetch.TableSize", int64(p.TableSize), 0, maxQueueDepth)
-		default:
-			v.Reject("Prefetch.Scheme", p.Scheme, `must be "" or one of %s`, strings.Join(policy.Prefetchers.Names(), ", "))
-		}
+		v.Merge("", policy.Prefetchers.Validate(p.Scheme, prefetchParams(c)))
 		v.Range("Prefetch.Insert", int64(p.Insert), int64(cache.MRU), int64(cache.LRU))
-		v.Range("Prefetch.BufferBlocks", int64(p.BufferBlocks), 0, maxQueueDepth)
+		v.Range("Prefetch.BufferBlocks", int64(p.BufferBlocks), 0, policy.MaxQueueDepth)
 		v.Range("Prefetch.ThrottleWindow", int64(p.ThrottleWindow), 0, 1<<20)
 		v.Check(p.ThrottleAccuracy >= 0 && p.ThrottleAccuracy <= 1,
 			"Prefetch.ThrottleAccuracy", p.ThrottleAccuracy, "must be in [0, 1]")
@@ -343,6 +296,16 @@ func (c Config) Validate() error {
 	v.Check(c.Obs.SampleEvery >= 0, "Obs.SampleEvery", c.Obs.SampleEvery, "must be >= 0")
 
 	return v.Err()
+}
+
+// geometry is the physical channel geometry the organization splits.
+func (c Config) geometry() addrmap.Geometry {
+	return addrmap.Geometry{Channels: c.Channels, DevicesPerChannel: c.DevicesPerChannel}
+}
+
+// schedParams maps the config onto the scheduling schemes' knobs.
+func (c Config) schedParams() policy.SchedParams {
+	return policy.SchedParams{Window: c.ReorderWindow}
 }
 
 // validateCache folds one cache shape's realizability into the pass and

@@ -82,8 +82,8 @@ func TestCounterfactualRoundTrip(t *testing.T) {
 				t.Fatal("no contested decisions recorded; the config no longer backs up the queue")
 			}
 
-			name, window := cfg.resolvedSched()
-			primary, err := policy.NewSched(name, policy.SchedParams{Window: window})
+			name := policy.Sched.Resolve(cfg.SchedPolicy, cfg.schedParams())
+			primary, err := policy.NewSched(name, cfg.schedParams())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,6 +28,7 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(1.6e9, 4, 64, 64, int64(1<<20), int64(64<<10), 2, 4, 64, 64, 8, 4, 2, "xor", "independent", false, "", 0, 0, 0, 0)
 	f.Add(0.0, 0, 0, 0, int64(0), int64(0), 0, 0, 0, 0, 0, 0, 0, "", "banked", true, "mystery", -1, -1, -1, 99)
 	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 32, 8, 3, 2, "swap", "ganged", true, "stream", 0, 0, 16, 2)
+	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 64, 8, 4, 2, "xor", "independent", true, "sequential", 0, 0, 4, 0)
 
 	gen := trace.NewSlice([]trace.Op{{Addr: 0}})
 

@@ -71,14 +71,6 @@ func TestIndependentWithPrefetching(t *testing.T) {
 	}
 }
 
-func TestInterleavingValidation(t *testing.T) {
-	cfg := Base()
-	cfg.Interleaving = "diagonal"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("unknown interleaving accepted")
-	}
-}
-
 func TestLocalAddressCompaction(t *testing.T) {
 	cfg := Base()
 	cfg.Interleaving = "independent"

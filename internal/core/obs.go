@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"memsim/internal/memctrl"
 	"memsim/internal/obs"
 	"memsim/internal/policy"
 	"memsim/internal/prefetch"
@@ -44,26 +45,18 @@ func (s *System) armObs() {
 	// Bank-timing metrics exist only when a non-flat scheme is armed,
 	// so flat-scheme metric dumps (and the golden fixtures built from
 	// them) are untouched by the zoo.
-	if len(s.timingPols) > 0 {
+	if len(s.chns) > 0 && s.chns[0].Config().TimingPol != nil {
 		reg.CounterFunc("memsim_dram_fast_activates_total",
 			"Activates that took the timing scheme's fast path (near segment or reuse hit).",
 			func() float64 {
-				var n uint64
-				for _, tp := range s.timingPols {
-					fast, _ := tp.Counters()
-					n += fast
-				}
-				return float64(n)
+				fast, _ := s.activates()
+				return float64(fast)
 			})
 		reg.CounterFunc("memsim_dram_slow_activates_total",
 			"Activates that paid the full flat latency under a non-flat timing scheme.",
 			func() float64 {
-				var n uint64
-				for _, tp := range s.timingPols {
-					_, slow := tp.Counters()
-					n += slow
-				}
-				return float64(n)
+				_, slow := s.activates()
+				return float64(slow)
 			})
 	}
 	s.l1.RegisterMetrics(reg, obs.Label{Key: "level", Value: "L1"})
@@ -98,6 +91,17 @@ func (s *System) armObs() {
 		func() float64 { return float64(s.sched.Now()) })
 }
 
+// activates sums the fast and slow activates counted by the channel
+// groups' bank-timing policy instances; armObs calls it only when a
+// non-flat scheme gave every group one.
+func (s *System) activates() (fast, slow uint64) {
+	for _, ch := range s.chns {
+		f, sl := ch.Config().TimingPol.Counters()
+		fast, slow = fast+f, slow+sl
+	}
+	return fast, slow
+}
+
 // armCounterfactual arms decision tracing: each controller evaluates
 // every registered alternative scheduling policy at its contested
 // decision points, and the prefetch engine (when on) is wrapped so
@@ -106,50 +110,23 @@ func (s *System) armObs() {
 // never touch the simulation, so an armed run's architectural
 // behaviour is identical to an unarmed one.
 func (s *System) armCounterfactual() {
-	schedName, window := s.cfg.resolvedSched()
-	alts := policy.SchedAlternatives(schedName, window)
+	var alts []memctrl.IssuePolicy
+	policy.Sched.Alternatives(s.cfg.SchedPolicy, s.cfg.schedParams(), func(_ string, pol memctrl.IssuePolicy) {
+		alts = append(alts, pol)
+	})
 	for g := range s.ctrls {
 		s.ctrls[g].EnableCounterfactual(alts)
 	}
 	if s.pf == nil {
 		return
 	}
-	scheme := s.cfg.Prefetch.Scheme
-	if scheme == "" {
-		scheme = "region"
-	}
-	cf := prefetch.NewCounterfactual(s.pf, s.tr, scheme)
-	for _, name := range policy.Prefetchers.Names() {
-		if name == scheme {
-			continue
-		}
-		shadow, err := policy.NewPrefetcher(name, shadowPrefetchParams(s.cfg))
-		if err != nil {
-			continue
-		}
-		cf.AddShadow(name, shadow)
-	}
+	p := prefetchParams(s.cfg)
+	cf := prefetch.NewCounterfactual(s.pf, s.tr, policy.Prefetchers.Resolve(s.cfg.Prefetch.Scheme, p))
+	policy.Prefetchers.Alternatives(s.cfg.Prefetch.Scheme, p, cf.AddShadow)
 	// Reassignment is safe here: armObs runs inside newSystem before
 	// the first event, and the L2's PrefetchUsedHook closure reads s.pf
 	// at call time.
 	s.pf = cf
-}
-
-// shadowPrefetchParams fills scheme knobs the primary config may have
-// left zero (a region-primary run sets no Lookahead) with the tuned
-// defaults, so every shadow scheme is constructible.
-func shadowPrefetchParams(cfg Config) policy.PrefetchParams {
-	p := prefetchParams(cfg)
-	if p.Lookahead <= 0 {
-		p.Lookahead = 4
-	}
-	if p.RegionBytes <= 0 {
-		p.RegionBytes = 4096
-	}
-	if p.QueueDepth <= 0 {
-		p.QueueDepth = 8
-	}
-	return p
 }
 
 // Obs exposes the run's observer for export: metrics after Run, the

@@ -8,7 +8,6 @@ import (
 	"memsim/internal/cache"
 	"memsim/internal/channel"
 	"memsim/internal/cpu"
-	"memsim/internal/dram"
 	"memsim/internal/harden/inject"
 	"memsim/internal/memctrl"
 	"memsim/internal/obs"
@@ -19,15 +18,9 @@ import (
 )
 
 // System is one fully wired simulated machine. Build with New, run
-// once with Run.
-//
-// Under the paper's "ganged" organization the physical channels form a
-// single logical channel with one controller (index 0). Under the
-// "independent" organization each physical channel has its own
-// controller and whole cache blocks stripe across channels, so
-// concurrent misses to different channels proceed in parallel — the
-// "complex interleaving of the multiple channels" the paper leaves as
-// future work (Section 6).
+// once with Run. It has one controller per channel group of its
+// organization (policy.Interleavings), whole cache blocks striped
+// across the groups: one group under the paper's "ganged" channels.
 type System struct {
 	cfg   Config
 	clock sim.Clock
@@ -39,11 +32,7 @@ type System struct {
 	ctrls []*memctrl.Controller
 	chns  []*channel.Channel
 	maprs []addrmap.Mapper
-	// timingPols holds each group's bank-timing policy instance (one
-	// per channel, empty under the flat scheme); armObs sums their
-	// fast/slow counters into the gated activate metrics.
-	timingPols []dram.TimingPolicy
-	pf         prefetch.Prefetcher // nil when disabled
+	pf    prefetch.Prefetcher // nil when disabled
 	// pfbuffer receives prefetch fills when the separate-buffer
 	// alternative is configured; nil otherwise.
 	pfbuffer *cache.Cache
@@ -321,15 +310,10 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		return nil, err
 	}
 
-	// Ganged: one controller over an n-wide logical channel.
-	// Independent: n controllers over 1-wide channels.
-	groups := 1
-	groupGeom := addrmap.Geometry{Channels: cfg.Channels, DevicesPerChannel: cfg.DevicesPerChannel}
-	if cfg.Interleaving == "independent" {
-		groups = cfg.Channels
-		groupGeom = addrmap.Geometry{Channels: 1, DevicesPerChannel: cfg.DevicesPerChannel}
+	org, err := policy.NewOrganization(cfg.Interleaving, cfg.geometry())
+	if err != nil {
+		return nil, err
 	}
-
 	l1, err := cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1Size, Assoc: cfg.L1Assoc, BlockBytes: cfg.L1Block})
 	if err != nil {
 		return nil, err
@@ -347,50 +331,31 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		l2:       l2,
 		mshrs:    cache.NewMSHRTable[waiter](cfg.MSHRs),
 		inflight: make(map[uint64]*missReq),
-		capacity: groupGeom.Capacity() * uint64(groups),
-		pfBuf:    make([][]uint64, groups),
+		capacity: org.Capacity(),
+		pfBuf:    make([][]uint64, org.Groups),
 		extMem:   mem,
 	}
 	s.rowOpenFn = s.rowOpenGlobal
 	s.recycleWB = func(r *memctrl.Request) { s.freeWBs = append(s.freeWBs, r) }
-	if mem != nil {
-		// The fabric owns all channel state; build nothing local.
-		groups = 0
-	}
-
-	chCfg := channel.Config{Geometry: groupGeom, Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
+	chCfg := channel.Config{Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
 	if cfg.Refresh {
 		// One refresh per ~2us retires all 16K rows of a device within
 		// a 32ms retention period; each costs roughly a row cycle.
 		chCfg.RefreshInterval = 2 * sim.Microsecond
 		chCfg.RefreshDuration = 70 * sim.Nanosecond
 	}
-	schedName, schedWindow := cfg.resolvedSched()
-	for g := 0; g < groups; g++ {
-		mapr, err := policy.NewMapping(cfg.Mapping, groupGeom)
+	// With an external backend the fabric owns all channel state and
+	// no group is built here.
+	for g := 0; mem == nil && g < org.Groups; g++ {
+		chn, mapr, err := org.NewGroup(cfg.Mapping, cfg.BankTiming, chCfg)
 		if err != nil {
 			return nil, err
 		}
-		// Each group gets its own timing-policy instance: schemes with
-		// internal state (the row-reuse table) must not share across
-		// channels.
-		gcfg := chCfg
-		gcfg.TimingPol, err = policy.NewTiming(cfg.BankTiming, policy.TimingParams{})
-		if err != nil {
-			return nil, err
-		}
-		if gcfg.TimingPol != nil {
-			s.timingPols = append(s.timingPols, gcfg.TimingPol)
-		}
-		chn, err := channel.New(gcfg)
+		pol, err := policy.NewSched(cfg.SchedPolicy, cfg.schedParams())
 		if err != nil {
 			return nil, err
 		}
 		ctrl := memctrl.New(s.sched, chn, mapr)
-		pol, err := policy.NewSched(schedName, policy.SchedParams{Window: schedWindow})
-		if err != nil {
-			return nil, err
-		}
 		ctrl.SetPolicy(pol)
 		s.maprs = append(s.maprs, mapr)
 		s.chns = append(s.chns, chn)
@@ -398,11 +363,7 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 	}
 
 	if cfg.Prefetch.Enabled {
-		scheme := cfg.Prefetch.Scheme
-		if scheme == "" {
-			scheme = "region"
-		}
-		s.pf, err = policy.NewPrefetcher(scheme, prefetchParams(cfg))
+		s.pf, err = policy.NewPrefetcher(cfg.Prefetch.Scheme, prefetchParams(cfg))
 		if err != nil {
 			return nil, err
 		}

@@ -34,9 +34,7 @@ func (r *Runner) SchedZoo() (*SchedZooResult, error) {
 		cfg.Mapping = "xor"
 		cfg.Prefetch = core.TunedPrefetch()
 		cfg.SchedPolicy = name
-		if name == "frfcfs-cap" {
-			cfg.ReorderWindow = 8
-		}
+		cfg.ReorderWindow = policy.Sched.Fill(name, policy.SchedParams{}).Window
 		results, err := r.perBench(cfg, false)
 		if err != nil {
 			return nil, err

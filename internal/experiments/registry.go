@@ -49,16 +49,16 @@ func writeFailures(w io.Writer, fails []RunFailure) error {
 			attempts = "attempts"
 		}
 		if _, err := fmt.Fprintf(w, "  FAILED(%s [%s]: %s after %d %s)\n",
-			f.Bench, f.Key, firstLine(f.Err), f.Attempts, attempts); err != nil {
+			f.Bench, f.Key, FirstLine(f.Err), f.Attempts, attempts); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// firstLine compresses an error (watchdog aborts carry multi-line
-// state dumps) to its headline for the DEGRADED listing.
-func firstLine(err error) string {
+// FirstLine compresses an error (watchdog aborts carry multi-line
+// state dumps) to its headline, for one-line failure listings.
+func FirstLine(err error) string {
 	s := err.Error()
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
 		s = s[:i]

@@ -106,19 +106,20 @@ func (v *Validator) Range(field string, value, lo, hi int64) {
 }
 
 // Merge absorbs another error into the pass: a *ConfigError
-// contributes its fields under the given prefix, any other error
-// becomes a single field entry. A nil err is a no-op.
+// contributes its fields under the given prefix (an empty prefix keeps
+// them as they are), any other error becomes a single field entry. A
+// nil err is a no-op.
 func (v *Validator) Merge(prefix string, err error) {
 	if err == nil {
 		return
 	}
 	if ce, ok := err.(*ConfigError); ok {
 		for _, f := range ce.Fields {
-			v.fields = append(v.fields, &FieldError{
-				Field:  prefix + "." + f.Field,
-				Value:  f.Value,
-				Reason: f.Reason,
-			})
+			field := f.Field
+			if prefix != "" {
+				field = prefix + "." + field
+			}
+			v.fields = append(v.fields, &FieldError{Field: field, Value: f.Value, Reason: f.Reason})
 		}
 		return
 	}

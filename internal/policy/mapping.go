@@ -2,21 +2,19 @@ package policy
 
 import "memsim/internal/addrmap"
 
-// Mappings is the address-mapping registry: factories produce a Mapper
-// for one channel-group geometry.
-var Mappings = NewRegistry[func(addrmap.Geometry) (addrmap.Mapper, error)]("address-mapping")
+// Mappings is the address-mapping registry: each scheme builds a
+// Mapper for one channel-group geometry. The name is required.
+var Mappings = NewRegistry[addrmap.Geometry, addrmap.Mapper]("address-mapping", "Mapping", nil)
+
+type mappingScheme = Scheme[addrmap.Geometry, addrmap.Mapper]
 
 func init() {
-	Mappings.Register("base", func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewBase(g) })
-	Mappings.Register("swap", func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewSwap(g) })
-	Mappings.Register("xor", func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewXOR(g) })
+	Mappings.Register("base", mappingScheme{Build: func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewBase(g) }})
+	Mappings.Register("swap", mappingScheme{Build: func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewSwap(g) }})
+	Mappings.Register("xor", mappingScheme{Build: func(g addrmap.Geometry) (addrmap.Mapper, error) { return addrmap.NewXOR(g) }})
 }
 
 // NewMapping builds the named mapper over g.
 func NewMapping(name string, g addrmap.Geometry) (addrmap.Mapper, error) {
-	f, err := Mappings.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(g)
+	return Mappings.build(name, g)
 }

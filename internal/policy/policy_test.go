@@ -1,11 +1,14 @@
 package policy
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"memsim/internal/addrmap"
+	"memsim/internal/harden"
+	"memsim/internal/memctrl"
 )
 
 // mustPanic runs f and returns the recovered panic message.
@@ -30,10 +33,10 @@ func mustPanic(t *testing.T, f func()) (msg string) {
 // TestDuplicateRegisterPanics pins the misuse contract: a duplicate
 // registration panics, with a deterministic message (same both times).
 func TestDuplicateRegisterPanics(t *testing.T) {
-	r := NewRegistry[int]("testkind")
-	r.Register("x", 1)
-	first := mustPanic(t, func() { r.Register("x", 2) })
-	second := mustPanic(t, func() { r.Register("x", 3) })
+	r := NewRegistry[int, int]("testkind", "Test", nil)
+	r.Register("x", Scheme[int, int]{})
+	first := mustPanic(t, func() { r.Register("x", Scheme[int, int]{}) })
+	second := mustPanic(t, func() { r.Register("x", Scheme[int, int]{}) })
 	want := `policy: duplicate testkind scheme "x"`
 	if first != want {
 		t.Fatalf("panic message %q, want %q", first, want)
@@ -41,7 +44,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 	if first != second {
 		t.Fatalf("panic message not deterministic: %q then %q", first, second)
 	}
-	if msg := mustPanic(t, func() { r.Register("", 4) }); msg != "policy: empty testkind scheme name" {
+	if msg := mustPanic(t, func() { r.Register("", Scheme[int, int]{}) }); msg != "policy: empty testkind scheme name" {
 		t.Fatalf("empty-name panic message %q", msg)
 	}
 }
@@ -49,10 +52,10 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 // TestUnknownLookupError pins the error text: it names the kind, the
 // bad name, and the full registered set in sorted order.
 func TestUnknownLookupError(t *testing.T) {
-	r := NewRegistry[int]("testkind")
-	r.Register("b", 1)
-	r.Register("a", 2)
-	_, err := r.Lookup("nope")
+	r := NewRegistry[int, int]("testkind", "Test", nil)
+	r.Register("b", Scheme[int, int]{})
+	r.Register("a", Scheme[int, int]{})
+	_, err := r.build("nope", 0)
 	if err == nil {
 		t.Fatal("no error for unknown scheme")
 	}
@@ -62,7 +65,7 @@ func TestUnknownLookupError(t *testing.T) {
 	}
 }
 
-// TestRegisteredNames locks the zoo membership of all four tables; a
+// TestRegisteredNames locks the zoo membership of all five tables; a
 // new scheme must extend this list (and its golden coverage).
 func TestRegisteredNames(t *testing.T) {
 	for _, tc := range []struct {
@@ -74,6 +77,7 @@ func TestRegisteredNames(t *testing.T) {
 		{"mapping", Mappings.Names(), []string{"base", "swap", "xor"}},
 		{"prefetch", Prefetchers.Names(), []string{"region", "sequential", "stream"}},
 		{"timing", Timings.Names(), []string{"flat", "rowreuse", "tiered"}},
+		{"interleaving", Interleavings.Names(), []string{"ganged", "independent"}},
 	} {
 		if !reflect.DeepEqual(tc.got, tc.want) {
 			t.Errorf("%s zoo = %v, want %v", tc.kind, tc.got, tc.want)
@@ -135,15 +139,99 @@ func TestFactories(t *testing.T) {
 // registered policy but the primary, in sorted order, constructible
 // even when the primary run set no window.
 func TestSchedAlternatives(t *testing.T) {
-	alts := SchedAlternatives("fcfs", 0)
-	var names []string
-	for _, a := range alts {
-		names = append(names, a.Name())
+	alternatives := func(primary string, window int) []string {
+		var names []string
+		Sched.Alternatives(primary, SchedParams{Window: window}, func(name string, pol memctrl.IssuePolicy) {
+			if pol.Name() != name {
+				t.Errorf("alternative %q built %q", name, pol.Name())
+			}
+			names = append(names, name)
+		})
+		return names
 	}
-	if want := []string{"frfcfs", "frfcfs-cap"}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("alternatives for fcfs = %v, want %v", names, want)
+	if got, want := alternatives("fcfs", 0), []string{"frfcfs", "frfcfs-cap"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("alternatives for fcfs = %v, want %v", got, want)
 	}
-	if n := len(SchedAlternatives("frfcfs-cap", 8)); n != 2 {
-		t.Fatalf("alternatives for frfcfs-cap = %d policies, want 2", n)
+	if got, want := alternatives("frfcfs-cap", 8), []string{"fcfs", "frfcfs"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("alternatives for frfcfs-cap = %v, want %v", got, want)
+	}
+	// The empty name resolves before the primary is left out.
+	if got, want := alternatives("", 4), []string{"fcfs", "frfcfs"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("alternatives for the legacy window 4 = %v, want %v", got, want)
+	}
+}
+
+// TestFallbacks pins each axis's empty-name default and the fallback
+// knobs an entry fills in for a config that left them zero.
+func TestFallbacks(t *testing.T) {
+	for _, tc := range []struct {
+		axis, got, want string
+	}{
+		{"sched, no window", Sched.Resolve("", SchedParams{}), "fcfs"},
+		{"sched, window 1", Sched.Resolve("", SchedParams{Window: 1}), "fcfs"},
+		{"sched, window 2", Sched.Resolve("", SchedParams{Window: 2}), "frfcfs-cap"},
+		{"mapping", Mappings.Resolve("", addrmap.Geometry{}), ""},
+		{"timing", Timings.Resolve("", TimingParams{}), "flat"},
+		{"prefetch", Prefetchers.Resolve("", PrefetchParams{}), "region"},
+		{"interleaving", Interleavings.Resolve("", addrmap.Geometry{}), "ganged"},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: empty name resolves to %q, want %q", tc.axis, tc.got, tc.want)
+		}
+	}
+	if got := Sched.Fill("frfcfs-cap", SchedParams{}); got.Window != 8 {
+		t.Errorf("frfcfs-cap fallback window %d, want 8", got.Window)
+	}
+	if got := Sched.Fill("frfcfs-cap", SchedParams{Window: 16}); got.Window != 16 {
+		t.Errorf("frfcfs-cap overrode a set window: %d", got.Window)
+	}
+	if got := Sched.Fill("fcfs", SchedParams{}); got.Window != 0 {
+		t.Errorf("fcfs filled a window: %d", got.Window)
+	}
+	for _, name := range []string{"sequential", "stream"} {
+		if got := Prefetchers.Fill(name, PrefetchParams{}); got != (PrefetchParams{Lookahead: 4}) {
+			t.Errorf("%s fallback = %+v, want Lookahead 4 only", name, got)
+		}
+	}
+	if got := Prefetchers.Fill("", PrefetchParams{}); got != (PrefetchParams{RegionBytes: 4096, QueueDepth: 8}) {
+		t.Errorf("region fallback = %+v, want RegionBytes 4096, QueueDepth 8", got)
+	}
+}
+
+// TestValidateFields pins the ConfigError field of each axis's
+// rejections.
+func TestValidateFields(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		err  error
+		want []string
+	}{
+		{"unknown mapping", Mappings.Validate("hash", addrmap.Geometry{}), []string{"Mapping"}},
+		{"empty mapping", Mappings.Validate("", addrmap.Geometry{}), []string{"Mapping"}},
+		{"unknown sched", Sched.Validate("lifo", SchedParams{}), []string{"SchedPolicy"}},
+		{"frfcfs-cap window", Sched.Validate("frfcfs-cap", SchedParams{Window: 1}), []string{"SchedPolicy"}},
+		{"unknown timing", Timings.Validate("fast", TimingParams{}), []string{"BankTiming"}},
+		{"unknown interleaving", Interleavings.Validate("diagonal", addrmap.Geometry{}), []string{"Interleaving"}},
+		{"unknown prefetch", Prefetchers.Validate("oracle", PrefetchParams{}), []string{"Prefetch.Scheme"}},
+		{"region", Prefetchers.Validate("region", PrefetchParams{BlockBytes: 64}),
+			[]string{"Prefetch", "Prefetch.RegionBytes", "Prefetch.QueueDepth"}},
+		{"stream", Prefetchers.Validate("stream", PrefetchParams{TableSize: -1}),
+			[]string{"Prefetch.Lookahead", "Prefetch.TableSize"}},
+	} {
+		var ce *harden.ConfigError
+		if !errors.As(tc.err, &ce) {
+			t.Errorf("%s: err = %v, want a *harden.ConfigError", tc.name, tc.err)
+			continue
+		}
+		var got []string
+		for _, f := range ce.Fields {
+			got = append(got, f.Field)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: fields %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if err := Sched.Validate("", SchedParams{Window: 4}); err != nil {
+		t.Errorf("legacy window encoding rejected: %v", err)
 	}
 }

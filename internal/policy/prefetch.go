@@ -1,10 +1,11 @@
 package policy
 
 import (
+	"memsim/internal/harden"
 	"memsim/internal/prefetch"
 )
 
-// PrefetchParams carries the prefetch-scheme knobs; factories read the
+// PrefetchParams carries the prefetch-scheme knobs; schemes read the
 // subset that applies to them.
 type PrefetchParams struct {
 	// BlockBytes is the L2 block size every scheme generates in.
@@ -23,52 +24,85 @@ type PrefetchParams struct {
 	ThrottleWindow   int
 }
 
-// Prefetchers is the prefetch-scheme registry.
-var Prefetchers = NewRegistry[func(PrefetchParams) (prefetch.Prefetcher, error)]("prefetch")
+// MaxQueueDepth bounds every prefetch table a config sizes: the region
+// queue, the stream table and the prefetch buffer.
+const MaxQueueDepth = 4096
+
+// Prefetchers is the prefetch-scheme registry; the empty name is the
+// paper's "region" scheme. Fallback knobs are the Section 4 tuned
+// values.
+var Prefetchers = NewRegistry[PrefetchParams, prefetch.Prefetcher]("prefetch", "Prefetch.Scheme", func(PrefetchParams) string { return "region" })
+
+type prefetchScheme = Scheme[PrefetchParams, prefetch.Prefetcher]
+
+// region is the region engine's configuration.
+func (p PrefetchParams) region() prefetch.Config {
+	return prefetch.Config{RegionBytes: p.RegionBytes, BlockBytes: p.BlockBytes, QueueDepth: p.QueueDepth,
+		Policy: p.Policy, BankAware: p.BankAware, ThrottleAccuracy: p.ThrottleAccuracy, ThrottleWindow: p.ThrottleWindow}
+}
+
+// lookahead is the sequential and stream schemes' entry around build.
+func lookahead(build func(PrefetchParams) (prefetch.Prefetcher, error)) prefetchScheme {
+	return prefetchScheme{
+		Check: func(p PrefetchParams) error {
+			var v harden.Validator
+			v.Range("Prefetch.Lookahead", int64(p.Lookahead), 1, 1024)
+			v.Range("Prefetch.TableSize", int64(p.TableSize), 0, MaxQueueDepth)
+			return v.Err()
+		},
+		Fill: func(p PrefetchParams) PrefetchParams {
+			if p.Lookahead <= 0 {
+				p.Lookahead = 4
+			}
+			return p
+		},
+		Build: build,
+	}
+}
 
 func init() {
-	Prefetchers.Register("region", func(p PrefetchParams) (prefetch.Prefetcher, error) {
-		e, err := prefetch.New(prefetch.Config{
-			RegionBytes:      p.RegionBytes,
-			BlockBytes:       p.BlockBytes,
-			QueueDepth:       p.QueueDepth,
-			Policy:           p.Policy,
-			BankAware:        p.BankAware,
-			ThrottleAccuracy: p.ThrottleAccuracy,
-			ThrottleWindow:   p.ThrottleWindow,
-		})
-		if err != nil {
-			// Explicit nil: a typed-nil *Engine inside the interface
-			// would pass != nil checks at the call sites.
-			return nil, err
-		}
-		return e, nil
+	Prefetchers.Register("region", prefetchScheme{
+		Check: func(p PrefetchParams) error {
+			var v harden.Validator
+			v.Merge("Prefetch", p.region().Validate())
+			v.Range("Prefetch.RegionBytes", int64(p.RegionBytes), 1, 1<<24)
+			v.Range("Prefetch.QueueDepth", int64(p.QueueDepth), 1, MaxQueueDepth)
+			return v.Err()
+		},
+		Fill: func(p PrefetchParams) PrefetchParams {
+			if p.RegionBytes <= 0 {
+				p.RegionBytes = 4096
+			}
+			if p.QueueDepth <= 0 {
+				p.QueueDepth = 8
+			}
+			return p
+		},
+		Build: func(p PrefetchParams) (prefetch.Prefetcher, error) { return built(prefetch.New(p.region())) },
 	})
-	Prefetchers.Register("sequential", func(p PrefetchParams) (prefetch.Prefetcher, error) {
-		s, err := prefetch.NewSequential(p.BlockBytes, p.Lookahead, 8*p.Lookahead)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	})
-	Prefetchers.Register("stream", func(p PrefetchParams) (prefetch.Prefetcher, error) {
+	Prefetchers.Register("sequential", lookahead(func(p PrefetchParams) (prefetch.Prefetcher, error) {
+		return built(prefetch.NewSequential(p.BlockBytes, p.Lookahead, 8*p.Lookahead))
+	}))
+	Prefetchers.Register("stream", lookahead(func(p PrefetchParams) (prefetch.Prefetcher, error) {
 		table := p.TableSize
 		if table <= 0 {
 			table = 8
 		}
-		s, err := prefetch.NewStream(p.BlockBytes, table, p.Lookahead)
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	})
+		return built(prefetch.NewStream(p.BlockBytes, table, p.Lookahead))
+	}))
+}
+
+// built returns a scheme's engine, or an explicit nil on failure: a
+// typed-nil engine inside the interface would pass != nil checks at
+// the call sites.
+func built[E prefetch.Prefetcher](e E, err error) (prefetch.Prefetcher, error) {
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // NewPrefetcher builds the named prefetch scheme.
 func NewPrefetcher(name string, p PrefetchParams) (prefetch.Prefetcher, error) {
-	f, err := Prefetchers.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(p)
+	return Prefetchers.build(name, p)
 }

@@ -10,33 +10,28 @@ type TimingParams struct {
 	ReuseEntries int
 }
 
-// Timings is the bank-timing registry. The "flat" factory returns a
-// nil TimingPolicy — the channel's uniform-ACT fast path — so the flat
-// scheme is addressable by name without costing an interface call per
-// activate.
-var Timings = NewRegistry[func(TimingParams) (dram.TimingPolicy, error)]("bank-timing")
+// Timings is the bank-timing registry; the empty name is "flat". The
+// flat scheme builds a nil TimingPolicy — the channel's uniform-ACT
+// fast path — so it is addressable by name without costing an
+// interface call per activate.
+var Timings = NewRegistry[TimingParams, dram.TimingPolicy]("bank-timing", "BankTiming", func(TimingParams) string { return "flat" })
+
+type timingScheme = Scheme[TimingParams, dram.TimingPolicy]
 
 func init() {
-	Timings.Register("flat", func(TimingParams) (dram.TimingPolicy, error) {
+	Timings.Register("flat", timingScheme{Build: func(TimingParams) (dram.TimingPolicy, error) {
 		return nil, nil
-	})
-	Timings.Register("tiered", func(p TimingParams) (dram.TimingPolicy, error) {
+	}})
+	Timings.Register("tiered", timingScheme{Build: func(p TimingParams) (dram.TimingPolicy, error) {
 		return dram.NewTieredTiming(p.NearRows), nil
-	})
-	Timings.Register("rowreuse", func(p TimingParams) (dram.TimingPolicy, error) {
+	}})
+	Timings.Register("rowreuse", timingScheme{Build: func(p TimingParams) (dram.TimingPolicy, error) {
 		return dram.NewReuseTiming(p.ReuseEntries), nil
-	})
+	}})
 }
 
 // NewTiming builds the named bank-timing policy; "" and "flat" return
 // nil (the flat scheme).
 func NewTiming(name string, p TimingParams) (dram.TimingPolicy, error) {
-	if name == "" {
-		return nil, nil
-	}
-	f, err := Timings.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(p)
+	return Timings.build(name, p)
 }

@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"memsim/internal/core"
+	"memsim/internal/harden"
+	"memsim/internal/policy"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
@@ -86,7 +88,9 @@ type ConfigOverrides struct {
 // BuildConfig materializes the spec's core.Config: preset, then
 // overrides, then the aggregated validation pass. A non-nil error is a
 // *harden.ConfigError (for unknown presets, a plain error) suitable
-// for a typed 4xx response.
+// for a typed 4xx response. A scheme override that leaves knobs its
+// scheme needs unset gets the scheme's fallback values, so one-field
+// overrides admit.
 func (sp *JobSpec) BuildConfig() (core.Config, error) {
 	var cfg core.Config
 	switch sp.Preset {
@@ -97,6 +101,7 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 	default:
 		return core.Config{}, fmt.Errorf(`preset %q: must be "base" or "tuned"`, sp.Preset)
 	}
+	var v harden.Validator
 	if o := sp.Config; o != nil {
 		if o.Mapping != nil {
 			cfg.Mapping = *o.Mapping
@@ -118,10 +123,8 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 		}
 		if o.SchedPolicy != nil {
 			cfg.SchedPolicy = *o.SchedPolicy
-			// frfcfs-cap needs a scan bound; give it the tuned window
-			// when the spec set none, so the one-field override works.
-			if cfg.SchedPolicy == "frfcfs-cap" && cfg.ReorderWindow < 2 && o.ReorderWindow == nil {
-				cfg.ReorderWindow = 8
+			if o.ReorderWindow == nil {
+				cfg.ReorderWindow = policy.Sched.Fill(cfg.SchedPolicy, policy.SchedParams{Window: cfg.ReorderWindow}).Window
 			}
 		}
 		if o.BankTiming != nil {
@@ -135,14 +138,16 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 			}
 		}
 		if o.PrefetchScheme != nil {
-			cfg.Prefetch.Scheme = *o.PrefetchScheme
-			if !cfg.Prefetch.Enabled {
+			if o.Prefetch != nil && !*o.Prefetch {
+				v.Reject("Prefetch.Scheme", *o.PrefetchScheme, `conflicts with "prefetch": false`)
+			} else if !cfg.Prefetch.Enabled {
 				cfg.Prefetch = core.TunedPrefetch()
-				cfg.Prefetch.Scheme = *o.PrefetchScheme
 			}
-			if *o.PrefetchScheme == "sequential" || *o.PrefetchScheme == "stream" {
-				cfg.Prefetch.Lookahead = 4
-			}
+			// The tuned engine carries the region knobs; the lookahead
+			// schemes take their fallback depth.
+			cfg.Prefetch.Scheme = *o.PrefetchScheme
+			cfg.Prefetch.Lookahead = policy.Prefetchers.Fill(cfg.Prefetch.Scheme,
+				policy.PrefetchParams{Lookahead: cfg.Prefetch.Lookahead}).Lookahead
 		}
 		if o.SoftwarePrefetch != nil {
 			cfg.SoftwarePrefetch = *o.SoftwarePrefetch
@@ -154,7 +159,8 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 			cfg.L2Block = *o.L2BlockBytes
 		}
 	}
-	if err := cfg.Validate(); err != nil {
+	v.Merge("", cfg.Validate())
+	if err := v.Err(); err != nil {
 		return core.Config{}, err
 	}
 	return cfg, nil

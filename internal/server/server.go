@@ -35,7 +35,6 @@ import (
 	"os"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -424,11 +423,9 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 		s.met.canceled.Add(1)
 		s.log.Printf("job %s: canceled by client", id)
 	default:
-		msg := err.Error()
+		msg := experiments.FirstLine(err)
 		if errors.Is(err, context.DeadlineExceeded) {
-			msg = "deadline exceeded: " + firstLine(msg)
-		} else {
-			msg = firstLine(msg)
+			msg = "deadline exceeded: " + msg
 		}
 		if _, uerr := s.store.Update(id, func(j *Job) {
 			j.State = StateFailed
@@ -440,15 +437,6 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 		s.met.failed.Add(1)
 		s.log.Printf("job %s: failed: %s", id, msg)
 	}
-}
-
-// firstLine trims a multi-line error (watchdog dumps attach whole
-// state reports) to its headline for the job record.
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 // Drain performs the graceful shutdown: stop admitting, cancel running

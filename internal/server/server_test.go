@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -15,6 +16,7 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/experiments"
+	"memsim/internal/harden"
 )
 
 // newService builds a test daemon with quiet logging and small budgets.
@@ -386,6 +388,7 @@ func TestMalformedBodies(t *testing.T) {
 		{"invalid config", `{"config":{"channels":3}}`, http.StatusUnprocessableEntity, codeInvalidConfig},
 		{"unknown sched policy", `{"config":{"sched_policy":"exotic"}}`, http.StatusUnprocessableEntity, codeInvalidConfig},
 		{"unknown bank timing", `{"config":{"bank_timing":"exotic"}}`, http.StatusUnprocessableEntity, codeInvalidConfig},
+		{"prefetch off with a scheme", `{"config":{"prefetch":false,"prefetch_scheme":"stream"}}`, http.StatusUnprocessableEntity, codeInvalidConfig},
 		{"huge job", `{"instrs":999999999999}`, http.StatusBadRequest, codeJobTooLarge},
 	}
 	for _, tc := range cases {
@@ -621,5 +624,27 @@ func TestPolicyOverrides(t *testing.T) {
 	}
 	if cfg.ReorderWindow != 16 {
 		t.Fatalf("explicit window overridden to %d", cfg.ReorderWindow)
+	}
+
+	// A scheme override enables the tuned engine with the scheme's
+	// fallback lookahead.
+	stream := "stream"
+	spec = JobSpec{Config: &ConfigOverrides{PrefetchScheme: &stream}}
+	cfg, err = spec.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.Prefetch.Enabled || cfg.Prefetch.Scheme != "stream" || cfg.Prefetch.Lookahead != 4 {
+		t.Fatalf("scheme override: %+v, want stream enabled with lookahead 4", cfg.Prefetch)
+	}
+
+	// An explicit "prefetch": false contradicts a scheme override; it
+	// is rejected, not silently turned back on.
+	off := false
+	spec = JobSpec{Config: &ConfigOverrides{Prefetch: &off, PrefetchScheme: &stream}}
+	_, err = spec.BuildConfig()
+	var ce *harden.ConfigError
+	if !errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != "Prefetch.Scheme" {
+		t.Fatalf("prefetch off with a scheme: err = %v, want one Prefetch.Scheme field", err)
 	}
 }
