@@ -13,47 +13,23 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"memsim"
-	"memsim/internal/cache"
 	"memsim/internal/channel"
-	"memsim/internal/dram"
-	"memsim/internal/policy"
+	"memsim/internal/core"
 	"memsim/internal/sim"
 	"memsim/internal/vfs"
 )
 
 func main() {
+	knobs := core.Overrides{}
+	core.RegisterFlags(flag.CommandLine, knobs)
 	var (
 		bench    = flag.String("bench", "swim", "benchmark profile (see -list)")
 		list     = flag.Bool("list", false, "list benchmark profiles and exit")
-		mapping  = flag.String("mapping", "base", "address mapping: "+strings.Join(policy.Mappings.Names(), ", "))
-		channels = flag.Int("channels", 4, "physical Rambus channels")
-		devices  = flag.Int("devices", 0, "devices per channel (default keeps 8 total)")
-		block    = flag.Int("block", 64, "L2 block size in bytes")
-		l2size   = flag.String("l2", "1MB", "L2 capacity (e.g. 1MB, 4MB)")
-		part     = flag.String("part", "800-40", "DRDRAM part: 800-40, 800-50, or 800-34")
-		pf       = flag.Bool("prefetch", false, "enable tuned scheduled region prefetching")
-		scheme   = flag.String("scheme", "region", "prefetch scheme: "+strings.Join(policy.Prefetchers.Names(), ", "))
-		region   = flag.Int("region", 4096, "prefetch region bytes")
-		reorder  = flag.Int("reorder", 0, "open-row-first reorder window (0 = in-order)")
-		sched    = flag.String("sched", "", "issue policy: "+strings.Join(policy.Sched.Names(), ", ")+" (default: derived from -reorder)")
-		banktime = flag.String("banktiming", "", "bank timing scheme: "+strings.Join(policy.Timings.Names(), ", ")+" (default flat)")
-		counter  = flag.Bool("counterfactual", false, "trace what each alternative policy would have decided (requires -trace-out)")
-		refresh  = flag.Bool("refresh", false, "model DRAM refresh")
-		interlv  = flag.String("interleaving", "ganged", "channel organization: "+strings.Join(policy.Interleavings.Names(), ", "))
-		insert   = flag.String("insert", "LRU", "prefetch insertion priority, one of "+fmt.Sprint(cache.Positions))
-		fifo     = flag.Bool("fifo", false, "use FIFO region prioritization instead of LIFO")
-		unsched  = flag.Bool("unscheduled", false, "issue prefetches as ordinary requests (Table 4 pathology)")
-		swpf     = flag.Bool("swprefetch", false, "execute software prefetch instructions")
-		perfL2   = flag.Bool("perfect-l2", false, "make every L2 access hit")
-		perfMem  = flag.Bool("perfect-mem", false, "make every L1 access hit")
 		instrs   = flag.Uint64("instrs", 500_000, "measured instructions")
 		warmup   = flag.Uint64("warmup", 1_500_000, "warmup instructions before measurement")
 		seed     = flag.Uint64("seed", 0, "workload sample seed offset")
-		clock    = flag.Float64("ghz", 1.6, "core clock in GHz")
 		paranoid = flag.Bool("paranoid", false, "enable cross-layer invariant checking")
 		watchdog = flag.Int64("watchdog-cycles", 1_000_000,
 			"abort after this many core cycles without forward progress (0 = off)")
@@ -76,59 +52,15 @@ func main() {
 		return
 	}
 
-	cfg := memsim.BaseConfig()
-	cfg.ClockHz = *clock * 1e9
-	cfg.Mapping = *mapping
-	cfg.Channels = *channels
-	if *devices > 0 {
-		cfg.DevicesPerChannel = *devices
-	} else {
-		cfg.DevicesPerChannel = max(1, 8 / *channels)
-	}
-	cfg.L2Block = *block
-	cfg.PerfectL2 = *perfL2
-	cfg.PerfectMem = *perfMem
-	cfg.SoftwarePrefetch = *swpf
-	cfg.MaxInstrs = *instrs
-	cfg.WarmupInstrs = *warmup
-
-	size, err := parseSize(*l2size)
+	cfg, err := memsim.BaseConfig().Apply(knobs)
 	if err != nil {
 		fatal(err)
 	}
-	cfg.L2Size = size
-
-	timing, err := dram.PartByName(*part)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Timing = timing
-
-	cfg.ReorderWindow = *reorder
-	cfg.SchedPolicy = *sched
-	cfg.BankTiming = *banktime
-	cfg.Counterfactual = *counter
-	if *counter && *traceOut == "" {
+	if cfg.Counterfactual && *traceOut == "" {
 		fatal(fmt.Errorf("-counterfactual requires -trace-out: the decision trace is its only output"))
 	}
-	cfg.Refresh = *refresh
-	cfg.Interleaving = *interlv
-	if *pf {
-		cfg.Prefetch = memsim.TunedPrefetch()
-		cfg.Prefetch.Scheme = *scheme
-		cfg.Prefetch.Lookahead = 8
-		cfg.Prefetch.RegionBytes = *region
-		cfg.Prefetch.Scheduled = !*unsched
-		if *fifo {
-			cfg.Prefetch.Policy = memsim.FIFO
-			cfg.Prefetch.BankAware = false
-		}
-		cfg.Prefetch.Insert, err = insertPos(*insert)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
+	cfg.MaxInstrs = *instrs
+	cfg.WarmupInstrs = *warmup
 	cfg.Harden.Paranoid = *paranoid
 	cfg.Harden.WatchdogCycles = *watchdog
 	plan, err := memsim.ParseInject(*injectSpec)
@@ -147,7 +79,7 @@ func main() {
 		fatal(fmt.Errorf("-samples-out requires a positive -sample interval"))
 	}
 
-	gen, err := memsim.Workload(*bench, *seed, *swpf)
+	gen, err := memsim.Workload(*bench, *seed, cfg.SoftwarePrefetch)
 	if err != nil {
 		fatal(err)
 	}
@@ -163,16 +95,6 @@ func main() {
 	if err := exportObs(sys.Obs(), *traceOut, *metricsOut, *metricsJSON, *samplesOut); err != nil {
 		fatal(err)
 	}
-}
-
-// insertPos resolves an insertion priority by name, in any case.
-func insertPos(name string) (cache.InsertPos, error) {
-	for _, p := range cache.Positions {
-		if strings.EqualFold(p.String(), name) {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown insertion priority %q", name)
 }
 
 // exportObs writes the enabled observability outputs after a run,
@@ -229,23 +151,6 @@ func report(bench string, cfg memsim.Config, res memsim.Result) {
 	if cfg.SoftwarePrefetch {
 		fmt.Printf("sw prefetch    %d fills\n", res.SWPrefetches)
 	}
-}
-
-// parseSize understands "64KB", "1MB", "1048576".
-func parseSize(s string) (int64, error) {
-	u := strings.ToUpper(strings.TrimSpace(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(u, "MB"):
-		mult, u = 1<<20, strings.TrimSuffix(u, "MB")
-	case strings.HasSuffix(u, "KB"):
-		mult, u = 1<<10, strings.TrimSuffix(u, "KB")
-	}
-	n, err := strconv.ParseInt(u, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mult, nil
 }
 
 func fatal(err error) {

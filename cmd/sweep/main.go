@@ -29,11 +29,10 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 
-	"memsim"
+	"memsim/internal/core"
 	"memsim/internal/experiments"
 	"memsim/internal/sim"
 )
@@ -48,7 +47,7 @@ const (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	w := csv.NewWriter(os.Stdout)
-	code, err := sweep(ctx, w)
+	code, err := sweep(ctx, flag.CommandLine, os.Args[1:], w)
 	// Flush unconditionally: rows simulated before a mid-sweep failure
 	// must reach the output, error or not.
 	w.Flush()
@@ -65,29 +64,74 @@ func main() {
 	os.Exit(code)
 }
 
-func sweep(ctx context.Context, w *csv.Writer) (code int, err error) {
+// sweep parses args on fs and runs the sweep, writing CSV rows to w.
+// The swept knob and every value are checked against core.Knobs, and
+// without -keep-going every point is validated, before the header is
+// written, so a bad -param or -values leaves no output.
+func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer) (code int, err error) {
+	params := map[string]*core.Knob{}
+	var names []string
+	for i, k := range core.Knobs {
+		if k.Param != "" {
+			params[k.Param] = &core.Knobs[i]
+			names = append(names, k.Param)
+		}
+	}
 	var (
-		bench  = flag.String("bench", "swim", "benchmark profile")
-		param  = flag.String("param", "block", "swept parameter: block, channels, l2mb, region, lookahead, reorder, mshrs")
-		values = flag.String("values", "64,128,256,512", "comma-separated values")
-		pf     = flag.Bool("prefetch", false, "enable tuned region prefetching")
-		xor    = flag.Bool("xor", true, "use the XOR address mapping")
-		instrs = flag.Uint64("instrs", 300_000, "measured instructions")
-		warmup = flag.Uint64("warmup", 1_200_000, "warmup instructions")
-		seed   = flag.Uint64("seed", 0, "workload sample seed")
+		bench  = fs.String("bench", "swim", "benchmark profile")
+		param  = fs.String("param", "block", "swept parameter: "+strings.Join(names, ", "))
+		values = fs.String("values", "64,128,256,512", "comma-separated values")
+		pf     = fs.Bool("prefetch", false, "enable tuned region prefetching")
+		xor    = fs.Bool("xor", true, "use the XOR address mapping")
+		instrs = fs.Uint64("instrs", 300_000, "measured instructions")
+		warmup = fs.Uint64("warmup", 1_200_000, "warmup instructions")
+		seed   = fs.Uint64("seed", 0, "workload sample seed")
 
-		timeout = flag.Duration("timeout-per-run", 0,
+		timeout = fs.Duration("timeout-per-run", 0,
 			"wall-clock budget per point; overruns abort and may retry (0 = none)")
-		retries = flag.Int("retries", 0,
+		retries = fs.Int("retries", 0,
 			"extra attempts for watchdog- or timeout-aborted points")
-		keepGoing = flag.Bool("keep-going", false,
+		keepGoing = fs.Bool("keep-going", false,
 			"emit a FAILED row for lost points instead of aborting the sweep")
-		checkpoint = flag.String("checkpoint", "",
+		checkpoint = fs.String("checkpoint", "",
 			"manifest file recording every completed point")
-		resume = flag.Bool("resume", false,
+		resume = fs.Bool("resume", false,
 			"load the -checkpoint manifest and skip points it already holds")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return exitFailed, err
+	}
+
+	knob := params[*param]
+	if knob == nil {
+		return exitFailed, fmt.Errorf("unknown parameter %q (one of %s)", *param, strings.Join(names, ", "))
+	}
+	knobs := core.Overrides{}
+	if *xor {
+		knobs["mapping"] = "xor"
+	}
+	if *pf {
+		knobs["prefetch"] = true
+	}
+	var points []any
+	var cfgs []core.Config
+	for _, raw := range strings.Split(*values, ",") {
+		v, err := knob.Parse(strings.TrimSpace(raw))
+		if err != nil {
+			return exitFailed, fmt.Errorf("bad value %q: %v", raw, err)
+		}
+		knobs[knob.Name] = v
+		cfg, err := core.Base().Apply(knobs)
+		// Without -keep-going an invalid point would end the sweep, so
+		// it ends it here, before any output.
+		if err == nil && !*keepGoing {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			return exitFailed, fmt.Errorf("%s=%v: %w", *param, v, err)
+		}
+		points, cfgs = append(points, v), append(cfgs, cfg)
+	}
 
 	var manifest *experiments.Manifest
 	switch {
@@ -141,54 +185,20 @@ func sweep(ctx context.Context, w *csv.Writer) (code int, err error) {
 	}
 
 	degraded := false
-	for _, raw := range strings.Split(*values, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(raw))
-		if err != nil {
-			return exitFailed, fmt.Errorf("bad value %q: %v", raw, err)
-		}
-		cfg := memsim.BaseConfig()
-		if *xor {
-			cfg.Mapping = "xor"
-		}
-		if *pf {
-			cfg.Prefetch = memsim.TunedPrefetch()
-		}
-
-		switch *param {
-		case "block":
-			cfg.L2Block = v
-		case "channels":
-			cfg.Channels = v
-			cfg.DevicesPerChannel = max(1, 8/v)
-		case "l2mb":
-			cfg.L2Size = int64(v) << 20
-		case "region":
-			cfg.Prefetch = memsim.TunedPrefetch()
-			cfg.Prefetch.RegionBytes = v
-		case "lookahead":
-			cfg.Prefetch = memsim.TunedPrefetch()
-			cfg.Prefetch.Scheme = "stream"
-			cfg.Prefetch.Lookahead = v
-		case "reorder":
-			cfg.ReorderWindow = v
-		case "mshrs":
-			cfg.MSHRs = v
-		default:
-			return exitFailed, fmt.Errorf("unknown parameter %q", *param)
-		}
-
+	for i, cfg := range cfgs {
+		v := points[i]
 		results, err := runner.RunBenches(cfg, false)
 		if err != nil {
 			if ctx.Err() != nil {
-				return exitInterrupted, fmt.Errorf("interrupted at %s=%d: %w", *param, v, context.Cause(ctx))
+				return exitInterrupted, fmt.Errorf("interrupted at %s=%v: %w", *param, v, context.Cause(ctx))
 			}
-			pointErr := fmt.Errorf("%s=%d: %w", *param, v, err)
+			pointErr := fmt.Errorf("%s=%v: %w", *param, v, err)
 			if !*keepGoing {
 				return exitFailed, pointErr
 			}
 			degraded = true
 			fmt.Fprintln(os.Stderr, "sweep:", pointErr, "(continuing)")
-			if werr := w.Write([]string{strconv.Itoa(v), "", "", "", "", "", "",
+			if werr := w.Write([]string{fmt.Sprint(v), "", "", "", "", "", "",
 				"FAILED: " + experiments.FirstLine(err)}); werr != nil {
 				return exitFailed, werr
 			}
@@ -198,7 +208,7 @@ func sweep(ctx context.Context, w *csv.Writer) (code int, err error) {
 		res := results[0]
 		clock := sim.NewClock(cfg.ClockHz)
 		rec := []string{
-			strconv.Itoa(v),
+			fmt.Sprint(v),
 			fmt.Sprintf("%.4f", res.IPC),
 			fmt.Sprintf("%.4f", res.L2MissRate()),
 			fmt.Sprintf("%.1f", res.MeanMissLatencyCycles(clock)),

@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"flag"
 	"reflect"
 	"testing"
 
+	"memsim/internal/cache"
 	"memsim/internal/harden"
 	"memsim/internal/policy"
+	"memsim/internal/prefetch"
 	"memsim/internal/trace"
 )
 
@@ -31,13 +34,13 @@ var schemeAxes = []struct {
 	}, "Prefetch.Scheme"},
 }
 
-// rejectedFields validates cfg and returns the fields of its
-// *harden.ConfigError, failing the test on any other outcome.
-func rejectedFields(t *testing.T, cfg Config) []string {
+// rejectedFields returns the fields of err, failing the test unless
+// it is a *harden.ConfigError.
+func rejectedFields(t *testing.T, err error) []string {
 	t.Helper()
 	var ce *harden.ConfigError
-	if err := cfg.Validate(); !errors.As(err, &ce) {
-		t.Fatalf("Validate = %v, want a *harden.ConfigError", err)
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want a *harden.ConfigError", err)
 	}
 	var fields []string
 	for _, f := range ce.Fields {
@@ -71,7 +74,7 @@ func TestSchemeAxes(t *testing.T) {
 			t.Run("unknown", func(t *testing.T) {
 				cfg := Base()
 				ax.set(&cfg, "no-such-scheme")
-				if got := rejectedFields(t, cfg); !reflect.DeepEqual(got, []string{ax.field}) {
+				if got := rejectedFields(t, cfg.Validate()); !reflect.DeepEqual(got, []string{ax.field}) {
 					t.Fatalf("fields %v, want [%s]", got, ax.field)
 				}
 			})
@@ -98,8 +101,84 @@ func TestSchemeAxes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Base()
 			tc.set(&cfg)
-			if got := rejectedFields(t, cfg); !reflect.DeepEqual(got, tc.want) {
+			if got := rejectedFields(t, cfg.Validate()); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("fields %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// flagConfig builds the config memsim builds from args: the knob
+// flags parsed, then applied to Base.
+func flagConfig(args ...string) (Config, error) {
+	fs := flag.NewFlagSet("memsim", flag.ContinueOnError)
+	o := Overrides{}
+	RegisterFlags(fs, o)
+	if err := fs.Parse(args); err != nil {
+		return Config{}, err
+	}
+	return Base().Apply(o)
+}
+
+// TestKnobRules pins the coupling rules of Config.Apply, one row per
+// rule, on memsim's flag surface.
+func TestKnobRules(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		check func(c Config) bool
+		want  []string // ConfigError fields, when the flags are rejected
+	}{
+		{"unset flags keep the preset", nil, func(c Config) bool { return reflect.DeepEqual(c, Base()) }, nil},
+		{"prefetch turns on the tuned engine", []string{"-prefetch"}, func(c Config) bool { return c.Prefetch == TunedPrefetch() }, nil},
+		{"channels keep 8 devices", []string{"-channels", "8"},
+			func(c Config) bool { return c.Channels == 8 && c.DevicesPerChannel == 1 }, nil},
+		{"explicit devices win", []string{"-channels", "8", "-devices", "2"},
+			func(c Config) bool { return c.Channels == 8 && c.DevicesPerChannel == 2 }, nil},
+		{"stream takes the registry lookahead", []string{"-prefetch", "-scheme", "stream"},
+			func(c Config) bool { return c.Prefetch.Scheme == "stream" && c.Prefetch.Lookahead == 4 }, nil},
+		{"sequential takes the registry lookahead", []string{"-prefetch", "-scheme", "sequential"},
+			func(c Config) bool { return c.Prefetch.Scheme == "sequential" && c.Prefetch.Lookahead == 4 }, nil},
+		{"scheme turns the engine on", []string{"-scheme", "stream"},
+			func(c Config) bool { return c.Prefetch.Enabled && c.Prefetch.Lookahead == 4 }, nil},
+		{"region turns the engine on", []string{"-region", "2048"},
+			func(c Config) bool { return c.Prefetch.Enabled && c.Prefetch.RegionBytes == 2048 }, nil},
+		{"insert turns the engine on", []string{"-insert", "mru"},
+			func(c Config) bool { return c.Prefetch.Enabled && c.Prefetch.Insert == cache.MRU }, nil},
+		{"fifo turns the engine on", []string{"-fifo"},
+			func(c Config) bool {
+				return c.Prefetch.Enabled && c.Prefetch.Policy == prefetch.FIFO && !c.Prefetch.BankAware
+			}, nil},
+		{"unscheduled turns the engine on", []string{"-unscheduled"},
+			func(c Config) bool { return c.Prefetch.Enabled && !c.Prefetch.Scheduled }, nil},
+		{"a false fifo or unscheduled sets nothing", []string{"-fifo=false", "-unscheduled=false"},
+			func(c Config) bool { return reflect.DeepEqual(c, Base()) }, nil},
+		{"prefetch=false allows a false fifo or unscheduled", []string{"-prefetch=false", "-fifo=false", "-unscheduled=false"},
+			func(c Config) bool { return !c.Prefetch.Enabled }, nil},
+		{"prefetch=false rejects a scheme", []string{"-prefetch=false", "-scheme", "stream"}, nil, []string{"Prefetch.Scheme"}},
+		{"prefetch=false rejects every sub-knob", []string{"-prefetch=false", "-region", "2048", "-insert", "MRU", "-fifo", "-unscheduled"},
+			nil, []string{"Prefetch.RegionBytes", "Prefetch.Insert", "Prefetch.Policy", "Prefetch.Scheduled"}},
+		{"frfcfs-cap fills its window", []string{"-sched", "frfcfs-cap"},
+			func(c Config) bool { return c.SchedPolicy == "frfcfs-cap" && c.ReorderWindow == 8 }, nil},
+		{"an explicit window wins", []string{"-sched", "frfcfs-cap", "-reorder", "4"},
+			func(c Config) bool { return c.ReorderWindow == 4 }, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := flagConfig(tc.args...)
+			if tc.want != nil {
+				if got := rejectedFields(t, err); !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("fields %v, want %v", got, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.check(cfg) {
+				t.Fatalf("config %+v breaks the rule", cfg)
+			}
+			if err := cfg.Validate(); err != nil {
+				t.Fatalf("Validate: %v", err)
 			}
 		})
 	}

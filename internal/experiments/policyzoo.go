@@ -30,11 +30,10 @@ type SchedZooRow struct {
 func (r *Runner) SchedZoo() (*SchedZooResult, error) {
 	res := &SchedZooResult{}
 	for _, name := range policy.Sched.Names() {
-		cfg := core.Base()
-		cfg.Mapping = "xor"
-		cfg.Prefetch = core.TunedPrefetch()
-		cfg.SchedPolicy = name
-		cfg.ReorderWindow = policy.Sched.Fill(name, policy.SchedParams{}).Window
+		cfg, err := core.Tuned().Apply(core.Overrides{"sched_policy": name})
+		if err != nil {
+			return nil, err
+		}
 		results, err := r.perBench(cfg, false)
 		if err != nil {
 			return nil, err

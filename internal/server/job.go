@@ -6,7 +6,6 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/harden"
-	"memsim/internal/policy"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
@@ -61,36 +60,15 @@ type JobSpec struct {
 	// DeadlineSeconds bounds each execution's wall-clock time (a resumed
 	// job gets a fresh deadline); zero takes the server default.
 	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
-	// Config overrides individual fields of the preset configuration.
-	Config *ConfigOverrides `json:"config,omitempty"`
-}
-
-// ConfigOverrides is the JSON surface over core.Config: pointer fields
-// so "absent" and "zero" are distinguishable. The resulting Config is
-// still put through the aggregated core Config.Validate, so a job that
-// admits always builds.
-type ConfigOverrides struct {
-	Mapping          *string `json:"mapping,omitempty"`           // "base", "swap", "xor"
-	Interleaving     *string `json:"interleaving,omitempty"`      // "", "ganged", "independent"
-	Channels         *int    `json:"channels,omitempty"`          // power of two
-	ClosedPage       *bool   `json:"closed_page,omitempty"`       // row-buffer policy
-	Refresh          *bool   `json:"refresh,omitempty"`           // model DRAM refresh
-	ReorderWindow    *int    `json:"reorder_window,omitempty"`    // open-row-first issue window
-	SchedPolicy      *string `json:"sched_policy,omitempty"`      // "fcfs", "frfcfs", "frfcfs-cap"
-	BankTiming       *string `json:"bank_timing,omitempty"`       // "flat", "tiered", "rowreuse"
-	Prefetch         *bool   `json:"prefetch,omitempty"`          // enable the tuned prefetch engine
-	PrefetchScheme   *string `json:"prefetch_scheme,omitempty"`   // "region", "sequential", "stream"
-	SoftwarePrefetch *bool   `json:"software_prefetch,omitempty"` // execute software prefetches
-	L2SizeBytes      *int64  `json:"l2_size_bytes,omitempty"`
-	L2BlockBytes     *int    `json:"l2_block_bytes,omitempty"`
+	// Config sets individual knobs of the preset configuration, keyed
+	// by the JSON names of core.Knobs.
+	Config core.Overrides `json:"config,omitempty"`
 }
 
 // BuildConfig materializes the spec's core.Config: preset, then
-// overrides, then the aggregated validation pass. A non-nil error is a
-// *harden.ConfigError (for unknown presets, a plain error) suitable
-// for a typed 4xx response. A scheme override that leaves knobs its
-// scheme needs unset gets the scheme's fallback values, so one-field
-// overrides admit.
+// core.Config.Apply with the config knobs, then the aggregated
+// validation pass. A non-nil error is a *harden.ConfigError (for
+// unknown presets, a plain error) suitable for a typed 4xx response.
 func (sp *JobSpec) BuildConfig() (core.Config, error) {
 	var cfg core.Config
 	switch sp.Preset {
@@ -101,64 +79,9 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 	default:
 		return core.Config{}, fmt.Errorf(`preset %q: must be "base" or "tuned"`, sp.Preset)
 	}
+	cfg, err := cfg.Apply(sp.Config)
 	var v harden.Validator
-	if o := sp.Config; o != nil {
-		if o.Mapping != nil {
-			cfg.Mapping = *o.Mapping
-		}
-		if o.Interleaving != nil {
-			cfg.Interleaving = *o.Interleaving
-		}
-		if o.Channels != nil {
-			cfg.Channels = *o.Channels
-		}
-		if o.ClosedPage != nil {
-			cfg.ClosedPage = *o.ClosedPage
-		}
-		if o.Refresh != nil {
-			cfg.Refresh = *o.Refresh
-		}
-		if o.ReorderWindow != nil {
-			cfg.ReorderWindow = *o.ReorderWindow
-		}
-		if o.SchedPolicy != nil {
-			cfg.SchedPolicy = *o.SchedPolicy
-			if o.ReorderWindow == nil {
-				cfg.ReorderWindow = policy.Sched.Fill(cfg.SchedPolicy, policy.SchedParams{Window: cfg.ReorderWindow}).Window
-			}
-		}
-		if o.BankTiming != nil {
-			cfg.BankTiming = *o.BankTiming
-		}
-		if o.Prefetch != nil {
-			if *o.Prefetch {
-				cfg.Prefetch = core.TunedPrefetch()
-			} else {
-				cfg.Prefetch = core.PrefetchConfig{}
-			}
-		}
-		if o.PrefetchScheme != nil {
-			if o.Prefetch != nil && !*o.Prefetch {
-				v.Reject("Prefetch.Scheme", *o.PrefetchScheme, `conflicts with "prefetch": false`)
-			} else if !cfg.Prefetch.Enabled {
-				cfg.Prefetch = core.TunedPrefetch()
-			}
-			// The tuned engine carries the region knobs; the lookahead
-			// schemes take their fallback depth.
-			cfg.Prefetch.Scheme = *o.PrefetchScheme
-			cfg.Prefetch.Lookahead = policy.Prefetchers.Fill(cfg.Prefetch.Scheme,
-				policy.PrefetchParams{Lookahead: cfg.Prefetch.Lookahead}).Lookahead
-		}
-		if o.SoftwarePrefetch != nil {
-			cfg.SoftwarePrefetch = *o.SoftwarePrefetch
-		}
-		if o.L2SizeBytes != nil {
-			cfg.L2Size = *o.L2SizeBytes
-		}
-		if o.L2BlockBytes != nil {
-			cfg.L2Block = *o.L2BlockBytes
-		}
-	}
+	v.Merge("", err)
 	v.Merge("", cfg.Validate())
 	if err := v.Err(); err != nil {
 		return core.Config{}, err

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -590,61 +593,154 @@ func TestJobEndpoints(t *testing.T) {
 	}
 }
 
-// TestPolicyOverrides pins the policy-zoo override wiring: scheme
-// names land in the Config, and the one-field frfcfs-cap override
-// defaults its scan window so it admits without a paired
-// reorder_window.
+// TestPolicyOverrides pins the config-knob wiring: scheme names land
+// in the Config, the one-field frfcfs-cap override defaults its scan
+// window so it admits without a paired reorder_window, and a channel
+// count alone keeps Base's 8 devices.
 func TestPolicyOverrides(t *testing.T) {
-	sched := "frfcfs-cap"
-	spec := JobSpec{Config: &ConfigOverrides{SchedPolicy: &sched}}
-	cfg, err := spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
+	build := func(body string) core.Config {
+		t.Helper()
+		spec, _, aerr := decodeSpec(strings.NewReader(body))
+		if aerr != nil {
+			t.Fatalf("%s: %+v", body, aerr)
+		}
+		cfg, err := spec.BuildConfig()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		return cfg
 	}
-	if cfg.SchedPolicy != "frfcfs-cap" || cfg.ReorderWindow != 8 {
+	if cfg := build(`{"config":{"sched_policy":"frfcfs-cap"}}`); cfg.SchedPolicy != "frfcfs-cap" || cfg.ReorderWindow != 8 {
 		t.Fatalf("sched override: policy %q window %d, want frfcfs-cap/8", cfg.SchedPolicy, cfg.ReorderWindow)
 	}
-
-	timing := "rowreuse"
-	spec = JobSpec{Config: &ConfigOverrides{BankTiming: &timing}}
-	cfg, err = spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.BankTiming != "rowreuse" {
+	if cfg := build(`{"config":{"bank_timing":"rowreuse"}}`); cfg.BankTiming != "rowreuse" {
 		t.Fatalf("bank timing override: %q", cfg.BankTiming)
 	}
-
 	// An explicit reorder_window wins over the frfcfs-cap default.
-	window := 16
-	spec = JobSpec{Config: &ConfigOverrides{SchedPolicy: &sched, ReorderWindow: &window}}
-	cfg, err = spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ReorderWindow != 16 {
+	if cfg := build(`{"config":{"sched_policy":"frfcfs-cap","reorder_window":16}}`); cfg.ReorderWindow != 16 {
 		t.Fatalf("explicit window overridden to %d", cfg.ReorderWindow)
 	}
-
 	// A scheme override enables the tuned engine with the scheme's
 	// fallback lookahead.
-	stream := "stream"
-	spec = JobSpec{Config: &ConfigOverrides{PrefetchScheme: &stream}}
-	cfg, err = spec.BuildConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.Prefetch.Enabled || cfg.Prefetch.Scheme != "stream" || cfg.Prefetch.Lookahead != 4 {
+	if cfg := build(`{"config":{"prefetch_scheme":"stream"}}`); !cfg.Prefetch.Enabled || cfg.Prefetch.Scheme != "stream" || cfg.Prefetch.Lookahead != 4 {
 		t.Fatalf("scheme override: %+v, want stream enabled with lookahead 4", cfg.Prefetch)
+	}
+	// Eight channels keep the 8 devices of Base's 4×2, as memsim,
+	// sweep and Figure 5 build them.
+	for _, preset := range []string{"base", "tuned"} {
+		if cfg := build(`{"preset":"` + preset + `","config":{"channels":8}}`); cfg.Channels != 8 || cfg.DevicesPerChannel != 1 {
+			t.Fatalf("%s channels override: %d×%d, want 8×1", preset, cfg.Channels, cfg.DevicesPerChannel)
+		}
 	}
 
 	// An explicit "prefetch": false contradicts a scheme override; it
 	// is rejected, not silently turned back on.
-	off := false
-	spec = JobSpec{Config: &ConfigOverrides{Prefetch: &off, PrefetchScheme: &stream}}
-	_, err = spec.BuildConfig()
+	spec := JobSpec{Config: core.Overrides{"prefetch": false, "prefetch_scheme": "stream"}}
+	_, err := spec.BuildConfig()
 	var ce *harden.ConfigError
 	if !errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != "Prefetch.Scheme" {
 		t.Fatalf("prefetch off with a scheme: err = %v, want one Prefetch.Scheme field", err)
+	}
+}
+
+// TestConfigSurfaces pins the names each config surface accepts, as
+// listed at the knob table's introduction, so adding or dropping a
+// knob on one surface fails here: memsim's machine flags (whether each
+// is boolean, and that none shows a default, as an unset one leaves the
+// preset's value), memsimd's "config" keys and sweep's -param values.
+// It also pins memsimd's decode contract for the "config" object.
+func TestConfigSurfaces(t *testing.T) {
+	wantFlags := map[string]bool{
+		"banktiming": false, "block": false, "channels": false, "counterfactual": true,
+		"devices": false, "fifo": true, "ghz": false, "insert": false,
+		"interleaving": false, "l2": false, "mapping": false, "part": false,
+		"perfect-l2": true, "perfect-mem": true, "prefetch": true, "refresh": true,
+		"region": false, "reorder": false, "sched": false, "scheme": false,
+		"swprefetch": true, "unscheduled": true,
+	}
+	wantKeys := []string{"bank_timing", "channels", "closed_page", "interleaving",
+		"l2_block_bytes", "l2_size_bytes", "mapping", "prefetch", "prefetch_scheme",
+		"refresh", "reorder_window", "sched_policy", "software_prefetch"}
+	wantParams := []string{"block", "channels", "l2mb", "lookahead", "mshrs", "region", "reorder"}
+
+	fs := flag.NewFlagSet("memsim", flag.ContinueOnError)
+	core.RegisterFlags(fs, core.Overrides{})
+	flags := map[string]bool{}
+	fs.VisitAll(func(f *flag.Flag) {
+		if f.DefValue != "" {
+			t.Errorf("memsim flag -%s shows default %q, want none", f.Name, f.DefValue)
+		}
+		b, ok := f.Value.(interface{ IsBoolFlag() bool })
+		flags[f.Name] = ok && b.IsBoolFlag()
+	})
+	if !reflect.DeepEqual(flags, wantFlags) {
+		t.Errorf("memsim flags %v, want %v", flags, wantFlags)
+	}
+	var keys, params []string
+	for _, k := range core.Knobs {
+		if k.JSON != "" {
+			keys = append(keys, k.JSON)
+		}
+		if k.Param != "" {
+			params = append(params, k.Param)
+		}
+	}
+	sort.Strings(keys)
+	sort.Strings(params)
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("memsimd config keys %v, want %v", keys, wantKeys)
+	}
+	if !reflect.DeepEqual(params, wantParams) {
+		t.Errorf("sweep params %v, want %v", params, wantParams)
+	}
+
+	svc := newService(t, Config{Workers: 1, RatePerSec: -1, runHook: instantHook})
+	post := func(body string) (int, apiError) {
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(body)))
+		var eb errorBody
+		if rec.Code != http.StatusAccepted {
+			if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+				t.Fatalf("%s: non-JSON error body %q", body, rec.Body)
+			}
+		}
+		return rec.Code, eb.Error
+	}
+	// A mistyped value reaches the outer decoder wrapped: encoding/json
+	// rewrites a bare type error's field, and differently across Go
+	// releases, so only the wrapped one keeps config.<key> everywhere.
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(`{"config":{"channels":"x"}}`), &spec); errors.As(err, new(*json.UnmarshalTypeError)) {
+		if _, bare := err.(*json.UnmarshalTypeError); bare {
+			t.Errorf("config type error %v reaches the outer decoder bare", err)
+		}
+	} else {
+		t.Errorf("config type error = %v, want a wrapped *json.UnmarshalTypeError", err)
+	}
+	for _, key := range wantKeys {
+		if code, aerr := post(`{"benchmarks":["gzip"],"config":{"` + key + `":null}}`); code != http.StatusAccepted {
+			t.Errorf("config key %q: %d %+v, want 202", key, code, aerr)
+		}
+	}
+	for _, tc := range []struct {
+		body   string
+		status int
+		code   string
+		fields []string
+	}{
+		{`{"config":{"channels":"x"}}`, http.StatusBadRequest, codeWrongType, []string{"config.channels"}},
+		{`{"config":{"bogus":1}}`, http.StatusBadRequest, codeUnknownField, nil},
+		// The first bad key in document order is the one reported.
+		{`{"config":{"bogus":1,"channels":"x"}}`, http.StatusBadRequest, codeUnknownField, nil},
+		{`{"config":{"channels":"x","bogus":1}}`, http.StatusBadRequest, codeWrongType, []string{"config.channels"}},
+		{`{"config":{"refresh":true,"l2_block_bytes":1.5}}`, http.StatusBadRequest, codeWrongType, []string{"config.l2_block_bytes"}},
+		{`{"config":"x"}`, http.StatusBadRequest, codeWrongType, []string{"config"}},
+		{`{"benchmarks":["gzip"],"config":{"channels":null}}`, http.StatusAccepted, "", nil},
+		{`{"benchmarks":["gzip"],"config":null}`, http.StatusAccepted, "", nil},
+	} {
+		code, aerr := post(tc.body)
+		if code != tc.status || aerr.Code != tc.code || !reflect.DeepEqual(aerr.Fields, tc.fields) {
+			t.Errorf("%s: %d %+v, want %d %s %v", tc.body, code, aerr, tc.status, tc.code, tc.fields)
+		}
 	}
 }
