@@ -27,6 +27,7 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -47,7 +48,7 @@ const (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	w := csv.NewWriter(os.Stdout)
-	code, err := sweep(ctx, flag.CommandLine, os.Args[1:], w)
+	code, err := sweep(ctx, flag.CommandLine, os.Args[1:], w, os.Stderr)
 	// Flush unconditionally: rows simulated before a mid-sweep failure
 	// must reach the output, error or not.
 	w.Flush()
@@ -64,11 +65,12 @@ func main() {
 	os.Exit(code)
 }
 
-// sweep parses args on fs and runs the sweep, writing CSV rows to w.
+// sweep parses args on fs and runs the sweep, writing CSV rows to w
+// and warnings about recoverable trouble to diag.
 // The swept knob and every value are checked against core.Knobs, and
 // without -keep-going every point is validated, before the header is
 // written, so a bad -param or -values leaves no output.
-func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer) (code int, err error) {
+func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer, diag io.Writer) (code int, err error) {
 	params := map[string]*core.Knob{}
 	var names []string
 	for i, k := range core.Knobs {
@@ -142,6 +144,9 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer) 
 		if err != nil {
 			return exitFailed, err
 		}
+		if q := m.Quarantined(); q != "" {
+			fmt.Fprintf(diag, "sweep: checkpoint %s was corrupt (quarantined as %s); starting fresh\n", *checkpoint, q)
+		}
 		manifest = m
 	case *checkpoint != "":
 		manifest = experiments.NewManifest(*checkpoint)
@@ -156,7 +161,7 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer) 
 			case err == nil:
 				code, err = exitFailed, serr
 			default:
-				fmt.Fprintln(os.Stderr, "sweep: checkpoint save failed:", serr)
+				fmt.Fprintln(diag, "sweep: checkpoint save failed:", serr)
 			}
 		}()
 	}
@@ -197,7 +202,7 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer) 
 				return exitFailed, pointErr
 			}
 			degraded = true
-			fmt.Fprintln(os.Stderr, "sweep:", pointErr, "(continuing)")
+			fmt.Fprintln(diag, "sweep:", pointErr, "(continuing)")
 			if werr := w.Write([]string{fmt.Sprint(v), "", "", "", "", "", "",
 				"FAILED: " + experiments.FirstLine(err)}); werr != nil {
 				return exitFailed, werr

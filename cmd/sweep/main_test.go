@@ -6,6 +6,8 @@ import (
 	"encoding/csv"
 	"flag"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,7 +28,7 @@ func TestBadSweepWritesNothing(t *testing.T) {
 		w := csv.NewWriter(&out)
 		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		code, err := sweep(context.Background(), fs, append(args, "-instrs", "1000", "-warmup", "0"), w)
+		code, err := sweep(context.Background(), fs, append(args, "-instrs", "1000", "-warmup", "0"), w, io.Discard)
 		w.Flush()
 		if code != exitFailed || err == nil {
 			t.Errorf("%v: code %d err %v, want %d and an error", args, code, err, exitFailed)
@@ -45,12 +47,41 @@ func TestKeepGoingInvalidPoint(t *testing.T) {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	code, err := sweep(context.Background(), fs, []string{"-param", "channels", "-values", "3", "-keep-going",
-		"-instrs", "1000", "-warmup", "0"}, w)
+		"-instrs", "1000", "-warmup", "0"}, w, io.Discard)
 	w.Flush()
 	if code != exitDegraded || err != nil {
 		t.Fatalf("code %d err %v, want %d and no error", code, err, exitDegraded)
 	}
 	if !strings.Contains(out.String(), "\n3,,,,,,,FAILED: ") {
 		t.Fatalf("output %q has no FAILED row for channels=3", out.String())
+	}
+}
+
+// TestResumeCorruptCheckpoint pins that -resume over a garbage
+// -checkpoint file still completes the sweep, moves the file aside as
+// <path>.corrupt, and says so on the diagnostics stream.
+func TestResumeCorruptCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, diag bytes.Buffer
+	w := csv.NewWriter(&out)
+	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	code, err := sweep(context.Background(), fs, []string{"-param", "channels", "-values", "2",
+		"-instrs", "1000", "-warmup", "0", "-checkpoint", path, "-resume"}, w, &diag)
+	w.Flush()
+	if code != exitOK || err != nil {
+		t.Fatalf("code %d err %v, want %d and no error", code, err, exitOK)
+	}
+	if !strings.Contains(out.String(), "\n2,") {
+		t.Errorf("output %q has no row for channels=2", out.String())
+	}
+	if _, err := os.Stat(path + ".corrupt"); err != nil {
+		t.Errorf("corrupt checkpoint not quarantined: %v", err)
+	}
+	if !strings.Contains(diag.String(), path+".corrupt") {
+		t.Errorf("diagnostics %q do not name the quarantined file", diag.String())
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"time"
 
-	"memsim/internal/cluster"
 	"memsim/internal/core"
 	"memsim/internal/experiments"
 	"memsim/internal/server"
@@ -154,11 +153,9 @@ func canonicalResults(svc *server.Service, f *vfs.Fault) ([]byte, error) {
 
 // BatchScenario drills an experiments batch with an on-disk
 // checkpoint manifest: load (or resume) the manifest, run a two-bench
-// suite plus a two-system cluster spec through the orchestrator, save.
-// Canonical bytes are the batch results in suite order followed by the
-// merged cluster result, so a resume that diverges on either path —
-// including reusing half a cluster, which the single-entry cluster
-// checkpoint forbids by construction — fails the differential check.
+// suite through the orchestrator, save. Canonical bytes are the bench
+// results in suite order, so a resume that reuses a torn entry or
+// re-simulates into different bytes fails the differential check.
 func BatchScenario() Scenario {
 	return batchScenario{}
 }
@@ -186,18 +183,6 @@ func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
 		return nil, err
 	}
 	results, err := runner.RunBenches(core.Base(), false)
-	var clusters []cluster.Result
-	if err == nil {
-		clusters, err = runner.RunClusters([]cluster.Config{{
-			Systems: []cluster.SystemSpec{
-				{Bench: "mcf", Seed: 1},
-				{Bench: "swim", Seed: 2},
-			},
-			Channels:     1,
-			MaxInstrs:    drillInstrs,
-			WarmupInstrs: drillWarmup,
-		}})
-	}
 	if serr := m.Save(); err == nil && serr != nil {
 		err = serr
 	}
@@ -207,10 +192,7 @@ func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(struct {
-		Benches  []core.Result    `json:"benches"`
-		Clusters []cluster.Result `json:"clusters"`
-	}{results, clusters})
+	return json.Marshal(results)
 }
 
 // ManifestsRunOnce is the no-resimulation invariant: after recovery,

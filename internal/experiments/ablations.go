@@ -24,7 +24,7 @@ type RegionSizeResult struct {
 func (r *Runner) RegionSize() (*RegionSizeResult, error) {
 	base := core.Base()
 	base.Mapping = "xor"
-	baseRes, err := r.perBench(base, false)
+	baseRes, err := r.RunBenches(base, false)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +34,7 @@ func (r *Runner) RegionSize() (*RegionSizeResult, error) {
 		cfg := base
 		cfg.Prefetch = core.TunedPrefetch()
 		cfg.Prefetch.RegionBytes = sz
-		results, err := r.perBench(cfg, false)
+		results, err := r.RunBenches(cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -79,7 +79,7 @@ func (r *Runner) QueueDepth() (*QueueDepthResult, error) {
 		cfg.Mapping = "xor"
 		cfg.Prefetch = core.TunedPrefetch()
 		cfg.Prefetch.QueueDepth = d
-		results, err := r.perBench(cfg, false)
+		results, err := r.RunBenches(cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -131,11 +131,11 @@ func (r *Runner) Throttle() (*ThrottleResult, error) {
 	throttled.Prefetch.ThrottleAccuracy = 0.10
 	throttled.Prefetch.ThrottleWindow = 256
 
-	tunedRes, err := r.perBench(tuned, false)
+	tunedRes, err := r.RunBenches(tuned, false)
 	if err != nil {
 		return nil, err
 	}
-	thrRes, err := r.perBench(throttled, false)
+	thrRes, err := r.RunBenches(throttled, false)
 	if err != nil {
 		return nil, err
 	}

@@ -31,11 +31,11 @@ func (r *Runner) CacheSize() (*CacheSizeResult, error) {
 		pf := base
 		pf.Prefetch = core.TunedPrefetch()
 
-		baseRes, err := r.perBench(base, false)
+		baseRes, err := r.RunBenches(base, false)
 		if err != nil {
 			return nil, err
 		}
-		pfRes, err := r.perBench(pf, false)
+		pfRes, err := r.RunBenches(pf, false)
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"memsim/internal/cluster"
 	"memsim/internal/core"
 	"memsim/internal/vfs"
 )
@@ -29,7 +28,10 @@ func SpecKey(bench string, seed uint64, swpf bool, cfg core.Config) string {
 	return hex.EncodeToString(h[:8])
 }
 
-// ManifestEntry records one completed run.
+// ManifestEntry records one completed run. Manifests from older builds
+// may also hold cluster-run entries (a "cluster" field, keys prefixed
+// "c"): the field is dropped on load and such keys never match a
+// SpecKey, so those entries are carried along but never reused.
 type ManifestEntry struct {
 	// Bench names the workload, for human inspection of the manifest.
 	Bench string `json:"bench"`
@@ -42,11 +44,6 @@ type ManifestEntry struct {
 	// (see core.System.ObsMetricsDelta) when the batch armed the
 	// metrics registry; nil otherwise.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// Cluster holds a cluster run's merged result (keyed by
-	// ClusterKey); Result is zero for such entries. One cluster run is
-	// one entry — recorded in one atomic flush — so the no-resimulation
-	// invariant (TotalRuns == Len) covers sharded runs unchanged.
-	Cluster *cluster.Result `json:"cluster,omitempty"`
 }
 
 // Manifest is the on-disk checkpoint of a batch: completed results
@@ -174,33 +171,6 @@ func (m *Manifest) Record(key, bench string, res core.Result, metrics map[string
 	}
 	e.Result = res
 	e.Metrics = metrics
-	e.Runs++
-	return m.flushLocked()
-}
-
-// LookupCluster returns the checkpointed cluster result for key, if
-// present.
-func (m *Manifest) LookupCluster(key string) (cluster.Result, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[key]
-	if !ok || e.Cluster == nil {
-		return cluster.Result{}, false
-	}
-	return *e.Cluster, true
-}
-
-// RecordCluster stores a completed cluster run and flushes the
-// manifest, mirroring Record's error contract.
-func (m *Manifest) RecordCluster(key, name string, res cluster.Result) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.entries[key]
-	if e == nil {
-		e = &ManifestEntry{Bench: name}
-		m.entries[key] = e
-	}
-	e.Cluster = &res
 	e.Runs++
 	return m.flushLocked()
 }

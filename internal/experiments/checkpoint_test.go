@@ -68,3 +68,17 @@ func TestManifestOnMemFS(t *testing.T) {
 		t.Fatalf("temp file left on the seam: %v", err)
 	}
 }
+
+// TestSpecKeyPinned pins SpecKey for one fixed spec. The key hashes the
+// printed form of the whole core.Config, so a change to any Config field
+// or its formatting re-keys every memsimd job manifest and every
+// `experiments -checkpoint` file: resumes then re-simulate everything.
+// If this test fails on purpose, record the key change in CHANGES.md.
+func TestSpecKeyPinned(t *testing.T) {
+	cfg := core.Base()
+	cfg.MaxInstrs = 30_000
+	cfg.WarmupInstrs = 60_000
+	if got, want := SpecKey("mcf", 7, true, cfg), "69b66079a586b1b4"; got != want {
+		t.Fatalf("SpecKey = %s, want %s", got, want)
+	}
+}

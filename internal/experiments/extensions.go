@@ -45,7 +45,7 @@ func (r *Runner) Reorder() (*ReorderResult, error) {
 		if c.pf {
 			cfg.Prefetch = core.TunedPrefetch()
 		}
-		results, err := r.perBench(cfg, false)
+		results, err := r.RunBenches(cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func (r *Runner) Refresh() (*RefreshResult, error) {
 			if pf {
 				cfg.Prefetch = core.TunedPrefetch()
 			}
-			results, err := r.perBench(cfg, false)
+			results, err := r.RunBenches(cfg, false)
 			if err != nil {
 				return nil, err
 			}

@@ -45,15 +45,15 @@ func (r *Runner) Fig1() (*Fig1Result, error) {
 	pm := base
 	pm.PerfectMem = true
 
-	real, err := r.perBench(base, false)
+	real, err := r.RunBenches(base, false)
 	if err != nil {
 		return nil, err
 	}
-	perfL2, err := r.perBench(pl2, false)
+	perfL2, err := r.RunBenches(pl2, false)
 	if err != nil {
 		return nil, err
 	}
-	perfMem, err := r.perBench(pm, false)
+	perfMem, err := r.RunBenches(pm, false)
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func (r *Runner) Interleave() (*InterleaveResult, error) {
 		cfg.Mapping = "xor"
 		cfg.Interleaving = c.il
 		cfg.L2Block = c.block
-		results, err := r.perBench(cfg, false)
+		results, err := r.RunBenches(cfg, false)
 		if err != nil {
 			return nil, err
 		}

@@ -46,7 +46,7 @@ func TestRunAllParallelismDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.perBench(core.Base(), false)
+		res, err := r.RunBenches(core.Base(), false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.perBench(core.Base(), false)
+	res, err := r.RunBenches(core.Base(), false)
 	if err != nil {
 		t.Fatalf("degraded batch returned error: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestOrchestratorFailFastAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.perBench(core.Base(), false)
+	_, err = r.RunBenches(core.Base(), false)
 	if err == nil {
 		t.Fatal("batch with a failing spec succeeded without KeepGoing")
 	}
@@ -160,7 +160,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r1.perBench(core.Base(), false)
+	first, err := r1.RunBenches(core.Base(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r2.perBench(core.Base(), false)
+	second, err := r2.RunBenches(core.Base(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBatchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.perBench(core.Base(), false); !errors.Is(err, context.Canceled) {
+	if _, err := r.RunBenches(core.Base(), false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -271,5 +271,44 @@ func TestManifestLoadErrors(t *testing.T) {
 	}
 	if _, err := LoadManifest(wrong); err == nil {
 		t.Error("version-mismatched manifest accepted")
+	}
+}
+
+// TestCheckpointMetrics pins the `experiments -metrics` path: with the
+// metrics registry armed, each checkpointed run stores its
+// warmup-adjusted metric deltas in its manifest entry and they survive
+// a reload; a default batch stores none.
+func TestCheckpointMetrics(t *testing.T) {
+	for _, armed := range []bool{true, false} {
+		path := filepath.Join(t.TempDir(), "runs.json")
+		opt := Options{Instrs: 5_000, Warmup: 5_000, Benchmarks: []string{"swim"}, Checkpoint: NewManifest(path)}
+		opt.Obs.Metrics = armed
+		r, err := NewRunner(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.RunBenches(core.Base(), false); err != nil {
+			t.Fatal(err)
+		}
+		if err := opt.Checkpoint.Save(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := LoadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Len() != 1 {
+			t.Fatalf("metrics=%v: reloaded manifest holds %d entries, want 1", armed, m.Len())
+		}
+		for key, e := range m.entries {
+			switch {
+			case armed && len(e.Metrics) == 0:
+				t.Errorf("metrics armed: entry %s stored no metric deltas", key)
+			case armed && !reflect.DeepEqual(e.Metrics, opt.Checkpoint.entries[key].Metrics):
+				t.Errorf("metrics armed: entry %s deltas changed across the reload", key)
+			case !armed && e.Metrics != nil:
+				t.Errorf("default batch: entry %s stored %d metrics", key, len(e.Metrics))
+			}
+		}
 	}
 }

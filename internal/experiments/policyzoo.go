@@ -34,7 +34,7 @@ func (r *Runner) SchedZoo() (*SchedZooResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := r.perBench(cfg, false)
+		results, err := r.RunBenches(cfg, false)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +95,7 @@ func (r *Runner) TimingZoo() (*TimingZooResult, error) {
 		cfg.Mapping = "xor"
 		cfg.Prefetch = core.TunedPrefetch()
 		cfg.BankTiming = name
-		results, err := r.perBench(cfg, false)
+		results, err := r.RunBenches(cfg, false)
 		if err != nil {
 			return nil, err
 		}

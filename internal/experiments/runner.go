@@ -442,18 +442,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // RunBenches runs one configuration across the active benchmark suite,
-// returning results in suite order. It is the service seam: cmd/memsimd
-// jobs resolve through the same worker pool, checkpoint reuse, retry
-// policy, and cancellation plumbing as the batch experiments, so a
-// daemon restart resumes a half-finished job from its manifest exactly
-// like `experiments -resume` resumes a batch.
+// returning results in suite order. Every artifact resolves its runs
+// here, and so do cmd/memsimd jobs and cmd/sweep points: they share the
+// worker pool, checkpoint reuse, retry policy, and cancellation
+// plumbing, so a daemon restart resumes a half-finished job from its
+// manifest exactly like `experiments -resume` resumes a batch.
 func (r *Runner) RunBenches(cfg core.Config, swpf bool) ([]core.Result, error) {
-	return r.perBench(cfg, swpf)
-}
-
-// perBench runs one configuration across the whole active suite,
-// returning results keyed by benchmark order.
-func (r *Runner) perBench(cfg core.Config, swpf bool) ([]core.Result, error) {
 	specs := make([]spec, len(r.opt.Benchmarks))
 	for i, b := range r.opt.Benchmarks {
 		specs[i] = spec{bench: b, cfg: cfg, swpf: swpf}

@@ -45,22 +45,22 @@ func (r *Runner) SWPF() (*SWPFResult, error) {
 	both := region
 	both.SoftwarePrefetch = true
 
-	baseRes, err := r.perBench(base, false)
+	baseRes, err := r.RunBenches(base, false)
 	if err != nil {
 		return nil, err
 	}
 	// Software prefetch instructions must be present in the stream for
 	// the SW configurations (the base ones discard them at no cost, as
 	// the paper's simulator does).
-	swRes, err := r.perBench(sw, true)
+	swRes, err := r.RunBenches(sw, true)
 	if err != nil {
 		return nil, err
 	}
-	regionRes, err := r.perBench(region, false)
+	regionRes, err := r.RunBenches(region, false)
 	if err != nil {
 		return nil, err
 	}
-	bothRes, err := r.perBench(both, true)
+	bothRes, err := r.RunBenches(both, true)
 	if err != nil {
 		return nil, err
 	}
