@@ -270,9 +270,20 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	return false
 }
 
+// CountMiss changes the statistics exactly as Access does for a block
+// that is not resident, without looking the block up. The hierarchy
+// uses it to replay a refused access whose lookup outcome it knows.
+func (c *Cache) CountMiss(write bool) {
+	c.stats.Accesses++
+	c.stats.Misses++
+	if write {
+		c.stats.Writes++
+	}
+}
+
 // Contains reports whether the block holding addr is resident, without
-// disturbing recency or statistics. The prefetch engine uses it to
-// build region bitmaps.
+// disturbing recency or statistics. The prefetch issue path uses it to
+// drop resident candidates.
 func (c *Cache) Contains(addr uint64) bool {
 	block := c.BlockAddr(addr)
 	for _, ln := range c.resident(block) {

@@ -206,8 +206,36 @@ func (s *System) injectOnSubmit(g int, r *memctrl.Request) {
 		// s.capacity is block-aligned and one past the highest real
 		// address, so the phantom entry can never be completed by a
 		// legitimate fill.
+		s.gen++
 		s.mshrs.Allocate(s.capacity, false)
 	}
+}
+
+// checkRefusal re-derives a replayed refusal of addr with read-only
+// probes. A mismatch means some hierarchy change skipped its generation
+// bump; the panic reaches Run as a CorruptionError.
+func (s *System) checkRefusal(addr uint64) {
+	block := s.l2.BlockAddr(addr)
+	_, inflight := s.inflight[block]
+	_, pending := s.mshrs.Lookup(block)
+	var why string
+	switch {
+	case s.l1.Contains(addr):
+		why = "the L1 holds it"
+	case s.l2.Contains(addr):
+		why = "the L2 holds it"
+	case s.pfbuffer != nil && s.pfbuffer.Contains(block):
+		why = "the prefetch buffer holds it"
+	case inflight:
+		why = "a prefetch of it is in flight"
+	case pending:
+		why = "an MSHR holds it"
+	case !s.mshrs.Full():
+		why = "an MSHR is free"
+	default:
+		return
+	}
+	panic(fmt.Sprintf("core: replayed refusal of %#x at generation %d, but %s", addr, s.gen, why))
 }
 
 // recoverCorruption converts a panic escaping the event loop into a

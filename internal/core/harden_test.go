@@ -160,11 +160,25 @@ func TestHardenedRunIsDeterministic(t *testing.T) {
 }
 
 // TestParanoidCleanRunAllConfigs checks the invariant checker reports
-// nothing on healthy runs across the interesting system shapes.
+// nothing on healthy runs across the interesting system shapes. The
+// MSHR-starved shapes refuse often, so the paranoid re-check of each
+// replayed refusal fails here when a hierarchy change skips its
+// generation bump.
 func TestParanoidCleanRunAllConfigs(t *testing.T) {
+	starved := func(n, buffer int) func() Config {
+		return func() Config {
+			c := Tuned()
+			c.MSHRs = n
+			c.Prefetch.BufferBlocks = buffer
+			return c
+		}
+	}
 	shapes := map[string]func() Config{
-		"base":  Base,
-		"tuned": Tuned,
+		"tuned-mshr1":  starved(1, 0),
+		"tuned-mshr2":  starved(2, 0),
+		"buffer-mshr2": starved(2, 32),
+		"base":         Base,
+		"tuned":        Tuned,
 		"independent": func() Config {
 			c := Tuned()
 			c.Interleaving = "independent"

@@ -47,6 +47,15 @@ type System struct {
 	mshrs    *cache.MSHRTable[waiter]
 	inflight map[uint64]*missReq // prefetch fills in flight, by L2 block
 
+	// gen counts the hierarchy changes that can turn a refused access
+	// into an accepted one: an MSHR allocated or completed, a prefetch
+	// entering or leaving inflight, a block installed in the L1, L2 or
+	// prefetch buffer. refused is the last access refused for want of
+	// an MSHR; while gen stays at refused.gen, a retry of it is refused
+	// again without a lookup (see replayRefusal).
+	gen     uint64
+	refused refusal
+
 	// freeReqs and freeWBs are the free lists of pooled fill requests
 	// (see missReq) and writebacks; both grow lazily to the peak number
 	// in flight. recycleWB, bound once, returns a writeback to its list.
@@ -140,6 +149,14 @@ type missReq struct {
 	release             func(*memctrl.Request)
 	next                *missReq // free-list link
 	live                bool     // taken from the free list, not yet released
+}
+
+// refusal is an access the hierarchy refused for want of an MSHR, and
+// the generation it was refused at.
+type refusal struct {
+	addr  uint64
+	write bool
+	gen   uint64
 }
 
 // waiter is a request merged into an outstanding fill: the fill
@@ -242,6 +259,7 @@ func (r *missReq) onComplete(at sim.Time) {
 		}
 	case prefetchReq:
 		s.completions++
+		s.gen++
 		delete(s.inflight, r.block)
 		s.installL2(r.block, false, !r.demand)
 		if r.demand && s.pf != nil {
@@ -256,6 +274,7 @@ func (r *missReq) onComplete(at sim.Time) {
 	case swPrefetchReq:
 		s.completions++
 		s.installL2(r.block, false, true)
+		s.gen++
 		s.mshrs.Complete(r.block, at)
 		s.core.Wake()
 	}
@@ -264,6 +283,7 @@ func (r *missReq) onComplete(at sim.Time) {
 // deliverDemand installs a demand fill and retires its MSHR entry.
 func (s *System) deliverDemand(block uint64, write bool, at sim.Time) {
 	s.installL2(block, write, false)
+	s.gen++
 	s.mshrs.Complete(block, at)
 	s.core.Wake()
 }
@@ -331,6 +351,7 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		l2:       l2,
 		mshrs:    cache.NewMSHRTable[waiter](cfg.MSHRs),
 		inflight: make(map[uint64]*missReq),
+		gen:      1, // the zero refusal never matches
 		capacity: org.Capacity(),
 		pfBuf:    make([][]uint64, org.Groups),
 		extMem:   mem,
@@ -581,7 +602,9 @@ type hierarchy System
 // Access implements cpu.Memory.
 func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)) cpu.Reply {
 	s := (*System)(h)
-	addr %= s.capacity
+	if addr >= s.capacity {
+		addr %= s.capacity // in-range addresses skip the division
+	}
 	now := s.sched.Now()
 
 	if kind == trace.SWPrefetch {
@@ -593,6 +616,9 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	}
 
 	write := kind == trace.Store
+	if s.refused == (refusal{addr, write, s.gen}) {
+		return s.replayRefusal(addr, write)
+	}
 	if s.l1.Access(addr, write) {
 		return cpu.Reply{Accepted: true, Done: true, At: now + s.clock.Cycles(int64(s.cfg.L1HitCycles))}
 	}
@@ -641,9 +667,11 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	}
 
 	if s.mshrs.Full() {
+		s.refused = refusal{addr, write, s.gen}
 		return cpu.Reply{} // rejected; the core retries after Wake
 	}
 
+	s.gen++
 	m := s.mshrs.Allocate(block, false)
 	m.Waiters = append(m.Waiters, w)
 
@@ -655,9 +683,27 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	return cpu.Reply{Accepted: true}
 }
 
+// replayRefusal answers a retry of the last refused access when no
+// hierarchy change since could have flipped the refusal. It counts what
+// the full lookup would have (an L1, L2 and prefetch-buffer miss), so
+// every reported statistic matches, and refuses again. Under
+// Harden.Paranoid it first re-derives the refusal (see checkRefusal).
+func (s *System) replayRefusal(addr uint64, write bool) cpu.Reply {
+	if s.cfg.Harden.Paranoid {
+		s.checkRefusal(addr)
+	}
+	s.l1.CountMiss(write)
+	s.l2.CountMiss(write)
+	if s.pfbuffer != nil {
+		s.pfbuffer.CountMiss(false)
+	}
+	return cpu.Reply{}
+}
+
 // fillL1 installs the block containing addr into the L1, absorbing the
 // victim writeback into the L2.
 func (s *System) fillL1(addr uint64, write bool) {
+	s.gen++
 	v := s.l1.Insert(addr, cache.MRU, write, false)
 	if v.Valid && v.Dirty && !s.cfg.PerfectMem && !s.cfg.PerfectL2 {
 		if !s.l2.MarkDirty(v.Addr) {
@@ -673,6 +719,7 @@ func (s *System) fillL1(addr uint64, write bool) {
 // accuracy throttle as failures. Prefetched blocks divert to the
 // separate buffer when one is configured.
 func (s *System) installL2(block uint64, dirty, prefetched bool) {
+	s.gen++
 	if prefetched && s.pfbuffer != nil {
 		v := s.pfbuffer.Insert(block, cache.MRU, false, true)
 		if v.Valid && s.pf != nil {
@@ -761,6 +808,7 @@ func (s *System) makePrefetchRequest(block uint64) (*memctrl.Request, bool) {
 	}
 	_, local := s.stripe(block)
 	r := s.newReq(prefetchReq, local, block, false)
+	s.gen++
 	s.inflight[block] = r
 	return &r.Request, true
 }
@@ -793,6 +841,7 @@ func (s *System) softwarePrefetch(addr uint64) cpu.Reply {
 		return cpu.Reply{} // dropped by the core
 	}
 	s.swPrefetches++
+	s.gen++
 	s.mshrs.Allocate(block, true)
 	s.submit(&s.newReq(swPrefetchReq, block, block, false).Request)
 	return done

@@ -297,8 +297,10 @@ func (c *CPU) DebugState() string {
 }
 
 // Wake nudges a stalled core, e.g. after the hierarchy frees an MSHR.
+// A core with a step already armed needs no nudge, so it returns before
+// computing the next edge.
 func (c *CPU) Wake() {
-	if !c.finished {
+	if !c.finished && !c.stepArmed {
 		c.armAt(c.cfg.Clock.NextEdge(c.sched.Now()))
 	}
 }

@@ -170,8 +170,7 @@ func (s Stats) Delta(base Stats) Stats {
 // controller; the engine only decides which block to prefetch next.
 type Engine struct {
 	cfg   Config
-	queue []*region // index 0 = highest issue priority
-	index map[uint64]*region
+	queue []*region // index 0 = highest issue priority; bases unique
 	// free holds entries that left the queue, reused by later regions
 	// so a warmed engine allocates nothing.
 	free []*region
@@ -196,7 +195,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.ThrottleAccuracy > 0 && cfg.ThrottleWindow <= 0 {
 		cfg.ThrottleWindow = 256
 	}
-	return &Engine{cfg: cfg, index: make(map[uint64]*region)}, nil
+	return &Engine{cfg: cfg}, nil
 }
 
 // Config reports the engine configuration.
@@ -216,9 +215,12 @@ func (e *Engine) blockIndex(addr uint64) int {
 	return int(addr%uint64(e.cfg.RegionBytes)) / e.cfg.BlockBytes
 }
 
-// OnDemandMiss informs the engine of a demand L2 miss. resident reports
-// whether a given block-aligned address is already cached; it is
-// consulted once per block when a new region entry is created.
+// OnDemandMiss informs the engine of a demand L2 miss. resident, when
+// non-nil, reports whether a given block-aligned address is already
+// cached; it is consulted once per block when a new region entry is
+// created. A nil resident skips that walk and leaves every other block
+// pending: the core passes nil, because it re-checks residency when a
+// prefetch issues (see core's makePrefetchRequest).
 //
 // If the miss falls within a queued region, the miss block is marked
 // done and, under LIFO, the region is re-promoted to the head.
@@ -227,29 +229,29 @@ func (e *Engine) blockIndex(addr uint64) int {
 func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 	e.depth.Observe(float64(len(e.queue)))
 	base := e.regionBase(addr)
-	if r, ok := e.index[base]; ok {
+	if qi := e.find(base); qi >= 0 {
+		r := e.queue[qi]
 		r.markDone(e.blockIndex(addr))
 		if r.pending == 0 {
-			e.retire(r, true)
+			e.retire(qi, true)
 			return
 		}
 		if e.cfg.Policy == LIFO {
-			e.promote(r)
+			copy(e.queue[1:qi+1], e.queue[:qi])
+			e.queue[0] = r
 			e.tr.Instant(obs.EvPrefetchPromote, 0, r.base, 0)
 			e.stats.Promotions++
 		}
 		return
 	}
 
-	n := e.cfg.BlocksPerRegion()
 	r := e.newRegion(base, e.blockIndex(addr))
 	r.markDone(r.start)
-	for i := 0; i < n; i++ {
-		if i == r.start {
-			continue
-		}
-		if resident != nil && resident(base+uint64(i*e.cfg.BlockBytes)) {
-			r.markDone(i)
+	if resident != nil {
+		for i := 0; i < e.cfg.BlocksPerRegion(); i++ {
+			if i != r.start && resident(base+uint64(i*e.cfg.BlockBytes)) {
+				r.markDone(i)
+			}
 		}
 	}
 	e.tr.Instant(obs.EvRegionCreate, 0, base, 0)
@@ -268,12 +270,10 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 			// also the one overwritten (Section 4.2).
 			victim = e.queue[0]
 			copy(e.queue, e.queue[1:])
-			e.queue = e.queue[:len(e.queue)-1]
 		} else {
 			victim = e.queue[len(e.queue)-1]
-			e.queue = e.queue[:len(e.queue)-1]
 		}
-		delete(e.index, victim.base)
+		e.queue = e.queue[:len(e.queue)-1]
 		e.free = append(e.free, victim)
 		e.tr.Instant(obs.EvRegionReplace, 0, victim.base, 0)
 		e.stats.RegionsReplaced++
@@ -288,7 +288,17 @@ func (e *Engine) OnDemandMiss(addr uint64, resident func(block uint64) bool) {
 		copy(e.queue[1:], e.queue)
 		e.queue[0] = r
 	}
-	e.index[base] = r
+}
+
+// find returns the queue position of the region at base, or -1. The
+// queue holds at most QueueDepth entries, so a scan beats a map.
+func (e *Engine) find(base uint64) int {
+	for i, r := range e.queue {
+		if r.base == base {
+			return i
+		}
+	}
+	return -1
 }
 
 // newRegion returns a fresh entry for the region at base triggered by
@@ -307,27 +317,10 @@ func (e *Engine) newRegion(base uint64, start int) *region {
 	return r
 }
 
-// promote moves r to the head of the queue.
-func (e *Engine) promote(r *region) {
-	for i, q := range e.queue {
-		if q == r {
-			copy(e.queue[1:i+1], e.queue[:i])
-			e.queue[0] = r
-			return
-		}
-	}
-}
-
-// retire removes r from the queue.
-func (e *Engine) retire(r *region, completed bool) {
-	for i, q := range e.queue {
-		if q == r {
-			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			break
-		}
-	}
-	delete(e.index, r.base)
-	e.free = append(e.free, r)
+// retire removes the region at queue position qi.
+func (e *Engine) retire(qi int, completed bool) {
+	e.free = append(e.free, e.queue[qi])
+	e.queue = append(e.queue[:qi], e.queue[qi+1:]...)
 	if completed {
 		e.stats.RegionsCompleted++
 	}
@@ -352,7 +345,7 @@ func (e *Engine) Next(rowOpen func(block uint64) bool) (blockAddr uint64, ok boo
 	}
 	n := e.cfg.BlocksPerRegion()
 
-	pick := e.queue[0]
+	pi := 0
 	if e.cfg.BankAware && rowOpen != nil {
 		// Highest priority to regions whose next prefetch would hit an
 		// open row; fall back to strict priority order.
@@ -362,7 +355,7 @@ func (e *Engine) Next(rowOpen func(block uint64) bool) (blockAddr uint64, ok boo
 				continue
 			}
 			if rowOpen(r.base + uint64(i*e.cfg.BlockBytes)) {
-				pick = r
+				pi = qi
 				if qi != 0 {
 					e.stats.BankAwarePicks++
 				}
@@ -371,16 +364,17 @@ func (e *Engine) Next(rowOpen func(block uint64) bool) (blockAddr uint64, ok boo
 		}
 	}
 
+	pick := e.queue[pi]
 	i, live := pick.peek(n)
 	if !live {
 		// Exhausted region lingering at the head; retire and retry.
-		e.retire(pick, true)
+		e.retire(pi, true)
 		return e.Next(rowOpen)
 	}
 	pick.markDone(i)
 	block := pick.base + uint64(i*e.cfg.BlockBytes)
 	if pick.pending == 0 {
-		e.retire(pick, true)
+		e.retire(pi, true)
 	}
 	e.stats.Issued++
 	return block, true
@@ -404,24 +398,21 @@ func (e *Engine) RecordSettled(used bool) {
 // Throttled reports whether the engine is currently suppressing issue.
 func (e *Engine) Throttled() bool { return e.throttled }
 
-// CheckIntegrity validates the queue/index structure: depth within the
-// configured bound, index and queue in bijection, aligned bases, and
-// per-region pending counts consistent with the bitmaps. The paranoid
-// invariant checker runs it periodically.
+// CheckIntegrity validates the queue structure: depth within the
+// configured bound, aligned and unique bases, and per-region pending
+// counts consistent with the bitmaps. The paranoid invariant checker
+// runs it periodically.
 func (e *Engine) CheckIntegrity() error {
 	if len(e.queue) > e.cfg.QueueDepth {
 		return fmt.Errorf("prefetch: queue holds %d regions, bound %d", len(e.queue), e.cfg.QueueDepth)
-	}
-	if len(e.index) != len(e.queue) {
-		return fmt.Errorf("prefetch: index size %d != queue size %d", len(e.index), len(e.queue))
 	}
 	n := e.cfg.BlocksPerRegion()
 	for qi, r := range e.queue {
 		if r.base != e.regionBase(r.base) {
 			return fmt.Errorf("prefetch: queue[%d] base %#x not region-aligned", qi, r.base)
 		}
-		if e.index[r.base] != r {
-			return fmt.Errorf("prefetch: queue[%d] base %#x missing from index", qi, r.base)
+		if first := e.find(r.base); first != qi {
+			return fmt.Errorf("prefetch: queue[%d] base %#x already queued at queue[%d]", qi, r.base, first)
 		}
 		zeros := 0
 		for i := 0; i < n; i++ {

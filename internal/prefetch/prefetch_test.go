@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -370,5 +371,58 @@ func TestPropertyRegionConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: a nil resident callback builds the same engine as one that
+// reports nothing resident: the same queued regions with the same
+// pending counts, and the same Next order.
+func TestNilResidentMatchesNoneResident(t *testing.T) {
+	f := func(misses []uint16, drains []bool, lifo bool) bool {
+		cfg := Config{RegionBytes: 512, BlockBytes: 64, QueueDepth: 4, Policy: FIFO}
+		if lifo {
+			cfg.Policy = LIFO
+		}
+		nilEng, _ := New(cfg)
+		noneEng, _ := New(cfg)
+		for i, m := range misses {
+			nilEng.OnDemandMiss(uint64(m)*64, nil)
+			noneEng.OnDemandMiss(uint64(m)*64, noneResident)
+			if len(nilEng.queue) != len(noneEng.queue) {
+				return false
+			}
+			for qi, r := range nilEng.queue {
+				if q := noneEng.queue[qi]; r.base != q.base || r.pending != q.pending {
+					return false
+				}
+			}
+			if i < len(drains) && drains[i] {
+				a, ok := nilEng.Next(nil)
+				b, okB := noneEng.Next(nil)
+				if a != b || ok != okB {
+					return false
+				}
+			}
+		}
+		return nilEng.Stats() == noneEng.Stats()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckIntegrityDuplicateRegion checks that a region queued twice
+// is reported.
+func TestCheckIntegrityDuplicateRegion(t *testing.T) {
+	e := newEngine(t, cfg4K64(LIFO))
+	e.OnDemandMiss(0x1000, nil)
+	e.OnDemandMiss(0x3000, nil)
+	if err := e.CheckIntegrity(); err != nil {
+		t.Fatalf("healthy engine: %v", err)
+	}
+	e.queue = append(e.queue, e.queue[1])
+	err := e.CheckIntegrity()
+	if err == nil || !strings.Contains(err.Error(), "already queued") {
+		t.Fatalf("duplicate region not reported: %v", err)
 	}
 }

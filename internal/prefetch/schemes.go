@@ -7,9 +7,11 @@ import "fmt"
 // (idle-channel issue, low-priority insertion), which "is independent
 // of the scheme used to generate prefetch addresses" (Section 5).
 type Prefetcher interface {
-	// OnDemandMiss observes a demand L2 miss. resident reports whether
-	// a block-aligned address is already cached; implementations may
-	// ignore it (the issue path re-checks residency).
+	// OnDemandMiss observes a demand L2 miss. resident, when non-nil,
+	// reports whether a block-aligned address is already cached;
+	// implementations may ignore it. A nil resident means no residency
+	// walk: the core passes nil because it re-checks residency when a
+	// prefetch issues.
 	OnDemandMiss(addr uint64, resident func(block uint64) bool)
 	// Next selects the next block-aligned address to prefetch. rowOpen
 	// supports bank-aware schemes and may be ignored.
