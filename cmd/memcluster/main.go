@@ -68,7 +68,7 @@ func main() {
 		Part:              *part,
 		ClosedPage:        *closed,
 		BankTiming:        *banktime,
-		LinkLatency:       sim.Time(link.Nanoseconds()) * sim.Nanosecond,
+		LinkLatency:       sim.FromDuration(*link),
 		MaxInstrs:         *instrs,
 		WarmupInstrs:      *warmup,
 		Parallel:          *parallel,

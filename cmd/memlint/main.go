@@ -1,5 +1,6 @@
 // Command memlint runs the simulator-specific static analysis suite
-// (see internal/lint and DESIGN.md §9) over Go packages.
+// over Go packages: simdeterminism, errdrop, ctxflow and lintdirective
+// (see internal/lint and DESIGN.md §9).
 //
 // Usage:
 //
@@ -8,7 +9,7 @@
 // prints one line per finding (file:line:col: message (analyzer)) and
 // exits 1 when anything is found, 0 when the tree is clean, 2 on an
 // internal error. All matched packages are analyzed together, so the
-// interprocedural analyzers see the whole module.
+// interprocedural analyzers (errdrop, ctxflow) see the whole module.
 //
 // False positives are suppressed in source with
 // `//lint:ignore <analyzer> <reason>`; an unexplained directive is
@@ -53,10 +54,9 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "memlint:", err)
 		return 2
 	}
-	// All matched packages form one Module, giving the
-	// interprocedural analyzers (atomiccross, errdrop, …) their
-	// whole-program view: a call graph that crosses package
-	// boundaries.
+	// All matched packages form one Module, giving errdrop and
+	// ctxflow their whole-program view: function summaries that
+	// cross package boundaries.
 	mod := analysis.NewModule(pkgs)
 	found := 0
 	for _, pkg := range pkgs {

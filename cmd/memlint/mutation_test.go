@@ -8,15 +8,13 @@ import (
 	"testing"
 )
 
-// TestSeededMutations proves the CI lint gate has teeth: it copies the
-// module, reintroduces one known violation per interprocedural rule —
-// a discarded drain error in cmd/memsimd that only errdrop's wrapper
-// rule sees (the shape it first caught in cmd/sweep's checkpoint
-// save), a scheduler deadline subtracted from Now() in the memory
-// controller, plus seeded atomiccross/ctxflow/unitflow violations
-// modelled on the invariants the suite pins — builds memlint from the
-// mutated tree, and requires the run to report each one under its
-// analyzer.
+// TestSeededMutations proves that every analyzer in the suite earns
+// its place. It copies the module, applies one realistic edit to
+// production code per analyzer, builds memlint from the mutated tree,
+// and requires the run to report each edit under its analyzer. Every
+// edit here passes the rest of the test suite and CI's smoke and
+// determinism steps, so memlint is the only check that catches it.
+// An analyzer without such an edit does not belong in the suite.
 func TestSeededMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("copies and re-analyzes the whole module")
@@ -39,47 +37,19 @@ func TestSeededMutations(t *testing.T) {
 	}`,
 		`svc.Drain(ctx)`)
 
-	// unitflow: a decision deadline that subtracts from Now() lands in
-	// the past and is clamped to the present.
-	mutate(t, filepath.Join(tmp, "internal/memctrl/memctrl.go"),
-		`c.sched.AtCall(c.gate, fireDecide, c)`,
-		`c.sched.AtCall(c.sched.Now()-c.gate, fireDecide, c)`)
+	// ctxflow: run a spec under a fresh context, which drops the
+	// per-run deadline and batch cancellation. Results are unchanged,
+	// so only a timed-out or canceled batch would show it.
+	mutate(t, filepath.Join(tmp, "internal/experiments/runner.go"),
+		`res, err = sys.RunContext(ctx)`,
+		`res, err = sys.RunContext(context.Background())`)
 
-	// atomiccross, ctxflow, unitflow: one violation each, seeded into
-	// a server-side file so the package is goroutine-bearing.
-	if err := os.WriteFile(filepath.Join(tmp, "internal/server/zz_mutant.go"), []byte(`package server
-
-import (
-	"context"
-	"time"
-
-	"memsim/internal/sim"
-)
-
-type mutantStats struct{ hits int }
-
-var mutantShared mutantStats
-
-func mutantSpawn() {
-	go func() { mutantShared.hits++ }()
-}
-
-func mutantStep(ctx context.Context) error { return ctx.Err() }
-
-func mutantDrop(ctx context.Context) {
-	_ = mutantStep(context.Background())
-}
-
-type mutantCfg struct{ deadline sim.Time }
-
-func mutantUnits(d time.Duration) mutantCfg {
-	var c mutantCfg
-	c.deadline = sim.Time(d.Nanoseconds())
-	return c
-}
-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// simdeterminism: print obsdump's per-kind counts in map order.
+	// No test pins the order of that line.
+	mutate(t, filepath.Join(tmp, "cmd/obsdump/main.go"),
+		`	sort.Strings(keys)
+	fmt.Fprintf(w, "%-14s", label)`,
+		`	fmt.Fprintf(w, "%-14s", label)`)
 
 	bin := filepath.Join(tmp, "memlint-mutated")
 	build := exec.Command("go", "build", "-o", bin, "./cmd/memlint")
@@ -96,10 +66,8 @@ func mutantUnits(d time.Duration) mutantCfg {
 	}
 	for _, want := range []struct{ file, analyzer string }{
 		{"cmd/memsimd/main.go", "(errdrop)"},
-		{"internal/memctrl/memctrl.go", "(unitflow)"},
-		{"internal/server/zz_mutant.go", "(atomiccross)"},
-		{"internal/server/zz_mutant.go", "(ctxflow)"},
-		{"internal/server/zz_mutant.go", "(unitflow)"},
+		{"internal/experiments/runner.go", "(ctxflow)"},
+		{"cmd/obsdump/main.go", "(simdeterminism)"},
 	} {
 		if !reported(string(out), want.file, want.analyzer) {
 			t.Errorf("seeded %s violation in %s not reported; output:\n%s", want.analyzer, want.file, out)
@@ -135,7 +103,8 @@ func mutate(t *testing.T, path, anchor, repl string) {
 }
 
 // copyModule copies the Go sources and module metadata, skipping VCS
-// state and test fixtures, which go list never loads.
+// state and test fixtures, which go list never loads. Nested modules
+// keep their go.mod, so ./... in the copy matches ./... in the tree.
 func copyModule(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
@@ -153,7 +122,7 @@ func copyModule(t *testing.T, src, dst string) {
 			}
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}
-		if !strings.HasSuffix(rel, ".go") && rel != "go.mod" && rel != "go.sum" {
+		if !strings.HasSuffix(rel, ".go") && d.Name() != "go.mod" && d.Name() != "go.sum" {
 			return nil
 		}
 		b, err := os.ReadFile(path)

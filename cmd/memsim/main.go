@@ -73,7 +73,7 @@ func main() {
 		Metrics:     *metricsOut != "" || *metricsJSON != "",
 		Trace:       *traceOut != "",
 		TraceEvents: *traceEvents,
-		SampleEvery: sim.Time(sample.Nanoseconds()) * sim.Nanosecond,
+		SampleEvery: sim.FromDuration(*sample),
 	}
 	if *samplesOut != "" && cfg.Obs.SampleEvery <= 0 {
 		fatal(fmt.Errorf("-samples-out requires a positive -sample interval"))

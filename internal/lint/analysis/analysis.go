@@ -37,8 +37,6 @@ type Analyzer struct {
 	Run func(pass *Pass) (any, error)
 }
 
-func (a *Analyzer) String() string { return a.Name }
-
 // Pass provides one analyzer run with a single type-checked package
 // and a sink for diagnostics.
 type Pass struct {
@@ -51,7 +49,7 @@ type Pass struct {
 	// Module is the whole-program view for interprocedural analyzers.
 	// It always holds at least the package under analysis; the drivers
 	// (cmd/memlint, the fixture harness) populate it with every loaded
-	// package so call graphs can cross package boundaries.
+	// package so function summaries can cross package boundaries.
 	Module *Module
 
 	// Report delivers one diagnostic. The runner installs a wrapper

@@ -3,9 +3,9 @@ package analysis
 import "fmt"
 
 // Module is the whole-program view the interprocedural analyzers
-// (atomiccross, ctxflow, unitflow, errdrop) work against: every module
-// package the driver loaded, plus a cache for facts that are expensive
-// to build and shared across analyzers and packages — the call graph,
+// (errdrop, ctxflow) work against: every module package the driver
+// loaded, plus a cache for facts that are expensive to build and
+// shared across analyzers and packages — the module function index,
 // function summaries.
 type Module struct {
 	Packages []*Package
@@ -19,9 +19,9 @@ func NewModule(pkgs []*Package) *Module {
 }
 
 // Fact returns the module-wide fact stored under key, building it
-// through build on first use. Analyzers use it to share one call graph
-// (or one summary table) across the whole run instead of rebuilding it
-// per package.
+// through build on first use. Analyzers use it to share one function
+// index (or one summary table) across the whole run instead of
+// rebuilding it per package.
 func (m *Module) Fact(key string, build func() (any, error)) (any, error) {
 	if v, ok := m.facts[key]; ok {
 		return v, nil
@@ -32,18 +32,6 @@ func (m *Module) Fact(key string, build func() (any, error)) (any, error) {
 	}
 	m.facts[key] = v
 	return v, nil
-}
-
-// PackageFor returns the module's Package whose syntax contains pos
-// semantics for obj's package path, or nil when the path is outside
-// the module (standard library, or a package the driver did not load).
-func (m *Module) PackageFor(path string) *Package {
-	for _, p := range m.Packages {
-		if p.PkgPath == path {
-			return p
-		}
-	}
-	return nil
 }
 
 // RunPackage applies each analyzer to one package of mod, applies

@@ -58,7 +58,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 	}
 	// Every loaded fixture package — the requested ones plus their
 	// fixture imports — forms the Module, so interprocedural analyzers
-	// see cross-package edges exactly as the standalone driver would.
+	// summarize across packages exactly as the standalone driver would.
 	mod := analysis.NewModule(h.modulePackages())
 	for i, path := range pkgPaths {
 		diags, err := analysis.RunPackage(mod, pkgs[i], []*analysis.Analyzer{a})

@@ -317,13 +317,12 @@ type summaries map[*types.Func]bool
 // are always-fresh Context sources.
 func moduleSummaries(mod *analysis.Module) (summaries, error) {
 	v, err := mod.Fact("ctxflow.summaries", func() (any, error) {
-		g := dataflow.ModuleGraph(mod)
 		sums := make(summaries)
 		for changed := true; changed; {
 			changed = false
-			for _, n := range g.Nodes {
-				fn := n.Func
-				if fn == nil || sums[fn] || !returnsContext(fn) || n.Body() == nil {
+			for _, n := range dataflow.ModuleFuncs(mod) {
+				fn := n.Obj
+				if sums[fn] || !returnsContext(fn) {
 					continue
 				}
 				if alwaysFresh(n, sums) {
@@ -348,9 +347,9 @@ func returnsContext(fn *types.Func) bool {
 
 // alwaysFresh reports whether every return of n's body yields a FRESH
 // context under the current summaries.
-func alwaysFresh(n *dataflow.Node, sums summaries) bool {
+func alwaysFresh(n dataflow.Func, sums summaries) bool {
 	info := n.Pkg.TypesInfo
-	cfg := dataflow.New(n.Body())
+	cfg := dataflow.New(n.Decl.Body)
 	fl := ctxFlow(info, sums)
 	facts := cfg.Forward(dataflow.Fact(&dataflow.Env{}), fl)
 	all, any := true, false

@@ -39,13 +39,13 @@
 // wrappers cannot launder dropped errors. `func flush() error { return
 // w.Flush() }` is as must-check as Flush itself, and so is a second
 // wrapper around flush. The set is computed once per module, to a
-// fixpoint over the call graph. Propagation is decided by a forward
-// taint analysis over each function's CFG (internal/lint/dataflow):
-// the error result of a call to a watched (or already-inherited)
-// function taints the variable it is assigned to; taint survives
-// fmt.Errorf("…: %w", err) and errors.Join wrapping and reassignment
-// kills it; a function whose return statement returns a tainted value
-// — or the watched call directly — propagates.
+// fixpoint over the module's functions. Propagation is decided by a
+// forward taint analysis over each function's CFG
+// (internal/lint/dataflow): the error result of a call to a watched
+// (or already-inherited) function taints the variable it is assigned
+// to; taint survives fmt.Errorf("…: %w", err) and errors.Join wrapping
+// and reassignment kills it; a function whose return statement returns
+// a tainted value — or the watched call directly — propagates.
 package errdrop
 
 import (
@@ -233,16 +233,15 @@ type table struct {
 // inherit through any number of hops.
 func moduleTable(mod *analysis.Module) (*table, error) {
 	v, err := mod.Fact("errdrop.table", func() (any, error) {
-		g := dataflow.ModuleGraph(mod)
 		tb := &table{
 			must:    make(map[*types.Func]mustCheck),
 			origins: make(map[types.Object]mustCheck),
 		}
 		for changed := true; changed; {
 			changed = false
-			for _, n := range g.Nodes {
-				fn := n.Func
-				if fn == nil || !returnsError(fn) {
+			for _, n := range dataflow.ModuleFuncs(mod) {
+				fn := n.Obj
+				if !returnsError(fn) {
 					continue
 				}
 				if _, done := tb.must[fn]; done {
@@ -280,14 +279,10 @@ func (tb *table) lookup(fn *types.Func) (mustCheck, bool) {
 
 // propagates reports whether n's function returns (on some path) an
 // error that originated in a watched call.
-func (tb *table) propagates(n *dataflow.Node) (mustCheck, bool) {
-	body := n.Body()
-	if body == nil {
-		return mustCheck{}, false
-	}
+func (tb *table) propagates(n dataflow.Func) (mustCheck, bool) {
 	info := n.Pkg.TypesInfo
 	named := namedErrorResults(n.Decl, info)
-	cfg := dataflow.New(body)
+	cfg := dataflow.New(n.Decl.Body)
 	fl := tb.flow(info)
 	facts := cfg.Forward(dataflow.Fact(&dataflow.Env{}), fl)
 

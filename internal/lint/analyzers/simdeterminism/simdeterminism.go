@@ -60,9 +60,8 @@ var Analyzer = &analysis.Analyzer{
 	Run: run,
 }
 
-// InSimCore reports whether pkgPath is one of the event-loop packages.
-// Exported for reuse by statreg, which scopes itself identically.
-func InSimCore(pkgPath string) bool {
+// inSimCore reports whether pkgPath is one of the event-loop packages.
+func inSimCore(pkgPath string) bool {
 	segs := strings.Split(pkgPath, "/")
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i] != "internal" {
@@ -78,7 +77,7 @@ func InSimCore(pkgPath string) bool {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	core := InSimCore(pass.Pkg.Path())
+	core := inSimCore(pass.Pkg.Path())
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {

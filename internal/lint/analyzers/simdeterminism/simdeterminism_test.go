@@ -1,10 +1,9 @@
-package simdeterminism_test
+package simdeterminism
 
 import (
 	"testing"
 
 	"memsim/internal/lint/analysistest"
-	"memsim/internal/lint/analyzers/simdeterminism"
 )
 
 // TestFixtures covers the flagged shapes (unsorted map range, collected
@@ -14,7 +13,7 @@ import (
 // accumulation, map clear, seeded rand), and //lint:ignore suppression
 // in both placements.
 func TestFixtures(t *testing.T) {
-	analysistest.Run(t, "testdata", simdeterminism.Analyzer, "a/internal/core", "a/internal/cpu", "b/report")
+	analysistest.Run(t, "testdata", Analyzer, "a/internal/core", "a/internal/cpu", "b/report")
 }
 
 func TestInSimCore(t *testing.T) {
@@ -42,8 +41,8 @@ func TestInSimCore(t *testing.T) {
 		{"internal/core", true}, // module-less fixture paths still gate
 	}
 	for _, c := range cases {
-		if got := simdeterminism.InSimCore(c.path); got != c.want {
-			t.Errorf("InSimCore(%q) = %v, want %v", c.path, got, c.want)
+		if got := inSimCore(c.path); got != c.want {
+			t.Errorf("inSimCore(%q) = %v, want %v", c.path, got, c.want)
 		}
 	}
 }

@@ -20,7 +20,7 @@ func (s *system) suppressed() float64 {
 // suppress this one.
 func (s *system) wrongName() []uint64 {
 	var order []uint64
-	for b := range s.inflight { //lint:ignore unitflow wrong analyzer name // want `map keys are collected but never sorted`
+	for b := range s.inflight { //lint:ignore errdrop wrong analyzer name // want `map keys are collected but never sorted`
 		order = append(order, b)
 	}
 	return order

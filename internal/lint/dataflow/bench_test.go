@@ -4,12 +4,11 @@ import (
 	"go/ast"
 	"testing"
 
-	"memsim/internal/lint/analysis"
 	"memsim/internal/lint/dataflow"
 )
 
 // benchSrc is a fixed workload with the shapes the real analyses
-// traverse: branches, loops, closures, goroutines, and callbacks.
+// traverse: branches, loops, switches, closures and defers.
 const benchSrc = `package p
 
 type svc struct{ n, m int }
@@ -46,20 +45,6 @@ func apply(xs []int, f func(int) int) {
 	}
 }
 `
-
-// BenchmarkBuildGraph measures whole-package call-graph construction,
-// the fixed cost every interprocedural analyzer shares through the
-// module fact cache.
-func BenchmarkBuildGraph(b *testing.B) {
-	pkg := checkPkg(b, benchSrc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := dataflow.Build([]*analysis.Package{pkg})
-		if len(g.Nodes) == 0 {
-			b.Fatal("empty graph")
-		}
-	}
-}
 
 // BenchmarkForward measures CFG construction plus one fixpoint solve
 // per function, the per-function cost of the dataflow analyzers.

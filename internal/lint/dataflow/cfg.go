@@ -1,11 +1,11 @@
 // Package dataflow is the analysis engine underneath the
-// interprocedural memlint analyzers (atomiccross, ctxflow, unitflow,
-// errdrop; DESIGN.md §14): a basic-block control-flow graph built
-// from syntax, a generic forward worklist solver over lattice facts, a
-// deterministic variable environment, and a module-wide call-graph
-// approximation from type-checked call sites. Everything is standard
-// library only, riding the go/types information the loader
-// (internal/lint/loader) already produces.
+// interprocedural memlint analyzers (errdrop, ctxflow; DESIGN.md §14):
+// a basic-block control-flow graph built from syntax, a generic
+// forward worklist solver over lattice facts, a deterministic variable
+// environment, and an index of the module's declared functions for
+// module-wide summaries. Everything is standard library only, riding
+// the go/types information the loader (internal/lint/loader) already
+// produces.
 //
 // The engine is deliberately a conservative approximation, not an SSA
 // construction: blocks carry the original ast.Node sequence in
@@ -16,10 +16,8 @@
 package dataflow
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
-	"strings"
 )
 
 // Block is one basic block: a maximal sequence of nodes that execute
@@ -42,12 +40,6 @@ type CFG struct {
 	Blocks []*Block
 }
 
-// Entry is the block control enters the function through.
-func (c *CFG) Entry() *Block { return c.Blocks[0] }
-
-// Exit is the block every terminating path leads to.
-func (c *CFG) Exit() *Block { return c.Blocks[1] }
-
 // New builds the CFG of a function body. A nil body (declarations
 // without bodies) yields a two-block graph with entry wired to exit.
 func New(body *ast.BlockStmt) *CFG {
@@ -60,23 +52,6 @@ func New(body *ast.BlockStmt) *CFG {
 	}
 	b.edge(b.cur, b.exit)
 	return b.cfg
-}
-
-// String renders the graph structure for tests and debugging: one
-// line per block with its successor indices and node summary.
-func (c *CFG) String() string {
-	var sb strings.Builder
-	for _, blk := range c.Blocks {
-		fmt.Fprintf(&sb, "b%d:", blk.Index)
-		for _, s := range blk.Succs {
-			fmt.Fprintf(&sb, " ->b%d", s.Index)
-		}
-		for _, n := range blk.Nodes {
-			fmt.Fprintf(&sb, " [%T]", n)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }
 
 // builder holds the under-construction graph and the targets that

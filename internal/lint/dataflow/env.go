@@ -7,7 +7,7 @@ import (
 
 // Env maps variables (types.Objects) to small abstract values. It is
 // the Fact shape shared by the taint-style analyzers (ctxflow,
-// unitflow, errdrop).
+// errdrop).
 //
 // The representation is a pair of parallel slices kept sorted by the
 // object's declaration position (with the name as a tiebreak), not a

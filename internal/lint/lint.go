@@ -1,22 +1,25 @@
-// Package lint assembles the memlint analyzer suite, one analyzer per
-// bug class: the simulator-specific static checks (determinism, stats
-// wiring) that go vet cannot express, the CFG/dataflow analyzers built
-// on internal/lint/dataflow (concurrency boundaries, context
-// propagation, time units and scheduler deadlines, error dropping
-// through any chain of wrappers; DESIGN.md §14), plus the
-// lintdirective check that keeps the //lint:ignore escape hatch
-// honest. cmd/memlint runs the suite over the whole module; DESIGN.md
-// §9 documents each invariant.
+// Package lint assembles the memlint analyzer suite. Each analyzer
+// stays in the suite only while it catches a realistic production
+// mutation that the tests miss (cmd/memlint's TestSeededMutations
+// seeds one per analyzer):
+//
+//   - simdeterminism: map iteration, wall-clock time, global rand and
+//     goroutines that break bit-identical replay;
+//   - errdrop: discarded must-check errors, through any chain of
+//     wrappers (CFG taint over internal/lint/dataflow);
+//   - ctxflow: a fresh Background/TODO context passed on while a
+//     received ctx is in scope (CFG taint over internal/lint/dataflow);
+//
+// plus the lintdirective check that keeps the //lint:ignore escape
+// hatch honest. cmd/memlint runs the suite over the whole module;
+// DESIGN.md §9 documents each invariant.
 package lint
 
 import (
 	"memsim/internal/lint/analysis"
-	"memsim/internal/lint/analyzers/atomiccross"
 	"memsim/internal/lint/analyzers/ctxflow"
 	"memsim/internal/lint/analyzers/errdrop"
 	"memsim/internal/lint/analyzers/simdeterminism"
-	"memsim/internal/lint/analyzers/statreg"
-	"memsim/internal/lint/analyzers/unitflow"
 )
 
 // Suite returns the full analyzer suite in the order diagnostics are
@@ -25,10 +28,7 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		simdeterminism.Analyzer,
 		errdrop.Analyzer,
-		statreg.Analyzer,
-		atomiccross.Analyzer,
 		ctxflow.Analyzer,
-		unitflow.Analyzer,
 		analysis.Lintdirective,
 	}
 }

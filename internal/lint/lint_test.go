@@ -55,10 +55,7 @@ var probe = &analysis.Analyzer{
 }
 
 func TestSuite(t *testing.T) {
-	want := []string{
-		"simdeterminism", "errdrop", "statreg", "atomiccross",
-		"ctxflow", "unitflow", "lintdirective",
-	}
+	want := []string{"simdeterminism", "errdrop", "ctxflow", "lintdirective"}
 	suite := lint.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite() has %d analyzers, want %d", len(suite), len(want))
@@ -81,7 +78,7 @@ func f() int {
 	//lint:ignore probe testing the own-line placement
 	b := 2
 	c := 3 //lint:ignore probe testing the trailing placement
-	//lint:ignore unitflow directive for a different analyzer
+	//lint:ignore errdrop directive for a different analyzer
 	d := 4
 	//lint:ignore all testing the wildcard
 	e := 5

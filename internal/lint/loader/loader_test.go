@@ -39,9 +39,10 @@ func TestLoadModulePackage(t *testing.T) {
 	}
 }
 
-// TestExcludesTestFiles pins the call graph's blindness to test code:
-// go list's GoFiles omits _test.go, so test-only functions never
-// become nodes and can never mark production code goroutine-reachable.
+// TestExcludesTestFiles pins the module function index's blindness to
+// test code: go list's GoFiles omits _test.go, so test-only functions
+// never enter the index and never feed errdrop's or ctxflow's
+// summaries.
 func TestExcludesTestFiles(t *testing.T) {
 	ld := loader.New(".")
 	pkgs, err := ld.Load("memsim/internal/sim")

@@ -27,7 +27,10 @@
 // EventsFired are those of the queued form.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // Time is a simulated timestamp or duration in picoseconds.
 //
@@ -70,6 +73,11 @@ func (t Time) String() string {
 
 // Nanoseconds reports t as a floating-point number of nanoseconds.
 func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
+
+// FromDuration converts a wall-clock duration, such as a flag value,
+// to simulated time. Durations count nanoseconds and Time counts
+// picoseconds, so a bare Time(d) would be a thousand times too short.
+func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) * Nanosecond }
 
 // Callback is a pre-bound event handler: now is the fire time and arg
 // the payload given at scheduling. Components bind one Callback per

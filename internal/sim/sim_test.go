@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestZeroSchedulerUsable(t *testing.T) {
@@ -178,6 +179,23 @@ func TestTimeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("Time(%d).String() = %q, want %q", int64(c.t), got, c.want)
+		}
+	}
+}
+
+func TestFromDuration(t *testing.T) {
+	cases := []struct {
+		d    time.Duration
+		want Time
+	}{
+		{0, 0},
+		{time.Nanosecond, 1000},
+		{10 * time.Nanosecond, 10_000},
+		{time.Microsecond, 1_000_000},
+	}
+	for _, c := range cases {
+		if got := FromDuration(c.d); got != c.want {
+			t.Errorf("FromDuration(%v) = %dps, want %dps", c.d, int64(got), int64(c.want))
 		}
 	}
 }

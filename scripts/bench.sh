@@ -12,8 +12,9 @@
 # captures ns/op and any custom metrics (e.g. instrs/s, events/s) per
 # benchmark, plus enough provenance (go version, git revision) to
 # interpret a baseline later. Benchmarks come from the experiments
-# package at the repo root and the scheduler microbenchmarks in
-# internal/sim.
+# package at the repo root, the scheduler microbenchmarks in
+# internal/sim, the CFG-solve microbenchmark in internal/lint/dataflow
+# and the cluster microbenchmarks in internal/cluster.
 #
 # With -c FILE the fresh run is compared against FILE: any benchmark
 # present in both whose ns/op worsened by more than 10% fails the
@@ -49,7 +50,7 @@ stamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 # iteration is a stable sample; the scheduler microbenchmarks are
 # nanosecond-scale and need many iterations for the same stability.
 sim_benchtime='200000x'
-# The lint microbenchmarks (call-graph build, dataflow solve) are
+# The lint microbenchmark (CFG build plus dataflow solve) is
 # microsecond-scale on a fixed in-memory package; a few thousand
 # iterations give a stable sample.
 lint_benchtime='2000x'
@@ -124,7 +125,7 @@ if [ -n "$compare" ]; then
   }'
 
   # memlint wall-clock budget. A full-tree run (load + type-check +
-  # module call graph + all analyzers) takes a few seconds today; the
+  # all analyzers) takes a few seconds today; the
   # budget catches a pass going superlinear without flaking on slow
   # runners.
   budget=${MEMLINT_BUDGET_SECONDS:-60}

@@ -2,8 +2,8 @@
 # lint.sh — build memlint once and run the suite over the module:
 #
 #   memlint ./...   module scope: the interprocedural analyzers
-#                   (atomiccross, ctxflow, unitflow, errdrop) see the
-#                   whole tree and its cross-package call graph
+#                   (errdrop, ctxflow) see the whole tree and build
+#                   their function summaries across packages
 #
 # Usage: scripts/lint.sh [packages...]     default ./...
 #
