@@ -48,8 +48,8 @@ type goldenEntry struct {
 // The remaining cells cover every scheduling, timing and prefetch
 // scheme, two XOR-mapped channels, paranoid hardening, and
 // counterfactual tracing. Their fixture entries were recorded with the
-// reference container/heap event queue, so the calendar queue is held
-// to the heap's full-system output.
+// reference container/heap event queue, so the scheduler's queue is
+// held to the heap's full-system output.
 func goldenConfigs() []struct {
 	Name string
 	Cfg  Config
@@ -156,10 +156,11 @@ func goldenConfigs() []struct {
 }
 
 // TestGoldenResults locks the simulator's observable output — Result
-// and metrics, byte for byte — against the committed fixture. Its job
-// in this PR is to prove the calendar-queue engine swap changed no
-// measured number; its job afterward is to catch any silent behavioral
-// drift. Run with -update to regenerate after an intended change.
+// and metrics, byte for byte — against the committed fixture. It
+// proves that a change to the event queue, which must keep the same
+// (when, seq) fire order, moves no measured number, and it catches any
+// other silent behavioral drift. Run with -update to regenerate after
+// an intended change.
 func TestGoldenResults(t *testing.T) {
 	got := map[string]goldenEntry{}
 	for _, gc := range goldenConfigs() {

@@ -96,7 +96,6 @@ func (c Config) Validate() error {
 // Stats counts core activity.
 type Stats struct {
 	Retired    uint64
-	Loads      uint64
 	Stores     uint64
 	Prefetches uint64 // software prefetch instructions
 	// DroppedPrefetches counts software prefetches discarded because
@@ -459,7 +458,6 @@ func (c *CPU) cycle() (at sim.Time, more bool) {
 		if isMem {
 			switch op.Kind {
 			case trace.Load:
-				c.stats.Loads++
 				e.doneAt = sim.MaxTime
 				prodSeq, prodSlot := c.lastLoad, c.lastLoadSlot
 				c.lastLoad, c.lastLoadSlot = seq+1, slot

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"strings"
 	"testing"
 
 	"memsim/internal/sim"
@@ -31,9 +30,8 @@ func TestDiffSchedulerRandomPrograms(t *testing.T) {
 
 // TestDiffSchedulerSparsePrograms drives both schedulers with sparse
 // programs (GenerateSparse): at most four pending events, tens to
-// hundreds of nanoseconds apart. They exercise the calendar queue's
-// cached minimum, pushes earlier than the cached minimum, and the
-// bucket-width retune, which the test requires to have fired.
+// hundreds of nanoseconds apart, with RunUntil lookaheads followed by
+// schedules earlier than the event they peeked.
 const (
 	sparseProgramCount = 2_000
 	sparseProgramOps   = 400
@@ -44,7 +42,6 @@ func TestDiffSchedulerSparsePrograms(t *testing.T) {
 	if testing.Short() {
 		n = 200
 	}
-	retuned := 0
 	for seed := int64(0); seed < int64(n); seed++ {
 		p := GenerateSparse(seed, sparseProgramOps)
 		if report := Check(p); report != "" {
@@ -55,23 +52,44 @@ func TestDiffSchedulerSparsePrograms(t *testing.T) {
 				t.Fatalf("seed %d: %d events pending, sparse programs keep at most %d", seed, m.Pending, sparseMaxPending)
 			}
 		}
-		s := sim.NewScheduler()
-		p.Run(s)
-		if !strings.Contains(s.DebugState(), " retunes=0") {
-			retuned++
-		}
 	}
-	if retuned == 0 {
-		t.Fatalf("none of %d sparse programs retuned the calendar width", n)
+}
+
+// TestDiffSchedulerDeepPrograms drives both schedulers with deep
+// programs (GenerateDeep), which hold more than a thousand events
+// pending, as a cluster whose members prefetch does at its tail. Each
+// program must reach deepPending queued events.
+const (
+	deepProgramCount = 100
+	deepProgramOps   = 3_000
+)
+
+func TestDiffSchedulerDeepPrograms(t *testing.T) {
+	n := deepProgramCount
+	if testing.Short() {
+		n = 10
+	}
+	for seed := int64(0); seed < int64(n); seed++ {
+		p := GenerateDeep(seed, deepProgramOps)
+		if report := Check(p); report != "" {
+			t.Fatalf("%s\nreplay: Check(GenerateDeep(%d, %d))", report, seed, deepProgramOps)
+		}
+		peak := 0
+		for _, m := range p.Run(&Reference{}).Marks {
+			peak = max(peak, m.Pending)
+		}
+		if peak < deepPending {
+			t.Fatalf("seed %d: at most %d events pending, deep programs reach %d", seed, peak, deepPending)
+		}
 	}
 }
 
 // TestDiffSchedulerTickingPrograms drives both schedulers with ticking
 // programs (GenerateTicking): self-re-arming tickers that run their
-// next tick inline through Advance on the calendar queue and schedule
+// next tick inline through Advance on sim.Scheduler and schedule
 // every tick on the Reference, among schedules, nested schedules and
 // RunUntil windows. The fire logs, the fired counts and every snapshot
-// must agree, and the calendar queue must have run ticks inline.
+// must agree, and sim.Scheduler must have run ticks inline.
 const (
 	tickingProgramCount = 2_000
 	tickingProgramOps   = 128
@@ -97,8 +115,8 @@ func TestDiffSchedulerTickingPrograms(t *testing.T) {
 
 // TestSparseSchedulingAllocatesNothing pins the sparse scheduling
 // paths at zero allocations once warm: schedules into a few-event
-// queue, a RunUntil that caches the minimum, a schedule earlier than
-// it, a drain, and the width retunes those gaps provoke.
+// queue, a RunUntil that peeks the next event, a schedule earlier than
+// it, and a drain.
 func TestSparseSchedulingAllocatesNothing(t *testing.T) {
 	s := sim.NewScheduler()
 	noop := func(sim.Time, any) {}
@@ -115,9 +133,6 @@ func TestSparseSchedulingAllocatesNothing(t *testing.T) {
 		}
 	}
 	rounds(500)
-	if strings.Contains(s.DebugState(), " retunes=0") {
-		t.Fatalf("warm-up never retuned the calendar width: %s", s.DebugState())
-	}
 	if got := testing.AllocsPerRun(10, func() { rounds(200) }); got != 0 {
 		t.Fatalf("%v allocations per 200 sparse rounds, want 0", got)
 	}

@@ -9,8 +9,8 @@ import (
 // fuzzProgram interprets data as a program. Each op consumes three
 // bytes: a kind selector and a 16-bit delay, whose low byte doubles as
 // a nested op's child delay. The high selector bit stretches the delay
-// by 2^20, reaching across bucket rotations so the fuzzer can mix the
-// calendar queue's near, wrapped and sparse-year paths in one input.
+// by 2^20, to about a microsecond or more, so the fuzzer can mix
+// same-tick, near and far events in one input.
 // Selector bit 0x40 makes the op a ticker whose period is the delay's
 // low byte and whose tick count comes from its high byte. A program
 // with a ticker is a ticking program, so its steps become RunUntil
@@ -41,17 +41,17 @@ func fuzzProgram(data []byte) Program {
 	return p
 }
 
-// FuzzCalendarQueue drives the calendar queue and the Reference with
-// the same fuzzer-chosen program and checks the calendar queue's
-// ordering invariants — fire times monotone non-decreasing, FIFO among
-// same-tick events — plus exact agreement with the heap. Event IDs are
-// assigned in scheduling order, which is the same-tick FIFO order.
-func FuzzCalendarQueue(f *testing.F) {
+// FuzzEventQueue drives sim.Scheduler and the Reference with the same
+// fuzzer-chosen program and checks the scheduler's ordering invariants
+// — fire times monotone non-decreasing, FIFO among same-tick events —
+// plus exact agreement with the heap. Event IDs are assigned in
+// scheduling order, which is the same-tick FIFO order.
+func FuzzEventQueue(f *testing.F) {
 	// Seed corpus: a same-tick burst, a run-until-heavy mix, far-future
-	// jumps (exercising the sparse-year cursor path), the shape of
-	// difftest seed 0's cursor regression, a sparse program long
-	// enough to retune the bucket width, and tickers cut by RunUntil
-	// windows and by events due with their next tick.
+	// jumps, a schedule earlier than the event a RunUntil just peeked
+	// (TestInsertBeforeFarPeek's shape), a long sparse program, and
+	// tickers cut by RunUntil windows and by events due with their
+	// next tick.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 10, 0, 3, 5, 0, 1, 20, 0, 3, 1, 0, 3, 255, 255})
 	f.Add([]byte{128, 1, 0, 0, 5, 0, 129, 2, 0, 2, 0, 0, 3, 0, 128})
@@ -60,9 +60,9 @@ func FuzzCalendarQueue(f *testing.F) {
 	f.Add([]byte{0x40, 100, 20, 0, 250, 0, 3, 120, 1, 0x40, 7, 3, 1, 50, 0, 3, 255, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := fuzzProgram(data)
-		cal := p.Run(sim.NewScheduler())
-		for i := 1; i < len(cal.Fires); i++ {
-			prev, cur := cal.Fires[i-1], cal.Fires[i]
+		got := p.Run(sim.NewScheduler())
+		for i := 1; i < len(got.Fires); i++ {
+			prev, cur := got.Fires[i-1], got.Fires[i]
 			if cur.At < prev.At {
 				t.Fatalf("fire %d: time went backward: %v after %v", i, cur.At, prev.At)
 			}
@@ -70,16 +70,15 @@ func FuzzCalendarQueue(f *testing.F) {
 				t.Fatalf("fire %d: same-tick FIFO broken: id %d after %d at %v", i, cur.ID, prev.ID, cur.At)
 			}
 		}
-		if d := Diff(cal, p.Run(&Reference{})); d != "" {
-			t.Fatalf("calendar queue diverged from the heap: %s", d)
+		if d := Diff(got, p.Run(&Reference{})); d != "" {
+			t.Fatalf("scheduler diverged from the heap: %s", d)
 		}
 	})
 }
 
 // sparseFuzzSeed encodes a sparse program (GenerateSparse) in
 // fuzzProgram's byte form. Delays shrink eightfold to fit 16 bits, so
-// events sit 1–60 ns apart: still many empty 1 ns days per pop, and
-// 300 ops cross the calendar queue's retune window.
+// events sit 1–60 ns apart, a few at a time.
 func sparseFuzzSeed() []byte {
 	var b []byte
 	for _, op := range GenerateSparse(1, 300).Ops {

@@ -86,8 +86,8 @@ type Program struct {
 }
 
 // farEvery is how often Generate emits a far-future delay (seconds
-// instead of nanoseconds), driving the calendar queue through its
-// sparse-year cursor jump and its resize width recomputation.
+// instead of nanoseconds), so near events keep arriving ahead of far
+// ones already queued.
 const farEvery = 31
 
 // Generate derives a program of nops operations from seed. Generation
@@ -98,7 +98,7 @@ func Generate(seed int64, nops int) Program {
 	for i := range ops {
 		op := Op{
 			Kind:  OpKind(rng.Intn(int(numOpKinds))),
-			Delay: sim.Time(rng.Intn(5000)), // spans several bucket widths
+			Delay: sim.Time(rng.Intn(5000)), // several core cycles
 			Child: sim.Time(rng.Intn(2000)),
 		}
 		// Same-tick bursts (zero delay) and far-future outliers are the
@@ -117,10 +117,8 @@ func Generate(seed int64, nops int) Program {
 // Sparse programs keep at most sparseMaxPending events queued, each
 // scheduling delay and run-ahead between sparseMinGap and
 // sparseMaxGap: a few events tens to hundreds of nanoseconds apart, as
-// on a cluster's memory shard. On the calendar queue's 1 ns starting
-// width every pop walks many empty days, so long programs cross the
-// width retune; with so few events, RunUntil's peek caches the minimum
-// and later schedules often land before it.
+// on a cluster's memory shard. With so few events, a schedule after a
+// RunUntil often lands before the event its lookahead peeked.
 const (
 	sparseMaxPending = 4
 	sparseMinGap     = 10 * sim.Nanosecond
@@ -147,8 +145,45 @@ func GenerateSparse(seed int64, nops int) Program {
 	return Program{Seed: seed, Ops: ops}
 }
 
+// Deep programs keep about deepPending events queued, the depth a
+// cluster whose members prefetch reaches at its tail (its fabric turns
+// each member's prefetches into unscheduled FIFO requests). Scheduling
+// ops place their events on deepTick multiples within deepSpread, so
+// each timestamp is shared by several queued events, and windows are
+// short, so a RunUntil or Step fires only a few of them and most
+// pushes land mid-queue.
+const (
+	deepPending = 1_100
+	deepSpread  = 100 * sim.Nanosecond
+	deepTick    = 625 * sim.Picosecond
+	deepMaxRun  = 2 * deepTick
+)
+
+// GenerateDeep derives a deep program of nops operations from seed. It
+// tracks the pending count by replaying each op on a Reference as it
+// goes, turning every op into a schedule while fewer than deepPending
+// events are queued.
+func GenerateDeep(seed int64, nops int) Program {
+	rng := rand.New(rand.NewSource(seed))
+	tick := func() sim.Time { return sim.Time(rng.Int63n(int64(deepSpread/deepTick))) * deepTick }
+	x := newExec(&Reference{})
+	ops := make([]Op, nops)
+	for i := range ops {
+		op := Op{Kind: OpKind(rng.Intn(int(numOpKinds))), Delay: tick(), Child: tick()}
+		switch {
+		case x.s.Pending() < deepPending && (op.Kind == OpStep || op.Kind == OpRunUntil):
+			op.Kind = OpScheduleCall
+		case op.Kind == OpRunUntil:
+			op.Delay = sim.Time(rng.Int63n(int64(deepMaxRun)))
+		}
+		x.apply(op)
+		ops[i] = op
+	}
+	return Program{Seed: seed, Ops: ops}
+}
+
 // Ticking programs mix tickers (OpTicker) with schedules, nested
-// schedules and RunUntil windows. They leave out Step: a calendar-queue
+// schedules and RunUntil windows. They leave out Step: a sim.Scheduler
 // Step may carry a ticker's inline ticks where the Reference, whose
 // Advance always declines, fires one event, so the two snapshot
 // different states after it. Fire logs, RunUntil snapshots and the
@@ -327,7 +362,7 @@ func Diff(a, b Trace) string {
 	return ""
 }
 
-// diverges runs p on the calendar queue and on the Reference and
+// diverges runs p on sim.Scheduler and on the Reference and
 // describes the first difference, or returns "" when they agree.
 func (p Program) diverges() string {
 	return Diff(p.Run(sim.NewScheduler()), p.Run(&Reference{}))

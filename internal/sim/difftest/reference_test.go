@@ -10,7 +10,7 @@ import (
 // event queue, ordered by (when, seq) with O(log n) push and pop. It
 // implements the sim.Scheduler operations the programs use, with the
 // same clamping, same-tick FIFO and RunUntil lookahead contract, and
-// the calendar queue must reproduce its behavior exactly.
+// sim.Scheduler must reproduce its behavior exactly.
 type Reference struct {
 	now   sim.Time
 	seq   uint64

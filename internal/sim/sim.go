@@ -9,15 +9,20 @@
 // sequence number, so two runs of the same configuration produce
 // identical results.
 //
-// The scheduler is backed by a bucketed calendar queue (see
-// calendar.go) with amortized O(1) insert and pop. Events are scheduled
-// with ScheduleCall or AtCall: a pre-bound Callback plus an opaque
-// payload. The queued records come from a per-scheduler freelist and
-// are recycled after firing, so steady-state scheduling on the hot
+// The pending events are one slice of event values, kept sorted
+// latest-first so the next event to fire is its tail: a peek reads the
+// tail, a pop truncates, and a push shifts the few earlier-firing
+// entries toward the tail to make room (see push). Simulated traffic
+// keeps few events pending — a median of one to five at each push and
+// at most twenty on single systems, a thousand or so only at the tail
+// of a cluster whose members prefetch — so the shift is short and no
+// bucket wheel or heap pays for itself. Events are scheduled with
+// ScheduleCall or AtCall: a pre-bound Callback plus an opaque payload,
+// stored by value in the slice, so steady-state scheduling on the hot
 // paths (controller decisions, transfer completions, core steps) is
-// allocation-free. The reference container/heap queue the calendar
-// queue is checked against lives in the differential tests of
-// internal/sim/difftest.
+// allocation-free once the slice is deep enough. The reference
+// container/heap queue the scheduler is checked against lives in the
+// differential tests of internal/sim/difftest.
 //
 // A component that re-arms itself every cycle (the core) need not
 // queue each activation: Advance moves the clock straight to its next
@@ -86,13 +91,12 @@ func FromDuration(d time.Duration) Time { return Time(d.Nanoseconds()) * Nanosec
 // nothing.
 type Callback func(now Time, arg any)
 
-// event is one queued callback, ordered by (when, seq).
+// event is one queued callback. Its place in the queue encodes its
+// sequence number (see push), so it stores only its time.
 type event struct {
 	when Time
-	seq  uint64
 	cb   Callback
 	arg  any
-	next *event // calendar bucket chain / freelist link
 }
 
 // Scheduler is a discrete-event simulation engine. The zero value is
@@ -101,8 +105,9 @@ type Scheduler struct {
 	now   Time
 	seq   uint64
 	fired uint64
-	q     *calQueue
-	free  *event // freelist of recycled events
+	// q holds the pending events sorted latest-first by (when, seq),
+	// seq being the order of scheduling: q[len(q)-1] fires next.
+	q []event
 
 	// Advance's limits, set by the loop that is running: the end of a
 	// RunUntil window while windowed, and the fired count at which
@@ -112,8 +117,15 @@ type Scheduler struct {
 	stop     uint64
 }
 
-// NewScheduler returns a Scheduler with its clock at zero.
-func NewScheduler() *Scheduler { return &Scheduler{q: newCalQueue()} }
+// NewScheduler returns a Scheduler with its clock at zero and room
+// for queueDepth pending events.
+func NewScheduler() *Scheduler { return &Scheduler{q: make([]event, 0, queueDepth)} }
+
+// queueDepth is the queue capacity NewScheduler allocates up front:
+// more than any single system keeps pending (at most about twenty), so
+// such a run never grows the queue while it simulates. A cluster whose
+// members prefetch grows it by appending.
+const queueDepth = 32
 
 // Now reports the current simulated time.
 func (s *Scheduler) Now() Time { return s.now }
@@ -123,21 +135,18 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) EventsFired() uint64 { return s.fired }
 
 // Pending reports the number of events currently queued.
-func (s *Scheduler) Pending() int {
-	if s.q == nil {
-		return 0
-	}
-	return s.q.n
-}
+func (s *Scheduler) Pending() int { return len(s.q) }
 
-// DebugState summarizes the scheduler for diagnostic dumps.
+// DebugState summarizes the scheduler for diagnostic dumps: the
+// counters, the next event's time while one is pending, and the queue
+// slice's capacity, which grows only when the queue gets deeper than
+// it has been.
 func (s *Scheduler) DebugState() string {
-	d := fmt.Sprintf("now=%v fired=%d seq=%d pending=%d", s.now, s.fired, s.seq, s.Pending())
-	if q := s.q; q != nil {
-		d += fmt.Sprintf(" buckets=%d width=2^%dps grows=%d shrinks=%d retunes=%d",
-			len(q.buckets), q.shift, q.grows, q.shrinks, q.retunes)
+	d := fmt.Sprintf("now=%v fired=%d seq=%d pending=%d", s.now, s.fired, s.seq, len(s.q))
+	if n := len(s.q); n > 0 {
+		d += fmt.Sprintf(" next=%v", s.q[n-1].when)
 	}
-	return d
+	return d + fmt.Sprintf(" cap=%d", cap(s.q))
 }
 
 // ScheduleCall queues the pre-bound cb to run with arg after delay. A
@@ -151,39 +160,47 @@ func (s *Scheduler) ScheduleCall(delay Time, cb Callback, arg any) {
 }
 
 // AtCall queues the pre-bound cb to run with arg at absolute time t,
-// clamped to the present. The event is drawn from the scheduler's
-// freelist and recycled after it fires, so the call does not allocate
-// in steady state.
+// clamped to the present. The event is stored by value in the queue
+// slice, so the call does not allocate once the slice has grown.
 func (s *Scheduler) AtCall(t Time, cb Callback, arg any) {
 	if t < s.now {
 		t = s.now
 	}
-	e := s.free
-	if e == nil {
-		e = &event{}
-	} else {
-		s.free = e.next
-		e.next = nil
-	}
-	e.when, e.seq, e.cb, e.arg = t, s.seq, cb, arg
+	s.push(event{when: t, cb: cb, arg: arg})
 	s.seq++
-	if s.q == nil {
-		s.q = newCalQueue()
-	}
-	s.q.push(e)
 }
 
-// fire advances the clock to e and runs its callback. The event is
-// recycled before the callback executes so that rescheduling from
-// inside the callback can reuse it immediately.
-func (s *Scheduler) fire(e *event) {
+// push inserts e into the queue, keeping it sorted latest-first. The
+// entries at the tail that fire before e move one slot toward the tail
+// and e takes the slot they free. e carries the largest sequence
+// number yet, so a queued event with the same timestamp fires first:
+// same-tick FIFO is structural. Most events land within a few slots of
+// the tail, so the move is short.
+func (s *Scheduler) push(e event) {
+	q := append(s.q, e)
+	i := len(q) - 1
+	for ; i > 0 && q[i-1].when <= e.when; i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = e
+	s.q = q
+}
+
+// pop removes and returns the next event. The queue must not be empty.
+// The vacated slot is cleared so the queue keeps no payload alive.
+func (s *Scheduler) pop() event {
+	n := len(s.q) - 1
+	e := s.q[n]
+	s.q[n] = event{}
+	s.q = s.q[:n]
+	return e
+}
+
+// fire advances the clock to e and runs its callback.
+func (s *Scheduler) fire(e event) {
 	s.now = e.when
 	s.fired++
-	cb, arg := e.cb, e.arg
-	e.cb, e.arg = nil, nil
-	e.next = s.free
-	s.free = e
-	cb(s.now, arg)
+	e.cb(s.now, e.arg)
 }
 
 // Advance moves the clock to t and counts one fired event, as if an
@@ -203,10 +220,8 @@ func (s *Scheduler) Advance(t Time) bool {
 	if (s.windowed && t > s.horizon) || (s.stop != 0 && s.fired >= s.stop) {
 		return false
 	}
-	if s.q != nil {
-		if e := s.q.peek(); e != nil && e.when <= t {
-			return false
-		}
+	if n := len(s.q); n > 0 && s.q[n-1].when <= t {
+		return false
 	}
 	s.now = t
 	s.fired++
@@ -219,14 +234,10 @@ func (s *Scheduler) Advance(t Time) bool {
 // carry several fired events: the callback can run further activations
 // inline through Advance.
 func (s *Scheduler) Step() bool {
-	if s.q == nil {
+	if len(s.q) == 0 {
 		return false
 	}
-	e := s.q.pop()
-	if e == nil {
-		return false
-	}
-	s.fire(e)
+	s.fire(s.pop())
 	return true
 }
 
@@ -249,17 +260,12 @@ func (s *Scheduler) RunUntil(t Time) (next Time, ok bool) {
 	horizon, windowed := s.horizon, s.windowed
 	s.horizon, s.windowed = t, true
 	defer func() { s.horizon, s.windowed = horizon, windowed }()
-	for s.q != nil {
-		e := s.q.peek()
-		if e == nil {
+	for n := len(s.q); n > 0; n = len(s.q) {
+		if when := s.q[n-1].when; when > t {
+			next, ok = when, true
 			break
 		}
-		if e.when > t {
-			next, ok = e.when, true
-			break
-		}
-		s.q.pop()
-		s.fire(e)
+		s.fire(s.pop())
 	}
 	if t > s.now {
 		s.now = t
@@ -321,8 +327,8 @@ func (s *Scheduler) RunWhileSampled(cond func() bool, stride uint64, coarse func
 // Every schedules fn to fire after each interval for as long as it
 // returns true. Monitoring hooks (the hardening watchdog and the
 // paranoid invariant checker) use it to ride the event loop without
-// owning it. A non-positive interval schedules nothing. The ticks ride
-// pooled events, so a long-lived monitor costs one closure at
+// owning it. A non-positive interval schedules nothing. The ticks are
+// queued by value, so a long-lived monitor costs one closure at
 // installation and nothing per tick.
 func (s *Scheduler) Every(interval Time, fn func() bool) {
 	if interval <= 0 {
