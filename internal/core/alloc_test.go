@@ -18,7 +18,9 @@ const (
 // TestWarmedSystemAllocatesNothing pins the hot path's allocation
 // budget at zero: once warm, a Base and a Tuned system step through
 // instructions, cache misses, writebacks, prefetches and controller
-// decisions without a single heap allocation.
+// decisions without a single heap allocation. The Tuned system is also
+// run under independent interleaving, whose controllers route prefetch
+// candidates to each other through per-group buffers.
 //
 // The workload is gcc, whose queues reach a steady size. mcf would not
 // do: its back-to-back demand misses starve writebacks for the whole
@@ -32,6 +34,11 @@ func TestWarmedSystemAllocatesNothing(t *testing.T) {
 	}{
 		{"base", Base()},
 		{"tuned", Tuned()},
+		{"tuned-independent", func() Config {
+			c := Tuned()
+			c.Interleaving = "independent"
+			return c
+		}()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p, err := workload.ByName("gcc")

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"memsim/internal/channel"
 	"memsim/internal/harden"
@@ -116,26 +115,18 @@ func (s *System) checkInvariants() []string {
 		}
 	}
 
-	// Every outstanding demand miss must have a transfer queued or in
-	// flight at its controller; an MSHR entry with nothing behind it
-	// will never drain and silently eats miss capacity.
-	for _, block := range s.mshrs.Blocks() {
-		g, local := s.stripe(block)
-		if !s.ctrls[g].HasPending(local) {
-			add("MSHR block %#x has no queued or in-flight transfer at controller %d", block, g)
+	// Every fill in flight must have a transfer queued or in flight at
+	// its controller; a fill with nothing behind it will never drain,
+	// and one holding an MSHR silently eats miss capacity.
+	for _, r := range s.fills.sorted() {
+		g, local := s.stripe(r.block)
+		if s.ctrls[g].HasPending(local) {
+			continue
 		}
-	}
-
-	// Likewise every in-flight prefetch fill.
-	pfBlocks := make([]uint64, 0, len(s.inflight))
-	for b := range s.inflight {
-		pfBlocks = append(pfBlocks, b)
-	}
-	slices.Sort(pfBlocks)
-	for _, b := range pfBlocks {
-		g, local := s.stripe(b)
-		if !s.ctrls[g].HasPending(local) {
-			add("prefetch fill %#x has no queued or in-flight transfer at controller %d", b, g)
+		if r.kind == prefetchReq {
+			add("prefetch fill %#x has no queued or in-flight transfer at controller %d", r.block, g)
+		} else {
+			add("MSHR block %#x has no queued or in-flight transfer at controller %d", r.block, g)
 		}
 	}
 
@@ -166,7 +157,10 @@ func (s *System) dump() string {
 	r.Section("cpu")
 	r.Linef("%s", s.core.DebugState())
 	r.Section("mshrs")
-	r.Linef("%s", s.mshrs.DebugString())
+	r.Linef("%d/%d held, %d fills in flight", s.held, s.cfg.MSHRs, s.fills.n)
+	for _, f := range s.fills.sorted() {
+		r.Linef("  block=%#x kind=%s waiters=%d", f.block, f.kind, len(f.waiters))
+	}
 	for g := range s.ctrls {
 		r.Section(fmt.Sprintf("memctrl[%d]", g))
 		r.Linef("%s", s.ctrls[g].DebugState(now))
@@ -174,7 +168,7 @@ func (s *System) dump() string {
 	}
 	if s.pf != nil {
 		r.Section("prefetch")
-		r.Linef("inflight=%d stats=%+v", len(s.inflight), s.pf.Stats())
+		r.Linef("stats=%+v", s.pf.Stats())
 	}
 	if s.inj != nil {
 		r.Section("inject")
@@ -202,13 +196,21 @@ func (s *System) injectOnSubmit(g int, r *memctrl.Request) {
 			ch.InjectRefreshStorm(stormSlice)
 		}
 	}
-	if s.inj.Tick(inject.PhantomMSHR) && !s.mshrs.Full() {
+	if s.inj.Tick(inject.PhantomMSHR) && s.held < s.cfg.MSHRs {
 		// s.capacity is block-aligned and one past the highest real
-		// address, so the phantom entry can never be completed by a
-		// legitimate fill.
-		s.gen++
-		s.mshrs.Allocate(s.capacity, false)
+		// address, so the phantom fill can never be completed by a
+		// legitimate one.
+		s.track(&missReq{s: s, kind: demandReq, block: s.capacity})
 	}
+}
+
+// loseFill drops a demand fill's completion (inject.DropCompletion).
+// Its MSHR leaks, held by a stand-in no transfer will complete, since
+// r itself returns to the pool on release.
+func (s *System) loseFill(r *missReq) {
+	s.fills.remove(r)
+	s.fills.add(&missReq{s: s, kind: r.kind, block: r.block, waiters: r.waiters})
+	r.waiters = nil
 }
 
 // checkRefusal re-derives a replayed refusal of addr with read-only
@@ -216,8 +218,7 @@ func (s *System) injectOnSubmit(g int, r *memctrl.Request) {
 // bump; the panic reaches Run as a CorruptionError.
 func (s *System) checkRefusal(addr uint64) {
 	block := s.l2.BlockAddr(addr)
-	_, inflight := s.inflight[block]
-	_, pending := s.mshrs.Lookup(block)
+	fill := s.fills.find(block)
 	var why string
 	switch {
 	case s.l1.Contains(addr):
@@ -226,11 +227,11 @@ func (s *System) checkRefusal(addr uint64) {
 		why = "the L2 holds it"
 	case s.pfbuffer != nil && s.pfbuffer.Contains(block):
 		why = "the prefetch buffer holds it"
-	case inflight:
+	case fill != nil && fill.kind == prefetchReq:
 		why = "a prefetch of it is in flight"
-	case pending:
+	case fill != nil:
 		why = "an MSHR holds it"
-	case !s.mshrs.Full():
+	case s.held < s.cfg.MSHRs:
 		why = "an MSHR is free"
 	default:
 		return

@@ -95,3 +95,23 @@ func TestLocalAddressCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutedPrefetchesPopInOrder checks that a controller issues the
+// prefetch candidates routed to it oldest first, and that popping them
+// leaves the buffer's memory in place for the next route.
+func TestRoutedPrefetchesPopInOrder(t *testing.T) {
+	sys, _ := testSystem(t, func(c *Config) { c.Interleaving = "independent" })
+	blocks := []uint64{12 * 64, 4 * 64, 8 * 64} // all stripe to group 0
+	sys.pfBuf[0] = append(sys.pfBuf[0], blocks...)
+	buf := sys.pfBuf[0]
+	src := &prefetchSource{sys: sys, group: 0}
+	for _, b := range blocks {
+		r, ok := src.NextPrefetch(0)
+		if _, local := sys.stripe(b); !ok || r.Addr != local {
+			t.Fatalf("pulled %v (ok %v), want the prefetch of block %#x", r, ok, b)
+		}
+	}
+	if sys.pfBuf[0] = append(sys.pfBuf[0], 16*64); &sys.pfBuf[0][0] != &buf[0] {
+		t.Fatal("the next route reallocated the drained buffer")
+	}
+}

@@ -78,11 +78,11 @@ func (s *System) armObs() {
 		"Prefetch candidates dropped before issue (resident or in flight).",
 		func() float64 { return float64(s.prefetchSkipped) })
 	reg.GaugeFunc("memsim_core_mshr_occupancy",
-		"Outstanding demand-miss entries in the MSHR table.",
-		func() float64 { return float64(s.mshrs.Len()) })
+		"MSHRs held by demand misses and software prefetches in flight.",
+		func() float64 { return float64(s.held) })
 	reg.GaugeFunc("memsim_core_prefetches_inflight",
 		"Prefetch fills currently in flight.",
-		func() float64 { return float64(len(s.inflight)) })
+		func() float64 { return float64(s.fills.n - s.held) })
 	reg.CounterFunc("memsim_sim_events_total",
 		"Discrete events fired by the scheduler.",
 		func() float64 { return float64(s.sched.EventsFired()) })

@@ -13,14 +13,10 @@ import (
 // instruction stream, so a test drives the hierarchy directly.
 func starvedSystem(t *testing.T, paranoid bool) (*System, *hierarchy) {
 	t.Helper()
-	cfg := Tuned()
-	cfg.MSHRs = 1
-	cfg.Harden.Paranoid = paranoid
-	s, err := New(cfg, trace.NewSlice(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, (*hierarchy)(s)
+	return testSystem(t, func(c *Config) {
+		c.MSHRs = 1
+		c.Harden.Paranoid = paranoid
+	})
 }
 
 func l1l2(s *System) [2]cache.Stats { return [2]cache.Stats{s.l1.Stats(), s.l2.Stats()} }
@@ -32,7 +28,7 @@ func deltaL1L2(s *System, base [2]cache.Stats) [2]cache.Stats {
 
 // TestRefusalReplay checks the replayed refusal: a retry at an unchanged
 // generation counts exactly what the full lookup counted, and a prefetch
-// of the refused block entering the in-flight table ends the replay.
+// of the refused block entering the fill index ends the replay.
 func TestRefusalReplay(t *testing.T) {
 	s, h := starvedSystem(t, false)
 	a := uint64(0x40000) // region-aligned
@@ -59,13 +55,13 @@ func TestRefusalReplay(t *testing.T) {
 
 	// The region around a queues x's block first; the idle controller
 	// pulls it while a's demand fill is still outstanding.
-	for s.inflight[x] == nil {
-		if !s.mshrs.Full() || !s.sched.Step() {
+	for s.fills.find(x) == nil {
+		if s.held < s.cfg.MSHRs || !s.sched.Step() {
 			t.Fatal("demand fill finished before the prefetch of x issued")
 		}
 	}
 	if !h.Access(x, trace.Store, nil).Accepted {
-		t.Fatal("refusal replayed after a prefetch of its block entered the in-flight table")
+		t.Fatal("refusal replayed after a prefetch of its block entered the fill index")
 	}
 }
 

@@ -44,15 +44,21 @@ type System struct {
 	// pulls allocate no method value.
 	rowOpenFn func(block uint64) bool
 
-	mshrs    *cache.MSHRTable[waiter]
-	inflight map[uint64]*missReq // prefetch fills in flight, by L2 block
+	// fills indexes every L2 fill in flight by block. held counts those
+	// holding an MSHR: demand misses, software prefetches and an
+	// injected phantom; hardware prefetches hold none. spare is a
+	// detached waiter buffer: a demand miss's first data swaps it in so
+	// requests merging while the old waiters run land in other memory.
+	fills fillIndex
+	held  int
+	spare []waiter
 
 	// gen counts the hierarchy changes that can turn a refused access
-	// into an accepted one: an MSHR allocated or completed, a prefetch
-	// entering or leaving inflight, a block installed in the L1, L2 or
-	// prefetch buffer. refused is the last access refused for want of
-	// an MSHR; while gen stays at refused.gen, a retry of it is refused
-	// again without a lookup (see replayRefusal).
+	// into an accepted one: a fill entering or leaving the index, a
+	// block installed in the L1, L2 or prefetch buffer. refused is the
+	// last access refused for want of an MSHR; while gen stays at
+	// refused.gen, a retry of it is refused again without a lookup (see
+	// replayRefusal).
 	gen     uint64
 	refused refusal
 
@@ -126,6 +132,10 @@ const (
 	swPrefetchReq                // software prefetch fill
 )
 
+func (k reqKind) String() string {
+	return [...]string{"demand", "prefetch", "swprefetch"}[k]
+}
+
 // missReq is one pooled fill transfer: the controller request plus the
 // hierarchy state its completions need. Its callbacks are bound once,
 // when the pool first builds it; the controller's (or fabric's)
@@ -137,18 +147,17 @@ type missReq struct {
 	kind  reqKind
 	block uint64 // global block address
 	write bool   // a demand store miss installs the block dirty
-	// mshr is a demand miss's table entry: its slot holds still until
-	// the fill completes.
-	mshr *cache.MSHR[waiter]
-	// A prefetch fill's merge state: whether a demand miss merged into
-	// it, and the merged requests' waiters.
+	// demand is set when a demand miss merges into a hardware prefetch
+	// fill; waiters are the requests merged into the fill.
 	demand  bool
 	waiters []waiter
 
 	firstData, complete func(sim.Time)
 	release             func(*memctrl.Request)
-	next                *missReq // free-list link
-	live                bool     // taken from the free list, not yet released
+	// next links the free list while the request is pooled, and its
+	// fillIndex chain while the fill is in flight.
+	next *missReq
+	live bool // taken from the free list, not yet released
 }
 
 // refusal is an access the hierarchy refused for want of an MSHR, and
@@ -169,12 +178,22 @@ type waiter struct {
 	complete func(sim.Time)
 }
 
-// Fire implements cache.Waiter.
-func (w waiter) Fire(at sim.Time) {
+// fire runs the merged request with the fill time.
+func (w waiter) fire(at sim.Time) {
 	w.s.fillL1(w.addr, w.write)
 	if w.complete != nil {
 		w.complete(at)
 	}
+}
+
+// wait merges w into the fill. A fresh waiter buffer starts with room
+// for four: few fills gather more, so the buffers a pooled request
+// carries seldom grow.
+func (r *missReq) wait(w waiter) {
+	if r.waiters == nil {
+		r.waiters = make([]waiter, 0, 4)
+	}
+	r.waiters = append(r.waiters, w)
 }
 
 // newReq takes a fill request from the free list, building one when
@@ -212,7 +231,7 @@ func (r *missReq) recycle(*memctrl.Request) {
 		panic(fmt.Sprintf("core: request for block %#x released twice", r.block))
 	}
 	r.live = false
-	r.mshr, r.demand = nil, false
+	r.demand = false
 	r.waiters = r.waiters[:0]
 	r.next, r.s.freeReqs = r.s.freeReqs, r
 }
@@ -237,54 +256,64 @@ func (s *System) newWriteback(addr uint64, size int) *memctrl.Request {
 	return r
 }
 
+// track indexes a fill entering flight.
+func (s *System) track(r *missReq) {
+	s.gen++
+	s.fills.add(r)
+	if r.kind != prefetchReq {
+		s.held++
+	}
+}
+
 // onFirstData releases the loads waiting on a demand miss once the
 // critical word arrives; later merges complete at full-line install.
-func (r *missReq) onFirstData(at sim.Time) { r.s.mshrs.Fire(r.mshr, at) }
+func (r *missReq) onFirstData(at sim.Time) {
+	s := r.s
+	ws := r.waiters
+	r.waiters, s.spare = s.spare[:0], nil
+	for _, w := range ws {
+		w.fire(at)
+	}
+	s.spare = ws[:0]
+}
 
 // onComplete is the full-line arrival of a demand, prefetch or
 // software-prefetch fill.
 func (r *missReq) onComplete(at sim.Time) {
 	s := r.s
-	switch r.kind {
-	case demandReq:
-		if s.inj.Tick(inject.DropCompletion) {
-			return // the fill is lost; the MSHR entry leaks
-		}
-		s.deliverDemand(r.block, r.write, at)
-		s.completions++
-		if s.inj.Tick(inject.DuplicateFill) {
-			// The second Complete panics on the unknown block; Run
-			// recovers it into a CorruptionError.
-			s.deliverDemand(r.block, r.write, at)
-		}
-	case prefetchReq:
-		s.completions++
-		s.gen++
-		delete(s.inflight, r.block)
-		s.installL2(r.block, false, !r.demand)
-		if r.demand && s.pf != nil {
-			// A late prefetch the demand stream caught up with: count
-			// it as used.
-			s.pf.RecordSettled(true)
-		}
-		for _, w := range r.waiters {
-			w.Fire(at)
-		}
-		s.core.Wake()
-	case swPrefetchReq:
-		s.completions++
-		s.installL2(r.block, false, true)
-		s.gen++
-		s.mshrs.Complete(r.block, at)
-		s.core.Wake()
+	if r.kind == demandReq && s.inj.Tick(inject.DropCompletion) {
+		s.loseFill(r)
+		return
+	}
+	s.completions++
+	s.deliver(r, at)
+	if r.kind == demandReq && s.inj.Tick(inject.DuplicateFill) {
+		// The second delivery panics on the unknown block; Run
+		// recovers it into a CorruptionError.
+		s.deliver(r, at)
 	}
 }
 
-// deliverDemand installs a demand fill and retires its MSHR entry.
-func (s *System) deliverDemand(block uint64, write bool, at sim.Time) {
-	s.installL2(block, write, false)
+// deliver installs a fill's block, retires the fill and runs the
+// requests merged into it.
+func (s *System) deliver(r *missReq, at sim.Time) {
+	// A prefetch installs as prefetched unless a demand miss merged in.
+	s.installL2(r.block, r.write, r.kind != demandReq && !r.demand)
+	if r.demand && s.pf != nil {
+		// A late prefetch the demand stream caught up with: count it
+		// as used.
+		s.pf.RecordSettled(true)
+	}
 	s.gen++
-	s.mshrs.Complete(block, at)
+	if !s.fills.remove(r) {
+		panic(fmt.Sprintf("core: MSHR complete for unknown block %#x", r.block))
+	}
+	if r.kind != prefetchReq {
+		s.held--
+	}
+	for _, w := range r.waiters {
+		w.fire(at)
+	}
 	s.core.Wake()
 }
 
@@ -349,8 +378,7 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		sched:    sim.NewScheduler(),
 		l1:       l1,
 		l2:       l2,
-		mshrs:    cache.NewMSHRTable[waiter](cfg.MSHRs),
-		inflight: make(map[uint64]*missReq),
+		fills:    newFillIndex(cfg.L2Block, cfg.MSHRs),
 		gen:      1, // the zero refusal never matches
 		capacity: org.Capacity(),
 		pfBuf:    make([][]uint64, org.Groups),
@@ -649,36 +677,29 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 		return cpu.Reply{Accepted: true, Done: true, At: l2At + s.clock.Cycles(2)}
 	}
 
-	// Merge into an in-flight prefetch: the "late prefetch" case.
+	// Merge into the block's fill in flight; a hardware prefetch is the
+	// "late prefetch" case.
 	w := waiter{s: s, addr: addr, write: write, complete: complete}
-	if fill, ok := s.inflight[block]; ok {
-		fill.demand = true
-		s.tr.Instant(obs.EvLateMerge, 0, block, 0)
-		s.lateMerges++
-		s.notifyPrefetcher(addr)
-		fill.waiters = append(fill.waiters, w)
+	if fill := s.fills.find(block); fill != nil {
+		if fill.kind == prefetchReq {
+			fill.demand = true
+			s.tr.Instant(obs.EvLateMerge, 0, block, 0)
+			s.lateMerges++
+			s.notifyPrefetcher(addr)
+		}
+		fill.wait(w)
 		return cpu.Reply{Accepted: true}
 	}
 
-	// Merge into an outstanding demand miss.
-	if m, ok := s.mshrs.Lookup(block); ok {
-		m.Waiters = append(m.Waiters, w)
-		return cpu.Reply{Accepted: true}
-	}
-
-	if s.mshrs.Full() {
+	if s.held >= s.cfg.MSHRs {
 		s.refused = refusal{addr, write, s.gen}
 		return cpu.Reply{} // rejected; the core retries after Wake
 	}
 
-	s.gen++
-	m := s.mshrs.Allocate(block, false)
-	m.Waiters = append(m.Waiters, w)
-
-	s.notifyPrefetcher(addr)
-
 	r := s.newReq(demandReq, block, block, write)
-	r.mshr = m
+	s.track(r)
+	r.wait(w)
+	s.notifyPrefetcher(addr)
 	s.submit(&r.Request)
 	return cpu.Reply{Accepted: true}
 }
@@ -798,18 +819,17 @@ func (s *System) makePrefetchRequest(block uint64) (*memctrl.Request, bool) {
 		s.dropPrefetch(block, obs.DropBuffered)
 		return nil, false
 	}
-	if _, busy := s.inflight[block]; busy {
-		s.dropPrefetch(block, obs.DropInFlight)
-		return nil, false
-	}
-	if _, busy := s.mshrs.Lookup(block); busy {
-		s.dropPrefetch(block, obs.DropDemandPending)
+	if fill := s.fills.find(block); fill != nil {
+		reason := obs.DropDemandPending
+		if fill.kind == prefetchReq {
+			reason = obs.DropInFlight
+		}
+		s.dropPrefetch(block, reason)
 		return nil, false
 	}
 	_, local := s.stripe(block)
 	r := s.newReq(prefetchReq, local, block, false)
-	s.gen++
-	s.inflight[block] = r
+	s.track(r)
 	return &r.Request, true
 }
 
@@ -831,19 +851,16 @@ func (s *System) softwarePrefetch(addr uint64) cpu.Reply {
 	if s.l1.Contains(addr) || s.l2.Contains(addr) {
 		return done
 	}
-	if _, ok := s.inflight[block]; ok {
+	if s.fills.find(block) != nil {
 		return done
 	}
-	if _, ok := s.mshrs.Lookup(block); ok {
-		return done
-	}
-	if s.mshrs.Full() {
+	if s.held >= s.cfg.MSHRs {
 		return cpu.Reply{} // dropped by the core
 	}
 	s.swPrefetches++
-	s.gen++
-	s.mshrs.Allocate(block, true)
-	s.submit(&s.newReq(swPrefetchReq, block, block, false).Request)
+	r := s.newReq(swPrefetchReq, block, block, false)
+	s.track(r)
+	s.submit(&r.Request)
 	return done
 }
 
@@ -863,10 +880,12 @@ const maxRoutePull = 16
 func (p *prefetchSource) NextPrefetch(now sim.Time) (*memctrl.Request, bool) {
 	s := p.sys
 
-	// Buffered candidates routed here earlier take priority.
-	for len(s.pfBuf[p.group]) > 0 {
-		block := s.pfBuf[p.group][0]
-		s.pfBuf[p.group] = s.pfBuf[p.group][1:]
+	// Buffered candidates routed here earlier take priority, oldest
+	// first. Popping shifts the rest down in place, so the buffer keeps
+	// its capacity for the next route.
+	for buf := s.pfBuf[p.group]; len(buf) > 0; buf = s.pfBuf[p.group] {
+		block := buf[0]
+		s.pfBuf[p.group] = buf[:copy(buf, buf[1:])]
 		if r, live := s.makePrefetchRequest(block); live {
 			return r, true
 		}

@@ -87,31 +87,30 @@ func (l *rateLimiter) evictIdlest() {
 	delete(l.buckets, victim)
 }
 
-// admission is the load-shedding gate: a bounded logical queue plus an
-// in-flight watermark. It tracks counts itself (rather than reading
-// channel lengths) so the admit decision and the counter update are
-// one atomic step under its lock.
+// admission is the load-shedding gate: a bounded logical queue. It
+// tracks counts itself (rather than reading channel lengths) so the
+// admit decision and the counter update are one atomic step under its
+// lock. Only the worker goroutines start jobs, so running never
+// exceeds the worker count and admitted-but-unfinished work never
+// exceeds queueDepth plus the workers.
 type admission struct {
 	mu         sync.Mutex
 	queueDepth int // high watermark on queued jobs
-	maxActive  int // watermark on queued + running work
 	queued     int
 	running    int
 }
 
-// newAdmission builds the gate: queueDepth bounds waiting jobs and
-// workers bounds concurrently running ones, so total admitted-but-
-// unfinished work never exceeds queueDepth+workers.
-func newAdmission(queueDepth, workers int) *admission {
-	return &admission{queueDepth: queueDepth, maxActive: queueDepth + workers}
+// newAdmission builds the gate: queueDepth bounds waiting jobs.
+func newAdmission(queueDepth int) *admission {
+	return &admission{queueDepth: queueDepth}
 }
 
-// tryAdmit claims a queue slot, reporting false when either watermark
-// — queue depth or total in-flight work — is crossed.
+// tryAdmit claims a queue slot, reporting false when the queue is at
+// its watermark.
 func (a *admission) tryAdmit() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.queued >= a.queueDepth || a.queued+a.running >= a.maxActive {
+	if a.queued >= a.queueDepth {
 		return false
 	}
 	a.queued++

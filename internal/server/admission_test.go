@@ -14,7 +14,7 @@ import (
 )
 
 func TestAdmissionWatermarks(t *testing.T) {
-	a := newAdmission(2, 1) // queue of 2, one worker
+	a := newAdmission(2) // queue of 2, one worker
 
 	if !a.tryAdmit() || !a.tryAdmit() {
 		t.Fatal("admissions under the watermark refused")
@@ -26,9 +26,9 @@ func TestAdmissionWatermarks(t *testing.T) {
 	if !a.tryAdmit() {
 		t.Fatal("freed queue slot refused")
 	}
-	// ...but now queued+running == maxActive, so the gate holds again.
+	// ...and the re-admission fills the queue again, so the gate holds.
 	if a.tryAdmit() {
-		t.Fatal("in-flight watermark not enforced")
+		t.Fatal("queue watermark not enforced after start")
 	}
 	a.finish() // running job retires, but the queue itself is still full
 	if a.tryAdmit() {
@@ -45,7 +45,7 @@ func TestAdmissionWatermarks(t *testing.T) {
 }
 
 func TestAdmissionAdoptBypassesWatermark(t *testing.T) {
-	a := newAdmission(1, 1)
+	a := newAdmission(1)
 	// Restart re-adoption must never shed previously admitted jobs,
 	// even past the watermark.
 	for i := 0; i < 5; i++ {

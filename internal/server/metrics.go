@@ -15,7 +15,7 @@ import (
 // guarded by the export mutex, and gauges read the admission gate.
 type metrics struct {
 	admitted     atomic.Uint64
-	shedQueue    atomic.Uint64 // queue/in-flight watermark crossed
+	shedQueue    atomic.Uint64 // queue watermark crossed
 	shedRate     atomic.Uint64 // per-client token bucket empty
 	shedDraining atomic.Uint64 // submission during drain
 	badRequests  atomic.Uint64 // malformed or invalid submissions

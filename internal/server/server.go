@@ -13,10 +13,10 @@
 //     simulator is deterministic, the resumed results are
 //     bit-identical to an uninterrupted run.
 //   - Graceful degradation. Admission control — a bounded queue with
-//     watermarks on queued and in-flight work, plus per-client token
-//     buckets — sheds load with 429 + Retry-After instead of growing
-//     without bound. A draining daemon answers new submissions with
-//     503 while checkpointing in-flight jobs.
+//     a watermark on queued work, plus per-client token buckets —
+//     sheds load with 429 + Retry-After instead of growing without
+//     bound. A draining daemon answers new submissions with 503 while
+//     checkpointing in-flight jobs.
 //   - Fault isolation. A panicking job marks itself FAILED without
 //     taking down the daemon; per-job deadlines and the forward-
 //     progress watchdog bound how long a wedged simulation can hold a
@@ -200,7 +200,7 @@ func New(cfg Config) (*Service, error) {
 		cfg.Logger.Printf("job store held corrupt data; quarantined as %s, every other record loaded", q)
 	}
 
-	adm := newAdmission(cfg.QueueDepth, cfg.Workers)
+	adm := newAdmission(cfg.QueueDepth)
 	pending := store.Pending()
 	s := &Service{
 		cfg:     cfg,
