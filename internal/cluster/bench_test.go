@@ -89,3 +89,22 @@ func benchRun(b *testing.B, cfg Config) Result {
 	}
 	return res
 }
+
+// fireLogSink keeps BenchmarkFireLogFold's digest live.
+var fireLogSink uint64
+
+// BenchmarkFireLogFold measures the fire-log digest alone, in ns per
+// message: the canonical mcf+swim run's message log, recorded once,
+// folded message by message as the barrier folds it.
+func BenchmarkFireLogFold(b *testing.B) {
+	log, _ := recordLog(b, testConfig())
+	r := &run{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range log {
+			r.hashMessage(&log[j])
+		}
+	}
+	fireLogSink = r.hash
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/msg")
+}

@@ -94,18 +94,26 @@ func TestGoldenCluster(t *testing.T) {
 //
 //	go test ./internal/cluster -run TestTunedPrefetchGolden -update
 func TestTunedPrefetchGolden(t *testing.T) {
-	cfg := testConfig()
-	for i := range cfg.Systems {
-		sc := core.Base()
-		sc.Prefetch = core.TunedPrefetch()
-		cfg.Systems[i].Config = &sc
-	}
+	cfg := tunedPrefetchConfig()
 	got := marshal(t, mustRun(t, cfg))
 	checkGolden(t, "golden_cluster_prefetch.json", got)
 	cfg.Parallel = true
 	if par := marshal(t, mustRun(t, cfg)); !bytes.Equal(par, got) {
 		t.Fatal("parallel result differs from sequential reference")
 	}
+}
+
+// tunedPrefetchConfig is testConfig with every member running the
+// paper's tuned region prefetcher: the config of
+// golden_cluster_prefetch.json.
+func tunedPrefetchConfig() Config {
+	cfg := testConfig()
+	for i := range cfg.Systems {
+		sc := core.Base()
+		sc.Prefetch = core.TunedPrefetch()
+		cfg.Systems[i].Config = &sc
+	}
+	return cfg
 }
 
 // checkGolden compares got against the fixture testdata/name, first

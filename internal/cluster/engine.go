@@ -38,7 +38,7 @@ type run struct {
 	epochs   uint64
 	messages uint64
 	now      sim.Time // fabric clock: the last barrier's epoch end
-	hash     uint64   // FNV-1a digest of the barrier fire log
+	hash     uint64   // digest of the barrier fire log (hashMessage)
 
 	// tap, when set, sees every message the barrier exchanges, in
 	// canonical order. Tests audit the protocol through it.
@@ -86,7 +86,7 @@ func newRun(cfg Config) (*run, error) {
 		return nil, err
 	}
 
-	r := &run{cfg: cfg, delta: cfg.LinkLatency}
+	r := &run{cfg: cfg, delta: cfg.LinkLatency, hash: digestSeed}
 	for i, spec := range cfg.Systems {
 		prof, err := workload.ByName(spec.Bench)
 		if err != nil {
@@ -172,47 +172,41 @@ func (r *run) barrier() int {
 	return n
 }
 
-// FNV-1a 64-bit, folded byte by byte over fixed fields so the digest
-// has no dependence on struct layout.
+// Fire-log digest constants: the seed, the serial step's multiplier and
+// one odd multiplier per word, so no two words enter alike. The
+// multipliers are the five 64-bit xxHash primes and SplitMix64's two.
 const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
+	digestSeed = 0xcbf29ce484222325
+	digestMul  = 0xbf58476d1ce4e5b9
+	digestK0   = 0x9e3779b185ebca87
+	digestK1   = 0xc2b2ae3d27d4eb4f
+	digestK2   = 0x165667b19e3779f9
+	digestK3   = 0x85ebca77c2b2ae63
+	digestK4   = 0x27d4eb2f165667c5
+	digestK5   = 0x94d049bb133111eb
 )
 
-// hashMessage folds m into the fire-log digest, which starts at the
-// FNV offset basis: six fixed words, each byte by byte, least
-// significant first.
+// hashMessage folds m into the fire-log digest. m's protocol fields
+// (all but Slot, which is routing) pack into six fixed words, so the
+// digest has no dependence on struct layout. Each word, times its own
+// odd constant, combines into one, which enters the running value
+// through one multiply and one xorshift. Each of those steps is a
+// bijection of every word and of the running value, so a change to
+// any one word of any one message changes the digest, and only the
+// serial step waits on the message before.
 func (r *run) hashMessage(m *message) {
-	flags := uint64(0)
+	w5 := uint64(m.Size)<<8 | uint64(m.Class)<<2
 	if m.Write {
-		flags = 1
+		w5 |= 1
 	}
 	if m.NeedFirst {
-		flags |= 2
+		w5 |= 2
 	}
-	words := [...]uint64{
-		uint64(m.DeliverAt),
-		uint64(m.Src)<<32 | uint64(m.Kind)<<16 | uint64(m.Sys),
-		m.Seq,
-		m.ID,
-		m.Addr,
-		uint64(m.Size)<<8 | uint64(m.Class)<<2 | flags,
-	}
-	h := r.hash
-	if h == 0 {
-		h = fnvOffset
-	}
-	for _, v := range words {
-		h = (h ^ v&0xff) * fnvPrime
-		h = (h ^ v>>8&0xff) * fnvPrime
-		h = (h ^ v>>16&0xff) * fnvPrime
-		h = (h ^ v>>24&0xff) * fnvPrime
-		h = (h ^ v>>32&0xff) * fnvPrime
-		h = (h ^ v>>40&0xff) * fnvPrime
-		h = (h ^ v>>48&0xff) * fnvPrime
-		h = (h ^ v>>56) * fnvPrime
-	}
-	r.hash = h
+	x := uint64(m.DeliverAt)*digestK0 ^
+		(uint64(m.Src)<<32|uint64(m.Kind)<<16|uint64(m.Sys))*digestK1 ^
+		m.Seq*digestK2 ^ m.ID*digestK3 ^ m.Addr*digestK4 ^ w5*digestK5
+	h := (r.hash ^ x) * digestMul
+	r.hash = h ^ h>>32
 }
 
 // nextEpochEnd picks the next barrier time after end. The base step is

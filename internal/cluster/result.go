@@ -51,8 +51,10 @@ type Result struct {
 	Systems []SystemResult `json:"systems"`
 
 	// Epochs and Messages count barrier rounds and cross-shard
-	// messages; TraceHash digests the full fire log (every message in
-	// canonical merge order), the difftest's bit-identity witness.
+	// messages; TraceHash digests the full fire log (every message's
+	// protocol fields, Slot left out, in canonical merge order, one
+	// combine and one serial multiply per message), the difftest's
+	// bit-identity witness.
 	Epochs    uint64 `json:"epochs"`
 	Messages  uint64 `json:"messages"`
 	TraceHash string `json:"trace_hash"`

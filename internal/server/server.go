@@ -378,12 +378,15 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 }
 
 // finishJob records a job's terminal (or requeued) state and updates
-// the counters.
+// the counters. Each terminal counter is bumped inside the store update
+// that sets its state, under the store's lock, so a reader who sees the
+// state also sees it counted.
 func (s *Service) finishJob(id string, results []core.Result, reused uint64, err error) {
 	now := time.Now().UTC()
 	switch {
 	case err == nil:
 		job, uerr := s.store.Update(id, func(j *Job) {
+			s.met.completed.Add(1)
 			j.State = StateDone
 			j.FinishedAt = &now
 			j.Results = results
@@ -399,7 +402,6 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 			s.log.Printf("job %s: %v", id, uerr)
 			return
 		}
-		s.met.completed.Add(1)
 		s.met.observeJobSeconds(now.Sub(job.EnqueuedAt).Seconds())
 		s.log.Printf("job %s: done (%d benchmarks, %d specs reused)", id, len(results), reused)
 	case errors.Is(err, errDraining):
@@ -414,13 +416,13 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 		s.log.Printf("job %s: checkpointed for drain; will resume on restart", id)
 	case errors.Is(err, errCanceledByClient):
 		if _, uerr := s.store.Update(id, func(j *Job) {
+			s.met.canceled.Add(1)
 			j.State = StateCanceled
 			j.FinishedAt = &now
 			j.Error = errCanceledByClient.Error()
 		}); uerr != nil {
 			s.log.Printf("job %s: %v", id, uerr)
 		}
-		s.met.canceled.Add(1)
 		s.log.Printf("job %s: canceled by client", id)
 	default:
 		msg := experiments.FirstLine(err)
@@ -428,13 +430,13 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 			msg = "deadline exceeded: " + msg
 		}
 		if _, uerr := s.store.Update(id, func(j *Job) {
+			s.met.failed.Add(1)
 			j.State = StateFailed
 			j.FinishedAt = &now
 			j.Error = msg
 		}); uerr != nil {
 			s.log.Printf("job %s: %v", id, uerr)
 		}
-		s.met.failed.Add(1)
 		s.log.Printf("job %s: failed: %s", id, msg)
 	}
 }
@@ -794,11 +796,13 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusAccepted, map[string]string{"id": id, "state": "canceling"})
 		return
 	}
-	// Still queued: mark it canceled now; the worker skips it on
-	// dequeue and releases its admission slot.
+	// Still queued: mark it canceled now (counted as finishJob counts,
+	// before the state shows); the worker skips it on dequeue and
+	// releases its admission slot.
 	now := time.Now().UTC()
 	job, err := s.store.Update(id, func(j *Job) {
 		if j.State == StateQueued {
+			s.met.canceled.Add(1)
 			j.State = StateCanceled
 			j.FinishedAt = &now
 			j.Error = errCanceledByClient.Error()
@@ -807,9 +811,6 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, &apiError{Code: "store_failed", Message: err.Error()})
 		return
-	}
-	if job.State == StateCanceled {
-		s.met.canceled.Add(1)
 	}
 	s.writeJSON(w, http.StatusOK, job)
 }
