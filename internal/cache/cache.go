@@ -270,17 +270,6 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	return false
 }
 
-// CountMiss changes the statistics exactly as Access does for a block
-// that is not resident, without looking the block up. The hierarchy
-// uses it to replay a refused access whose lookup outcome it knows.
-func (c *Cache) CountMiss(write bool) {
-	c.stats.Accesses++
-	c.stats.Misses++
-	if write {
-		c.stats.Writes++
-	}
-}
-
 // Contains reports whether the block holding addr is resident, without
 // disturbing recency or statistics. The prefetch issue path uses it to
 // drop resident candidates.

@@ -362,22 +362,3 @@ func TestPropertyPrefetchConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestCountMissMatchesAccess checks that CountMiss changes Stats exactly
-// as Access does for a block that is not resident, for loads and stores.
-func TestCountMissMatchesAccess(t *testing.T) {
-	for _, write := range []bool{false, true} {
-		looked, counted := small(t), small(t)
-		for _, c := range []*Cache{looked, counted} {
-			c.Insert(0, MRU, false, false)
-			c.Access(0, true)
-		}
-		if looked.Access(64, write) {
-			t.Fatal("absent block hit")
-		}
-		counted.CountMiss(write)
-		if got, want := counted.Stats(), looked.Stats(); got != want {
-			t.Errorf("write=%v: CountMiss gave %+v, Access %+v", write, got, want)
-		}
-	}
-}

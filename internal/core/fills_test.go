@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"memsim/internal/memctrl"
 	"memsim/internal/sim"
 	"memsim/internal/trace"
 )
@@ -186,6 +187,37 @@ func TestPrefetchFillsHoldNoMSHR(t *testing.T) {
 	stepUntil(t, s, func() bool { return s.fills.n == 0 })
 	if s.held != 0 {
 		t.Fatalf("%d MSHRs held with no fill in flight", s.held)
+	}
+}
+
+// TestBufferedBlockNeedsNoMSHR checks that a block waiting in the
+// separate prefetch buffer needs no MSHR: with the only one held, a
+// software prefetch of it is done at once, building no request and
+// counting no software prefetch fill, and a demand load of it hits.
+func TestBufferedBlockNeedsNoMSHR(t *testing.T) {
+	s, h := testSystem(t, func(c *Config) {
+		c.MSHRs = 1
+		c.SoftwarePrefetch = true
+		c.Prefetch.BufferBlocks = 8
+	})
+	a := uint64(0x40000)
+	s.installL2(a, false, true)
+	if !s.pfbuffer.Contains(a) || s.l2.Contains(a) {
+		t.Fatal("prefetched block not diverted to the buffer")
+	}
+	if !h.Access(0x80000, trace.Load, nop).Accepted || s.held != 1 {
+		t.Fatal("miss elsewhere did not take the only MSHR")
+	}
+	built := 0
+	s.onNewRequest = func(*memctrl.Request) { built++ }
+	if r := h.Access(a+8, trace.SWPrefetch, nil); !r.Accepted || !r.Done {
+		t.Fatalf("software prefetch of a buffered block answered %+v", r)
+	}
+	if built != 0 || s.swPrefetches != 0 {
+		t.Fatalf("software prefetch of a buffered block built %d requests, counted %d fills", built, s.swPrefetches)
+	}
+	if r := h.Access(a+16, trace.Load, nop); !r.Accepted || !r.Done || !s.l2.Contains(a) {
+		t.Fatalf("demand load of a buffered block answered %+v with every MSHR held", r)
 	}
 }
 

@@ -213,32 +213,6 @@ func (s *System) loseFill(r *missReq) {
 	r.waiters = nil
 }
 
-// checkRefusal re-derives a replayed refusal of addr with read-only
-// probes. A mismatch means some hierarchy change skipped its generation
-// bump; the panic reaches Run as a CorruptionError.
-func (s *System) checkRefusal(addr uint64) {
-	block := s.l2.BlockAddr(addr)
-	fill := s.fills.find(block)
-	var why string
-	switch {
-	case s.l1.Contains(addr):
-		why = "the L1 holds it"
-	case s.l2.Contains(addr):
-		why = "the L2 holds it"
-	case s.pfbuffer != nil && s.pfbuffer.Contains(block):
-		why = "the prefetch buffer holds it"
-	case fill != nil && fill.kind == prefetchReq:
-		why = "a prefetch of it is in flight"
-	case fill != nil:
-		why = "an MSHR holds it"
-	case s.held < s.cfg.MSHRs:
-		why = "an MSHR is free"
-	default:
-		return
-	}
-	panic(fmt.Sprintf("core: replayed refusal of %#x at generation %d, but %s", addr, s.gen, why))
-}
-
 // recoverCorruption converts a panic escaping the event loop into a
 // structured CorruptionError carrying the diagnostic dump. Building the
 // dump can itself touch the corrupted state, so it too is guarded.

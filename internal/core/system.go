@@ -53,15 +53,6 @@ type System struct {
 	held  int
 	spare []waiter
 
-	// gen counts the hierarchy changes that can turn a refused access
-	// into an accepted one: a fill entering or leaving the index, a
-	// block installed in the L1, L2 or prefetch buffer. refused is the
-	// last access refused for want of an MSHR; while gen stays at
-	// refused.gen, a retry of it is refused again without a lookup (see
-	// replayRefusal).
-	gen     uint64
-	refused refusal
-
 	// freeReqs and freeWBs are the free lists of pooled fill requests
 	// (see missReq) and writebacks; both grow lazily to the peak number
 	// in flight. recycleWB, bound once, returns a writeback to its list.
@@ -160,14 +151,6 @@ type missReq struct {
 	live bool // taken from the free list, not yet released
 }
 
-// refusal is an access the hierarchy refused for want of an MSHR, and
-// the generation it was refused at.
-type refusal struct {
-	addr  uint64
-	write bool
-	gen   uint64
-}
-
 // waiter is a request merged into an outstanding fill: the fill
 // installs its block in the L1 and then completes the load (complete
 // is nil for stores).
@@ -258,7 +241,6 @@ func (s *System) newWriteback(addr uint64, size int) *memctrl.Request {
 
 // track indexes a fill entering flight.
 func (s *System) track(r *missReq) {
-	s.gen++
 	s.fills.add(r)
 	if r.kind != prefetchReq {
 		s.held++
@@ -304,7 +286,6 @@ func (s *System) deliver(r *missReq, at sim.Time) {
 		// as used.
 		s.pf.RecordSettled(true)
 	}
-	s.gen++
 	if !s.fills.remove(r) {
 		panic(fmt.Sprintf("core: MSHR complete for unknown block %#x", r.block))
 	}
@@ -379,7 +360,6 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 		l1:       l1,
 		l2:       l2,
 		fills:    newFillIndex(cfg.L2Block, cfg.MSHRs),
-		gen:      1, // the zero refusal never matches
 		capacity: org.Capacity(),
 		pfBuf:    make([][]uint64, org.Groups),
 		extMem:   mem,
@@ -643,10 +623,14 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 		return cpu.Reply{Accepted: true, Done: true, At: now + s.clock.Cycles(int64(s.cfg.L1HitCycles))}
 	}
 
-	write := kind == trace.Store
-	if s.refused == (refusal{addr, write, s.gen}) {
-		return s.replayRefusal(addr, write)
+	// With every MSHR busy, a miss that would need one is refused before
+	// anything is counted, so each access counts once: on the try that
+	// is accepted. PerfectL2 never holds an MSHR, so it never refuses.
+	if s.held >= s.cfg.MSHRs && !s.onChipOrInFlight(addr) {
+		return cpu.Reply{} // rejected; the core retries after Wake
 	}
+
+	write := kind == trace.Store
 	if s.l1.Access(addr, write) {
 		return cpu.Reply{Accepted: true, Done: true, At: now + s.clock.Cycles(int64(s.cfg.L1HitCycles))}
 	}
@@ -691,11 +675,6 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 		return cpu.Reply{Accepted: true}
 	}
 
-	if s.held >= s.cfg.MSHRs {
-		s.refused = refusal{addr, write, s.gen}
-		return cpu.Reply{} // rejected; the core retries after Wake
-	}
-
 	r := s.newReq(demandReq, block, block, write)
 	s.track(r)
 	r.wait(w)
@@ -704,27 +683,19 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	return cpu.Reply{Accepted: true}
 }
 
-// replayRefusal answers a retry of the last refused access when no
-// hierarchy change since could have flipped the refusal. It counts what
-// the full lookup would have (an L1, L2 and prefetch-buffer miss), so
-// every reported statistic matches, and refuses again. Under
-// Harden.Paranoid it first re-derives the refusal (see checkRefusal).
-func (s *System) replayRefusal(addr uint64, write bool) cpu.Reply {
-	if s.cfg.Harden.Paranoid {
-		s.checkRefusal(addr)
-	}
-	s.l1.CountMiss(write)
-	s.l2.CountMiss(write)
-	if s.pfbuffer != nil {
-		s.pfbuffer.CountMiss(false)
-	}
-	return cpu.Reply{}
+// onChipOrInFlight reports, without counting or disturbing recency,
+// whether the block holding addr is in the L1, the L2 or the prefetch
+// buffer, or has a fill in flight: an access to it needs no new MSHR.
+func (s *System) onChipOrInFlight(addr uint64) bool {
+	block := s.l2.BlockAddr(addr)
+	return s.l1.Contains(addr) || s.l2.Contains(block) ||
+		(s.pfbuffer != nil && s.pfbuffer.Contains(block)) ||
+		s.fills.find(block) != nil
 }
 
 // fillL1 installs the block containing addr into the L1, absorbing the
 // victim writeback into the L2.
 func (s *System) fillL1(addr uint64, write bool) {
-	s.gen++
 	v := s.l1.Insert(addr, cache.MRU, write, false)
 	if v.Valid && v.Dirty && !s.cfg.PerfectMem && !s.cfg.PerfectL2 {
 		if !s.l2.MarkDirty(v.Addr) {
@@ -740,7 +711,6 @@ func (s *System) fillL1(addr uint64, write bool) {
 // accuracy throttle as failures. Prefetched blocks divert to the
 // separate buffer when one is configured.
 func (s *System) installL2(block uint64, dirty, prefetched bool) {
-	s.gen++
 	if prefetched && s.pfbuffer != nil {
 		v := s.pfbuffer.Insert(block, cache.MRU, false, true)
 		if v.Valid && s.pf != nil {
@@ -847,17 +817,14 @@ func (s *System) softwarePrefetch(addr uint64) cpu.Reply {
 		return done
 	}
 	addr %= s.capacity
-	block := s.l2.BlockAddr(addr)
-	if s.l1.Contains(addr) || s.l2.Contains(addr) {
-		return done
-	}
-	if s.fills.find(block) != nil {
+	if s.onChipOrInFlight(addr) {
 		return done
 	}
 	if s.held >= s.cfg.MSHRs {
 		return cpu.Reply{} // dropped by the core
 	}
 	s.swPrefetches++
+	block := s.l2.BlockAddr(addr)
 	r := s.newReq(swPrefetchReq, block, block, false)
 	s.track(r)
 	s.submit(&r.Request)

@@ -40,9 +40,6 @@ func (c *Counterfactual) AddShadow(name string, pf Prefetcher) {
 	c.shadows = append(c.shadows, shadowPF{pf: pf, id: c.tr.InternPolicy(name)})
 }
 
-// Primary returns the wrapped scheme (metrics wiring reaches through).
-func (c *Counterfactual) Primary() Prefetcher { return c.primary }
-
 // OnDemandMiss implements Prefetcher: the miss feeds the primary and
 // every shadow, so each scheme tracks the same demand stream.
 func (c *Counterfactual) OnDemandMiss(addr uint64, resident func(block uint64) bool) {

@@ -471,9 +471,6 @@ func (s *Service) Kill() {
 	s.workers.Wait()
 }
 
-// Draining reports whether a drain has begun.
-func (s *Service) Draining() bool { return s.draining.Load() }
-
 // --- job progress registry ---
 
 // jobProgress holds a running job's live counters, written from the
