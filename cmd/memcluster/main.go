@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"memsim/internal/cluster"
+	"memsim/internal/core"
 	"memsim/internal/obs"
 	"memsim/internal/policy"
 	"memsim/internal/sim"
@@ -32,7 +33,7 @@ func main() {
 		mix       = flag.String("mix", "mix2-mixed", "benchmark mix: a named mix (see -list) or a+b+c")
 		list      = flag.Bool("list", false, "list named mixes and exit")
 		seed      = flag.Uint64("seed", 0, "base workload seed; system i uses seed+i")
-		swpf      = flag.Bool("swprefetch", false, "execute software prefetch instructions in every system")
+		swpf      = flag.Bool("swprefetch", false, "emit and execute software prefetch instructions in every system")
 		channels  = flag.Int("channels", 0, "shared Rambus channels (0 = base config)")
 		devices   = flag.Int("devices", 0, "devices per channel (0 = base config)")
 		mapping   = flag.String("mapping", "", "address mapping: "+strings.Join(policy.Mappings.Names(), ", ")+" (default base)")
@@ -74,10 +75,10 @@ func main() {
 		Parallel:          *parallel,
 		Obs:               obs.Config{Trace: *traceOut != ""},
 	}
+	member := core.Base()
+	member.SoftwarePrefetch = *swpf
 	for i, b := range benches {
-		cfg.Systems = append(cfg.Systems, cluster.SystemSpec{
-			Bench: b, Seed: *seed + uint64(i), SWPrefetch: *swpf,
-		})
+		cfg.Systems = append(cfg.Systems, cluster.SystemSpec{Bench: b, Seed: *seed + uint64(i), Config: &member})
 	}
 
 	ctx := context.Background()

@@ -192,7 +192,7 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer, 
 	degraded := false
 	for i, cfg := range cfgs {
 		v := points[i]
-		results, err := runner.RunBenches(cfg, false)
+		results, err := runner.RunBenches(cfg)
 		if err != nil {
 			if ctx.Err() != nil {
 				return exitInterrupted, fmt.Errorf("interrupted at %s=%v: %w", *param, v, context.Cause(ctx))

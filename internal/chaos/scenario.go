@@ -182,7 +182,7 @@ func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, err := runner.RunBenches(core.Base(), false)
+	results, err := runner.RunBenches(core.Base())
 	if serr := m.Save(); err == nil && serr != nil {
 		err = serr
 	}

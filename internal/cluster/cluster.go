@@ -59,8 +59,6 @@ type SystemSpec struct {
 	// Seed offsets the workload generator so co-running copies of one
 	// profile do not replay identical streams.
 	Seed uint64 `json:"seed"`
-	// SWPrefetch enables software-prefetch generation in the workload.
-	SWPrefetch bool `json:"sw_prefetch,omitempty"`
 	// Config, when non-nil, is the base core configuration for this
 	// system. The cluster overrides its memory geometry and scheduler
 	// engine (see Config.systemConfig) so all members agree on the
@@ -84,12 +82,9 @@ type Config struct {
 	// Mapping selects the per-channel address mapping ("base", "swap",
 	// "xor"); empty means "base".
 	Mapping string `json:"mapping,omitempty"`
-	// Part names the DRDRAM timing part (dram.PartByName); it is the
-	// serializable form of Timing for JSON specs. Empty keeps Timing.
+	// Part names the DRDRAM timing part (dram.PartByName); empty means
+	// the base configuration's part.
 	Part string `json:"part,omitempty"`
-	// Timing is the DRDRAM part; the zero value takes Part, or the
-	// base configuration's part when both are unset.
-	Timing dram.Timing `json:"-"`
 	// ClosedPage selects the row-buffer policy of the shared channels.
 	ClosedPage bool `json:"closed_page,omitempty"`
 	// BankTiming names the bank-timing scheme of the shared channels
@@ -130,14 +125,8 @@ func (c Config) withDefaults() Config {
 	if c.Mapping == "" {
 		c.Mapping = base.Mapping
 	}
-	if c.Timing.Packet == 0 {
-		c.Timing = base.Timing
-		if c.Part != "" {
-			if t, err := dram.PartByName(c.Part); err == nil {
-				c.Timing = t
-			}
-			// An unknown part surfaces from Validate, not here.
-		}
+	if c.Part == "" {
+		c.Part = base.Timing.Name
 	}
 	if c.LinkLatency == 0 {
 		c.LinkLatency = DefaultLinkLatency
@@ -197,7 +186,7 @@ func (c Config) systemConfig(i int) core.Config {
 	cfg.DevicesPerChannel = c.DevicesPerChannel
 	cfg.Interleaving = fabricInterleaving
 	cfg.Mapping = c.Mapping
-	cfg.Timing = c.Timing
+	cfg.Timing = dram.Parts[c.Part]
 	cfg.ClosedPage = c.ClosedPage
 	if c.MaxInstrs > 0 {
 		cfg.MaxInstrs = c.MaxInstrs

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"memsim/internal/core"
+	"memsim/internal/dram"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 )
@@ -116,6 +117,42 @@ func tunedPrefetchConfig() Config {
 	return cfg
 }
 
+// TestSoftwarePrefetchMembers runs mgrid as memcluster -swprefetch
+// configures it, with the member's SoftwarePrefetch on and off: on, the
+// generator emits the prefetches and the member executes them, so the
+// fabric sees different traffic.
+func TestSoftwarePrefetchMembers(t *testing.T) {
+	run := func(swpf bool) Result {
+		sc := core.Base()
+		sc.SoftwarePrefetch = swpf
+		cfg := testConfig()
+		cfg.Systems = []SystemSpec{{Bench: "mgrid", Seed: 11, Config: &sc}}
+		return mustRun(t, cfg)
+	}
+	off, on := run(false), run(true)
+	if n := off.Systems[0].Result.SWPrefetches; n != 0 {
+		t.Fatalf("software prefetching off issued %d fills", n)
+	}
+	if on.Systems[0].Result.SWPrefetches == 0 {
+		t.Fatal("software prefetching on issued no fills")
+	}
+	if on.TraceHash == off.TraceHash {
+		t.Fatalf("software prefetching left the fire log unchanged (trace_hash %s)", on.TraceHash)
+	}
+}
+
+// TestPartTiming checks Part selects the shared channels' DRDRAM part,
+// and the base configuration's part when empty.
+func TestPartTiming(t *testing.T) {
+	for part, want := range map[string]dram.Timing{"": core.Base().Timing, "800-50": dram.Part800x50} {
+		cfg := testConfig()
+		cfg.Part = part
+		if got := cfg.withDefaults().systemConfig(0).Timing; got != want {
+			t.Errorf("Part %q: member timing %s, want %s", part, got.Name, want.Name)
+		}
+	}
+}
+
 // checkGolden compares got against the fixture testdata/name, first
 // rewriting the fixture under -update.
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -216,6 +253,7 @@ func TestValidate(t *testing.T) {
 		{"bad channels", func(c *Config) { c.Channels = -1 }, "Channels"},
 		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, "LinkLatency"},
 		{"unknown bank timing", func(c *Config) { c.BankTiming = "exotic" }, "bank timing"},
+		{"unknown part", func(c *Config) { c.Part = "800-99" }, "unknown part"},
 	}
 	for _, tc := range cases {
 		cfg := testConfig().withDefaults()

@@ -93,7 +93,7 @@ func newRun(cfg Config) (*run, error) {
 			return nil, err
 		}
 		sysCfg := cfg.systemConfig(i)
-		gen, err := prof.Generator(spec.Seed, sysCfg.SoftwarePrefetch && spec.SWPrefetch)
+		gen, err := prof.Generator(spec.Seed, sysCfg.SoftwarePrefetch)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: system %d (%s): %w", i, spec.Bench, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"memsim/internal/addrmap"
 	"memsim/internal/channel"
 	"memsim/internal/core"
+	"memsim/internal/dram"
 	"memsim/internal/memctrl"
 	"memsim/internal/obs"
 	"memsim/internal/policy"
@@ -290,7 +291,7 @@ func newMemoryShard(idx int, cfg Config, nsys int) (*memoryShard, error) {
 	ms.capacity = org.Capacity()
 	ms.chns = make([]*channel.Channel, 0, org.Groups)
 	ms.ctrls = make([]*memctrl.Controller, 0, org.Groups)
-	chCfg := channel.Config{Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
+	chCfg := channel.Config{Timing: dram.Parts[cfg.Part], ClosedPage: cfg.ClosedPage}
 	for c := 0; c < org.Groups; c++ {
 		chn, mapr, err := org.NewGroup(cfg.Mapping, cfg.BankTiming, chCfg)
 		if err != nil {

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"memsim/internal/cache"
@@ -25,7 +29,7 @@ var schemeAxes = []struct {
 	{"mapping", policy.Mappings.Names(), func(c *Config, name string) { c.Mapping = name }, "Mapping"},
 	{"interleaving", policy.Interleavings.Names(), func(c *Config, name string) { c.Interleaving = name }, "Interleaving"},
 	{"sched", policy.Sched.Names(), func(c *Config, name string) {
-		c.SchedPolicy, c.ReorderWindow = name, 8
+		c.SchedPolicy, c.ReorderWindow = name, policy.Sched.Fill(name, policy.SchedParams{}).Window
 	}, "SchedPolicy"},
 	{"timing", policy.Timings.Names(), func(c *Config, name string) { c.BankTiming = name }, "BankTiming"},
 	{"prefetch", policy.Prefetchers.Names(), func(c *Config, name string) {
@@ -87,6 +91,11 @@ func TestSchemeAxes(t *testing.T) {
 		want []string
 	}{
 		{"frfcfs-cap/window", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "frfcfs-cap", 1 }, []string{"SchedPolicy"}},
+		// A window under a policy that does not read it is an error, not
+		// a policy choice: the empty name is fcfs whatever the window.
+		{"default/window", func(c *Config) { c.ReorderWindow = 8 }, []string{"ReorderWindow"}},
+		{"fcfs/window", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "fcfs", 8 }, []string{"ReorderWindow"}},
+		{"frfcfs/window", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "frfcfs", 8 }, []string{"ReorderWindow"}},
 		{"region/region-bytes", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.RegionBytes = 0 },
 			[]string{"Prefetch", "Prefetch.RegionBytes"}},
 		{"region/queue-depth", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.QueueDepth = policy.MaxQueueDepth + 1 },
@@ -162,6 +171,8 @@ func TestKnobRules(t *testing.T) {
 			func(c Config) bool { return c.SchedPolicy == "frfcfs-cap" && c.ReorderWindow == 8 }, nil},
 		{"an explicit window wins", []string{"-sched", "frfcfs-cap", "-reorder", "4"},
 			func(c Config) bool { return c.ReorderWindow == 4 }, nil},
+		{"a window above 1 selects frfcfs-cap", []string{"-reorder", "4"},
+			func(c Config) bool { return c.SchedPolicy == "frfcfs-cap" && c.ReorderWindow == 4 }, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, err := flagConfig(tc.args...)
@@ -181,5 +192,69 @@ func TestKnobRules(t *testing.T) {
 				t.Fatalf("Validate: %v", err)
 			}
 		})
+	}
+}
+
+// TestReorderSurfaces pins what a reorder window resolves to on every
+// surface that sets one: memsim's -reorder flag, sweep's -param reorder
+// (no sched knob there) and memsimd's reorder_window key, each alone
+// and beside each sched value. want is the policy and window the config
+// runs, or the field of its ConfigError. Every row resolves as it did
+// when an empty SchedPolicy was derived from the window, except a
+// window above 1 beside fcfs or frfcfs: those policies ignored it, and
+// now reject it.
+func TestReorderSurfaces(t *testing.T) {
+	resolve := func(cfg Config, err error) string {
+		if err == nil {
+			err = cfg.Validate()
+		}
+		if err != nil {
+			return strings.Join(rejectedFields(t, err), ",")
+		}
+		return fmt.Sprintf("%s/%d", policy.Sched.Resolve(cfg.SchedPolicy), cfg.ReorderWindow)
+	}
+	var param *Knob
+	for i := range Knobs {
+		if Knobs[i].Param == "reorder" {
+			param = &Knobs[i]
+		}
+	}
+	for _, tc := range []struct {
+		window int
+		sched  string
+		want   string
+	}{
+		{0, "", "fcfs/0"}, {1, "", "fcfs/1"}, {2, "", "frfcfs-cap/2"}, {8, "", "frfcfs-cap/8"},
+		{0, "fcfs", "fcfs/0"}, {1, "fcfs", "fcfs/1"}, {2, "fcfs", "ReorderWindow"}, {8, "fcfs", "ReorderWindow"},
+		{0, "frfcfs", "frfcfs/0"}, {1, "frfcfs", "frfcfs/1"}, {2, "frfcfs", "ReorderWindow"}, {8, "frfcfs", "ReorderWindow"},
+		{0, "frfcfs-cap", "SchedPolicy"}, {1, "frfcfs-cap", "SchedPolicy"},
+		{2, "frfcfs-cap", "frfcfs-cap/2"}, {8, "frfcfs-cap", "frfcfs-cap/8"},
+	} {
+		n := strconv.Itoa(tc.window)
+		args, doc := []string{"-reorder", n}, `{"reorder_window":`+n
+		if tc.sched != "" {
+			args = append(args, "-sched", tc.sched)
+			doc += `,"sched_policy":"` + tc.sched + `"`
+		}
+		var o Overrides
+		if err := json.Unmarshal([]byte(doc+"}"), &o); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{
+			"memsim":  resolve(flagConfig(args...)),
+			"memsimd": resolve(Base().Apply(o)),
+		}
+		if tc.sched == "" {
+			v, err := param.Parse(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got["sweep"] = resolve(Base().Apply(Overrides{"mapping": "xor", param.Name: v}))
+		}
+		for surface, g := range got {
+			if g != tc.want {
+				t.Errorf("%s: window %d, sched %q resolves to %s, want %s", surface, tc.window, tc.sched, g, tc.want)
+			}
+		}
 	}
 }

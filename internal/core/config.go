@@ -123,15 +123,15 @@ type Config struct {
 	// with whole blocks striped across channels (the Section 6
 	// "complex interleaving" direction).
 	Interleaving string
-	// ReorderWindow enables the Section 6 extension: the controller
-	// may issue a queued demand miss or writeback whose DRAM row is
-	// open ahead of up to ReorderWindow-1 older entries. Zero keeps
-	// the paper's strict in-order issue.
+	// ReorderWindow is the scan bound of the "frfcfs-cap" issue policy
+	// (the Section 6 extension): the controller may issue a queued
+	// demand miss or writeback whose DRAM row is open ahead of up to
+	// ReorderWindow-1 older entries. "frfcfs-cap" requires it >= 2;
+	// under any other policy a window above 1 is rejected.
 	ReorderWindow int
 	// SchedPolicy names the controller issue policy from the policy
-	// registry ("fcfs", "frfcfs", "frfcfs-cap"). Empty keeps the legacy
-	// encoding: ReorderWindow > 1 means "frfcfs-cap", else "fcfs".
-	// "frfcfs-cap" requires ReorderWindow >= 2 as its scan bound.
+	// registry ("fcfs", "frfcfs", "frfcfs-cap"). Empty means "fcfs",
+	// the paper's strict in-order issue.
 	SchedPolicy string
 	// BankTiming names the per-activate bank-timing scheme from the
 	// policy registry ("flat", "tiered", "rowreuse"). Empty and "flat"
@@ -163,9 +163,9 @@ type Config struct {
 	// explicit warmup.)
 	WarmupInstrs uint64
 
-	// SoftwarePrefetch enables execution of software prefetch
-	// instructions; when false the simulator discards them as fetched,
-	// matching the paper's main experiments (Section 4.7).
+	// SoftwarePrefetch turns on Section 4.7's compiler prefetches: the
+	// run layers' generators emit them and the system executes them.
+	// Off, as in the paper's main runs, a trace's prefetches are dropped.
 	SoftwarePrefetch bool
 
 	// Harden configures the robustness layer (watchdog, paranoid

@@ -82,7 +82,7 @@ func TestCounterfactualRoundTrip(t *testing.T) {
 				t.Fatal("no contested decisions recorded; the config no longer backs up the queue")
 			}
 
-			name := policy.Sched.Resolve(cfg.SchedPolicy, cfg.schedParams())
+			name := policy.Sched.Resolve(cfg.SchedPolicy)
 			primary, err := policy.NewSched(name, cfg.schedParams())
 			if err != nil {
 				t.Fatal(err)

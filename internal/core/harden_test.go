@@ -161,9 +161,11 @@ func TestHardenedRunIsDeterministic(t *testing.T) {
 
 // TestParanoidCleanRunAllConfigs checks the invariant checker reports
 // nothing on healthy runs across the interesting system shapes. The
-// MSHR-starved shapes refuse often, so the paranoid re-check of each
-// replayed refusal fails here when a hierarchy change skips its
-// generation bump.
+// MSHR-starved shapes keep every MSHR busy most of the time, so many
+// accesses are refused by the read-only probe of the L1, L2, prefetch
+// buffer and fills in flight, and prefetches compete for the few free
+// entries: the checker's MSHR-against-transfer cross-check runs there
+// at its tightest.
 func TestParanoidCleanRunAllConfigs(t *testing.T) {
 	starved := func(n, buffer int) func() Config {
 		return func() Config {

@@ -99,9 +99,9 @@ var Knobs = []Knob{
 	knob(Knob{JSON: "closed_page"}, strconv.ParseBool, func(c *Config, v bool) { c.ClosedPage = v }),
 	knob(Knob{JSON: "refresh", Flag: "refresh", Usage: "model DRAM refresh"},
 		strconv.ParseBool, func(c *Config, v bool) { c.Refresh = v }),
-	knob(Knob{JSON: "reorder_window", Flag: "reorder", Param: "reorder", Usage: "open-row-first reorder window (0 = in-order)"},
+	knob(Knob{JSON: "reorder_window", Flag: "reorder", Param: "reorder", Usage: "frfcfs-cap scan bound (0 = in-order)"},
 		strconv.Atoi, func(c *Config, v int) { c.ReorderWindow = v }),
-	knob(Knob{JSON: "sched_policy", Flag: "sched", Usage: "issue policy: " + names(policy.Sched) + " (default: derived from -reorder)"},
+	knob(Knob{JSON: "sched_policy", Flag: "sched", Usage: "issue policy: " + names(policy.Sched) + " (default fcfs, or frfcfs-cap with -reorder above 1)"},
 		text, func(c *Config, v string) { c.SchedPolicy = v }),
 	knob(Knob{JSON: "bank_timing", Flag: "banktiming", Usage: "bank timing scheme: " + names(policy.Timings) + " (default flat)"},
 		text, func(c *Config, v string) { c.BankTiming = v }),
@@ -153,7 +153,9 @@ type Overrides map[string]any
 //     explicit prefetch=false is a ConfigError on its own field; a
 //     false fifo or unscheduled is their default and sets nothing;
 //   - sched without reorder, and scheme without lookahead, take their
-//     scheme's fallback window and lookahead from the policy registries.
+//     scheme's fallback window and lookahead from the policy registries;
+//   - reorder without sched selects frfcfs-cap, the policy that reads
+//     the window, when the window is above 1.
 func (c Config) Apply(o Overrides) (Config, error) {
 	var v harden.Validator
 	for i := range Knobs {
@@ -174,6 +176,8 @@ func (c Config) Apply(o Overrides) (Config, error) {
 	}
 	if o["sched_policy"] != nil && o["reorder_window"] == nil {
 		c.ReorderWindow = policy.Sched.Fill(c.SchedPolicy, c.schedParams()).Window
+	} else if o["sched_policy"] == nil && c.ReorderWindow > 1 {
+		c.SchedPolicy = "frfcfs-cap"
 	}
 	if o["prefetch_scheme"] != nil && o["lookahead"] == nil {
 		c.Prefetch.Lookahead = policy.Prefetchers.Fill(c.Prefetch.Scheme, prefetchParams(c)).Lookahead

@@ -121,7 +121,7 @@ func (s *System) armCounterfactual() {
 		return
 	}
 	p := prefetchParams(s.cfg)
-	cf := prefetch.NewCounterfactual(s.pf, s.tr, policy.Prefetchers.Resolve(s.cfg.Prefetch.Scheme, p))
+	cf := prefetch.NewCounterfactual(s.pf, s.tr, policy.Prefetchers.Resolve(s.cfg.Prefetch.Scheme))
 	policy.Prefetchers.Alternatives(s.cfg.Prefetch.Scheme, p, cf.AddShadow)
 	// Reassignment is safe here: armObs runs inside newSystem before
 	// the first event, and the L2's PrefetchUsedHook closure reads s.pf

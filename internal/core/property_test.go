@@ -45,7 +45,7 @@ func TestPropertyNoDeadlock(t *testing.T) {
 			}
 		}
 		if knobs&8 != 0 {
-			cfg.ReorderWindow = 4
+			cfg.SchedPolicy, cfg.ReorderWindow = "frfcfs-cap", 4
 		}
 		if knobs&16 != 0 {
 			cfg.Refresh = true

@@ -58,7 +58,7 @@ func TestReorderWindowImprovesRowHits(t *testing.T) {
 	inorder := runProfile(t, base, "mcf", 60_000)
 
 	re := base
-	re.ReorderWindow = 8
+	re.SchedPolicy, re.ReorderWindow = "frfcfs-cap", 8
 	reordered := runProfile(t, re, "mcf", 60_000)
 
 	if reordered.Ctrl.Reordered == 0 {

@@ -48,7 +48,7 @@ func (r *Runner) AddrMap() (*AddrMapResult, error) {
 	for _, m := range Mappings {
 		cfg := core.Base()
 		cfg.Mapping = m
-		results, err := r.RunBenches(cfg, false)
+		results, err := r.RunBenches(cfg)
 		if err != nil {
 			return nil, err
 		}

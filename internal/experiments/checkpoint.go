@@ -18,13 +18,14 @@ import (
 const manifestVersion = 1
 
 // SpecKey is the checkpoint identity of one run: a 64-bit hash over
-// the benchmark, the workload seed, the software-prefetch flag, and
-// the full configuration (including budgets, which the orchestrator
-// folds in before hashing). Two invocations that would simulate the
-// same thing — the simulator is deterministic — share a key, so a
-// resumed batch recognizes finished work across processes.
-func SpecKey(bench string, seed uint64, swpf bool, cfg core.Config) string {
-	h := sha256.Sum256(fmt.Appendf(nil, "%s|seed=%d|swpf=%v|%+v", bench, seed, swpf, cfg))
+// the benchmark, the workload seed, and the full configuration
+// (including budgets, which the orchestrator folds in before hashing;
+// swpf= repeats SoftwarePrefetch, keeping the keys of older builds).
+// Two invocations that would simulate the same thing — the simulator
+// is deterministic — share a key, so a resumed batch recognizes
+// finished work across processes.
+func SpecKey(bench string, seed uint64, cfg core.Config) string {
+	h := sha256.Sum256(fmt.Appendf(nil, "%s|seed=%d|swpf=%v|%+v", bench, seed, cfg.SoftwarePrefetch, cfg))
 	return hex.EncodeToString(h[:8])
 }
 

@@ -78,7 +78,8 @@ func TestSpecKeyPinned(t *testing.T) {
 	cfg := core.Base()
 	cfg.MaxInstrs = 30_000
 	cfg.WarmupInstrs = 60_000
-	if got, want := SpecKey("mcf", 7, true, cfg), "69b66079a586b1b4"; got != want {
+	cfg.SoftwarePrefetch = true
+	if got, want := SpecKey("mcf", 7, cfg), "5ec35921443e5874"; got != want {
 		t.Fatalf("SpecKey = %s, want %s", got, want)
 	}
 }

@@ -29,23 +29,24 @@ type ReorderRow struct {
 func (r *Runner) Reorder() (*ReorderResult, error) {
 	configs := []struct {
 		name    string
+		sched   string
 		reorder int
 		pf      bool
 	}{
-		{"in-order", 0, false},
-		{"reorder(8)", 8, false},
-		{"in-order + PF", 0, true},
-		{"reorder(8) + PF", 8, true},
+		{"in-order", "", 0, false},
+		{"reorder(8)", "frfcfs-cap", 8, false},
+		{"in-order + PF", "", 0, true},
+		{"reorder(8) + PF", "frfcfs-cap", 8, true},
 	}
 	res := &ReorderResult{}
 	for _, c := range configs {
 		cfg := core.Base()
 		cfg.Mapping = "xor"
-		cfg.ReorderWindow = c.reorder
+		cfg.SchedPolicy, cfg.ReorderWindow = c.sched, c.reorder
 		if c.pf {
 			cfg.Prefetch = core.TunedPrefetch()
 		}
-		results, err := r.RunBenches(cfg, false)
+		results, err := r.RunBenches(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +105,7 @@ func (r *Runner) Refresh() (*RefreshResult, error) {
 			if pf {
 				cfg.Prefetch = core.TunedPrefetch()
 			}
-			results, err := r.RunBenches(cfg, false)
+			results, err := r.RunBenches(cfg)
 			if err != nil {
 				return nil, err
 			}

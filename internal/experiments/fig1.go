@@ -45,15 +45,15 @@ func (r *Runner) Fig1() (*Fig1Result, error) {
 	pm := base
 	pm.PerfectMem = true
 
-	real, err := r.RunBenches(base, false)
+	real, err := r.RunBenches(base)
 	if err != nil {
 		return nil, err
 	}
-	perfL2, err := r.RunBenches(pl2, false)
+	perfL2, err := r.RunBenches(pl2)
 	if err != nil {
 		return nil, err
 	}
-	perfMem, err := r.RunBenches(pm, false)
+	perfMem, err := r.RunBenches(pm)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func (r *Runner) Fig5() (*Fig5Result, error) {
 	configs := []core.Config{base4, xor4, pf4, xor8, pf8, pl2}
 	all := make([][]core.Result, len(configs))
 	for i, cfg := range configs {
-		results, err := r.RunBenches(cfg, false)
+		results, err := r.RunBenches(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -46,7 +46,7 @@ func (r *Runner) Interleave() (*InterleaveResult, error) {
 		cfg.Mapping = "xor"
 		cfg.Interleaving = c.il
 		cfg.L2Block = c.block
-		results, err := r.RunBenches(cfg, false)
+		results, err := r.RunBenches(cfg)
 		if err != nil {
 			return nil, err
 		}

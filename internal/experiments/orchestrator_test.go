@@ -46,7 +46,7 @@ func TestRunAllParallelismDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := r.RunBenches(core.Base(), false)
+		res, err := r.RunBenches(core.Base())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunBenches(core.Base(), false)
+	res, err := r.RunBenches(core.Base())
 	if err != nil {
 		t.Fatalf("degraded batch returned error: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestOrchestratorFailFastAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = r.RunBenches(core.Base(), false)
+	_, err = r.RunBenches(core.Base())
 	if err == nil {
 		t.Fatal("batch with a failing spec succeeded without KeepGoing")
 	}
@@ -160,7 +160,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r1.RunBenches(core.Base(), false)
+	first, err := r1.RunBenches(core.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r2.RunBenches(core.Base(), false)
+	second, err := r2.RunBenches(core.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBatchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunBenches(core.Base(), false); !errors.Is(err, context.Canceled) {
+	if _, err := r.RunBenches(core.Base()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -287,7 +287,7 @@ func TestCheckpointMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := r.RunBenches(core.Base(), false); err != nil {
+		if _, err := r.RunBenches(core.Base()); err != nil {
 			t.Fatal(err)
 		}
 		if err := opt.Checkpoint.Save(); err != nil {

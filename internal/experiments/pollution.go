@@ -51,7 +51,7 @@ func (r *Runner) Pollution() (*PollutionResult, error) {
 	}
 
 	// Classify low-accuracy benchmarks on the paper's mechanism.
-	lruResults, err := r.RunBenches(configs[1].cfg, false)
+	lruResults, err := r.RunBenches(configs[1].cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func (r *Runner) Pollution() (*PollutionResult, error) {
 		if ci == 1 {
 			results = lruResults
 		} else {
-			results, err = r.RunBenches(c.cfg, false)
+			results, err = r.RunBenches(c.cfg)
 			if err != nil {
 				return nil, err
 			}

@@ -221,7 +221,6 @@ func (r *Runner) ctx() context.Context {
 type spec struct {
 	bench string
 	cfg   core.Config
-	swpf  bool // generator emits software prefetch instructions
 }
 
 // specConfig is the configuration a spec actually runs with: budgets
@@ -243,7 +242,7 @@ func (r *Runner) specConfig(sp spec) core.Config {
 // specKey is the spec's checkpoint identity: a hash of everything that
 // determines its result.
 func (r *Runner) specKey(sp spec) string {
-	return SpecKey(sp.bench, r.opt.Seed, sp.swpf, r.specConfig(sp))
+	return SpecKey(sp.bench, r.opt.Seed, r.specConfig(sp))
 }
 
 // failedResult marks a lost cell: the IPC — the metric every artifact
@@ -375,7 +374,7 @@ func (r *Runner) runOnce(ctx context.Context, sp spec) (res core.Result, metrics
 	if err != nil {
 		return core.Result{}, nil, err
 	}
-	gen, err := p.Generator(r.opt.Seed, sp.swpf)
+	gen, err := p.Generator(r.opt.Seed, sp.cfg.SoftwarePrefetch)
 	if err != nil {
 		return core.Result{}, nil, err
 	}
@@ -447,10 +446,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // worker pool, checkpoint reuse, retry policy, and cancellation
 // plumbing, so a daemon restart resumes a half-finished job from its
 // manifest exactly like `experiments -resume` resumes a batch.
-func (r *Runner) RunBenches(cfg core.Config, swpf bool) ([]core.Result, error) {
+func (r *Runner) RunBenches(cfg core.Config) ([]core.Result, error) {
 	specs := make([]spec, len(r.opt.Benchmarks))
 	for i, b := range r.opt.Benchmarks {
-		specs[i] = spec{bench: b, cfg: cfg, swpf: swpf}
+		specs[i] = spec{bench: b, cfg: cfg}
 	}
 	return r.runAll(specs)
 }

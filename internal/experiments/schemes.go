@@ -77,7 +77,7 @@ func (r *Runner) Schemes() (*SchemesResult, error) {
 	res := &SchemesResult{}
 	var baseMean, baseWinner float64
 	for i, c := range configs {
-		results, err := r.RunBenches(c.cfg, false)
+		results, err := r.RunBenches(c.cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -12,8 +12,8 @@ import (
 // SWPFRow is one benchmark's software-prefetching interaction.
 type SWPFRow struct {
 	Bench string
-	// Base is the XOR system discarding software prefetches; SW
-	// executes them; Region uses hardware region prefetching only;
+	// Base is the XOR system without software prefetches; SW adds
+	// them; Region uses hardware region prefetching only;
 	// Both combines them.
 	Base, SW, Region, Both float64
 }
@@ -45,22 +45,21 @@ func (r *Runner) SWPF() (*SWPFResult, error) {
 	both := region
 	both.SoftwarePrefetch = true
 
-	baseRes, err := r.RunBenches(base, false)
+	// SoftwarePrefetch both emits the instructions and executes them;
+	// the base and region runs see a stream without them.
+	baseRes, err := r.RunBenches(base)
 	if err != nil {
 		return nil, err
 	}
-	// Software prefetch instructions must be present in the stream for
-	// the SW configurations (the base ones discard them at no cost, as
-	// the paper's simulator does).
-	swRes, err := r.RunBenches(sw, true)
+	swRes, err := r.RunBenches(sw)
 	if err != nil {
 		return nil, err
 	}
-	regionRes, err := r.RunBenches(region, false)
+	regionRes, err := r.RunBenches(region)
 	if err != nil {
 		return nil, err
 	}
-	bothRes, err := r.RunBenches(both, true)
+	bothRes, err := r.RunBenches(both)
 	if err != nil {
 		return nil, err
 	}

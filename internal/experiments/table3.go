@@ -43,7 +43,7 @@ func (r *Runner) Table3() (*Table3Result, error) {
 		cfg.Mapping = "xor"
 		cfg.Prefetch = core.TunedPrefetch()
 		cfg.Prefetch.Insert = pos
-		results, err := r.RunBenches(cfg, false)
+		results, err := r.RunBenches(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -69,7 +69,7 @@ func (r *Runner) Table4() (*Table4Result, error) {
 	schemes := table4Schemes()
 	all := make([][]core.Result, len(schemes))
 	for i, s := range schemes {
-		results, err := r.RunBenches(s.cfg, false)
+		results, err := r.RunBenches(s.cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -35,11 +35,11 @@ func (r *Runner) Util() (*UtilResult, error) {
 	pf := base
 	pf.Prefetch = core.TunedPrefetch()
 
-	baseRes, err := r.RunBenches(base, false)
+	baseRes, err := r.RunBenches(base)
 	if err != nil {
 		return nil, err
 	}
-	pfRes, err := r.RunBenches(pf, false)
+	pfRes, err := r.RunBenches(pf)
 	if err != nil {
 		return nil, err
 	}

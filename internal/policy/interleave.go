@@ -20,7 +20,7 @@ func (o Organization) Capacity() uint64 { return o.Group.Capacity() * uint64(o.G
 // is the paper's "ganged" organization, one logical channel as wide as
 // all of them; "independent" gives every channel its own controller
 // (the Section 6 "complex interleaving" direction).
-var Interleavings = NewRegistry[addrmap.Geometry, Organization]("channel-organization", "Interleaving", func(addrmap.Geometry) string { return "ganged" })
+var Interleavings = NewRegistry[addrmap.Geometry, Organization]("channel-organization", "Interleaving", "ganged")
 
 type interleavingScheme = Scheme[addrmap.Geometry, Organization]
 

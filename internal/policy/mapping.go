@@ -4,7 +4,7 @@ import "memsim/internal/addrmap"
 
 // Mappings is the address-mapping registry: each scheme builds a
 // Mapper for one channel-group geometry. The name is required.
-var Mappings = NewRegistry[addrmap.Geometry, addrmap.Mapper]("address-mapping", "Mapping", nil)
+var Mappings = NewRegistry[addrmap.Geometry, addrmap.Mapper]("address-mapping", "Mapping", "")
 
 type mappingScheme = Scheme[addrmap.Geometry, addrmap.Mapper]
 

@@ -3,8 +3,8 @@
 // organization. A table is the only code that knows its axis: an entry
 // checks its parameters under the Config field names, fills in its
 // fallback knobs, and builds; the table resolves the empty name to the
-// axis default. The tables are filled by init functions and read-only
-// afterwards; Names returns a sorted copy, so every consumer
+// axis default, one fixed name. The tables are filled by init functions
+// and read-only afterwards; Names returns a sorted copy, so every consumer
 // (validation errors, test matrices, counterfactual alternative sets)
 // enumerates the zoo in one deterministic order.
 package policy
@@ -32,15 +32,15 @@ type Scheme[P, T any] struct {
 type Registry[P, T any] struct {
 	kind    string
 	field   string
-	def     func(P) string
+	def     string
 	schemes map[string]Scheme[P, T]
 }
 
 // NewRegistry returns an empty registry. kind names the axis in panic
 // and error messages ("scheduling", "address-mapping", ...), field is
-// the Config field naming the scheme, and def, when non-nil, resolves
-// the empty name to the axis default (nil makes the name required).
-func NewRegistry[P, T any](kind, field string, def func(P) string) *Registry[P, T] {
+// the Config field naming the scheme, and def is the scheme the empty
+// name selects (an empty def makes the name required).
+func NewRegistry[P, T any](kind, field, def string) *Registry[P, T] {
 	return &Registry[P, T]{kind: kind, field: field, def: def, schemes: make(map[string]Scheme[P, T])}
 }
 
@@ -59,9 +59,9 @@ func (r *Registry[P, T]) Register(name string, s Scheme[P, T]) {
 
 // Resolve returns the scheme name selects: name itself, or the axis
 // default for the empty name.
-func (r *Registry[P, T]) Resolve(name string, p P) string {
-	if name == "" && r.def != nil {
-		return r.def(p)
+func (r *Registry[P, T]) Resolve(name string) string {
+	if name == "" {
+		return r.def
 	}
 	return name
 }
@@ -69,10 +69,10 @@ func (r *Registry[P, T]) Resolve(name string, p P) string {
 // Validate checks that name selects a registered scheme and that the
 // scheme accepts p; nil means it builds.
 func (r *Registry[P, T]) Validate(name string, p P) error {
-	s, ok := r.schemes[r.Resolve(name, p)]
+	s, ok := r.schemes[r.Resolve(name)]
 	if !ok {
 		choices := "one of " + strings.Join(r.Names(), ", ")
-		if r.def != nil {
+		if r.def != "" {
 			choices = "empty or " + choices
 		}
 		return reject(r.field, name, "must be %s", choices)
@@ -86,7 +86,7 @@ func (r *Registry[P, T]) Validate(name string, p P) error {
 // Fill completes p with the fallback values of the scheme name
 // selects, for building a scheme the config did not select.
 func (r *Registry[P, T]) Fill(name string, p P) P {
-	if s, ok := r.schemes[r.Resolve(name, p)]; ok && s.Fill != nil {
+	if s, ok := r.schemes[r.Resolve(name)]; ok && s.Fill != nil {
 		return s.Fill(p)
 	}
 	return p
@@ -95,7 +95,7 @@ func (r *Registry[P, T]) Fill(name string, p P) P {
 // build constructs the scheme name selects from p; an unknown name
 // reports the full registered set, so errors double as documentation.
 func (r *Registry[P, T]) build(name string, p P) (T, error) {
-	name = r.Resolve(name, p)
+	name = r.Resolve(name)
 	s, ok := r.schemes[name]
 	if !ok {
 		var zero T
@@ -110,7 +110,7 @@ func (r *Registry[P, T]) build(name string, p P) (T, error) {
 // fallback values, and hands each to add; one that still cannot build
 // is left out. These are a run's counterfactual alternatives.
 func (r *Registry[P, T]) Alternatives(primary string, p P, add func(name string, alt T)) {
-	primary = r.Resolve(primary, p)
+	primary = r.Resolve(primary)
 	for _, name := range r.Names() {
 		if name == primary {
 			continue

@@ -33,7 +33,7 @@ func mustPanic(t *testing.T, f func()) (msg string) {
 // TestDuplicateRegisterPanics pins the misuse contract: a duplicate
 // registration panics, with a deterministic message (same both times).
 func TestDuplicateRegisterPanics(t *testing.T) {
-	r := NewRegistry[int, int]("testkind", "Test", nil)
+	r := NewRegistry[int, int]("testkind", "Test", "")
 	r.Register("x", Scheme[int, int]{})
 	first := mustPanic(t, func() { r.Register("x", Scheme[int, int]{}) })
 	second := mustPanic(t, func() { r.Register("x", Scheme[int, int]{}) })
@@ -52,7 +52,7 @@ func TestDuplicateRegisterPanics(t *testing.T) {
 // TestUnknownLookupError pins the error text: it names the kind, the
 // bad name, and the full registered set in sorted order.
 func TestUnknownLookupError(t *testing.T) {
-	r := NewRegistry[int, int]("testkind", "Test", nil)
+	r := NewRegistry[int, int]("testkind", "Test", "")
 	r.Register("b", Scheme[int, int]{})
 	r.Register("a", Scheme[int, int]{})
 	_, err := r.build("nope", 0)
@@ -156,8 +156,8 @@ func TestSchedAlternatives(t *testing.T) {
 		t.Fatalf("alternatives for frfcfs-cap = %v, want %v", got, want)
 	}
 	// The empty name resolves before the primary is left out.
-	if got, want := alternatives("", 4), []string{"fcfs", "frfcfs"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("alternatives for the legacy window 4 = %v, want %v", got, want)
+	if got, want := alternatives("", 0), []string{"frfcfs", "frfcfs-cap"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("alternatives for the empty name = %v, want %v", got, want)
 	}
 }
 
@@ -167,13 +167,11 @@ func TestFallbacks(t *testing.T) {
 	for _, tc := range []struct {
 		axis, got, want string
 	}{
-		{"sched, no window", Sched.Resolve("", SchedParams{}), "fcfs"},
-		{"sched, window 1", Sched.Resolve("", SchedParams{Window: 1}), "fcfs"},
-		{"sched, window 2", Sched.Resolve("", SchedParams{Window: 2}), "frfcfs-cap"},
-		{"mapping", Mappings.Resolve("", addrmap.Geometry{}), ""},
-		{"timing", Timings.Resolve("", TimingParams{}), "flat"},
-		{"prefetch", Prefetchers.Resolve("", PrefetchParams{}), "region"},
-		{"interleaving", Interleavings.Resolve("", addrmap.Geometry{}), "ganged"},
+		{"sched", Sched.Resolve(""), "fcfs"},
+		{"mapping", Mappings.Resolve(""), ""},
+		{"timing", Timings.Resolve(""), "flat"},
+		{"prefetch", Prefetchers.Resolve(""), "region"},
+		{"interleaving", Interleavings.Resolve(""), "ganged"},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: empty name resolves to %q, want %q", tc.axis, tc.got, tc.want)
@@ -210,6 +208,9 @@ func TestValidateFields(t *testing.T) {
 		{"empty mapping", Mappings.Validate("", addrmap.Geometry{}), []string{"Mapping"}},
 		{"unknown sched", Sched.Validate("lifo", SchedParams{}), []string{"SchedPolicy"}},
 		{"frfcfs-cap window", Sched.Validate("frfcfs-cap", SchedParams{Window: 1}), []string{"SchedPolicy"}},
+		{"window under the default", Sched.Validate("", SchedParams{Window: 2}), []string{"ReorderWindow"}},
+		{"window under fcfs", Sched.Validate("fcfs", SchedParams{Window: 8}), []string{"ReorderWindow"}},
+		{"window under frfcfs", Sched.Validate("frfcfs", SchedParams{Window: 8}), []string{"ReorderWindow"}},
 		{"unknown timing", Timings.Validate("fast", TimingParams{}), []string{"BankTiming"}},
 		{"unknown interleaving", Interleavings.Validate("diagonal", addrmap.Geometry{}), []string{"Interleaving"}},
 		{"unknown prefetch", Prefetchers.Validate("oracle", PrefetchParams{}), []string{"Prefetch.Scheme"}},
@@ -231,7 +232,11 @@ func TestValidateFields(t *testing.T) {
 			t.Errorf("%s: fields %v, want %v", tc.name, got, tc.want)
 		}
 	}
-	if err := Sched.Validate("", SchedParams{Window: 4}); err != nil {
-		t.Errorf("legacy window encoding rejected: %v", err)
+	// A window of 1 scans only the oldest entry: in-order issue, which
+	// every policy accepts.
+	for _, name := range []string{"", "fcfs", "frfcfs"} {
+		if err := Sched.Validate(name, SchedParams{Window: 1}); err != nil {
+			t.Errorf("%q with window 1 rejected: %v", name, err)
+		}
 	}
 }

@@ -31,7 +31,7 @@ const MaxQueueDepth = 4096
 // Prefetchers is the prefetch-scheme registry; the empty name is the
 // paper's "region" scheme. Fallback knobs are the Section 4 tuned
 // values.
-var Prefetchers = NewRegistry[PrefetchParams, prefetch.Prefetcher]("prefetch", "Prefetch.Scheme", func(PrefetchParams) string { return "region" })
+var Prefetchers = NewRegistry[PrefetchParams, prefetch.Prefetcher]("prefetch", "Prefetch.Scheme", "region")
 
 type prefetchScheme = Scheme[PrefetchParams, prefetch.Prefetcher]
 

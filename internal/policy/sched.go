@@ -9,30 +9,33 @@ import (
 // SchedParams carries the knobs a scheduling scheme may use.
 type SchedParams struct {
 	// Window bounds the FR-FCFS scan depth (Config.ReorderWindow); only
-	// "frfcfs-cap" uses it.
+	// "frfcfs-cap" reads it.
 	Window int
 }
 
 // Sched is the memory-scheduling registry: each scheme builds the
-// controller's issue policy. The empty name keeps the legacy
-// ReorderWindow encoding: "frfcfs-cap" when the window is above 1,
-// else "fcfs", so every pre-zoo config runs a named policy.
-var Sched = NewRegistry[SchedParams, memctrl.IssuePolicy]("scheduling", "SchedPolicy", func(p SchedParams) string {
-	if p.Window > 1 {
-		return "frfcfs-cap"
-	}
-	return "fcfs"
-})
+// controller's issue policy. The empty name is "fcfs", the paper's
+// strict in-order issue.
+var Sched = NewRegistry[SchedParams, memctrl.IssuePolicy]("scheduling", "SchedPolicy", "fcfs")
 
 type schedScheme = Scheme[SchedParams, memctrl.IssuePolicy]
 
+// unbounded is a scheme that reads no window, so rejects one above 1.
+func unbounded(pol memctrl.IssuePolicy) schedScheme {
+	return schedScheme{
+		Check: func(p SchedParams) error {
+			if p.Window > 1 {
+				return reject("ReorderWindow", p.Window, "is read only by frfcfs-cap; %s has no scan bound", pol.Name())
+			}
+			return nil
+		},
+		Build: func(SchedParams) (memctrl.IssuePolicy, error) { return pol, nil },
+	}
+}
+
 func init() {
-	Sched.Register("fcfs", schedScheme{Build: func(SchedParams) (memctrl.IssuePolicy, error) {
-		return memctrl.FCFS{}, nil
-	}})
-	Sched.Register("frfcfs", schedScheme{Build: func(SchedParams) (memctrl.IssuePolicy, error) {
-		return memctrl.FRFCFS{}, nil
-	}})
+	Sched.Register("fcfs", unbounded(memctrl.FCFS{}))
+	Sched.Register("frfcfs", unbounded(memctrl.FRFCFS{}))
 	Sched.Register("frfcfs-cap", schedScheme{
 		Check: func(p SchedParams) error {
 			if p.Window < 2 {

@@ -14,7 +14,7 @@ type TimingParams struct {
 // flat scheme builds a nil TimingPolicy — the channel's uniform-ACT
 // fast path — so it is addressable by name without costing an
 // interface call per activate.
-var Timings = NewRegistry[TimingParams, dram.TimingPolicy]("bank-timing", "BankTiming", func(TimingParams) string { return "flat" })
+var Timings = NewRegistry[TimingParams, dram.TimingPolicy]("bank-timing", "BankTiming", "flat")
 
 type timingScheme = Scheme[TimingParams, dram.TimingPolicy]
 

@@ -50,8 +50,9 @@ type JobSpec struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 	// Seed offsets every workload's deterministic seed.
 	Seed uint64 `json:"seed,omitempty"`
-	// SWPrefetch makes the generators emit software prefetch
-	// instructions (the Section 4.7 interaction study).
+	// SWPrefetch is another spelling of the software_prefetch config
+	// knob: true emits and executes software prefetch instructions
+	// (the Section 4.7 interaction study).
 	SWPrefetch bool `json:"swpf,omitempty"`
 	// Instrs and Warmup are the per-run instruction budgets; zero
 	// takes the server defaults.
@@ -65,10 +66,10 @@ type JobSpec struct {
 	Config core.Overrides `json:"config,omitempty"`
 }
 
-// BuildConfig materializes the spec's core.Config: preset, then
-// core.Config.Apply with the config knobs, then the aggregated
-// validation pass. A non-nil error is a *harden.ConfigError (for
-// unknown presets, a plain error) suitable for a typed 4xx response.
+// BuildConfig materializes the spec's core.Config: preset, config
+// knobs (core.Config.Apply), SWPrefetch, aggregated validation. A
+// non-nil error is a *harden.ConfigError (for unknown presets, a plain
+// error) suitable for a typed 4xx response.
 func (sp *JobSpec) BuildConfig() (core.Config, error) {
 	var cfg core.Config
 	switch sp.Preset {
@@ -80,6 +81,7 @@ func (sp *JobSpec) BuildConfig() (core.Config, error) {
 		return core.Config{}, fmt.Errorf(`preset %q: must be "base" or "tuned"`, sp.Preset)
 	}
 	cfg, err := cfg.Apply(sp.Config)
+	cfg.SoftwarePrefetch = cfg.SoftwarePrefetch || sp.SWPrefetch
 	var v harden.Validator
 	v.Merge("", err)
 	v.Merge("", cfg.Validate())

@@ -369,7 +369,7 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 	if err != nil {
 		return nil, 0, err
 	}
-	results, err = runner.RunBenches(cfg, job.Spec.SWPrefetch)
+	results, err = runner.RunBenches(cfg)
 	reused = runner.Counts().Reused
 	if serr := manifest.Save(); serr != nil {
 		s.log.Printf("job %s: %v", job.ID, serr)

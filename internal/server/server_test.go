@@ -156,6 +156,35 @@ func TestSubmitAndComplete(t *testing.T) {
 	}
 }
 
+// TestSoftwarePrefetchSpellings runs mgrid under both spellings of the
+// software-prefetch knob, the "software_prefetch" config key and the
+// top-level "swpf": each emits and executes the prefetches, and the two
+// jobs give the same results.
+func TestSoftwarePrefetchSpellings(t *testing.T) {
+	svc := newService(t, Config{Workers: 1})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	var results [][]core.Result
+	for _, body := range []string{
+		`{"benchmarks":["mgrid"],"instrs":20000,"warmup":20000,"config":{"software_prefetch":true}}`,
+		`{"benchmarks":["mgrid"],"instrs":20000,"warmup":20000,"swpf":true}`,
+	} {
+		resp, job := submit(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d", body, resp.StatusCode)
+		}
+		done := waitState(t, svc, job.ID, StateDone, 60*time.Second)
+		if len(done.Results) != 1 || done.Results[0].SWPrefetches == 0 {
+			t.Fatalf("%s: no software prefetch fills in %+v", body, done.Results)
+		}
+		results = append(results, done.Results)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("the two spellings differ:\n%+v\n%+v", results[0], results[1])
+	}
+}
+
 // TestJobProgress polls GET /jobs/{id} while a real simulation runs:
 // a running job exposes live instructions_retired/sim_time_ps, and the
 // finished record holds the measured totals.
@@ -612,6 +641,9 @@ func TestPolicyOverrides(t *testing.T) {
 	}
 	if cfg := build(`{"config":{"sched_policy":"frfcfs-cap"}}`); cfg.SchedPolicy != "frfcfs-cap" || cfg.ReorderWindow != 8 {
 		t.Fatalf("sched override: policy %q window %d, want frfcfs-cap/8", cfg.SchedPolicy, cfg.ReorderWindow)
+	}
+	if cfg := build(`{"swpf":true}`); !cfg.SoftwarePrefetch {
+		t.Fatal(`"swpf": true left SoftwarePrefetch off`)
 	}
 	if cfg := build(`{"config":{"bank_timing":"rowreuse"}}`); cfg.BankTiming != "rowreuse" {
 		t.Fatalf("bank timing override: %q", cfg.BankTiming)
