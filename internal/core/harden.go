@@ -130,6 +130,16 @@ func (s *System) checkInvariants() []string {
 		}
 	}
 
+	// A parked core skips retrying its oldest refused access until the
+	// hierarchy unparks it, so that access must still be refused now: a
+	// change that could let it in without unparking would stall it.
+	if addr, ok := s.core.Parked(); ok {
+		addr %= s.capacity
+		if s.held < s.cfg.MSHRs || s.onChipOrInFlight(addr) {
+			add("core parked on %#x, which the hierarchy would accept (%d/%d MSHRs held)", addr, s.held, s.cfg.MSHRs)
+		}
+	}
+
 	if ic, ok := s.pf.(interface{ CheckIntegrity() error }); ok {
 		if err := ic.CheckIntegrity(); err != nil {
 			add("prefetch: %v", err)

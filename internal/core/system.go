@@ -239,11 +239,19 @@ func (s *System) newWriteback(addr uint64, size int) *memctrl.Request {
 	return r
 }
 
-// track indexes a fill entering flight.
+// track indexes a fill entering flight. A hardware prefetch may fetch
+// the block of the access the core is parked on, which could now merge
+// into it, so it unparks the core. It does not wake the core: a refused
+// access is retried on the cycles the core runs anyway, and an extra
+// cycle would let the retry merge earlier. A demand miss or software
+// prefetch comes from the core's own access, which it makes only while
+// nothing is blocked.
 func (s *System) track(r *missReq) {
 	s.fills.add(r)
 	if r.kind != prefetchReq {
 		s.held++
+	} else {
+		s.core.Unpark()
 	}
 }
 
@@ -292,6 +300,10 @@ func (s *System) deliver(r *missReq, at sim.Time) {
 	if r.kind != prefetchReq {
 		s.held--
 	}
+	// A freed MSHR or the installed block may let the core's parked
+	// access in. Unpark before the waiters run: a load they release may
+	// be refused and park the core again.
+	s.core.Unpark()
 	for _, w := range r.waiters {
 		w.fire(at)
 	}
@@ -627,7 +639,7 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	// anything is counted, so each access counts once: on the try that
 	// is accepted. PerfectL2 never holds an MSHR, so it never refuses.
 	if s.held >= s.cfg.MSHRs && !s.onChipOrInFlight(addr) {
-		return cpu.Reply{} // rejected; the core retries after Wake
+		return cpu.Reply{} // rejected; the core retries after Unpark
 	}
 
 	write := kind == trace.Store

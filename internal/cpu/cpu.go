@@ -33,7 +33,8 @@ import (
 // Reply is the memory hierarchy's synchronous answer to an access.
 type Reply struct {
 	// Accepted is false when the hierarchy cannot take the access now
-	// (MSHRs full); the core must retry after Wake.
+	// (MSHRs full). The core parks the access and retries it on its
+	// first cycle after Unpark.
 	Accepted bool
 	// Done is true when the completion time is known immediately
 	// (cache hit); At holds it. When false, the completion callback
@@ -46,6 +47,11 @@ type Reply struct {
 // Memory is the interface the core drives. Access initiates a memory
 // operation at the current simulated time; complete (non-nil only for
 // loads) is invoked when data arrives if the reply is not Done.
+//
+// A refusal must be a read-only decision that only the memory's own
+// state changes can reverse, and the memory must call Unpark on each
+// change that could let a refused access in (a freed resource, a block
+// becoming present or fetched): a parked core does not retry before.
 type Memory interface {
 	Access(addr uint64, kind trace.Kind, complete func(sim.Time)) Reply
 }
@@ -95,9 +101,7 @@ func (c Config) Validate() error {
 
 // Stats counts core activity.
 type Stats struct {
-	Retired    uint64
-	Stores     uint64
-	Prefetches uint64 // software prefetch instructions
+	Retired uint64
 	// DroppedPrefetches counts software prefetches discarded because
 	// the hierarchy was saturated.
 	DroppedPrefetches uint64
@@ -106,13 +110,21 @@ type Stats struct {
 // entry is one in-flight instruction: a slot of the ROB ring. Slots
 // never move, so a *entry stays valid for as long as its instruction
 // is in the window; once the instruction retires, the next dispatch
-// into the slot reuses it.
+// into the slot reuses it. A plain instruction writes only doneAt, so
+// the other fields may be stale: the op fields describe the slot's
+// instruction only while opSeq matches its sequence number.
 type entry struct {
 	doneAt sim.Time // sim.MaxTime while pending
-	op     trace.Op
+	// The memory op in the slot: its address, kind and dependence flag,
+	// and one plus its dispatch sequence number.
+	addr          uint64
+	opSeq         uint64
+	kind          trace.Kind
+	dependsOnPrev bool
 	// dependent is the dependence-deferred load waiting on this load's
 	// data, if any. A load depends only on the load dispatched just
-	// before it, so at most one can wait.
+	// before it, so at most one can wait; it is released before the
+	// load can retire, so a slot leaves the window with none.
 	dependent *entry
 	// loadDone is the slot's completion callback for loads, bound once
 	// in New: a load cannot retire before its data arrives, so the
@@ -180,8 +192,11 @@ type CPU struct {
 	count int
 
 	// blocked holds accesses accepted into the window but refused by
-	// the hierarchy (MSHRs full), in issue order.
+	// the hierarchy (MSHRs full), in issue order. parked is set when
+	// the front was refused and the hierarchy has not called Unpark
+	// since: a retry would be refused again, so cycles skip it.
 	blocked opQueue
+	parked  bool
 
 	// lastLoad is one plus the dispatch sequence number of the most
 	// recent load, for dependence chaining; zero before the first. A
@@ -287,21 +302,45 @@ func (c *CPU) IPC() float64 {
 func (c *CPU) DebugState() string {
 	head := "empty"
 	if c.count > 0 {
+		// The head's sequence number is the retired count.
 		e := &c.rob[c.head]
-		head = fmt.Sprintf("kind=%v addr=%#x doneAt=%v dep=%v deferredDep=%v",
-			e.op.Kind, e.op.Addr, e.doneAt, e.op.DependsOnPrev, e.dependent != nil)
+		switch {
+		case e.opSeq != c.stats.Retired+1:
+			head = fmt.Sprintf("kind=plain doneAt=%v", e.doneAt)
+		case e.kind == trace.Load:
+			head = fmt.Sprintf("kind=%v addr=%#x doneAt=%v dep=%v deferredDep=%v",
+				e.kind, e.addr, e.doneAt, e.dependsOnPrev, e.dependent != nil)
+		default:
+			head = fmt.Sprintf("kind=%v addr=%#x doneAt=%v", e.kind, e.addr, e.doneAt)
+		}
 	}
-	return fmt.Sprintf("count=%d blocked=%d exhausted=%v dispatched=%d stepArmed=%v head{%s}",
-		c.count, c.blocked.n, c.exhausted, c.dispatched, c.stepArmed, head)
+	return fmt.Sprintf("count=%d blocked=%d parked=%v exhausted=%v dispatched=%d stepArmed=%v head{%s}",
+		c.count, c.blocked.n, c.parked, c.exhausted, c.dispatched, c.stepArmed, head)
 }
 
 // Wake nudges a stalled core, e.g. after the hierarchy frees an MSHR.
 // A core with a step already armed needs no nudge, so it returns before
-// computing the next edge.
+// computing the next edge. Wake does not unpark a refused access: the
+// memory calls Unpark for that.
 func (c *CPU) Wake() {
 	if !c.finished && !c.stepArmed {
 		c.armAt(c.cfg.Clock.NextEdge(c.sched.Now()))
 	}
+}
+
+// Unpark tells the core that the hierarchy changed in a way that could
+// let its oldest refused access in. The core retries it on its next
+// cycle; Unpark arms no step, so a core idling until Wake keeps idling.
+func (c *CPU) Unpark() { c.parked = false }
+
+// Parked reports the address of the refused access the core is parked
+// on, if any. Paranoid checks use it to assert that the hierarchy would
+// still refuse it.
+func (c *CPU) Parked() (addr uint64, ok bool) {
+	if !c.parked {
+		return 0, false
+	}
+	return c.blocked.front().op.Addr, true
 }
 
 // armAt schedules a step at cycle edge t, if one is not already
@@ -312,34 +351,6 @@ func (c *CPU) armAt(t sim.Time) {
 	}
 	c.stepArmed = true
 	c.sched.AtCall(t, c.stepCB, nil)
-}
-
-// nextInstr pulls the next instruction from the stream. It returns
-// (op, true) for a memory operation, (zero, false) for a plain
-// instruction, and sets c.exhausted at end of stream or budget.
-func (c *CPU) nextInstr() (trace.Op, bool, bool) {
-	if c.cfg.MaxInstrs > 0 && c.dispatched >= c.cfg.MaxInstrs {
-		c.exhausted = true
-		return trace.Op{}, false, false
-	}
-	if c.nonMemLeft > 0 {
-		c.nonMemLeft--
-		return trace.Op{}, false, true
-	}
-	if c.haveOp {
-		op := c.curOp
-		c.haveOp = false
-		return op, true, true
-	}
-	op, ok := c.gen.Next()
-	if !ok {
-		c.exhausted = true
-		return trace.Op{}, false, false
-	}
-	c.nonMemLeft = op.NonMem
-	c.curOp = op
-	c.haveOp = true
-	return c.nextInstr()
 }
 
 // completeLoad records a load's data arrival and releases its
@@ -354,15 +365,22 @@ func (c *CPU) completeLoad(e *entry, at sim.Time) {
 }
 
 // issueLoad issues the load in slot e.
-func (c *CPU) issueLoad(e *entry) { c.issue(blockedOp{op: e.op, load: e}) }
+func (c *CPU) issueLoad(e *entry) {
+	c.issue(blockedOp{op: trace.Op{Addr: e.addr, Kind: trace.Load}, load: e})
+}
 
-// issue sends a memory operation to the hierarchy, or parks it on the
-// blocked queue when resources are exhausted.
+// issue sends a memory operation to the hierarchy, or queues it on the
+// blocked queue when resources are exhausted, parking the core when it
+// is the refused front.
 func (c *CPU) issue(b blockedOp) {
 	// Preserve issue order behind already-blocked accesses.
-	if c.blocked.n > 0 || !c.tryIssue(b) {
-		c.blocked.push(b)
+	if c.blocked.n == 0 {
+		if c.tryIssue(b) {
+			return
+		}
+		c.parked = true
 	}
+	c.blocked.push(b)
 }
 
 // tryIssue attempts the access; it reports false on resource rejection.
@@ -410,85 +428,116 @@ func (c *CPU) step() {
 func (c *CPU) cycle() (at sim.Time, more bool) {
 	now := c.sched.Now()
 	period := c.cfg.Clock.Period()
+	width, robSize, storeBuffer := c.cfg.Width, c.cfg.ROBSize, c.cfg.StoreBuffer
+	maxInstrs := c.cfg.MaxInstrs
 
 	// Retire up to Width completed instructions in order.
-	for n := 0; n < c.cfg.Width && c.count > 0; n++ {
-		if c.rob[c.head].doneAt > now {
-			break
-		}
-		c.head = wrap(c.head+1, c.cfg.ROBSize)
-		c.count--
-		c.stats.Retired++
+	rob := c.rob
+	head, count := c.head, c.count
+	for n := 0; n < width && count > 0 && rob[head].doneAt <= now; n++ {
+		head = wrap(head+1, robSize)
+		count--
 	}
+	c.stats.Retired += uint64(c.count - count)
+	c.head, c.count = head, count
 	if c.OnMilestone != nil && c.stats.Retired >= c.Milestone {
 		f := c.OnMilestone
 		c.OnMilestone = nil
 		f()
 	}
 
-	// Retry blocked accesses in order.
-	for c.blocked.n > 0 && c.tryIssue(c.blocked.front()) {
+	// Retry blocked accesses in order, unless the front is parked.
+	for !c.parked && c.blocked.n > 0 {
+		if !c.tryIssue(c.blocked.front()) {
+			c.parked = true
+			break
+		}
 		c.blocked.pop()
 	}
 
 	// Dispatch up to Width instructions, throttled by the sustained-IPC
-	// credit pool when one is configured.
-	limit := float64(c.cfg.Width)
-	if c.cfg.SustainedIPC > 0 && c.cfg.SustainedIPC < limit {
-		c.credits += c.cfg.SustainedIPC
-		if c.credits > limit {
-			c.credits = limit
-		}
-	} else {
-		c.credits = limit
+	// credit pool when one is configured. Each trace op is a run of
+	// NonMem plain instructions followed by its memory op; a run
+	// dispatches in one step, spending one credit per instruction.
+	// Credits stay within [0, Width], where subtracting a whole number
+	// of them at once is exact: it leaves the same float as one
+	// decrement per instruction.
+	limit := float64(width)
+	credits := limit
+	if ipc := c.cfg.SustainedIPC; ipc > 0 && ipc < limit {
+		credits = min(c.credits+ipc, limit)
 	}
-	for n := 0; n < c.cfg.Width && c.credits >= 1 && c.count < c.cfg.ROBSize && !c.exhausted && c.blocked.n < c.cfg.StoreBuffer; n++ {
-		c.credits--
-		op, isMem, ok := c.nextInstr()
-		if !ok {
+	for n := 0; n < width && credits >= 1 && c.count < robSize && !c.exhausted && c.blocked.n < storeBuffer; {
+		if maxInstrs > 0 && c.dispatched >= maxInstrs {
+			c.exhausted = true
 			break
 		}
+		if c.nonMemLeft <= 0 && !c.haveOp {
+			op, ok := c.gen.Next()
+			if !ok {
+				c.exhausted = true
+				break
+			}
+			c.nonMemLeft, c.curOp, c.haveOp = op.NonMem, op, true
+		}
+		slot := wrap(c.head+c.count, robSize)
+		if c.nonMemLeft > 0 {
+			k := min(width-n, c.nonMemLeft, robSize-c.count, int(credits))
+			if maxInstrs > 0 {
+				k = int(min(uint64(k), maxInstrs-c.dispatched))
+			}
+			for range k {
+				rob[slot].doneAt = now + period
+				slot = wrap(slot+1, robSize)
+			}
+			credits -= float64(k)
+			c.nonMemLeft -= k
+			c.count += k
+			c.dispatched += uint64(k)
+			n += k
+			continue
+		}
+
+		credits--
+		n++
+		op := c.curOp
+		c.haveOp = false
 		seq := c.dispatched
 		c.dispatched++
-		// Fill the tail slot field by field: loadDone stays bound.
-		slot := wrap(c.head+c.count, c.cfg.ROBSize)
-		e := &c.rob[slot]
-		e.doneAt, e.op, e.dependent = now+period, op, nil
 		c.count++
-		if isMem {
-			switch op.Kind {
-			case trace.Load:
-				e.doneAt = sim.MaxTime
-				prodSeq, prodSlot := c.lastLoad, c.lastLoadSlot
-				c.lastLoad, c.lastLoadSlot = seq+1, slot
-				// A retired producer's data has arrived; e may even
-				// occupy its slot now.
-				var prod *entry
-				if op.DependsOnPrev && prodSeq > c.stats.Retired {
-					prod = &c.rob[prodSlot]
-				}
-				switch {
-				case prod == nil || prod.doneAt <= now:
-					c.issueLoad(e)
-				case prod.doneAt == sim.MaxTime:
-					// Producer data time unknown; issue on completion.
-					prod.dependent = e
-				default:
-					// Producer completes at a known future time.
-					c.sched.AtCall(prod.doneAt, c.issueCB, e)
-				}
-			case trace.Store:
-				c.stats.Stores++
-				c.issue(blockedOp{op: op})
-			case trace.SWPrefetch:
-				c.stats.Prefetches++
-				// Prefetches are hints: drop rather than block.
-				if c.blocked.n > 0 || !c.tryIssue(blockedOp{op: op}) {
-					c.stats.DroppedPrefetches++
-				}
+		e := &rob[slot]
+		e.doneAt, e.addr, e.opSeq, e.kind, e.dependsOnPrev = now+period, op.Addr, seq+1, op.Kind, op.DependsOnPrev
+		switch op.Kind {
+		case trace.Load:
+			e.doneAt, e.dependent = sim.MaxTime, nil
+			prodSeq, prodSlot := c.lastLoad, c.lastLoadSlot
+			c.lastLoad, c.lastLoadSlot = seq+1, slot
+			// A retired producer's data has arrived; e may even
+			// occupy its slot now.
+			var prod *entry
+			if op.DependsOnPrev && prodSeq > c.stats.Retired {
+				prod = &rob[prodSlot]
+			}
+			switch {
+			case prod == nil || prod.doneAt <= now:
+				c.issueLoad(e)
+			case prod.doneAt == sim.MaxTime:
+				// Producer data time unknown; issue on completion.
+				prod.dependent = e
+			default:
+				// Producer completes at a known future time.
+				c.sched.AtCall(prod.doneAt, c.issueCB, e)
+			}
+		case trace.Store:
+			c.issue(blockedOp{op: op})
+		case trace.SWPrefetch:
+			// Prefetches are hints: drop rather than block.
+			if c.blocked.n > 0 || !c.tryIssue(blockedOp{op: op}) {
+				c.stats.DroppedPrefetches++
 			}
 		}
 	}
+	c.credits = credits
 
 	// Finished?
 	if c.exhausted && c.count == 0 {
@@ -504,13 +553,13 @@ func (c *CPU) cycle() (at sim.Time, more bool) {
 	// edges, so now+period is one); otherwise the edge of the head's
 	// known completion; otherwise idle until a callback wakes us.
 	next := now + period
-	canDispatch := !c.exhausted && c.count < c.cfg.ROBSize && c.blocked.n < c.cfg.StoreBuffer
-	canRetire := c.count > 0 && c.rob[c.head].doneAt <= next
+	canDispatch := !c.exhausted && c.count < robSize && c.blocked.n < storeBuffer
+	canRetire := c.count > 0 && rob[c.head].doneAt <= next
 	switch {
 	case canDispatch || canRetire:
 		return next, true
-	case c.count > 0 && c.rob[c.head].doneAt < sim.MaxTime:
-		return c.cfg.Clock.NextEdge(c.rob[c.head].doneAt), true
+	case c.count > 0 && rob[c.head].doneAt < sim.MaxTime:
+		return c.cfg.Clock.NextEdge(rob[c.head].doneAt), true
 	}
 	return 0, false
 }

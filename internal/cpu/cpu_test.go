@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"memsim/internal/sim"
@@ -26,7 +27,8 @@ func (m *fixedMemory) Access(addr uint64, kind trace.Kind, complete func(sim.Tim
 }
 
 // pendingMemory completes loads via callback after a fixed delay and
-// tracks concurrent outstanding accesses.
+// tracks concurrent outstanding accesses. kinds logs the kind of each
+// accepted access.
 type pendingMemory struct {
 	sched          *sim.Scheduler
 	latency        sim.Time
@@ -34,12 +36,34 @@ type pendingMemory struct {
 	outstanding    int
 	maxOutstanding int
 	onFree         func()
+	kinds          []trace.Kind
+}
+
+// count reports how many accepted accesses were of kind k.
+func (m *pendingMemory) count(k trace.Kind) int {
+	n := 0
+	for _, got := range m.kinds {
+		if got == k {
+			n++
+		}
+	}
+	return n
+}
+
+// freed returns the signal a memory gives c when it frees a resource:
+// a refused access may now get in, and the core may be idle.
+func freed(c *CPU) func() {
+	return func() {
+		c.Unpark()
+		c.Wake()
+	}
 }
 
 func (m *pendingMemory) Access(addr uint64, kind trace.Kind, complete func(sim.Time)) Reply {
 	if m.capacity > 0 && m.outstanding >= m.capacity {
 		return Reply{}
 	}
+	m.kinds = append(m.kinds, kind)
 	m.outstanding++
 	if m.outstanding > m.maxOutstanding {
 		m.maxOutstanding = m.outstanding
@@ -174,7 +198,7 @@ func TestMSHRRejectionStallsAndWakes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem.onFree = c.Wake
+	mem.onFree = freed(c)
 	run(t, s, c)
 	if mem.maxOutstanding > 2 {
 		t.Fatalf("capacity violated: %d outstanding", mem.maxOutstanding)
@@ -199,8 +223,8 @@ func TestStoresDoNotBlockRetirement(t *testing.T) {
 	if c.FinishTime() > 100*testClock.Period() {
 		t.Fatalf("stores stalled retirement: finish at %v", c.FinishTime())
 	}
-	if c.Stats().Stores != 3 {
-		t.Fatalf("stores = %d", c.Stats().Stores)
+	if n := mem.count(trace.Store); n != 3 {
+		t.Fatalf("stores = %d", n)
 	}
 }
 
@@ -213,8 +237,8 @@ func TestSoftwarePrefetchNonBlocking(t *testing.T) {
 	}
 	c, _ := New(s, mem, trace.NewSlice(ops), cfg(0))
 	run(t, s, c)
-	if c.Stats().Prefetches != 2 {
-		t.Fatalf("prefetches = %d, want 2", c.Stats().Prefetches)
+	if n := mem.count(trace.SWPrefetch); n != 2 {
+		t.Fatalf("prefetches = %d, want 2", n)
 	}
 	if c.FinishTime() > 100*testClock.Period() {
 		t.Fatalf("prefetches stalled retirement: finish at %v", c.FinishTime())
@@ -229,7 +253,7 @@ func TestSoftwarePrefetchDroppedWhenSaturated(t *testing.T) {
 		{Addr: 0x2000, Kind: trace.SWPrefetch}, // must be dropped
 	}
 	c, _ := New(s, mem, trace.NewSlice(ops), cfg(0))
-	mem.onFree = c.Wake
+	mem.onFree = freed(c)
 	run(t, s, c)
 	if c.Stats().DroppedPrefetches != 1 {
 		t.Fatalf("dropped = %d, want 1", c.Stats().DroppedPrefetches)
@@ -280,7 +304,7 @@ func TestDeterminism(t *testing.T) {
 			})
 		}
 		c, _ := New(s, mem, trace.NewSlice(ops), cfg(0))
-		mem.onFree = c.Wake
+		mem.onFree = freed(c)
 		s.RunWhile(func() bool { return !c.Done() })
 		return c.FinishTime(), c.Stats().Retired
 	}
@@ -312,5 +336,48 @@ func TestEmptyTrace(t *testing.T) {
 	s.Run()
 	if !c.Done() || c.Stats().Retired != 0 {
 		t.Fatal("empty trace did not finish cleanly")
+	}
+}
+
+// A plain instruction's slot records only its completion time, so the
+// deadlock dump must not read the op a load or store left there: the
+// head prints as plain, or as the memory op it holds.
+func TestDebugStateNamesHeadKind(t *testing.T) {
+	s := sim.NewScheduler()
+	mem := &pendingMemory{sched: s, latency: 50 * sim.Nanosecond}
+	ops := []trace.Op{
+		{Addr: 0x1000, Kind: trace.Load},
+		{NonMem: 6, Addr: 0x2000, Kind: trace.Store},
+	}
+	c, err := New(s, mem, trace.NewSlice(ops), Config{Width: 1, ROBSize: 4, StoreBuffer: 4, Clock: testClock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sequence numbers 0 to 7 are the load, six plain instructions and
+	// the store, so slot 0 holds the load and then the fourth plain one.
+	want := []string{"kind=load addr=0x1000", "kind=plain", "kind=plain", "kind=plain", "kind=plain", "kind=plain", "kind=plain", "kind=store addr=0x2000"}
+	checked := 0
+	check := func() {
+		r := c.Stats().Retired
+		if got := c.DebugState(); !strings.Contains(got, "head{"+want[r]) {
+			t.Errorf("retired %d: DebugState %q, want head %q", r, got, want[r])
+		}
+		checked++
+	}
+	// The first step runs until the pending load at the head fills the
+	// window; then each cycle that retires checks the new head.
+	s.Step()
+	check()
+	var next func()
+	next = func() {
+		if c.count > 0 {
+			check()
+		}
+		c.Milestone, c.OnMilestone = c.Stats().Retired+1, next
+	}
+	c.Milestone, c.OnMilestone = 1, next
+	run(t, s, c)
+	if checked != len(want) {
+		t.Fatalf("checked %d heads, want %d", checked, len(want))
 	}
 }

@@ -57,7 +57,7 @@ func runScripted(t *testing.T, m *scriptedMemory, ops []trace.Op) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.wake = c.Wake
+	m.wake = freed(c)
 	run(t, m.sched, c)
 	return strings.Join(append(m.log, fmt.Sprintf("finish@%v", c.FinishTime())), "\n")
 }
