@@ -12,8 +12,8 @@
 //
 //	experiments -timeout-per-run 5m -retries 2   # bound and re-attempt wedged runs
 //	experiments -keep-going                      # finish the batch, mark lost cells FAILED
-//	experiments -checkpoint runs.json            # record every completed run
-//	experiments -checkpoint runs.json -resume    # skip specs an earlier batch finished
+//	experiments -checkpoint runs                 # record every completed run
+//	experiments -checkpoint runs -resume         # skip specs an earlier batch finished
 //
 // SIGINT and SIGTERM both cancel in-flight runs at event-loop
 // granularity and flush the checkpoint before exit, so a `-resume`
@@ -86,11 +86,11 @@ func run() int {
 		keepGoing = flag.Bool("keep-going", false,
 			"finish the batch when runs fail: mark their cells FAILED and exit 3")
 		checkpoint = flag.String("checkpoint", "",
-			"manifest file recording every completed run")
+			"manifest directory recording every completed run, one record per spec")
 		metrics = flag.Bool("metrics", false,
 			"arm the metrics registry on every run; with -checkpoint, manifest entries carry metric deltas")
 		resume = flag.Bool("resume", false,
-			"load the -checkpoint manifest and skip specs it already holds")
+			"load the -checkpoint manifest and skip specs it already holds (a single-file manifest of older builds is imported)")
 	)
 	flag.Parse()
 
@@ -101,23 +101,22 @@ func run() int {
 		return exitOK
 	}
 
-	var manifest *experiments.Manifest
-	switch {
-	case *resume && *checkpoint == "":
+	if *resume && *checkpoint == "" {
 		return fatal(fmt.Errorf("-resume requires -checkpoint"))
+	}
+	manifest, err := experiments.OpenManifest(vfs.OS, *checkpoint) // in memory without -checkpoint
+	if err != nil {
+		return fatal(err)
+	}
+	if q := manifest.Quarantined(); q != "" {
+		fmt.Fprintf(os.Stderr, "experiments: checkpoint %s held corrupt data (quarantined as %s); its specs run again\n", *checkpoint, q)
+	}
+	switch {
 	case *resume:
-		m, err := experiments.LoadManifestFS(*checkpoint, vfs.OS)
-		if err != nil {
-			return fatal(err)
-		}
-		if q := m.Quarantined(); q != "" {
-			fmt.Fprintf(os.Stderr, "experiments: checkpoint %s was corrupt (quarantined as %s); starting fresh\n",
-				*checkpoint, q)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: resuming from %s (%d completed specs)\n", *checkpoint, m.Len())
-		manifest = m
-	case *checkpoint != "":
-		manifest = experiments.NewManifestFS(*checkpoint, vfs.OS)
+		fmt.Fprintf(os.Stderr, "experiments: resuming from %s (%d completed specs)\n", *checkpoint, manifest.Len())
+	case manifest.Len() > 0:
+		// Without -resume finished specs are neither reused nor overwritten.
+		return fatal(fmt.Errorf("checkpoint %s already holds %d completed specs; add -resume to reuse them", *checkpoint, manifest.Len()))
 	}
 
 	// Both SIGINT (Ctrl-C) and SIGTERM (a supervisor's kill) take the
@@ -207,14 +206,14 @@ func run() int {
 
 	flushManifest(manifest)
 	c := runner.Counts()
-	fmt.Fprintf(os.Stderr, "experiments: %d simulated, %d reused from checkpoint, %d retried, %d failed\n",
+	fmt.Fprintf(os.Stderr, "experiments: %d simulated, %d reused (repeats and checkpoint), %d retried, %d failed\n",
 		c.Completed, c.Reused, c.Retried, c.Failed)
 
 	switch {
 	case ctx.Err() != nil:
-		if manifest != nil {
+		if *checkpoint != "" {
 			fmt.Fprintf(os.Stderr, "experiments: interrupted (%v); rerun with -checkpoint %s -resume to continue\n",
-				context.Cause(ctx), manifest.Path())
+				context.Cause(ctx), *checkpoint)
 		} else {
 			fmt.Fprintf(os.Stderr, "experiments: interrupted (%v)\n", context.Cause(ctx))
 		}
@@ -231,12 +230,9 @@ func run() int {
 	}
 }
 
-// flushManifest forces a final write so even an aborting batch leaves
-// a resumable checkpoint.
+// flushManifest retries failed checkpoint writes so even an aborting
+// batch leaves a resumable checkpoint.
 func flushManifest(m *experiments.Manifest) {
-	if m == nil {
-		return
-	}
 	if err := m.Save(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 	}

@@ -36,6 +36,7 @@ import (
 	"memsim/internal/core"
 	"memsim/internal/experiments"
 	"memsim/internal/sim"
+	"memsim/internal/vfs"
 )
 
 const (
@@ -96,9 +97,9 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer, 
 		keepGoing = fs.Bool("keep-going", false,
 			"emit a FAILED row for lost points instead of aborting the sweep")
 		checkpoint = fs.String("checkpoint", "",
-			"manifest file recording every completed point")
+			"manifest directory recording every completed point, one record per point")
 		resume = fs.Bool("resume", false,
-			"load the -checkpoint manifest and skip points it already holds")
+			"load the -checkpoint manifest and skip points it already holds (a single-file manifest of older builds is imported)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitFailed, err
@@ -135,36 +136,31 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer, 
 		points, cfgs = append(points, v), append(cfgs, cfg)
 	}
 
-	var manifest *experiments.Manifest
-	switch {
-	case *resume && *checkpoint == "":
+	if *resume && *checkpoint == "" {
 		return exitFailed, fmt.Errorf("-resume requires -checkpoint")
-	case *resume:
-		m, err := experiments.LoadManifest(*checkpoint)
-		if err != nil {
-			return exitFailed, err
-		}
-		if q := m.Quarantined(); q != "" {
-			fmt.Fprintf(diag, "sweep: checkpoint %s was corrupt (quarantined as %s); starting fresh\n", *checkpoint, q)
-		}
-		manifest = m
-	case *checkpoint != "":
-		manifest = experiments.NewManifest(*checkpoint)
 	}
-	if manifest != nil {
-		// Flush the checkpoint on every exit, so even an aborted sweep
-		// leaves a resumable record.
-		defer func() {
-			serr := manifest.Save()
-			switch {
-			case serr == nil:
-			case err == nil:
-				code, err = exitFailed, serr
-			default:
-				fmt.Fprintln(diag, "sweep: checkpoint save failed:", serr)
-			}
-		}()
+	manifest, err := experiments.OpenManifest(vfs.OS, *checkpoint) // in memory without -checkpoint
+	if err != nil {
+		return exitFailed, err
 	}
+	if q := manifest.Quarantined(); q != "" {
+		fmt.Fprintf(diag, "sweep: checkpoint %s held corrupt data (quarantined as %s); its points run again\n", *checkpoint, q)
+	}
+	if !*resume && manifest.Len() > 0 {
+		return exitFailed, fmt.Errorf("checkpoint %s already holds %d completed points; add -resume to reuse them", *checkpoint, manifest.Len())
+	}
+	// Retry failed checkpoint writes on every exit, so even an aborted
+	// sweep leaves a resumable record.
+	defer func() {
+		serr := manifest.Save()
+		switch {
+		case serr == nil:
+		case err == nil:
+			code, err = exitFailed, serr
+		default:
+			fmt.Fprintln(diag, "sweep: checkpoint save failed:", serr)
+		}
+	}()
 
 	// Each point is a one-spec batch: the runner resolves it from the
 	// checkpoint or simulates it under the per-point deadline and retry

@@ -85,3 +85,34 @@ func TestResumeCorruptCheckpoint(t *testing.T) {
 		t.Errorf("diagnostics %q do not name the quarantined file", diag.String())
 	}
 }
+
+// TestCheckpointNeedsResume pins the checkpoint directory's contract:
+// a sweep writes one record per point, a second sweep on the same
+// directory without -resume is refused before any output, and with
+// -resume it reuses the record.
+func TestCheckpointNeedsResume(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sweep")
+	run := func(extra ...string) (string, int, error) {
+		var out bytes.Buffer
+		w := csv.NewWriter(&out)
+		fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		code, err := sweep(context.Background(), fs, append([]string{"-param", "channels", "-values", "2",
+			"-instrs", "1000", "-warmup", "0", "-checkpoint", dir}, extra...), w, io.Discard)
+		w.Flush()
+		return out.String(), code, err
+	}
+	first, code, err := run()
+	if code != exitOK || err != nil {
+		t.Fatalf("first sweep: code %d err %v", code, err)
+	}
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 1 {
+		t.Fatalf("checkpoint holds %d files (%v), want one record", len(names), err)
+	}
+	if out, code, err := run(); code != exitFailed || err == nil || !strings.Contains(err.Error(), "-resume") || out != "" {
+		t.Fatalf("second sweep without -resume: code %d err %v output %q, want a refusal naming -resume", code, err, out)
+	}
+	if out, code, err := run("-resume"); code != exitOK || err != nil || out != first {
+		t.Fatalf("resumed sweep: code %d err %v output %q, want %q", code, err, out, first)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"path"
 	"strings"
 	"time"
 
@@ -165,7 +166,7 @@ type batchScenario struct{}
 func (batchScenario) Name() string { return "experiments-batch" }
 
 func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
-	m, err := experiments.LoadManifestFS("batch.manifest.json", f)
+	m, err := experiments.OpenManifest(f, "batch.manifest.json")
 	if err != nil {
 		if f.Crashed() {
 			return nil, vfs.ErrCrashed
@@ -196,15 +197,18 @@ func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
 }
 
 // ManifestsRunOnce is the no-resimulation invariant: after recovery,
-// every entry in every surviving checkpoint manifest must have been
-// simulated exactly once (TotalRuns == Len). A resume that misses a
-// persisted entry re-simulates it and trips this check.
+// every entry in every checkpoint manifest (a *.manifest.json record
+// directory) must have been simulated exactly once (TotalRuns == Len).
+// A resume that misses a persisted entry re-simulates it and trips it.
 func ManifestsRunOnce(m *vfs.Mem) error {
-	for _, name := range m.Files() {
-		if !strings.HasSuffix(name, ".manifest.json") {
+	seen := map[string]bool{}
+	for _, file := range m.Files() {
+		name := path.Dir(file)
+		if !strings.HasSuffix(name, ".manifest.json") || seen[name] {
 			continue
 		}
-		man, err := experiments.LoadManifestFS(name, m)
+		seen[name] = true
+		man, err := experiments.OpenManifest(m, name)
 		if err != nil {
 			return fmt.Errorf("manifest %s: %w", name, err)
 		}

@@ -5,17 +5,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"memsim/internal/core"
+	"memsim/internal/recdir"
 	"memsim/internal/vfs"
 )
 
-// manifestVersion guards the on-disk schema; a manifest written by an
-// incompatible layout is rejected rather than silently misread.
-const manifestVersion = 1
+// manifestLayout is the manifest schema: <key>.json holds
+// {"version": 1, "entry": ...}; older builds' single file held
+// {"version": 1, "entries": {<key>: ...}}.
+var manifestLayout = recdir.Layout{Version: 1, Field: "entry", LegacyField: "entries"}
 
 // SpecKey is the checkpoint identity of one run: a 64-bit hash over
 // the benchmark, the workload seed, and the full configuration
@@ -47,85 +47,48 @@ type ManifestEntry struct {
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Manifest is the on-disk checkpoint of a batch: completed results
-// keyed by SpecKey, flushed to a JSON file after every recorded run so
-// an interruption at any point loses at most the runs in flight. It is
-// safe for concurrent use by the worker pool.
+// Manifest holds completed results keyed by SpecKey; the Runner
+// resolves every spec through it, so each distinct spec runs once. On
+// disk it is the batch's checkpoint, one <key>.json record written per
+// finished spec, so an interruption loses at most the runs in flight.
+// It is safe for concurrent use by the worker pool.
 type Manifest struct {
-	mu          sync.Mutex
-	fs          vfs.FS
-	path        string
-	entries     map[string]*ManifestEntry
-	saveErr     error  // first flush failure, surfaced by Save
-	quarantined string // where a corrupt predecessor was moved, "" if none
+	mu      sync.Mutex
+	recs    *recdir.Dir // nil for a manifest kept in memory only
+	entries map[string]*ManifestEntry
+
+	quarantined string
 }
 
-// manifestFile is the serialized layout.
-type manifestFile struct {
-	Version int                       `json:"version"`
-	Entries map[string]*ManifestEntry `json:"entries"`
-}
-
-// NewManifest returns an empty manifest that will persist to path on
-// the real filesystem.
-func NewManifest(path string) *Manifest { return NewManifestFS(path, vfs.OS) }
-
-// NewManifestFS returns an empty manifest that will persist to path
-// on fsys.
-func NewManifestFS(path string, fsys vfs.FS) *Manifest {
-	return &Manifest{fs: fsys, path: path, entries: make(map[string]*ManifestEntry)}
-}
-
-// LoadManifest reads the manifest at path on the real filesystem. See
-// LoadManifestFS.
-func LoadManifest(path string) (*Manifest, error) { return LoadManifestFS(path, vfs.OS) }
-
-// LoadManifestFS reads the manifest at path on fsys for resumption. A
-// missing file yields an empty manifest (resuming a batch that never
-// started is just starting it). A file that does not parse as JSON —
-// the signature of a partial write during a crash, since a healthy
-// flush is atomic — is quarantined (path+".corrupt", then .corrupt.1,
-// .corrupt.2, ... so repeated corruptions keep their evidence) and a
-// fresh manifest takes its place, so one damaged checkpoint costs
-// re-running its specs rather than failing the whole resume;
-// Quarantined reports the move so callers can warn. An unreadable
-// file or a version mismatch (a deliberate schema change, not crash
-// damage) stays a hard error, since silently ignoring it would re-run
-// everything.
-func LoadManifestFS(path string, fsys vfs.FS) (*Manifest, error) {
-	data, err := fsys.ReadFile(path)
-	if os.IsNotExist(err) {
-		return NewManifestFS(path, fsys), nil
+// OpenManifest opens the manifest in the directory path on fsys,
+// creating it when missing (resuming a batch that never started is just
+// starting it), or with an empty path one kept in memory. A record that
+// does not parse is quarantined, so its spec runs again; Quarantined
+// reports the move. A single-file manifest of older builds at path is
+// imported in place, crash-safely (see recdir.Open).
+func OpenManifest(fsys vfs.FS, path string) (*Manifest, error) {
+	m := &Manifest{entries: make(map[string]*ManifestEntry)}
+	if path == "" {
+		return m, nil
 	}
+	recs, _, err := recdir.Open(fsys, path, path, manifestLayout, func(key string, rec []byte) error {
+		e := &ManifestEntry{}
+		if err := json.Unmarshal(rec, e); err != nil {
+			return err
+		}
+		m.entries[key] = e
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	var f manifestFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		q, qerr := vfs.Quarantine(fsys, path)
-		if qerr != nil {
-			return nil, fmt.Errorf("checkpoint %s: unparseable (%v) and quarantine failed: %w", path, err, qerr)
-		}
-		m := NewManifestFS(path, fsys)
-		m.quarantined = q
-		return m, nil
-	}
-	if f.Version != manifestVersion {
-		return nil, fmt.Errorf("checkpoint %s: version %d, want %d", path, f.Version, manifestVersion)
-	}
-	m := NewManifestFS(path, fsys)
-	if f.Entries != nil {
-		m.entries = f.Entries
-	}
+	m.recs, m.quarantined = recs, recs.Quarantined()
 	return m, nil
 }
 
-// Quarantined reports where LoadManifest moved a corrupt predecessor
-// of this manifest, or "" when the load was clean.
+// Quarantined reports where OpenManifest moved corrupt data,
+// comma-separated, or "" when the load was clean.
 func (m *Manifest) Quarantined() string { return m.quarantined }
-
-// Path reports where the manifest persists.
-func (m *Manifest) Path() string { return m.path }
 
 // Len reports how many completed specs the manifest holds.
 func (m *Manifest) Len() int {
@@ -147,7 +110,7 @@ func (m *Manifest) TotalRuns() int {
 	return n
 }
 
-// Lookup returns the checkpointed result for key, if present.
+// Lookup returns the recorded result for key, if present.
 func (m *Manifest) Lookup(key string) (core.Result, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -159,47 +122,32 @@ func (m *Manifest) Lookup(key string) (core.Result, bool) {
 }
 
 // Record stores a completed run — with its metric deltas, when the
-// batch captured any — and flushes the manifest to disk. A flush
-// failure is returned and also retained for Save, so a batch on a
-// full disk still finishes and reports the problem once.
+// batch captured any — and, for a persisted manifest, writes its
+// record. A failed write is returned and also retained for Save, so a
+// batch on a full disk still finishes and reports the problem once.
 func (m *Manifest) Record(key, bench string, res core.Result, metrics map[string]float64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.entries[key]
-	if e == nil {
-		e = &ManifestEntry{Bench: bench}
-		m.entries[key] = e
+	e := &ManifestEntry{Bench: bench, Runs: 1, Result: res, Metrics: metrics}
+	if old := m.entries[key]; old != nil {
+		e.Runs += old.Runs
 	}
-	e.Result = res
-	e.Metrics = metrics
-	e.Runs++
-	return m.flushLocked()
+	m.entries[key] = e
+	if m.recs == nil {
+		return nil
+	}
+	return m.recs.Put(key, e)
 }
 
-// Save flushes the manifest, reporting the first error from any
-// earlier flush as well. Call it before exiting — in particular from
-// the SIGINT path, so an interrupted batch leaves a complete record.
+// Save rewrites every record whose write failed, reporting the first
+// error from any earlier write as well. Call it before exiting — in
+// particular from the SIGINT path, so an interrupted batch leaves a
+// complete record.
 func (m *Manifest) Save() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.flushLocked(); err != nil {
-		return err
+	if m.recs == nil {
+		return nil
 	}
-	return m.saveErr
-}
-
-// flushLocked writes the manifest atomically (temp file + rename), so
-// a kill mid-write never leaves a truncated checkpoint.
-func (m *Manifest) flushLocked() error {
-	data, err := json.MarshalIndent(manifestFile{Version: manifestVersion, Entries: m.entries}, "", "  ")
-	if err == nil {
-		err = vfs.WriteFileAtomic(m.fs, m.path, data, 0o644)
-	}
-	if err != nil {
-		err = fmt.Errorf("checkpoint %s: %w", filepath.Base(m.path), err)
-		if m.saveErr == nil {
-			m.saveErr = err
-		}
-	}
-	return err
+	return m.recs.Flush()
 }

@@ -14,6 +14,7 @@ import (
 	"memsim/internal/core"
 	"memsim/internal/harden"
 	"memsim/internal/harden/inject"
+	"memsim/internal/vfs"
 )
 
 // orchOptions is the small-budget batch the orchestrator tests share:
@@ -155,7 +156,7 @@ func TestCheckpointResume(t *testing.T) {
 	opt := orchOptions()
 	opt.KeepGoing = true
 	opt.injectFor = failMCF
-	opt.Checkpoint = NewManifest(path)
+	opt.Checkpoint = openOS(t, path)
 	r1, err := NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -174,10 +175,7 @@ func TestCheckpointResume(t *testing.T) {
 	// Resumed batch: same budgets and hardening (the spec keys hash the
 	// full config), injection disarmed. The survivors must be reused
 	// verbatim and only mcf simulated.
-	m, err := LoadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := openOS(t, path)
 	opt2 := orchOptions()
 	opt2.Checkpoint = m
 	r2, err := NewRunner(opt2)
@@ -223,7 +221,7 @@ func TestManifestLoadErrors(t *testing.T) {
 	dir := t.TempDir()
 
 	// Missing file: resuming a batch that never started is starting it.
-	m, err := LoadManifest(filepath.Join(dir, "absent.json"))
+	m, err := OpenManifest(vfs.OS, filepath.Join(dir, "absent.json"))
 	if err != nil {
 		t.Fatalf("missing manifest rejected: %v", err)
 	}
@@ -238,7 +236,7 @@ func TestManifestLoadErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{truncated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err = LoadManifest(bad)
+	m, err = OpenManifest(vfs.OS, bad)
 	if err != nil {
 		t.Fatalf("corrupt manifest must quarantine, not fail: %v", err)
 	}
@@ -251,14 +249,14 @@ func TestManifestLoadErrors(t *testing.T) {
 	if _, err := os.Stat(bad + ".corrupt"); err != nil {
 		t.Errorf("corrupt file not preserved for inspection: %v", err)
 	}
-	if _, err := os.Stat(bad); !os.IsNotExist(err) {
-		t.Errorf("corrupt file still in place: %v", err)
+	if fi, err := os.Stat(bad); err != nil || !fi.IsDir() {
+		t.Errorf("corrupt file still in place of the record directory: %v", err)
 	}
 	// The replacement manifest must be fully usable at the same path.
 	if err := m.Record("k1", "gcc", core.Result{IPC: 1}, nil); err != nil {
 		t.Fatalf("fresh manifest not writable: %v", err)
 	}
-	reloaded, err := LoadManifest(bad)
+	reloaded, err := OpenManifest(vfs.OS, bad)
 	if err != nil || reloaded.Len() != 1 {
 		t.Fatalf("reload after quarantine: %v, %d entries", err, reloaded.Len())
 	}
@@ -269,7 +267,7 @@ func TestManifestLoadErrors(t *testing.T) {
 	if err := os.WriteFile(wrong, []byte(`{"version": 99, "entries": {}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(wrong); err == nil {
+	if _, err := OpenManifest(vfs.OS, wrong); err == nil {
 		t.Error("version-mismatched manifest accepted")
 	}
 }
@@ -281,7 +279,7 @@ func TestManifestLoadErrors(t *testing.T) {
 func TestCheckpointMetrics(t *testing.T) {
 	for _, armed := range []bool{true, false} {
 		path := filepath.Join(t.TempDir(), "runs.json")
-		opt := Options{Instrs: 5_000, Warmup: 5_000, Benchmarks: []string{"swim"}, Checkpoint: NewManifest(path)}
+		opt := Options{Instrs: 5_000, Warmup: 5_000, Benchmarks: []string{"swim"}, Checkpoint: openOS(t, path)}
 		opt.Obs.Metrics = armed
 		r, err := NewRunner(opt)
 		if err != nil {
@@ -293,10 +291,7 @@ func TestCheckpointMetrics(t *testing.T) {
 		if err := opt.Checkpoint.Save(); err != nil {
 			t.Fatal(err)
 		}
-		m, err := LoadManifest(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := openOS(t, path)
 		if m.Len() != 1 {
 			t.Fatalf("metrics=%v: reloaded manifest holds %d entries, want 1", armed, m.Len())
 		}

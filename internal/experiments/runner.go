@@ -15,8 +15,9 @@
 // The batch layer is a resilient orchestrator (DESIGN.md §8): every
 // spec runs on a fixed worker pool under the batch context, with
 // per-run panic recovery, per-run wall-clock deadlines, bounded retry
-// with backoff for watchdog and timeout aborts, and an optional
-// on-disk checkpoint manifest so an interrupted batch resumes without
+// with backoff for watchdog and timeout aborts, and a result manifest
+// through which every spec resolves, so each distinct spec runs once
+// and, with the manifest on disk, an interrupted batch resumes without
 // re-running finished specs. With KeepGoing set, a failed spec marks
 // its cells FAILED instead of discarding the whole artifact.
 package experiments
@@ -61,9 +62,9 @@ type Options struct {
 	Harden core.HardenConfig
 	// Obs arms the observability instruments on every run. With Metrics
 	// set, each completed run's warmup-adjusted metric deltas are
-	// captured and, when a Checkpoint is active, stored in its manifest
-	// entry. Tracing is possible but rarely useful in batches (the ring
-	// is discarded after harvesting).
+	// captured and stored in its manifest entry. Tracing is possible
+	// but rarely useful in batches (the ring is discarded after
+	// harvesting).
 	Obs obs.Config
 
 	// Context cancels the whole batch: in-flight runs stop at event-loop
@@ -86,9 +87,9 @@ type Options struct {
 	// are recorded for the artifact's DEGRADED section, and the batch
 	// returns the surviving results with a nil error.
 	KeepGoing bool
-	// Checkpoint, when non-nil, records every completed run keyed by
-	// spec hash and is consulted before each run, so a resumed batch
-	// skips work an earlier (possibly interrupted) invocation finished.
+	// Checkpoint holds every completed run keyed by spec hash, so no
+	// spec is simulated twice, and on disk a resumed batch skips work an
+	// earlier invocation finished. Nil means a fresh in-memory manifest.
 	Checkpoint *Manifest
 
 	// Progress, when non-nil, receives coarse progress from every
@@ -147,6 +148,9 @@ func NewRunner(opt Options) (*Runner, error) {
 	if opt.Retries < 0 {
 		return nil, fmt.Errorf("experiments: negative retry budget %d", opt.Retries)
 	}
+	if opt.Checkpoint == nil {
+		opt.Checkpoint = &Manifest{entries: make(map[string]*ManifestEntry)}
+	}
 	return &Runner{opt: opt}, nil
 }
 
@@ -155,10 +159,10 @@ func (r *Runner) Benchmarks() []string { return r.opt.Benchmarks }
 
 // Counts is a snapshot of the orchestrator's run accounting.
 type Counts struct {
-	// Completed counts simulations that ran to completion here (not
-	// reused from a checkpoint).
+	// Completed counts simulations that ran to completion here.
 	Completed uint64
-	// Reused counts specs satisfied from the checkpoint manifest.
+	// Reused counts specs satisfied without simulating: repeats of a
+	// spec this runner already ran and specs a loaded checkpoint held.
 	Reused uint64
 	// Retried counts re-attempts after watchdog or timeout aborts.
 	Retried uint64
@@ -252,28 +256,39 @@ func failedResult() core.Result { return core.Result{IPC: math.NaN()} }
 
 // runAll executes the specs on a fixed pool of Parallelism worker
 // goroutines and returns results in spec order, so thousand-spec
-// sweeps never park a goroutine per spec. Failures aggregate with
-// errors.Join rather than first-error-wins; under KeepGoing a partial
-// failure degrades (FAILED cells, nil error) instead of aborting.
+// sweeps never park a goroutine per spec. Specs that repeat an earlier
+// spec's key are not dispatched: they take that spec's outcome. Failures
+// aggregate with errors.Join rather than first-error-wins; under
+// KeepGoing a partial failure degrades (FAILED cells, nil error)
+// instead of aborting.
 func (r *Runner) runAll(specs []spec) ([]core.Result, error) {
 	ctx := r.ctx()
 	results := make([]core.Result, len(specs))
 	errs := make([]error, len(specs))
 	attempts := make([]int, len(specs))
+	keys := make([]string, len(specs))
+	first := make(map[string]int, len(specs)) // the spec that runs each key
+	for i := len(specs) - 1; i >= 0; i-- {
+		keys[i] = r.specKey(specs[i])
+		first[keys[i]] = i
+	}
 
 	feed := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(r.opt.Parallelism, len(specs)); w++ {
+	for w := 0; w < min(r.opt.Parallelism, len(first)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range feed {
-				results[i], attempts[i], errs[i] = r.runSpec(ctx, specs[i])
+				results[i], attempts[i], errs[i] = r.runSpec(ctx, specs[i], keys[i])
 			}
 		}()
 	}
 feeding:
 	for i := range specs {
+		if first[keys[i]] != i {
+			continue
+		}
 		select {
 		case feed <- i:
 		case <-ctx.Done():
@@ -286,6 +301,14 @@ feeding:
 	}
 	close(feed)
 	wg.Wait()
+	for i, key := range keys {
+		if j := first[key]; j != i {
+			results[i], attempts[i], errs[i] = results[j], attempts[j], errs[j]
+			if errs[i] == nil {
+				r.reused.Add(1)
+			}
+		}
+	}
 
 	var failures []error
 	nfailed := 0
@@ -294,7 +317,7 @@ feeding:
 			continue
 		}
 		nfailed++
-		failures = append(failures, fmt.Errorf("%s [%s]: %w", specs[i].bench, r.specKey(specs[i]), err))
+		failures = append(failures, fmt.Errorf("%s [%s]: %w", specs[i].bench, keys[i], err))
 	}
 	if nfailed == 0 {
 		return results, nil
@@ -312,7 +335,7 @@ feeding:
 			results[i] = failedResult()
 			r.recordFailure(RunFailure{
 				Bench:    specs[i].bench,
-				Key:      r.specKey(specs[i]),
+				Key:      keys[i],
 				Attempts: attempts[i],
 				Err:      err,
 			})
@@ -321,26 +344,22 @@ feeding:
 	return results, nil
 }
 
-// runSpec resolves one spec: from the checkpoint when possible, else by
-// simulating with the retry policy. It reports how many attempts ran.
-func (r *Runner) runSpec(ctx context.Context, sp spec) (core.Result, int, error) {
-	key := r.specKey(sp)
-	if r.opt.Checkpoint != nil {
-		if res, ok := r.opt.Checkpoint.Lookup(key); ok {
-			r.reused.Add(1)
-			return res, 0, nil
-		}
+// runSpec resolves one spec: from the manifest when it holds the key,
+// else by simulating with the retry policy and recording the result.
+// It reports how many attempts ran.
+func (r *Runner) runSpec(ctx context.Context, sp spec, key string) (core.Result, int, error) {
+	if res, ok := r.opt.Checkpoint.Lookup(key); ok {
+		r.reused.Add(1)
+		return res, 0, nil
 	}
 	var errs []error
 	for attempt := 1; ; attempt++ {
 		res, metrics, err := r.runOnce(ctx, sp)
 		if err == nil {
 			r.completed.Add(1)
-			if r.opt.Checkpoint != nil {
-				// A checkpoint that cannot be written must not kill the
-				// batch; the manifest remembers the error for Save.
-				_ = r.opt.Checkpoint.Record(key, sp.bench, res, metrics)
-			}
+			// A checkpoint that cannot be written must not kill the
+			// batch; the manifest remembers the error for Save.
+			_ = r.opt.Checkpoint.Record(key, sp.bench, res, metrics)
 			return res, attempt, nil
 		}
 		errs = append(errs, err)
@@ -443,7 +462,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // RunBenches runs one configuration across the active benchmark suite,
 // returning results in suite order. Every artifact resolves its runs
 // here, and so do cmd/memsimd jobs and cmd/sweep points: they share the
-// worker pool, checkpoint reuse, retry policy, and cancellation
+// worker pool, manifest reuse, retry policy, and cancellation
 // plumbing, so a daemon restart resumes a half-finished job from its
 // manifest exactly like `experiments -resume` resumes a batch.
 func (r *Runner) RunBenches(cfg core.Config) ([]core.Result, error) {

@@ -153,9 +153,9 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 	// Results holds the per-benchmark measurements once done.
 	Results []core.Result `json:"results,omitempty"`
-	// SpecsReused counts checkpointed specs the final execution reused
-	// instead of re-simulating — nonzero exactly when a resume skipped
-	// finished work.
+	// SpecsReused counts specs the final execution did not simulate:
+	// ones a resume found checkpointed, and repeats within the
+	// benchmark list.
 	SpecsReused uint64 `json:"specs_reused,omitempty"`
 	// InstructionsRetired and SimTime report simulation progress: while
 	// the job runs, GET /jobs/{id} overlays the live counters (retired

@@ -332,7 +332,7 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 		// carried a record from an incompatible deployment.
 		return nil, 0, fmt.Errorf("stored spec no longer builds: %w", err)
 	}
-	manifest, err := experiments.LoadManifestFS(s.store.ManifestPath(job.ID), s.cfg.FS)
+	manifest, err := experiments.OpenManifest(s.cfg.FS, s.store.ManifestPath(job.ID))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -385,8 +385,9 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 	now := time.Now().UTC()
 	switch {
 	case err == nil:
-		job, uerr := s.store.Update(id, func(j *Job) {
+		_, uerr := s.store.Update(id, func(j *Job) {
 			s.met.completed.Add(1)
+			s.met.observeJobSeconds(now.Sub(j.EnqueuedAt).Seconds())
 			j.State = StateDone
 			j.FinishedAt = &now
 			j.Results = results
@@ -402,7 +403,6 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 			s.log.Printf("job %s: %v", id, uerr)
 			return
 		}
-		s.met.observeJobSeconds(now.Sub(job.EnqueuedAt).Seconds())
 		s.log.Printf("job %s: done (%d benchmarks, %d specs reused)", id, len(results), reused)
 	case errors.Is(err, errDraining):
 		// Drain: the manifest holds every finished spec; hand the job

@@ -11,7 +11,9 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +22,7 @@ import (
 	"memsim/internal/core"
 	"memsim/internal/experiments"
 	"memsim/internal/harden"
+	"memsim/internal/vfs"
 )
 
 // newService builds a test daemon with quiet logging and small budgets.
@@ -256,7 +259,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	mpath := victim.Store().ManifestPath(vjob.ID)
 	deadline := time.Now().Add(120 * time.Second)
 	for {
-		m, err := experiments.LoadManifest(mpath)
+		m, err := experiments.OpenManifest(vfs.OS, mpath)
 		if err == nil && m.Len() >= 1 {
 			break
 		}
@@ -275,7 +278,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 		// this effectively impossible (two full specs in ~2ms).
 		t.Fatalf("job finished before kill: %v", killed.State)
 	}
-	preResumed, err := experiments.LoadManifest(mpath)
+	preResumed, err := experiments.OpenManifest(vfs.OS, mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +308,66 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 	// Total simulation count across both daemons must equal one golden
 	// run: the resume reused the checkpoint instead of re-running.
-	m, err := experiments.LoadManifest(mpath)
+	m, err := experiments.OpenManifest(vfs.OS, mpath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.TotalRuns() != 3 {
 		t.Fatalf("total runs = %d, want 3", m.TotalRuns())
+	}
+}
+
+// TestResumeLegacyManifest: a state directory from an older daemon —
+// a queued job whose per-spec manifest is still a single
+// job-<id>.manifest.json file — resumes that job with every finished
+// spec reused. The manifest is the experiments package's fixture, which
+// an older build wrote for the same three specs.
+func TestResumeLegacyManifest(t *testing.T) {
+	legacy, err := os.ReadFile("../experiments/testdata/legacy_manifest.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st, err := OpenStoreFS(dir, vfs.OS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benches := []string{"swim", "mcf", "gcc"}
+	job, err := st.Create(JobSpec{Benchmarks: benches, Instrs: 2_000, Warmup: 500}, benches, "c", time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpath := st.ManifestPath(job.ID)
+	if err := os.WriteFile(mpath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The older build ran the fixture's specs without a watchdog, and
+	// the watchdog setting is part of every spec's key.
+	svc := newService(t, Config{Workers: 1, StateDir: dir, WatchdogCycles: -1})
+	done := waitState(t, svc, job.ID, StateDone, 30*time.Second)
+	if done.SpecsReused != 3 {
+		t.Fatalf("specs reused = %d, want 3", done.SpecsReused)
+	}
+	m, err := experiments.OpenManifest(vfs.OS, mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != 3 || m.TotalRuns() != 3 {
+		t.Fatalf("manifest holds %d entries and %d runs after the resume, want 3 of each", m.Len(), m.TotalRuns())
+	}
+	var want struct {
+		Entries map[string]struct {
+			Bench  string      `json:"bench"`
+			Result core.Result `json:"result"`
+		} `json:"entries"`
+	}
+	if err := json.Unmarshal(legacy, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range want.Entries {
+		if i := slices.Index(benches, e.Bench); !reflect.DeepEqual(done.Results[i], e.Result) {
+			t.Fatalf("%s: result is not the legacy manifest's", e.Bench)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreFS(dir, vfs.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// Reopen: records, sequence counter, and pending set must survive.
-	s2, err := OpenStore(dir)
+	s2, err := OpenStoreFS(dir, vfs.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 func TestStorePendingSkipsTerminal(t *testing.T) {
-	s, err := OpenStore(t.TempDir())
+	s, err := OpenStoreFS(t.TempDir(), vfs.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestStoreQuarantinesCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(`{"version":1,"jobs":{"j0`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := OpenStore(dir)
+	s, err := OpenStoreFS(dir, vfs.OS)
 	if err != nil {
 		t.Fatalf("corrupt store must not fail open: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestStoreRejectsVersionMismatch(t *testing.T) {
 		[]byte(`{"version":99,"jobs":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(dir); err == nil {
+	if _, err := OpenStoreFS(dir, vfs.OS); err == nil {
 		t.Fatal("version mismatch must stay a hard error")
 	}
 }
@@ -132,7 +132,7 @@ func TestStoreRepeatedQuarantineKeepsEvidence(t *testing.T) {
 		if err := os.WriteFile(path, body, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, err := OpenStore(dir)
+		s, err := OpenStoreFS(dir, vfs.OS)
 		if err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
 		}
@@ -149,6 +149,12 @@ func TestStoreRepeatedQuarantineKeepsEvidence(t *testing.T) {
 			t.Fatalf("%s holds generation %q, want %d", dest, got, gen)
 		}
 	}
+}
+
+// record is the layout of one job record file, jobs/<id>.json.
+type record struct {
+	Version int  `json:"version"`
+	Job     *Job `json:"job"`
 }
 
 // finishedResults is a done job's result payload: the bulk of a record
@@ -228,7 +234,7 @@ func TestStoreCreateFailureLeavesNoGhost(t *testing.T) {
 // on its own and every other job still loads.
 func TestStoreQuarantinesCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir)
+	s, err := OpenStoreFS(dir, vfs.OS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +247,7 @@ func TestStoreQuarantinesCorruptRecord(t *testing.T) {
 	if err := os.WriteFile(victim, []byte(`{"version":1,"job":{"id":"j0`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenStore(dir)
+	s2, err := OpenStoreFS(dir, vfs.OS)
 	if err != nil {
 		t.Fatalf("one corrupt record must not fail open: %v", err)
 	}
@@ -268,7 +274,7 @@ func TestStoreRecordVersionMismatch(t *testing.T) {
 		[]byte(`{"version":2,"job":{"id":"j000001","seq":1}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(dir); err == nil {
+	if _, err := OpenStoreFS(dir, vfs.OS); err == nil {
 		t.Fatal("record version mismatch must be a hard error")
 	}
 }
@@ -517,7 +523,7 @@ func TestStoreUpdateCostIndependentOfJobCount(t *testing.T) {
 func BenchmarkStoreUpdate(b *testing.B) {
 	for _, n := range []int{10, 1000} {
 		b.Run(fmt.Sprintf("jobs=%d", n), func(b *testing.B) {
-			s, err := OpenStore(b.TempDir())
+			s, err := OpenStoreFS(b.TempDir(), vfs.OS)
 			if err != nil {
 				b.Fatal(err)
 			}
