@@ -7,7 +7,7 @@
 //
 //	memcluster -mix mcf+swim
 //	memcluster -mix mix4-paper -channels 2 -baselines
-//	memcluster -mix swim+swim+swim+swim -parallel -trace-out cluster.trace.json
+//	memcluster -mix swim+swim+swim+swim -trace-out cluster.trace.json
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 		link      = flag.Duration("link", 0, "system-to-fabric link latency (= epoch width; 0 = 10ns)")
 		instrs    = flag.Uint64("instrs", 100_000, "measured instructions per system")
 		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions per system")
-		parallel  = flag.Bool("parallel", false, "run shards on goroutines (bit-identical to sequential)")
 		baselines = flag.Bool("baselines", false, "also run each system alone: slowdown, weighted speedup, fairness")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this wall-clock time (0 = none)")
 		jsonOut   = flag.String("json", "", "write the full cluster result as JSON")
@@ -72,7 +71,6 @@ func main() {
 		LinkLatency:       sim.FromDuration(*link),
 		MaxInstrs:         *instrs,
 		WarmupInstrs:      *warmup,
-		Parallel:          *parallel,
 		Obs:               obs.Config{Trace: *traceOut != ""},
 	}
 	member := core.Base()
@@ -96,7 +94,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	report(res, *parallel, *baselines, time.Since(start))
+	report(res, *baselines, time.Since(start))
 
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(res, "", "  ")
@@ -123,13 +121,8 @@ func main() {
 }
 
 // report prints the per-system interference table and fabric totals.
-func report(res cluster.Result, parallel, baselines bool, wall time.Duration) {
-	engine := "sequential"
-	if parallel {
-		engine = "parallel"
-	}
-	fmt.Printf("cluster        %d systems on %d shared channels (%s engine)\n",
-		len(res.Systems), res.Channels, engine)
+func report(res cluster.Result, baselines bool, wall time.Duration) {
+	fmt.Printf("cluster        %d systems on %d shared channels\n", len(res.Systems), res.Channels)
 	header := "system           IPC    L2 miss   occupancy"
 	if baselines {
 		header += "   IPC alone   slowdown"

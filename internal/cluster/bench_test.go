@@ -7,12 +7,11 @@ import (
 )
 
 // benchConfig builds an n-system mix over the benchmark profiles.
-func benchConfig(n int, parallel bool) Config {
+func benchConfig(n int) Config {
 	profiles := []string{"mcf", "swim", "facerec", "twolf"}
 	cfg := Config{
 		Channels:  4,
 		MaxInstrs: 20_000,
-		Parallel:  parallel,
 	}
 	for i := 0; i < n; i++ {
 		cfg.Systems = append(cfg.Systems, SystemSpec{
@@ -23,24 +22,12 @@ func benchConfig(n int, parallel bool) Config {
 	return cfg
 }
 
-// BenchmarkClusterSeq measures the sequential reference engine at
-// 1/2/4/8 systems — the shard-scaling curve's single-threaded anchor —
-// with the wall time per epoch beside ns/op.
+// BenchmarkClusterSeq measures the cluster at 1/2/4/8 systems — the
+// shard-scaling curve — with the wall time per epoch beside ns/op.
 func BenchmarkClusterSeq(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("systems=%d", n), func(b *testing.B) {
-			reportEpochCost(b, benchRun(b, benchConfig(n, false)))
-		})
-	}
-}
-
-// BenchmarkClusterPar measures the parallel sharded engine at the
-// same sizes; compare against BenchmarkClusterSeq for the wall-clock
-// speedup (bounded by the host's core count).
-func BenchmarkClusterPar(b *testing.B) {
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("systems=%d", n), func(b *testing.B) {
-			benchRun(b, benchConfig(n, true))
+			reportEpochCost(b, benchRun(b, benchConfig(n)))
 		})
 	}
 }
@@ -49,8 +36,7 @@ func BenchmarkClusterPar(b *testing.B) {
 // 2-system cluster with a tiny instruction budget but a short link
 // latency spends most of its wall time in epoch turnover, so ns/epoch
 // here tracks the per-epoch fixed cost (lookahead, advance, merge,
-// inject). It runs the sequential engine: the parallel engine's
-// goroutine handshake would dominate the measurement.
+// inject).
 func BenchmarkClusterBarrier(b *testing.B) {
 	cfg := Config{
 		Systems: []SystemSpec{
@@ -97,7 +83,7 @@ var fireLogSink uint64
 // message: the canonical mcf+swim run's message log, recorded once,
 // folded message by message as the barrier folds it.
 func BenchmarkFireLogFold(b *testing.B) {
-	log, _ := recordLog(b, testConfig())
+	log, _ := recordLog(b, testConfig(), (*run).loop)
 	r := &run{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

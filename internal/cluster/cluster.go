@@ -11,9 +11,9 @@
 // prefetches before writebacks, round-robin across systems within a
 // class). Shards advance in
 // bounded epochs of LinkLatency simulated time and exchange messages
-// only at epoch barriers, in a canonical sort order, so the parallel
-// engine is bit-identical to the sequential reference regardless of
-// GOMAXPROCS. See DESIGN.md §15 for the protocol argument.
+// only at epoch barriers, in a canonical sort order, so results are
+// bit-identical whichever shards an epoch skips for lack of events.
+// See DESIGN.md §15 for the protocol argument.
 package cluster
 
 import (
@@ -102,10 +102,11 @@ type Config struct {
 	MaxInstrs    uint64 `json:"max_instrs,omitempty"`
 	WarmupInstrs uint64 `json:"warmup_instrs,omitempty"`
 
-	// Parallel selects the sharded engine: one goroutine per shard
-	// with epoch barriers. False runs the sequential reference engine
-	// (identical protocol, shards stepped in canonical order on one
-	// goroutine). Both produce bit-identical results.
+	// Parallel is ignored: the cluster has one engine.
+	//
+	// Deprecated: the field stays only while perfbench still sets it,
+	// and goes with the perfbench move onto today's APIs (ROADMAP item
+	// 2).
 	Parallel bool `json:"parallel,omitempty"`
 
 	// Obs configures per-system observability (each system gets its

@@ -54,27 +54,23 @@ func marshal(t *testing.T, res Result) []byte {
 	return b
 }
 
-// TestDeterminismAcrossGOMAXPROCS is the CI determinism gate: the
-// parallel engine at GOMAXPROCS=1 and GOMAXPROCS=8 must produce
-// byte-identical merged Results (which embed every system's Result
-// and ObsMetricsDelta), and both must match the sequential reference.
+// TestDeterminismAcrossGOMAXPROCS is the CI determinism gate: runs at
+// GOMAXPROCS=1 and GOMAXPROCS=8 must produce byte-identical merged
+// Results (which embed every system's Result and ObsMetricsDelta), and
+// both must match the every-shard reference.
 func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	cfg := testConfig()
-	seq := marshal(t, mustRun(t, cfg))
+	ref, err := runEveryShard(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshal(t, ref)
 
-	cfg.Parallel = true
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var first []byte
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
-		got := marshal(t, mustRun(t, cfg))
-		if !bytes.Equal(got, seq) {
-			t.Fatalf("GOMAXPROCS=%d parallel result differs from sequential reference", procs)
-		}
-		if first == nil {
-			first = got
-		} else if !bytes.Equal(got, first) {
-			t.Fatal("parallel results differ between GOMAXPROCS=1 and GOMAXPROCS=8")
+		if got := marshal(t, mustRun(t, cfg)); !bytes.Equal(got, want) {
+			t.Fatalf("GOMAXPROCS=%d result differs from the every-shard reference", procs)
 		}
 	}
 }
@@ -90,18 +86,11 @@ func TestGoldenCluster(t *testing.T) {
 // TestTunedPrefetchGolden pins the shared controllers' prefetch
 // discipline: members run the paper's tuned region prefetcher, which
 // the fabric degrades to unscheduled prefetches queued FIFO with each
-// member's demand misses. Both engines must reproduce the fixture;
-// regenerate with
+// member's demand misses. Regenerate with
 //
 //	go test ./internal/cluster -run TestTunedPrefetchGolden -update
 func TestTunedPrefetchGolden(t *testing.T) {
-	cfg := tunedPrefetchConfig()
-	got := marshal(t, mustRun(t, cfg))
-	checkGolden(t, "golden_cluster_prefetch.json", got)
-	cfg.Parallel = true
-	if par := marshal(t, mustRun(t, cfg)); !bytes.Equal(par, got) {
-		t.Fatal("parallel result differs from sequential reference")
-	}
+	checkGolden(t, "golden_cluster_prefetch.json", marshal(t, mustRun(t, tunedPrefetchConfig())))
 }
 
 // tunedPrefetchConfig is testConfig with every member running the
@@ -284,13 +273,8 @@ func TestValidate(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	cfg := testConfig()
-	if _, err := Run(ctx, cfg); err == nil || !strings.Contains(err.Error(), "aborted") {
+	if _, err := Run(ctx, testConfig()); err == nil || !strings.Contains(err.Error(), "aborted") {
 		t.Fatalf("got %v, want abort error", err)
-	}
-	cfg.Parallel = true
-	if _, err := Run(ctx, cfg); err == nil || !strings.Contains(err.Error(), "aborted") {
-		t.Fatalf("parallel: got %v, want abort error", err)
 	}
 }
 

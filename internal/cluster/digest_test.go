@@ -2,16 +2,25 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"memsim/internal/sim"
 )
 
-// recordLog runs cfg to completion, as Run does, and returns its fire
-// log (every message the barrier exchanged, in merge order) with the
+// engines are the two ways to run a cluster to completion: production's
+// loop and the every-shard reference (difftest_test.go).
+var engines = []struct {
+	name string
+	loop func(*run, context.Context) error
+}{
+	{"production", (*run).loop},
+	{"every-shard", (*run).loopEveryShard},
+}
+
+// recordLog runs cfg to completion with loop and returns its fire log
+// (every message the barrier exchanged, in merge order) with the
 // finished run.
-func recordLog(tb testing.TB, cfg Config) ([]message, *run) {
+func recordLog(tb testing.TB, cfg Config, loop func(*run, context.Context) error) ([]message, *run) {
 	tb.Helper()
 	r, err := newRun(cfg)
 	if err != nil {
@@ -19,12 +28,7 @@ func recordLog(tb testing.TB, cfg Config) ([]message, *run) {
 	}
 	var log []message
 	r.tap = func(m *message) { log = append(log, *m) }
-	if r.cfg.Parallel {
-		err = r.runParallel(context.Background())
-	} else {
-		err = r.runSequential(context.Background())
-	}
-	if err != nil {
+	if err := loop(r, context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return log, r
@@ -81,7 +85,8 @@ func fnv1aFireLog(log []message) uint64 {
 	return h
 }
 
-// TestFireLogByteReference runs both golden configs on both engines and
+// TestFireLogByteReference runs both golden configs on production and
+// on the every-shard reference, and
 // checks that the byte-wise reference digest of the exchanged log still
 // reproduces the trace_hash each golden held when it was recorded with
 // that digest, and that the run's own digest folds exactly the log the
@@ -95,11 +100,9 @@ func TestFireLogByteReference(t *testing.T) {
 		{"golden_cluster.json", testConfig(), 0x9ee47810a6c87a8e},
 		{"golden_cluster_prefetch.json", tunedPrefetchConfig(), 0xed0adf1481f4134b},
 	} {
-		for _, parallel := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/parallel=%v", tc.golden, parallel), func(t *testing.T) {
-				cfg := tc.cfg
-				cfg.Parallel = parallel
-				log, r := recordLog(t, cfg)
+		for _, e := range engines {
+			t.Run(tc.golden+"/"+e.name, func(t *testing.T) {
+				log, r := recordLog(t, tc.cfg, e.loop)
 				if uint64(len(log)) != r.messages {
 					t.Fatalf("tap saw %d messages, run counted %d", len(log), r.messages)
 				}
@@ -139,7 +142,7 @@ var hashedFields = []struct {
 // swapping two adjacent messages changes it, and Slot, which is
 // routing rather than protocol, does not enter it.
 func TestFireLogDigestProperties(t *testing.T) {
-	log, r := recordLog(t, testConfig())
+	log, r := recordLog(t, testConfig(), (*run).loop)
 	want := r.hash
 	n := len(log)
 	// prefix[i] is the digest before log[i], so a log that differs

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"memsim/internal/core"
 	"memsim/internal/sim"
@@ -31,9 +30,6 @@ type run struct {
 	scheds []*sim.Scheduler
 	outs   []*outbox
 	ahead  []lookahead
-	// advance runs the shards up to an epoch end, updating ahead; the
-	// engine choice is which function this is.
-	advance func(end sim.Time) error
 
 	epochs   uint64
 	messages uint64
@@ -59,20 +55,13 @@ func (la *lookahead) lower(t sim.Time) {
 }
 
 // Run executes the cluster to completion and returns the merged
-// result. The engine — sequential reference or parallel sharded — is
-// selected by cfg.Parallel; both follow the identical epoch/barrier
-// protocol and produce bit-identical results.
+// result.
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	r, err := newRun(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if r.cfg.Parallel {
-		err = r.runParallel(ctx)
-	} else {
-		err = r.runSequential(ctx)
-	}
-	if err != nil {
+	if err := r.loop(ctx); err != nil {
 		return Result{}, err
 	}
 	return r.collect()
@@ -128,7 +117,8 @@ func newRun(cfg Config) (*run, error) {
 // destination scheduler, lowering that shard's lookahead. It returns
 // the number of messages exchanged. Injection order is the canonical
 // order, so destination-scheduler sequence numbers — and with them
-// all same-instant tie-breaks — are engine-independent.
+// all same-instant tie-breaks — do not depend on which shards the
+// epoch advanced.
 //
 // Each outbox is in canonical order already, so the merge takes the
 // earliest head each time: the lowest delivery time, and among equal
@@ -221,8 +211,8 @@ func (r *run) hashMessage(m *message) {
 // The earliest event is the minimum lookahead: the barrier lowered
 // each destination's lookahead to the deliveries it injected, and
 // nothing else schedules between an epoch's end and the next epoch.
-// The decision reads only barrier-time state, so both engines skip
-// identically.
+// The decision reads only barrier-time state, so it does not depend on
+// which shards the epoch advanced.
 func (r *run) nextEpochEnd(end sim.Time) sim.Time {
 	var minNext sim.Time
 	have := false
@@ -262,8 +252,8 @@ func (r *run) stuck() bool {
 	return r.mem.quiet()
 }
 
-// checkBarrier runs the per-barrier bookkeeping shared by both
-// engines: termination, deadlock, and (periodically) cancellation.
+// checkBarrier runs the per-barrier bookkeeping: termination,
+// deadlock, and (periodically) cancellation.
 // It reports done=true when the cluster completed.
 func (r *run) checkBarrier(ctx context.Context, exchanged int) (done bool, err error) {
 	if exchanged == 0 {
@@ -286,15 +276,12 @@ func (r *run) checkBarrier(ctx context.Context, exchanged int) (done bool, err e
 	return false, nil
 }
 
-// epoch runs one round of the protocol shared by both engines:
-// advance every shard to the next barrier, exchange messages, then
-// check termination, deadlock and cancellation. It reports done=true
-// when the cluster completed.
+// epoch runs one round of the protocol: advance the shards to the next
+// barrier, exchange messages, then check termination, deadlock and
+// cancellation. It reports done=true when the cluster completed.
 func (r *run) epoch(ctx context.Context) (done bool, err error) {
 	end := r.nextEpochEnd(r.now)
-	if err := r.advance(end); err != nil {
-		return false, err
-	}
+	r.advance(end)
 	r.epochs++
 	r.now = end
 	return r.checkBarrier(ctx, r.barrier())
@@ -305,11 +292,14 @@ func (r *run) epoch(ctx context.Context) (done bool, err error) {
 // epoch would fire first anyway, in the same order, and nothing it
 // posts can leave before that epoch's barrier. On completion every
 // shard's clock is brought to the fabric clock, where the result is
-// read.
-func (r *run) loop(ctx context.Context) error {
-	if err := r.advance(0); err != nil {
-		return err
-	}
+// read. A panic in any shard comes back as an error.
+func (r *run) loop(ctx context.Context) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("cluster: shard panic: %v", p)
+		}
+	}()
+	r.advance(0)
 	for {
 		done, err := r.epoch(ctx)
 		if err != nil {
@@ -322,99 +312,28 @@ func (r *run) loop(ctx context.Context) error {
 	}
 }
 
-// advanceSequential steps the shards through the epoch on the calling
-// goroutine, in canonical order. A shard whose earliest event lies
-// beyond the epoch has nothing to fire in it and is skipped: its clock
-// stays behind until an event or catchUp moves it. Nothing reads a
-// shard's clock between its events but the result, so a skipped shard
-// is indistinguishable from one advanced through an idle epoch.
-func (r *run) advanceSequential(end sim.Time) error {
+// advance steps the shards through the epoch in canonical order
+// (systems by index, then the memory shard). A shard whose earliest
+// event lies beyond the epoch has nothing to fire in it and is
+// skipped: its clock stays behind until an event or catchUp moves it.
+// Nothing reads a shard's clock between its events but the result, so
+// a skipped shard is indistinguishable from one advanced through an
+// idle epoch.
+func (r *run) advance(end sim.Time) {
 	for i, s := range r.scheds {
 		if la := &r.ahead[i]; la.ok && la.at <= end {
 			la.at, la.ok = s.RunUntil(end)
 		}
 	}
-	return nil
 }
 
 // catchUp advances every shard's clock to the fabric clock. It fires
 // nothing: every shard's earliest event lies beyond the last epoch.
 // The final samples and gauges (Snapshot's timeline sample, the
-// memsim_sim_now_ps series) then read the same time under both
-// engines.
+// memsim_sim_now_ps series) then read the same time as if every shard
+// had been advanced through every epoch.
 func (r *run) catchUp() {
 	for _, s := range r.scheds {
 		s.RunUntil(r.now)
-	}
-}
-
-// runSequential is the reference engine: one goroutine steps every
-// shard through each epoch in canonical order (systems by index, then
-// the memory shard), then runs the barrier.
-func (r *run) runSequential(ctx context.Context) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("cluster: shard panic: %v", p)
-		}
-	}()
-	r.advance = r.advanceSequential
-	return r.loop(ctx)
-}
-
-// runParallel is the sharded engine: one long-lived worker goroutine
-// per shard (systems and memory), advancing in lockstep epochs.
-func (r *run) runParallel(ctx context.Context) error {
-	defer r.startWorkers()()
-	return r.loop(ctx)
-}
-
-// startWorkers installs the parallel engine's advance and returns the
-// function that stops its workers. A worker owns its shard's scheduler,
-// outbox and lookahead slot exclusively between barriers — shards
-// share no state during an epoch — so the only synchronization is the
-// epoch start/finish handshake, and the merge itself runs on the
-// driver goroutine over quiescent shards.
-func (r *run) startWorkers() (stop func()) {
-	nw := len(r.scheds)
-	start := make([]chan sim.Time, nw)
-	done := make(chan struct{}, nw)
-	panics := make([]any, nw)
-	var wg sync.WaitGroup
-
-	work := func(i int) {
-		defer wg.Done()
-		for end := range start[i] {
-			func() {
-				defer func() { panics[i] = recover() }()
-				r.ahead[i].at, r.ahead[i].ok = r.scheds[i].RunUntil(end)
-			}()
-			done <- struct{}{}
-		}
-	}
-	for i := range start {
-		start[i] = make(chan sim.Time, 1)
-		wg.Add(1)
-		//lint:ignore simdeterminism shard workers synchronize at epoch barriers; within an epoch each owns its scheduler exclusively, and the merge order is canonical (see msgCmp)
-		go work(i)
-	}
-	r.advance = func(end sim.Time) error {
-		for _, c := range start {
-			c <- end
-		}
-		for range start {
-			<-done
-		}
-		for i, p := range panics {
-			if p != nil {
-				return fmt.Errorf("cluster: shard %d panic: %v", i, p)
-			}
-		}
-		return nil
-	}
-	return func() {
-		for _, c := range start {
-			close(c)
-		}
-		wg.Wait()
 	}
 }

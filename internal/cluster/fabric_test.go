@@ -12,23 +12,15 @@ import (
 	"memsim/internal/sim"
 )
 
-// startRun builds cfg's run with its engine installed and its lookahead
-// primed, so a test can drive it one epoch at a time; the parallel
-// engine's workers stop when the test ends.
+// startRun builds cfg's run with its lookahead primed, so a test can
+// drive it one epoch at a time.
 func startRun(t *testing.T, cfg Config) *run {
 	t.Helper()
 	r, err := newRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cfg.Parallel {
-		t.Cleanup(r.startWorkers())
-	} else {
-		r.advance = r.advanceSequential
-	}
-	if err := r.advance(0); err != nil {
-		t.Fatal(err)
-	}
+	r.advance(0)
 	return r
 }
 
@@ -154,7 +146,7 @@ func (l *fabricLedger) observe(t *testing.T, m *message) {
 }
 
 // TestFabricConservation checks the fabric's message protocol and its
-// pools on both engines: every request gets exactly one completion,
+// pools: every request gets exactly one completion,
 // first data arrives iff the request asked for it and always before
 // its completion, and at termination no pending slot is occupied and
 // every pooled fabric request is back on its free list.
@@ -178,38 +170,34 @@ func TestFabricConservation(t *testing.T) {
 		name string
 		cfg  Config
 	}{{"mcf+swim", testConfig()}, {"mix4", mix4}} {
-		for _, parallel := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/parallel=%v", mix.name, parallel), func(t *testing.T) {
-				cfg := mix.cfg
-				cfg.Parallel = parallel
-				r := startRun(t, cfg)
-				l := &fabricLedger{
-					needFirst: map[[2]uint64]bool{},
-					first:     map[[2]uint64]bool{},
-					complete:  map[[2]uint64]bool{},
-				}
-				r.tap = func(m *message) { l.observe(t, m) }
-				for done := false; !done; {
-					done = mustEpoch(t, r)
-				}
+		t.Run(mix.name, func(t *testing.T) {
+			r := startRun(t, mix.cfg)
+			l := &fabricLedger{
+				needFirst: map[[2]uint64]bool{},
+				first:     map[[2]uint64]bool{},
+				complete:  map[[2]uint64]bool{},
+			}
+			r.tap = func(m *message) { l.observe(t, m) }
+			for done := false; !done; {
+				done = mustEpoch(t, r)
+			}
 
-				if l.firsts == 0 || (mix.name == "mix4" && l.noFirst == 0) {
-					t.Fatalf("vacuous run: %d requests, %d first-data messages, %d requests without first data",
-						l.requests, l.firsts, l.noFirst)
+			if l.firsts == 0 || (mix.name == "mix4" && l.noFirst == 0) {
+				t.Fatalf("vacuous run: %d requests, %d first-data messages, %d requests without first data",
+					l.requests, l.firsts, l.noFirst)
+			}
+			if len(l.complete) != l.requests {
+				t.Errorf("%d requests but %d completions", l.requests, len(l.complete))
+			}
+			for _, sh := range r.systems {
+				if sh.live != 0 || len(sh.freeSlots) != len(sh.pending) {
+					t.Errorf("%s: %d live pending slots, %d of %d free", sh.label, sh.live, len(sh.freeSlots), len(sh.pending))
 				}
-				if len(l.complete) != l.requests {
-					t.Errorf("%d requests but %d completions", l.requests, len(l.complete))
-				}
-				for _, sh := range r.systems {
-					if sh.live != 0 || len(sh.freeSlots) != len(sh.pending) {
-						t.Errorf("%s: %d live pending slots, %d of %d free", sh.label, sh.live, len(sh.freeSlots), len(sh.pending))
-					}
-				}
-				if len(r.mem.reqs) != r.mem.reqsBuilt {
-					t.Errorf("memory shard: %d of %d fabric requests free", len(r.mem.reqs), r.mem.reqsBuilt)
-				}
-			})
-		}
+			}
+			if len(r.mem.reqs) != r.mem.reqsBuilt {
+				t.Errorf("memory shard: %d of %d fabric requests free", len(r.mem.reqs), r.mem.reqsBuilt)
+			}
+		})
 	}
 }
 
@@ -222,59 +210,53 @@ const (
 )
 
 // TestWarmedClusterAllocatesNothing pins the cluster hot path at zero
-// allocations: once warm, a 4-system cluster on both engines runs
-// epochs — core steps, requests crossing the barrier, arbitration,
+// allocations: once warm, a 4-system cluster runs epochs — core steps, requests crossing the barrier, arbitration,
 // completions coming back — without a single heap allocation.
 //
 // The mix leaves out mcf: its back-to-back demand misses starve
 // writebacks (see internal/core/alloc_test.go), so its queues, and the
 // pools behind them, grow for the whole run.
 func TestWarmedClusterAllocatesNothing(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			cfg := Config{
-				Systems: []SystemSpec{
-					{Bench: "gcc", Seed: 1},
-					{Bench: "twolf", Seed: 2},
-					{Bench: "gzip", Seed: 3},
-					{Bench: "facerec", Seed: 4},
-				},
-				Channels:     4,
-				MaxInstrs:    50_000_000,
-				WarmupInstrs: 1_000,
-				Parallel:     parallel,
+	cfg := Config{
+		Systems: []SystemSpec{
+			{Bench: "gcc", Seed: 1},
+			{Bench: "twolf", Seed: 2},
+			{Bench: "gzip", Seed: 3},
+			{Bench: "facerec", Seed: 4},
+		},
+		Channels:     4,
+		MaxInstrs:    50_000_000,
+		WarmupInstrs: 1_000,
+	}
+	r := startRun(t, cfg)
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if mustEpoch(t, r) {
+				t.Fatalf("cluster finished after %d epochs", r.epochs)
 			}
-			r := startRun(t, cfg)
-			step := func(n int) {
-				for i := 0; i < n; i++ {
-					if mustEpoch(t, r) {
-						t.Fatalf("cluster finished after %d epochs", r.epochs)
-					}
-				}
-			}
-			step(allocWarmEpochs)
+		}
+	}
+	step(allocWarmEpochs)
 
-			var requests, completions int
-			r.tap = func(m *message) {
-				switch m.Kind {
-				case msgRequest:
-					requests++
-				case msgComplete:
-					completions++
-				}
-			}
-			if got := testing.AllocsPerRun(5, func() {
-				for i := 0; i < allocStepEpochs; i++ {
-					mustEpoch(t, r)
-				}
-			}); got != 0 {
-				t.Errorf("%v allocations per %d epochs, want 0", got, allocStepEpochs)
-			}
-			// The window must have carried the traffic it pins.
-			if requests == 0 || completions == 0 {
-				t.Errorf("measured window carried %d requests and %d completions", requests, completions)
-			}
-		})
+	var requests, completions int
+	r.tap = func(m *message) {
+		switch m.Kind {
+		case msgRequest:
+			requests++
+		case msgComplete:
+			completions++
+		}
+	}
+	if got := testing.AllocsPerRun(5, func() {
+		for i := 0; i < allocStepEpochs; i++ {
+			mustEpoch(t, r)
+		}
+	}); got != 0 {
+		t.Errorf("%v allocations per %d epochs, want 0", got, allocStepEpochs)
+	}
+	// The window must have carried the traffic it pins.
+	if requests == 0 || completions == 0 {
+		t.Errorf("measured window carried %d requests and %d completions", requests, completions)
 	}
 }
 

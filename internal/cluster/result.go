@@ -45,8 +45,8 @@ type SystemResult struct {
 
 // Result is the merged record of one cluster run. It is fully
 // deterministic — no wall-clock fields — so two runs of the same
-// config marshal to identical bytes regardless of engine or
-// GOMAXPROCS; the determinism tests compare exactly that.
+// config marshal to identical bytes regardless of GOMAXPROCS; the
+// determinism tests compare exactly that.
 type Result struct {
 	Systems []SystemResult `json:"systems"`
 
@@ -84,7 +84,7 @@ type Result struct {
 
 	// trace holds the per-system trace streams when Obs.Trace was set.
 	// Unexported on purpose: JSON never sees it, so the marshaled
-	// Result stays the byte-identity witness across engines.
+	// Result stays the byte-identity witness across runs.
 	trace []obs.SystemEvents
 }
 
@@ -189,9 +189,8 @@ func (r *run) clusterMetrics(shares []memctrl.ShareStats) map[string]float64 {
 // IPCAlone and Slowdown, the cluster's WeightedSpeedup
 // (Σ IPC_shared/IPC_alone, = N without contention), and Fairness
 // (min slowdown / max slowdown, = 1 when interference is even).
-// The solo runs use the sequential engine — they are single-shard
-// anyway — and the same seeds, so IPC_alone is the true contention-
-// free baseline of the exact stream each system executed.
+// The solo runs use the same seeds, so IPC_alone is the true
+// contention-free baseline of the exact stream each system executed.
 func RunWithBaselines(ctx context.Context, cfg Config) (Result, error) {
 	res, err := Run(ctx, cfg)
 	if err != nil {
@@ -201,7 +200,6 @@ func RunWithBaselines(ctx context.Context, cfg Config) (Result, error) {
 	for i := range res.Systems {
 		solo := cfg
 		solo.Systems = []SystemSpec{cfg.Systems[i]}
-		solo.Parallel = false
 		soloRes, err := Run(ctx, solo)
 		if err != nil {
 			return Result{}, fmt.Errorf("cluster: baseline for system %d: %w", i, err)

@@ -188,7 +188,7 @@ func (sh *systemShard) Submit(r *memctrl.Request) {
 // inject schedules an incoming message's delivery on the shard's own
 // scheduler. Called at barriers only, in canonical message order, so
 // scheduler sequence numbers — and therefore same-instant event order
-// — are identical in both engines.
+// — do not depend on which shards an epoch advanced.
 func (sh *systemShard) inject(m *message) {
 	sh.sched.AtCall(m.DeliverAt, sh.deliverCB, m)
 }
