@@ -1,7 +1,7 @@
 // Command memcluster simulates a multi-programmed cluster: N CPU+cache
 // systems, each running its own benchmark, sharing a set of DRDRAM
-// channels through the deterministic epoch-barrier fabric (see
-// internal/cluster and DESIGN.md §15).
+// channels, all on one deterministic event queue (see internal/cluster
+// and DESIGN.md §15).
 //
 // Examples:
 //
@@ -40,7 +40,7 @@ func main() {
 		part      = flag.String("part", "", "DRDRAM part: 800-40, 800-50, or 800-34")
 		closed    = flag.Bool("closed-page", false, "close the row after every access")
 		banktime  = flag.String("banktiming", "", "shared-channel bank timing: "+strings.Join(policy.Timings.Names(), ", ")+" (default flat)")
-		link      = flag.Duration("link", 0, "system-to-fabric link latency (= epoch width; 0 = 10ns)")
+		link      = flag.Duration("link", 0, "system-to-fabric link latency (0 = 10ns)")
 		instrs    = flag.Uint64("instrs", 100_000, "measured instructions per system")
 		warmup    = flag.Uint64("warmup", 20_000, "warmup instructions per system")
 		baselines = flag.Bool("baselines", false, "also run each system alone: slowdown, weighted speedup, fairness")
@@ -138,8 +138,7 @@ func report(res cluster.Result, baselines bool, wall time.Duration) {
 	}
 	fmt.Printf("fabric         data %.1f%% busy, command %.1f%% busy over %v simulated\n",
 		100*res.DataUtilization, 100*res.CommandUtilization, res.SimTime)
-	fmt.Printf("protocol       %d epochs, %d messages, trace %s\n",
-		res.Epochs, res.Messages, res.TraceHash)
+	fmt.Printf("protocol       %d messages, trace %s\n", res.Messages, res.TraceHash)
 	if baselines {
 		fmt.Printf("interference   weighted speedup %.3f of %d, fairness %.3f\n",
 			res.WeightedSpeedup, len(res.Systems), res.Fairness)

@@ -5,15 +5,12 @@
 // toward: demand misses, writebacks, and prefetches from different
 // programs contending for the same scarce channel slots.
 //
-// Execution is sharded: every system owns a private scheduler, and the
-// shared channels live on one memory shard with a shared
+// Every member system and the memory shard — one shared
 // memctrl.Controller per channel (demand misses and unscheduled
 // prefetches before writebacks, round-robin across systems within a
-// class). Shards advance in
-// bounded epochs of LinkLatency simulated time and exchange messages
-// only at epoch barriers, in a canonical sort order, so results are
-// bit-identical whichever shards an epoch skips for lack of events.
-// See DESIGN.md §15 for the protocol argument.
+// class) — run on one event queue. A message sent across the link is
+// an event one link latency later, so deliveries fire in send order
+// and a run is deterministic by construction. See DESIGN.md §15.
 package cluster
 
 import (
@@ -32,10 +29,8 @@ import (
 // suite to co-run, small enough that misconfigured specs fail fast.
 const MaxSystems = 64
 
-// DefaultLinkLatency is the default system-to-fabric hop: epoch width
-// Δ equals it, so it is also the granularity of cross-system
-// interaction. 10ns approximates an on-board point-to-point link and
-// keeps epochs coarse enough that barrier overhead stays small.
+// DefaultLinkLatency is the default system-to-fabric hop: 10ns
+// approximates an on-board point-to-point link.
 const DefaultLinkLatency = 10 * sim.Nanosecond
 
 // fabricInterleaving organizes the shared channels: each one behind
@@ -92,9 +87,8 @@ type Config struct {
 	// channel gets its own policy instance (rowreuse keeps state).
 	BankTiming string `json:"bank_timing,omitempty"`
 
-	// LinkLatency is the system-to-fabric hop, and therefore the epoch
-	// width Δ: a message sent at t delivers at t+Δ, which always lands
-	// in a strictly later epoch. Zero means DefaultLinkLatency.
+	// LinkLatency is the system-to-fabric hop: a message sent at t is
+	// delivered at t+LinkLatency. Zero means DefaultLinkLatency.
 	LinkLatency sim.Time `json:"link_latency_ps,omitempty"`
 
 	// MaxInstrs, when positive, overrides every system's measured

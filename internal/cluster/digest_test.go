@@ -7,35 +7,24 @@ import (
 	"memsim/internal/sim"
 )
 
-// engines are the two ways to run a cluster to completion: production's
-// loop and the every-shard reference (difftest_test.go).
-var engines = []struct {
-	name string
-	loop func(*run, context.Context) error
-}{
-	{"production", (*run).loop},
-	{"every-shard", (*run).loopEveryShard},
-}
-
-// recordLog runs cfg to completion with loop and returns its fire log
-// (every message the barrier exchanged, in merge order) with the
-// finished run.
-func recordLog(tb testing.TB, cfg Config, loop func(*run, context.Context) error) ([]message, *run) {
+// recordLog runs cfg to completion and returns its fire log (every
+// message delivered, in delivery order) with the finished run.
+func recordLog(tb testing.TB, cfg Config) ([]message, *run) {
 	tb.Helper()
 	r, err := newRun(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var log []message
-	r.tap = func(m *message) { log = append(log, *m) }
-	if err := loop(r, context.Background()); err != nil {
+	r.tap = func(_ sim.Time, m *message) { log = append(log, *m) }
+	if err := r.loop(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return log, r
 }
 
-// foldFrom folds log into the fire-log digest h with the barrier's own
-// step.
+// foldFrom folds log into the fire-log digest h with the delivery's
+// own step.
 func foldFrom(h uint64, log []message) uint64 {
 	r := &run{hash: h}
 	for i := range log {
@@ -44,9 +33,9 @@ func foldFrom(h uint64, log []message) uint64 {
 	return r.hash
 }
 
-// fireLogWords is m's fire-log form: the six fixed words hashMessage
+// fireLogWords is m's fire-log form: the five fixed words hashMessage
 // combines, Slot left out.
-func fireLogWords(m *message) [6]uint64 {
+func fireLogWords(m *message) [5]uint64 {
 	flags := uint64(0)
 	if m.Write {
 		flags = 1
@@ -55,9 +44,8 @@ func fireLogWords(m *message) [6]uint64 {
 		flags |= 2
 	}
 	return [...]uint64{
-		uint64(m.DeliverAt),
-		uint64(m.Src)<<32 | uint64(m.Kind)<<16 | uint64(m.Sys),
-		m.Seq,
+		uint64(m.Sent),
+		uint64(m.Kind)<<16 | uint64(m.Sys),
 		m.ID,
 		m.Addr,
 		uint64(m.Size)<<8 | uint64(m.Class)<<2 | flags,
@@ -65,10 +53,9 @@ func fireLogWords(m *message) [6]uint64 {
 }
 
 // fnv1aFireLog is the byte-wise reference digest: 64-bit FNV-1a over
-// each message's six words, byte by byte, least significant first.
-// The cluster goldens' trace_hash values were first recorded with it,
-// so reproducing them shows the exchanged log is the one they
-// witnessed.
+// each message's five words, byte by byte, least significant first.
+// Its pinned values witness the delivered log independently of the
+// run's own digest.
 func fnv1aFireLog(log []message) uint64 {
 	const (
 		offset = 0xcbf29ce484222325
@@ -85,35 +72,31 @@ func fnv1aFireLog(log []message) uint64 {
 	return h
 }
 
-// TestFireLogByteReference runs both golden configs on production and
-// on the every-shard reference, and
-// checks that the byte-wise reference digest of the exchanged log still
-// reproduces the trace_hash each golden held when it was recorded with
-// that digest, and that the run's own digest folds exactly the log the
-// tap saw.
+// TestFireLogByteReference runs both golden configs and checks that the
+// byte-wise reference digest of the delivered log reproduces its pinned
+// value, and that the run's own digest folds exactly the log the tap
+// saw.
 func TestFireLogByteReference(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		cfg    Config
 		fnv    uint64
 	}{
-		{"golden_cluster.json", testConfig(), 0x9ee47810a6c87a8e},
-		{"golden_cluster_prefetch.json", tunedPrefetchConfig(), 0xed0adf1481f4134b},
+		{"golden_cluster.json", testConfig(), 0x9bbde76021f7434a},
+		{"golden_cluster_prefetch.json", tunedPrefetchConfig(), 0x4d4f4c07f0fadc40},
 	} {
-		for _, e := range engines {
-			t.Run(tc.golden+"/"+e.name, func(t *testing.T) {
-				log, r := recordLog(t, tc.cfg, e.loop)
-				if uint64(len(log)) != r.messages {
-					t.Fatalf("tap saw %d messages, run counted %d", len(log), r.messages)
-				}
-				if got := fnv1aFireLog(log); got != tc.fnv {
-					t.Errorf("byte-wise digest %016x, want %016x", got, tc.fnv)
-				}
-				if got := foldFrom(digestSeed, log); got != r.hash {
-					t.Errorf("log folds to %016x, run digest %016x", got, r.hash)
-				}
-			})
-		}
+		t.Run(tc.golden, func(t *testing.T) {
+			log, r := recordLog(t, tc.cfg)
+			if uint64(len(log)) != r.messages {
+				t.Fatalf("tap saw %d messages, run counted %d", len(log), r.messages)
+			}
+			if got := fnv1aFireLog(log); got != tc.fnv {
+				t.Errorf("byte-wise digest %016x, want %016x", got, tc.fnv)
+			}
+			if got := foldFrom(digestSeed, log); got != r.hash {
+				t.Errorf("log folds to %016x, run digest %016x", got, r.hash)
+			}
+		})
 	}
 }
 
@@ -124,12 +107,10 @@ var hashedFields = []struct {
 	bits int
 	flip func(m *message, b int)
 }{
-	{"DeliverAt", 64, func(m *message, b int) { m.DeliverAt ^= sim.Time(1) << b }},
-	{"Seq", 64, func(m *message, b int) { m.Seq ^= 1 << b }},
+	{"Sent", 64, func(m *message, b int) { m.Sent ^= sim.Time(1) << b }},
 	{"ID", 64, func(m *message, b int) { m.ID ^= 1 << b }},
 	{"Addr", 64, func(m *message, b int) { m.Addr ^= 1 << b }},
 	{"Size", 32, func(m *message, b int) { m.Size ^= 1 << b }},
-	{"Src", 16, func(m *message, b int) { m.Src ^= 1 << b }},
 	{"Sys", 16, func(m *message, b int) { m.Sys ^= 1 << b }},
 	{"Kind", 8, func(m *message, b int) { m.Kind ^= 1 << b }},
 	{"Class", 8, func(m *message, b int) { m.Class ^= 1 << b }},
@@ -142,7 +123,7 @@ var hashedFields = []struct {
 // swapping two adjacent messages changes it, and Slot, which is
 // routing rather than protocol, does not enter it.
 func TestFireLogDigestProperties(t *testing.T) {
-	log, r := recordLog(t, testConfig(), (*run).loop)
+	log, r := recordLog(t, testConfig())
 	want := r.hash
 	n := len(log)
 	// prefix[i] is the digest before log[i], so a log that differs

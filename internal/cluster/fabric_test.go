@@ -12,28 +12,6 @@ import (
 	"memsim/internal/sim"
 )
 
-// startRun builds cfg's run with its lookahead primed, so a test can
-// drive it one epoch at a time.
-func startRun(t *testing.T, cfg Config) *run {
-	t.Helper()
-	r, err := newRun(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.advance(0)
-	return r
-}
-
-// mustEpoch runs one epoch and reports whether the cluster completed.
-func mustEpoch(t *testing.T, r *run) bool {
-	t.Helper()
-	done, err := r.epoch(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return done
-}
-
 // expectPanic runs f and checks that it panics with a message holding
 // every one of want.
 func expectPanic(t *testing.T, f func(), want ...string) {
@@ -58,8 +36,19 @@ func expectPanic(t *testing.T, f func(), want ...string) {
 // duplicate msgComplete finds the slot empty, and a stale msgFirstData
 // finds it reused by a later request; both are violations.
 func TestStaleCompletionPanics(t *testing.T) {
-	sh := newSystemShard(0, "sys0-test", DefaultLinkLatency)
-	sh.sched = sim.NewScheduler()
+	r := &run{cfg: Config{LinkLatency: DefaultLinkLatency}, sched: sim.NewScheduler()}
+	sh := &systemShard{r: r, label: "sys0-test"}
+	r.systems = []*systemShard{sh}
+	// Requests stop at the link, where the test reads them back;
+	// completions go through production's delivery.
+	var sent message
+	r.deliverCB = func(at sim.Time, arg any) {
+		if m := arg.(*message); m.Kind == msgRequest {
+			sent = *m
+		} else {
+			r.deliver(at, m)
+		}
+	}
 	completed := 0
 	submit := func() message {
 		sh.Submit(&memctrl.Request{
@@ -68,20 +57,12 @@ func TestStaleCompletionPanics(t *testing.T) {
 			OnFirstData: func(sim.Time) {},
 			OnComplete:  func(sim.Time) { completed++ },
 		})
-		m := sh.outbox.msgs[len(sh.outbox.msgs)-1]
-		sh.outbox.msgs = sh.outbox.msgs[:0]
-		return m
+		r.sched.Run()
+		return sent
 	}
 	deliver := func(req message, kind msgKind) {
-		sh.inject(&message{
-			DeliverAt: sh.sched.Now() + DefaultLinkLatency,
-			Src:       1,
-			Kind:      kind,
-			Slot:      req.Slot,
-			Sys:       req.Sys,
-			ID:        req.ID,
-		})
-		sh.sched.Run()
+		r.send(message{Kind: kind, Slot: req.Slot, Sys: req.Sys, ID: req.ID})
+		r.sched.Run()
 	}
 
 	first := submit()
@@ -107,21 +88,45 @@ func TestStaleCompletionPanics(t *testing.T) {
 	}
 }
 
-// fabricLedger tracks every transfer's messages across barriers.
+// fabricLedger tracks every transfer's messages as they are
+// delivered. It records the first protocol violation it sees in err.
 type fabricLedger struct {
+	link                       sim.Time
 	needFirst, first, complete map[[2]uint64]bool
 	requests, firsts, noFirst  int
+	err                        error
 }
 
-func (l *fabricLedger) observe(t *testing.T, m *message) {
-	t.Helper()
+func newLedger(link sim.Time) *fabricLedger {
+	return &fabricLedger{
+		link:      link,
+		needFirst: map[[2]uint64]bool{},
+		first:     map[[2]uint64]bool{},
+		complete:  map[[2]uint64]bool{},
+	}
+}
+
+// observe checks one delivery: it fires one link latency after its
+// send, a request is sent once, first data comes only for a request
+// that asked for it and before its completion, and a completion comes
+// once, after the first data it owes.
+func (l *fabricLedger) observe(at sim.Time, m *message) {
+	if l.err == nil {
+		l.err = l.check(at, m)
+	}
+}
+
+func (l *fabricLedger) check(at sim.Time, m *message) error {
+	if at != m.Sent+l.link {
+		return fmt.Errorf("message %+v sent at %v delivered at %v, want %v", *m, m.Sent, at, m.Sent+l.link)
+	}
 	{
 		key := [2]uint64{uint64(m.Sys), m.ID}
 		_, known := l.needFirst[key]
 		switch m.Kind {
 		case msgRequest:
 			if known {
-				t.Fatalf("request %v sent twice", key)
+				return fmt.Errorf("request %v sent twice", key)
 			}
 			l.needFirst[key] = m.NeedFirst
 			l.requests++
@@ -130,19 +135,41 @@ func (l *fabricLedger) observe(t *testing.T, m *message) {
 			}
 		case msgFirstData:
 			if !known || !l.needFirst[key] || l.first[key] || l.complete[key] {
-				t.Fatalf("first data for %v: known=%v needFirst=%v seen=%v completed=%v",
+				return fmt.Errorf("first data for %v: known=%v needFirst=%v seen=%v completed=%v",
 					key, known, l.needFirst[key], l.first[key], l.complete[key])
 			}
 			l.first[key] = true
 			l.firsts++
 		case msgComplete:
 			if !known || l.complete[key] || l.first[key] != l.needFirst[key] {
-				t.Fatalf("completion for %v: known=%v completed=%v first=%v needFirst=%v",
+				return fmt.Errorf("completion for %v: known=%v completed=%v first=%v needFirst=%v",
 					key, known, l.complete[key], l.first[key], l.needFirst[key])
 			}
 			l.complete[key] = true
 		}
 	}
+	return nil
+}
+
+// finish checks the end state of a finished run: every request got its
+// completion, no pending slot is occupied, and every pooled fabric
+// request is back on its free list.
+func (l *fabricLedger) finish(r *run) error {
+	if l.err != nil {
+		return l.err
+	}
+	if len(l.complete) != l.requests {
+		return fmt.Errorf("%d requests but %d completions", l.requests, len(l.complete))
+	}
+	for _, sh := range r.systems {
+		if sh.live != 0 || len(sh.freeSlots) != len(sh.pending) {
+			return fmt.Errorf("%s: %d live pending slots, %d of %d free", sh.label, sh.live, len(sh.freeSlots), len(sh.pending))
+		}
+	}
+	if len(r.mem.reqs) != r.mem.reqsBuilt {
+		return fmt.Errorf("memory shard: %d of %d fabric requests free", len(r.mem.reqs), r.mem.reqsBuilt)
+	}
+	return nil
 }
 
 // TestFabricConservation checks the fabric's message protocol and its
@@ -171,47 +198,38 @@ func TestFabricConservation(t *testing.T) {
 		cfg  Config
 	}{{"mcf+swim", testConfig()}, {"mix4", mix4}} {
 		t.Run(mix.name, func(t *testing.T) {
-			r := startRun(t, mix.cfg)
-			l := &fabricLedger{
-				needFirst: map[[2]uint64]bool{},
-				first:     map[[2]uint64]bool{},
-				complete:  map[[2]uint64]bool{},
+			r, err := newRun(mix.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			r.tap = func(m *message) { l.observe(t, m) }
-			for done := false; !done; {
-				done = mustEpoch(t, r)
+			l := newLedger(r.cfg.LinkLatency)
+			r.tap = l.observe
+			if err := r.loop(context.Background()); err != nil {
+				t.Fatal(err)
 			}
-
 			if l.firsts == 0 || (mix.name == "mix4" && l.noFirst == 0) {
 				t.Fatalf("vacuous run: %d requests, %d first-data messages, %d requests without first data",
 					l.requests, l.firsts, l.noFirst)
 			}
-			if len(l.complete) != l.requests {
-				t.Errorf("%d requests but %d completions", l.requests, len(l.complete))
-			}
-			for _, sh := range r.systems {
-				if sh.live != 0 || len(sh.freeSlots) != len(sh.pending) {
-					t.Errorf("%s: %d live pending slots, %d of %d free", sh.label, sh.live, len(sh.freeSlots), len(sh.pending))
-				}
-			}
-			if len(r.mem.reqs) != r.mem.reqsBuilt {
-				t.Errorf("memory shard: %d of %d fabric requests free", len(r.mem.reqs), r.mem.reqsBuilt)
+			if err := l.finish(r); err != nil {
+				t.Error(err)
 			}
 		})
 	}
 }
 
-// Epoch counts for the allocation pin: warm until every pool, free
-// list, outbox and controller queue has reached its working size, then
-// measure a fixed stretch of epochs.
+// Event counts for the allocation pin: warm until every pool, free
+// list and controller queue has reached its working size, then measure
+// a fixed stretch of events.
 const (
-	allocWarmEpochs = 200_000
-	allocStepEpochs = 2_000
+	allocWarmEvents = 2_000_000
+	allocStepEvents = 20_000
 )
 
 // TestWarmedClusterAllocatesNothing pins the cluster hot path at zero
-// allocations: once warm, a 4-system cluster runs epochs — core steps, requests crossing the barrier, arbitration,
-// completions coming back — without a single heap allocation.
+// allocations: once warm, a 4-system cluster fires events — core
+// steps, requests crossing the link, arbitration, completions coming
+// back — without a single heap allocation.
 //
 // The mix leaves out mcf: its back-to-back demand misses starve
 // writebacks (see internal/core/alloc_test.go), so its queues, and the
@@ -228,18 +246,21 @@ func TestWarmedClusterAllocatesNothing(t *testing.T) {
 		MaxInstrs:    50_000_000,
 		WarmupInstrs: 1_000,
 	}
-	r := startRun(t, cfg)
+	r, err := newRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	step := func(n int) {
 		for i := 0; i < n; i++ {
-			if mustEpoch(t, r) {
-				t.Fatalf("cluster finished after %d epochs", r.epochs)
+			if !r.sched.Step() {
+				t.Fatalf("cluster drained after %d events", r.sched.EventsFired())
 			}
 		}
 	}
-	step(allocWarmEpochs)
+	step(allocWarmEvents)
 
 	var requests, completions int
-	r.tap = func(m *message) {
+	r.tap = func(_ sim.Time, m *message) {
 		switch m.Kind {
 		case msgRequest:
 			requests++
@@ -247,12 +268,8 @@ func TestWarmedClusterAllocatesNothing(t *testing.T) {
 			completions++
 		}
 	}
-	if got := testing.AllocsPerRun(5, func() {
-		for i := 0; i < allocStepEpochs; i++ {
-			mustEpoch(t, r)
-		}
-	}); got != 0 {
-		t.Errorf("%v allocations per %d epochs, want 0", got, allocStepEpochs)
+	if got := testing.AllocsPerRun(5, func() { step(allocStepEvents) }); got != 0 {
+		t.Errorf("%v allocations per %d events, want 0", got, allocStepEvents)
 	}
 	// The window must have carried the traffic it pins.
 	if requests == 0 || completions == 0 {
@@ -260,8 +277,8 @@ func TestWarmedClusterAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMessageSize pins the wire form at 48 bytes: the barrier and the
-// deliveries touch every message, so its size is per-message cost.
+// TestMessageSize pins the wire form at 48 bytes: send, delivery and
+// the digest touch every message, so its size is per-message cost.
 func TestMessageSize(t *testing.T) {
 	if got := unsafe.Sizeof(message{}); got > 48 {
 		t.Fatalf("message is %d bytes, want at most 48", got)

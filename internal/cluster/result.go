@@ -50,18 +50,22 @@ type SystemResult struct {
 type Result struct {
 	Systems []SystemResult `json:"systems"`
 
-	// Epochs and Messages count barrier rounds and cross-shard
-	// messages; TraceHash digests the full fire log (every message's
-	// protocol fields, Slot left out, in canonical merge order, one
-	// combine and one serial multiply per message), the difftest's
-	// bit-identity witness.
-	Epochs    uint64 `json:"epochs"`
+	// Messages counts link crossings. TraceHash digests the full fire
+	// log: every message's protocol fields, Slot left out, in delivery
+	// order, one combine and one serial multiply per message.
 	Messages  uint64 `json:"messages"`
 	TraceHash string `json:"trace_hash"`
 
-	// SimTime is the fabric clock at termination (the last barrier's
-	// epoch boundary; event-free epochs are skipped, so Epochs × Δ may
-	// undercount it).
+	// Epochs reads 0: the cluster runs on one event queue, with no
+	// epochs.
+	//
+	// Deprecated: the field stays only while perfbench still reads it,
+	// and goes with the perfbench move onto today's APIs (ROADMAP item
+	// 2).
+	Epochs uint64 `json:"epochs,omitempty"`
+
+	// SimTime is the shared clock at termination: the time of the last
+	// event fired.
 	SimTime sim.Time `json:"sim_time_ps"`
 
 	// Channels is the fabric width; Channel sums the per-channel
@@ -93,13 +97,12 @@ type Result struct {
 // enabled tracing.
 func (r Result) Trace() []obs.SystemEvents { return r.trace }
 
-// collect assembles the merged result after the epoch loop finishes.
+// collect assembles the merged result after the queue drains.
 func (r *run) collect() (Result, error) {
 	res := Result{
-		Epochs:    r.epochs,
 		Messages:  r.messages,
 		TraceHash: fmt.Sprintf("%016x", r.hash),
-		SimTime:   r.now,
+		SimTime:   r.sched.Now(),
 		Channels:  len(r.mem.chns),
 	}
 
@@ -179,7 +182,6 @@ func (r *run) clusterMetrics(shares []memctrl.ShareStats) map[string]float64 {
 		}
 		m[fmt.Sprintf("memsim_cluster_channel_accesses_total{channel=%d}", c)] = float64(acc)
 	}
-	m["memsim_cluster_epochs_total"] = float64(r.epochs)
 	m["memsim_cluster_messages_total"] = float64(r.messages)
 	return m
 }

@@ -84,10 +84,10 @@ func (s *System) armObs() {
 		"Prefetch fills currently in flight.",
 		func() float64 { return float64(s.fills.n - s.held) })
 	reg.CounterFunc("memsim_sim_events_total",
-		"Discrete events fired by the scheduler.",
+		"Discrete events fired by the scheduler; a cluster member's scheduler is shared with every other member and the fabric, so it counts theirs too.",
 		func() float64 { return float64(s.sched.EventsFired()) })
 	reg.GaugeFunc("memsim_sim_now_ps",
-		"Current simulated time in picoseconds.",
+		"Current simulated time in picoseconds (for a cluster member, the shared scheduler's clock).",
 		func() float64 { return float64(s.sched.Now()) })
 }
 

@@ -314,29 +314,31 @@ func (s *System) deliver(r *missReq, at sim.Time) {
 // block transfers on behalf of the system. Submit receives requests
 // with fabric-global physical addresses (no group-local translation);
 // the backend must eventually fire OnFirstData/OnComplete on the
-// system's own scheduler.
+// scheduler the system was built on.
 type ExternalMemory interface {
 	Submit(r *memctrl.Request)
 }
 
 // New builds a system over the given instruction stream.
 func New(cfg Config, gen trace.Generator) (*System, error) {
-	return newSystem(cfg, gen, nil)
+	return newSystem(cfg, gen, nil, sim.NewScheduler())
 }
 
 // NewExternal builds a system whose memory requests route to mem
-// instead of locally built controllers and channels. The configured
-// geometry (Channels, DevicesPerChannel) still defines the physical
-// address space, so the fabric and the system agree on capacity.
+// instead of locally built controllers and channels, and whose events
+// run on sched, which the caller drives and may share with other
+// systems and with the memory backend. The configured geometry
+// (Channels, DevicesPerChannel) still defines the physical address
+// space, so the fabric and the system agree on capacity.
 //
 // External-memory mode restricts the configuration to what a remote
-// fabric can honor: scheduled and bank-aware prefetching need
-// synchronous access to controller idle state and DRAM row state,
-// which would couple shards, and the hardening monitors (watchdog,
-// paranoid checks) inspect local controllers; all must be off.
-func NewExternal(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, error) {
-	if mem == nil {
-		return nil, fmt.Errorf("core: NewExternal requires a memory backend")
+// fabric can honor: scheduled and bank-aware prefetching need access
+// to controller idle state and DRAM row state the system does not
+// own, and the hardening monitors (watchdog, paranoid checks) inspect
+// local controllers; all must be off.
+func NewExternal(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.Scheduler) (*System, error) {
+	if mem == nil || sched == nil {
+		return nil, fmt.Errorf("core: NewExternal requires a memory backend and a scheduler")
 	}
 	if cfg.Prefetch.Enabled && (cfg.Prefetch.Scheduled || cfg.Prefetch.BankAware) {
 		return nil, fmt.Errorf("core: external memory cannot serve scheduled or bank-aware prefetching (channel idle/row state is remote)")
@@ -344,10 +346,10 @@ func NewExternal(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, 
 	if cfg.Harden.WatchdogCycles > 0 || cfg.Harden.Paranoid || cfg.Harden.Inject.Enabled() {
 		return nil, fmt.Errorf("core: hardening monitors inspect local controllers; disable Harden in external-memory mode")
 	}
-	return newSystem(cfg, gen, mem)
+	return newSystem(cfg, gen, mem, sched)
 }
 
-func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, error) {
+func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.Scheduler) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -368,7 +370,7 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory) (*System, er
 	s := &System{
 		cfg:      cfg,
 		clock:    sim.NewClock(cfg.ClockHz),
-		sched:    sim.NewScheduler(),
+		sched:    sched,
 		l1:       l1,
 		l2:       l2,
 		fills:    newFillIndex(cfg.L2Block, cfg.MSHRs),
@@ -593,16 +595,11 @@ func (s *System) RunContext(ctx context.Context) (res Result, err error) {
 	return s.result(), nil
 }
 
-// Sched exposes the system's private scheduler so an external driver
-// (internal/cluster) can advance it in bounded epochs and inject
-// completion events onto it. Local callers should use Run/RunContext.
-func (s *System) Sched() *sim.Scheduler { return s.sched }
-
 // Done reports whether the core retired its instruction budget.
 func (s *System) Done() bool { return s.core.Done() }
 
-// Snapshot collects the run's Result for a system driven externally
-// (epoch by epoch) rather than through Run. It errors if the core has
+// Snapshot collects the run's Result for a system whose scheduler an
+// external driver ran, rather than Run. It errors if the core has
 // not finished or a hardening failure fired.
 func (s *System) Snapshot() (Result, error) {
 	if s.fatal != nil {

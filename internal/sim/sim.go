@@ -253,9 +253,7 @@ func (s *Scheduler) Run() {
 //
 // It reports the timestamp of the earliest event still pending, which
 // it peeked to stop its loop, and ok=false when the queue is empty.
-// Epoch drivers (internal/cluster) use it as their lookahead to skip
-// event-free epochs wholesale. Advance never runs past t while it
-// runs.
+// Advance never runs past t while it runs.
 func (s *Scheduler) RunUntil(t Time) (next Time, ok bool) {
 	horizon, windowed := s.horizon, s.windowed
 	s.horizon, s.windowed = t, true

@@ -54,9 +54,10 @@ sim_benchtime='200000x'
 # microsecond-scale on a fixed in-memory package; a few thousand
 # iterations give a stable sample.
 lint_benchtime='2000x'
-# The cluster microbenchmarks (epoch-barrier overhead, scaling at
-# 1/2/4/8 systems) each simulate a full multi-system run, so like the
-# experiment benchmarks one iteration is a stable sample.
+# The cluster microbenchmarks (scaling at 1/2/4/8 systems on one event
+# queue, and the fire-log digest) each simulate a full multi-system
+# run, so like the experiment benchmarks one iteration is a stable
+# sample.
 cluster_benchtime='1x'
 raw=$(go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -count 1 .
       go test -run '^$' -bench "$pattern" -benchtime "$sim_benchtime" -count 1 ./internal/sim
