@@ -82,7 +82,7 @@ func BenchmarkPolicy(b *testing.B) {
 			cfg.WarmupInstrs = 0
 			mutate(&cfg)
 			for i := 0; i < b.N; i++ {
-				gen, err := Workload("swim", 0, false)
+				gen, err := Workload("swim", 0, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg.MaxInstrs = 100_000
 	cfg.WarmupInstrs = 0
 	for i := 0; i < b.N; i++ {
-		gen, err := Workload("equake", 0, false)
+		gen, err := Workload("equake", 0, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func main() {
 		fatal(fmt.Errorf("-samples-out requires a positive -sample interval"))
 	}
 
-	gen, err := memsim.Workload(*bench, *seed, cfg.SoftwarePrefetch)
+	gen, err := memsim.Workload(*bench, *seed, cfg)
 	if err != nil {
 		fatal(err)
 	}

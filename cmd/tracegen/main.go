@@ -43,7 +43,9 @@ func main() {
 		defer f.Close()
 		gen, err = trace.NewFileReader(f)
 	} else {
-		gen, err = memsim.Workload(*bench, *seed, *swpf)
+		cfg := memsim.BaseConfig()
+		cfg.SoftwarePrefetch = *swpf
+		gen, err = memsim.Workload(*bench, *seed, cfg)
 	}
 	if err != nil {
 		fatal(err)

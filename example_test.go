@@ -50,12 +50,12 @@ func ExampleCustomWorkload() {
 		ElemBytes:     8,
 		Coverage:      1.0,
 	}
-	gen, err := memsim.CustomWorkload(params, 42, false)
+	cfg := memsim.BaseConfig()
+	cfg.MaxInstrs = 10_000
+	gen, err := memsim.CustomWorkload(params, 42, cfg)
 	if err != nil {
 		panic(err)
 	}
-	cfg := memsim.BaseConfig()
-	cfg.MaxInstrs = 10_000
 	res, err := memsim.Run(cfg, gen)
 	if err != nil {
 		panic(err)

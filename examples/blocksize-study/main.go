@@ -54,7 +54,7 @@ func main() {
 			cfg.Mapping = "xor"
 			cfg.MaxInstrs = 150_000
 			cfg.WarmupInstrs = 600_000
-			gen, err := memsim.CustomWorkload(wl.p, 1, false)
+			gen, err := memsim.CustomWorkload(wl.p, 1, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

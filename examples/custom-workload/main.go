@@ -42,7 +42,7 @@ func main() {
 		tuned := base
 		tuned.Prefetch = memsim.TunedPrefetch()
 
-		gen1, err := memsim.CustomWorkload(p, 7, false)
+		gen1, err := memsim.CustomWorkload(p, 7, base)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gen2, _ := memsim.CustomWorkload(p, 7, false)
+		gen2, _ := memsim.CustomWorkload(p, 7, tuned)
 		tunedRes, err := memsim.Run(tuned, gen2)
 		if err != nil {
 			log.Fatal(err)

@@ -53,7 +53,7 @@ func (serverScenario) Run(f *vfs.Fault) ([]byte, error) {
 		Workers:       1,
 		DefaultInstrs: drillInstrs,
 		DefaultWarmup: drillWarmup,
-		FS:            f,
+		FS:            recordOnce{f},
 		Logger:        log.New(io.Discard, "", 0),
 	})
 	if err != nil {
@@ -166,7 +166,7 @@ type batchScenario struct{}
 func (batchScenario) Name() string { return "experiments-batch" }
 
 func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
-	m, err := experiments.OpenManifest(f, "batch.manifest.json")
+	m, err := experiments.OpenManifest(recordOnce{f}, "batch.manifest.json")
 	if err != nil {
 		if f.Crashed() {
 			return nil, vfs.ErrCrashed
@@ -196,28 +196,76 @@ func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
 	return json.Marshal(results)
 }
 
+// recordOnce is a drill's filesystem with the write-side half of the
+// no-resimulation invariant. A spec's record is written once per
+// simulation, and a correct resume reuses every persisted record, so
+// publishing a checkpoint record over one already on disk means a
+// persisted spec was simulated again. The records cannot show that
+// afterwards: a loader that drops a record makes the resume write a
+// fresh one with runs: 1, byte for byte what it replaces. So before
+// such a rename, recordOnce moves the old record aside to
+// <record>+resimulatedSuffix, where ManifestsRunOnce finds it. Both
+// scenarios start from an empty filesystem, so no legacy import (which
+// may rewrite the records an interrupted import wrote) runs under it.
+type recordOnce struct{ vfs.FS }
+
+// resimulatedSuffix marks a record recordOnce saw written again.
+const resimulatedSuffix = ".resimulated"
+
+func (o recordOnce) Rename(oldname, newname string) error {
+	if isManifestRecord(newname) {
+		if _, err := o.Stat(newname); err == nil {
+			if err := o.FS.Rename(newname, newname+resimulatedSuffix); err != nil {
+				return err
+			}
+		}
+	}
+	return o.FS.Rename(oldname, newname)
+}
+
+// isManifestRecord reports whether file is a record of a checkpoint
+// manifest: a <key>.json file in a *.manifest.json directory.
+func isManifestRecord(file string) bool {
+	dir, name := path.Split(file)
+	return strings.HasSuffix(path.Clean(dir), ".manifest.json") && strings.HasSuffix(name, ".json")
+}
+
 // ManifestsRunOnce is the no-resimulation invariant: after recovery,
-// every entry in every checkpoint manifest (a *.manifest.json record
-// directory) must have been simulated exactly once (TotalRuns == Len).
-// A resume that misses a persisted entry re-simulates it and trips it.
+// every record in every checkpoint manifest (a *.manifest.json record
+// directory) must say its spec was simulated exactly once, and no
+// persisted record may have been written again (recordOnce). It
+// decodes the record files itself, not through
+// experiments.OpenManifest, so a loader that drops or misreads a record
+// cannot hide it from the check; a record that does not decode, and one
+// a loader quarantined, fail it too.
 func ManifestsRunOnce(m *vfs.Mem) error {
-	seen := map[string]bool{}
 	for _, file := range m.Files() {
-		name := path.Dir(file)
-		if !strings.HasSuffix(name, ".manifest.json") || seen[name] {
+		dir := path.Dir(file)
+		if !strings.HasSuffix(dir, ".manifest.json") || strings.HasSuffix(file, ".tmp") {
 			continue
 		}
-		seen[name] = true
-		man, err := experiments.OpenManifest(m, name)
+		if strings.HasSuffix(file, resimulatedSuffix) {
+			return fmt.Errorf("manifest record %s: written again — a resume re-simulated persisted work",
+				strings.TrimSuffix(file, resimulatedSuffix))
+		}
+		if !isManifestRecord(file) {
+			return fmt.Errorf("manifest record %s: corrupt on disk (quarantined)", file)
+		}
+		data, err := m.ReadFile(file)
 		if err != nil {
-			return fmt.Errorf("manifest %s: %w", name, err)
+			return err
 		}
-		if q := man.Quarantined(); q != "" {
-			return fmt.Errorf("manifest %s: corrupt on disk (quarantined as %s)", name, q)
+		var rec struct {
+			Version int `json:"version"`
+			Entry   *struct {
+				Runs int `json:"runs"`
+			} `json:"entry"`
 		}
-		if man.TotalRuns() != man.Len() {
-			return fmt.Errorf("manifest %s: %d entries but %d simulations — a resume re-ran checkpointed work",
-				name, man.Len(), man.TotalRuns())
+		if err := json.Unmarshal(data, &rec); err != nil || rec.Version != 1 || rec.Entry == nil {
+			return fmt.Errorf("manifest record %s: does not decode as a version 1 entry (%v)", file, err)
+		}
+		if rec.Entry.Runs != 1 {
+			return fmt.Errorf("manifest record %s: simulated %d times — a resume re-ran checkpointed work", file, rec.Entry.Runs)
 		}
 	}
 	return nil

@@ -12,7 +12,7 @@
 //	cfg := memsim.TunedConfig()            // XOR mapping + tuned prefetcher
 //	cfg.MaxInstrs = 1_000_000
 //	cfg.WarmupInstrs = 1_500_000
-//	gen, _ := memsim.Workload("swim", 0, false)
+//	gen, _ := memsim.Workload("swim", 0, cfg)
 //	res, _ := memsim.Run(cfg, gen)
 //	fmt.Printf("IPC %.3f, L2 miss rate %.1f%%\n", res.IPC, 100*res.L2MissRate())
 //
@@ -160,21 +160,24 @@ func Benchmarks() []string { return workload.Names() }
 // Profiles returns all calibrated benchmark profiles.
 func Profiles() []Profile { return workload.Profiles() }
 
-// Workload builds the named benchmark's instruction stream. seed
-// selects an independent sample; swPrefetch enables software-prefetch
-// instruction emission (the paper's simulator discards them by
-// default).
-func Workload(name string, seed uint64, swPrefetch bool) (Generator, error) {
+// Workload builds the named benchmark's instruction stream for a run on
+// cfg. seed selects an independent sample. The stream carries software
+// prefetch instructions only when cfg.SoftwarePrefetch is set, the
+// setting that also makes the system execute them (the paper's
+// simulator discards them by default).
+func Workload(name string, seed uint64, cfg Config) (Generator, error) {
 	p, err := workload.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return p.Generator(seed, swPrefetch)
+	return p.Generator(seed, cfg.SoftwarePrefetch)
 }
 
-// CustomWorkload builds an instruction stream from explicit parameters.
-func CustomWorkload(params WorkloadParams, seed uint64, swPrefetch bool) (Generator, error) {
-	return workload.NewGenerator(params, seed, swPrefetch)
+// CustomWorkload builds an instruction stream from explicit parameters
+// for a run on cfg; software prefetches follow cfg.SoftwarePrefetch as
+// in Workload.
+func CustomWorkload(params WorkloadParams, seed uint64, cfg Config) (Generator, error) {
+	return workload.NewGenerator(params, seed, cfg.SoftwarePrefetch)
 }
 
 // Trace replays a fixed sequence of operations; it is the simplest way
@@ -196,7 +199,7 @@ func ReadTraceFile(r io.Reader) (Generator, error) {
 // RunBenchmark is a convenience wrapper: simulate the named benchmark
 // on cfg.
 func RunBenchmark(cfg Config, name string) (Result, error) {
-	gen, err := Workload(name, 0, cfg.SoftwarePrefetch)
+	gen, err := Workload(name, 0, cfg)
 	if err != nil {
 		return Result{}, err
 	}

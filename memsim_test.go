@@ -40,7 +40,7 @@ func TestBenchmarkSuite(t *testing.T) {
 	if len(Profiles()) != 26 {
 		t.Fatalf("profiles = %d", len(Profiles()))
 	}
-	if _, err := Workload("nope", 0, false); err == nil {
+	if _, err := Workload("nope", 0, BaseConfig()); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }
@@ -67,7 +67,7 @@ func TestCustomWorkload(t *testing.T) {
 		WorkingSet: 4 << 20, ResidentBytes: 64 << 10,
 		MemFraction: 0.2, StreamWeight: 1.0, Streams: 2, ElemBytes: 8, Coverage: 1.0,
 	}
-	gen, err := CustomWorkload(params, 42, false)
+	gen, err := CustomWorkload(params, 42, BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPropertyTraceConservation(t *testing.T) {
 }
 
 func TestTraceFileRoundTripPublic(t *testing.T) {
-	gen, err := Workload("gcc", 0, false)
+	gen, err := Workload("gcc", 0, BaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func obsRun(t *testing.T) (*System, []byte, []byte) {
 	cfg.MaxInstrs = 20_000
 	cfg.WarmupInstrs = 40_000
 	cfg.Obs = ObsConfig{Metrics: true, Trace: true, TraceEvents: 8192}
-	gen, err := Workload("swim", 0, false)
+	gen, err := Workload("swim", 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestObservationDoesNotPerturb(t *testing.T) {
 		cfg.MaxInstrs = 20_000
 		cfg.WarmupInstrs = 40_000
 		cfg.Obs = obs
-		gen, err := Workload("mcf", 0, false)
+		gen, err := Workload("mcf", 0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
