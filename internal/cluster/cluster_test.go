@@ -275,6 +275,21 @@ func TestCancellation(t *testing.T) {
 	}
 }
 
+// TestDrainedQueueIsDeadlock checks the end of a run that cannot
+// finish: when the link loses every message, the queue drains with the
+// cores waiting on their misses, and Run reports a deadlock instead of
+// a result.
+func TestDrainedQueueIsDeadlock(t *testing.T) {
+	r, err := newRun(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.deliverCB = func(sim.Time, any) {}
+	if err := r.loop(context.Background()); err == nil || !strings.Contains(err.Error(), "deadlock") {
+		t.Fatalf("got %v, want a deadlock error", err)
+	}
+}
+
 // TestSoloMatchesShare sanity-checks a single-system cluster: it gets
 // the whole fabric (occupancy share 1) and still terminates.
 func TestSoloMatchesShare(t *testing.T) {

@@ -72,7 +72,7 @@ func newRun(cfg Config) (*run, error) {
 		}
 		r.systems = append(r.systems, sh)
 	}
-	mem, err := newMemoryShard(r, len(cfg.Systems))
+	mem, err := newMemoryShard(r)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,7 @@ func (r *run) loop(ctx context.Context) (err error) {
 		return fmt.Errorf("cluster: run aborted at %v after %d events: %w",
 			r.sched.Now(), r.sched.EventsFired(), context.Cause(ctx))
 	case !r.finished():
-		return fmt.Errorf("cluster: deadlock at %v after %d events: no events pending, cores not done",
+		return fmt.Errorf("cluster: deadlock at %v after %d events: no events pending, work not done",
 			r.sched.Now(), r.sched.EventsFired())
 	}
 	return nil

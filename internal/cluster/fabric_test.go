@@ -118,7 +118,7 @@ func (l *fabricLedger) observe(at sim.Time, m *message) {
 
 func (l *fabricLedger) check(at sim.Time, m *message) error {
 	if at != m.Sent+l.link {
-		return fmt.Errorf("message %+v sent at %v delivered at %v, want %v", *m, m.Sent, at, m.Sent+l.link)
+		return fmt.Errorf("message %+v sent at %dps delivered at %dps, want %dps", *m, m.Sent, at, m.Sent+l.link)
 	}
 	{
 		key := [2]uint64{uint64(m.Sys), m.ID}

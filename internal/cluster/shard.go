@@ -185,7 +185,7 @@ type fabricReq struct {
 // owning its first granule.
 const fabricBlockBytes = 64
 
-func newMemoryShard(r *run, nsys int) (*memoryShard, error) {
+func newMemoryShard(r *run) (*memoryShard, error) {
 	cfg := r.cfg
 	ms := &memoryShard{
 		r:          r,
@@ -217,7 +217,7 @@ func newMemoryShard(r *run, nsys int) (*memoryShard, error) {
 			chn.Observe(ms.obs, c)
 		}
 		ms.chns = append(ms.chns, chn)
-		ms.ctrls = append(ms.ctrls, memctrl.NewShared(r.sched, chn, mapr, nsys))
+		ms.ctrls = append(ms.ctrls, memctrl.NewShared(r.sched, chn, mapr, len(cfg.Systems)))
 	}
 	return ms, nil
 }

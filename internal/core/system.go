@@ -598,8 +598,8 @@ func (s *System) RunContext(ctx context.Context) (res Result, err error) {
 // Done reports whether the core retired its instruction budget.
 func (s *System) Done() bool { return s.core.Done() }
 
-// Snapshot collects the run's Result for a system whose scheduler an
-// external driver ran, rather than Run. It errors if the core has
+// Snapshot collects the run's Result for a system whose scheduler its
+// caller ran (a cluster's shared one), rather than Run. It errors if the core has
 // not finished or a hardening failure fired.
 func (s *System) Snapshot() (Result, error) {
 	if s.fatal != nil {
