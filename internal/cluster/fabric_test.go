@@ -120,33 +120,31 @@ func (l *fabricLedger) check(at sim.Time, m *message) error {
 	if at != m.Sent+l.link {
 		return fmt.Errorf("message %+v sent at %dps delivered at %dps, want %dps", *m, m.Sent, at, m.Sent+l.link)
 	}
-	{
-		key := [2]uint64{uint64(m.Sys), m.ID}
-		_, known := l.needFirst[key]
-		switch m.Kind {
-		case msgRequest:
-			if known {
-				return fmt.Errorf("request %v sent twice", key)
-			}
-			l.needFirst[key] = m.NeedFirst
-			l.requests++
-			if !m.NeedFirst {
-				l.noFirst++
-			}
-		case msgFirstData:
-			if !known || !l.needFirst[key] || l.first[key] || l.complete[key] {
-				return fmt.Errorf("first data for %v: known=%v needFirst=%v seen=%v completed=%v",
-					key, known, l.needFirst[key], l.first[key], l.complete[key])
-			}
-			l.first[key] = true
-			l.firsts++
-		case msgComplete:
-			if !known || l.complete[key] || l.first[key] != l.needFirst[key] {
-				return fmt.Errorf("completion for %v: known=%v completed=%v first=%v needFirst=%v",
-					key, known, l.complete[key], l.first[key], l.needFirst[key])
-			}
-			l.complete[key] = true
+	key := [2]uint64{uint64(m.Sys), m.ID}
+	_, known := l.needFirst[key]
+	switch m.Kind {
+	case msgRequest:
+		if known {
+			return fmt.Errorf("request %v sent twice", key)
 		}
+		l.needFirst[key] = m.NeedFirst
+		l.requests++
+		if !m.NeedFirst {
+			l.noFirst++
+		}
+	case msgFirstData:
+		if !known || !l.needFirst[key] || l.first[key] || l.complete[key] {
+			return fmt.Errorf("first data for %v: known=%v needFirst=%v seen=%v completed=%v",
+				key, known, l.needFirst[key], l.first[key], l.complete[key])
+		}
+		l.first[key] = true
+		l.firsts++
+	case msgComplete:
+		if !known || l.complete[key] || l.first[key] != l.needFirst[key] {
+			return fmt.Errorf("completion for %v: known=%v completed=%v first=%v needFirst=%v",
+				key, known, l.complete[key], l.first[key], l.needFirst[key])
+		}
+		l.complete[key] = true
 	}
 	return nil
 }
