@@ -8,9 +8,10 @@
 // Every member system and the memory shard — one shared
 // memctrl.Controller per channel (demand misses and unscheduled
 // prefetches before writebacks, round-robin across systems within a
-// class) — run on one event queue. A message sent across the link is
-// an event one link latency later, so deliveries fire in send order
-// and a run is deterministic by construction. See DESIGN.md §15.
+// class) — run on one event queue. A link crossing is an event one
+// link latency after its send that carries the request itself, so
+// crossings land in send order and a run is deterministic by
+// construction. See DESIGN.md §15.
 package cluster
 
 import (
@@ -55,9 +56,11 @@ type SystemSpec struct {
 	// profile do not replay identical streams.
 	Seed uint64 `json:"seed"`
 	// Config, when non-nil, is the base core configuration for this
-	// system. The cluster overrides its memory geometry and scheduler
-	// engine (see Config.systemConfig) so all members agree on the
-	// shared fabric.
+	// system. The cluster overrides its memory geometry, prefetch
+	// scheduling and hardening (see Config.systemConfig) so all members
+	// agree on the shared fabric. Validate rejects a config that sets
+	// what the shared controllers do not model: an issue policy other
+	// than FCFS, refresh, or counterfactual decision tracing.
 	Config *core.Config `json:"config,omitempty"`
 }
 
@@ -87,8 +90,8 @@ type Config struct {
 	// channel gets its own policy instance (rowreuse keeps state).
 	BankTiming string `json:"bank_timing,omitempty"`
 
-	// LinkLatency is the system-to-fabric hop: a message sent at t is
-	// delivered at t+LinkLatency. Zero means DefaultLinkLatency.
+	// LinkLatency is the system-to-fabric hop: a crossing sent at t
+	// lands at t+LinkLatency. Zero means DefaultLinkLatency.
 	LinkLatency sim.Time `json:"link_latency_ps,omitempty"`
 
 	// MaxInstrs, when positive, overrides every system's measured
@@ -142,6 +145,18 @@ func (c Config) Validate() error {
 		if _, err := workload.ByName(s.Bench); err != nil {
 			return fmt.Errorf("cluster: system %d: %w", i, err)
 		}
+		if sc := s.Config; sc != nil {
+			switch {
+			case sc.SchedPolicy != "":
+				return fmt.Errorf("cluster: system %d: SchedPolicy %q: the shared controllers issue FCFS", i, sc.SchedPolicy)
+			case sc.ReorderWindow > 1:
+				return fmt.Errorf("cluster: system %d: ReorderWindow %d: the shared controllers issue FCFS", i, sc.ReorderWindow)
+			case sc.Refresh:
+				return fmt.Errorf("cluster: system %d: Refresh: the shared channels model no refresh", i)
+			case sc.Counterfactual:
+				return fmt.Errorf("cluster: system %d: Counterfactual: the shared controllers trace no decisions", i)
+			}
+		}
 	}
 	if c.Channels < 1 || c.Channels > 64 {
 		return fmt.Errorf("cluster: Channels %d out of range [1, 64]", c.Channels)
@@ -166,12 +181,12 @@ func (c Config) Validate() error {
 
 // systemConfig derives system i's core configuration: the spec's base
 // (or core.Base()) with the shared fabric geometry forced on top, so
-// every member computes the same physical address space the memory
-// shard serves. External-memory restrictions are normalized rather
-// than rejected — scheduled/bank-aware prefetching degrades to the
-// unscheduled FIFO discipline (the fabric cannot expose synchronous
-// channel idle or row state across shards), and hardening monitors
-// are disabled (they inspect local controllers).
+// every member computes the same physical address space the shared
+// controllers serve. External-memory restrictions are normalized
+// rather than rejected — scheduled/bank-aware prefetching degrades to
+// the unscheduled FIFO discipline (the member has no controller of its
+// own whose idle and row state the prefetcher could read), and
+// hardening monitors are disabled (they inspect local controllers).
 func (c Config) systemConfig(i int) core.Config {
 	cfg := core.Base()
 	if sc := c.Systems[i].Config; sc != nil {

@@ -227,6 +227,16 @@ func TestClusterMetricsLabels(t *testing.T) {
 	}
 }
 
+// member returns a config mutation that gives the last system a
+// core.Base() config changed by mut.
+func member(mut func(*core.Config)) func(*Config) {
+	return func(c *Config) {
+		sc := core.Base()
+		mut(&sc)
+		c.Systems[len(c.Systems)-1].Config = &sc
+	}
+}
+
 // TestValidate covers the cluster-level config rejections.
 func TestValidate(t *testing.T) {
 	cases := []struct {
@@ -240,6 +250,10 @@ func TestValidate(t *testing.T) {
 		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, "LinkLatency"},
 		{"unknown bank timing", func(c *Config) { c.BankTiming = "exotic" }, "bank timing"},
 		{"unknown part", func(c *Config) { c.Part = "800-99" }, "unknown part"},
+		{"member sched policy", member(func(sc *core.Config) { sc.SchedPolicy = "frfcfs" }), "SchedPolicy"},
+		{"member reorder window", member(func(sc *core.Config) { sc.ReorderWindow = 8 }), "ReorderWindow"},
+		{"member refresh", member(func(sc *core.Config) { sc.Refresh = true }), "Refresh"},
+		{"member counterfactual", member(func(sc *core.Config) { sc.Counterfactual = true }), "Counterfactual"},
 	}
 	for _, tc := range cases {
 		cfg := testConfig().withDefaults()
@@ -276,7 +290,7 @@ func TestCancellation(t *testing.T) {
 }
 
 // TestDrainedQueueIsDeadlock checks the end of a run that cannot
-// finish: when the link loses every message, the queue drains with the
+// finish: when the link loses every request, the queue drains with the
 // cores waiting on their misses, and Run reports a deadlock instead of
 // a result.
 func TestDrainedQueueIsDeadlock(t *testing.T) {
@@ -284,7 +298,7 @@ func TestDrainedQueueIsDeadlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.deliverCB = func(sim.Time, any) {}
+	r.arriveCB = func(sim.Time, any) {}
 	if err := r.loop(context.Background()); err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("got %v, want a deadlock error", err)
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // recordLog runs cfg to completion and returns its fire log (every
-// message delivered, in delivery order) with the finished run.
+// crossing's record, in landing order) with the finished run.
 func recordLog(tb testing.TB, cfg Config) ([]message, *run) {
 	tb.Helper()
 	r, err := newRun(cfg)
@@ -16,14 +16,14 @@ func recordLog(tb testing.TB, cfg Config) ([]message, *run) {
 		tb.Fatal(err)
 	}
 	var log []message
-	r.tap = func(_ sim.Time, m *message) { log = append(log, *m) }
+	r.tap = func(m *message) { log = append(log, *m) }
 	if err := r.loop(context.Background()); err != nil {
 		tb.Fatal(err)
 	}
 	return log, r
 }
 
-// foldFrom folds log into the fire-log digest h with the delivery's
+// foldFrom folds log into the fire-log digest h with the landing's
 // own step.
 func foldFrom(h uint64, log []message) uint64 {
 	r := &run{hash: h}
@@ -34,7 +34,7 @@ func foldFrom(h uint64, log []message) uint64 {
 }
 
 // fireLogWords is m's fire-log form: the five fixed words hashMessage
-// combines, Slot left out.
+// combines.
 func fireLogWords(m *message) [5]uint64 {
 	flags := uint64(0)
 	if m.Write {
@@ -54,8 +54,8 @@ func fireLogWords(m *message) [5]uint64 {
 
 // fnv1aFireLog is the byte-wise reference digest: 64-bit FNV-1a over
 // each message's five words, byte by byte, least significant first.
-// Its pinned values witness the delivered log independently of the
-// run's own digest.
+// Its pinned values witness the landed log independently of the run's
+// own digest.
 func fnv1aFireLog(log []message) uint64 {
 	const (
 		offset = 0xcbf29ce484222325
@@ -73,7 +73,7 @@ func fnv1aFireLog(log []message) uint64 {
 }
 
 // TestFireLogByteReference runs both golden configs and checks that the
-// byte-wise reference digest of the delivered log reproduces its pinned
+// byte-wise reference digest of the landed log reproduces its pinned
 // value, and that the run's own digest folds exactly the log the tap
 // saw.
 func TestFireLogByteReference(t *testing.T) {
@@ -119,9 +119,8 @@ var hashedFields = []struct {
 }
 
 // TestFireLogDigestProperties checks the digest on a recorded log:
-// flipping any one bit of any hashed field of a message changes it,
-// swapping two adjacent messages changes it, and Slot, which is
-// routing rather than protocol, does not enter it.
+// flipping any one bit of any hashed field of a message changes it, and
+// swapping two adjacent messages changes it.
 func TestFireLogDigestProperties(t *testing.T) {
 	log, r := recordLog(t, testConfig())
 	want := r.hash
@@ -151,11 +150,6 @@ func TestFireLogDigestProperties(t *testing.T) {
 					t.Errorf("message %d: flipping %s bit %d leaves the digest at %016x", i, f.name, b, want)
 				}
 			}
-		}
-		m := log[i]
-		m.Slot ^= 0x5a5a5a5a
-		if got := foldAt(i, m); got != want {
-			t.Errorf("message %d: changing Slot moved the digest %016x -> %016x", i, want, got)
 		}
 	}
 

@@ -14,23 +14,27 @@ import (
 const ctxCheckEvents = 4096
 
 // run carries the live state of one cluster execution. Every member
-// system and the memory shard schedule on its one scheduler; the link
-// between them is an event one link latency after each send.
+// system and the shared controllers schedule on its one scheduler; a
+// link crossing is an event one link latency after its send.
 type run struct {
 	cfg     Config
 	sched   *sim.Scheduler
 	systems []*systemShard
 	mem     *memoryShard
 
-	free      []*message // delivered messages, ready to send again
-	deliverCB sim.Callback
+	// free pools the transfers not in flight; built counts every
+	// transfer ever made. The three link handlers are bound once.
+	free                              []*transfer
+	built                             int
+	arriveCB, firstDataCB, completeCB sim.Callback
 
 	messages uint64
-	hash     uint64 // digest of the fire log (hashMessage)
+	hash     uint64  // digest of the fire log (hashMessage)
+	landed   message // the latest crossing's fire-log record
 
-	// tap, when set, sees every message as it is delivered, with the
-	// delivery time. Tests audit the protocol through it.
-	tap func(at sim.Time, m *message)
+	// tap, when set, sees every crossing's record as it lands. Tests
+	// audit the protocol through it.
+	tap func(m *message)
 }
 
 // Run executes the cluster to completion and returns the merged
@@ -55,7 +59,9 @@ func newRun(cfg Config) (*run, error) {
 	}
 
 	r := &run{cfg: cfg, sched: sim.NewScheduler(), hash: digestSeed}
-	r.deliverCB = func(at sim.Time, arg any) { r.deliver(at, arg.(*message)) }
+	r.arriveCB = func(at sim.Time, arg any) { r.arrive(at, arg.(*transfer)) }
+	r.firstDataCB = func(at sim.Time, arg any) { r.firstData(at, arg.(*transfer)) }
+	r.completeCB = func(at sim.Time, arg any) { r.complete(at, arg.(*transfer)) }
 	for i, spec := range cfg.Systems {
 		prof, err := workload.ByName(spec.Bench)
 		if err != nil {
@@ -80,39 +86,74 @@ func newRun(cfg Config) (*run, error) {
 	return r, nil
 }
 
-// send puts m on the link: it is delivered one link latency from now.
-// Messages are pooled, so a warm cluster sends without allocating.
-func (r *run) send(m message) {
-	var p *message
+// newTransfer takes a pooled transfer, or builds one with its
+// controller callbacks bound: each sends the transfer back across the
+// link. A warm cluster crosses the link without allocating.
+func (r *run) newTransfer() *transfer {
 	if n := len(r.free); n > 0 {
-		p = r.free[n-1]
+		t := r.free[n-1]
 		r.free = r.free[:n-1]
-	} else {
-		p = new(message)
+		return t
 	}
-	*p = m
-	p.Sent = r.sched.Now()
-	r.sched.AtCall(p.Sent+r.cfg.LinkLatency, r.deliverCB, p)
+	r.built++
+	t := &transfer{}
+	t.onFirst = func(sim.Time) { r.sched.ScheduleCall(r.cfg.LinkLatency, r.firstDataCB, t) }
+	t.onComplete = func(sim.Time) { r.sched.ScheduleCall(r.cfg.LinkLatency, r.completeCB, t) }
+	return t
 }
 
-// deliver folds m into the fire-log digest and hands it to its
-// destination: a request to the memory shard, a completion to its
-// owning system. Deliveries fire in send order, since every message
-// crosses the same latency and same-instant events fire in scheduling
-// order. m returns to the pool once its handler, which may send,
-// is done with it.
-func (r *run) deliver(at sim.Time, m *message) {
+// land folds the crossing landing at at into the fire log and shows it
+// to the tap. Crossings land in send order, since every one crosses
+// the same latency and same-instant events fire in scheduling order.
+func (r *run) land(at sim.Time, m message) {
+	m.Sent = at - r.cfg.LinkLatency
+	r.landed = m
 	r.messages++
-	r.hashMessage(m)
+	r.hashMessage(&r.landed)
 	if r.tap != nil {
-		r.tap(at, m)
+		r.tap(&r.landed)
 	}
-	if m.Kind == msgRequest {
-		r.mem.onRequest(m)
-	} else {
-		r.systems[m.Sys].onDeliver(at, m)
+}
+
+// arrive lands a member's request at the shared controllers.
+func (r *run) arrive(at sim.Time, t *transfer) {
+	req := t.req
+	r.land(at, message{
+		ID:        t.id,
+		Addr:      req.Addr,
+		Size:      uint32(req.Size), // one L2 block; core.Config caps a cache at 1 GB
+		Sys:       t.Sys,
+		Kind:      msgRequest,
+		Class:     uint8(req.Class),
+		Write:     req.Write,
+		NeedFirst: req.OnFirstData != nil,
+	})
+	r.mem.submit(t)
+}
+
+// firstData lands the critical word back at the requester.
+func (r *run) firstData(at sim.Time, t *transfer) {
+	r.land(at, message{ID: t.id, Sys: t.Sys, Kind: msgFirstData})
+	t.req.OnFirstData(at)
+}
+
+// complete lands the full block back at the requester and returns the
+// transfer to the pool once the member's callbacks, which may submit,
+// are done.
+func (r *run) complete(at sim.Time, t *transfer) {
+	r.land(at, message{ID: t.id, Sys: t.Sys, Kind: msgComplete})
+	req := t.req
+	if req == nil {
+		panic(fmt.Sprintf("cluster: %s: second completion of request %d", r.systems[t.Sys].label, t.id))
 	}
-	r.free = append(r.free, m)
+	t.req = nil
+	if req.OnComplete != nil {
+		req.OnComplete(at)
+	}
+	if req.OnRelease != nil {
+		req.OnRelease(req)
+	}
+	r.free = append(r.free, t)
 }
 
 // Fire-log digest constants: the seed, the serial step's multiplier and
@@ -129,14 +170,13 @@ const (
 	digestK4   = 0x94d049bb133111eb
 )
 
-// hashMessage folds m into the fire-log digest. m's protocol fields
-// (all but Slot, which is routing) pack into five fixed words, so the
-// digest has no dependence on struct layout. Each word, times its own
-// odd constant, combines into one, which enters the running value
-// through one multiply and one xorshift. Each of those steps is a
-// bijection of every word and of the running value, so a change to
-// any one word of any one message changes the digest, and only the
-// serial step waits on the message before.
+// hashMessage folds m into the fire-log digest. m's fields pack into
+// five fixed words, so the digest has no dependence on struct layout.
+// Each word, times its own odd constant, combines into one, which
+// enters the running value through one multiply and one xorshift. Each
+// of those steps is a bijection of every word and of the running
+// value, so a change to any one word of any one message changes the
+// digest, and only the serial step waits on the message before.
 func (r *run) hashMessage(m *message) {
 	w4 := uint64(m.Size)<<8 | uint64(m.Class)<<2
 	if m.Write {
@@ -184,12 +224,12 @@ func (r *run) loop(ctx context.Context) (err error) {
 }
 
 // finished reports whether every core retired its budget, every
-// request got its completion, and no controller holds work.
+// transfer is back in the pool, and no controller holds work.
 func (r *run) finished() bool {
 	for _, sh := range r.systems {
-		if !sh.sys.Done() || sh.live > 0 {
+		if !sh.sys.Done() {
 			return false
 		}
 	}
-	return !r.mem.busy()
+	return len(r.free) == r.built && !r.mem.busy()
 }

@@ -5,121 +5,57 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"memsim/internal/core"
-	"memsim/internal/memctrl"
 	"memsim/internal/sim"
 )
 
-// expectPanic runs f and checks that it panics with a message holding
-// every one of want.
-func expectPanic(t *testing.T, f func(), want ...string) {
-	t.Helper()
-	defer func() {
-		t.Helper()
-		p := recover()
-		if p == nil {
-			t.Fatalf("no panic, want one mentioning %q", want)
-		}
-		for _, w := range want {
-			if msg := fmt.Sprint(p); !strings.Contains(msg, w) {
-				t.Fatalf("panic %q does not mention %q", msg, w)
-			}
-		}
-	}()
-	f()
-}
-
-// TestStaleCompletionPanics pins the pending table's protocol check: a
-// completion must find its own request in the slot it names. A
-// duplicate msgComplete finds the slot empty, and a stale msgFirstData
-// finds it reused by a later request; both are violations.
-func TestStaleCompletionPanics(t *testing.T) {
-	r := &run{cfg: Config{LinkLatency: DefaultLinkLatency}, sched: sim.NewScheduler()}
-	sh := &systemShard{r: r, label: "sys0-test"}
-	r.systems = []*systemShard{sh}
-	// Requests stop at the link, where the test reads them back;
-	// completions go through production's delivery.
-	var sent message
-	r.deliverCB = func(at sim.Time, arg any) {
-		if m := arg.(*message); m.Kind == msgRequest {
-			sent = *m
-		} else {
-			r.deliver(at, m)
-		}
+// TestSecondCompletionPanics plants a second completion of every
+// transfer: the handler runs twice per landing, and the second finds
+// the transfer already back in the pool.
+func TestSecondCompletionPanics(t *testing.T) {
+	r, err := newRun(testConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	completed := 0
-	submit := func() message {
-		sh.Submit(&memctrl.Request{
-			Addr:        0x1000,
-			Size:        64,
-			OnFirstData: func(sim.Time) {},
-			OnComplete:  func(sim.Time) { completed++ },
-		})
-		r.sched.Run()
-		return sent
+	complete := r.completeCB
+	r.completeCB = func(at sim.Time, arg any) {
+		complete(at, arg)
+		complete(at, arg)
 	}
-	deliver := func(req message, kind msgKind) {
-		r.send(message{Kind: kind, Slot: req.Slot, Sys: req.Sys, ID: req.ID})
-		r.sched.Run()
-	}
-
-	first := submit()
-	deliver(first, msgFirstData)
-	deliver(first, msgComplete)
-	if completed != 1 || sh.live != 0 {
-		t.Fatalf("after one completion: completed=%d live=%d, want 1 and 0", completed, sh.live)
-	}
-	expectPanic(t, func() { deliver(first, msgComplete) },
-		"sys0-test", fmt.Sprintf("request %d ", first.ID), fmt.Sprintf("kind %d", msgComplete))
-
-	second := submit()
-	if second.Slot != first.Slot || second.ID == first.ID {
-		t.Fatalf("second request got slot %d id %d, want the reused slot %d under a new id",
-			second.Slot, second.ID, first.Slot)
-	}
-	expectPanic(t, func() { deliver(first, msgFirstData) },
-		"sys0-test", fmt.Sprintf("request %d ", first.ID), fmt.Sprintf("kind %d", msgFirstData))
-	// The stale message must not have touched the live occupant.
-	deliver(second, msgComplete)
-	if completed != 2 || sh.live != 0 {
-		t.Fatalf("after second completion: completed=%d live=%d, want 2 and 0", completed, sh.live)
+	err = r.loop(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "second completion of request") {
+		t.Fatalf("got %v, want a second-completion panic", err)
 	}
 }
 
-// fabricLedger tracks every transfer's messages as they are
-// delivered. It records the first protocol violation it sees in err.
+// fabricLedger tracks every transfer's crossings as they land. It
+// records the first protocol violation it sees in err.
 type fabricLedger struct {
-	link                       sim.Time
 	needFirst, first, complete map[[2]uint64]bool
 	requests, firsts, noFirst  int
 	err                        error
 }
 
-func newLedger(link sim.Time) *fabricLedger {
+func newLedger() *fabricLedger {
 	return &fabricLedger{
-		link:      link,
 		needFirst: map[[2]uint64]bool{},
 		first:     map[[2]uint64]bool{},
 		complete:  map[[2]uint64]bool{},
 	}
 }
 
-// observe checks one delivery: it fires one link latency after its
-// send, a request is sent once, first data comes only for a request
-// that asked for it and before its completion, and a completion comes
-// once, after the first data it owes.
-func (l *fabricLedger) observe(at sim.Time, m *message) {
+// observe checks one landing: a request crosses once, first data
+// comes only for a request that asked for it and before its
+// completion, and a completion comes once, after the first data it
+// owes.
+func (l *fabricLedger) observe(m *message) {
 	if l.err == nil {
-		l.err = l.check(at, m)
+		l.err = l.check(m)
 	}
 }
 
-func (l *fabricLedger) check(at sim.Time, m *message) error {
-	if at != m.Sent+l.link {
-		return fmt.Errorf("message %+v sent at %dps delivered at %dps, want %dps", *m, m.Sent, at, m.Sent+l.link)
-	}
+func (l *fabricLedger) check(m *message) error {
 	key := [2]uint64{uint64(m.Sys), m.ID}
 	_, known := l.needFirst[key]
 	switch m.Kind {
@@ -150,8 +86,8 @@ func (l *fabricLedger) check(at sim.Time, m *message) error {
 }
 
 // finish checks the end state of a finished run: every request got its
-// completion, no pending slot is occupied, and every pooled fabric
-// request is back on its free list.
+// completion, and every transfer ever built is back in the pool, once,
+// holding no request.
 func (l *fabricLedger) finish(r *run) error {
 	if l.err != nil {
 		return l.err
@@ -159,22 +95,23 @@ func (l *fabricLedger) finish(r *run) error {
 	if len(l.complete) != l.requests {
 		return fmt.Errorf("%d requests but %d completions", l.requests, len(l.complete))
 	}
-	for _, sh := range r.systems {
-		if sh.live != 0 || len(sh.freeSlots) != len(sh.pending) {
-			return fmt.Errorf("%s: %d live pending slots, %d of %d free", sh.label, sh.live, len(sh.freeSlots), len(sh.pending))
+	pooled := map[*transfer]bool{}
+	for _, t := range r.free {
+		if pooled[t] || t.req != nil {
+			return fmt.Errorf("transfer %d of system %d pooled twice or still holding its request", t.id, t.Sys)
 		}
+		pooled[t] = true
 	}
-	if len(r.mem.reqs) != r.mem.reqsBuilt {
-		return fmt.Errorf("memory shard: %d of %d fabric requests free", len(r.mem.reqs), r.mem.reqsBuilt)
+	if len(pooled) != r.built {
+		return fmt.Errorf("%d of %d transfers back in the pool", len(pooled), r.built)
 	}
 	return nil
 }
 
-// TestFabricConservation checks the fabric's message protocol and its
-// pools: every request gets exactly one completion,
-// first data arrives iff the request asked for it and always before
-// its completion, and at termination no pending slot is occupied and
-// every pooled fabric request is back on its free list.
+// TestFabricConservation checks the link protocol and the transfer
+// pool: every request gets exactly one completion, first data arrives
+// iff the request asked for it and always before its completion, and
+// at termination every transfer is back in the pool.
 func TestFabricConservation(t *testing.T) {
 	// The 4-system mix runs the tuned configuration, so region
 	// prefetches — transfers that want no first-data message — cross
@@ -200,7 +137,7 @@ func TestFabricConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l := newLedger(r.cfg.LinkLatency)
+			l := newLedger()
 			r.tap = l.observe
 			if err := r.loop(context.Background()); err != nil {
 				t.Fatal(err)
@@ -258,7 +195,7 @@ func TestWarmedClusterAllocatesNothing(t *testing.T) {
 	step(allocWarmEvents)
 
 	var requests, completions int
-	r.tap = func(_ sim.Time, m *message) {
+	r.tap = func(m *message) {
 		switch m.Kind {
 		case msgRequest:
 			requests++
@@ -272,13 +209,5 @@ func TestWarmedClusterAllocatesNothing(t *testing.T) {
 	// The window must have carried the traffic it pins.
 	if requests == 0 || completions == 0 {
 		t.Errorf("measured window carried %d requests and %d completions", requests, completions)
-	}
-}
-
-// TestMessageSize pins the wire form at 48 bytes: send, delivery and
-// the digest touch every message, so its size is per-message cost.
-func TestMessageSize(t *testing.T) {
-	if got := unsafe.Sizeof(message{}); got > 48 {
-		t.Fatalf("message is %d bytes, want at most 48", got)
 	}
 }

@@ -71,7 +71,7 @@ func audited(cfg Config) (string, *fabricLedger, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	l := newLedger(r.cfg.LinkLatency)
+	l := newLedger()
 	r.tap = l.observe
 	if err := r.loop(context.Background()); err != nil {
 		return "", l, err

@@ -51,8 +51,9 @@ type Result struct {
 	Systems []SystemResult `json:"systems"`
 
 	// Messages counts link crossings. TraceHash digests the full fire
-	// log: every message's protocol fields, Slot left out, in delivery
-	// order, one combine and one serial multiply per message.
+	// log: every crossing's record (send time, kind, system, request ID
+	// and a request's address, size, class and flags) in landing order,
+	// one combine and one serial multiply per crossing.
 	Messages  uint64 `json:"messages"`
 	TraceHash string `json:"trace_hash"`
 

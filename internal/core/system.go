@@ -331,17 +331,17 @@ func New(cfg Config, gen trace.Generator) (*System, error) {
 // (Channels, DevicesPerChannel) still defines the physical address
 // space, so the fabric and the system agree on capacity.
 //
-// External-memory mode restricts the configuration to what a remote
-// fabric can honor: scheduled and bank-aware prefetching need access
-// to controller idle state and DRAM row state the system does not
-// own, and the hardening monitors (watchdog, paranoid checks) inspect
-// local controllers; all must be off.
+// External-memory mode restricts the configuration to what the
+// backend can honor: scheduled and bank-aware prefetching read the
+// controller idle state and DRAM row state the backend owns, and the
+// hardening monitors (watchdog, paranoid checks) inspect local
+// controllers; all must be off.
 func NewExternal(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.Scheduler) (*System, error) {
 	if mem == nil || sched == nil {
 		return nil, fmt.Errorf("core: NewExternal requires a memory backend and a scheduler")
 	}
 	if cfg.Prefetch.Enabled && (cfg.Prefetch.Scheduled || cfg.Prefetch.BankAware) {
-		return nil, fmt.Errorf("core: external memory cannot serve scheduled or bank-aware prefetching (channel idle/row state is remote)")
+		return nil, fmt.Errorf("core: external memory cannot serve scheduled or bank-aware prefetching (the backend owns channel idle and row state)")
 	}
 	if cfg.Harden.WatchdogCycles > 0 || cfg.Harden.Paranoid || cfg.Harden.Inject.Enabled() {
 		return nil, fmt.Errorf("core: hardening monitors inspect local controllers; disable Harden in external-memory mode")

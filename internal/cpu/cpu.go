@@ -17,10 +17,10 @@
 // The core runs one cycle per activation, on a cycle edge. When a cycle
 // wants another, the core asks the scheduler to Advance to that edge
 // and runs it in the same callback; it queues a step only when another
-// event is due first, or a RunUntil window or a sampled-loop stride
-// ends before it. A busy core thus costs one queued event per run of
-// undisturbed cycles, while every cycle still counts as a fired event
-// at the same time and in the same order as a queued step.
+// event is due first or a sampled-loop stride ends before it. A busy
+// core thus costs one queued event per run of undisturbed cycles,
+// while every cycle still counts as a fired event at the same time and
+// in the same order as a queued step.
 package cpu
 
 import (

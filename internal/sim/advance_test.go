@@ -84,30 +84,6 @@ func TestAdvanceDeclinesSameTick(t *testing.T) {
 	}
 }
 
-func TestAdvanceStopsAtRunUntilWindow(t *testing.T) {
-	s := NewScheduler()
-	k := startTicker(s, 0, 10, 100)
-	next, ok := s.RunUntil(35)
-	if want := []Time{0, 10, 20, 30}; !slices.Equal(k.at, want) {
-		t.Fatalf("ticks at %v, want %v", k.at, want)
-	}
-	if k.inline != 3 {
-		t.Fatalf("%d ticks ran inline, want 3", k.inline)
-	}
-	if s.Now() != 35 || !ok || next != 40 || s.Pending() != 1 || s.EventsFired() != 4 {
-		t.Fatalf("after RunUntil(35): now=%v next=%v ok=%v pending=%d fired=%d, want 35 40 true 1 4",
-			s.Now(), next, ok, s.Pending(), s.EventsFired())
-	}
-	// Outside the window the ticker runs inline to its end.
-	s.Run()
-	if len(k.at) != 100 || k.at[99] != 990 || s.EventsFired() != 100 {
-		t.Fatalf("drained: %d ticks, last at %v, fired %d", len(k.at), k.at[len(k.at)-1], s.EventsFired())
-	}
-	if k.inline != 98 {
-		t.Fatalf("%d ticks ran inline, want 98", k.inline)
-	}
-}
-
 func TestAdvanceStopsAtSampledStride(t *testing.T) {
 	const stride = 64
 	s := NewScheduler()

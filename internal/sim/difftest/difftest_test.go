@@ -30,8 +30,8 @@ func TestDiffSchedulerRandomPrograms(t *testing.T) {
 
 // TestDiffSchedulerSparsePrograms drives both schedulers with sparse
 // programs (GenerateSparse): at most four pending events, tens to
-// hundreds of nanoseconds apart, with RunUntil lookaheads followed by
-// schedules earlier than the event they peeked.
+// hundreds of nanoseconds apart, with short runs followed by schedules
+// earlier than the events still queued.
 const (
 	sparseProgramCount = 2_000
 	sparseProgramOps   = 400
@@ -88,8 +88,9 @@ func TestDiffSchedulerDeepPrograms(t *testing.T) {
 // programs (GenerateTicking): self-re-arming tickers that run their
 // next tick inline through Advance on sim.Scheduler and schedule
 // every tick on the Reference, among schedules, nested schedules and
-// RunUntil windows. The fire logs, the fired counts and every snapshot
-// must agree, and sim.Scheduler must have run ticks inline.
+// runs that stop on a RunWhileSampled stride. The fire logs, the fired
+// counts and every snapshot must agree, and sim.Scheduler must have
+// run ticks inline.
 const (
 	tickingProgramCount = 2_000
 	tickingProgramOps   = 128
@@ -115,8 +116,8 @@ func TestDiffSchedulerTickingPrograms(t *testing.T) {
 
 // TestSparseSchedulingAllocatesNothing pins the sparse scheduling
 // paths at zero allocations once warm: schedules into a few-event
-// queue, a RunUntil that peeks the next event, a schedule earlier than
-// it, and a drain.
+// queue, a step, a schedule earlier than the event still queued, and a
+// drain.
 func TestSparseSchedulingAllocatesNothing(t *testing.T) {
 	s := sim.NewScheduler()
 	noop := func(sim.Time, any) {}
@@ -127,7 +128,7 @@ func TestSparseSchedulingAllocatesNothing(t *testing.T) {
 			g := sim.Time(10+(round*37)%490) * sim.Nanosecond
 			s.ScheduleCall(4*g, noop, nil)
 			s.ScheduleCall(2*g, noop, nil)
-			s.RunUntil(s.Now() + g)
+			s.Step()
 			s.ScheduleCall(g/2, noop, nil)
 			s.Run()
 		}
@@ -191,7 +192,7 @@ func TestDiffReportsDivergence(t *testing.T) {
 func TestMinimizeShrinks(t *testing.T) {
 	// The schedulers (correctly) never diverge, so exercise the shrinker
 	// against a synthetic failure predicate: "contains both a nested op
-	// and a run-until op". The minimum such program has exactly two ops.
+	// and a run op". The minimum such program has exactly two ops.
 	ops := Generate(3, 200).Ops
 	has := func(ops []Op, k OpKind) bool {
 		for _, o := range ops {
@@ -201,7 +202,7 @@ func TestMinimizeShrinks(t *testing.T) {
 		}
 		return false
 	}
-	fails := func(ops []Op) bool { return has(ops, OpNested) && has(ops, OpRunUntil) }
+	fails := func(ops []Op) bool { return has(ops, OpNested) && has(ops, OpRun) }
 	if !fails(ops) {
 		t.Fatal("generated program lacks the op kinds the predicate needs")
 	}

@@ -1,11 +1,12 @@
 // Package difftest is the differential test harness for the event
 // scheduler in internal/sim. Its tests generate randomized but fully
 // seeded scheduler workload programs — interleavings of schedule,
-// nested schedule, single-step and bounded-run operations — execute
-// each against sim.Scheduler, whose queue is a sorted slice, and a
-// heap-ordered reference scheduler, and assert the two observable behaviors are
-// identical: same fire order, same timestamps, same clock, queue-depth
-// and lookahead snapshots after every operation.
+// nested schedule, single-step, sampled-run and ticker operations —
+// execute each against sim.Scheduler, whose queue is a sorted slice,
+// and a heap-ordered reference scheduler, and assert the two
+// observable behaviors are identical: same fire order, same
+// timestamps, same clock and queue-depth snapshots after every
+// operation.
 //
 // Both realize the same strict total order (when, seq), so any
 // divergence is a bug in one of them; by convention the heap is the

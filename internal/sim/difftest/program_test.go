@@ -14,7 +14,7 @@ type scheduler interface {
 	ScheduleCall(delay sim.Time, cb sim.Callback, arg any)
 	Advance(t sim.Time) bool
 	Step() bool
-	RunUntil(t sim.Time) (next sim.Time, ok bool)
+	RunWhileSampled(cond func() bool, stride uint64, coarse func() bool)
 	Run()
 	Now() sim.Time
 	EventsFired() uint64
@@ -32,21 +32,23 @@ const (
 	OpNested
 	// OpStep executes the next pending event, if any.
 	OpStep
-	// OpRunUntil runs the scheduler up to now+Delay.
-	OpRunUntil
+	// OpRun fires Count events, fewer if the queue drains, through
+	// RunWhileSampled: its stride, not its condition, stops the run,
+	// so sim.Scheduler's Advance must decline at the stride's end.
+	OpRun
 
 	// numOpKinds counts the kinds Generate and GenerateSparse draw
 	// from.
 	numOpKinds
 
-	// OpTicker starts a ticker at now+Delay: Ticks events, each Child
+	// OpTicker starts a ticker at now+Delay: Count events, each Child
 	// after the last, where each tick runs the next inline through
 	// Advance when the scheduler allows and schedules it otherwise, as
 	// the core steps. Only ticking programs carry it.
 	OpTicker = numOpKinds
 )
 
-var opNames = [...]string{"call", "nested", "step", "until", "ticker"}
+var opNames = [...]string{"call", "nested", "step", "run", "ticker"}
 
 func (k OpKind) String() string {
 	if int(k) < len(opNames) {
@@ -58,9 +60,9 @@ func (k OpKind) String() string {
 // Op is one program step.
 type Op struct {
 	Kind  OpKind
-	Delay sim.Time // relative delay for scheduling ops and RunUntil
+	Delay sim.Time // relative delay for scheduling ops
 	Child sim.Time // nested child's delay; a ticker's period
-	Ticks int      // a ticker's event count
+	Count int      // a ticker's or a run's event count
 }
 
 func (o Op) String() string {
@@ -69,10 +71,10 @@ func (o Op) String() string {
 		return fmt.Sprintf("{nested +%d child +%d}", int64(o.Delay), int64(o.Child))
 	case OpStep:
 		return "{step}"
-	case OpRunUntil:
-		return fmt.Sprintf("{until +%d}", int64(o.Delay))
+	case OpRun:
+		return fmt.Sprintf("{run x%d}", o.Count)
 	case OpTicker:
-		return fmt.Sprintf("{ticker +%d every +%d x%d}", int64(o.Delay), int64(o.Child), o.Ticks)
+		return fmt.Sprintf("{ticker +%d every +%d x%d}", int64(o.Delay), int64(o.Child), o.Count)
 	default:
 		return fmt.Sprintf("{%v +%d}", o.Kind, int64(o.Delay))
 	}
@@ -90,6 +92,9 @@ type Program struct {
 // ones already queued.
 const farEvery = 31
 
+// maxRun bounds the events one OpRun fires.
+const maxRun = 8
+
 // Generate derives a program of nops operations from seed. Generation
 // is pure: the same seed always yields the same program.
 func Generate(seed int64, nops int) Program {
@@ -100,6 +105,7 @@ func Generate(seed int64, nops int) Program {
 			Kind:  OpKind(rng.Intn(int(numOpKinds))),
 			Delay: sim.Time(rng.Intn(5000)), // several core cycles
 			Child: sim.Time(rng.Intn(2000)),
+			Count: 1 + rng.Intn(maxRun),
 		}
 		// Same-tick bursts (zero delay) and far-future outliers are the
 		// interesting corners; make both common.
@@ -118,7 +124,7 @@ func Generate(seed int64, nops int) Program {
 // scheduling delay and run-ahead between sparseMinGap and
 // sparseMaxGap: a few events tens to hundreds of nanoseconds apart, as
 // on a cluster's memory shard. With so few events, a schedule after a
-// RunUntil often lands before the event its lookahead peeked.
+// run often lands before the next event still queued.
 const (
 	sparseMaxPending = 4
 	sparseMinGap     = 10 * sim.Nanosecond
@@ -135,9 +141,9 @@ func GenerateSparse(seed int64, nops int) Program {
 	x := newExec(&Reference{})
 	ops := make([]Op, nops)
 	for i := range ops {
-		op := Op{Kind: OpKind(rng.Intn(int(numOpKinds))), Delay: gap(), Child: gap()}
+		op := Op{Kind: OpKind(rng.Intn(int(numOpKinds))), Delay: gap(), Child: gap(), Count: 1 + rng.Intn(sparseMaxPending)}
 		if x.s.Pending() >= sparseMaxPending && (op.Kind == OpScheduleCall || op.Kind == OpNested) {
-			op.Kind = OpRunUntil
+			op.Kind = OpRun
 		}
 		x.apply(op)
 		ops[i] = op
@@ -149,14 +155,13 @@ func GenerateSparse(seed int64, nops int) Program {
 // cluster whose members prefetch reaches at its tail (its fabric turns
 // each member's prefetches into unscheduled FIFO requests). Scheduling
 // ops place their events on deepTick multiples within deepSpread, so
-// each timestamp is shared by several queued events, and windows are
-// short, so a RunUntil or Step fires only a few of them and most
-// pushes land mid-queue.
+// each timestamp is shared by several queued events, and runs are
+// short, so a run or Step fires only a few of them and most pushes
+// land mid-queue.
 const (
 	deepPending = 1_100
 	deepSpread  = 100 * sim.Nanosecond
 	deepTick    = 625 * sim.Picosecond
-	deepMaxRun  = 2 * deepTick
 )
 
 // GenerateDeep derives a deep program of nops operations from seed. It
@@ -169,12 +174,9 @@ func GenerateDeep(seed int64, nops int) Program {
 	x := newExec(&Reference{})
 	ops := make([]Op, nops)
 	for i := range ops {
-		op := Op{Kind: OpKind(rng.Intn(int(numOpKinds))), Delay: tick(), Child: tick()}
-		switch {
-		case x.s.Pending() < deepPending && (op.Kind == OpStep || op.Kind == OpRunUntil):
+		op := Op{Kind: OpKind(rng.Intn(int(numOpKinds))), Delay: tick(), Child: tick(), Count: 1 + rng.Intn(maxRun)}
+		if x.s.Pending() < deepPending && (op.Kind == OpStep || op.Kind == OpRun) {
 			op.Kind = OpScheduleCall
-		case op.Kind == OpRunUntil:
-			op.Delay = sim.Time(rng.Int63n(int64(deepMaxRun)))
 		}
 		x.apply(op)
 		ops[i] = op
@@ -183,11 +185,11 @@ func GenerateDeep(seed int64, nops int) Program {
 }
 
 // Ticking programs mix tickers (OpTicker) with schedules, nested
-// schedules and RunUntil windows. They leave out Step: a sim.Scheduler
-// Step may carry a ticker's inline ticks where the Reference, whose
-// Advance always declines, fires one event, so the two snapshot
-// different states after it. Fire logs, RunUntil snapshots and the
-// final state still agree exactly.
+// schedules and runs. They leave out Step: a sim.Scheduler Step may
+// carry a ticker's inline ticks where the Reference, whose Advance
+// always declines, fires one event, so the two snapshot different
+// states after it. A run stops on its stride, where Advance declines,
+// so fire logs, every snapshot and the final state agree exactly.
 const (
 	tickingMaxTicks  = 64
 	tickingMaxPeriod = 1000
@@ -197,20 +199,21 @@ const (
 // seed.
 func GenerateTicking(seed int64, nops int) Program {
 	rng := rand.New(rand.NewSource(seed))
-	kinds := [...]OpKind{OpScheduleCall, OpNested, OpRunUntil, OpTicker}
+	kinds := [...]OpKind{OpScheduleCall, OpNested, OpRun, OpTicker}
 	ops := make([]Op, nops)
 	for i := range ops {
 		op := Op{
 			Kind:  kinds[rng.Intn(len(kinds))],
 			Delay: sim.Time(rng.Intn(5000)),
 			Child: sim.Time(rng.Intn(2000)),
+			Count: 1 + rng.Intn(maxRun),
 		}
 		if rng.Intn(8) == 0 {
 			op.Delay = 0
 		}
 		if op.Kind == OpTicker {
 			op.Child = sim.Time(rng.Intn(tickingMaxPeriod + 1))
-			op.Ticks = 1 + rng.Intn(tickingMaxTicks)
+			op.Count = 1 + rng.Intn(tickingMaxTicks)
 		}
 		ops[i] = op
 	}
@@ -224,14 +227,11 @@ type Fire struct {
 	Fired uint64   // scheduler's fired counter after it ran
 }
 
-// Mark snapshots scheduler state after one program op. Next is the
-// lookahead RunUntil reported, or -1 when it found the queue empty or
-// the op was not a RunUntil.
+// Mark snapshots scheduler state after one program op.
 type Mark struct {
 	Now     sim.Time
 	Fired   uint64
 	Pending int
-	Next    sim.Time
 }
 
 // Trace is everything a program execution observes about the
@@ -313,9 +313,20 @@ func (x *exec) startTicker(delay, period sim.Time, ticks int) {
 	x.schedule(delay, tick)
 }
 
+// run fires n events through RunWhileSampled with a stride of n: the
+// coarse check passes before the first event and stops the loop at the
+// stride's end.
+func (x *exec) run(n int) {
+	started := false
+	x.s.RunWhileSampled(func() bool { return true }, uint64(n), func() bool {
+		first := !started
+		started = true
+		return first
+	})
+}
+
 // apply performs one op and marks the scheduler state after it.
 func (x *exec) apply(op Op) {
-	next := sim.Time(-1)
 	switch op.Kind {
 	case OpScheduleCall:
 		x.schedule(op.Delay, x.note)
@@ -327,14 +338,12 @@ func (x *exec) apply(op Op) {
 		})
 	case OpStep:
 		x.s.Step()
-	case OpRunUntil:
-		if t, ok := x.s.RunUntil(x.s.Now() + op.Delay); ok {
-			next = t
-		}
+	case OpRun:
+		x.run(op.Count)
 	case OpTicker:
-		x.startTicker(op.Delay, op.Child, op.Ticks)
+		x.startTicker(op.Delay, op.Child, op.Count)
 	}
-	x.tr.Marks = append(x.tr.Marks, Mark{Now: x.s.Now(), Fired: x.s.EventsFired(), Pending: x.s.Pending(), Next: next})
+	x.tr.Marks = append(x.tr.Marks, Mark{Now: x.s.Now(), Fired: x.s.EventsFired(), Pending: x.s.Pending()})
 }
 
 // Diff compares two traces and describes the first divergence, or

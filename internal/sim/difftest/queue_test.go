@@ -80,7 +80,7 @@ func TestFarNearInterleaved(t *testing.T) {
 	// event and before the ticker's last events at the same time.
 	p := Program{Ops: []Op{
 		{Kind: OpScheduleCall, Delay: 10 * sim.Second},
-		{Kind: OpTicker, Delay: 0, Child: 50 * sim.Millisecond, Ticks: 201},
+		{Kind: OpTicker, Delay: 0, Child: 50 * sim.Millisecond, Count: 201},
 	}}
 	tr := mustAgree(t, p)
 	if len(tr.Fires) != 268 {
@@ -103,20 +103,21 @@ func TestFarNearInterleaved(t *testing.T) {
 }
 
 func TestInsertBeforeFarPeek(t *testing.T) {
-	// RunUntil ends its window by peeking at a far event, and an event
-	// then scheduled between the clock and that event must fire first:
-	// a queue that advanced any internal cursor to the peeked event
-	// would hand the far event out first.
+	// A run of one event leaves a far event queued behind the clock,
+	// and an event then scheduled between the clock and it must fire
+	// first: a queue that advanced any internal cursor to the far event
+	// would hand it out first.
 	p := Program{Ops: []Op{
 		{Kind: OpScheduleCall, Delay: 3345},
-		{Kind: OpRunUntil, Delay: 1105},
+		{Kind: OpScheduleCall, Delay: 1105},
+		{Kind: OpRun, Count: 1},
 		{Kind: OpScheduleCall, Delay: 93},
 	}}
 	tr := mustAgree(t, p)
-	if tr.Marks[1].Next != 3345 {
-		t.Fatalf("RunUntil lookahead = %v, want 3345ps", tr.Marks[1].Next)
+	if m := tr.Marks[2]; m.Now != 1105 || m.Fired != 1 || m.Pending != 1 {
+		t.Fatalf("after the run: %+v, want now 1105ps, 1 fired, 1 pending", m)
 	}
-	if got := fireTimes(tr); len(got) != 2 || got[0] != 1198 || got[1] != 3345 {
-		t.Fatalf("fired %v, want [1198 3345]", got)
+	if got := fireTimes(tr); len(got) != 3 || got[0] != 1105 || got[1] != 1198 || got[2] != 3345 {
+		t.Fatalf("fired %v, want [1105 1198 3345]", got)
 	}
 }

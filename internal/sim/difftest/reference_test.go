@@ -9,7 +9,7 @@ import (
 // Reference is the specification scheduler: the original binary-heap
 // event queue, ordered by (when, seq) with O(log n) push and pop. It
 // implements the sim.Scheduler operations the programs use, with the
-// same clamping, same-tick FIFO and RunUntil lookahead contract, and
+// same clamping, same-tick FIFO and sampled-run contract, and
 // sim.Scheduler must reproduce its behavior exactly.
 type Reference struct {
 	now   sim.Time
@@ -91,18 +91,22 @@ func (r *Reference) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, advances the clock to
-// t, and reports the earliest event still pending (ok=false when none).
-func (r *Reference) RunUntil(t sim.Time) (next sim.Time, ok bool) {
-	for len(r.h) > 0 {
-		if r.h[0].when > t {
-			next, ok = r.h[0].when, true
-			break
+// RunWhileSampled fires events while cond holds and events remain,
+// checking coarse before the first event and after every stride of
+// them; a zero stride counts as one.
+func (r *Reference) RunWhileSampled(cond func() bool, stride uint64, coarse func() bool) {
+	if stride == 0 {
+		stride = 1
+	}
+	if !coarse() {
+		return
+	}
+	for stop := r.fired + stride; cond() && r.Step(); {
+		if r.fired >= stop {
+			if !coarse() {
+				return
+			}
+			stop = r.fired + stride
 		}
-		r.fire()
 	}
-	if t > r.now {
-		r.now = t
-	}
-	return next, ok
 }

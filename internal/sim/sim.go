@@ -109,12 +109,9 @@ type Scheduler struct {
 	// seq being the order of scheduling: q[len(q)-1] fires next.
 	q []event
 
-	// Advance's limits, set by the loop that is running: the end of a
-	// RunUntil window while windowed, and the fired count at which
-	// RunWhileSampled must regain control (zero: none).
-	horizon  Time
-	windowed bool
-	stop     uint64
+	// stop is the fired count at which RunWhileSampled must regain
+	// control, Advance's one limit (zero: none).
+	stop uint64
 }
 
 // NewScheduler returns a Scheduler with its clock at zero and room
@@ -205,19 +202,19 @@ func (s *Scheduler) fire(e event) {
 
 // Advance moves the clock to t and counts one fired event, as if an
 // event scheduled now for t had just fired, when that event would be
-// the next to fire: no pending event is due at or before t, t lies
-// within the running RunUntil window, and RunWhileSampled's current
-// stride is not used up. Otherwise it declines and changes nothing. A
-// self-re-arming component calls it from inside its own callback to
-// run its next activation inline, and schedules that activation only
-// when Advance declines; fire order, times and EventsFired are the
-// same either way. The advance consumes one sequence number, as the
-// event would have. A t in the past counts as now.
+// the next to fire: no pending event is due at or before t, and
+// RunWhileSampled's current stride is not used up. Otherwise it
+// declines and changes nothing. A self-re-arming component calls it
+// from inside its own callback to run its next activation inline, and
+// schedules that activation only when Advance declines; fire order,
+// times and EventsFired are the same either way. The advance consumes
+// one sequence number, as the event would have. A t in the past counts
+// as now.
 func (s *Scheduler) Advance(t Time) bool {
 	if t < s.now {
 		t = s.now
 	}
-	if (s.windowed && t > s.horizon) || (s.stop != 0 && s.fired >= s.stop) {
+	if s.stop != 0 && s.fired >= s.stop {
 		return false
 	}
 	if n := len(s.q); n > 0 && s.q[n-1].when <= t {
@@ -247,30 +244,6 @@ func (s *Scheduler) Run() {
 	}
 }
 
-// RunUntil executes events with timestamps <= t, then advances the
-// clock to exactly t. Events scheduled during execution are honored if
-// they fall within the window.
-//
-// It reports the timestamp of the earliest event still pending, which
-// it peeked to stop its loop, and ok=false when the queue is empty.
-// Advance never runs past t while it runs.
-func (s *Scheduler) RunUntil(t Time) (next Time, ok bool) {
-	horizon, windowed := s.horizon, s.windowed
-	s.horizon, s.windowed = t, true
-	defer func() { s.horizon, s.windowed = horizon, windowed }()
-	for n := len(s.q); n > 0; n = len(s.q) {
-		if when := s.q[n-1].when; when > t {
-			next, ok = when, true
-			break
-		}
-		s.fire(s.pop())
-	}
-	if t > s.now {
-		s.now = t
-	}
-	return next, ok
-}
-
 // RunWhile executes events while cond returns true and events remain.
 // cond is evaluated before each Step, not between the events a Step
 // carries inline (see Advance): a condition that only events in the
@@ -293,12 +266,9 @@ func (s *Scheduler) RunWhile(cond func() bool) {
 // that crosses a stride boundary, immediately after the event that
 // crossed it, so at most stride events fire between consecutive
 // coarse evaluations and a boundary reached by the final event before
-// cond stops the loop is still sampled. (Previously the check ran
-// before the next event instead, so the loop could exit through cond
-// with a crossed boundary never observed — a run's last partial
-// stride went unsampled.) Advance declines once a stride is used up,
-// so inline events never carry the count past a boundary: coarse
-// sees EventsFired at exactly every stride multiple.
+// cond stops the loop is still sampled. Advance declines once a
+// stride is used up, so inline events never carry the count past a
+// boundary: coarse sees EventsFired at exactly every stride multiple.
 func (s *Scheduler) RunWhileSampled(cond func() bool, stride uint64, coarse func() bool) {
 	if stride == 0 {
 		stride = 1

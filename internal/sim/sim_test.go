@@ -97,44 +97,6 @@ func TestEventChaining(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	s := NewScheduler()
-	var fired []Time
-	record := func(now Time, _ any) { fired = append(fired, now) }
-	for _, d := range []Time{10, 20, 30, 40} {
-		s.ScheduleCall(d, record, nil)
-	}
-	s.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("fired %d events by t=25, want 2", len(fired))
-	}
-	if s.Now() != 25 {
-		t.Fatalf("Now = %v, want 25", s.Now())
-	}
-	s.RunUntil(100)
-	if len(fired) != 4 {
-		t.Fatalf("fired %d events total, want 4", len(fired))
-	}
-	if s.Now() != 100 {
-		t.Fatalf("Now = %v, want 100", s.Now())
-	}
-}
-
-func TestRunUntilHonorsNewEventsInWindow(t *testing.T) {
-	s := NewScheduler()
-	var fired []string
-	record := func(_ Time, arg any) { fired = append(fired, arg.(string)) }
-	s.ScheduleCall(10, func(now Time, _ any) {
-		record(now, "a")
-		s.ScheduleCall(5, record, "b")  // t=15
-		s.ScheduleCall(50, record, "c") // t=60
-	}, nil)
-	s.RunUntil(20)
-	if len(fired) != 2 || fired[0] != "a" || fired[1] != "b" {
-		t.Fatalf("fired = %v, want [a b]", fired)
-	}
-}
-
 func TestRunWhile(t *testing.T) {
 	s := NewScheduler()
 	count := 0
@@ -220,49 +182,6 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: RunUntil(t) leaves the clock at exactly t, fires exactly
-// the events with timestamps <= t, and returns the earliest event still
-// pending, with ok=false when none is left.
-func TestPropertyRunUntilBoundary(t *testing.T) {
-	f := func(delays []uint16, cut uint16) bool {
-		s := NewScheduler()
-		fired, want := 0, 0
-		var wantNext Time
-		wantOK := false
-		for _, d := range delays {
-			s.ScheduleCall(Time(d), func(Time, any) { fired++ }, nil)
-			switch {
-			case Time(d) <= Time(cut):
-				want++
-			case !wantOK || Time(d) < wantNext:
-				wantNext, wantOK = Time(d), true
-			}
-		}
-		next, ok := s.RunUntil(Time(cut))
-		return fired == want && s.Now() == Time(cut) && ok == wantOK && (!ok || next == wantNext)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// RunUntil on an empty queue — never used, or drained — reports no
-// next event.
-func TestRunUntilEmptyReportsNone(t *testing.T) {
-	var zero Scheduler
-	if _, ok := zero.RunUntil(10); ok {
-		t.Error("zero scheduler: RunUntil reported a pending event")
-	}
-	s := NewScheduler()
-	s.ScheduleCall(5, func(Time, any) {}, nil)
-	if next, ok := s.RunUntil(4); !ok || next != 5 {
-		t.Errorf("RunUntil(4) = (%v, %v), want (5ps, true)", next, ok)
-	}
-	if _, ok := s.RunUntil(5); ok {
-		t.Error("drained queue: RunUntil reported a pending event")
 	}
 }
 
