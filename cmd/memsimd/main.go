@@ -9,14 +9,16 @@
 // and admission counters in Prometheus text format.
 //
 // The daemon is crash-safe over its state directory: job records and
-// per-job checkpoint manifests persist atomically, so a killed daemon
-// restarted over the same -state resumes interrupted jobs without
-// re-running finished specs — and, the simulator being deterministic,
-// produces bit-identical results.
+// one service manifest of finished specs persist atomically. Every job
+// resolves its specs through that manifest, so a spec any earlier job
+// or earlier daemon on the same -state finished is reused, not
+// simulated, and a killed daemon restarted over the same -state resumes
+// interrupted jobs without re-running finished specs — and, the
+// simulator being deterministic, produces bit-identical results.
 //
 // SIGINT/SIGTERM begin a graceful drain: new submissions get 503,
-// running jobs checkpoint and return to the queue, then the daemon
-// exits. A second signal exits immediately.
+// running jobs keep their finished specs in the manifest and return to
+// the queue, then the daemon exits. A second signal exits immediately.
 //
 // Exit codes follow the experiments taxonomy: 0 clean drain, 1 hard
 // failure, 3 degraded (drain timed out; state may lag reality by one

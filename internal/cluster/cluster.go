@@ -132,8 +132,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the cluster-level shape. Per-system configurations
-// are validated by core.NewExternal at build time.
+// Validate checks the cluster-level shape and rejects a member config
+// that sets controller behaviour the shared controllers cannot honour
+// (core.Config.ValidateExternalController). The rest of a member's
+// configuration is validated by core.NewExternal at build time.
 func (c Config) Validate() error {
 	if len(c.Systems) == 0 {
 		return fmt.Errorf("cluster: no systems configured")
@@ -146,15 +148,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: system %d: %w", i, err)
 		}
 		if sc := s.Config; sc != nil {
-			switch {
-			case sc.SchedPolicy != "":
-				return fmt.Errorf("cluster: system %d: SchedPolicy %q: the shared controllers issue FCFS", i, sc.SchedPolicy)
-			case sc.ReorderWindow > 1:
-				return fmt.Errorf("cluster: system %d: ReorderWindow %d: the shared controllers issue FCFS", i, sc.ReorderWindow)
-			case sc.Refresh:
-				return fmt.Errorf("cluster: system %d: Refresh: the shared channels model no refresh", i)
-			case sc.Counterfactual:
-				return fmt.Errorf("cluster: system %d: Counterfactual: the shared controllers trace no decisions", i)
+			if err := sc.ValidateExternalController(); err != nil {
+				return fmt.Errorf("cluster: system %d: %w", i, err)
 			}
 		}
 	}

@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"memsim/internal/cache"
 	"memsim/internal/channel"
+	"memsim/internal/memctrl"
 	"memsim/internal/prefetch"
+	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
 
@@ -360,5 +363,49 @@ func TestRunContextDeadline(t *testing.T) {
 	defer cancel()
 	if _, err := sys.RunContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// discardMemory is an ExternalMemory backend that accepts every request.
+type discardMemory struct{}
+
+func (discardMemory) Submit(*memctrl.Request) {}
+
+// TestNewExternalRejectsControllerSettings: NewExternal refuses each
+// controller setting an external backend does not take from the
+// system, with an error naming the field, and builds the config
+// without it.
+func TestNewExternalRejectsControllerSettings(t *testing.T) {
+	p, err := workload.ByName("swim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func(cfg Config) error {
+		gen, err := p.Generator(0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = NewExternal(cfg, gen, discardMemory{}, sim.NewScheduler())
+		return err
+	}
+	cases := []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"SchedPolicy", func(c *Config) { c.SchedPolicy = "frfcfs" }},
+		{"ReorderWindow", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "", 8 }},
+		{"Refresh", func(c *Config) { c.Refresh = true }},
+		{"Counterfactual", func(c *Config) { c.Counterfactual, c.Obs.Trace = true, true }},
+	}
+	for _, tc := range cases {
+		cfg := Base()
+		tc.set(&cfg)
+		err := build(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "external memory") {
+			t.Errorf("%s: NewExternal error %v, want the external-memory check naming the field", tc.field, err)
+		}
+	}
+	if err := build(Base()); err != nil {
+		t.Fatalf("the base config: %v", err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"memsim/internal/core"
@@ -137,6 +139,37 @@ func (m *Manifest) Record(key, bench string, res core.Result, metrics map[string
 		return nil
 	}
 	return m.recs.Put(key, e)
+}
+
+// Fold copies into m every entry of from whose key m does not hold,
+// with its simulation count, and persists each copied record like
+// Record. Keys m already holds are skipped, so folding the same
+// manifest again, say after a crash mid-fold, changes nothing.
+func (m *Manifest) Fold(from *Manifest) error {
+	from.mu.Lock()
+	entries := maps.Clone(from.entries)
+	from.mu.Unlock()
+	keys := make([]string, 0, len(entries))
+	for key := range entries {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var first error
+	for _, key := range keys {
+		if _, ok := m.entries[key]; ok {
+			continue
+		}
+		m.entries[key] = entries[key]
+		if m.recs == nil {
+			continue
+		}
+		if err := m.recs.Put(key, entries[key]); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // Save rewrites every record whose write failed, reporting the first

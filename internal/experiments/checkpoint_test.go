@@ -91,6 +91,49 @@ func TestManifestOnMemFS(t *testing.T) {
 	}
 }
 
+// TestManifestFold: folding copies the keys the target lacks with their
+// simulation counts and persists them, leaves the keys it holds alone,
+// and a second fold writes nothing.
+func TestManifestFold(t *testing.T) {
+	mem := vfs.NewMem()
+	from, err := OpenManifest(mem, "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"k1", "k2", "k2"} {
+		if err := from.Record(key, "swim", core.Result{IPC: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := vfs.NewFault(mem)
+	m, err := OpenManifest(f, "new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Record("k1", "swim", core.Result{IPC: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		ops := f.Ops()
+		if err := m.Fold(from); err != nil {
+			t.Fatal(err)
+		}
+		if pass == 1 && f.Ops() != ops {
+			t.Fatalf("a second fold crossed %d write boundaries", f.Ops()-ops)
+		}
+	}
+	re, err := OpenManifest(mem, "new")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Len() != 2 || re.TotalRuns() != 3 {
+		t.Fatalf("folded manifest on disk: %d entries, %d runs, want 2 and 3", re.Len(), re.TotalRuns())
+	}
+	if res, _ := re.Lookup("k1"); res.IPC != 2 {
+		t.Fatalf("fold replaced a key the target held: IPC %v", res.IPC)
+	}
+}
+
 // legacyFixture is a single-file manifest written by the last build
 // that kept the whole manifest in one file: swim, mcf and gcc on the
 // base system at legacyOptions' budgets.
@@ -233,7 +276,7 @@ func TestRunAllSimulatesEachKeyOnce(t *testing.T) {
 
 // TestSpecKeyPinned pins SpecKey for one fixed spec. The key hashes the
 // printed form of the whole core.Config, so a change to any Config field
-// or its formatting re-keys every memsimd job manifest and every
+// or its formatting re-keys the memsimd service manifest and every
 // `experiments -checkpoint` file: resumes then re-simulate everything.
 // If this test fails on purpose, record the key change in CHANGES.md.
 func TestSpecKeyPinned(t *testing.T) {

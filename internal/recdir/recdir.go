@@ -167,7 +167,8 @@ func (d *Dir) Put(name string, rec any) error {
 }
 
 // Flush rewrites every record whose last Put failed and reports the
-// first failure of any earlier Put as well.
+// first failure of any Put since the previous Flush as well, so a
+// long-lived writer that flushes often reports each failure once.
 func (d *Dir) Flush() error {
 	names := make([]string, 0, len(d.dirty))
 	for name := range d.dirty {
@@ -180,5 +181,7 @@ func (d *Dir) Flush() error {
 		}
 		delete(d.dirty, name)
 	}
-	return d.saveErr
+	err := d.saveErr
+	d.saveErr = nil
+	return err
 }

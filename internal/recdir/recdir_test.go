@@ -138,7 +138,7 @@ func TestOpenQuarantinesPerRecord(t *testing.T) {
 // TestFlushRetriesFailedPut checks the full-disk path: a Put whose
 // write fails returns the error and keeps the record, a later Put of
 // another record still succeeds, and Flush rewrites the kept record and
-// reports the first failure.
+// reports the first failure, once.
 func TestFlushRetriesFailedPut(t *testing.T) {
 	mem := vfs.NewMem()
 	f := vfs.NewFault(mem)
@@ -161,6 +161,9 @@ func TestFlushRetriesFailedPut(t *testing.T) {
 	_, _, got := loaded(t, mem, "d", "d.json")
 	if want := map[string]int{"a": 1, "b": 2}; !reflect.DeepEqual(got, want) {
 		t.Errorf("after Flush the directory holds %v, want %v", got, want)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatalf("a second Flush reported %v again", err)
 	}
 
 	// A record rewritten successfully is no longer retried.

@@ -18,10 +18,10 @@ import (
 //	   └───────────┴──(daemon restart / drain)──► queued
 //
 // A running job interrupted by a drain or a crash returns to queued:
-// its per-spec checkpoint manifest survives on disk, so the next
-// execution reuses every finished spec and re-runs only what was in
-// flight. The simulator is deterministic, which makes the resumed
-// job's final results bit-identical to an uninterrupted run.
+// the service manifest on disk holds every spec it finished, so the
+// next execution reuses them and re-runs only what was in flight. The
+// simulator is deterministic, which makes the resumed job's final
+// results bit-identical to an uninterrupted run.
 type JobState string
 
 // Job lifecycle states.
@@ -153,9 +153,11 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 	// Results holds the per-benchmark measurements once done.
 	Results []core.Result `json:"results,omitempty"`
-	// SpecsReused counts specs the final execution did not simulate:
-	// ones a resume found checkpointed, and repeats within the
-	// benchmark list.
+	// SpecsReused counts specs the final execution did not simulate
+	// because the service manifest held them: finished by any earlier
+	// job, on this daemon or an earlier one over the same state
+	// directory (an interrupted run of this job included), or repeated
+	// within the benchmark list.
 	SpecsReused uint64 `json:"specs_reused,omitempty"`
 	// InstructionsRetired and SimTime report simulation progress: while
 	// the job runs, GET /jobs/{id} overlays the live counters (retired

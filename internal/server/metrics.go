@@ -23,7 +23,7 @@ type metrics struct {
 	failed       atomic.Uint64
 	canceled     atomic.Uint64
 	resumedJobs  atomic.Uint64 // jobs re-adopted at startup
-	specsReused  atomic.Uint64 // checkpointed specs reused instead of re-run
+	specsReused  atomic.Uint64 // specs the service manifest held, reused instead of re-run
 
 	mu         sync.Mutex
 	reg        *obs.Registry
@@ -54,7 +54,7 @@ func newMetrics(adm *admission) *metrics {
 	r.CounterFunc("memsimd_jobs_failed_total", "Jobs that exhausted their execution (panic, deadline, hard error).", ctr(&m.failed))
 	r.CounterFunc("memsimd_jobs_canceled_total", "Jobs canceled by the client.", ctr(&m.canceled))
 	r.CounterFunc("memsimd_jobs_resumed_total", "Interrupted jobs re-adopted at daemon startup.", ctr(&m.resumedJobs))
-	r.CounterFunc("memsimd_specs_reused_total", "Specs reused instead of re-simulated: checkpointed on a resume, or repeated within a job.", ctr(&m.specsReused))
+	r.CounterFunc("memsimd_specs_reused_total", "Specs reused instead of re-simulated: finished by any earlier job, on this daemon or an earlier one, or repeated within a job.", ctr(&m.specsReused))
 
 	m.jobSeconds = r.Histogram("memsimd_job_duration_seconds",
 		"Wall-clock latency of completed jobs, enqueue to finish.",

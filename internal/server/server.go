@@ -1,17 +1,19 @@
 // Package server is memsim-as-a-service: a crash-safe HTTP daemon
 // (cmd/memsimd) that accepts simulation jobs as JSON, runs them on the
 // experiments worker pool, and serves status, results, artifacts, and
-// Prometheus metrics by job id.
+// Prometheus metrics by job id. Every job resolves its specs through
+// one service manifest, so a spec that any earlier job or earlier
+// daemon on the state directory finished is reused, not simulated.
 //
 // The robustness contract, in order of importance:
 //
 //   - Crash safety. Every job transition persists that job's own
-//     record file (jobs/<id>.json) and every finished spec its per-job
-//     checkpoint manifest, both written atomically. A killed daemon
-//     restarted over the same state directory re-adopts interrupted
-//     jobs and resumes them from their manifests; because the
-//     simulator is deterministic, the resumed results are
-//     bit-identical to an uninterrupted run.
+//     record file (jobs/<id>.json) and every finished spec its record
+//     in the service manifest (specs.manifest.json/<key>.json), both
+//     written atomically. A killed daemon restarted over the same state
+//     directory re-adopts interrupted jobs, which reuse the specs they
+//     finished; because the simulator is deterministic, the resumed
+//     results are bit-identical to an uninterrupted run.
 //   - Graceful degradation. Admission control — a bounded queue with
 //     a watermark on queued work, plus per-client token buckets —
 //     sheds load with 429 + Retry-After instead of growing without
@@ -29,10 +31,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -61,8 +65,8 @@ var (
 
 // Config tunes the service. Zero values take the documented defaults.
 type Config struct {
-	// StateDir holds the job records (jobs/<id>.json) and the per-job
-	// checkpoint manifests.
+	// StateDir holds the job records (jobs/<id>.json) and the service
+	// manifest of finished specs (specs.manifest.json/<key>.json).
 	StateDir string
 	// Workers bounds concurrently executing jobs (default 2).
 	Workers int
@@ -93,8 +97,8 @@ type Config struct {
 	WatchdogCycles int64
 	// MaxBodyBytes bounds a submission body (default 1 MiB).
 	MaxBodyBytes int64
-	// FS is the filesystem the store and the checkpoint manifests
-	// persist on (default vfs.OS); the chaos explorer substitutes a
+	// FS is the filesystem the store and the service manifest persist
+	// on (default vfs.OS); the chaos explorer substitutes a
 	// fault-injecting one.
 	FS vfs.FS
 	// Logger receives operational messages; nil logs to stderr.
@@ -154,15 +158,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// specManifest names the service manifest's record directory inside
+// the state directory.
+const specManifest = "specs.manifest.json"
+
 // Service is one daemon instance over a state directory.
 type Service struct {
-	cfg     Config
-	log     *log.Logger
-	store   *Store
-	adm     *admission
-	limiter *rateLimiter
-	met     *metrics
-	queue   chan string
+	cfg      Config
+	log      *log.Logger
+	store    *Store
+	manifest *experiments.Manifest // every spec any job finished
+	adm      *admission
+	limiter  *rateLimiter
+	met      *metrics
+	queue    chan string
 
 	// rootCtx dies only on Kill (the simulated crash); workCtx, its
 	// child, also dies on Drain. Job contexts derive from workCtx, so
@@ -187,9 +196,10 @@ type Service struct {
 	runHook func(ctx context.Context, job Job) ([]core.Result, uint64, error)
 }
 
-// New opens the state directory, re-adopts every interrupted job, and
-// starts the worker pool. The returned service is already executing;
-// attach Handler to an http.Server to accept requests.
+// New opens the state directory (job store and service manifest),
+// re-adopts every interrupted job, and starts the worker pool. The
+// returned service is already executing; attach Handler to an
+// http.Server to accept requests.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	store, err := OpenStoreFS(cfg.StateDir, cfg.FS)
@@ -199,28 +209,37 @@ func New(cfg Config) (*Service, error) {
 	if q := store.Quarantined(); q != "" {
 		cfg.Logger.Printf("job store held corrupt data; quarantined as %s, every other record loaded", q)
 	}
+	manifest, err := experiments.OpenManifest(cfg.FS, filepath.Join(cfg.StateDir, specManifest))
+	if err != nil {
+		return nil, err
+	}
+	if q := manifest.Quarantined(); q != "" {
+		cfg.Logger.Printf("spec manifest held corrupt records; quarantined as %s, their specs run again", q)
+	}
 
 	adm := newAdmission(cfg.QueueDepth)
 	pending := store.Pending()
 	s := &Service{
-		cfg:     cfg,
-		log:     cfg.Logger,
-		store:   store,
-		adm:     adm,
-		limiter: newRateLimiter(cfg.RatePerSec, cfg.Burst),
-		met:     newMetrics(adm),
-		queue:   make(chan string, cfg.QueueDepth+cfg.Workers+len(pending)),
-		runHook: cfg.runHook,
+		cfg:      cfg,
+		log:      cfg.Logger,
+		store:    store,
+		manifest: manifest,
+		adm:      adm,
+		limiter:  newRateLimiter(cfg.RatePerSec, cfg.Burst),
+		met:      newMetrics(adm),
+		queue:    make(chan string, cfg.QueueDepth+cfg.Workers+len(pending)),
+		runHook:  cfg.runHook,
 	}
 	s.rootCtx, s.killFn = context.WithCancelCause(context.Background())
 	s.workCtx, s.drainFn = context.WithCancelCause(s.rootCtx)
 	s.handler = s.routes()
 
 	// Re-adopt interrupted work in allocation order: running jobs go
-	// back to queued (their manifests hold the finished specs), queued
-	// jobs simply re-enter the queue. Adoption bypasses the admission
-	// watermark — these jobs were admitted in a previous life.
+	// back to queued (the service manifest holds their finished specs),
+	// queued jobs simply re-enter the queue. Adoption bypasses the
+	// admission watermark — these jobs were admitted in a previous life.
 	for _, j := range pending {
+		s.foldLegacyManifest(j.ID)
 		if j.State == StateRunning {
 			if _, err := store.Update(j.ID, func(j *Job) {
 				j.State = StateQueued
@@ -241,6 +260,35 @@ func New(cfg Config) (*Service, error) {
 		go s.worker()
 	}
 	return s, nil
+}
+
+// foldLegacyManifest folds the per-job manifest an older daemon kept
+// for job id, job-<id>.manifest.json in its single-file or directory
+// form, into the service manifest, so the re-adopted job reuses the
+// specs it finished. The old manifest stays where it lies: folding it
+// again after a crash skips the keys already folded. A manifest that
+// cannot be read or folded is logged, and the job simulates those
+// specs again.
+func (s *Service) foldLegacyManifest(id string) {
+	path := filepath.Join(s.cfg.StateDir, "job-"+id+".manifest.json")
+	_, err := s.cfg.FS.Stat(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		// recdir.Open moves a single file here first while importing it.
+		_, err = s.cfg.FS.Stat(path + ".import")
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	legacy, err := experiments.OpenManifest(s.cfg.FS, path)
+	if err == nil {
+		if q := legacy.Quarantined(); q != "" {
+			s.log.Printf("job %s: legacy manifest held corrupt records; quarantined as %s", id, q)
+		}
+		err = s.manifest.Fold(legacy)
+	}
+	if err != nil {
+		s.log.Printf("job %s: legacy manifest %s not folded, its specs run again: %v", id, path, err)
+	}
 }
 
 // Store exposes the job store (the fault drills inspect it).
@@ -320,8 +368,9 @@ func (s *Service) runJob(id string) {
 }
 
 // execute resolves the job's configuration and runs its suite on the
-// experiments orchestrator, checkpointing each finished spec into the
-// job's manifest.
+// experiments orchestrator through the service manifest: a spec any
+// earlier job finished is a lookup, and each spec this job simulates
+// is recorded there.
 func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, reused uint64, err error) {
 	if s.runHook != nil {
 		return s.runHook(ctx, job)
@@ -332,14 +381,6 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 		// carried a record from an incompatible deployment.
 		return nil, 0, fmt.Errorf("stored spec no longer builds: %w", err)
 	}
-	manifest, err := experiments.OpenManifest(s.cfg.FS, s.store.ManifestPath(job.ID))
-	if err != nil {
-		return nil, 0, err
-	}
-	if q := manifest.Quarantined(); q != "" {
-		s.log.Printf("job %s: checkpoint manifest was corrupt; quarantined as %s, re-running its specs", job.ID, q)
-	}
-
 	prog := s.trackProgress(job.ID)
 	defer s.untrackProgress(job.ID)
 	opt := experiments.Options{
@@ -349,7 +390,7 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 		Parallelism: s.cfg.JobParallelism,
 		Seed:        job.Spec.Seed,
 		Context:     ctx,
-		Checkpoint:  manifest,
+		Checkpoint:  s.manifest,
 		Progress: func(retiredDelta uint64, now sim.Time) {
 			prog.retired.Add(retiredDelta)
 			prog.simTime.Store(int64(now))
@@ -371,8 +412,8 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 	}
 	results, err = runner.RunBenches(cfg)
 	reused = runner.Counts().Reused
-	if serr := manifest.Save(); serr != nil {
-		s.log.Printf("job %s: %v", job.ID, serr)
+	if serr := s.manifest.Save(); serr != nil {
+		s.log.Printf("job %s: spec manifest: %v", job.ID, serr)
 	}
 	return results, reused, err
 }
@@ -405,8 +446,8 @@ func (s *Service) finishJob(id string, results []core.Result, reused uint64, err
 		}
 		s.log.Printf("job %s: done (%d benchmarks, %d specs reused)", id, len(results), reused)
 	case errors.Is(err, errDraining):
-		// Drain: the manifest holds every finished spec; hand the job
-		// back to the queue for the next daemon.
+		// Drain: the service manifest holds every finished spec; hand
+		// the job back to the queue for the next daemon.
 		if _, uerr := s.store.Update(id, func(j *Job) {
 			j.State = StateQueued
 			j.StartedAt = nil
@@ -464,7 +505,7 @@ func (s *Service) Drain(ctx context.Context) error {
 // Kill simulates a SIGKILL for the fault drills: workers abandon their
 // jobs without any store writes, leaving the state directory exactly
 // as a real crash would — a job record still claiming it is running,
-// the manifest holding whatever specs finished. It waits for the
+// the service manifest holding whatever specs finished. It waits for the
 // workers only so tests do not race the dying goroutines.
 func (s *Service) Kill() {
 	s.killFn(errKilled)

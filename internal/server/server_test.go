@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -256,7 +257,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	victim := newService(t, Config{Workers: 1, StateDir: dir})
 	vts := httptest.NewServer(victim.Handler())
 	_, vjob := submit(t, vts, spec)
-	mpath := victim.Store().ManifestPath(vjob.ID)
+	mpath := filepath.Join(dir, specManifest)
 	deadline := time.Now().Add(120 * time.Second)
 	for {
 		m, err := experiments.OpenManifest(vfs.OS, mpath)
@@ -318,42 +319,16 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 }
 
 // TestResumeLegacyManifest: a state directory from an older daemon —
-// a queued job whose per-spec manifest is still a single
-// job-<id>.manifest.json file — resumes that job with every finished
-// spec reused. The manifest is the experiments package's fixture, which
-// an older build wrote for the same three specs.
+// a queued job with its own per-spec manifest, job-<id>.manifest.json,
+// as a single file or as a record directory — resumes that job with
+// every finished spec reused, folded into the service manifest. The
+// manifest is the experiments package's fixture, which an older build
+// wrote for the same three specs. In the directory form the service
+// manifest already holds one of the records, as after a crash mid-fold.
 func TestResumeLegacyManifest(t *testing.T) {
 	legacy, err := os.ReadFile("../experiments/testdata/legacy_manifest.json")
 	if err != nil {
 		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	st, err := OpenStoreFS(dir, vfs.OS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	benches := []string{"swim", "mcf", "gcc"}
-	job, err := st.Create(JobSpec{Benchmarks: benches, Instrs: 2_000, Warmup: 500}, benches, "c", time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpath := st.ManifestPath(job.ID)
-	if err := os.WriteFile(mpath, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The older build ran the fixture's specs without a watchdog, and
-	// the watchdog setting is part of every spec's key.
-	svc := newService(t, Config{Workers: 1, StateDir: dir, WatchdogCycles: -1})
-	done := waitState(t, svc, job.ID, StateDone, 30*time.Second)
-	if done.SpecsReused != 3 {
-		t.Fatalf("specs reused = %d, want 3", done.SpecsReused)
-	}
-	m, err := experiments.OpenManifest(vfs.OS, mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 3 || m.TotalRuns() != 3 {
-		t.Fatalf("manifest holds %d entries and %d runs after the resume, want 3 of each", m.Len(), m.TotalRuns())
 	}
 	var want struct {
 		Entries map[string]struct {
@@ -364,10 +339,192 @@ func TestResumeLegacyManifest(t *testing.T) {
 	if err := json.Unmarshal(legacy, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range want.Entries {
-		if i := slices.Index(benches, e.Bench); !reflect.DeepEqual(done.Results[i], e.Result) {
-			t.Fatalf("%s: result is not the legacy manifest's", e.Bench)
+	benches := []string{"swim", "mcf", "gcc"}
+	for _, form := range []string{"file", "directory"} {
+		t.Run(form, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := OpenStoreFS(dir, vfs.OS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job, err := st.Create(JobSpec{Benchmarks: benches, Instrs: 2_000, Warmup: 500}, benches, "c", time.Now())
+			if err != nil {
+				t.Fatal(err)
+			}
+			lpath := filepath.Join(dir, "job-"+job.ID+".manifest.json")
+			if err := os.WriteFile(lpath, legacy, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if form == "directory" {
+				// Opening converts the file into the record directory
+				// the previous daemon kept.
+				if _, err := experiments.OpenManifest(vfs.OS, lpath); err != nil {
+					t.Fatal(err)
+				}
+				names, err := vfs.OS.ReadDir(lpath)
+				if err != nil || len(names) != 3 {
+					t.Fatalf("legacy record directory holds %v (%v), want 3 records", names, err)
+				}
+				rec, err := os.ReadFile(filepath.Join(lpath, names[0]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.MkdirAll(filepath.Join(dir, specManifest), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, specManifest, names[0]), rec, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The older build ran the fixture's specs without a watchdog,
+			// and the watchdog setting is part of every spec's key.
+			svc := newService(t, Config{Workers: 1, StateDir: dir, WatchdogCycles: -1})
+			done := waitState(t, svc, job.ID, StateDone, 30*time.Second)
+			if done.SpecsReused != 3 {
+				t.Fatalf("specs reused = %d, want 3", done.SpecsReused)
+			}
+			m, err := experiments.OpenManifest(vfs.OS, filepath.Join(dir, specManifest))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Len() != 3 || m.TotalRuns() != 3 {
+				t.Fatalf("service manifest holds %d entries and %d runs after the resume, want 3 of each", m.Len(), m.TotalRuns())
+			}
+			for _, e := range want.Entries {
+				if i := slices.Index(benches, e.Bench); !reflect.DeepEqual(done.Results[i], e.Result) {
+					t.Fatalf("%s: result is not the legacy manifest's", e.Bench)
+				}
+			}
+		})
+	}
+}
+
+// TestRepeatReusesFinishedSpecs: on one service, a job that repeats a
+// finished job's spec simulates nothing and reports the same results
+// byte for byte; a job that differs only in its seed or its instruction
+// budget still simulates.
+func TestRepeatReusesFinishedSpecs(t *testing.T) {
+	svc := newService(t, Config{Workers: 1})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	run := func(body string) Job {
+		t.Helper()
+		resp, job := submit(t, ts, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit = %d", body, resp.StatusCode)
 		}
+		return waitState(t, svc, job.ID, StateDone, 60*time.Second)
+	}
+	const spec = `{"benchmarks":["gcc","swim"],"instrs":20000,"warmup":20000}`
+	first := run(spec)
+	if first.SpecsReused != 0 {
+		t.Fatalf("first job reused %d specs on an empty manifest", first.SpecsReused)
+	}
+	repeat := run(spec)
+	if repeat.SpecsReused != uint64(len(repeat.Benchmarks)) {
+		t.Fatalf("repeat reused %d specs, want %d", repeat.SpecsReused, len(repeat.Benchmarks))
+	}
+	firstJSON, err := json.Marshal(first.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeatJSON, err := json.Marshal(repeat.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(firstJSON, repeatJSON) {
+		t.Fatalf("repeat results differ:\n%s\nvs\n%s", repeatJSON, firstJSON)
+	}
+	for _, body := range []string{
+		`{"benchmarks":["gcc","swim"],"instrs":20000,"warmup":20000,"seed":3}`,
+		`{"benchmarks":["gcc","swim"],"instrs":30000,"warmup":20000}`,
+	} {
+		if j := run(body); j.SpecsReused != 0 {
+			t.Fatalf("%s: reused %d specs of another seed or budget", body, j.SpecsReused)
+		}
+	}
+	if n, runs := svc.manifest.Len(), svc.manifest.TotalRuns(); n != 6 || runs != n {
+		t.Fatalf("service manifest holds %d specs simulated %d times, want 6 simulated once each", n, runs)
+	}
+	if text := metricsText(t, svc); !strings.Contains(text, "memsimd_specs_reused_total 2\n") {
+		t.Fatalf("reuse counter not exported as 2:\n%s", text)
+	}
+}
+
+// TestConcurrentJobsShareManifest runs jobs on two workers at once
+// against the one service manifest: every spec a job lists is either
+// reused or simulated and recorded, so the reuse counts and the
+// recorded runs add up to the specs submitted, and jobs of the same
+// spec report the same results. Two jobs that miss on a spec at the
+// same instant both simulate it, so the run count may exceed the
+// distinct specs.
+func TestConcurrentJobsShareManifest(t *testing.T) {
+	svc := newService(t, Config{Workers: 2, RatePerSec: -1})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	benches := []string{"gcc", "swim", "mcf"}
+	var jobs []Job
+	for round := 0; round < 2; round++ {
+		for _, b := range benches {
+			body := fmt.Sprintf(`{"benchmarks":[%q],"instrs":5000,"warmup":5000}`, b)
+			resp, job := submit(t, ts, body)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("%s: submit = %d", body, resp.StatusCode)
+			}
+			jobs = append(jobs, job)
+		}
+	}
+	var reused uint64
+	byBench := map[string][]core.Result{}
+	for _, j := range jobs {
+		done := waitState(t, svc, j.ID, StateDone, 60*time.Second)
+		reused += done.SpecsReused
+		if prev, ok := byBench[done.Benchmarks[0]]; ok && !reflect.DeepEqual(prev, done.Results) {
+			t.Fatalf("%s: two jobs of one spec report different results", done.Benchmarks[0])
+		}
+		byBench[done.Benchmarks[0]] = done.Results
+	}
+	n, runs := svc.manifest.Len(), svc.manifest.TotalRuns()
+	if n != len(benches) || runs+int(reused) != len(jobs) {
+		t.Fatalf("manifest holds %d specs, %d runs, with %d reused; want %d specs and runs+reused = %d",
+			n, runs, reused, len(benches), len(jobs))
+	}
+}
+
+// TestRestartServesRepeat: a second daemon on the same state directory
+// serves a spec the first daemon finished without simulating it.
+func TestRestartServesRepeat(t *testing.T) {
+	const spec = `{"benchmarks":["mcf"],"instrs":20000,"warmup":20000}`
+	dir := t.TempDir()
+	first := newService(t, Config{Workers: 1, StateDir: dir})
+	fts := httptest.NewServer(first.Handler())
+	_, fjob := submit(t, fts, spec)
+	fdone := waitState(t, first, fjob.ID, StateDone, 60*time.Second)
+	fts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := first.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	second := newService(t, Config{Workers: 1, StateDir: dir})
+	sts := httptest.NewServer(second.Handler())
+	defer sts.Close()
+	_, sjob := submit(t, sts, spec)
+	sdone := waitState(t, second, sjob.ID, StateDone, 60*time.Second)
+	if sdone.SpecsReused != 1 {
+		t.Fatalf("second daemon reused %d specs, want 1", sdone.SpecsReused)
+	}
+	if !reflect.DeepEqual(sdone.Results, fdone.Results) {
+		t.Fatal("second daemon's results differ from the first's")
+	}
+	if runs := second.manifest.TotalRuns(); runs != 1 {
+		t.Fatalf("spec simulated %d times across both daemons, want 1", runs)
+	}
+	if !strings.Contains(metricsText(t, second), "memsimd_specs_reused_total 1\n") {
+		t.Fatal("second daemon's reuse counter not exported as 1")
 	}
 }
 
@@ -830,6 +987,57 @@ func TestConfigSurfaces(t *testing.T) {
 		code, aerr := post(tc.body)
 		if code != tc.status || aerr.Code != tc.code || !reflect.DeepEqual(aerr.Fields, tc.fields) {
 			t.Errorf("%s: %d %+v, want %d %s %v", tc.body, code, aerr, tc.status, tc.code, tc.fields)
+		}
+	}
+}
+
+// BenchmarkServiceDistinctJobs measures the service on traffic where no
+// spec repeats: every job runs one tiny benchmark under its own seed,
+// submitted through the HTTP handler to one Service over a state
+// directory on disk, in waves of up to 32 jobs that each end before the
+// next wave. It is the cost a job pays for the spec manifest when it
+// reuses nothing.
+func BenchmarkServiceDistinctJobs(b *testing.B) {
+	svc, err := New(Config{
+		StateDir:   b.TempDir(),
+		Workers:    1,
+		RatePerSec: -1,
+		Logger:     log.New(io.Discard, "", 0),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Kill()
+	const wave = 32
+	ids := make([]string, 0, wave)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for seed := 0; seed < b.N; {
+		ids = ids[:0]
+		for ; seed < b.N && len(ids) < wave; seed++ {
+			body := fmt.Sprintf(`{"benchmarks":["gcc"],"seed":%d,"instrs":2000,"warmup":500}`, seed)
+			rec := httptest.NewRecorder()
+			svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+			if rec.Code != http.StatusAccepted {
+				b.Fatalf("submit = %d: %s", rec.Code, rec.Body)
+			}
+			var j Job
+			if err := json.Unmarshal(rec.Body.Bytes(), &j); err != nil {
+				b.Fatal(err)
+			}
+			ids = append(ids, j.ID)
+		}
+		for _, id := range ids {
+			for {
+				j, _ := svc.store.Get(id)
+				if j.State == StateDone {
+					break
+				}
+				if j.State.terminal() {
+					b.Fatalf("job %s ended %s: %s", id, j.State, j.Error)
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
 		}
 	}
 }

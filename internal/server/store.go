@@ -21,14 +21,13 @@ var storeLayout = recdir.Layout{Version: 1, Field: "job", LegacyField: "jobs"}
 
 // Store is the durable job store: each job record lives in its own
 // jobs/<id>.json inside the state directory, rewritten after every
-// transition of that job, alongside one checkpoint manifest per job
-// carrying its per-spec results. Together they are the crash safety of the service: the
-// records say which jobs were in flight, the manifests say which of
-// their specs already finished, and a restarted daemon re-adopts the
-// difference.
+// transition of that job. With the service manifest beside it
+// (specs.manifest.json, one record per finished spec of any job) it is
+// the crash safety of the service: the records say which jobs were in
+// flight, the manifest says which specs already finished, and a
+// restarted daemon re-adopts the jobs, which simulate only the rest.
 type Store struct {
 	mu      sync.Mutex
-	dir     string
 	recs    *recdir.Dir
 	jobs    map[string]*Job
 	nextSeq uint64
@@ -39,7 +38,7 @@ type Store struct {
 // an older daemon (see recdir.Open). A corrupt record is quarantined on
 // its own, so losing one job's metadata does not brick the service.
 func OpenStoreFS(dir string, fsys vfs.FS) (*Store, error) {
-	s := &Store{dir: dir, jobs: make(map[string]*Job)}
+	s := &Store{jobs: make(map[string]*Job)}
 	recs, names, err := recdir.Open(fsys, filepath.Join(dir, "jobs"), filepath.Join(dir, "jobs.json"), storeLayout,
 		func(_ string, rec []byte) error {
 			var j *Job
@@ -57,8 +56,7 @@ func OpenStoreFS(dir string, fsys vfs.FS) (*Store, error) {
 	}
 	s.recs = recs
 	// Every name carries its job's sequence number: temp files and
-	// quarantined records too, so no ID is ever handed out twice and a
-	// new job never inherits an old job's manifest.
+	// quarantined records too, so no ID is ever handed out twice.
 	for _, name := range names {
 		s.nextSeq = max(s.nextSeq, nameSeq(name))
 	}
@@ -86,12 +84,6 @@ func nameSeq(name string) uint64 {
 // Quarantined reports where OpenStoreFS moved corrupt records or a
 // corrupt legacy jobs.json, comma-separated, or "" after a clean load.
 func (s *Store) Quarantined() string { return s.recs.Quarantined() }
-
-// ManifestPath is a job's checkpoint manifest directory, named like the
-// single file older daemons kept, so experiments.OpenManifest imports it.
-func (s *Store) ManifestPath(id string) string {
-	return filepath.Join(s.dir, "job-"+id+".manifest.json")
-}
 
 // Create allocates, records, and persists a new queued job. When the
 // record cannot be persisted the job does not exist: it is neither

@@ -4,7 +4,9 @@
 # scrape /metrics, poke a malformed body, then SIGTERM and assert the
 # clean-drain exit code and the job's record file. A second daemon on
 # the same state directory must serve the finished job from that
-# record without re-adopting it, and drain cleanly too.
+# record without re-adopting it, serve a resubmission of the same spec
+# from the service manifest without simulating it, and drain cleanly
+# too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -44,22 +46,29 @@ drain_daemon() {
 
 start_daemon
 
-id=$(curl -fsS -X POST "$base/jobs" \
-    -d '{"benchmarks":["gcc"],"instrs":20000,"warmup":30000}' |
-    sed -E 's/.*"id":"([^"]+)".*/\1/')
-echo "submitted job $id"
+spec='{"benchmarks":["gcc"],"instrs":20000,"warmup":30000}'
+submit_job() {
+    curl -fsS -X POST "$base/jobs" -d "$spec" | sed -E 's/.*"id":"([^"]+)".*/\1/'
+}
 
-job_state() { curl -fsS "$base/jobs/$id" | sed -E 's/.*"state":"([^"]+)".*/\1/'; }
-s=""
-for _ in $(seq 1 300); do
-    s=$(job_state)
-    case "$s" in
-        done) break ;;
-        failed|canceled) echo "job ended $s"; curl -fsS "$base/jobs/$id"; exit 1 ;;
-    esac
-    sleep 0.2
-done
-[ "$s" = done ] || { echo "job never finished (state $s)"; exit 1; }
+# wait_done polls job $1 until it is done; any other end fails the drill.
+wait_done() {
+    local s=""
+    for _ in $(seq 1 300); do
+        s=$(curl -fsS "$base/jobs/$1" | sed -E 's/.*"state":"([^"]+)".*/\1/')
+        case "$s" in
+            done) return 0 ;;
+            failed|canceled) echo "job $1 ended $s"; curl -fsS "$base/jobs/$1"; exit 1 ;;
+        esac
+        sleep 0.2
+    done
+    echo "job $1 never finished (state $s)"
+    exit 1
+}
+
+id=$(submit_job)
+echo "submitted job $id"
+wait_done "$id"
 
 curl -fsS "$base/jobs/$id/result" >/dev/null
 curl -fsS "$base/jobs/$id/artifact" | head -2
@@ -91,5 +100,18 @@ case "$job" in
 esac
 curl -fsS "$base/metrics" | grep -Fxq 'memsimd_jobs_resumed_total 0' ||
     { echo "restart re-adopted a finished job"; exit 1; }
+
+# The same spec again: the second daemon finds it in the service
+# manifest the first one wrote and simulates nothing.
+id2=$(submit_job)
+echo "resubmitted the spec as job $id2"
+wait_done "$id2"
+job=$(curl -fsS "$base/jobs/$id2")
+case "$job" in
+    *'"specs_reused":1'*) ;;
+    *) echo "resubmitted job $id2 was simulated again: $job"; exit 1 ;;
+esac
+curl -fsS "$base/metrics" | grep -Fxq 'memsimd_specs_reused_total 1' ||
+    { echo "metrics do not count the reused spec"; exit 1; }
 drain_daemon
 echo "memsimd smoke OK"
