@@ -206,7 +206,7 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer, 
 			w.Flush()
 			continue
 		}
-		res := results[0]
+		res := results[0][0]
 		clock := sim.NewClock(cfg.ClockHz)
 		rec := []string{
 			fmt.Sprint(v),

@@ -193,7 +193,7 @@ func (batchScenario) Run(f *vfs.Fault) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(results)
+	return json.Marshal(results[0])
 }
 
 // recordOnce is a drill's filesystem with the write-side half of the

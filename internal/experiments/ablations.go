@@ -24,20 +24,19 @@ type RegionSizeResult struct {
 func (r *Runner) RegionSize() (*RegionSizeResult, error) {
 	base := core.Base()
 	base.Mapping = "xor"
-	baseRes, err := r.RunBenches(base)
+	cfgs := []core.Config{base}
+	for _, sz := range RegionSizes {
+		cfg := core.Tuned()
+		cfg.Prefetch.RegionBytes = sz
+		cfgs = append(cfgs, cfg)
+	}
+	all, err := r.RunBenches(cfgs...)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &RegionSizeResult{Sizes: RegionSizes, NoPF: hmean(ipcs(baseRes))}
-	for _, sz := range RegionSizes {
-		cfg := base
-		cfg.Prefetch = core.TunedPrefetch()
-		cfg.Prefetch.RegionBytes = sz
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
+	res := &RegionSizeResult{Sizes: RegionSizes, NoPF: hmean(ipcs(all[0]))}
+	for _, results := range all[1:] {
 		res.IPC = append(res.IPC, hmean(ipcs(results)))
 	}
 	return res, nil
@@ -73,16 +72,17 @@ type QueueDepthResult struct {
 
 // QueueDepth runs the sweep.
 func (r *Runner) QueueDepth() (*QueueDepthResult, error) {
+	cfgs := make([]core.Config, len(QueueDepths))
+	for i, d := range QueueDepths {
+		cfgs[i] = core.Tuned()
+		cfgs[i].Prefetch.QueueDepth = d
+	}
+	all, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
+	}
 	res := &QueueDepthResult{Depths: QueueDepths}
-	for _, d := range QueueDepths {
-		cfg := core.Base()
-		cfg.Mapping = "xor"
-		cfg.Prefetch = core.TunedPrefetch()
-		cfg.Prefetch.QueueDepth = d
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
+	for _, results := range all {
 		res.IPC = append(res.IPC, hmean(ipcs(results)))
 	}
 	return res, nil
@@ -123,22 +123,15 @@ type ThrottleRow struct {
 
 // Throttle runs the comparison.
 func (r *Runner) Throttle() (*ThrottleResult, error) {
-	tuned := core.Base()
-	tuned.Mapping = "xor"
-	tuned.Prefetch = core.TunedPrefetch()
-
-	throttled := tuned
+	throttled := core.Tuned()
 	throttled.Prefetch.ThrottleAccuracy = 0.10
 	throttled.Prefetch.ThrottleWindow = 256
 
-	tunedRes, err := r.RunBenches(tuned)
+	all, err := r.RunBenches(core.Tuned(), throttled)
 	if err != nil {
 		return nil, err
 	}
-	thrRes, err := r.RunBenches(throttled)
-	if err != nil {
-		return nil, err
-	}
+	tunedRes, thrRes := all[0], all[1]
 
 	res := &ThrottleResult{
 		TunedIPC:     hmean(ipcs(tunedRes)),

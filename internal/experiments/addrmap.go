@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"text/tabwriter"
 
@@ -44,20 +45,19 @@ type BenchSpeedup struct {
 
 // AddrMap runs the mapping comparison on the base system.
 func (r *Runner) AddrMap() (*AddrMapResult, error) {
-	byMapping := make(map[string][]core.Result)
-	for _, m := range Mappings {
-		cfg := core.Base()
-		cfg.Mapping = m
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
-		byMapping[m] = results
+	cfgs := make([]core.Config, len(Mappings))
+	for i, m := range Mappings {
+		cfgs[i] = core.Base()
+		cfgs[i].Mapping = m
+	}
+	all, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &AddrMapResult{}
-	for _, m := range Mappings {
-		results := byMapping[m]
+	for i, m := range Mappings {
+		results := all[i]
 		var reads, wbs []float64
 		for _, rr := range results {
 			if rr.Channel.Accesses[channel.Demand] > 0 {
@@ -75,7 +75,7 @@ func (r *Runner) AddrMap() (*AddrMapResult, error) {
 		})
 	}
 
-	base, xor := byMapping["base"], byMapping["xor"]
+	base, xor := all[slices.Index(Mappings, "base")], all[slices.Index(Mappings, "xor")]
 	res.XORSpeedup = hmean(ipcs(xor)) / hmean(ipcs(base))
 	for i, b := range r.opt.Benchmarks {
 		res.TopGainers = append(res.TopGainers, BenchSpeedup{

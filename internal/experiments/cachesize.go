@@ -23,24 +23,22 @@ type CacheSizeResult struct {
 
 // CacheSize runs the capacity sweep.
 func (r *Runner) CacheSize() (*CacheSizeResult, error) {
-	res := &CacheSizeResult{}
+	var cfgs []core.Config
 	for _, mb := range CacheSizesMB {
-		base := core.Base()
+		base, pf := core.Base(), core.Tuned()
 		base.Mapping = "xor"
 		base.L2Size = int64(mb) << 20
-		pf := base
-		pf.Prefetch = core.TunedPrefetch()
-
-		baseRes, err := r.RunBenches(base)
-		if err != nil {
-			return nil, err
-		}
-		pfRes, err := r.RunBenches(pf)
-		if err != nil {
-			return nil, err
-		}
-		res.BaseIPC = append(res.BaseIPC, hmean(ipcs(baseRes)))
-		res.PFIPC = append(res.PFIPC, hmean(ipcs(pfRes)))
+		pf.L2Size = base.L2Size
+		cfgs = append(cfgs, base, pf)
+	}
+	all, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	res := &CacheSizeResult{}
+	for i := 0; i < len(all); i += 2 {
+		res.BaseIPC = append(res.BaseIPC, hmean(ipcs(all[i])))
+		res.PFIPC = append(res.PFIPC, hmean(ipcs(all[i+1])))
 	}
 	for i := range CacheSizesMB {
 		res.BaseSpeedup = append(res.BaseSpeedup, res.BaseIPC[i]/res.BaseIPC[0])

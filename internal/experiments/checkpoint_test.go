@@ -177,7 +177,7 @@ func checkLegacyResume(t *testing.T, m *Manifest) {
 	}
 	for i, bench := range r.Benchmarks() {
 		key := r.specKey(spec{bench: bench, cfg: core.Base()})
-		if e := want.Entries[key]; e == nil || !reflect.DeepEqual(results[i], e.Result) {
+		if e := want.Entries[key]; e == nil || !reflect.DeepEqual(results[0][i], e.Result) {
 			t.Fatalf("%s: resumed result differs from the fixture's", bench)
 		}
 	}

@@ -14,56 +14,50 @@ import (
 // order, with and without region prefetching.
 type ReorderResult struct {
 	// Rows: {in-order, reorder} x {no PF, PF}.
-	Rows []ReorderRow
+	Rows []SchedRow
 }
 
-// ReorderRow is one scheduling-policy configuration.
-type ReorderRow struct {
+// SchedRow is one scheduling configuration's suite-wide summary.
+type SchedRow struct {
 	Name      string
 	MeanIPC   float64
 	ReadHit   float64 // mean demand row-buffer hit rate
 	Reordered uint64  // total requests promoted past older entries
 }
 
-// Reorder runs the comparison.
-func (r *Runner) Reorder() (*ReorderResult, error) {
-	configs := []struct {
-		name    string
-		sched   string
-		reorder int
-		pf      bool
-	}{
-		{"in-order", "", 0, false},
-		{"reorder(8)", "frfcfs-cap", 8, false},
-		{"in-order + PF", "", 0, true},
-		{"reorder(8) + PF", "frfcfs-cap", 8, true},
-	}
-	res := &ReorderResult{}
-	for _, c := range configs {
-		cfg := core.Base()
-		cfg.Mapping = "xor"
-		cfg.SchedPolicy, cfg.ReorderWindow = c.sched, c.reorder
-		if c.pf {
-			cfg.Prefetch = core.TunedPrefetch()
-		}
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
+// schedRows summarizes each named configuration's results.
+func schedRows(names []string, all [][]core.Result) []SchedRow {
+	rows := make([]SchedRow, len(all))
+	for i, results := range all {
 		var hits []float64
 		var reordered uint64
 		for _, rr := range results {
 			hits = append(hits, rr.RowHitRate(0))
 			reordered += rr.Ctrl.Reordered
 		}
-		res.Rows = append(res.Rows, ReorderRow{
-			Name:      c.name,
+		rows[i] = SchedRow{
+			Name:      names[i],
 			MeanIPC:   hmean(ipcs(results)),
 			ReadHit:   stats.Mean(hits),
 			Reordered: reordered,
-		})
+		}
 	}
-	return res, nil
+	return rows
+}
+
+// Reorder runs the comparison.
+func (r *Runner) Reorder() (*ReorderResult, error) {
+	inOrder, inOrderPF := core.Base(), core.Tuned()
+	inOrder.Mapping = "xor"
+	reorder, reorderPF := inOrder, inOrderPF
+	reorder.SchedPolicy, reorder.ReorderWindow = "frfcfs-cap", 8
+	reorderPF.SchedPolicy, reorderPF.ReorderWindow = "frfcfs-cap", 8
+	all, err := r.RunBenches(inOrder, reorder, inOrderPF, reorderPF)
+	if err != nil {
+		return nil, err
+	}
+	names := []string{"in-order", "reorder(8)", "in-order + PF", "reorder(8) + PF"}
+	return &ReorderResult{Rows: schedRows(names, all)}, nil
 }
 
 // Write renders the result as text.
@@ -96,34 +90,22 @@ type RefreshResult struct {
 
 // Refresh runs the comparison.
 func (r *Runner) Refresh() (*RefreshResult, error) {
-	res := &RefreshResult{}
-	for _, pf := range []bool{false, true} {
-		for _, refresh := range []bool{false, true} {
-			cfg := core.Base()
-			cfg.Mapping = "xor"
-			cfg.Refresh = refresh
-			if pf {
-				cfg.Prefetch = core.TunedPrefetch()
-			}
-			results, err := r.RunBenches(cfg)
-			if err != nil {
-				return nil, err
-			}
-			hm := hmean(ipcs(results))
-			switch {
-			case !pf && !refresh:
-				res.BaseIPC = hm
-			case !pf && refresh:
-				res.RefreshIPC = hm
-				for _, rr := range results {
-					res.Refreshes += rr.Channel.Refreshes
-				}
-			case pf && !refresh:
-				res.TunedBaseIPC = hm
-			default:
-				res.TunedRefreshIPC = hm
-			}
-		}
+	base, tuned := core.Base(), core.Tuned()
+	base.Mapping = "xor"
+	refresh, tunedRefresh := base, tuned
+	refresh.Refresh, tunedRefresh.Refresh = true, true
+	all, err := r.RunBenches(base, refresh, tuned, tunedRefresh)
+	if err != nil {
+		return nil, err
+	}
+	res := &RefreshResult{
+		BaseIPC:         hmean(ipcs(all[0])),
+		RefreshIPC:      hmean(ipcs(all[1])),
+		TunedBaseIPC:    hmean(ipcs(all[2])),
+		TunedRefreshIPC: hmean(ipcs(all[3])),
+	}
+	for _, rr := range all[1] {
+		res.Refreshes += rr.Channel.Refreshes
 	}
 	return res, nil
 }

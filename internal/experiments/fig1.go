@@ -38,25 +38,14 @@ type Fig1Result struct {
 
 // Fig1 runs the experiment on the base system.
 func (r *Runner) Fig1() (*Fig1Result, error) {
-	base := core.Base()
-
-	pl2 := base
+	pl2, pm := core.Base(), core.Base()
 	pl2.PerfectL2 = true
-	pm := base
 	pm.PerfectMem = true
-
-	real, err := r.RunBenches(base)
+	all, err := r.RunBenches(core.Base(), pl2, pm)
 	if err != nil {
 		return nil, err
 	}
-	perfL2, err := r.RunBenches(pl2)
-	if err != nil {
-		return nil, err
-	}
-	perfMem, err := r.RunBenches(pm)
-	if err != nil {
-		return nil, err
-	}
+	real, perfL2, perfMem := all[0], all[1], all[2]
 
 	res := &Fig1Result{}
 	for i, b := range r.opt.Benchmarks {

@@ -40,9 +40,6 @@ func (r *Runner) Fig5() (*Fig5Result, error) {
 	xor4 := base4
 	xor4.Mapping = "xor"
 
-	pf4 := xor4
-	pf4.Prefetch = core.TunedPrefetch()
-
 	xor8 := xor4
 	xor8.Channels = 8
 	xor8.DevicesPerChannel = 1
@@ -54,14 +51,9 @@ func (r *Runner) Fig5() (*Fig5Result, error) {
 	pl2 := base4
 	pl2.PerfectL2 = true
 
-	configs := []core.Config{base4, xor4, pf4, xor8, pf8, pl2}
-	all := make([][]core.Result, len(configs))
-	for i, cfg := range configs {
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
-		all[i] = results
+	all, err := r.RunBenches(base4, xor4, core.Tuned(), xor8, pf8, pl2)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Fig5Result{}
@@ -87,9 +79,8 @@ func (r *Runner) Fig5() (*Fig5Result, error) {
 	for _, i := range winnerIdx {
 		res.Rows = append(res.Rows, rows[i])
 	}
-	for i, row := range rows {
+	for _, row := range rows {
 		if row.PF4 < 1.10*row.XOR4 {
-			_ = i
 			res.Rows = append(res.Rows, row)
 		}
 	}

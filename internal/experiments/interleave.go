@@ -40,16 +40,20 @@ func (r *Runner) Interleave() (*InterleaveResult, error) {
 		{"ganged, 256B blocks", "ganged", 256},
 		{"independent, 256B blocks", "independent", 256},
 	}
+	cfgs := make([]core.Config, len(configs))
+	for i, c := range configs {
+		cfgs[i] = core.Base()
+		cfgs[i].Mapping = "xor"
+		cfgs[i].Interleaving = c.il
+		cfgs[i].L2Block = c.block
+	}
+	all, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
+	}
 	res := &InterleaveResult{}
-	for _, c := range configs {
-		cfg := core.Base()
-		cfg.Mapping = "xor"
-		cfg.Interleaving = c.il
-		cfg.L2Block = c.block
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
+	for ci, c := range configs {
+		results := all[ci]
 		row := InterleaveRow{Name: c.name, MeanIPC: hmean(ipcs(results))}
 		var utils []float64
 		for i, b := range r.opt.Benchmarks {

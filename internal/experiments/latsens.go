@@ -25,24 +25,21 @@ type LatSensResult struct {
 
 // LatSens runs the DRAM latency sensitivity sweep.
 func (r *Runner) LatSens() (*LatSensResult, error) {
-	res := &LatSensResult{}
+	var cfgs []core.Config
 	for _, part := range latSensParts {
-		base := core.Base()
+		base, pf := core.Base(), core.Tuned()
 		base.Mapping = "xor"
-		base.Timing = part
-		pf := base
-		pf.Prefetch = core.TunedPrefetch()
-
-		baseRes, err := r.RunBenches(base)
-		if err != nil {
-			return nil, err
-		}
-		pfRes, err := r.RunBenches(pf)
-		if err != nil {
-			return nil, err
-		}
-		hmB := hmean(ipcs(baseRes))
-		hmP := hmean(ipcs(pfRes))
+		base.Timing, pf.Timing = part, part
+		cfgs = append(cfgs, base, pf)
+	}
+	all, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	res := &LatSensResult{}
+	for i, part := range latSensParts {
+		hmB := hmean(ipcs(all[2*i]))
+		hmP := hmean(ipcs(all[2*i+1]))
 		res.Parts = append(res.Parts, part.Name)
 		res.Base = append(res.Base, hmB)
 		res.PF = append(res.PF, hmP)

@@ -51,7 +51,7 @@ func TestRunAllParallelismDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res[0]
 	}
 	serial, pooled := run(1), run(4)
 	if !reflect.DeepEqual(serial, pooled) {
@@ -68,10 +68,11 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunBenches(core.Base())
+	all, err := r.RunBenches(core.Base())
 	if err != nil {
 		t.Fatalf("degraded batch returned error: %v", err)
 	}
+	res := all[0]
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
@@ -148,6 +149,55 @@ func TestDegradedArtifactRendering(t *testing.T) {
 	}
 }
 
+// TestDegradedConfigurationLost: under KeepGoing the batch is the whole
+// artifact, so losing every spec of one configuration (Figure 1's
+// real-memory column) degrades the artifact instead of aborting it.
+// The column's cells read FAILED and the trailer names each lost spec.
+func TestDegradedConfigurationLost(t *testing.T) {
+	opt := orchOptions()
+	opt.KeepGoing = true
+	opt.injectFor = func(sp spec) inject.Plan {
+		if !sp.cfg.PerfectL2 && !sp.cfg.PerfectMem {
+			return inject.Plan{Class: inject.DropCompletion}
+		}
+		return inject.Plan{}
+	}
+	r, err := NewRunner(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := ByID("fig1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := e.Run(r, &buf); err != nil {
+		t.Fatalf("artifact with one lost configuration did not render: %v", err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "DEGRADED: 3 run(s) lost") {
+		t.Errorf("rendered output lacks a DEGRADED trailer for 3 runs:\n%s", out)
+	}
+	for _, b := range r.Benchmarks() {
+		key := r.specKey(spec{bench: b, cfg: core.Base()})
+		if !strings.Contains(out, "FAILED("+b+" ["+key+"]") {
+			t.Errorf("trailer does not name the lost %s spec [%s]", b, key)
+		}
+		row := ""
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, b+" ") {
+				row = line
+			}
+		}
+		if strings.Count(row, "FAILED") != 2 {
+			t.Errorf("%s row %q: want its two stall cells FAILED", b, row)
+		}
+	}
+	if c := r.Counts(); c.Failed != 3 || c.Completed != 6 {
+		t.Errorf("counts = %+v, want Failed 3, Completed 6", c)
+	}
+}
+
 func TestCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.json")
 
@@ -161,10 +211,11 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := r1.RunBenches(core.Base())
+	all, err := r1.RunBenches(core.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := all[0]
 	if n := opt.Checkpoint.Len(); n != 2 {
 		t.Fatalf("checkpoint holds %d specs after degraded batch, want 2", n)
 	}
@@ -182,10 +233,11 @@ func TestCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := r2.RunBenches(core.Base())
+	all, err = r2.RunBenches(core.Base())
 	if err != nil {
 		t.Fatal(err)
 	}
+	second := all[0]
 	c := r2.Counts()
 	if c.Reused != 2 || c.Completed != 1 {
 		t.Errorf("resume counts = %+v, want Reused 2, Completed 1", c)

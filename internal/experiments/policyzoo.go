@@ -15,43 +15,25 @@ import (
 // system. The rows come from the policy registry, so a newly registered
 // scheduling scheme shows up here without touching the experiment.
 type SchedZooResult struct {
-	Rows []SchedZooRow
-}
-
-// SchedZooRow is one issue policy's suite-wide summary.
-type SchedZooRow struct {
-	Name      string
-	MeanIPC   float64
-	ReadHit   float64 // mean demand row-buffer hit rate
-	Reordered uint64  // requests promoted past older entries
+	Rows []SchedRow
 }
 
 // SchedZoo runs the comparison.
 func (r *Runner) SchedZoo() (*SchedZooResult, error) {
-	res := &SchedZooResult{}
-	for _, name := range policy.Sched.Names() {
+	names := policy.Sched.Names()
+	cfgs := make([]core.Config, len(names))
+	for i, name := range names {
 		cfg, err := core.Tuned().Apply(core.Overrides{"sched_policy": name})
 		if err != nil {
 			return nil, err
 		}
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var hits []float64
-		var reordered uint64
-		for _, rr := range results {
-			hits = append(hits, rr.RowHitRate(0))
-			reordered += rr.Ctrl.Reordered
-		}
-		res.Rows = append(res.Rows, SchedZooRow{
-			Name:      name,
-			MeanIPC:   hmean(ipcs(results)),
-			ReadHit:   stats.Mean(hits),
-			Reordered: reordered,
-		})
+		cfgs[i] = cfg
 	}
-	return res, nil
+	all, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
+	}
+	return &SchedZooResult{Rows: schedRows(names, all)}, nil
 }
 
 // Write renders the result as text.
@@ -89,23 +71,25 @@ type TimingZooRow struct {
 
 // TimingZoo runs the comparison.
 func (r *Runner) TimingZoo() (*TimingZooResult, error) {
+	names := policy.Timings.Names()
+	cfgs := make([]core.Config, len(names))
+	for i, name := range names {
+		cfgs[i] = core.Tuned()
+		cfgs[i].BankTiming = name
+	}
+	all, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
+	}
 	res := &TimingZooResult{}
-	for _, name := range policy.Timings.Names() {
-		cfg := core.Base()
-		cfg.Mapping = "xor"
-		cfg.Prefetch = core.TunedPrefetch()
-		cfg.BankTiming = name
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
+	for i, results := range all {
 		var hits, lats []float64
 		for _, rr := range results {
 			hits = append(hits, rr.RowHitRate(0))
 			lats = append(lats, float64(rr.Ctrl.MeanDemandLatency())/float64(sim.Nanosecond))
 		}
 		res.Rows = append(res.Rows, TimingZooRow{
-			Name:      name,
+			Name:      names[i],
 			MeanIPC:   hmean(ipcs(results)),
 			ReadHit:   stats.Mean(hits),
 			MissLatNs: stats.Mean(lats),

@@ -33,47 +33,27 @@ type PollutionResult struct {
 // insertion (the paper's mechanism), and 32- and 256-block separate
 // buffers.
 func (r *Runner) Pollution() (*PollutionResult, error) {
-	mk := func(mut func(*core.PrefetchConfig)) core.Config {
-		cfg := core.Base()
-		cfg.Mapping = "xor"
-		cfg.Prefetch = core.TunedPrefetch()
-		mut(&cfg.Prefetch)
-		return cfg
-	}
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"MRU insert (none)", mk(func(p *core.PrefetchConfig) { p.Insert = cache.MRU })},
-		{"LRU insert (paper)", mk(func(p *core.PrefetchConfig) {})},
-		{"32-block buffer", mk(func(p *core.PrefetchConfig) { p.BufferBlocks = 32 })},
-		{"256-block buffer", mk(func(p *core.PrefetchConfig) { p.BufferBlocks = 256 })},
-	}
-
-	// Classify low-accuracy benchmarks on the paper's mechanism.
-	lruResults, err := r.RunBenches(configs[1].cfg)
+	mru, buf32, buf256 := core.Tuned(), core.Tuned(), core.Tuned()
+	mru.Prefetch.Insert = cache.MRU
+	buf32.Prefetch.BufferBlocks = 32
+	buf256.Prefetch.BufferBlocks = 256
+	all, err := r.RunBenches(mru, core.Tuned(), buf32, buf256)
 	if err != nil {
 		return nil, err
 	}
+
+	// Classify low-accuracy benchmarks on the paper's mechanism.
 	low := make(map[int]bool)
 	res := &PollutionResult{}
 	for i, b := range r.opt.Benchmarks {
-		if lruResults[i].PrefetchAccuracy() < accuracyCutoff {
+		if all[1][i].PrefetchAccuracy() < accuracyCutoff {
 			low[i] = true
 			res.LowAccGroup = append(res.LowAccGroup, b)
 		}
 	}
 
-	for ci, c := range configs {
-		var results []core.Result
-		if ci == 1 {
-			results = lruResults
-		} else {
-			results, err = r.RunBenches(c.cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
+	names := []string{"MRU insert (none)", "LRU insert (paper)", "32-block buffer", "256-block buffer"}
+	for ci, results := range all {
 		var lowIPC []float64
 		for i := range r.opt.Benchmarks {
 			if low[i] {
@@ -81,7 +61,7 @@ func (r *Runner) Pollution() (*PollutionResult, error) {
 			}
 		}
 		res.Rows = append(res.Rows, PollutionRow{
-			Name:      c.name,
+			Name:      names[ci],
 			MeanIPC:   hmean(ipcs(results)),
 			LowAccIPC: harmonicOrZero(lowIPC),
 		})

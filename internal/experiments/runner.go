@@ -18,8 +18,10 @@
 // with backoff for watchdog and timeout aborts, and a result manifest
 // through which every spec resolves, so each distinct spec runs once
 // and, with the manifest on disk, an interrupted batch resumes without
-// re-running finished specs. With KeepGoing set, a failed spec marks
-// its cells FAILED instead of discarding the whole artifact.
+// re-running finished specs. Each artifact lists its configurations
+// once and resolves them all through one RunBenches batch. With
+// KeepGoing set, a failed spec marks its cells FAILED instead of
+// discarding the whole artifact.
 package experiments
 
 import (
@@ -459,18 +461,33 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// RunBenches runs one configuration across the active benchmark suite,
-// returning results in suite order. Every artifact resolves its runs
-// here, and so do cmd/memsimd jobs and cmd/sweep points: they share the
-// worker pool, manifest reuse, retry policy, and cancellation
-// plumbing, so a daemon restart resumes a half-finished job from its
-// manifest exactly like `experiments -resume` resumes a batch.
-func (r *Runner) RunBenches(cfg core.Config) ([]core.Result, error) {
-	specs := make([]spec, len(r.opt.Benchmarks))
-	for i, b := range r.opt.Benchmarks {
-		specs[i] = spec{bench: b, cfg: cfg}
+// RunBenches runs each configuration across the active benchmark suite
+// as one batch and returns one result slice per configuration, each in
+// suite order. Every artifact lists its configurations once and
+// resolves them here, so the batch — and under KeepGoing the
+// all-failed rule and the joined error — covers the whole artifact.
+// cmd/memsimd jobs and cmd/sweep points pass one configuration. All of
+// them share the worker pool, manifest reuse, retry policy, and
+// cancellation plumbing, so a daemon restart resumes a half-finished
+// job from its manifest exactly like `experiments -resume` resumes a
+// batch.
+func (r *Runner) RunBenches(cfgs ...core.Config) ([][]core.Result, error) {
+	nb := len(r.opt.Benchmarks)
+	specs := make([]spec, 0, len(cfgs)*nb)
+	for _, cfg := range cfgs {
+		for _, b := range r.opt.Benchmarks {
+			specs = append(specs, spec{bench: b, cfg: cfg})
+		}
 	}
-	return r.runAll(specs)
+	results, err := r.runAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]core.Result, len(cfgs))
+	for i := range out {
+		out[i] = results[i*nb : (i+1)*nb : (i+1)*nb]
+	}
+	return out, nil
 }
 
 // ipcs extracts the IPC column.

@@ -40,28 +40,18 @@ func (r *Runner) Schemes() (*SchemesResult, error) {
 	base := core.Base()
 	base.Mapping = "xor"
 
-	region := base
-	region.Prefetch = core.TunedPrefetch()
-
-	sequential := base
-	sequential.Prefetch = core.TunedPrefetch()
+	sequential := core.Tuned()
 	sequential.Prefetch.Scheme = "sequential"
 	sequential.Prefetch.Lookahead = 8
 
-	stream := base
-	stream.Prefetch = core.TunedPrefetch()
+	stream := core.Tuned()
 	stream.Prefetch.Scheme = "stream"
 	stream.Prefetch.Lookahead = 8
 	stream.Prefetch.TableSize = 8
 
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"none", base},
-		{"sequential", sequential},
-		{"stream (stride)", stream},
-		{"region (paper)", region},
+	all, err := r.RunBenches(base, sequential, stream, core.Tuned())
+	if err != nil {
+		return nil, err
 	}
 
 	winnerIPCs := func(results []core.Result) []float64 {
@@ -76,13 +66,10 @@ func (r *Runner) Schemes() (*SchemesResult, error) {
 
 	res := &SchemesResult{}
 	var baseMean, baseWinner float64
-	for i, c := range configs {
-		results, err := r.RunBenches(c.cfg)
-		if err != nil {
-			return nil, err
-		}
+	for i, name := range []string{"none", "sequential", "stream (stride)", "region (paper)"} {
+		results := all[i]
 		row := SchemeRow{
-			Scheme:  c.name,
+			Scheme:  name,
 			MeanIPC: hmean(ipcs(results)),
 		}
 		if w := winnerIPCs(results); len(w) > 0 {

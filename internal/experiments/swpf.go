@@ -39,27 +39,12 @@ func (r *Runner) SWPF() (*SWPFResult, error) {
 	sw := base
 	sw.SoftwarePrefetch = true
 
-	region := base
-	region.Prefetch = core.TunedPrefetch()
-
-	both := region
+	both := core.Tuned()
 	both.SoftwarePrefetch = true
 
 	// SoftwarePrefetch both emits the instructions and executes them;
 	// the base and region runs see a stream without them.
-	baseRes, err := r.RunBenches(base)
-	if err != nil {
-		return nil, err
-	}
-	swRes, err := r.RunBenches(sw)
-	if err != nil {
-		return nil, err
-	}
-	regionRes, err := r.RunBenches(region)
-	if err != nil {
-		return nil, err
-	}
-	bothRes, err := r.RunBenches(both)
+	all, err := r.RunBenches(base, sw, core.Tuned(), both)
 	if err != nil {
 		return nil, err
 	}
@@ -68,10 +53,10 @@ func (r *Runner) SWPF() (*SWPFResult, error) {
 	for i, b := range r.opt.Benchmarks {
 		res.Rows = append(res.Rows, SWPFRow{
 			Bench:  b,
-			Base:   baseRes[i].IPC,
-			SW:     swRes[i].IPC,
-			Region: regionRes[i].IPC,
-			Both:   bothRes[i].IPC,
+			Base:   all[0][i].IPC,
+			SW:     all[1][i].IPC,
+			Region: all[2][i].IPC,
+			Both:   all[3][i].IPC,
 		})
 	}
 	return res, nil

@@ -43,43 +43,31 @@ type Table1Result struct {
 
 // Table1 runs the block-size sweep.
 func (r *Runner) Table1() (*Table1Result, error) {
-	var specs []spec
-	for _, blk := range BlockSizes {
-		cfg := core.Base()
-		cfg.L2Block = blk
-		for _, b := range r.opt.Benchmarks {
-			specs = append(specs, spec{bench: b, cfg: cfg})
-		}
+	cfgs := make([]core.Config, len(BlockSizes))
+	for si, blk := range BlockSizes {
+		cfgs[si] = core.Base()
+		cfgs[si].L2Block = blk
 	}
-	results, err := r.runAll(specs)
+	bySize, err := r.RunBenches(cfgs...)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &Table1Result{MeanIPC: make([]float64, len(BlockSizes))}
-	nb := len(r.opt.Benchmarks)
+	res := &Table1Result{}
 	for bi, bench := range r.opt.Benchmarks {
 		row := Table1Row{Bench: bench}
-		for si := range BlockSizes {
-			rr := results[si*nb+bi]
-			row.MissRates = append(row.MissRates, rr.L2MissRate())
-			row.IPCs = append(row.IPCs, rr.IPC)
+		for _, results := range bySize {
+			row.MissRates = append(row.MissRates, results[bi].L2MissRate())
+			row.IPCs = append(row.IPCs, results[bi].IPC)
 		}
-		pi := minIdx(row.MissRates)
-		gi := maxIdx(row.IPCs)
-		row.PollutionPoint = BlockSizes[pi]
-		row.PerformancePoint = BlockSizes[gi]
+		row.PollutionPoint = BlockSizes[minIdx(row.MissRates)]
+		row.PerformancePoint = BlockSizes[maxIdx(row.IPCs)]
 		res.Rows = append(res.Rows, row)
 	}
-	for si := range BlockSizes {
-		var col []float64
-		for bi := range r.opt.Benchmarks {
-			col = append(col, results[si*nb+bi].IPC)
-		}
-		res.MeanIPC[si] = hmean(col)
+	for _, results := range bySize {
+		res.MeanIPC = append(res.MeanIPC, hmean(ipcs(results)))
 	}
-	oi := maxIdx(res.MeanIPC)
-	res.OverallPerf = BlockSizes[oi]
+	res.OverallPerf = BlockSizes[maxIdx(res.MeanIPC)]
 	return res, nil
 }
 

@@ -28,39 +28,30 @@ type Table2Result struct {
 
 // Table2 runs the channel-width sweep.
 func (r *Runner) Table2() (*Table2Result, error) {
-	var specs []spec
+	var cfgs []core.Config
 	for _, ch := range ChannelWidths {
 		for _, blk := range BlockSizes {
 			cfg := core.Base()
 			cfg.Channels = ch
 			cfg.DevicesPerChannel = table2TotalDevices / ch
 			cfg.L2Block = blk
-			for _, b := range r.opt.Benchmarks {
-				specs = append(specs, spec{bench: b, cfg: cfg})
-			}
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := r.runAll(specs)
+	all, err := r.RunBenches(cfgs...)
 	if err != nil {
 		return nil, err
 	}
 
-	nb := len(r.opt.Benchmarks)
 	res := &Table2Result{}
-	idx := 0
-	for range ChannelWidths {
-		row := make([]float64, len(BlockSizes))
-		for si := range BlockSizes {
-			var col []float64
-			for bi := 0; bi < nb; bi++ {
-				col = append(col, results[idx*nb+bi].IPC)
-			}
-			row[si] = hmean(col)
-			idx++
+	for len(all) > 0 {
+		var row []float64
+		for _, results := range all[:len(BlockSizes)] {
+			row = append(row, hmean(ipcs(results)))
 		}
+		all = all[len(BlockSizes):]
 		res.IPC = append(res.IPC, row)
-		pi := maxIdx(row)
-		res.PerfPoint = append(res.PerfPoint, BlockSizes[pi])
+		res.PerfPoint = append(res.PerfPoint, BlockSizes[maxIdx(row)])
 	}
 	return res, nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
 	"memsim/internal/cache"
@@ -37,22 +38,19 @@ type Table3Result struct {
 // Table3 runs the insertion-priority sweep with 4KB scheduled region
 // prefetching on the XOR-mapped base system.
 func (r *Runner) Table3() (*Table3Result, error) {
-	byPos := make(map[cache.InsertPos][]core.Result)
-	for _, pos := range cache.Positions {
-		cfg := core.Base()
-		cfg.Mapping = "xor"
-		cfg.Prefetch = core.TunedPrefetch()
-		cfg.Prefetch.Insert = pos
-		results, err := r.RunBenches(cfg)
-		if err != nil {
-			return nil, err
-		}
-		byPos[pos] = results
+	cfgs := make([]core.Config, len(cache.Positions))
+	for i, pos := range cache.Positions {
+		cfgs[i] = core.Tuned()
+		cfgs[i].Prefetch.Insert = pos
+	}
+	byPos, err := r.RunBenches(cfgs...)
+	if err != nil {
+		return nil, err
 	}
 
 	// Classify benchmarks by accuracy measured under MRU insertion.
 	res := &Table3Result{}
-	mru := byPos[cache.MRU]
+	mru := byPos[slices.Index(cache.Positions, cache.MRU)]
 	high := make(map[int]bool)
 	for i, b := range r.opt.Benchmarks {
 		if mru[i].PrefetchAccuracy() >= accuracyCutoff {
@@ -78,8 +76,8 @@ func (r *Runner) Table3() (*Table3Result, error) {
 	_, lBaseIPC := group(mru, false)
 	hBase := hmean(hBaseIPC)
 	lBase := harmonicOrZero(lBaseIPC)
-	for _, pos := range cache.Positions {
-		results := byPos[pos]
+	for i, pos := range cache.Positions {
+		results := byPos[i]
 		hAcc, hIPC := group(results, true)
 		lAcc, lIPC := group(results, false)
 		res.Rows = append(res.Rows, Table3Row{

@@ -33,16 +33,15 @@ type Table4Result struct {
 	Degraded []BenchSpeedup
 }
 
-// table4Schemes builds the four configurations.
-func table4Schemes() []struct {
-	name string
-	cfg  core.Config
-} {
+// table4Schemes names the four configurations in Table4's order.
+var table4Schemes = []string{"base (w/XOR)", "FIFO prefetch", "sched. FIFO", "sched. LIFO"}
+
+// Table4 runs the prefetch-scheme comparison.
+func (r *Runner) Table4() (*Table4Result, error) {
 	base := core.Base()
 	base.Mapping = "xor"
 
-	unsched := base
-	unsched.Prefetch = core.TunedPrefetch()
+	unsched := core.Tuned()
 	unsched.Prefetch.Policy = prefetch.FIFO
 	unsched.Prefetch.BankAware = false
 	unsched.Prefetch.Scheduled = false
@@ -50,43 +49,22 @@ func table4Schemes() []struct {
 	schedFIFO := unsched
 	schedFIFO.Prefetch.Scheduled = true
 
-	schedLIFO := base
-	schedLIFO.Prefetch = core.TunedPrefetch()
-
-	return []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"base (w/XOR)", base},
-		{"FIFO prefetch", unsched},
-		{"sched. FIFO", schedFIFO},
-		{"sched. LIFO", schedLIFO},
-	}
-}
-
-// Table4 runs the prefetch-scheme comparison.
-func (r *Runner) Table4() (*Table4Result, error) {
-	schemes := table4Schemes()
-	all := make([][]core.Result, len(schemes))
-	for i, s := range schemes {
-		results, err := r.RunBenches(s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		all[i] = results
+	all, err := r.RunBenches(base, unsched, schedFIFO, core.Tuned())
+	if err != nil {
+		return nil, err
 	}
 
 	clock := sim.NewClock(core.Base().ClockHz)
 	baseHM := hmean(ipcs(all[0]))
 	res := &Table4Result{}
-	for i, s := range schemes {
+	for i, name := range table4Schemes {
 		var miss, lat []float64
 		for _, rr := range all[i] {
 			miss = append(miss, rr.L2MissRate())
 			lat = append(lat, rr.MeanMissLatencyCycles(clock))
 		}
 		res.Rows = append(res.Rows, Table4Row{
-			Scheme:      s.name,
+			Scheme:      name,
 			MissRate:    stats.Mean(miss),
 			MissLatency: stats.Mean(lat),
 			NormIPC:     hmean(ipcs(all[i])) / baseHM,
@@ -94,7 +72,7 @@ func (r *Runner) Table4() (*Table4Result, error) {
 	}
 
 	// Per-benchmark degradations under the tuned scheme.
-	tuned := all[len(schemes)-1]
+	tuned := all[len(all)-1]
 	for i, b := range r.opt.Benchmarks {
 		sp := stats.Speedup(all[0][i].IPC, tuned[i].IPC)
 		if sp < 0.99 {

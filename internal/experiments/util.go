@@ -32,17 +32,11 @@ type UtilResult struct {
 func (r *Runner) Util() (*UtilResult, error) {
 	base := core.Base()
 	base.Mapping = "xor"
-	pf := base
-	pf.Prefetch = core.TunedPrefetch()
-
-	baseRes, err := r.RunBenches(base)
+	all, err := r.RunBenches(base, core.Tuned())
 	if err != nil {
 		return nil, err
 	}
-	pfRes, err := r.RunBenches(pf)
-	if err != nil {
-		return nil, err
-	}
+	baseRes, pfRes := all[0], all[1]
 
 	res := &UtilResult{}
 	var cb, db, cp, dp []float64

@@ -70,9 +70,6 @@ type Config struct {
 	StateDir string
 	// Workers bounds concurrently executing jobs (default 2).
 	Workers int
-	// JobParallelism is the per-job worker pool width (default 1:
-	// concurrency comes from running jobs, not from inside them).
-	JobParallelism int
 	// QueueDepth is the admission watermark on waiting jobs
 	// (default 64); beyond it submissions shed with 429.
 	QueueDepth int
@@ -84,19 +81,9 @@ type Config struct {
 	// them (defaults: the experiments defaults).
 	DefaultInstrs uint64
 	DefaultWarmup uint64
-	// MaxJobCost bounds (instrs+warmup)×benchmarks per job
-	// (default 500M simulated instructions).
-	MaxJobCost uint64
-	// DefaultDeadline bounds a job execution's wall-clock time when
-	// the spec names none (default 15m); MaxDeadline caps what a spec
-	// may ask for (default 1h).
-	DefaultDeadline time.Duration
-	MaxDeadline     time.Duration
 	// WatchdogCycles arms the forward-progress watchdog on every run
 	// (default 5M core cycles; <0 disables).
 	WatchdogCycles int64
-	// MaxBodyBytes bounds a submission body (default 1 MiB).
-	MaxBodyBytes int64
 	// FS is the filesystem the store and the service manifest persist
 	// on (default vfs.OS); the chaos explorer substitutes a
 	// fault-injecting one.
@@ -110,14 +97,27 @@ type Config struct {
 	runHook func(ctx context.Context, job Job) ([]core.Result, uint64, error)
 }
 
+// Fixed service limits.
+const (
+	// jobParallelism is the per-job worker pool width: concurrency
+	// comes from running jobs, not from inside them.
+	jobParallelism = 1
+	// maxJobCost bounds (instrs+warmup)×benchmarks per job, in
+	// simulated instructions.
+	maxJobCost = 500_000_000
+	// defaultDeadline bounds a job execution's wall-clock time when the
+	// spec names none; maxDeadline caps what a spec may ask for.
+	defaultDeadline = 15 * time.Minute
+	maxDeadline     = time.Hour
+	// maxBodyBytes bounds a submission body.
+	maxBodyBytes = 1 << 20
+)
+
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
 	def := experiments.Defaults()
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.JobParallelism <= 0 {
-		c.JobParallelism = 1
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -134,20 +134,8 @@ func (c Config) withDefaults() Config {
 	if c.DefaultWarmup == 0 {
 		c.DefaultWarmup = def.Warmup
 	}
-	if c.MaxJobCost == 0 {
-		c.MaxJobCost = 500_000_000
-	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 15 * time.Minute
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = time.Hour
-	}
 	if c.WatchdogCycles == 0 {
 		c.WatchdogCycles = 5_000_000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.FS == nil {
 		c.FS = vfs.OS
@@ -336,12 +324,9 @@ func (s *Service) runJob(id string) {
 	s.adm.start()
 	defer s.adm.finish()
 
-	deadline := s.cfg.DefaultDeadline
+	deadline := defaultDeadline
 	if d := job.Spec.DeadlineSeconds; d > 0 {
-		deadline = time.Duration(d * float64(time.Second))
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
-		}
+		deadline = min(time.Duration(d*float64(time.Second)), maxDeadline)
 	}
 	jobCtx, cancel := context.WithCancelCause(s.workCtx)
 	s.registerCancel(id, cancel)
@@ -387,7 +372,7 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 		Instrs:      s.cfg.DefaultInstrs,
 		Warmup:      s.cfg.DefaultWarmup,
 		Benchmarks:  job.Benchmarks,
-		Parallelism: s.cfg.JobParallelism,
+		Parallelism: jobParallelism,
 		Seed:        job.Spec.Seed,
 		Context:     ctx,
 		Checkpoint:  s.manifest,
@@ -410,7 +395,10 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 	if err != nil {
 		return nil, 0, err
 	}
-	results, err = runner.RunBenches(cfg)
+	all, err := runner.RunBenches(cfg)
+	if err == nil {
+		results = all[0]
+	}
 	reused = runner.Counts().Reused
 	if serr := s.manifest.Save(); serr != nil {
 		s.log.Printf("job %s: spec manifest: %v", job.ID, serr)
@@ -676,7 +664,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	spec, status, aerr := decodeSpec(r.Body)
 	if aerr != nil {
 		s.met.badRequests.Add(1)
@@ -700,11 +688,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, status, aerr)
 		return
 	}
-	if cost := spec.Cost(s.cfg.DefaultInstrs, s.cfg.DefaultWarmup); cost > s.cfg.MaxJobCost {
+	if cost := spec.Cost(s.cfg.DefaultInstrs, s.cfg.DefaultWarmup); cost > maxJobCost {
 		s.met.badRequests.Add(1)
 		s.writeError(w, http.StatusBadRequest, &apiError{
 			Code:    codeJobTooLarge,
-			Message: fmt.Sprintf("job simulates %d instructions; the server admits at most %d", cost, s.cfg.MaxJobCost),
+			Message: fmt.Sprintf("job simulates %d instructions; the server admits at most %d", cost, maxJobCost),
 		})
 		return
 	}

@@ -612,7 +612,7 @@ func TestRateLimitSheds(t *testing.T) {
 // TestMalformedBodies feeds the submission endpoint every malformed
 // shape and expects a typed 4xx — never a 500, never a dead daemon.
 func TestMalformedBodies(t *testing.T) {
-	svc := newService(t, Config{Workers: 1, RatePerSec: -1, MaxBodyBytes: 512, runHook: instantHook})
+	svc := newService(t, Config{Workers: 1, RatePerSec: -1, runHook: instantHook})
 
 	cases := []struct {
 		name, body string
@@ -627,7 +627,7 @@ func TestMalformedBodies(t *testing.T) {
 		{"unknown field", `{"bogus":1}`, http.StatusBadRequest, codeUnknownField},
 		{"retired engine field", `{"config":{"engine":"heap"}}`, http.StatusBadRequest, codeUnknownField},
 		{"trailing document", `{}{"preset":"base"}`, http.StatusBadRequest, codeMalformedJSON},
-		{"oversized", `{"benchmarks":["` + strings.Repeat("a", 600) + `"]}`, http.StatusRequestEntityTooLarge, codeOversized},
+		{"oversized", `{"benchmarks":["` + strings.Repeat("a", maxBodyBytes) + `"]}`, http.StatusRequestEntityTooLarge, codeOversized},
 		{"unknown preset", `{"preset":"exotic"}`, http.StatusBadRequest, codeInvalidSpec},
 		{"unknown benchmark", `{"benchmarks":["nope"]}`, http.StatusBadRequest, codeInvalidSpec},
 		{"negative deadline", `{"deadline_seconds":-1}`, http.StatusBadRequest, codeInvalidSpec},
