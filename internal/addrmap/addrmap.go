@@ -335,14 +335,15 @@ func AppendSpans(dst []Span, m Mapper, addr, size uint64) []Span {
 	return dst
 }
 
-// Stripe interleaves blocks of block bytes across n independent
-// channels: it returns the channel owning addr's block and addr
-// compacted into that channel's private address space. With n <= 1
-// every address belongs to channel 0 unchanged.
+// Stripe interleaves blocks of block bytes, a power of two, across n
+// independent channels: it returns the channel owning addr's block and
+// addr compacted into that channel's private address space. With
+// n <= 1 every address belongs to channel 0 unchanged.
 func Stripe(addr, block uint64, n int) (ch int, local uint64) {
 	if n <= 1 {
 		return 0, addr
 	}
-	nb := uint64(n)
-	return int(addr / block % nb), addr/block/nb*block + addr%block
+	sh, nb := bits.TrailingZeros64(block), uint64(n)
+	q := addr >> sh // shifts, not divides: this runs on every request
+	return int(q % nb), q/nb<<sh | addr&(block-1)
 }

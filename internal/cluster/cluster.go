@@ -5,13 +5,13 @@
 // toward: demand misses, writebacks, and prefetches from different
 // programs contending for the same scarce channel slots.
 //
-// Every member system and the memory shard — one shared
-// memctrl.Controller per channel (demand misses and unscheduled
-// prefetches before writebacks, round-robin across systems within a
-// class) — run on one event queue. A link crossing is an event one
-// link latency after its send that carries the request itself, so
-// crossings land in send order and a run is deterministic by
-// construction. See DESIGN.md §15.
+// Every member system and the shared memory — one core.Memory serving
+// every member, its one controller per channel putting demand misses
+// and unscheduled prefetches before writebacks, round-robin across
+// systems within a class — run on one event queue. A link crossing is
+// an event one link latency after its send that carries the request
+// itself, so crossings land in send order and a run is deterministic
+// by construction. See DESIGN.md §15.
 package cluster
 
 import (
@@ -33,17 +33,6 @@ const MaxSystems = 64
 // DefaultLinkLatency is the default system-to-fabric hop: 10ns
 // approximates an on-board point-to-point link.
 const DefaultLinkLatency = 10 * sim.Nanosecond
-
-// fabricInterleaving organizes the shared channels: each one behind
-// its own controller, blocks striped across them. Member systems take
-// the same organization, so both sides agree on the address space.
-const fabricInterleaving = "independent"
-
-// skewBlocks offsets each system's physical address space within the
-// shared fabric by this many 64-byte blocks (a prime, so systems with
-// identical workloads still exercise different rows and banks, the
-// same trick workload generation uses to de-correlate streams).
-const skewBlocks = 1009
 
 // SystemSpec describes one member system: which workload it runs and
 // optionally a full core configuration override. The zero Config
@@ -174,25 +163,36 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// onFabric puts the shared fabric's shape on cfg: its geometry, part,
+// mapping, row policy and bank timing, each channel behind its own
+// controller with blocks striped across them. The members and the
+// shared memory (onFabric(core.Base()), whose 64 B L2 block is the
+// stripe granule) all take it, so they agree on the address space.
+func (c Config) onFabric(cfg core.Config) core.Config {
+	cfg.Channels = c.Channels
+	cfg.DevicesPerChannel = c.DevicesPerChannel
+	cfg.Interleaving = "independent"
+	cfg.Mapping = c.Mapping
+	cfg.Timing = dram.Parts[c.Part]
+	cfg.ClosedPage = c.ClosedPage
+	cfg.BankTiming = c.BankTiming
+	return cfg
+}
+
 // systemConfig derives system i's core configuration: the spec's base
-// (or core.Base()) with the shared fabric geometry forced on top, so
-// every member computes the same physical address space the shared
-// controllers serve. External-memory restrictions are normalized
-// rather than rejected — scheduled/bank-aware prefetching degrades to
-// the unscheduled FIFO discipline (the member has no controller of its
-// own whose idle and row state the prefetcher could read), and
-// hardening monitors are disabled (they inspect local controllers).
+// (or core.Base()) on the fabric, so every member computes the same
+// physical address space the shared memory serves. External-memory
+// restrictions are normalized rather than rejected — scheduled and
+// bank-aware prefetching degrade to the unscheduled FIFO discipline
+// (the member has no controller of its own whose idle and row state
+// the prefetcher could read), and hardening monitors are disabled
+// (they inspect local controllers).
 func (c Config) systemConfig(i int) core.Config {
 	cfg := core.Base()
 	if sc := c.Systems[i].Config; sc != nil {
 		cfg = *sc
 	}
-	cfg.Channels = c.Channels
-	cfg.DevicesPerChannel = c.DevicesPerChannel
-	cfg.Interleaving = fabricInterleaving
-	cfg.Mapping = c.Mapping
-	cfg.Timing = dram.Parts[c.Part]
-	cfg.ClosedPage = c.ClosedPage
+	cfg = c.onFabric(cfg)
 	if c.MaxInstrs > 0 {
 		cfg.MaxInstrs = c.MaxInstrs
 		cfg.WarmupInstrs = c.WarmupInstrs

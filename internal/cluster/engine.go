@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"memsim/internal/core"
+	"memsim/internal/memctrl"
+	"memsim/internal/obs"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
@@ -14,13 +16,16 @@ import (
 const ctxCheckEvents = 4096
 
 // run carries the live state of one cluster execution. Every member
-// system and the shared controllers schedule on its one scheduler; a
-// link crossing is an event one link latency after its send.
+// system and the shared memory schedule on its one scheduler; a link
+// crossing is an event one link latency after its send.
 type run struct {
 	cfg     Config
 	sched   *sim.Scheduler
 	systems []*systemShard
-	mem     *memoryShard
+	mem     *core.Memory
+	// fabricObs holds the shared memory's trace lanes, exported as the
+	// "fabric" process next to the members'; nil unless tracing.
+	fabricObs *obs.Observer
 
 	// free pools the transfers not in flight; built counts every
 	// transfer ever made. The three link handlers are bound once.
@@ -50,8 +55,8 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	return r.collect()
 }
 
-// newRun validates cfg and builds every member system and the memory
-// shard on one scheduler, ready to run.
+// newRun validates cfg and builds every member system and the shared
+// memory on one scheduler, ready to run.
 func newRun(cfg Config) (*run, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -78,11 +83,15 @@ func newRun(cfg Config) (*run, error) {
 		}
 		r.systems = append(r.systems, sh)
 	}
-	mem, err := newMemoryShard(r)
+	mem, err := core.NewMemory(r.sched, cfg.onFabric(core.Base()), len(cfg.Systems))
 	if err != nil {
 		return nil, err
 	}
 	r.mem = mem
+	if cfg.Obs.Trace {
+		r.fabricObs = obs.New(obs.Config{Trace: true, TraceEvents: cfg.Obs.TraceEvents}, r.sched.Now)
+		mem.Observe(r.fabricObs)
+	}
 	return r, nil
 }
 
@@ -115,7 +124,9 @@ func (r *run) land(at sim.Time, m message) {
 	}
 }
 
-// arrive lands a member's request at the shared controllers.
+// arrive lands a member's request at the shared memory: the
+// transfer's own request carries it, with the callbacks that send it
+// back across the link.
 func (r *run) arrive(at sim.Time, t *transfer) {
 	req := t.req
 	r.land(at, message{
@@ -128,7 +139,11 @@ func (r *run) arrive(at sim.Time, t *transfer) {
 		Write:     req.Write,
 		NeedFirst: req.OnFirstData != nil,
 	})
-	r.mem.submit(t)
+	t.Request = memctrl.Request{Sys: t.Sys, Addr: req.Addr, Size: req.Size, Class: req.Class, Write: req.Write, OnComplete: t.onComplete}
+	if req.OnFirstData != nil {
+		t.OnFirstData = t.onFirst
+	}
+	r.mem.Submit(&t.Request)
 }
 
 // firstData lands the critical word back at the requester.
@@ -231,5 +246,5 @@ func (r *run) finished() bool {
 			return false
 		}
 	}
-	return len(r.free) == r.built && !r.mem.busy()
+	return len(r.free) == r.built && !r.mem.Busy()
 }

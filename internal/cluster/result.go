@@ -104,12 +104,12 @@ func (r *run) collect() (Result, error) {
 		Messages:  r.messages,
 		TraceHash: fmt.Sprintf("%016x", r.hash),
 		SimTime:   r.sched.Now(),
-		Channels:  len(r.mem.chns),
+		Channels:  len(r.mem.Controllers()),
 	}
 
 	// Per-system shares, summed over channels.
 	shares := make([]memctrl.ShareStats, len(r.systems))
-	for _, c := range r.mem.ctrls {
+	for _, c := range r.mem.Controllers() {
 		for sys := range shares {
 			shares[sys] = shares[sys].Add(c.Share(sys))
 		}
@@ -138,11 +138,9 @@ func (r *run) collect() (Result, error) {
 		res.Systems = append(res.Systems, sr)
 	}
 
-	for _, chn := range r.mem.chns {
-		res.Channel = res.Channel.Add(chn.Stats())
-	}
+	res.Channel, _ = r.mem.Stats()
 	if res.SimTime > 0 {
-		span := res.SimTime * sim.Time(len(r.mem.chns))
+		span := res.SimTime * sim.Time(res.Channels)
 		res.DataUtilization = res.Channel.DataUtilization(span)
 		res.CommandUtilization = res.Channel.CommandUtilization(span)
 	}
@@ -151,7 +149,7 @@ func (r *run) collect() (Result, error) {
 		for _, sh := range r.systems {
 			res.trace = append(res.trace, obs.SystemEvents{Label: sh.label, Events: sh.sys.Obs().Tracer.Events()})
 		}
-		res.trace = append(res.trace, obs.SystemEvents{Label: "fabric", Events: r.mem.obs.Tracer.Events()})
+		res.trace = append(res.trace, obs.SystemEvents{Label: "fabric", Events: r.fabricObs.Tracer.Events()})
 	}
 	return res, nil
 }
@@ -174,8 +172,8 @@ func (r *run) clusterMetrics(shares []memctrl.ShareStats) map[string]float64 {
 		m[fmt.Sprintf("memsim_cluster_share_queue_wait_ps{system=%s}", label)] = float64(shares[i].QueueWait)
 		m[fmt.Sprintf("memsim_cluster_share_max_queue{system=%s}", label)] = float64(shares[i].MaxQueue)
 	}
-	for c, chn := range r.mem.chns {
-		st := chn.Stats()
+	for c, ctrl := range r.mem.Controllers() {
+		st := ctrl.Channel().Stats()
 		m[fmt.Sprintf("memsim_cluster_channel_data_busy_ps{channel=%d}", c)] = float64(st.DataBusy)
 		var acc uint64
 		for _, n := range st.Accesses {

@@ -1,13 +1,8 @@
 package cluster
 
 import (
-	"memsim/internal/addrmap"
-	"memsim/internal/channel"
 	"memsim/internal/core"
-	"memsim/internal/dram"
 	"memsim/internal/memctrl"
-	"memsim/internal/obs"
-	"memsim/internal/policy"
 	"memsim/internal/sim"
 )
 
@@ -80,82 +75,4 @@ func (sh *systemShard) Submit(req *memctrl.Request) {
 	t.req, t.id, t.Sys = req, sh.nextID, uint16(sh.idx)
 	sh.nextID++
 	r.sched.ScheduleCall(r.cfg.LinkLatency, r.arriveCB, t)
-}
-
-// memoryShard owns the shared fabric: one shared controller, channel
-// and mapper per physical channel.
-type memoryShard struct {
-	ctrls    []*memctrl.Controller
-	chns     []*channel.Channel
-	obs      *obs.Observer // fabric-level channel/bank lanes (tracing only)
-	capacity uint64
-}
-
-// fabricBlockBytes is the channel-stripe granule. Systems submit
-// L2-block-sized transfers; a transfer is served whole by the channel
-// owning its first granule.
-const fabricBlockBytes = 64
-
-func newMemoryShard(r *run) (*memoryShard, error) {
-	cfg := r.cfg
-	ms := &memoryShard{}
-	if cfg.Obs.Trace {
-		// The fabric gets its own trace lanes (one channel/bank pair
-		// per physical channel) exported as the "fabric" process next
-		// to the per-system processes.
-		ms.obs = obs.New(obs.Config{Trace: true, TraceEvents: cfg.Obs.TraceEvents}, r.sched.Now)
-	}
-
-	org, err := policy.NewOrganization(fabricInterleaving,
-		addrmap.Geometry{Channels: cfg.Channels, DevicesPerChannel: cfg.DevicesPerChannel})
-	if err != nil {
-		return nil, err
-	}
-	ms.capacity = org.Capacity()
-	ms.chns = make([]*channel.Channel, 0, org.Groups)
-	ms.ctrls = make([]*memctrl.Controller, 0, org.Groups)
-	chCfg := channel.Config{Timing: dram.Parts[cfg.Part], ClosedPage: cfg.ClosedPage}
-	for c := 0; c < org.Groups; c++ {
-		chn, mapr, err := org.NewGroup(cfg.Mapping, cfg.BankTiming, chCfg)
-		if err != nil {
-			return nil, err
-		}
-		if ms.obs != nil {
-			chn.Observe(ms.obs, c)
-		}
-		ms.chns = append(ms.chns, chn)
-		ms.ctrls = append(ms.ctrls, memctrl.NewShared(r.sched, chn, mapr, len(cfg.Systems)))
-	}
-	return ms, nil
-}
-
-// submit lands t on the controller of the channel owning its block:
-// the system's address is skewed into its own slice of the fabric and
-// compacted into that channel's private space.
-func (ms *memoryShard) submit(t *transfer) {
-	req := t.req
-	addr := (req.Addr + uint64(t.Sys)*skewBlocks*fabricBlockBytes) % ms.capacity
-	ch, local := addrmap.Stripe(addr, fabricBlockBytes, len(ms.ctrls))
-	t.Request = memctrl.Request{
-		Sys:        t.Sys,
-		Addr:       local,
-		Size:       req.Size,
-		Class:      req.Class,
-		Write:      req.Write,
-		OnComplete: t.onComplete,
-	}
-	if req.OnFirstData != nil {
-		t.OnFirstData = t.onFirst
-	}
-	ms.ctrls[ch].Submit(&t.Request)
-}
-
-// busy reports whether a controller still holds queued or armed work.
-func (ms *memoryShard) busy() bool {
-	for _, c := range ms.ctrls {
-		if c.Pending() {
-			return true
-		}
-	}
-	return false
 }

@@ -63,12 +63,12 @@ func TestWarmedSystemAllocatesNothing(t *testing.T) {
 				}
 			}
 			step(allocWarmEvents)
-			before := sys.ctrls[0].Stats()
+			before := sys.mem.ctrls[0].Stats()
 			if got := testing.AllocsPerRun(5, func() { step(allocStepEvents) }); got != 0 {
 				t.Errorf("%v allocations per %d events, want 0", got, allocStepEvents)
 			}
 			// The window must have exercised the miss path it pins.
-			issued := sys.ctrls[0].Stats().Delta(before).Issued
+			issued := sys.mem.ctrls[0].Stats().Delta(before).Issued
 			if issued[channel.Demand] == 0 || issued[channel.Writeback] == 0 {
 				t.Errorf("measured window issued %v: want demand and writeback traffic", issued)
 			}

@@ -82,7 +82,7 @@ func TestRequestConservation(t *testing.T) {
 			// finish, then everything built must be back in the pool.
 			sys.sched.Run()
 			var issued uint64
-			for _, c := range sys.ctrls {
+			for _, c := range sys.mem.ctrls {
 				for _, n := range c.Stats().Issued {
 					issued += n
 				}

@@ -45,7 +45,7 @@ func runDecisions(t *testing.T, cfg Config) []memctrl.DecisionRecord {
 		t.Fatal(err)
 	}
 	var records []memctrl.DecisionRecord
-	for _, c := range sys.ctrls {
+	for _, c := range sys.mem.ctrls {
 		c.OnDecision(func(r memctrl.DecisionRecord) { records = append(records, r) })
 	}
 	if _, err := sys.Run(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"memsim/internal/channel"
 	"memsim/internal/harden"
 	"memsim/internal/harden/inject"
-	"memsim/internal/memctrl"
 )
 
 // defaultParanoidEvery is the invariant-check interval, in core cycles,
@@ -55,7 +54,7 @@ func (s *System) armHarden() {
 	}
 
 	if h.Paranoid {
-		for _, c := range s.ctrls {
+		for _, c := range s.mem.ctrls {
 			c.EnableTracking()
 		}
 		every := h.ParanoidEvery
@@ -84,11 +83,9 @@ func (s *System) armHarden() {
 // compares across windows: any one advancing means the system is alive.
 func (s *System) progress() harden.Progress {
 	var issued uint64
-	for _, c := range s.ctrls {
-		st := c.Stats()
-		for _, n := range st.Issued {
-			issued += n
-		}
+	_, st := s.mem.Stats()
+	for _, n := range st.Issued {
+		issued += n
 	}
 	return harden.Progress{
 		Retired:     s.core.Stats().Retired,
@@ -119,8 +116,8 @@ func (s *System) checkInvariants() []string {
 	// its controller; a fill with nothing behind it will never drain,
 	// and one holding an MSHR silently eats miss capacity.
 	for _, r := range s.fills.sorted() {
-		g, local := s.stripe(r.block)
-		if s.ctrls[g].HasPending(local) {
+		g, local := s.mem.route(0, r.block)
+		if s.mem.ctrls[g].HasPending(local) {
 			continue
 		}
 		if r.kind == prefetchReq {
@@ -147,8 +144,8 @@ func (s *System) checkInvariants() []string {
 	}
 
 	now := s.sched.Now()
-	for g, ch := range s.chns {
-		if err := ch.CheckSane(now); err != nil {
+	for g, c := range s.mem.ctrls {
+		if err := c.Channel().CheckSane(now); err != nil {
 			add("channel %d: %v", g, err)
 		}
 	}
@@ -171,10 +168,10 @@ func (s *System) dump() string {
 	for _, f := range s.fills.sorted() {
 		r.Linef("  block=%#x kind=%s waiters=%d", f.block, f.kind, len(f.waiters))
 	}
-	for g := range s.ctrls {
+	for g, c := range s.mem.ctrls {
 		r.Section(fmt.Sprintf("memctrl[%d]", g))
-		r.Linef("%s", s.ctrls[g].DebugState(now))
-		r.Linef("channel: %s", s.chns[g].DebugState(now))
+		r.Linef("%s", c.DebugState(now))
+		r.Linef("channel: %s", c.Channel().DebugState(now))
 	}
 	if s.pf != nil {
 		r.Section("prefetch")
@@ -195,15 +192,17 @@ func (s *System) dump() string {
 }
 
 // injectOnSubmit applies the submission-domain faults to a demand
-// request about to enter controller g. r.Addr is already group-local.
-func (s *System) injectOnSubmit(g int, r *memctrl.Request) {
+// request for the global address addr, about to enter its controller.
+func (s *System) injectOnSubmit(addr uint64) {
+	m := s.mem
 	if s.inj.Tick(inject.StuckBank) {
-		c := s.maprs[g].Map(r.Addr)
-		s.chns[g].StickBank(c.Device, c.Bank)
+		g, local := m.route(0, addr)
+		c := m.maprs[g].Map(local)
+		m.ctrls[g].Channel().StickBank(c.Device, c.Bank)
 	}
 	if s.inj.Tick(inject.RefreshStorm) {
-		for _, ch := range s.chns {
-			ch.InjectRefreshStorm(stormSlice)
+		for _, c := range m.ctrls {
+			c.Channel().InjectRefreshStorm(stormSlice)
 		}
 	}
 	if s.inj.Tick(inject.PhantomMSHR) && s.held < s.cfg.MSHRs {

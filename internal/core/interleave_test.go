@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 
+	"memsim/internal/addrmap"
+	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
 
@@ -71,9 +73,16 @@ func TestIndependentWithPrefetching(t *testing.T) {
 	}
 }
 
+// TestLocalAddressCompaction pins Memory.route for every requester. A
+// private system's only requester, 0, stripes its blocks round-robin
+// over the four groups and compacts them into each group's private
+// space. Requester i of a four-requester memory of the cluster fabric's
+// shape (independent channels, 64 B granule) first moves i*1009
+// granules up the shared space, wrapping at capacity.
 func TestLocalAddressCompaction(t *testing.T) {
 	cfg := Base()
 	cfg.Interleaving = "independent"
+	cfg.L2Block = 128
 	gen, _ := workload.NewGenerator(workload.Params{
 		WorkingSet: 1 << 20, ResidentBytes: 64 << 10,
 		MemFraction: 0.3, StreamWeight: 1, Streams: 1, ElemBytes: 8, Coverage: 1,
@@ -82,16 +91,36 @@ func TestLocalAddressCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Blocks stripe round-robin over the four groups and compact into
-	// each group's private space.
 	for i := uint64(0); i < 16; i++ {
-		addr := i * 64
-		g, local := sys.stripe(addr)
+		addr := i*128 + 8
+		g, local := sys.mem.route(0, addr)
 		if want := int(i % 4); g != want {
-			t.Fatalf("stripe(%#x) group = %d, want %d", addr, g, want)
+			t.Fatalf("route(0, %#x) group = %d, want %d", addr, g, want)
 		}
-		if want := i / 4 * 64; local != want {
-			t.Fatalf("stripe(%#x) local = %#x, want %#x", addr, local, want)
+		if want := i/4*128 + 8; local != want {
+			t.Fatalf("route(0, %#x) local = %#x, want %#x", addr, local, want)
+		}
+	}
+
+	fabric := Base()
+	fabric.Interleaving = "independent"
+	mem, err := NewMemory(sim.NewScheduler(), fabric, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := fabric.geometry().Capacity()
+	// The last address wraps for every requester above 0.
+	addrs := []uint64{0, 64, 3*64 + 5, 1 << 20, capacity - 1009*64 + 7, capacity - 64}
+	for sys := 0; sys < 4; sys++ {
+		for _, addr := range addrs {
+			g, local := mem.route(sys, addr)
+			wantG, wantLocal := addrmap.Stripe(addr, uint64(fabric.L2Block), 4)
+			if sys > 0 {
+				wantG, wantLocal = addrmap.Stripe((addr+uint64(sys)*1009*64)%capacity, 64, 4)
+			}
+			if g != wantG || local != wantLocal {
+				t.Errorf("route(%d, %#x) = (%d, %#x), want (%d, %#x)", sys, addr, g, local, wantG, wantLocal)
+			}
 		}
 	}
 }
@@ -107,7 +136,7 @@ func TestRoutedPrefetchesPopInOrder(t *testing.T) {
 	src := &prefetchSource{sys: sys, group: 0}
 	for _, b := range blocks {
 		r, ok := src.NextPrefetch(0)
-		if _, local := sys.stripe(b); !ok || r.Addr != local {
+		if _, local := sys.mem.route(0, b); !ok || r.Addr != local {
 			t.Fatalf("pulled %v (ok %v), want the prefetch of block %#x", r, ok, b)
 		}
 	}

@@ -23,10 +23,7 @@ func (s *System) armObs() {
 	s.obs = obs.New(s.cfg.Obs, s.sched.Now)
 	s.tr = s.obs.Tracer
 
-	for g := range s.ctrls {
-		s.chns[g].Observe(s.obs, g)
-		s.ctrls[g].Observe(s.obs, g)
-	}
+	s.mem.Observe(s.obs)
 	s.l2.AttachTracer(s.obs.Tracer)
 	if s.pfbuffer != nil {
 		s.pfbuffer.AttachTracer(s.obs.Tracer)
@@ -45,7 +42,7 @@ func (s *System) armObs() {
 	// Bank-timing metrics exist only when a non-flat scheme is armed,
 	// so flat-scheme metric dumps (and the golden fixtures built from
 	// them) are untouched by the zoo.
-	if len(s.chns) > 0 && s.chns[0].Config().TimingPol != nil {
+	if ctrls := s.mem.ctrls; len(ctrls) > 0 && ctrls[0].Channel().Config().TimingPol != nil {
 		reg.CounterFunc("memsim_dram_fast_activates_total",
 			"Activates that took the timing scheme's fast path (near segment or reuse hit).",
 			func() float64 {
@@ -95,8 +92,8 @@ func (s *System) armObs() {
 // groups' bank-timing policy instances; armObs calls it only when a
 // non-flat scheme gave every group one.
 func (s *System) activates() (fast, slow uint64) {
-	for _, ch := range s.chns {
-		f, sl := ch.Config().TimingPol.Counters()
+	for _, c := range s.mem.ctrls {
+		f, sl := c.Channel().Config().TimingPol.Counters()
 		fast, slow = fast+f, slow+sl
 	}
 	return fast, slow
@@ -114,8 +111,8 @@ func (s *System) armCounterfactual() {
 	policy.Sched.Alternatives(s.cfg.SchedPolicy, s.cfg.schedParams(), func(_ string, pol memctrl.IssuePolicy) {
 		alts = append(alts, pol)
 	})
-	for g := range s.ctrls {
-		s.ctrls[g].EnableCounterfactual(alts)
+	for _, c := range s.mem.ctrls {
+		c.EnableCounterfactual(alts)
 	}
 	if s.pf == nil {
 		return

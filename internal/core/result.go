@@ -91,19 +91,13 @@ func (s *System) result() Result {
 		Elapsed:         elapsed,
 		L1:              s.l1.Stats().Delta(b.l1),
 		L2:              s.l2.Stats().Delta(b.l2),
-		Groups:          len(s.ctrls),
+		Groups:          len(s.mem.ctrls),
 		LateMerges:      s.lateMerges - b.lateMerges,
 		PrefetchSkipped: s.prefetchSkipped - b.prefetchSkipped,
 		SWPrefetches:    s.swPrefetches - b.swPrefetches,
 	}
-	for g := range s.ctrls {
-		chnBase, ctrlBase := channel.Stats{}, memctrl.Stats{}
-		if b.taken {
-			chnBase, ctrlBase = b.chn[g], b.ctrl[g]
-		}
-		r.Channel = r.Channel.Add(s.chns[g].Stats().Delta(chnBase))
-		r.Ctrl = r.Ctrl.Add(s.ctrls[g].Stats().Delta(ctrlBase))
-	}
+	chn, ctrl := s.mem.Stats()
+	r.Channel, r.Ctrl = chn.Delta(b.chn), ctrl.Delta(b.ctrl)
 	if cycles > 0 {
 		r.IPC = float64(instrs) / float64(cycles)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"memsim/internal/addrmap"
 	"memsim/internal/cache"
 	"memsim/internal/channel"
 	"memsim/internal/cpu"
@@ -19,21 +18,22 @@ import (
 )
 
 // System is one fully wired simulated machine. Build with New, run
-// once with Run. It has one controller per channel group of its
-// organization (policy.Interleavings), whole cache blocks striped
-// across the groups: one group under the paper's "ganged" channels.
+// once with Run. Its memory is a one-requester Memory; a cluster
+// member, built with NewExternal, holds an empty one and sends every
+// request over the cluster's link instead.
 type System struct {
 	cfg   Config
 	clock sim.Clock
 	sched *sim.Scheduler
 
-	core  *cpu.CPU
-	l1    *cache.Cache
-	l2    *cache.Cache
-	ctrls []*memctrl.Controller
-	chns  []*channel.Channel
-	maprs []addrmap.Mapper
-	pf    prefetch.Prefetcher // nil when disabled
+	core *cpu.CPU
+	l1   *cache.Cache
+	l2   *cache.Cache
+	mem  *Memory
+	// port is where every request leaves: mem for a private system,
+	// the link for a cluster member.
+	port ExternalMemory
+	pf   prefetch.Prefetcher // nil when disabled
 	// pfbuffer receives prefetch fills when the separate-buffer
 	// alternative is configured; nil otherwise.
 	pfbuffer *cache.Cache
@@ -41,7 +41,7 @@ type System struct {
 	// pfBuf holds prefetch candidates routed to a controller that was
 	// not the one asking (independent interleaving only).
 	pfBuf [][]uint64
-	// rowOpenFn is rowOpenGlobal bound once, so bank-aware prefetch
+	// rowOpenFn is mem.rowOpen bound once, so bank-aware prefetch
 	// pulls allocate no method value.
 	rowOpenFn func(block uint64) bool
 
@@ -65,13 +65,6 @@ type System struct {
 	onNewRequest func(*memctrl.Request)
 
 	capacity uint64
-
-	// extMem, when non-nil, replaces the local memory controllers: all
-	// requests route to it with fabric-global addresses and no local
-	// channel state exists (ctrls, chns and maprs stay empty). Set by
-	// NewExternal; internal/cluster uses it to share channels between
-	// systems.
-	extMem ExternalMemory
 
 	// OnProgress, when non-nil, is invoked at the event loop's coarse
 	// sampling stride with the retired-instruction count and current
@@ -105,8 +98,8 @@ type System struct {
 		retired         uint64
 		l1, l2          cache.Stats
 		buffer          cache.Stats
-		chn             []channel.Stats
-		ctrl            []memctrl.Stats
+		chn             channel.Stats
+		ctrl            memctrl.Stats
 		pf              prefetch.Stats
 		lateMerges      uint64
 		swPrefetches    uint64
@@ -311,11 +304,11 @@ func (s *System) deliver(r *missReq, at sim.Time) {
 	s.core.Wake()
 }
 
-// ExternalMemory is the memory-backend seam: a fabric that resolves
-// block transfers on behalf of the system. Submit receives requests
-// with fabric-global physical addresses (no group-local translation);
-// the backend must eventually fire OnFirstData/OnComplete on the
-// scheduler the system was built on.
+// ExternalMemory is where a system's requests leave: its own Memory,
+// or for a cluster member the link to the shared one. Submit receives
+// requests with the system's global physical addresses; the backend
+// translates them and must eventually fire OnFirstData/OnComplete on
+// the scheduler the system was built on.
 type ExternalMemory interface {
 	Submit(r *memctrl.Request)
 }
@@ -374,15 +367,11 @@ func (c *Config) ValidateExternalController() error {
 	return nil
 }
 
-func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.Scheduler) (*System, error) {
+func newSystem(cfg Config, gen trace.Generator, port ExternalMemory, sched *sim.Scheduler) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 
-	org, err := policy.NewOrganization(cfg.Interleaving, cfg.geometry())
-	if err != nil {
-		return nil, err
-	}
 	l1, err := cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1Size, Assoc: cfg.L1Assoc, BlockBytes: cfg.L1Block})
 	if err != nil {
 		return nil, err
@@ -390,6 +379,13 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.S
 	l2, err := cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2Size, Assoc: cfg.L2Assoc, BlockBytes: cfg.L2Block})
 	if err != nil {
 		return nil, err
+	}
+	mem := &Memory{}
+	if port == nil {
+		if mem, err = NewMemory(sched, cfg, 1); err != nil {
+			return nil, err
+		}
+		port = mem
 	}
 
 	s := &System{
@@ -399,36 +395,13 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.S
 		l1:       l1,
 		l2:       l2,
 		fills:    newFillIndex(cfg.L2Block, cfg.MSHRs),
-		capacity: org.Capacity(),
-		pfBuf:    make([][]uint64, org.Groups),
-		extMem:   mem,
+		capacity: cfg.geometry().Capacity(),
+		mem:      mem,
+		port:     port,
+		pfBuf:    make([][]uint64, len(mem.ctrls)),
 	}
-	s.rowOpenFn = s.rowOpenGlobal
+	s.rowOpenFn = mem.rowOpen
 	s.recycleWB = func(r *memctrl.Request) { s.freeWBs = append(s.freeWBs, r) }
-	chCfg := channel.Config{Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
-	if cfg.Refresh {
-		// One refresh per ~2us retires all 16K rows of a device within
-		// a 32ms retention period; each costs roughly a row cycle.
-		chCfg.RefreshInterval = 2 * sim.Microsecond
-		chCfg.RefreshDuration = 70 * sim.Nanosecond
-	}
-	// With an external backend the fabric owns all channel state and
-	// no group is built here.
-	for g := 0; mem == nil && g < org.Groups; g++ {
-		chn, mapr, err := org.NewGroup(cfg.Mapping, cfg.BankTiming, chCfg)
-		if err != nil {
-			return nil, err
-		}
-		pol, err := policy.NewSched(cfg.SchedPolicy, cfg.schedParams())
-		if err != nil {
-			return nil, err
-		}
-		ctrl := memctrl.New(s.sched, chn, mapr)
-		ctrl.SetPolicy(pol)
-		s.maprs = append(s.maprs, mapr)
-		s.chns = append(s.chns, chn)
-		s.ctrls = append(s.ctrls, ctrl)
-	}
 
 	if cfg.Prefetch.Enabled {
 		s.pf, err = policy.NewPrefetcher(cfg.Prefetch.Scheme, prefetchParams(cfg))
@@ -436,8 +409,8 @@ func newSystem(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.S
 			return nil, err
 		}
 		if cfg.Prefetch.Scheduled {
-			for g := range s.ctrls {
-				s.ctrls[g].SetPrefetchSource(&prefetchSource{sys: s, group: g})
+			for g, c := range mem.ctrls {
+				c.SetPrefetchSource(&prefetchSource{sys: s, group: g})
 			}
 		}
 		// First demand reference of a prefetched block counts as a
@@ -493,34 +466,14 @@ func prefetchParams(cfg Config) policy.PrefetchParams {
 	}
 }
 
-// stripe routes a global physical address to its controller and
-// compacts it into that channel group's private address space: group
-// 0 and the address unchanged when ganged or when the memory backend
-// is external (the fabric does its own translation).
-func (s *System) stripe(addr uint64) (group int, local uint64) {
-	return addrmap.Stripe(addr, uint64(s.cfg.L2Block), len(s.ctrls))
-}
-
-// submit routes a request built on global addresses to its controller,
-// translating the address into the group-local space. With an external
-// backend the request leaves with its global address untouched.
+// submit sends a request built on a global address out through the
+// system's port, applying the armed submission faults to a demand
+// request first.
 func (s *System) submit(r *memctrl.Request) {
-	if s.extMem != nil {
-		s.extMem.Submit(r)
-		return
-	}
-	g, local := s.stripe(r.Addr)
-	r.Addr = local
 	if s.inj != nil && r.Class == channel.Demand {
-		s.injectOnSubmit(g, r)
+		s.injectOnSubmit(r.Addr)
 	}
-	s.ctrls[g].Submit(r)
-}
-
-// rowOpenGlobal reports whether the block's row is open in its group.
-func (s *System) rowOpenGlobal(block uint64) bool {
-	g, local := s.stripe(block)
-	return s.chns[g].RowOpen(s.maprs[g].Map(local))
+	s.port.Submit(r)
 }
 
 // snapshotBaseline records all counters at the warmup boundary so the
@@ -535,12 +488,7 @@ func (s *System) snapshotBaseline() {
 	if s.pfbuffer != nil {
 		b.buffer = s.pfbuffer.Stats()
 	}
-	b.chn = b.chn[:0]
-	b.ctrl = b.ctrl[:0]
-	for g := range s.ctrls {
-		b.chn = append(b.chn, s.chns[g].Stats())
-		b.ctrl = append(b.ctrl, s.ctrls[g].Stats())
-	}
+	b.chn, b.ctrl = s.mem.Stats()
 	if s.pf != nil {
 		b.pf = s.pf.Stats()
 	}
@@ -782,7 +730,7 @@ func (s *System) notifyPrefetcher(addr uint64) {
 	}
 	s.pf.OnDemandMiss(addr, nil)
 	if s.cfg.Prefetch.Scheduled {
-		for _, c := range s.ctrls {
+		for _, c := range s.mem.ctrls {
 			c.Kick()
 		}
 	} else {
@@ -795,21 +743,15 @@ func (s *System) notifyPrefetcher(addr uint64) {
 				break
 			}
 			if r, live := s.makePrefetchRequest(block); live {
-				if s.extMem != nil {
-					s.extMem.Submit(r)
-				} else {
-					g, _ := s.stripe(block)
-					s.ctrls[g].Submit(r)
-				}
+				s.submit(r)
 			}
 		}
 	}
 }
 
-// makePrefetchRequest builds the transfer for one prefetch block,
-// registering it in flight; the request address is already translated
-// to the owning group's local space. ok is false when the block is
-// resident or being fetched.
+// makePrefetchRequest builds the transfer for one prefetch block on
+// its global address, registering it in flight. ok is false when the
+// block is resident or being fetched.
 func (s *System) makePrefetchRequest(block uint64) (*memctrl.Request, bool) {
 	// Engines may generate out-of-range candidates (e.g. a stream
 	// running past the workload footprint); wrap like every other
@@ -831,8 +773,7 @@ func (s *System) makePrefetchRequest(block uint64) (*memctrl.Request, bool) {
 		s.dropPrefetch(block, reason)
 		return nil, false
 	}
-	_, local := s.stripe(block)
-	r := s.newReq(prefetchReq, local, block, false)
+	r := s.newReq(prefetchReq, block, block, false)
 	s.track(r)
 	return &r.Request, true
 }
@@ -887,7 +828,7 @@ func (p *prefetchSource) NextPrefetch(now sim.Time) (*memctrl.Request, bool) {
 	for buf := s.pfBuf[p.group]; len(buf) > 0; buf = s.pfBuf[p.group] {
 		block := buf[0]
 		s.pfBuf[p.group] = buf[:copy(buf, buf[1:])]
-		if r, live := s.makePrefetchRequest(block); live {
+		if r, live := p.pull(block); live {
 			return r, true
 		}
 	}
@@ -897,16 +838,26 @@ func (p *prefetchSource) NextPrefetch(now sim.Time) (*memctrl.Request, bool) {
 		if !ok {
 			return nil, false
 		}
-		g, _ := s.stripe(block)
-		if g != p.group {
+		if g, _ := s.mem.route(0, block); g != p.group {
 			// Route to the owning controller and keep looking.
 			s.pfBuf[g] = append(s.pfBuf[g], block)
-			s.ctrls[g].Kick()
+			s.mem.ctrls[g].Kick()
 			continue
 		}
-		if r, live := s.makePrefetchRequest(block); live {
+		if r, live := p.pull(block); live {
 			return r, true
 		}
 	}
 	return nil, false
+}
+
+// pull builds the prefetch of block for p's controller, its address
+// translated into the group's space: the controller queues it without
+// a Submit.
+func (p *prefetchSource) pull(block uint64) (*memctrl.Request, bool) {
+	r, live := p.sys.makePrefetchRequest(block)
+	if live {
+		_, r.Addr = p.sys.mem.route(0, r.Addr)
+	}
+	return r, live
 }

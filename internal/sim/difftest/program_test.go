@@ -123,7 +123,7 @@ func Generate(seed int64, nops int) Program {
 // Sparse programs keep at most sparseMaxPending events queued, each
 // scheduling delay and run-ahead between sparseMinGap and
 // sparseMaxGap: a few events tens to hundreds of nanoseconds apart, as
-// on a cluster's memory shard. With so few events, a schedule after a
+// on a cluster's shared memory. With so few events, a schedule after a
 // run often lands before the next event still queued.
 const (
 	sparseMaxPending = 4
