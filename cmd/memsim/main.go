@@ -33,8 +33,6 @@ func main() {
 		paranoid = flag.Bool("paranoid", false, "enable cross-layer invariant checking")
 		watchdog = flag.Int64("watchdog-cycles", 1_000_000,
 			"abort after this many core cycles without forward progress (0 = off)")
-		injectSpec = flag.String("inject", "",
-			"inject a fault: class[:after], e.g. drop-completion:10 (see DESIGN.md)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON file (chrome://tracing, Perfetto)")
 		traceEvents = flag.Int("trace-events", 0, "trace ring capacity in events (0 = default 65536)")
 		metricsOut  = flag.String("metrics-out", "", "write metrics in Prometheus text exposition format")
@@ -63,11 +61,6 @@ func main() {
 	cfg.WarmupInstrs = *warmup
 	cfg.Harden.Paranoid = *paranoid
 	cfg.Harden.WatchdogCycles = *watchdog
-	plan, err := memsim.ParseInject(*injectSpec)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Harden.Inject = plan
 
 	cfg.Obs = memsim.ObsConfig{
 		Metrics:     *metricsOut != "" || *metricsJSON != "",

@@ -205,11 +205,6 @@ type Channel struct {
 	nextRefresh sim.Time
 	refreshAt   int
 
-	// stormDur, when positive, is an injected refresh storm: every
-	// access additionally consumes this much time on all three buses
-	// (see InjectRefreshStorm).
-	stormDur sim.Time
-
 	stats Stats
 
 	// Observability hooks (see Observe). tr and streak are nil-safe:
@@ -298,27 +293,6 @@ func (ch *Channel) RowOpen(c addrmap.Coord) bool {
 	return ch.devices[c.Device].IsOpen(c.Bank, c.Row)
 }
 
-// stuckFar is the bank-ready timestamp used by StickBank: far enough
-// that no realistic run reaches it, small enough that adding access
-// latencies to it cannot overflow sim.Time.
-const stuckFar = sim.MaxTime / 4
-
-// StickBank freezes a bank for fault injection: its in-flight-command
-// ready time jumps to the far future, so any access touching the bank
-// resolves its data unreachably late. It models a device that stops
-// answering a bank's commands.
-func (ch *Channel) StickBank(dev, bank int) {
-	ch.bankReady[dev][bank] = stuckFar
-}
-
-// InjectRefreshStorm simulates a runaway refresh controller for fault
-// injection: from now on, every access first loses dur of time on all
-// three buses to refresh traffic, so completions recede faster than
-// consumers can chase them.
-func (ch *Channel) InjectRefreshStorm(dur sim.Time) {
-	ch.stormDur = dur
-}
-
 // SaneHorizon bounds how far beyond the current time any bus or bank
 // reservation may legitimately extend: the longest access (an 8KB
 // block is 512 logical columns) plus generous refresh interference
@@ -328,7 +302,7 @@ const SaneHorizon = sim.Millisecond
 
 // CheckSane verifies that all bus free times and bank ready times lie
 // within the sanity horizon of now and are non-negative. A violation
-// means timing state was corrupted (or a fault was injected).
+// means timing state was corrupted.
 func (ch *Channel) CheckSane(now sim.Time) error {
 	horizon := now + SaneHorizon
 	check := func(name string, t sim.Time) error {
@@ -392,14 +366,6 @@ func (ch *Channel) Access(now sim.Time, spans []addrmap.Span, class Class, write
 		panic("channel: access with no spans")
 	}
 	ch.applyRefresh(now)
-	if ch.stormDur > 0 {
-		// Injected refresh storm: refresh traffic consumes the buses
-		// ahead of this access.
-		ch.rowFree = max(ch.rowFree, now) + ch.stormDur
-		ch.colFree = max(ch.colFree, now) + ch.stormDur
-		ch.dataFree = max(ch.dataFree, now) + ch.stormDur
-		ch.stats.Refreshes++
-	}
 	tm := ch.cfg.Timing
 	res := Result{Start: sim.MaxTime, Spans: len(spans)}
 	ch.stats.Accesses[class]++

@@ -9,7 +9,6 @@ import (
 	"memsim/internal/cache"
 	"memsim/internal/dram"
 	"memsim/internal/harden"
-	"memsim/internal/harden/inject"
 	"memsim/internal/obs"
 	"memsim/internal/policy"
 	"memsim/internal/prefetch"
@@ -58,9 +57,9 @@ type PrefetchConfig struct {
 }
 
 // HardenConfig tunes the robustness layer threaded through a run: the
-// forward-progress watchdog, the cross-layer invariant checker, and the
-// deterministic fault-injection harness that exists to prove the other
-// two catch real corruption.
+// forward-progress watchdog and the cross-layer invariant checker.
+// Corruption escaping as a panic is caught whatever the setting (see
+// System.Run).
 type HardenConfig struct {
 	// WatchdogCycles, when positive, aborts the run with a structured
 	// diagnostic dump (*harden.WatchdogError) if no instruction retires,
@@ -76,10 +75,6 @@ type HardenConfig struct {
 	// ParanoidEvery is the check interval in core cycles; zero defaults
 	// to 4096 when Paranoid is set.
 	ParanoidEvery int64
-	// Inject arms the fault-injection harness with one deterministic
-	// corruption (see harden/inject). Runs with injection enabled are
-	// expected to fail; a clean completion means a detector is broken.
-	Inject inject.Plan
 }
 
 // Config describes one simulated system.
@@ -169,8 +164,8 @@ type Config struct {
 	SoftwarePrefetch bool
 
 	// Harden configures the robustness layer (watchdog, paranoid
-	// invariant checking, fault injection). The zero value runs with
-	// all of it off, matching the paper's measurement configurations.
+	// invariant checking). The zero value runs with both off, matching
+	// the paper's measurement configurations.
 	Harden HardenConfig
 
 	// Obs configures the observability layer (metrics registry, event
@@ -290,7 +285,6 @@ func (c Config) Validate() error {
 
 	v.Check(c.Harden.WatchdogCycles >= 0, "Harden.WatchdogCycles", c.Harden.WatchdogCycles, "must be >= 0")
 	v.Check(c.Harden.ParanoidEvery >= 0, "Harden.ParanoidEvery", c.Harden.ParanoidEvery, "must be >= 0")
-	v.Merge("Harden.Inject", c.Harden.Inject.Validate())
 
 	v.Range("Obs.TraceEvents", int64(c.Obs.TraceEvents), 0, 1<<28)
 	v.Check(c.Obs.SampleEvery >= 0, "Obs.SampleEvery", c.Obs.SampleEvery, "must be >= 0")

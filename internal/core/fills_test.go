@@ -143,14 +143,14 @@ func TestDuplicateFillPanics(t *testing.T) {
 	a := uint64(0x40000)
 	h.Access(a, trace.Load, nop)
 	r := s.fills.find(a)
-	s.deliver(r, s.sched.Now())
+	r.onComplete(s.sched.Now())
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "MSHR complete for unknown block") {
 			t.Fatalf("second completion panicked with %q", msg)
 		}
 	}()
-	s.deliver(r, s.sched.Now())
+	r.onComplete(s.sched.Now())
 }
 
 // TestPrefetchFillsHoldNoMSHR checks, on unscheduled prefetching, where

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"memsim/internal/harden"
-	"memsim/internal/harden/inject"
 	"memsim/internal/trace"
 )
 
@@ -20,15 +19,15 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(base.ClockHz, base.Width, base.ROBSize, base.StoreBuffer,
 		base.L1Size, base.L2Size, base.L1Assoc, base.L2Assoc,
 		base.L1Block, base.L2Block, base.MSHRs, base.Channels, base.DevicesPerChannel,
-		"base", "", true, "region", 4096, 8, 4, 0)
+		"base", "", true, "region", 4096, 8, 4)
 	// Classic mistakes: zero block, non-power-of-two sizes, unknown
 	// names, inverted hierarchy.
-	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 0, 64, 8, 4, 2, "base", "", false, "", 0, 0, 0, 0)
-	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 96, 96, 8, 4, 2, "base", "", false, "", 0, 0, 0, 0)
-	f.Add(1.6e9, 4, 64, 64, int64(1<<20), int64(64<<10), 2, 4, 64, 64, 8, 4, 2, "xor", "independent", false, "", 0, 0, 0, 0)
-	f.Add(0.0, 0, 0, 0, int64(0), int64(0), 0, 0, 0, 0, 0, 0, 0, "", "banked", true, "mystery", -1, -1, -1, 99)
-	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 32, 8, 3, 2, "swap", "ganged", true, "stream", 0, 0, 16, 2)
-	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 64, 8, 4, 2, "xor", "independent", true, "sequential", 0, 0, 4, 0)
+	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 0, 64, 8, 4, 2, "base", "", false, "", 0, 0, 0)
+	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 96, 96, 8, 4, 2, "base", "", false, "", 0, 0, 0)
+	f.Add(1.6e9, 4, 64, 64, int64(1<<20), int64(64<<10), 2, 4, 64, 64, 8, 4, 2, "xor", "independent", false, "", 0, 0, 0)
+	f.Add(0.0, 0, 0, 0, int64(0), int64(0), 0, 0, 0, 0, 0, 0, 0, "", "banked", true, "mystery", -1, -1, -1)
+	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 32, 8, 3, 2, "swap", "ganged", true, "stream", 0, 0, 16)
+	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 64, 8, 4, 2, "xor", "independent", true, "sequential", 0, 0, 4)
 
 	gen := trace.NewSlice([]trace.Op{{Addr: 0}})
 
@@ -37,8 +36,7 @@ func FuzzConfigValidate(f *testing.F) {
 		l1size, l2size int64,
 		l1assoc, l2assoc, l1block, l2block, mshrs, channels, devices int,
 		mapping, interleaving string,
-		pfEnabled bool, scheme string, regionBytes, queueDepth, lookahead int,
-		injectClass int) {
+		pfEnabled bool, scheme string, regionBytes, queueDepth, lookahead int) {
 
 		cfg := Base()
 		cfg.ClockHz = clockHz
@@ -53,7 +51,6 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.Prefetch.RegionBytes = regionBytes
 		cfg.Prefetch.QueueDepth = queueDepth
 		cfg.Prefetch.Lookahead = lookahead
-		cfg.Harden.Inject = inject.Plan{Class: inject.Class(injectClass)}
 
 		err := cfg.Validate()
 		if err != nil {

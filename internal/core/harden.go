@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"memsim/internal/channel"
 	"memsim/internal/harden"
-	"memsim/internal/harden/inject"
 )
 
 // defaultParanoidEvery is the invariant-check interval, in core cycles,
@@ -14,24 +12,12 @@ import (
 // overhead low while still bounding how long corruption can fester.
 const defaultParanoidEvery = 4096
 
-// stormSlice is the bus time one injected refresh-storm burns per
-// channel access: twice the channel sanity horizon, so the invariant
-// checker flags the very first stormed access and the watchdog sees
-// whole windows pass between completions.
-const stormSlice = 2 * channel.SaneHorizon
-
 // armHarden wires the configured robustness hooks into a freshly built
-// system: the fault injector, the forward-progress watchdog, and the
-// paranoid invariant checker. All hooks are read-only with respect to
-// simulation state (the injector's whole point is to mutate it, but
-// only when armed), so an unarmed run is bit-identical to one that
-// never called this.
+// system: the forward-progress watchdog and the paranoid invariant
+// checker. Both are read-only with respect to simulation state, so
+// arming them leaves the run's results unchanged.
 func (s *System) armHarden() {
 	h := s.cfg.Harden
-	if h.Inject.Enabled() {
-		s.inj = inject.New(h.Inject)
-	}
-
 	if h.WatchdogCycles > 0 {
 		wd := harden.NewWatchdog()
 		window := s.clock.Cycles(h.WatchdogCycles)
@@ -177,10 +163,6 @@ func (s *System) dump() string {
 		r.Section("prefetch")
 		r.Linef("stats=%+v", s.pf.Stats())
 	}
-	if s.inj != nil {
-		r.Section("inject")
-		r.Linef("plan=%s fired=%d", s.inj.Plan(), s.inj.Fired())
-	}
 	if s.tr != nil {
 		r.Section("trace")
 		r.Linef("emitted=%d dropped=%d; last %d events:", s.tr.Emitted(), s.tr.Dropped(), watchdogTraceEvents)
@@ -189,37 +171,6 @@ func (s *System) dump() string {
 		}
 	}
 	return r.String()
-}
-
-// injectOnSubmit applies the submission-domain faults to a demand
-// request for the global address addr, about to enter its controller.
-func (s *System) injectOnSubmit(addr uint64) {
-	m := s.mem
-	if s.inj.Tick(inject.StuckBank) {
-		g, local := m.route(0, addr)
-		c := m.maprs[g].Map(local)
-		m.ctrls[g].Channel().StickBank(c.Device, c.Bank)
-	}
-	if s.inj.Tick(inject.RefreshStorm) {
-		for _, c := range m.ctrls {
-			c.Channel().InjectRefreshStorm(stormSlice)
-		}
-	}
-	if s.inj.Tick(inject.PhantomMSHR) && s.held < s.cfg.MSHRs {
-		// s.capacity is block-aligned and one past the highest real
-		// address, so the phantom fill can never be completed by a
-		// legitimate one.
-		s.track(&missReq{s: s, kind: demandReq, block: s.capacity})
-	}
-}
-
-// loseFill drops a demand fill's completion (inject.DropCompletion).
-// Its MSHR leaks, held by a stand-in no transfer will complete, since
-// r itself returns to the pool on release.
-func (s *System) loseFill(r *missReq) {
-	s.fills.remove(r)
-	s.fills.add(&missReq{s: s, kind: r.kind, block: r.block, waiters: r.waiters})
-	r.waiters = nil
 }
 
 // recoverCorruption converts a panic escaping the event loop into a

@@ -1,19 +1,24 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"memsim/internal/channel"
 	"memsim/internal/harden"
-	"memsim/internal/harden/inject"
+	"memsim/internal/memctrl"
+	"memsim/internal/sim"
+	"memsim/internal/trace"
 	"memsim/internal/workload"
 )
 
-// hardenedRun builds and runs one system, returning the run error.
-func hardenedRun(t *testing.T, cfg Config) (Result, error) {
+// gccStream returns the instruction stream the hardening tests run.
+func gccStream(t *testing.T) trace.Generator {
 	t.Helper()
 	p, err := workload.ByName("gcc")
 	if err != nil {
@@ -23,30 +28,187 @@ func hardenedRun(t *testing.T, cfg Config) (Result, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(cfg, gen)
+	return gen
+}
+
+// hardenedRun builds and runs one system, returning the run error.
+func hardenedRun(t *testing.T, cfg Config) (Result, error) {
+	t.Helper()
+	sys, err := New(cfg, gccStream(t))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	return sys.Run()
 }
 
+// faultySystem builds a gcc system the way New does, except that every
+// channel is built on chCfg and requests leave through port(mem), a
+// wrapper that can lose, repeat or hold them, instead of mem itself.
+// The hardening monitors still inspect mem.
+func faultySystem(t *testing.T, cfg Config, chCfg channel.Config, port func(*Memory) ExternalMemory) *System {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sched := sim.NewScheduler()
+	mem, err := newMemory(sched, cfg, chCfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := newSystem(cfg, gccStream(t), mem, port(mem), sched)
+	if err != nil {
+		t.Fatalf("newSystem: %v", err)
+	}
+	return sys
+}
+
+// faultPort stands between a system and its memory and counts the
+// demand misses passing through: only those carry OnFirstData.
+type faultPort struct {
+	*Memory
+	misses int
+}
+
+// miss reports whether r is a demand miss, counting it if so.
+func (p *faultPort) miss(r *memctrl.Request) bool {
+	if r.OnFirstData == nil {
+		return false
+	}
+	p.misses++
+	return true
+}
+
+// dropPort loses every demand miss from the after-th on: it never
+// reaches a controller, so its completion never fires and its MSHR
+// leaks. Losing the request before the controller, not its completion
+// after, keeps the pooled missReq off the free list while its fill is
+// still indexed.
+type dropPort struct {
+	faultPort
+	after int
+}
+
+func (p *dropPort) Submit(r *memctrl.Request) {
+	if p.miss(r) && p.misses >= p.after {
+		return
+	}
+	p.Memory.Submit(r)
+}
+
+// dupPort completes the after-th demand miss twice.
+type dupPort struct {
+	faultPort
+	after int
+}
+
+func (p *dupPort) Submit(r *memctrl.Request) {
+	if p.miss(r) && p.misses == p.after {
+		complete := r.OnComplete
+		r.OnComplete = func(at sim.Time) {
+			complete(at)
+			complete(at)
+		}
+	}
+	p.Memory.Submit(r)
+}
+
+// stuckPort models a bank that stops answering: from the after-th
+// demand miss on, it never forwards a demand miss to that miss's bank.
+type stuckPort struct {
+	faultPort
+	after int
+	bank  *[3]int // group, device, bank once stuck
+}
+
+func (p *stuckPort) Submit(r *memctrl.Request) {
+	if p.miss(r) {
+		g, local := p.route(int(r.Sys), r.Addr)
+		c := p.maprs[g].Map(local)
+		bank := [3]int{g, c.Device, c.Bank}
+		if p.misses == p.after {
+			p.bank = &bank
+		}
+		if p.bank != nil && *p.bank == bank {
+			return
+		}
+	}
+	p.Memory.Submit(r)
+}
+
+// faultClasses are the corruption classes the hardening layer must
+// catch, each planted into cfg's system from test code.
+var faultClasses = []struct {
+	name  string
+	build func(t *testing.T, cfg Config) *System
+}{
+	{"drop-completion", func(t *testing.T, cfg Config) *System {
+		return faultySystem(t, cfg, channelConfig(cfg), func(m *Memory) ExternalMemory {
+			return &dropPort{faultPort: faultPort{Memory: m}, after: 3}
+		})
+	}},
+	{"duplicate-fill", func(t *testing.T, cfg Config) *System {
+		return faultySystem(t, cfg, channelConfig(cfg), func(m *Memory) ExternalMemory {
+			return &dupPort{faultPort: faultPort{Memory: m}, after: 3}
+		})
+	}},
+	{"stuck-bank", func(t *testing.T, cfg Config) *System {
+		return faultySystem(t, cfg, channelConfig(cfg), func(m *Memory) ExternalMemory {
+			return &stuckPort{faultPort: faultPort{Memory: m}, after: 3}
+		})
+	}},
+	// A runaway refresh controller: each refresh holds every bus for
+	// twice the sanity horizon, so completions recede faster than the
+	// core can chase them.
+	{"refresh-storm", func(t *testing.T, cfg Config) *System {
+		chCfg := channelConfig(cfg)
+		chCfg.RefreshInterval = sim.Microsecond
+		chCfg.RefreshDuration = 2 * channel.SaneHorizon
+		return faultySystem(t, cfg, chCfg, func(m *Memory) ExternalMemory { return m })
+	}},
+	// An MSHR no transfer will ever complete, silently shrinking the
+	// miss capacity. s.capacity is block-aligned and one past the
+	// highest real address, so no legitimate fill can complete it.
+	{"phantom-mshr", func(t *testing.T, cfg Config) *System {
+		s := faultySystem(t, cfg, channelConfig(cfg), func(m *Memory) ExternalMemory { return m })
+		s.track(&missReq{s: s, kind: demandReq, block: s.capacity})
+		return s
+	}},
+}
+
+// faultClass returns the named class's builder.
+func faultClass(t *testing.T, name string) func(t *testing.T, cfg Config) *System {
+	for _, fc := range faultClasses {
+		if fc.name == name {
+			return fc.build
+		}
+	}
+	t.Fatalf("no fault class %q", name)
+	return nil
+}
+
+// runFault runs a system planted with a fault. A detector that misses
+// the fault can leave its own periodic check as the only event, so the
+// run never ends; a wall-clock bound turns that into a failure.
+func runFault(sys *System) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	_, err := sys.RunContext(ctx)
+	return err
+}
+
 // TestFaultClassesAllCaught is the hardening layer's acceptance test:
-// with the watchdog and the paranoid checker armed, every injected
+// with the watchdog and the paranoid checker armed, every planted
 // corruption class must abort the run with a structured error — no
 // fault may complete silently.
 func TestFaultClassesAllCaught(t *testing.T) {
-	for _, class := range inject.Classes() {
-		t.Run(class.String(), func(t *testing.T) {
+	for _, fc := range faultClasses {
+		t.Run(fc.name, func(t *testing.T) {
 			cfg := Base()
 			cfg.MaxInstrs = 30_000
-			cfg.Harden = HardenConfig{
-				WatchdogCycles: 50_000,
-				Paranoid:       true,
-				Inject:         inject.Plan{Class: class, After: 3},
-			}
-			_, err := hardenedRun(t, cfg)
+			cfg.Harden = HardenConfig{WatchdogCycles: 50_000, Paranoid: true}
+			err := runFault(fc.build(t, cfg))
 			if err == nil {
-				t.Fatalf("injected %s completed silently", class)
+				t.Fatalf("planted %s completed silently", fc.name)
 			}
 			var wderr *harden.WatchdogError
 			var inverr *harden.InvariantError
@@ -54,10 +216,10 @@ func TestFaultClassesAllCaught(t *testing.T) {
 			switch {
 			case errors.As(err, &wderr), errors.As(err, &inverr), errors.As(err, &correrr):
 			default:
-				t.Fatalf("injected %s aborted with untyped error: %v", class, err)
+				t.Fatalf("planted %s aborted with untyped error: %v", fc.name, err)
 			}
-			switch class {
-			case inject.DuplicateFill:
+			switch fc.name {
+			case "duplicate-fill":
 				if correrr == nil {
 					t.Errorf("duplicate-fill should surface as CorruptionError, got %T", err)
 				} else if msg := fmt.Sprint(correrr.PanicValue); !strings.Contains(msg, "MSHR complete for unknown block") {
@@ -65,7 +227,7 @@ func TestFaultClassesAllCaught(t *testing.T) {
 					// over a recycled request or slot first.
 					t.Errorf("duplicate-fill panicked with %q, want the MSHR table's unknown-block panic", msg)
 				}
-			case inject.PhantomMSHR:
+			case "phantom-mshr":
 				if inverr == nil {
 					t.Errorf("phantom-mshr should surface as InvariantError, got %T", err)
 				}
@@ -94,11 +256,8 @@ func TestFaultClassesAllCaught(t *testing.T) {
 func TestDropCompletionCaughtByWatchdogAlone(t *testing.T) {
 	cfg := Base()
 	cfg.MaxInstrs = 30_000
-	cfg.Harden = HardenConfig{
-		WatchdogCycles: 50_000,
-		Inject:         inject.Plan{Class: inject.DropCompletion},
-	}
-	_, err := hardenedRun(t, cfg)
+	cfg.Harden = HardenConfig{WatchdogCycles: 50_000}
+	err := runFault(faultClass(t, "drop-completion")(t, cfg))
 	var wderr *harden.WatchdogError
 	if !errors.As(err, &wderr) {
 		t.Fatalf("want WatchdogError, got %v", err)
@@ -114,15 +273,12 @@ func TestDropCompletionCaughtByWatchdogAlone(t *testing.T) {
 }
 
 // TestStuckBankCaughtByParanoidAlone proves the invariant checker flags
-// an insane bank timestamp without the watchdog.
+// a bank that stopped answering without the watchdog.
 func TestStuckBankCaughtByParanoidAlone(t *testing.T) {
 	cfg := Base()
 	cfg.MaxInstrs = 30_000
-	cfg.Harden = HardenConfig{
-		Paranoid: true,
-		Inject:   inject.Plan{Class: inject.StuckBank},
-	}
-	_, err := hardenedRun(t, cfg)
+	cfg.Harden = HardenConfig{Paranoid: true}
+	err := runFault(faultClass(t, "stuck-bank")(t, cfg))
 	var inverr *harden.InvariantError
 	if !errors.As(err, &inverr) {
 		t.Fatalf("want InvariantError, got %v", err)

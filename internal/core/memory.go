@@ -32,6 +32,23 @@ type Memory struct {
 // NewMemory builds cfg's channel groups on sched, each controller
 // serving requesters requesters (at least one).
 func NewMemory(sched *sim.Scheduler, cfg Config, requesters int) (*Memory, error) {
+	return newMemory(sched, cfg, channelConfig(cfg), requesters)
+}
+
+// channelConfig is the channel configuration cfg gives every group.
+func channelConfig(cfg Config) channel.Config {
+	chCfg := channel.Config{Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
+	if cfg.Refresh {
+		// One refresh per ~2us retires all 16K rows of a device within
+		// a 32ms retention period; each costs roughly a row cycle.
+		chCfg.RefreshInterval = 2 * sim.Microsecond
+		chCfg.RefreshDuration = 70 * sim.Nanosecond
+	}
+	return chCfg
+}
+
+// newMemory is NewMemory with every group's channel built on chCfg.
+func newMemory(sched *sim.Scheduler, cfg Config, chCfg channel.Config, requesters int) (*Memory, error) {
 	org, err := policy.NewOrganization(cfg.Interleaving, cfg.geometry())
 	if err != nil {
 		return nil, err
@@ -41,13 +58,6 @@ func NewMemory(sched *sim.Scheduler, cfg Config, requesters int) (*Memory, error
 		maprs:    make([]addrmap.Mapper, 0, org.Groups),
 		granule:  uint64(cfg.L2Block),
 		capacity: org.Capacity(),
-	}
-	chCfg := channel.Config{Timing: cfg.Timing, ClosedPage: cfg.ClosedPage}
-	if cfg.Refresh {
-		// One refresh per ~2us retires all 16K rows of a device within
-		// a 32ms retention period; each costs roughly a row cycle.
-		chCfg.RefreshInterval = 2 * sim.Microsecond
-		chCfg.RefreshDuration = 70 * sim.Nanosecond
 	}
 	for g := 0; g < org.Groups; g++ {
 		chn, mapr, err := org.NewGroup(cfg.Mapping, cfg.BankTiming, chCfg)

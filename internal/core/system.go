@@ -8,7 +8,6 @@ import (
 	"memsim/internal/cache"
 	"memsim/internal/channel"
 	"memsim/internal/cpu"
-	"memsim/internal/harden/inject"
 	"memsim/internal/memctrl"
 	"memsim/internal/obs"
 	"memsim/internal/policy"
@@ -46,10 +45,10 @@ type System struct {
 	rowOpenFn func(block uint64) bool
 
 	// fills indexes every L2 fill in flight by block. held counts those
-	// holding an MSHR: demand misses, software prefetches and an
-	// injected phantom; hardware prefetches hold none. spare is a
-	// detached waiter buffer: a demand miss's first data swaps it in so
-	// requests merging while the old waiters run land in other memory.
+	// holding an MSHR: demand misses and software prefetches; hardware
+	// prefetches hold none. spare is a detached waiter buffer: a demand
+	// miss's first data swaps it in so requests merging while the old
+	// waiters run land in other memory.
 	fills fillIndex
 	held  int
 	spare []waiter
@@ -73,10 +72,9 @@ type System struct {
 	// simulation state.
 	OnProgress func(retired uint64, now sim.Time)
 
-	// Hardening state (see harden.go): the armed fault injector (nil
-	// when injection is off), the first fatal hardening error, and the
-	// completion counter feeding the watchdog's progress snapshot.
-	inj         *inject.Injector
+	// Hardening state (see harden.go): the first fatal hardening error
+	// and the completion counter feeding the watchdog's progress
+	// snapshot.
 	fatal       error
 	completions uint64
 
@@ -262,25 +260,13 @@ func (r *missReq) onFirstData(at sim.Time) {
 }
 
 // onComplete is the full-line arrival of a demand, prefetch or
-// software-prefetch fill.
+// software-prefetch fill: it installs the block, retires the fill and
+// runs the requests merged into it. A second completion of the same
+// fill panics on the unknown block; Run recovers it into a
+// CorruptionError.
 func (r *missReq) onComplete(at sim.Time) {
 	s := r.s
-	if r.kind == demandReq && s.inj.Tick(inject.DropCompletion) {
-		s.loseFill(r)
-		return
-	}
 	s.completions++
-	s.deliver(r, at)
-	if r.kind == demandReq && s.inj.Tick(inject.DuplicateFill) {
-		// The second delivery panics on the unknown block; Run
-		// recovers it into a CorruptionError.
-		s.deliver(r, at)
-	}
-}
-
-// deliver installs a fill's block, retires the fill and runs the
-// requests merged into it.
-func (s *System) deliver(r *missReq, at sim.Time) {
 	// A prefetch installs as prefetched unless a demand miss merged in.
 	s.installL2(r.block, r.write, r.kind != demandReq && !r.demand)
 	if r.demand && s.pf != nil {
@@ -315,7 +301,15 @@ type ExternalMemory interface {
 
 // New builds a system over the given instruction stream.
 func New(cfg Config, gen trace.Generator) (*System, error) {
-	return newSystem(cfg, gen, nil, sim.NewScheduler())
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	sched := sim.NewScheduler()
+	mem, err := NewMemory(sched, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return newSystem(cfg, gen, mem, mem, sched)
 }
 
 // NewExternal builds a system whose memory requests route to mem
@@ -341,10 +335,13 @@ func NewExternal(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim
 	if cfg.Prefetch.Enabled && (cfg.Prefetch.Scheduled || cfg.Prefetch.BankAware) {
 		return nil, fmt.Errorf("core: external memory cannot serve scheduled or bank-aware prefetching (the backend owns channel idle and row state)")
 	}
-	if cfg.Harden.WatchdogCycles > 0 || cfg.Harden.Paranoid || cfg.Harden.Inject.Enabled() {
+	if cfg.Harden.WatchdogCycles > 0 || cfg.Harden.Paranoid {
 		return nil, fmt.Errorf("core: hardening monitors inspect local controllers; disable Harden in external-memory mode")
 	}
-	return newSystem(cfg, gen, mem, sched)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return newSystem(cfg, gen, &Memory{}, mem, sched)
 }
 
 // ValidateExternalController returns an error naming the first field
@@ -367,11 +364,10 @@ func (c *Config) ValidateExternalController() error {
 	return nil
 }
 
-func newSystem(cfg Config, gen trace.Generator, port ExternalMemory, sched *sim.Scheduler) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-
+// newSystem wires a system for the validated cfg around mem, the
+// memory its hardening and prefetch hooks inspect, sending every
+// request out through port.
+func newSystem(cfg Config, gen trace.Generator, mem *Memory, port ExternalMemory, sched *sim.Scheduler) (*System, error) {
 	l1, err := cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1Size, Assoc: cfg.L1Assoc, BlockBytes: cfg.L1Block})
 	if err != nil {
 		return nil, err
@@ -380,14 +376,6 @@ func newSystem(cfg Config, gen trace.Generator, port ExternalMemory, sched *sim.
 	if err != nil {
 		return nil, err
 	}
-	mem := &Memory{}
-	if port == nil {
-		if mem, err = NewMemory(sched, cfg, 1); err != nil {
-			return nil, err
-		}
-		port = mem
-	}
-
 	s := &System{
 		cfg:      cfg,
 		clock:    sim.NewClock(cfg.ClockHz),
@@ -464,16 +452,6 @@ func prefetchParams(cfg Config) policy.PrefetchParams {
 		ThrottleAccuracy: cfg.Prefetch.ThrottleAccuracy,
 		ThrottleWindow:   cfg.Prefetch.ThrottleWindow,
 	}
-}
-
-// submit sends a request built on a global address out through the
-// system's port, applying the armed submission faults to a demand
-// request first.
-func (s *System) submit(r *memctrl.Request) {
-	if s.inj != nil && r.Class == channel.Demand {
-		s.injectOnSubmit(r.Addr)
-	}
-	s.port.Submit(r)
 }
 
 // snapshotBaseline records all counters at the warmup boundary so the
@@ -661,7 +639,7 @@ func (h *hierarchy) Access(addr uint64, kind trace.Kind, complete func(sim.Time)
 	s.track(r)
 	r.wait(w)
 	s.notifyPrefetcher(addr)
-	s.submit(&r.Request)
+	s.port.Submit(&r.Request)
 	return cpu.Reply{Accepted: true}
 }
 
@@ -683,7 +661,7 @@ func (s *System) fillL1(addr uint64, write bool) {
 		if !s.l2.MarkDirty(v.Addr) {
 			// The line left the L2 already (non-inclusive corner):
 			// write it back to memory directly.
-			s.submit(s.newWriteback(v.Addr, s.cfg.L1Block))
+			s.port.Submit(s.newWriteback(v.Addr, s.cfg.L1Block))
 		}
 	}
 }
@@ -713,7 +691,7 @@ func (s *System) installL2(block uint64, dirty, prefetched bool) {
 		s.pf.RecordSettled(false)
 	}
 	if v.Dirty {
-		s.submit(s.newWriteback(v.Addr, s.cfg.L2Block))
+		s.port.Submit(s.newWriteback(v.Addr, s.cfg.L2Block))
 	}
 }
 
@@ -743,7 +721,7 @@ func (s *System) notifyPrefetcher(addr uint64) {
 				break
 			}
 			if r, live := s.makePrefetchRequest(block); live {
-				s.submit(r)
+				s.port.Submit(r)
 			}
 		}
 	}
@@ -802,7 +780,7 @@ func (s *System) softwarePrefetch(addr uint64) cpu.Reply {
 	block := s.l2.BlockAddr(addr)
 	r := s.newReq(swPrefetchReq, block, block, false)
 	s.track(r)
-	s.submit(&r.Request)
+	s.port.Submit(&r.Request)
 	return done
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -27,7 +28,14 @@ var manifestLayout = recdir.Layout{Version: 1, Field: "entry", LegacyField: "ent
 // is deterministic — share a key, so a resumed batch recognizes
 // finished work across processes.
 func SpecKey(bench string, seed uint64, cfg core.Config) string {
-	h := sha256.Sum256(fmt.Appendf(nil, "%s|seed=%d|swpf=%v|%+v", bench, seed, cfg.SoftwarePrefetch, cfg))
+	b := fmt.Appendf(nil, "%s|seed=%d|swpf=%v|%+v", bench, seed, cfg.SoftwarePrefetch, cfg)
+	// Older builds' HardenConfig ended in a fault plan, printed
+	// "Inject:none" for every run a batch could record. Printing it
+	// still, before the struct's closing brace, keeps their keys, so
+	// their manifests resume.
+	i := bytes.Index(b, []byte("Harden:{"))
+	b = slices.Insert(b, i+bytes.IndexByte(b[i:], '}'), []byte(" Inject:none")...)
+	h := sha256.Sum256(b)
 	return hex.EncodeToString(h[:8])
 }
 

@@ -287,4 +287,10 @@ func TestSpecKeyPinned(t *testing.T) {
 	if got, want := SpecKey("mcf", 7, cfg), "5ec35921443e5874"; got != want {
 		t.Fatalf("SpecKey = %s, want %s", got, want)
 	}
+	// memsimd arms the watchdog on every job, so its manifest's keys
+	// print a non-zero Harden.
+	cfg.Harden = core.HardenConfig{WatchdogCycles: 5_000_000, Paranoid: true}
+	if got, want := SpecKey("mcf", 7, cfg), "977e881484ce8317"; got != want {
+		t.Fatalf("hardened SpecKey = %s, want %s", got, want)
+	}
 }

@@ -13,13 +13,12 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/harden"
-	"memsim/internal/harden/inject"
 	"memsim/internal/vfs"
 )
 
 // orchOptions is the small-budget batch the orchestrator tests share:
-// three benchmarks with the forward-progress watchdog armed, so an
-// injected fault produces the retryable abort the retry policy targets.
+// three benchmarks with the forward-progress watchdog armed, as a batch
+// that retries watchdog aborts runs.
 func orchOptions() Options {
 	return Options{
 		Instrs:     30_000,
@@ -29,14 +28,19 @@ func orchOptions() Options {
 	}
 }
 
-// failMCF arms sustained completion-dropping on mcf only, wedging that
-// spec until the watchdog aborts it while the rest of the batch runs
-// clean — a deterministic mid-batch failure.
-func failMCF(sp spec) inject.Plan {
+// wedged is the retryable abort a hung run ends in: the watchdog's.
+func wedged(sp spec) error {
+	return &harden.WatchdogError{WindowCycles: 50_000, Dump: sp.bench + " wedged"}
+}
+
+// failMCF aborts every attempt of mcf as the watchdog would a wedged
+// run, while the rest of the batch runs clean: a deterministic
+// mid-batch failure.
+func failMCF(sp spec) error {
 	if sp.bench == "mcf" {
-		return inject.Plan{Class: inject.DropCompletion}
+		return wedged(sp)
 	}
-	return inject.Plan{}
+	return nil
 }
 
 func TestRunAllParallelismDeterminism(t *testing.T) {
@@ -63,7 +67,7 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 	opt := orchOptions()
 	opt.Retries = 2
 	opt.KeepGoing = true
-	opt.injectFor = failMCF
+	opt.failFor = failMCF
 	r, err := NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +80,7 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 	if len(res) != 3 {
 		t.Fatalf("got %d results, want 3", len(res))
 	}
-	// The injected spec's cell is the NaN marker; the survivors are real.
+	// The failed spec's cell is the NaN marker; the survivors are real.
 	if !math.IsNaN(res[1].IPC) {
 		t.Errorf("mcf IPC = %v, want NaN failed-cell marker", res[1].IPC)
 	}
@@ -106,7 +110,7 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 
 func TestOrchestratorFailFastAggregates(t *testing.T) {
 	opt := orchOptions()
-	opt.injectFor = failMCF
+	opt.failFor = failMCF
 	r, err := NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +131,7 @@ func TestOrchestratorFailFastAggregates(t *testing.T) {
 func TestDegradedArtifactRendering(t *testing.T) {
 	opt := orchOptions()
 	opt.KeepGoing = true
-	opt.injectFor = failMCF
+	opt.failFor = failMCF
 	r, err := NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +160,11 @@ func TestDegradedArtifactRendering(t *testing.T) {
 func TestDegradedConfigurationLost(t *testing.T) {
 	opt := orchOptions()
 	opt.KeepGoing = true
-	opt.injectFor = func(sp spec) inject.Plan {
+	opt.failFor = func(sp spec) error {
 		if !sp.cfg.PerfectL2 && !sp.cfg.PerfectMem {
-			return inject.Plan{Class: inject.DropCompletion}
+			return wedged(sp)
 		}
-		return inject.Plan{}
+		return nil
 	}
 	r, err := NewRunner(opt)
 	if err != nil {
@@ -201,11 +205,11 @@ func TestDegradedConfigurationLost(t *testing.T) {
 func TestCheckpointResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.json")
 
-	// First batch: mcf is lost to injection, the two survivors land in
+	// First batch: mcf is lost to the watchdog, the two survivors land in
 	// the checkpoint.
 	opt := orchOptions()
 	opt.KeepGoing = true
-	opt.injectFor = failMCF
+	opt.failFor = failMCF
 	opt.Checkpoint = openOS(t, path)
 	r1, err := NewRunner(opt)
 	if err != nil {
@@ -224,7 +228,7 @@ func TestCheckpointResume(t *testing.T) {
 	}
 
 	// Resumed batch: same budgets and hardening (the spec keys hash the
-	// full config), injection disarmed. The survivors must be reused
+	// full config), mcf no longer failing. The survivors must be reused
 	// verbatim and only mcf simulated.
 	m := openOS(t, path)
 	opt2 := orchOptions()

@@ -37,7 +37,6 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/harden"
-	"memsim/internal/harden/inject"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
@@ -58,9 +57,7 @@ type Options struct {
 	// independent sample.
 	Seed uint64
 	// Harden applies the robustness layer (watchdog, paranoid
-	// invariant checking) to every run in the batch. Fault injection is
-	// deliberately excluded: injected runs are expected to fail, which
-	// would abort a whole experiment batch.
+	// invariant checking) to every run in the batch.
 	Harden core.HardenConfig
 	// Obs arms the observability instruments on every run. With Metrics
 	// set, each completed run's warmup-adjusted metric deltas are
@@ -102,11 +99,11 @@ type Options struct {
 	// observation hook only and must not block.
 	Progress func(retiredDelta uint64, now sim.Time)
 
-	// injectFor, when non-nil, arms the fault-injection harness for the
-	// specs it selects. It exists for the orchestrator tests, which need
-	// a deterministic mid-batch failure; production batches keep it nil
-	// so injection stays out of experiments.
-	injectFor func(sp spec) inject.Plan
+	// failFor, when non-nil, fails each attempt of a spec it returns an
+	// error for, before simulating. It exists for the orchestrator
+	// tests, which need a deterministic mid-batch failure; production
+	// batches keep it nil.
+	failFor func(sp spec) error
 }
 
 // Defaults returns the options used by cmd/experiments: half a million
@@ -230,18 +227,13 @@ type spec struct {
 }
 
 // specConfig is the configuration a spec actually runs with: budgets
-// and hardening from Options override the spec's, and fault injection
-// stays off outside the orchestrator tests.
+// and hardening from Options override the spec's.
 func (r *Runner) specConfig(sp spec) core.Config {
 	cfg := sp.cfg
 	cfg.MaxInstrs = r.opt.Instrs
 	cfg.WarmupInstrs = r.opt.Warmup
 	cfg.Harden = r.opt.Harden
 	cfg.Obs = r.opt.Obs
-	cfg.Harden.Inject = inject.Plan{} // never inject into experiment batches
-	if r.opt.injectFor != nil {
-		cfg.Harden.Inject = r.opt.injectFor(sp)
-	}
 	return cfg
 }
 
@@ -390,6 +382,11 @@ func (r *Runner) runOnce(ctx context.Context, sp spec) (res core.Result, metrics
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
+	}
+	if r.opt.failFor != nil {
+		if err := r.opt.failFor(sp); err != nil {
+			return core.Result{}, nil, err
+		}
 	}
 	p, err := workload.ByName(sp.bench)
 	if err != nil {

@@ -30,7 +30,6 @@ import (
 	"memsim/internal/cache"
 	"memsim/internal/core"
 	"memsim/internal/dram"
-	"memsim/internal/harden/inject"
 	"memsim/internal/obs"
 	"memsim/internal/prefetch"
 	"memsim/internal/trace"
@@ -48,9 +47,8 @@ type PrefetchConfig = core.PrefetchConfig
 type Result = core.Result
 
 // HardenConfig tunes the robustness layer: the forward-progress
-// watchdog, the paranoid cross-layer invariant checker, and the
-// deterministic fault-injection harness. The zero value disables all
-// of it.
+// watchdog and the paranoid cross-layer invariant checker. The zero
+// value disables both.
 type HardenConfig = core.HardenConfig
 
 // ObsConfig selects the observability instruments a run carries
@@ -71,14 +69,6 @@ type System = core.System
 // System.Run or System.RunContext, then harvest results and
 // observability output.
 func NewSystem(cfg Config, gen Generator) (*System, error) { return core.New(cfg, gen) }
-
-// InjectPlan names one fault for the injection harness.
-type InjectPlan = inject.Plan
-
-// ParseInject reads a fault-injection spec of the form "class[:after]"
-// (e.g. "drop-completion:10", "stuck-bank"); "" and "none" disable
-// injection.
-func ParseInject(spec string) (InjectPlan, error) { return inject.Parse(spec) }
 
 // Op is one instruction-stream element: a memory operation preceded by
 // a count of non-memory instructions.
