@@ -67,8 +67,6 @@ func (g Geometry) PeakBandwidth() float64 { return 1.6e9 * float64(g.Channels) }
 
 func (g Geometry) devBits() int  { return bits.TrailingZeros(uint(g.DevicesPerChannel)) }
 func (g Geometry) bankBits() int { return bits.TrailingZeros(uint(dram.BanksPerDevice)) } // 5
-func (g Geometry) rowBits() int  { return bits.TrailingZeros(uint(dram.RowsPerBank)) }    // 9
-func (g Geometry) colBits() int  { return bits.TrailingZeros(uint(dram.ColumnsPerRow)) }  // 7
 
 // Coord locates one logical column in the Rambus memory space. Device
 // and bank identify a position replicated across the lock-step ganged

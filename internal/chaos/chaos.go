@@ -157,32 +157,28 @@ func Explore(sc Scenario, opt Options) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{Scenario: sc.Name(), Seed: opt.Seed, Boundaries: boundaries}
-	var drillCounters map[vfs.FaultKind]*obs.Counter
-	var failCounter *obs.Counter
+	// injected counts the drilled injections by fault class.
+	injected := make([]uint64, len(vfs.Faults()))
 	if reg := opt.Registry; reg != nil {
 		scLabel := obs.Label{Key: "scenario", Value: sc.Name()}
 		reg.GaugeFunc("chaos_boundaries", "persistence boundaries in the golden run",
 			func() float64 { return float64(boundaries) }, scLabel)
-		drillCounters = make(map[vfs.FaultKind]*obs.Counter, len(vfs.Faults()))
 		for _, k := range vfs.Faults() {
-			drillCounters[k] = reg.Counter("chaos_drills_total", "fault injections drilled",
+			reg.CounterFunc("chaos_drills_total", "fault injections drilled",
+				func() float64 { return float64(injected[k]) },
 				scLabel, obs.Label{Key: "class", Value: k.String()})
 		}
-		failCounter = reg.Counter("chaos_failures_total", "drills whose recovery diverged", scLabel)
+		reg.CounterFunc("chaos_failures_total", "drills whose recovery diverged",
+			func() float64 { return float64(len(rep.Failures)) }, scLabel)
 	}
 	drill := func(seq []Injection) {
 		rep.Drills++
 		for _, inj := range seq {
-			if c := drillCounters[inj.Kind]; c != nil {
-				c.Inc()
-			}
+			injected[inj.Kind]++
 		}
 		err := RunSeq(sc, opt.Checker, golden, seq)
 		if err == nil {
 			return
-		}
-		if failCounter != nil {
-			failCounter.Inc()
 		}
 		minimal := Minimize(seq, func(cand []Injection) bool {
 			return RunSeq(sc, opt.Checker, golden, cand) != nil

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"memsim/internal/channel"
+	"memsim/internal/memctrl"
+	"memsim/internal/obs"
 	"memsim/internal/workload"
 )
 
@@ -15,12 +17,26 @@ const (
 	allocStepEvents = 20_000
 )
 
+// countingPolicy wraps an issue policy and counts the contested
+// decisions it is asked to make.
+type countingPolicy struct {
+	memctrl.IssuePolicy
+	n int
+}
+
+func (p *countingPolicy) Pick(q []*memctrl.Request, rowOpen func(*memctrl.Request) bool) int {
+	p.n++
+	return p.IssuePolicy.Pick(q, rowOpen)
+}
+
 // TestWarmedSystemAllocatesNothing pins the hot path's allocation
 // budget at zero: once warm, a Base and a Tuned system step through
 // instructions, cache misses, writebacks, prefetches and controller
 // decisions without a single heap allocation. The Tuned system is also
 // run under independent interleaving, whose controllers route prefetch
-// candidates to each other through per-group buffers.
+// candidates to each other through per-group buffers. The
+// counterfactual system has one channel, so its queues make contested
+// decisions, and traces every decision on both policy axes.
 //
 // The workload is gcc, whose queues reach a steady size. mcf would not
 // do: its back-to-back demand misses starve writebacks for the whole
@@ -37,6 +53,14 @@ func TestWarmedSystemAllocatesNothing(t *testing.T) {
 		{"tuned-independent", func() Config {
 			c := Tuned()
 			c.Interleaving = "independent"
+			return c
+		}()},
+		{"counterfactual", func() Config {
+			c := Tuned()
+			c.Channels = 1
+			c.SchedPolicy = "frfcfs"
+			c.Counterfactual = true
+			c.Obs = obs.Config{Trace: true}
 			return c
 		}()},
 	} {
@@ -62,8 +86,11 @@ func TestWarmedSystemAllocatesNothing(t *testing.T) {
 					}
 				}
 			}
+			counter := &countingPolicy{IssuePolicy: sys.mem.ctrls[0].Policy()}
+			sys.mem.ctrls[0].SetPolicy(counter)
 			step(allocWarmEvents)
 			before := sys.mem.ctrls[0].Stats()
+			decisions := counter.n
 			if got := testing.AllocsPerRun(5, func() { step(allocStepEvents) }); got != 0 {
 				t.Errorf("%v allocations per %d events, want 0", got, allocStepEvents)
 			}
@@ -74,6 +101,9 @@ func TestWarmedSystemAllocatesNothing(t *testing.T) {
 			}
 			if tc.cfg.Prefetch.Enabled && issued[channel.Prefetch] == 0 {
 				t.Errorf("measured window issued %v: want prefetch traffic", issued)
+			}
+			if tc.cfg.Counterfactual && counter.n == decisions {
+				t.Error("measured window made no contested decision")
 			}
 		})
 	}

@@ -18,8 +18,47 @@ type reqLife struct {
 	hasDone   bool // the current use carries an OnComplete
 }
 
+// observingPort hands every request a system submits to observe
+// before passing it on to the system's memory.
+type observingPort struct {
+	ExternalMemory
+	observe func(*memctrl.Request)
+}
+
+func (p observingPort) Submit(r *memctrl.Request) {
+	p.observe(r)
+	p.ExternalMemory.Submit(r)
+}
+
+// observingSource hands every scheduled prefetch a controller pulls to
+// observe before the controller issues it.
+type observingSource struct {
+	memctrl.PrefetchSource
+	observe func(*memctrl.Request)
+}
+
+func (p observingSource) NextPrefetch(now sim.Time) (*memctrl.Request, bool) {
+	r, ok := p.PrefetchSource.NextPrefetch(now)
+	if ok {
+		p.observe(r)
+	}
+	return r, ok
+}
+
+// observeRequests hands every request s builds to observe as it
+// leaves for memory: through s's port, or, for a scheduled prefetch,
+// pulled by a controller, which never passes the port.
+func observeRequests(s *System, observe func(*memctrl.Request)) {
+	s.port = observingPort{ExternalMemory: s.port, observe: observe}
+	if s.cfg.Prefetch.Enabled && s.cfg.Prefetch.Scheduled {
+		for g, c := range s.mem.ctrls {
+			c.SetPrefetchSource(observingSource{PrefetchSource: &prefetchSource{sys: s, group: g}, observe: observe})
+		}
+	}
+}
+
 // TestRequestConservation checks the pooled miss path over every
-// golden-matrix config: each request the hierarchy builds is issued
+// golden-matrix config: each request the hierarchy sends is issued
 // exactly once, fires OnComplete exactly once (when it has one) before
 // its release, is released exactly once, and is never handed out again
 // while still queued or in flight.
@@ -44,7 +83,7 @@ func TestRequestConservation(t *testing.T) {
 
 			lives := map[*memctrl.Request]*reqLife{}
 			var built, released int
-			sys.onNewRequest = func(r *memctrl.Request) {
+			observeRequests(sys, func(r *memctrl.Request) {
 				l := lives[r]
 				if l == nil {
 					l = &reqLife{}
@@ -73,7 +112,7 @@ func TestRequestConservation(t *testing.T) {
 					released++
 					release(r)
 				}
-			}
+			})
 
 			if _, err := sys.Run(); err != nil {
 				t.Fatal(err)

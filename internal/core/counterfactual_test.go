@@ -29,8 +29,41 @@ func cfConfig(sched string) Config {
 	return cfg
 }
 
-// runDecisions runs cfg and collects every controller decision record.
-func runDecisions(t *testing.T, cfg Config) []memctrl.DecisionRecord {
+// decision is one contested controller decision as the run made and
+// traced it: the queued addresses in queue order, whether each one's
+// row was open, the index issued, and the events the pick emitted.
+type decision struct {
+	Addrs  []uint64
+	Open   []bool
+	Chosen int
+	Events []obs.Event
+}
+
+// recordingPolicy wraps a controller's installed issue policy and
+// appends every decision it makes to recs, which the controllers of a
+// system share, so the records follow the order of the decisions and
+// of the events they traced.
+type recordingPolicy struct {
+	memctrl.IssuePolicy
+	tr   *obs.Tracer
+	recs *[]decision
+}
+
+func (p *recordingPolicy) Pick(q []*memctrl.Request, rowOpen func(*memctrl.Request) bool) int {
+	before := p.tr.Emitted()
+	d := decision{Chosen: p.IssuePolicy.Pick(q, rowOpen)}
+	d.Events = p.tr.Last(int(p.tr.Emitted() - before))
+	for _, r := range q {
+		d.Addrs = append(d.Addrs, r.Addr)
+		d.Open = append(d.Open, rowOpen(r))
+	}
+	*p.recs = append(*p.recs, d)
+	return d.Chosen
+}
+
+// runDecisions runs cfg and collects every controller decision with the
+// events it traced, and the tracer's policy-name table.
+func runDecisions(t *testing.T, cfg Config) ([]decision, []string) {
 	t.Helper()
 	p, err := workload.ByName("gcc")
 	if err != nil {
@@ -44,19 +77,19 @@ func runDecisions(t *testing.T, cfg Config) []memctrl.DecisionRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var records []memctrl.DecisionRecord
+	var records []decision
 	for _, c := range sys.mem.ctrls {
-		c.OnDecision(func(r memctrl.DecisionRecord) { records = append(records, r) })
+		c.SetPolicy(&recordingPolicy{IssuePolicy: c.Policy(), tr: sys.tr, recs: &records})
 	}
 	if _, err := sys.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return records
+	return records, sys.tr.PolicyNames()
 }
 
 // replayPick re-runs one recorded decision through a fresh policy
 // instance on the recorded inputs alone.
-func replayPick(t *testing.T, pol memctrl.IssuePolicy, rec memctrl.DecisionRecord) int {
+func replayPick(t *testing.T, pol memctrl.IssuePolicy, rec decision) int {
 	t.Helper()
 	q := make([]*memctrl.Request, len(rec.Addrs))
 	open := make(map[*memctrl.Request]bool, len(rec.Addrs))
@@ -68,16 +101,17 @@ func replayPick(t *testing.T, pol memctrl.IssuePolicy, rec memctrl.DecisionRecor
 }
 
 // TestCounterfactualRoundTrip pins the no-hidden-state contract: every
-// recorded decision — the primary's and each traced alternative's —
-// must be reproduced exactly by a fresh policy instance replaying the
-// recorded queue snapshot. A policy that consulted anything beyond its
+// decision — the primary's and each traced alternative's — must be
+// reproduced exactly by a fresh policy instance replaying the recorded
+// queue snapshot. The alternatives are checked against the sched-alt
+// events the run traced. A policy that consulted anything beyond its
 // Pick arguments (live channel state, per-instance history) would
 // diverge here.
 func TestCounterfactualRoundTrip(t *testing.T) {
 	for _, sched := range policy.Sched.Names() {
 		t.Run(sched, func(t *testing.T) {
 			cfg := cfConfig(sched)
-			records := runDecisions(t, cfg)
+			records, names := runDecisions(t, cfg)
 			if len(records) == 0 {
 				t.Fatal("no contested decisions recorded; the config no longer backs up the queue")
 			}
@@ -89,12 +123,13 @@ func TestCounterfactualRoundTrip(t *testing.T) {
 			}
 			// Fresh alternative instances, one per traced alt name.
 			altPol := map[string]memctrl.IssuePolicy{}
-			for _, a := range records[0].Alts {
-				pol, err := policy.NewSched(a.Name, policy.SchedParams{Window: 8})
+			for _, e := range records[0].Events[1:] {
+				alt := names[e.B>>1]
+				pol, err := policy.NewSched(alt, policy.SchedParams{Window: 8})
 				if err != nil {
-					t.Fatalf("alt %s: %v", a.Name, err)
+					t.Fatalf("alt %s: %v", alt, err)
 				}
-				altPol[a.Name] = pol
+				altPol[alt] = pol
 			}
 			if want := len(policy.Sched.Names()) - 1; len(altPol) != want {
 				t.Fatalf("decision traced %d alternatives, want %d (every registered policy but the primary)", len(altPol), want)
@@ -104,9 +139,22 @@ func TestCounterfactualRoundTrip(t *testing.T) {
 				if got := replayPick(t, primary, rec); got != rec.Chosen {
 					t.Fatalf("record %d: fresh %s picked %d, run picked %d", i, name, got, rec.Chosen)
 				}
-				for _, a := range rec.Alts {
-					if got := replayPick(t, altPol[a.Name], rec); got != a.Chosen {
-						t.Fatalf("record %d: fresh %s picked %d, traced alt picked %d", i, a.Name, got, a.Chosen)
+				if len(rec.Events) != 1+len(altPol) {
+					t.Fatalf("record %d traced %d events, want a decision and %d alternatives", i, len(rec.Events), len(altPol))
+				}
+				d := rec.Events[0]
+				if d.Kind != obs.EvSchedDecision || d.A != rec.Addrs[rec.Chosen] || names[d.B] != name {
+					t.Fatalf("record %d traced decision %+v, want %s issuing %#x", i, d, name, rec.Addrs[rec.Chosen])
+				}
+				for _, e := range rec.Events[1:] {
+					alt := names[e.B>>1]
+					got := replayPick(t, altPol[alt], rec)
+					agree := uint64(0)
+					if got == rec.Chosen {
+						agree = 1
+					}
+					if e.Kind != obs.EvSchedAlt || e.A != rec.Addrs[got] || e.B&1 != agree {
+						t.Fatalf("record %d: fresh %s picked %#x (agree %d), traced alt %+v", i, alt, rec.Addrs[got], agree, e)
 					}
 				}
 			}
@@ -118,8 +166,8 @@ func TestCounterfactualRoundTrip(t *testing.T) {
 // requires the full decision stream to bit-match: arming changes no
 // architectural behaviour and the trace itself is reproducible.
 func TestCounterfactualDeterminism(t *testing.T) {
-	a := runDecisions(t, cfConfig("frfcfs"))
-	b := runDecisions(t, cfConfig("frfcfs"))
+	a, _ := runDecisions(t, cfConfig("frfcfs"))
+	b, _ := runDecisions(t, cfConfig("frfcfs"))
 	if len(a) == 0 {
 		t.Fatal("no decisions recorded")
 	}

@@ -209,7 +209,7 @@ func TestBufferedBlockNeedsNoMSHR(t *testing.T) {
 		t.Fatal("miss elsewhere did not take the only MSHR")
 	}
 	built := 0
-	s.onNewRequest = func(*memctrl.Request) { built++ }
+	observeRequests(s, func(*memctrl.Request) { built++ })
 	if r := h.Access(a+8, trace.SWPrefetch, nil); !r.Accepted || !r.Done {
 		t.Fatalf("software prefetch of a buffered block answered %+v", r)
 	}

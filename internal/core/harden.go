@@ -60,7 +60,10 @@ func (s *System) armHarden() {
 				}
 				return false
 			}
-			return true
+			// With nothing else pending the run is stuck in a way the
+			// checks cannot see; re-arming would keep it ticking
+			// forever, so let the queue drain into a deadlock error.
+			return s.sched.Pending() > 0
 		})
 	}
 }
@@ -187,6 +190,3 @@ func (s *System) recoverCorruption(p any) error {
 	}()
 	return &harden.CorruptionError{PanicValue: p, Now: s.sched.Now(), Dump: dump}
 }
-
-// Fatal reports the hardening error that aborted the run, if any.
-func (s *System) Fatal() error { return s.fatal }

@@ -135,6 +135,23 @@ func (p *stuckPort) Submit(r *memctrl.Request) {
 	p.Memory.Submit(r)
 }
 
+// hidePort loses every demand miss from the after-th on, as dropPort
+// does, and also retires the miss's fill. The MSHR it held stays
+// counted but no fill names it, so the paranoid checker, which audits
+// the fills in flight, cannot see the leak.
+type hidePort struct {
+	dropPort
+	s *System
+}
+
+func (p *hidePort) Submit(r *memctrl.Request) {
+	if p.miss(r) && p.misses >= p.after {
+		p.s.fills.remove(p.s.fills.find(r.Addr))
+		return
+	}
+	p.Memory.Submit(r)
+}
+
 // faultClasses are the corruption classes the hardening layer must
 // catch, each planted into cfg's system from test code.
 var faultClasses = []struct {
@@ -282,6 +299,30 @@ func TestStuckBankCaughtByParanoidAlone(t *testing.T) {
 	var inverr *harden.InvariantError
 	if !errors.As(err, &inverr) {
 		t.Fatalf("want InvariantError, got %v", err)
+	}
+}
+
+// TestParanoidTickLetsHiddenLeakDrain checks that the paranoid checker
+// does not keep a stuck run alive: with the watchdog off and a leak
+// the checker cannot see, its tick stops re-arming once it is the only
+// event left, and the run ends as a deadlock instead of ticking
+// through simulated time until the wall-clock bound.
+func TestParanoidTickLetsHiddenLeakDrain(t *testing.T) {
+	cfg := Base()
+	cfg.MaxInstrs = 30_000
+	cfg.Harden = HardenConfig{Paranoid: true}
+	p := &hidePort{dropPort: dropPort{after: 3}}
+	sys := faultySystem(t, cfg, channelConfig(cfg), func(m *Memory) ExternalMemory {
+		p.Memory = m
+		return p
+	})
+	p.s = sys
+	err := runFault(sys)
+	if err == nil || !strings.Contains(err.Error(), "simulation deadlocked") {
+		t.Fatalf("hidden MSHR leak ended with %v, want a deadlock", err)
+	}
+	if sys.held == 0 || sys.fills.n != 0 {
+		t.Fatalf("%d MSHRs held and %d fills in flight, want a leak no fill names", sys.held, sys.fills.n)
 	}
 }
 

@@ -99,20 +99,18 @@ func (s *System) activates() (fast, slow uint64) {
 	return fast, slow
 }
 
-// armCounterfactual arms decision tracing: each controller evaluates
-// every registered alternative scheduling policy at its contested
-// decision points, and the prefetch engine (when on) is wrapped so
-// every shadow scheme's would-be pick is traced alongside the
-// primary's. Alternatives and shadows see recorded inputs only — they
-// never touch the simulation, so an armed run's architectural
-// behaviour is identical to an unarmed one.
+// armCounterfactual arms decision tracing on both policy axes: each
+// controller's issue policy and the prefetch engine (when on) are
+// wrapped in their axis's Counterfactual decorator, which traces every
+// registered alternative's would-be pick alongside the primary's.
+// Alternatives see recorded inputs only — they never touch the
+// simulation, so an armed run's architectural behaviour is identical
+// to an unarmed one.
 func (s *System) armCounterfactual() {
-	var alts []memctrl.IssuePolicy
-	policy.Sched.Alternatives(s.cfg.SchedPolicy, s.cfg.schedParams(), func(_ string, pol memctrl.IssuePolicy) {
-		alts = append(alts, pol)
-	})
-	for _, c := range s.mem.ctrls {
-		c.EnableCounterfactual(alts)
+	for g, c := range s.mem.ctrls {
+		cf := memctrl.NewCounterfactual(c.Policy(), s.tr, g)
+		policy.Sched.Alternatives(s.cfg.SchedPolicy, s.cfg.schedParams(), cf.AddShadow)
+		c.SetPolicy(cf)
 	}
 	if s.pf == nil {
 		return

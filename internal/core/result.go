@@ -109,6 +109,3 @@ func (s *System) result() Result {
 	}
 	return r
 }
-
-// Clock exposes the core clock for cycle conversions on results.
-func (s *System) Clock() sim.Clock { return s.clock }

@@ -59,9 +59,6 @@ type System struct {
 	freeReqs  *missReq
 	freeWBs   []*memctrl.Request
 	recycleWB func(*memctrl.Request)
-	// onNewRequest, when set (tests only), observes every request the
-	// hierarchy builds, just before it leaves for a controller.
-	onNewRequest func(*memctrl.Request)
 
 	capacity uint64
 
@@ -194,9 +191,6 @@ func (s *System) newReq(kind reqKind, addr, block uint64, write bool) *missReq {
 	case prefetchReq:
 		r.Class = channel.Prefetch
 	}
-	if s.onNewRequest != nil {
-		s.onNewRequest(&r.Request)
-	}
 	return r
 }
 
@@ -225,9 +219,6 @@ func (s *System) newWriteback(addr uint64, size int) *memctrl.Request {
 		r = new(memctrl.Request)
 	}
 	*r = memctrl.Request{Addr: addr, Size: uint64(size), Class: channel.Writeback, Write: true, OnRelease: s.recycleWB}
-	if s.onNewRequest != nil {
-		s.onNewRequest(r)
-	}
 	return r
 }
 

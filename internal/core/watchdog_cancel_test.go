@@ -56,8 +56,8 @@ func TestWatchdogArmedCancelBeforeRun(t *testing.T) {
 	if errors.As(err, &wderr) {
 		t.Fatalf("pre-canceled run produced a watchdog dump:\n%s", wderr.Dump)
 	}
-	if sys.Fatal() != nil {
-		t.Fatalf("cancellation recorded as a fatal hardening failure: %v", sys.Fatal())
+	if sys.fatal != nil {
+		t.Fatalf("cancellation recorded as a fatal hardening failure: %v", sys.fatal)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestWatchdogArmedCancelMidRun(t *testing.T) {
 	if errors.As(err, &wderr) {
 		t.Fatalf("mid-run cancellation produced a watchdog dump:\n%s", wderr.Dump)
 	}
-	if sys.Fatal() != nil {
-		t.Fatalf("cancellation recorded as a fatal hardening failure: %v", sys.Fatal())
+	if sys.fatal != nil {
+		t.Fatalf("cancellation recorded as a fatal hardening failure: %v", sys.fatal)
 	}
 }
 

@@ -18,8 +18,7 @@
 //
 //   - any function or method named Validate, CheckSane or
 //     CheckIntegrity (the paranoid-audit surface);
-//   - stats.HarmonicMean, stats.GeoMean, stats.Min, stats.Max (the
-//     PR 1 constructors);
+//   - stats.HarmonicMean (the PR 1 constructor);
 //   - trace.NewRepeat;
 //   - Record and Save on the checkpoint Manifest;
 //   - any method named Flush whose only result is an error
@@ -111,9 +110,9 @@ func classify(fn *types.Func) (string, string) {
 	switch fn.Name() {
 	case "Validate", "CheckSane", "CheckIntegrity":
 		return display(fn, recv), "it feeds the paranoid invariant audit; handle it or the corruption it found stays invisible"
-	case "HarmonicMean", "GeoMean", "Min", "Max":
+	case "HarmonicMean":
 		if pkgNamed(fn, "stats") {
-			return display(fn, recv), "a broken measurement (NaN, non-positive rate, empty slice) would pass silently into reported results"
+			return display(fn, recv), "a broken measurement (NaN or a non-positive rate) would pass silently into reported results"
 		}
 	case "NewRepeat":
 		if pkgNamed(fn, "trace") {

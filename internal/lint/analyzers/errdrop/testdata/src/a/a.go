@@ -44,7 +44,6 @@ func dropped(c config, ch channelish, m *chk.Manifest, f *flusher) {
 	ch.CheckSane(0)         // want `error returned by channelish.CheckSane is discarded`
 	ch.CheckIntegrity()     // want `error returned by channelish.CheckIntegrity is discarded`
 	stats.HarmonicMean(nil) // want `error returned by stats.HarmonicMean is discarded`
-	stats.Min(nil)          // want `error returned by stats.Min is discarded`
 	trace.NewRepeat(nil)    // want `error returned by trace.NewRepeat is discarded`
 	m.Record("k")           // want `error returned by Manifest.Record is discarded`
 	defer m.Save()          // want `error returned by Manifest.Save is discarded`

@@ -1,4 +1,4 @@
-// Package stats stubs the error-returning aggregate constructors of
+// Package stats stubs the error-returning aggregate constructor of
 // memsim/internal/stats (matched by package name + function name).
 package stats
 
@@ -12,17 +12,6 @@ func HarmonicMean(xs []float64) (float64, error) {
 	}
 	return xs[0], errBad
 }
-
-func GeoMean(xs []float64) (float64, error) { return HarmonicMean(xs) }
-
-func Min(xs []float64) (int, float64, error) {
-	if len(xs) == 0 {
-		return 0, 0, errBad
-	}
-	return 0, xs[0], nil
-}
-
-func Max(xs []float64) (int, float64, error) { return Min(xs) }
 
 // Mean has no error result, so discarding it is not errdrop's business.
 func Mean(xs []float64) float64 { return 0 }

@@ -221,14 +221,6 @@ type Controller struct {
 	// bound once so the hot path allocates no closures.
 	rowOpenFn func(*Request) bool
 
-	// Counterfactual decision tracing (see EnableCounterfactual): the
-	// interned trace id of the primary policy, the armed alternative
-	// policies, and the test-only decision hook. All empty/nil unless
-	// armed; contested decisions then pay for the snapshot.
-	policyID   uint64
-	alts       []schedAlt
-	onDecision func(DecisionRecord)
-
 	// completeCB is the pre-bound last-data callback (see
 	// sim.Callback), bound once at construction so completion
 	// scheduling costs no allocation; its payload is the *Request.
@@ -292,24 +284,6 @@ func (c *Controller) SetPolicy(p IssuePolicy) {
 
 // Policy reports the installed issue policy.
 func (c *Controller) Policy() IssuePolicy { return c.policy }
-
-// EnableCounterfactual arms per-decision divergence tracing: every
-// contested issue decision (more than one queued request) additionally
-// evaluates each alternative policy on the same queue snapshot and
-// emits one EvSchedDecision plus one EvSchedAlt per alternative. Call
-// after Observe so the policy names intern onto the run's tracer.
-func (c *Controller) EnableCounterfactual(alts []IssuePolicy) {
-	c.policyID = c.tr.InternPolicy(c.policy.Name())
-	c.alts = c.alts[:0]
-	for _, p := range alts {
-		c.alts = append(c.alts, schedAlt{pol: p, id: c.tr.InternPolicy(p.Name())})
-	}
-}
-
-// OnDecision registers a hook invoked with every contested issue
-// decision's inputs and outcome — the testing seam behind the
-// counterfactual round-trip contract.
-func (c *Controller) OnDecision(fn func(DecisionRecord)) { c.onDecision = fn }
 
 // Stats returns a snapshot of the counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -531,50 +505,9 @@ func (c *Controller) pop(q *[]*Request) *Request {
 		if idx > 0 {
 			c.stats.Reordered++
 		}
-		if len(c.alts) > 0 || c.onDecision != nil {
-			c.recordDecision(*q, idx)
-		}
 	}
 	r := (*q)[idx]
 	copy((*q)[idx:], (*q)[idx+1:])
 	*q = (*q)[:len(*q)-1]
 	return r
-}
-
-// recordDecision snapshots a contested decision's inputs, replays each
-// armed alternative policy on the snapshot, and emits the
-// counterfactual trace events. Alternatives see the recorded open-row
-// bits — not the live channel — so the emitted trace equals the
-// recorded inputs replayed offline, which the round-trip test checks.
-func (c *Controller) recordDecision(q []*Request, chosen int) {
-	rec := DecisionRecord{
-		Addrs:  make([]uint64, len(q)),
-		Open:   make([]bool, len(q)),
-		Chosen: chosen,
-	}
-	for i, r := range q {
-		rec.Addrs[i] = r.Addr
-		rec.Open[i] = c.rowOpenFn(r)
-	}
-	snapOpen := func(r *Request) bool {
-		for i := range q {
-			if q[i] == r {
-				return rec.Open[i]
-			}
-		}
-		return false
-	}
-	c.tr.Instant(obs.EvSchedDecision, c.group, q[chosen].Addr, c.policyID)
-	for _, a := range c.alts {
-		pick := a.pol.Pick(q, snapOpen)
-		rec.Alts = append(rec.Alts, AltPick{Name: a.pol.Name(), Chosen: pick})
-		var agree uint64
-		if pick == chosen {
-			agree = 1
-		}
-		c.tr.Instant(obs.EvSchedAlt, c.group, q[pick].Addr, a.id<<1|agree)
-	}
-	if c.onDecision != nil {
-		c.onDecision(rec)
-	}
 }

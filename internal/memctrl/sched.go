@@ -5,9 +5,9 @@ package memctrl
 // internal/policy under a scheme name, which is how Config.SchedPolicy
 // reaches them.
 //
-// Pick must be a pure function of its arguments. The counterfactual
-// tracer evaluates every registered alternative on the same queue
-// snapshot, and the round-trip replay test re-runs recorded decisions
+// Pick must be a pure function of its arguments. The Counterfactual
+// decorator evaluates every registered alternative on the same queue
+// snapshot, and the round-trip replay test re-runs traced decisions
 // through a fresh instance expecting bit-identical choices, so hidden
 // per-instance state would break both.
 type IssuePolicy interface {
@@ -60,34 +60,4 @@ func (p FRFCFS) Pick(q []*Request, rowOpen func(*Request) bool) int {
 		}
 	}
 	return 0
-}
-
-// AltPick is one alternative policy's choice at a recorded decision.
-type AltPick struct {
-	// Name is the alternative's scheme name.
-	Name string
-	// Chosen is the queue index it would have issued.
-	Chosen int
-}
-
-// DecisionRecord snapshots one contested issue decision: the queue
-// state the policy saw and what was chosen. The round-trip test
-// replays these inputs through fresh policy instances and requires the
-// same choices, which is what pins the no-hidden-state contract.
-type DecisionRecord struct {
-	// Addrs are the queued request addresses in queue order.
-	Addrs []uint64
-	// Open reports, per queue entry, whether its mapped row was open.
-	Open []bool
-	// Chosen is the index the primary policy picked.
-	Chosen int
-	// Alts holds each armed alternative policy's pick (counterfactual
-	// tracing only), in arming order.
-	Alts []AltPick
-}
-
-// schedAlt pairs an alternative policy with its interned trace id.
-type schedAlt struct {
-	pol IssuePolicy
-	id  uint64
 }

@@ -125,13 +125,12 @@ func TestSharedDataTimeSumsToDataBusy(t *testing.T) {
 func TestSharedSingleRequesterMatchesPrivate(t *testing.T) {
 	for _, pol := range []IssuePolicy{FCFS{}, FRFCFS{}, FRFCFS{Window: 2}} {
 		for _, rc := range []reorderCase{hitBehindConflict, hitBehindTwoConflicts} {
-			run := func(requesters int, sys uint16) ([]string, []DecisionRecord, Stats) {
-				s, c, _ := newReorderController(t, pol, requesters)
-				var recs []DecisionRecord
-				c.OnDecision(func(r DecisionRecord) { recs = append(recs, r) })
+			run := func(requesters int, sys uint16) ([]string, []decision, Stats) {
+				rec := &recordingPolicy{IssuePolicy: pol}
+				s, c, _ := newReorderController(t, rec, requesters)
 				order := submitCase(c, sys, rc)
 				s.Run()
-				return *order, recs, c.Stats()
+				return *order, rec.recs, c.Stats()
 			}
 			wantOrder, wantRecs, wantStats := run(1, 0)
 			gotOrder, gotRecs, gotStats := run(3, 1)

@@ -38,59 +38,6 @@ func (k metricKind) String() string {
 	}
 }
 
-// Counter is a monotonically increasing event count. The zero value is
-// usable; a nil Counter absorbs updates, so components keep unguarded
-// pointers that are simply nil when metrics are off.
-type Counter struct{ v uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is an instantaneous value that can move both ways (queue
-// depth, open banks). Nil-safe like Counter.
-type Gauge struct{ v float64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add moves the value by d.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
 // Histogram counts observations into fixed buckets: counts[i] holds
 // observations v with bounds[i-1] < v <= bounds[i] (Prometheus "le"
 // semantics — a value equal to an upper bound lands in that bucket),
@@ -138,10 +85,10 @@ func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
 	return append([]float64(nil), h.bounds...), append([]uint64(nil), h.counts...)
 }
 
-// metric is one registry entry. Exactly one of counter, gauge, fn, or
-// hist is set; fn-backed entries read their value lazily at export
-// time so layers can expose existing Stats fields without touching
-// their hot paths.
+// metric is one registry entry: a counter or gauge read from fn, or a
+// histogram. fn reads its value lazily at export time, so layers
+// expose the counters they already keep without touching their hot
+// paths.
 type metric struct {
 	name   string
 	help   string
@@ -149,29 +96,15 @@ type metric struct {
 	lstr   string // rendered label string, the dedup key suffix
 	kind   metricKind
 
-	counter *Counter
-	gauge   *Gauge
-	fn      func() float64
-	hist    *Histogram
-}
-
-// value reads the current scalar value (counter and gauge kinds only).
-func (m *metric) value() float64 {
-	switch {
-	case m.counter != nil:
-		return float64(m.counter.v)
-	case m.gauge != nil:
-		return m.gauge.v
-	case m.fn != nil:
-		return m.fn()
-	}
-	return 0
+	fn   func() float64
+	hist *Histogram
 }
 
 // Registry holds a run's metrics. Registration happens once at system
-// construction; the event loop then only touches the returned
-// Counter/Gauge/Histogram handles. Export iterates the registration
-// slice in sorted order, never a map, so output is deterministic.
+// construction; the event loop then touches only the counters the
+// layers keep anyway and the returned Histogram handles. Export
+// iterates the registration slice in sorted order, never a map, so
+// output is deterministic.
 type Registry struct {
 	metrics []*metric
 	index   map[string]*metric // name+labels -> entry, for dup detection
@@ -245,27 +178,6 @@ func (r *Registry) register(m *metric) {
 	r.helps[m.name] = m.help
 	r.index[key] = m
 	r.metrics = append(r.metrics, m)
-}
-
-// Counter registers and returns a counter series. A nil registry
-// returns a nil (absorbing) handle, so callers wire unconditionally.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.register(&metric{name: name, help: help, labels: labels, kind: kindCounter, counter: c})
-	return c
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.register(&metric{name: name, help: help, labels: labels, kind: kindGauge, gauge: g})
-	return g
 }
 
 // CounterFunc registers a counter series whose value is read from fn
@@ -348,7 +260,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			lastName = m.name
 		}
 		if m.kind != kindHistogram {
-			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.lstr, fmtFloat(m.value()))
+			fmt.Fprintf(&b, "%s%s %s\n", m.name, m.lstr, fmtFloat(m.fn()))
 			continue
 		}
 		h := m.hist
@@ -381,7 +293,7 @@ func (r *Registry) Values() map[string]float64 {
 			vs[m.name+"_sum"+m.lstr] = m.hist.sum
 			continue
 		}
-		vs[m.name+m.lstr] = m.value()
+		vs[m.name+m.lstr] = m.fn()
 	}
 	return vs
 }

@@ -8,26 +8,16 @@ import (
 // TestNilInstruments checks the disabled fast path: every instrument
 // method on a nil receiver is a no-op, never a panic.
 func TestNilInstruments(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(7)
-	if c.Value() != 0 {
-		t.Errorf("nil counter value = %d", c.Value())
-	}
-	var g *Gauge
-	g.Set(3)
-	g.Add(-1)
-	if g.Value() != 0 {
-		t.Errorf("nil gauge value = %v", g.Value())
-	}
 	var h *Histogram
 	h.Observe(5)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Errorf("nil histogram count/sum = %d/%v", h.Count(), h.Sum())
 	}
 	var r *Registry
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", []float64{1}) != nil {
-		t.Error("nil registry returned live handles")
+	r.CounterFunc("x", "", func() float64 { return 1 })
+	r.GaugeFunc("x", "", func() float64 { return 1 })
+	if r.Histogram("x", "", []float64{1}) != nil {
+		t.Error("nil registry returned a live histogram")
 	}
 	if err := r.WritePrometheus(nil); err != nil {
 		t.Errorf("nil registry WritePrometheus: %v", err)
@@ -101,9 +91,9 @@ memsim_test_lat_count 5
 func TestPrometheusOrdering(t *testing.T) {
 	r := NewRegistry()
 	// Registered out of order on purpose.
-	r.Counter("memsim_test_b", "B.", Label{"ch", "1"}).Add(2)
-	r.Gauge("memsim_test_a", "A.").Set(9)
-	r.Counter("memsim_test_b", "B.", Label{"ch", "0"}).Add(1)
+	r.CounterFunc("memsim_test_b", "B.", func() float64 { return 2 }, Label{"ch", "1"})
+	r.GaugeFunc("memsim_test_a", "A.", func() float64 { return 9 })
+	r.CounterFunc("memsim_test_b", "B.", func() float64 { return 1 }, Label{"ch", "0"})
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -133,13 +123,14 @@ func TestRegistryMisuse(t *testing.T) {
 		}()
 		fn()
 	}
+	zero := func() float64 { return 0 }
 	r := NewRegistry()
-	r.Counter("memsim_ok", "x", Label{"k", "v"})
-	expectPanic("duplicate series", func() { r.Counter("memsim_ok", "x", Label{"k", "v"}) })
-	expectPanic("kind conflict", func() { r.Gauge("memsim_ok", "x") })
-	expectPanic("help conflict", func() { r.Counter("memsim_ok", "y", Label{"k", "w"}) })
-	expectPanic("invalid name", func() { r.Counter("0bad name", "x") })
-	expectPanic("invalid label key", func() { r.Counter("memsim_ok2", "x", Label{"bad key", "v"}) })
+	r.CounterFunc("memsim_ok", "x", zero, Label{"k", "v"})
+	expectPanic("duplicate series", func() { r.CounterFunc("memsim_ok", "x", zero, Label{"k", "v"}) })
+	expectPanic("kind conflict", func() { r.GaugeFunc("memsim_ok", "x", zero) })
+	expectPanic("help conflict", func() { r.CounterFunc("memsim_ok", "y", zero, Label{"k", "w"}) })
+	expectPanic("invalid name", func() { r.CounterFunc("0bad name", "x", zero) })
+	expectPanic("invalid label key", func() { r.CounterFunc("memsim_ok2", "x", zero, Label{"bad key", "v"}) })
 	expectPanic("empty bounds", func() { r.Histogram("memsim_h", "x", nil) })
 	expectPanic("unsorted bounds", func() { r.Histogram("memsim_h", "x", []float64{2, 1}) })
 }
@@ -148,7 +139,7 @@ func TestRegistryMisuse(t *testing.T) {
 // registry: scalars by series name, histograms as _count/_sum.
 func TestValuesFlattening(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("memsim_test_c", "c", Label{"ch", "0"}).Add(4)
+	r.CounterFunc("memsim_test_c", "c", func() float64 { return 4 }, Label{"ch", "0"})
 	h := r.Histogram("memsim_test_h", "h", []float64{1})
 	h.Observe(0.5)
 	h.Observe(3)

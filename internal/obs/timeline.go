@@ -147,7 +147,7 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 			s.Sum = m.hist.sum
 			s.Bounds, s.Buckets = m.hist.Buckets()
 		} else {
-			s.Value = m.value()
+			s.Value = m.fn()
 		}
 		out = append(out, s)
 	}

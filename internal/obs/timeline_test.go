@@ -12,19 +12,20 @@ import (
 // only once the interval has elapsed and re-arms from the sample time.
 func TestTimelineSampling(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("memsim_test_ticks", "t")
+	ticks := 0
+	r.CounterFunc("memsim_test_ticks", "t", func() float64 { return float64(ticks) })
 	tl := NewTimeline(r, 100)
 	if tl.MaybeSample(50) {
 		t.Error("sampled before the first interval")
 	}
-	c.Inc()
+	ticks++
 	if !tl.MaybeSample(120) {
 		t.Error("did not sample after the interval elapsed")
 	}
 	if tl.MaybeSample(180) {
 		t.Error("resampled before the re-armed interval (next should be 220)")
 	}
-	c.Inc()
+	ticks++
 	tl.ForceSample(200)
 	ss := tl.Samples()
 	if len(ss) != 2 || ss[0].At != 120 || ss[1].At != 200 {

@@ -342,9 +342,15 @@ func (t *Tracer) Events() []Event {
 // watchdog embeds these in its diagnostic dump, so a no-progress abort
 // shows what the memory system last did.
 func (t *Tracer) Last(k int) []Event {
-	evs := t.Events()
-	if len(evs) > k {
-		evs = evs[len(evs)-k:]
+	if t == nil {
+		return nil
 	}
-	return evs
+	n := len(t.buf)
+	k = min(max(k, 0), n)
+	out := make([]Event, 0, k)
+	// The i-th oldest retained event sits at (next+i) mod n.
+	for i := n - k; i < n; i++ {
+		out = append(out, t.buf[(t.next+i)%n])
+	}
+	return out
 }

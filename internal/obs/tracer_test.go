@@ -49,6 +49,12 @@ func TestRingPartialFill(t *testing.T) {
 	if tr.Dropped() != 0 {
 		t.Errorf("Dropped = %d, want 0", tr.Dropped())
 	}
+	if last := tr.Last(2); len(last) != 2 || last[0].A != 1 || last[1].A != 2 {
+		t.Errorf("Last(2) = %+v, want events 1,2", last)
+	}
+	if last := tr.Last(5); len(last) != 3 || last[0].A != 0 {
+		t.Errorf("Last(5) = %+v, want all 3 events", last)
+	}
 }
 
 // TestNilTracer checks the disabled fast path end to end.

@@ -71,7 +71,9 @@ func (s *Sequential) Next(func(uint64) bool) (uint64, bool) {
 		return 0, false
 	}
 	b := s.queue[0]
-	s.queue = s.queue[1:]
+	// Shift in place, so the queue keeps its capacity for the next
+	// append instead of walking off its backing array.
+	s.queue = s.queue[:copy(s.queue, s.queue[1:])]
 	s.stats.Issued++
 	return b, true
 }
@@ -213,7 +215,9 @@ func (s *Stream) Next(func(uint64) bool) (uint64, bool) {
 		return 0, false
 	}
 	b := s.queue[0]
-	s.queue = s.queue[1:]
+	// Shift in place, so the queue keeps its capacity for the next
+	// append instead of walking off its backing array.
+	s.queue = s.queue[:copy(s.queue, s.queue[1:])]
 	s.stats.Issued++
 	return b, true
 }

@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // HarmonicMean returns the harmonic mean of xs, the correct aggregate
@@ -39,22 +38,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean, or 0 for an empty slice. It
-// returns an error on non-positive or NaN values.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, nil
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if !(x > 0) {
-			return 0, fmt.Errorf("stats: geometric mean of non-positive value %v", x)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
-}
-
 // Speedup returns the relative improvement of next over base as a
 // ratio (1.43 = 43% faster).
 func Speedup(base, next float64) float64 {
@@ -76,50 +59,6 @@ func LostFraction(actual, upper float64) float64 {
 		return 0
 	}
 	return f
-}
-
-// Min returns the index and value of the smallest element. It returns
-// an error for an empty slice.
-func Min(xs []float64) (int, float64, error) {
-	if len(xs) == 0 {
-		return 0, 0, fmt.Errorf("stats: Min of empty slice")
-	}
-	bi, bv := 0, xs[0]
-	for i, x := range xs {
-		if x < bv {
-			bi, bv = i, x
-		}
-	}
-	return bi, bv, nil
-}
-
-// Max returns the index and value of the largest element. It returns
-// an error for an empty slice.
-func Max(xs []float64) (int, float64, error) {
-	if len(xs) == 0 {
-		return 0, 0, fmt.Errorf("stats: Max of empty slice")
-	}
-	bi, bv := 0, xs[0]
-	for i, x := range xs {
-		if x > bv {
-			bi, bv = i, x
-		}
-	}
-	return bi, bv, nil
-}
-
-// Median returns the median, or 0 for an empty slice.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // Pct formats a fraction as a percentage string ("43.0%"). NaN — the

@@ -28,27 +28,12 @@ func TestHarmonicMeanRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestMeanMedian(t *testing.T) {
+func TestMean(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3}); !close(got, 2) {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Median([]float64{3, 1, 2}); !close(got, 2) {
-		t.Errorf("Median odd = %v", got)
-	}
-	if got := Median([]float64{4, 1, 2, 3}); !close(got, 2.5) {
-		t.Errorf("Median even = %v", got)
-	}
-	if Mean(nil) != 0 || Median(nil) != 0 {
-		t.Error("empty aggregates not 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got, err := GeoMean([]float64{1, 4}); err != nil || !close(got, 2) {
-		t.Errorf("GeoMean(1,4) = %v, %v", got, err)
-	}
-	if _, err := GeoMean([]float64{1, -4}); err == nil {
-		t.Error("GeoMean accepted a negative value")
+	if Mean(nil) != 0 {
+		t.Error("empty mean not 0")
 	}
 }
 
@@ -64,30 +49,13 @@ func TestSpeedupAndLostFraction(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	i, v, err := Min([]float64{3, 1, 2})
-	if err != nil || i != 1 || v != 1 {
-		t.Errorf("Min = %d,%v,%v", i, v, err)
-	}
-	i, v, err = Max([]float64{3, 1, 2})
-	if err != nil || i != 0 || v != 3 {
-		t.Errorf("Max = %d,%v,%v", i, v, err)
-	}
-	if _, _, err := Min(nil); err == nil {
-		t.Error("Min(nil) did not error")
-	}
-	if _, _, err := Max(nil); err == nil {
-		t.Error("Max(nil) did not error")
-	}
-}
-
 func TestPct(t *testing.T) {
 	if got := Pct(0.43); got != "43.0%" {
 		t.Errorf("Pct = %q", got)
 	}
 }
 
-// Property: HM <= GM <= AM for positive inputs.
+// Property: HM <= AM for positive inputs.
 func TestPropertyMeanInequality(t *testing.T) {
 	f := func(raw []uint16) bool {
 		var xs []float64
@@ -97,10 +65,8 @@ func TestPropertyMeanInequality(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		hm, err1 := HarmonicMean(xs)
-		gm, err2 := GeoMean(xs)
-		am := Mean(xs)
-		return err1 == nil && err2 == nil && hm <= gm+1e-9 && gm <= am+1e-9
+		hm, err := HarmonicMean(xs)
+		return err == nil && hm <= Mean(xs)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
