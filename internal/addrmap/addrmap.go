@@ -53,17 +53,10 @@ func (g Geometry) Validate() error {
 // one dualoct per physical channel.
 func (g Geometry) UnitBytes() uint64 { return dram.DualoctBytes * uint64(g.Channels) }
 
-// LogicalRowBytes is the size of one row across the ganged channels.
-func (g Geometry) LogicalRowBytes() uint64 { return dram.RowBytes * uint64(g.Channels) }
-
 // Capacity is the total physical memory in bytes.
 func (g Geometry) Capacity() uint64 {
 	return uint64(g.Channels) * uint64(g.DevicesPerChannel) * dram.DeviceBytes
 }
-
-// PeakBandwidth is the peak transfer rate in bytes per second
-// (1.6 GB/s per physical channel).
-func (g Geometry) PeakBandwidth() float64 { return 1.6e9 * float64(g.Channels) }
 
 func (g Geometry) devBits() int  { return bits.TrailingZeros(uint(g.DevicesPerChannel)) }
 func (g Geometry) bankBits() int { return bits.TrailingZeros(uint(dram.BanksPerDevice)) } // 5

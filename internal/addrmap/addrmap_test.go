@@ -25,12 +25,6 @@ func TestGeometryBaseSystem(t *testing.T) {
 	if g.UnitBytes() != 64 {
 		t.Errorf("unit = %d, want 64 (4 dualocts)", g.UnitBytes())
 	}
-	if g.LogicalRowBytes() != 8192 {
-		t.Errorf("logical row = %d, want 8KB", g.LogicalRowBytes())
-	}
-	if bw := g.PeakBandwidth(); bw != 6.4e9 {
-		t.Errorf("peak bandwidth = %g, want 6.4GB/s", bw)
-	}
 }
 
 func TestGeometryValidate(t *testing.T) {
@@ -107,7 +101,7 @@ func TestBaseMapRowInTopBits(t *testing.T) {
 	g := base4x2(t)
 	m, _ := NewBase(g)
 	// One full stripe of all banks and devices = row size * banks * devs.
-	stride := g.LogicalRowBytes() * dram.BanksPerDevice * uint64(g.DevicesPerChannel)
+	stride := dram.RowBytes * uint64(g.Channels) * dram.BanksPerDevice * uint64(g.DevicesPerChannel)
 	c := m.Map(stride)
 	if c.Row != 1 || c.Bank != 0 || c.Device != 0 {
 		t.Fatalf("Map(stride) = %v, want row 1", c)
@@ -172,7 +166,7 @@ func TestXOREvenBanksFirst(t *testing.T) {
 	// banks are in use.
 	g := Geometry{Channels: 4, DevicesPerChannel: 1}
 	m, _ := NewXOR(g)
-	rowStride := g.LogicalRowBytes()
+	rowStride := dram.RowBytes * uint64(g.Channels)
 	var firstHalf []int
 	for i := uint64(0); i < 16; i++ {
 		c := m.Map(i * rowStride)

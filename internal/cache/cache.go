@@ -165,16 +165,6 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// PrefetchAccuracy reports the fraction of settled prefetches (used or
-// evicted) that were referenced before eviction.
-func (s Stats) PrefetchAccuracy() float64 {
-	settled := s.PrefetchUsed + s.PrefetchEvicted
-	if settled == 0 {
-		return 0
-	}
-	return float64(s.PrefetchUsed) / float64(settled)
-}
-
 // Cache is a set-associative, writeback, write-allocate cache model.
 // It tracks tags and recency only; data contents are not simulated.
 type Cache struct {
@@ -211,9 +201,6 @@ func New(cfg Config) (*Cache, error) {
 		shift:    uint(bits.TrailingZeros64(uint64(cfg.BlockBytes))),
 	}, nil
 }
-
-// Config reports the cache configuration.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats { return c.stats }

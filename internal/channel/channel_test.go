@@ -160,14 +160,14 @@ func TestClosedPagePolicy(t *testing.T) {
 
 func TestIdleAndNextFree(t *testing.T) {
 	ch, m := newTestChannel(t, 1, 1)
-	if !ch.IdleAt(0) {
+	if ch.NextFree() > 0 {
 		t.Fatal("fresh channel not idle")
 	}
 	r := access(ch, m, 0, 0, 16, Demand)
-	if ch.IdleAt(r.FirstData - sim.Nanosecond) {
+	if ch.NextFree() <= r.FirstData-sim.Nanosecond {
 		t.Error("channel idle while data in flight")
 	}
-	if !ch.IdleAt(r.LastData) {
+	if ch.NextFree() > r.LastData {
 		t.Errorf("channel not idle at LastData; NextFree = %v", ch.NextFree())
 	}
 	if ch.NextFree() != r.LastData {

@@ -16,12 +16,10 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 
 	"memsim/internal/core"
 	"memsim/internal/dram"
 	"memsim/internal/obs"
-	"memsim/internal/policy"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
@@ -102,19 +100,6 @@ type Config struct {
 
 // withDefaults returns the config with zero values resolved.
 func (c Config) withDefaults() Config {
-	base := core.Base()
-	if c.Channels == 0 {
-		c.Channels = base.Channels
-	}
-	if c.DevicesPerChannel == 0 {
-		c.DevicesPerChannel = base.DevicesPerChannel
-	}
-	if c.Mapping == "" {
-		c.Mapping = base.Mapping
-	}
-	if c.Part == "" {
-		c.Part = base.Timing.Name
-	}
 	if c.LinkLatency == 0 {
 		c.LinkLatency = DefaultLinkLatency
 	}
@@ -123,8 +108,9 @@ func (c Config) withDefaults() Config {
 
 // Validate checks the cluster-level shape and rejects a member config
 // that sets controller behaviour the shared controllers cannot honour
-// (core.Config.ValidateExternalController). The rest of a member's
-// configuration is validated by core.NewExternal at build time.
+// (core.Config.ValidateExternalController). The shared fabric is
+// checked by fabric, the rest of a member's configuration by
+// core.NewExternal, both at build time.
 func (c Config) Validate() error {
 	if len(c.Systems) == 0 {
 		return fmt.Errorf("cluster: no systems configured")
@@ -142,57 +128,64 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.Channels < 1 || c.Channels > 64 {
-		return fmt.Errorf("cluster: Channels %d out of range [1, 64]", c.Channels)
-	}
-	if c.DevicesPerChannel < 1 || c.DevicesPerChannel > 64 {
-		return fmt.Errorf("cluster: DevicesPerChannel %d out of range [1, 64]", c.DevicesPerChannel)
-	}
 	if c.LinkLatency <= 0 {
 		return fmt.Errorf("cluster: LinkLatency must be positive, got %v", c.LinkLatency)
-	}
-	if c.Part != "" {
-		if _, err := dram.PartByName(c.Part); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-	}
-	if policy.Timings.Validate(c.BankTiming, policy.TimingParams{}) != nil {
-		return fmt.Errorf("cluster: unknown bank timing %q (have %s)",
-			c.BankTiming, strings.Join(policy.Timings.Names(), ", "))
 	}
 	return nil
 }
 
-// onFabric puts the shared fabric's shape on cfg: its geometry, part,
-// mapping, row policy and bank timing, each channel behind its own
-// controller with blocks striped across them. The members and the
-// shared memory (onFabric(core.Base()), whose 64 B L2 block is the
-// stripe granule) all take it, so they agree on the address space.
-func (c Config) onFabric(cfg core.Config) core.Config {
-	cfg.Channels = c.Channels
-	cfg.DevicesPerChannel = c.DevicesPerChannel
+// fabric builds and validates the shared memory's configuration:
+// core.Base(), whose 64 B L2 block is the stripe granule, with the
+// cluster's shape on it, each channel behind its own controller with
+// blocks striped across them. A zero Channels, DevicesPerChannel,
+// Mapping or Part keeps Base's.
+func (c Config) fabric() (core.Config, error) {
+	cfg := core.Base()
+	if c.Channels != 0 {
+		cfg.Channels = c.Channels
+	}
+	if c.DevicesPerChannel != 0 {
+		cfg.DevicesPerChannel = c.DevicesPerChannel
+	}
+	if c.Mapping != "" {
+		cfg.Mapping = c.Mapping
+	}
+	if c.Part != "" {
+		t, err := dram.PartByName(c.Part)
+		if err != nil {
+			return cfg, fmt.Errorf("cluster: fabric: %w", err)
+		}
+		cfg.Timing = t
+	}
 	cfg.Interleaving = "independent"
-	cfg.Mapping = c.Mapping
-	cfg.Timing = dram.Parts[c.Part]
 	cfg.ClosedPage = c.ClosedPage
 	cfg.BankTiming = c.BankTiming
-	return cfg
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("cluster: fabric: %w", err)
+	}
+	return cfg, nil
 }
 
 // systemConfig derives system i's core configuration: the spec's base
-// (or core.Base()) on the fabric, so every member computes the same
-// physical address space the shared memory serves. External-memory
-// restrictions are normalized rather than rejected — scheduled and
-// bank-aware prefetching degrade to the unscheduled FIFO discipline
-// (the member has no controller of its own whose idle and row state
-// the prefetcher could read), and hardening monitors are disabled
-// (they inspect local controllers).
-func (c Config) systemConfig(i int) core.Config {
+// (or core.Base()) with the fabric's shape on it, so every member
+// computes the same physical address space the shared memory serves.
+// External-memory restrictions are normalized rather than rejected —
+// scheduled and bank-aware prefetching degrade to the unscheduled FIFO
+// discipline (the member has no controller of its own whose idle and
+// row state the prefetcher could read), and hardening monitors are
+// disabled (they inspect local controllers).
+func (c Config) systemConfig(i int, fabric core.Config) core.Config {
 	cfg := core.Base()
 	if sc := c.Systems[i].Config; sc != nil {
 		cfg = *sc
 	}
-	cfg = c.onFabric(cfg)
+	cfg.Channels = fabric.Channels
+	cfg.DevicesPerChannel = fabric.DevicesPerChannel
+	cfg.Interleaving = fabric.Interleaving
+	cfg.Mapping = fabric.Mapping
+	cfg.Timing = fabric.Timing
+	cfg.ClosedPage = fabric.ClosedPage
+	cfg.BankTiming = fabric.BankTiming
 	if c.MaxInstrs > 0 {
 		cfg.MaxInstrs = c.MaxInstrs
 		cfg.WarmupInstrs = c.WarmupInstrs

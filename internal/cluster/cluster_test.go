@@ -133,7 +133,11 @@ func TestPartTiming(t *testing.T) {
 	for part, want := range map[string]dram.Timing{"": core.Base().Timing, "800-50": dram.Part800x50} {
 		cfg := testConfig()
 		cfg.Part = part
-		if got := cfg.withDefaults().systemConfig(0).Timing; got != want {
+		fabric, err := cfg.fabric()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cfg.systemConfig(0, fabric).Timing; got != want {
 			t.Errorf("Part %q: member timing %s, want %s", part, got.Name, want.Name)
 		}
 	}
@@ -246,10 +250,7 @@ func TestValidate(t *testing.T) {
 	}{
 		{"no systems", func(c *Config) { c.Systems = nil }, "no systems"},
 		{"unknown bench", func(c *Config) { c.Systems[0].Bench = "nope" }, "nope"},
-		{"bad channels", func(c *Config) { c.Channels = -1 }, "Channels"},
 		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, "LinkLatency"},
-		{"unknown bank timing", func(c *Config) { c.BankTiming = "exotic" }, "bank timing"},
-		{"unknown part", func(c *Config) { c.Part = "800-99" }, "unknown part"},
 		{"member sched policy", member(func(sc *core.Config) { sc.SchedPolicy = "frfcfs" }), "SchedPolicy"},
 		{"member reorder window", member(func(sc *core.Config) { sc.ReorderWindow = 8 }), "ReorderWindow"},
 		{"member refresh", member(func(sc *core.Config) { sc.Refresh = true }), "Refresh"},
@@ -263,19 +264,46 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
 	}
-	// A valid config checks without allocating, whichever bank timing
-	// it names: validation is the whole set-up cost memcluster pays
-	// before Run.
-	for _, timing := range []string{"", "flat", "rowreuse"} {
-		cfg := testConfig().withDefaults()
-		cfg.BankTiming = timing
-		if allocs := testing.AllocsPerRun(10, func() {
-			if err := cfg.Validate(); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Errorf("Validate with bank timing %q: %v allocations, want 0", timing, allocs)
+	// A valid config checks without allocating: validation is the whole
+	// set-up cost memcluster pays before Run.
+	cfg := testConfig().withDefaults()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
 		}
+	}); allocs != 0 {
+		t.Errorf("Validate: %v allocations, want 0", allocs)
+	}
+}
+
+// TestBadFabricNamedAsFabric checks that Run rejects a fabric shape
+// core.Config.Validate rejects, before any member is built, and blames
+// the fabric and the field at fault rather than a member.
+func TestBadFabricNamedAsFabric(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"channels not a power of two", func(c *Config) { c.Channels = 3 }, "Channels = 3"},
+		{"negative channels", func(c *Config) { c.Channels = -1 }, "Channels = -1"},
+		{"devices out of range", func(c *Config) { c.DevicesPerChannel = 128 }, "DevicesPerChannel = 128"},
+		{"unknown mapping", func(c *Config) { c.Mapping = "hash" }, "Mapping = hash"},
+		{"unknown bank timing", func(c *Config) { c.BankTiming = "exotic" }, "BankTiming = exotic"},
+		{"unknown part", func(c *Config) { c.Part = "800-99" }, `unknown part "800-99"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.mut(&cfg)
+			_, err := Run(context.Background(), cfg)
+			if err == nil {
+				t.Fatal("Run accepted the fabric")
+			}
+			msg := err.Error()
+			if !strings.HasPrefix(msg, "cluster: fabric: ") || !strings.Contains(msg, tc.want) {
+				t.Fatalf("err = %q, want a fabric error naming %q", msg, tc.want)
+			}
+		})
 	}
 }
 

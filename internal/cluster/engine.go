@@ -62,6 +62,10 @@ func newRun(cfg Config) (*run, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	fabric, err := cfg.fabric()
+	if err != nil {
+		return nil, err
+	}
 
 	r := &run{cfg: cfg, sched: sim.NewScheduler(), hash: digestSeed}
 	r.arriveCB = func(at sim.Time, arg any) { r.arrive(at, arg.(*transfer)) }
@@ -72,7 +76,7 @@ func newRun(cfg Config) (*run, error) {
 		if err != nil {
 			return nil, err
 		}
-		sysCfg := cfg.systemConfig(i)
+		sysCfg := cfg.systemConfig(i, fabric)
 		gen, err := prof.Generator(spec.Seed, sysCfg.SoftwarePrefetch)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: system %d (%s): %w", i, spec.Bench, err)
@@ -83,7 +87,7 @@ func newRun(cfg Config) (*run, error) {
 		}
 		r.systems = append(r.systems, sh)
 	}
-	mem, err := core.NewMemory(r.sched, cfg.onFabric(core.Base()), len(cfg.Systems))
+	mem, err := core.NewMemory(r.sched, fabric, len(cfg.Systems))
 	if err != nil {
 		return nil, err
 	}

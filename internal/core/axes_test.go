@@ -97,9 +97,17 @@ func TestSchemeAxes(t *testing.T) {
 		{"fcfs/window", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "fcfs", 8 }, []string{"ReorderWindow"}},
 		{"frfcfs/window", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "frfcfs", 8 }, []string{"ReorderWindow"}},
 		{"region/region-bytes", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.RegionBytes = 0 },
-			[]string{"Prefetch", "Prefetch.RegionBytes"}},
+			[]string{"Prefetch.RegionBytes"}},
+		{"region/region-bytes-not-pow2", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.RegionBytes = 3000 },
+			[]string{"Prefetch.RegionBytes"}},
+		{"region/block-over-region", func(c *Config) { c.Prefetch = TunedPrefetch(); c.L2Block = 8192 },
+			[]string{"Prefetch.RegionBytes"}},
 		{"region/queue-depth", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.QueueDepth = policy.MaxQueueDepth + 1 },
 			[]string{"Prefetch.QueueDepth"}},
+		{"region/queue-depth-negative", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.QueueDepth = -1 },
+			[]string{"Prefetch.QueueDepth"}},
+		{"region/throttle-accuracy", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.ThrottleAccuracy = 2 },
+			[]string{"Prefetch.ThrottleAccuracy"}},
 		{"sequential/lookahead", func(c *Config) { c.Prefetch = TunedPrefetch(); c.Prefetch.Scheme = "sequential" },
 			[]string{"Prefetch.Lookahead"}},
 		{"stream/table-size", func(c *Config) {

@@ -2,17 +2,39 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"memsim/internal/harden"
 	"memsim/internal/trace"
 )
 
+// configFieldPaths lists every field path a ConfigError may name: each
+// Config field, and each field of the Prefetch, Harden and Obs groups,
+// which are never blamed whole.
+func configFieldPaths() map[string]bool {
+	groups := map[string]bool{"Prefetch": true, "Harden": true, "Obs": true}
+	paths := map[string]bool{}
+	ct := reflect.TypeOf(Config{})
+	for i := 0; i < ct.NumField(); i++ {
+		f := ct.Field(i)
+		if !groups[f.Name] {
+			paths[f.Name] = true
+			continue
+		}
+		for j := 0; j < f.Type.NumField(); j++ {
+			paths[f.Name+"."+f.Type.Field(j).Name] = true
+		}
+	}
+	return paths
+}
+
 // FuzzConfigValidate drives Validate with arbitrary field values and
 // enforces the hardening contract: Validate never panics, every
-// rejection is a typed *harden.ConfigError, and any configuration that
-// validates must build — New returning an error (or panicking) on a
-// validated config is a bug in the validator's coverage.
+// rejection is a typed *harden.ConfigError naming Config field paths,
+// and any configuration that validates must build — New returning an
+// error (or panicking) on a validated config is a bug in the
+// validator's coverage.
 func FuzzConfigValidate(f *testing.F) {
 	base := Base()
 	// The paper's configurations must validate.
@@ -28,8 +50,11 @@ func FuzzConfigValidate(f *testing.F) {
 	f.Add(0.0, 0, 0, 0, int64(0), int64(0), 0, 0, 0, 0, 0, 0, 0, "", "banked", true, "mystery", -1, -1, -1)
 	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 32, 8, 3, 2, "swap", "ganged", true, "stream", 0, 0, 16)
 	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 64, 8, 4, 2, "xor", "independent", true, "sequential", 0, 0, 4)
+	// A region size that is not a power of two.
+	f.Add(1.6e9, 4, 64, 64, int64(64<<10), int64(1<<20), 2, 4, 64, 64, 8, 4, 2, "xor", "", true, "region", 3000, 8, 4)
 
 	gen := trace.NewSlice([]trace.Op{{Addr: 0}})
+	paths := configFieldPaths()
 
 	f.Fuzz(func(t *testing.T, clockHz float64,
 		width, rob, sb int,
@@ -60,6 +85,11 @@ func FuzzConfigValidate(f *testing.F) {
 			}
 			if len(ce.Fields) == 0 {
 				t.Fatal("ConfigError with no field errors")
+			}
+			for _, fe := range ce.Fields {
+				if !paths[fe.Field] {
+					t.Fatalf("field error names %q, not a Config field path: %v", fe.Field, fe)
+				}
 			}
 			return
 		}

@@ -288,15 +288,6 @@ func (c *CPU) Cycles() int64 {
 	return c.cfg.Clock.ToCyclesCeil(t)
 }
 
-// IPC reports retired instructions per cycle so far.
-func (c *CPU) IPC() float64 {
-	cy := c.Cycles()
-	if cy == 0 {
-		return 0
-	}
-	return float64(c.stats.Retired) / float64(cy)
-}
-
 // DebugState summarizes internal progress state for deadlock
 // diagnostics.
 func (c *CPU) DebugState() string {

@@ -88,6 +88,11 @@ func computeOps(n int) []trace.Op {
 	return ops
 }
 
+// ipc is retired instructions per executed cycle.
+func ipc(c *CPU) float64 {
+	return float64(c.Stats().Retired) / float64(c.Cycles())
+}
+
 func run(t *testing.T, s *sim.Scheduler, c *CPU) {
 	t.Helper()
 	s.RunWhile(func() bool { return !c.Done() })
@@ -107,9 +112,8 @@ func TestPureComputeIPCNearWidth(t *testing.T) {
 	if c.Stats().Retired != 2000 {
 		t.Fatalf("retired = %d, want 2000", c.Stats().Retired)
 	}
-	ipc := c.IPC()
-	if ipc < 3.5 || ipc > 4.0 {
-		t.Fatalf("compute IPC = %v, want near width 4", ipc)
+	if got := ipc(c); got < 3.5 || got > 4.0 {
+		t.Fatalf("compute IPC = %v, want near width 4", got)
 	}
 }
 
@@ -118,19 +122,27 @@ func TestIPCNeverExceedsWidth(t *testing.T) {
 	mem := &fixedMemory{sched: s, latency: testClock.Cycles(1)}
 	c, _ := New(s, mem, trace.NewSlice(computeOps(50)), cfg(0))
 	run(t, s, c)
-	if c.IPC() > 4.0 {
-		t.Fatalf("IPC = %v exceeds retire width", c.IPC())
+	if ipc(c) > 4.0 {
+		t.Fatalf("IPC = %v exceeds retire width", ipc(c))
 	}
+}
+
+// cycle replays ops endlessly.
+type cycle struct {
+	ops []trace.Op
+	i   int
+}
+
+func (c *cycle) Next() (trace.Op, bool) {
+	op := c.ops[c.i%len(c.ops)]
+	c.i++
+	return op, true
 }
 
 func TestMaxInstrsBudget(t *testing.T) {
 	s := sim.NewScheduler()
 	mem := &fixedMemory{sched: s, latency: testClock.Cycles(1)}
-	gen, err := trace.NewRepeat(computeOps(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := New(s, mem, gen, cfg(1000))
+	c, _ := New(s, mem, &cycle{ops: computeOps(4)}, cfg(1000))
 	run(t, s, c)
 	if got := c.Stats().Retired; got != 1000 {
 		t.Fatalf("retired = %d, want budget 1000", got)

@@ -18,7 +18,7 @@ func TestSustainedIPCBoundsThroughput(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.RunWhile(func() bool { return !c.Done() })
-		return c.IPC()
+		return ipc(c)
 	}
 	full := run(0) // no bound
 	if full < 3.5 {
@@ -41,8 +41,8 @@ func TestSustainedIPCAboveWidthIsNoOp(t *testing.T) {
 		Width: 4, SustainedIPC: 9, ROBSize: 64, StoreBuffer: 64, Clock: testClock,
 	})
 	s.RunWhile(func() bool { return !c.Done() })
-	if c.IPC() < 3.5 {
-		t.Fatalf("IPC = %v; a bound above width must not throttle", c.IPC())
+	if ipc(c) < 3.5 {
+		t.Fatalf("IPC = %v; a bound above width must not throttle", ipc(c))
 	}
 }
 

@@ -128,9 +128,6 @@ func NewDevice() *Device {
 	return d
 }
 
-// NumBanks reports the number of banks.
-func (d *Device) NumBanks() int { return len(d.banks) }
-
 // OpenRow reports the row currently held in the bank's sense amps, and
 // whether the bank is active.
 func (d *Device) OpenRow(bank int) (row int, open bool) {
@@ -198,13 +195,6 @@ func (d *Device) Activate(bank, row int) {
 
 // Precharge closes the bank.
 func (d *Device) Precharge(bank int) { d.banks[bank] = closedRow }
-
-// PrechargeAll closes every bank.
-func (d *Device) PrechargeAll() {
-	for i := range d.banks {
-		d.banks[i] = closedRow
-	}
-}
 
 // ActiveBanks reports how many banks are currently active. Because of
 // sense-amp sharing this can never exceed half the banks (rounded up).

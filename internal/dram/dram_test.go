@@ -62,10 +62,7 @@ func TestGeometryConstants(t *testing.T) {
 
 func TestNewDeviceAllClosed(t *testing.T) {
 	d := NewDevice()
-	if d.NumBanks() != BanksPerDevice {
-		t.Fatalf("NumBanks = %d, want %d", d.NumBanks(), BanksPerDevice)
-	}
-	for b := 0; b < d.NumBanks(); b++ {
+	for b := 0; b < BanksPerDevice; b++ {
 		if _, open := d.OpenRow(b); open {
 			t.Fatalf("bank %d open after NewDevice", b)
 		}
@@ -174,7 +171,7 @@ func TestEdgeBanks(t *testing.T) {
 	if neighbors.Len() != 1 || neighbors.At(0) != 1 {
 		t.Errorf("bank 0 neighbors = %v, want [1]", neighbors)
 	}
-	d.PrechargeAll()
+	d = NewDevice()
 	d.Activate(BanksPerDevice-2, 5)
 	_, neighbors = d.Precharges(BanksPerDevice-1, 3)
 	if neighbors.Len() != 1 || neighbors.At(0) != BanksPerDevice-2 {
@@ -188,17 +185,6 @@ func TestPrecharge(t *testing.T) {
 	d.Precharge(9)
 	if _, open := d.OpenRow(9); open {
 		t.Error("bank open after Precharge")
-	}
-}
-
-func TestPrechargeAll(t *testing.T) {
-	d := NewDevice()
-	d.Activate(0, 1)
-	d.Activate(10, 2)
-	d.Activate(20, 3)
-	d.PrechargeAll()
-	if d.ActiveBanks() != 0 {
-		t.Errorf("ActiveBanks = %d after PrechargeAll", d.ActiveBanks())
 	}
 }
 

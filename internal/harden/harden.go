@@ -4,8 +4,11 @@
 // structured diagnostic dumps attached to every failure.
 //
 // The package deliberately sits below the subsystem packages: it
-// depends only on the simulation kernel, so cache, channel, memctrl,
-// prefetch, and core can all report through it without import cycles.
+// depends only on the simulation kernel, so the policy registries,
+// core, the experiments runner and the server report through it
+// without import cycles. The layers core checks (caches, channels,
+// controllers, prefetchers) expose plain CheckSane/CheckIntegrity
+// errors, which core wraps into these types.
 // Real memory-system simulators (DRAMsim3's config checker, the
 // backpressure accounting in MemorySim-style controllers) treat these
 // facilities as part of the product, not the tests; memsim does the

@@ -1,9 +1,8 @@
 // Package errdrop flags discarded error returns from the functions
-// whose errors the hardening layers exist to surface. PR 1 converted
-// the stats constructors and trace.NewRepeat to return errors instead
-// of silently degrading, and the paranoid invariant checker
-// (internal/core/harden.go) is built from Validate/CheckSane/
-// CheckIntegrity calls — dropping one of those errors reopens the
+// whose errors the hardening layers exist to surface. The stats
+// constructors return errors instead of silently degrading, and the
+// paranoid invariant checker (internal/core/harden.go) is built from
+// Validate/CheckSane/CheckIntegrity calls — dropping one of those errors reopens the
 // exact silent-corruption hole the runtime checks were added to
 // close. Likewise a checkpoint write (Manifest.Record/Save) whose
 // error is discarded can lose a batch's resume state with no trace.
@@ -19,7 +18,6 @@
 //   - any function or method named Validate, CheckSane or
 //     CheckIntegrity (the paranoid-audit surface);
 //   - stats.HarmonicMean (the PR 1 constructor);
-//   - trace.NewRepeat;
 //   - Record and Save on the checkpoint Manifest;
 //   - any method named Flush whose only result is an error
 //     (tabwriter and friends: a dropped Flush error truncates report
@@ -113,10 +111,6 @@ func classify(fn *types.Func) (string, string) {
 	case "HarmonicMean":
 		if pkgNamed(fn, "stats") {
 			return display(fn, recv), "a broken measurement (NaN or a non-positive rate) would pass silently into reported results"
-		}
-	case "NewRepeat":
-		if pkgNamed(fn, "trace") {
-			return display(fn, recv), "an invalid trace spec would simulate garbage instead of failing fast"
 		}
 	case "Record", "Save":
 		if recv == "Manifest" {

@@ -8,9 +8,8 @@ import (
 )
 
 // TestFixtures covers discarded errors from Validate/CheckSane/
-// CheckIntegrity, the stats constructors, trace.NewRepeat, checkpoint
-// Manifest writes, and only-error Flush — including defer/go
-// statements — plus the allowed forms (explicit `_ =`, handled errors,
+// CheckIntegrity, the stats constructors, checkpoint Manifest writes,
+// and only-error Flush — including defer/go statements — plus the allowed forms (explicit `_ =`, handled errors,
 // non-error lookalikes, and //lint:ignore suppression).
 func TestFixtures(t *testing.T) {
 	analysistest.Run(t, "testdata", errdrop.Analyzer, "a")

@@ -4,7 +4,6 @@ package a
 import (
 	"chk"
 	"stats"
-	"trace"
 )
 
 type config struct{ n int }
@@ -44,7 +43,6 @@ func dropped(c config, ch channelish, m *chk.Manifest, f *flusher) {
 	ch.CheckSane(0)         // want `error returned by channelish.CheckSane is discarded`
 	ch.CheckIntegrity()     // want `error returned by channelish.CheckIntegrity is discarded`
 	stats.HarmonicMean(nil) // want `error returned by stats.HarmonicMean is discarded`
-	trace.NewRepeat(nil)    // want `error returned by trace.NewRepeat is discarded`
 	m.Record("k")           // want `error returned by Manifest.Record is discarded`
 	defer m.Save()          // want `error returned by Manifest.Save is discarded`
 	go f.Flush()            // want `error returned by flusher.Flush is discarded`

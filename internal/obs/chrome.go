@@ -145,13 +145,6 @@ func eventArgs(e Event, policies []string) map[string]string {
 	}
 }
 
-// ChromeEvents renders trace events into the trace-event list,
-// prefixed with the process/thread naming metadata for every track
-// that appears.
-func ChromeEvents(events []Event) []ChromeEvent {
-	return ChromeEventsMulti([]SystemEvents{{Label: "memsim", Events: events}})
-}
-
 // SystemEvents pairs one system's label with its trace stream for the
 // multi-system export: a cluster run has one stream per member.
 type SystemEvents struct {
@@ -226,13 +219,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	})
 }
 
-// WriteChromeTrace writes an explicit event sequence.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(ChromeTrace{DisplayTimeUnit: "ns", TraceEvents: ChromeEvents(events)})
-}
-
 // WriteChromeTraceMulti writes several systems' streams as one
 // loadable trace file (see ChromeEventsMulti for the layout).
 func WriteChromeTraceMulti(w io.Writer, systems []SystemEvents) error {
@@ -241,7 +227,7 @@ func WriteChromeTraceMulti(w io.Writer, systems []SystemEvents) error {
 	return enc.Encode(ChromeTrace{DisplayTimeUnit: "ns", TraceEvents: ChromeEventsMulti(systems)})
 }
 
-// ParseChromeTrace reads a trace file written by WriteChromeTrace (or
+// ParseChromeTrace reads a trace file written by WriteChromeTraceMulti (or
 // any tool emitting the JSON object form).
 func ParseChromeTrace(r io.Reader) (*ChromeTrace, error) {
 	var t ChromeTrace

@@ -19,11 +19,16 @@ func sampleEvents() []Event {
 	}
 }
 
+// single wraps one stream the way Tracer.WriteChromeTrace does.
+func single(events []Event) []SystemEvents {
+	return []SystemEvents{{Label: "memsim", Events: events}}
+}
+
 // TestChromeTraceRoundTrip writes a trace and parses it back,
 // checking structure survives encoding/json.
 func TestChromeTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, sampleEvents()); err != nil {
+	if err := WriteChromeTraceMulti(&buf, single(sampleEvents())); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := ParseChromeTrace(&buf)
@@ -118,7 +123,7 @@ func TestChromeTraceMulti(t *testing.T) {
 
 // TestChromeTraceArgs pins the arg vocabulary cmd/obsdump parses.
 func TestChromeTraceArgs(t *testing.T) {
-	evs := ChromeEvents(sampleEvents())
+	evs := ChromeEventsMulti(single(sampleEvents()))
 	byName := map[string]ChromeEvent{}
 	for _, e := range evs {
 		if e.Ph != "M" {
@@ -142,7 +147,7 @@ func TestChromeTraceArgs(t *testing.T) {
 // TestChromeTraceTimebase checks the picosecond -> microsecond
 // conversion: 1000 ps = 1 ns = 0.001 us.
 func TestChromeTraceTimebase(t *testing.T) {
-	evs := ChromeEvents([]Event{{At: sim.Nanosecond, Dur: 2 * sim.Nanosecond, Kind: EvChannelBusy}})
+	evs := ChromeEventsMulti(single([]Event{{At: sim.Nanosecond, Dur: 2 * sim.Nanosecond, Kind: EvChannelBusy}}))
 	e := evs[len(evs)-1]
 	if e.Ts != 0.001 || e.Dur != 0.002 {
 		t.Errorf("ts/dur = %v/%v us, want 0.001/0.002", e.Ts, e.Dur)
@@ -154,10 +159,10 @@ func TestChromeTraceTimebase(t *testing.T) {
 // determinism test (obs_test.go at the module root) relies on.
 func TestChromeTraceByteDeterminism(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := WriteChromeTrace(&a, sampleEvents()); err != nil {
+	if err := WriteChromeTraceMulti(&a, single(sampleEvents())); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b, sampleEvents()); err != nil {
+	if err := WriteChromeTraceMulti(&b, single(sampleEvents())); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -58,9 +58,6 @@ type Config struct {
 	SampleEvery sim.Time
 }
 
-// Enabled reports whether any instrument is on.
-func (c Config) Enabled() bool { return c.Metrics || c.Trace || c.SampleEvery > 0 }
-
 // Observer bundles the instruments of one run. Fields are nil when
 // the corresponding instrument is disabled; all hot-path methods on
 // them are nil-safe, so wiring code can pass them along unguarded.

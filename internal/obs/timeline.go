@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 
 	"memsim/internal/sim"
 )
@@ -65,34 +64,6 @@ func (t *Timeline) Samples() []Sample {
 		return nil
 	}
 	return t.samples
-}
-
-// Deltas returns per-interval differences between consecutive samples
-// (the first sample differenced against zero). For counter series
-// this is the event rate per interval; gauge deltas are net movement.
-func (t *Timeline) Deltas() []Sample {
-	if t == nil {
-		return nil
-	}
-	out := make([]Sample, len(t.samples))
-	prev := map[string]float64{}
-	for i, s := range t.samples {
-		d := make(map[string]float64, len(s.Values))
-		names := make([]string, 0, len(s.Values))
-		for name := range s.Values {
-			names = append(names, name)
-		}
-		// Order does not matter for building d, but deterministic
-		// iteration keeps this loop honest under the simdeterminism
-		// analyzer and costs nothing at sample granularity.
-		sort.Strings(names)
-		for _, name := range names {
-			d[name] = s.Values[name] - prev[name]
-		}
-		out[i] = Sample{At: s.At, Values: d}
-		prev = s.Values
-	}
-	return out
 }
 
 // timelineFile is the JSON layout of WriteJSON.

@@ -34,10 +34,6 @@ func TestTimelineSampling(t *testing.T) {
 	if ss[0].Values["memsim_test_ticks"] != 1 || ss[1].Values["memsim_test_ticks"] != 2 {
 		t.Errorf("sampled values = %v, %v", ss[0].Values, ss[1].Values)
 	}
-	ds := tl.Deltas()
-	if ds[0].Values["memsim_test_ticks"] != 1 || ds[1].Values["memsim_test_ticks"] != 1 {
-		t.Errorf("deltas = %v, %v, want 1 per interval", ds[0].Values, ds[1].Values)
-	}
 }
 
 // TestNilTimeline checks the disabled path.
@@ -47,7 +43,7 @@ func TestNilTimeline(t *testing.T) {
 		t.Error("nil timeline sampled")
 	}
 	tl.ForceSample(10)
-	if tl.Samples() != nil || tl.Deltas() != nil {
+	if tl.Samples() != nil {
 		t.Error("nil timeline returned samples")
 	}
 	var buf bytes.Buffer

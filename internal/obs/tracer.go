@@ -304,14 +304,6 @@ func (t *Tracer) PolicyNames() []string {
 	return append([]string(nil), t.policies...)
 }
 
-// Len reports how many events the ring currently holds.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.buf)
-}
-
 // Emitted reports how many events were ever emitted.
 func (t *Tracer) Emitted() uint64 {
 	if t == nil {

@@ -13,8 +13,8 @@ func TestRingWraparound(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Emit(Event{At: sim.Time(i), A: uint64(i), Kind: EvBankActivate})
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
+	if n := len(tr.Events()); n != 4 {
+		t.Fatalf("len(Events()) = %d, want 4", n)
 	}
 	if tr.Emitted() != 10 || tr.Dropped() != 6 {
 		t.Errorf("Emitted/Dropped = %d/%d, want 10/6", tr.Emitted(), tr.Dropped())
@@ -64,7 +64,7 @@ func TestNilTracer(t *testing.T) {
 	tr.Span(EvChannelBusy, 0, 0, 1, 0, 0)
 	tr.Instant(EvLateMerge, 0, 0, 0)
 	tr.InstantAt(EvBankActivate, 0, 5, 0, 0)
-	if tr.Len() != 0 || tr.Emitted() != 0 || tr.Dropped() != 0 {
+	if len(tr.Events()) != 0 || tr.Emitted() != 0 || tr.Dropped() != 0 {
 		t.Error("nil tracer reported activity")
 	}
 	if tr.Events() != nil {

@@ -215,7 +215,7 @@ func TestValidateFields(t *testing.T) {
 		{"unknown interleaving", Interleavings.Validate("diagonal", addrmap.Geometry{}), []string{"Interleaving"}},
 		{"unknown prefetch", Prefetchers.Validate("oracle", PrefetchParams{}), []string{"Prefetch.Scheme"}},
 		{"region", Prefetchers.Validate("region", PrefetchParams{BlockBytes: 64}),
-			[]string{"Prefetch", "Prefetch.RegionBytes", "Prefetch.QueueDepth"}},
+			[]string{"Prefetch.RegionBytes", "Prefetch.QueueDepth"}},
 		{"stream", Prefetchers.Validate("stream", PrefetchParams{TableSize: -1}),
 			[]string{"Prefetch.Lookahead", "Prefetch.TableSize"}},
 	} {

@@ -28,6 +28,9 @@ type PrefetchParams struct {
 // queue, the stream table and the prefetch buffer.
 const MaxQueueDepth = 4096
 
+// maxRegionBytes bounds the region scheme's region size.
+const maxRegionBytes = 1 << 24
+
 // Prefetchers is the prefetch-scheme registry; the empty name is the
 // paper's "region" scheme. Fallback knobs are the Section 4 tuned
 // values.
@@ -62,10 +65,16 @@ func lookahead(build func(PrefetchParams) (prefetch.Prefetcher, error)) prefetch
 
 func init() {
 	Prefetchers.Register("region", prefetchScheme{
+		// BlockBytes (L2Block) and ThrottleAccuracy are the core
+		// config's own fields, checked there.
 		Check: func(p PrefetchParams) error {
 			var v harden.Validator
-			v.Merge("Prefetch", p.region().Validate())
-			v.Range("Prefetch.RegionBytes", int64(p.RegionBytes), 1, 1<<24)
+			switch r := p.RegionBytes; {
+			case r <= 0 || r > maxRegionBytes || r&(r-1) != 0:
+				v.Reject("Prefetch.RegionBytes", r, "must be a power of two in [1, %d]", maxRegionBytes)
+			case p.BlockBytes > r:
+				v.Reject("Prefetch.RegionBytes", r, "must be >= L2Block (%d): a region holds whole blocks", p.BlockBytes)
+			}
 			v.Range("Prefetch.QueueDepth", int64(p.QueueDepth), 1, MaxQueueDepth)
 			return v.Err()
 		},

@@ -198,9 +198,6 @@ func New(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// Config reports the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 

@@ -45,7 +45,6 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/experiments"
-	"memsim/internal/obs"
 	"memsim/internal/sim"
 	"memsim/internal/vfs"
 )
@@ -174,11 +173,8 @@ type Service struct {
 	draining atomic.Bool
 	workers  sync.WaitGroup
 
-	cancelsMu sync.Mutex
-	cancels   map[string]context.CancelCauseFunc
-
-	progressMu sync.Mutex
-	progress   map[string]*jobProgress
+	runningMu sync.Mutex
+	running   map[string]*runningJob
 
 	handler http.Handler
 	runHook func(ctx context.Context, job Job) ([]core.Result, uint64, error)
@@ -216,6 +212,7 @@ func New(cfg Config) (*Service, error) {
 		limiter:  newRateLimiter(cfg.RatePerSec, cfg.Burst),
 		met:      newMetrics(adm),
 		queue:    make(chan string, cfg.QueueDepth+cfg.Workers+len(pending)),
+		running:  make(map[string]*runningJob),
 		runHook:  cfg.runHook,
 	}
 	s.rootCtx, s.killFn = context.WithCancelCause(context.Background())
@@ -282,9 +279,6 @@ func (s *Service) foldLegacyManifest(id string) {
 // Store exposes the job store (the fault drills inspect it).
 func (s *Service) Store() *Store { return s.store }
 
-// Metrics exposes the server registry for embedding.
-func (s *Service) Metrics() *obs.Registry { return s.met.reg }
-
 // Handler returns the HTTP surface.
 func (s *Service) Handler() http.Handler { return s.handler }
 
@@ -329,8 +323,8 @@ func (s *Service) runJob(id string) {
 		deadline = min(time.Duration(d*float64(time.Second)), maxDeadline)
 	}
 	jobCtx, cancel := context.WithCancelCause(s.workCtx)
-	s.registerCancel(id, cancel)
-	defer s.unregisterCancel(id, cancel)
+	rj := s.startRunning(id, cancel)
+	defer s.stopRunning(id, rj)
 	runCtx, cancelTimeout := context.WithTimeout(jobCtx, deadline)
 	defer cancelTimeout()
 
@@ -342,7 +336,7 @@ func (s *Service) runJob(id string) {
 		s.log.Printf("job %s: %v", id, err)
 	}
 
-	results, reused, err := s.execute(runCtx, job)
+	results, reused, err := s.execute(runCtx, job, rj)
 	if errors.Is(context.Cause(s.rootCtx), errKilled) {
 		// Simulated SIGKILL: leave the store exactly as a real crash
 		// would — still claiming the job is running.
@@ -355,8 +349,8 @@ func (s *Service) runJob(id string) {
 // execute resolves the job's configuration and runs its suite on the
 // experiments orchestrator through the service manifest: a spec any
 // earlier job finished is a lookup, and each spec this job simulates
-// is recorded there.
-func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, reused uint64, err error) {
+// is recorded there. The run's progress goes to rj's counters.
+func (s *Service) execute(ctx context.Context, job Job, rj *runningJob) (results []core.Result, reused uint64, err error) {
 	if s.runHook != nil {
 		return s.runHook(ctx, job)
 	}
@@ -366,8 +360,6 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 		// carried a record from an incompatible deployment.
 		return nil, 0, fmt.Errorf("stored spec no longer builds: %w", err)
 	}
-	prog := s.trackProgress(job.ID)
-	defer s.untrackProgress(job.ID)
 	opt := experiments.Options{
 		Instrs:      s.cfg.DefaultInstrs,
 		Warmup:      s.cfg.DefaultWarmup,
@@ -377,8 +369,8 @@ func (s *Service) execute(ctx context.Context, job Job) (results []core.Result, 
 		Context:     ctx,
 		Checkpoint:  s.manifest,
 		Progress: func(retiredDelta uint64, now sim.Time) {
-			prog.retired.Add(retiredDelta)
-			prog.simTime.Store(int64(now))
+			rj.retired.Add(retiredDelta)
+			rj.simTime.Store(int64(now))
 		},
 	}
 	if job.Spec.Instrs > 0 {
@@ -500,69 +492,49 @@ func (s *Service) Kill() {
 	s.workers.Wait()
 }
 
-// --- job progress registry ---
+// --- running-job registry ---
 
-// jobProgress holds a running job's live counters, written from the
-// simulation goroutine (via experiments.Options.Progress) and read by
-// GET /jobs/{id} without touching the store.
-type jobProgress struct {
+// runningJob is a running job's entry: its cancel, for DELETE
+// /jobs/{id}, and its live counters, written from the simulation
+// goroutine (via experiments.Options.Progress) and read by GET
+// /jobs/{id} without touching the store.
+type runningJob struct {
+	cancel  context.CancelCauseFunc
 	retired atomic.Uint64 // instructions retired, warmup included, all specs
 	simTime atomic.Int64  // the current run's simulated clock, in sim.Time units
 }
 
-// trackProgress registers a live counter set for a starting job.
-func (s *Service) trackProgress(id string) *jobProgress {
-	p := &jobProgress{}
-	s.progressMu.Lock()
-	if s.progress == nil {
-		s.progress = make(map[string]*jobProgress)
-	}
-	s.progress[id] = p
-	s.progressMu.Unlock()
-	return p
+// startRunning registers a starting job under id.
+func (s *Service) startRunning(id string, cancel context.CancelCauseFunc) *runningJob {
+	rj := &runningJob{cancel: cancel}
+	s.runningMu.Lock()
+	s.running[id] = rj
+	s.runningMu.Unlock()
+	return rj
 }
 
-func (s *Service) untrackProgress(id string) {
-	s.progressMu.Lock()
-	delete(s.progress, id)
-	s.progressMu.Unlock()
+// stopRunning releases a finished job's context and drops its entry.
+func (s *Service) stopRunning(id string, rj *runningJob) {
+	rj.cancel(nil)
+	s.runningMu.Lock()
+	delete(s.running, id)
+	s.runningMu.Unlock()
 }
 
-// progressFor returns the live counters of a running job, nil if none.
-func (s *Service) progressFor(id string) *jobProgress {
-	s.progressMu.Lock()
-	defer s.progressMu.Unlock()
-	return s.progress[id]
-}
-
-// --- job cancellation registry ---
-
-// registerCancel exposes a running job's cancel to DELETE /jobs/{id}.
-func (s *Service) registerCancel(id string, fn context.CancelCauseFunc) {
-	s.cancelsMu.Lock()
-	if s.cancels == nil {
-		s.cancels = make(map[string]context.CancelCauseFunc)
-	}
-	s.cancels[id] = fn
-	s.cancelsMu.Unlock()
-}
-
-func (s *Service) unregisterCancel(id string, fn context.CancelCauseFunc) {
-	fn(nil)
-	s.cancelsMu.Lock()
-	delete(s.cancels, id)
-	s.cancelsMu.Unlock()
+// runningFor returns a running job's entry, nil if none.
+func (s *Service) runningFor(id string) *runningJob {
+	s.runningMu.Lock()
+	defer s.runningMu.Unlock()
+	return s.running[id]
 }
 
 // cancelRunning cancels a running job, reporting whether one was.
 func (s *Service) cancelRunning(id string) bool {
-	s.cancelsMu.Lock()
-	fn, ok := s.cancels[id]
-	s.cancelsMu.Unlock()
-	if ok {
-		fn(errCanceledByClient)
+	rj := s.runningFor(id)
+	if rj != nil {
+		rj.cancel(errCanceledByClient)
 	}
-	return ok
+	return rj != nil
 }
 
 // --- HTTP surface ---
@@ -741,9 +713,9 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if job.State == StateRunning {
-		if p := s.progressFor(job.ID); p != nil {
-			job.InstructionsRetired = p.retired.Load()
-			job.SimTime = sim.Time(p.simTime.Load())
+		if rj := s.runningFor(job.ID); rj != nil {
+			job.InstructionsRetired = rj.retired.Load()
+			job.SimTime = sim.Time(rj.simTime.Load())
 		}
 	}
 	s.writeJSON(w, http.StatusOK, job)

@@ -981,6 +981,10 @@ func TestConfigSurfaces(t *testing.T) {
 		{`{"config":{"channels":"x","bogus":1}}`, http.StatusBadRequest, codeWrongType, []string{"config.channels"}},
 		{`{"config":{"refresh":true,"l2_block_bytes":1.5}}`, http.StatusBadRequest, codeWrongType, []string{"config.l2_block_bytes"}},
 		{`{"config":"x"}`, http.StatusBadRequest, codeWrongType, []string{"config"}},
+		// A rejected config names each problem once, by its Config field.
+		{`{"config":{"channels":3}}`, http.StatusUnprocessableEntity, codeInvalidConfig, []string{"Channels"}},
+		{`{"preset":"tuned","config":{"l2_block_bytes":8192}}`, http.StatusUnprocessableEntity, codeInvalidConfig, []string{"Prefetch.RegionBytes"}},
+		{`{"preset":"tuned","config":{"l2_block_bytes":96}}`, http.StatusUnprocessableEntity, codeInvalidConfig, []string{"L2Block", "L2Size"}},
 		{`{"benchmarks":["gzip"],"config":{"channels":null}}`, http.StatusAccepted, "", nil},
 		{`{"benchmarks":["gzip"],"config":null}`, http.StatusAccepted, "", nil},
 	} {

@@ -22,26 +22,11 @@ func NewClock(freqHz float64) Clock {
 	return Clock{period: p}
 }
 
-// NewClockPeriod returns a Clock with an exact period.
-func NewClockPeriod(period Time) Clock {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: invalid clock period %v", period))
-	}
-	return Clock{period: period}
-}
-
 // Period reports the duration of one cycle.
 func (c Clock) Period() Time { return c.period }
 
-// FreqGHz reports the clock frequency in gigahertz.
-func (c Clock) FreqGHz() float64 { return 1e3 / float64(c.period) }
-
 // Cycles converts a cycle count to a duration.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.period }
-
-// ToCycles converts a duration to a whole number of cycles, rounding
-// down. It is the number of complete cycles that fit in t.
-func (c Clock) ToCycles(t Time) int64 { return int64(t / c.period) }
 
 // ToCyclesCeil converts a duration to cycles, rounding up.
 func (c Clock) ToCyclesCeil(t Time) int64 {

@@ -86,44 +86,3 @@ func (s *Slice) Next() (Op, bool) {
 	s.pos++
 	return op, true
 }
-
-// Reset rewinds the stream to the beginning.
-func (s *Slice) Reset() { s.pos = 0 }
-
-// Repeat cycles through a fixed sequence forever.
-type Repeat struct {
-	Ops []Op
-	pos int
-}
-
-// NewRepeat returns a generator cycling over ops endlessly. An empty
-// sequence is an error: there is nothing to cycle over and Next could
-// never satisfy the Generator contract.
-func NewRepeat(ops []Op) (*Repeat, error) {
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("trace: NewRepeat with no ops")
-	}
-	return &Repeat{Ops: ops}, nil
-}
-
-// Next implements Generator.
-func (r *Repeat) Next() (Op, bool) {
-	op := r.Ops[r.pos]
-	r.pos = (r.pos + 1) % len(r.Ops)
-	return op, true
-}
-
-// Limit truncates a generator after n operations (not instructions).
-type Limit struct {
-	G Generator
-	N uint64
-}
-
-// Next implements Generator.
-func (l *Limit) Next() (Op, bool) {
-	if l.N == 0 {
-		return Op{}, false
-	}
-	l.N--
-	return l.G.Next()
-}

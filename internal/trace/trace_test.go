@@ -35,48 +35,6 @@ func TestSlice(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Fatal("exhausted slice returned an op")
 	}
-	s.Reset()
-	if op, ok := s.Next(); !ok || op.Addr != 1 {
-		t.Fatal("Reset did not rewind")
-	}
-}
-
-func TestRepeat(t *testing.T) {
-	r, err := NewRepeat([]Op{{Addr: 1}, {Addr: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{1, 2, 1, 2, 1}
-	for i, w := range want {
-		op, ok := r.Next()
-		if !ok || op.Addr != w {
-			t.Fatalf("Repeat %d = %+v,%v, want addr %d", i, op, ok, w)
-		}
-	}
-}
-
-func TestRepeatEmptyErrors(t *testing.T) {
-	if _, err := NewRepeat(nil); err == nil {
-		t.Fatal("NewRepeat(nil) did not error")
-	}
-}
-
-func TestLimit(t *testing.T) {
-	r, err := NewRepeat([]Op{{Addr: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := &Limit{G: r, N: 3}
-	n := 0
-	for {
-		if _, ok := l.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 3 {
-		t.Fatalf("Limit yielded %d ops, want 3", n)
-	}
 }
 
 // Property: a Slice yields exactly its ops in order, once.

@@ -220,17 +220,3 @@ func (m *Mem) Files() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Snapshot returns every file's path and size in sorted order — a
-// deterministic digest of the filesystem for test assertions and
-// failure reports.
-func (m *Mem) Snapshot() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.files))
-	for name, data := range m.files {
-		out = append(out, fmt.Sprintf("%s (%d bytes)", name, len(data)))
-	}
-	sort.Strings(out)
-	return out
-}
