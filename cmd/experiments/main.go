@@ -10,7 +10,7 @@
 //
 // Long batches survive trouble instead of dying overnight:
 //
-//	experiments -timeout-per-run 5m -retries 2   # bound and re-attempt wedged runs
+//	experiments -timeout-per-run 5m -retries 2   # bound and re-attempt overrunning runs
 //	experiments -keep-going                      # finish the batch, mark lost cells FAILED
 //	experiments -checkpoint runs                 # record every completed run
 //	experiments -checkpoint runs -resume         # skip specs an earlier batch finished
@@ -80,7 +80,7 @@ func run() int {
 		timeout = flag.Duration("timeout-per-run", 0,
 			"wall-clock budget per simulation; overruns abort and may retry (0 = none)")
 		retries = flag.Int("retries", 0,
-			"extra attempts for watchdog- or timeout-aborted runs")
+			"extra attempts for runs aborted by -timeout-per-run (watchdog aborts are deterministic and never retried)")
 		backoff = flag.Duration("retry-backoff", time.Second,
 			"pause before the first retry, doubling per attempt")
 		keepGoing = flag.Bool("keep-going", false,

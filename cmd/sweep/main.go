@@ -12,7 +12,9 @@
 //
 // Each point runs through cmd/experiments' batch runner, so long
 // sweeps get the same resilience:
-// -timeout-per-run and -retries bound and re-attempt wedged points,
+// -timeout-per-run bounds a point's wall-clock time and -retries
+// re-attempts a point that overran it (a watchdog abort recurs at the
+// same simulated time, so it is never retried),
 // -keep-going emits a FAILED row instead of aborting the sweep, and
 // -checkpoint/-resume skip points an earlier (possibly interrupted)
 // sweep already finished. Rows already written are always flushed
@@ -93,7 +95,7 @@ func sweep(ctx context.Context, fs *flag.FlagSet, args []string, w *csv.Writer, 
 		timeout = fs.Duration("timeout-per-run", 0,
 			"wall-clock budget per point; overruns abort and may retry (0 = none)")
 		retries = fs.Int("retries", 0,
-			"extra attempts for watchdog- or timeout-aborted points")
+			"extra attempts for points aborted by -timeout-per-run (watchdog aborts are deterministic and never retried)")
 		keepGoing = fs.Bool("keep-going", false,
 			"emit a FAILED row for lost points instead of aborting the sweep")
 		checkpoint = fs.String("checkpoint", "",

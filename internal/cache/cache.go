@@ -67,8 +67,8 @@ func (c Config) Validate() error {
 	if c.BlockBytes <= 0 || bits.OnesCount64(uint64(c.BlockBytes)) != 1 {
 		return fmt.Errorf("cache %s: block size %d not a power of two", c.Name, c.BlockBytes)
 	}
-	if c.BlockBytes < minBlockBytes {
-		return fmt.Errorf("cache %s: block size %d below %d bytes", c.Name, c.BlockBytes, minBlockBytes)
+	if c.BlockBytes < MinBlockBytes {
+		return fmt.Errorf("cache %s: block size %d below %d bytes", c.Name, c.BlockBytes, MinBlockBytes)
 	}
 	if c.Assoc <= 0 || c.Assoc > math.MaxUint16 {
 		return fmt.Errorf("cache %s: associativity %d invalid", c.Name, c.Assoc)
@@ -98,9 +98,9 @@ const (
 	linePrefetched
 
 	lineFlags = lineDirty | linePrefetched
-	// minBlockBytes is the smallest block whose alignment leaves room
+	// MinBlockBytes is the smallest block whose alignment leaves room
 	// for the flags.
-	minBlockBytes = int(lineFlags) + 1
+	MinBlockBytes = int(lineFlags) + 1
 )
 
 func newLine(block uint64, dirty, prefetched bool) line {

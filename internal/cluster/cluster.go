@@ -19,6 +19,7 @@ import (
 
 	"memsim/internal/core"
 	"memsim/internal/dram"
+	"memsim/internal/harden"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
@@ -43,11 +44,10 @@ type SystemSpec struct {
 	// profile do not replay identical streams.
 	Seed uint64 `json:"seed"`
 	// Config, when non-nil, is the base core configuration for this
-	// system. The cluster overrides its memory geometry, prefetch
-	// scheduling and hardening (see Config.systemConfig) so all members
-	// agree on the shared fabric. Validate rejects a config that sets
-	// what the shared controllers do not model: an issue policy other
-	// than FCFS, refresh, or counterfactual decision tracing.
+	// system. Config.systemConfig lays the shared fabric over it and
+	// turns off what only local controllers serve; Config.Validate
+	// rejects what the shared ones do not model (an issue policy other
+	// than FCFS, refresh, decision tracing); core.NewExternal the rest.
 	Config *core.Config `json:"config,omitempty"`
 }
 
@@ -106,32 +106,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate checks the cluster-level shape and rejects a member config
-// that sets controller behaviour the shared controllers cannot honour
-// (core.Config.ValidateExternalController). The shared fabric is
-// checked by fabric, the rest of a member's configuration by
-// core.NewExternal, both at build time.
+// Validate checks the cluster-level shape and owns the member rules,
+// reporting each problem as a *harden.ConfigError field: Systems,
+// Systems[i].Bench, LinkLatency, and each controller setting a member
+// may not set (core.Config.ValidateExternalController), named under
+// the member, e.g. Systems[2].Config.SchedPolicy. The fabric and each
+// member's full config are checked at build time.
 func (c Config) Validate() error {
-	if len(c.Systems) == 0 {
-		return fmt.Errorf("cluster: no systems configured")
-	}
-	if len(c.Systems) > MaxSystems {
-		return fmt.Errorf("cluster: %d systems exceeds MaxSystems=%d", len(c.Systems), MaxSystems)
-	}
+	var v harden.Validator
+	v.Range("Systems", int64(len(c.Systems)), 1, MaxSystems)
 	for i, s := range c.Systems {
 		if _, err := workload.ByName(s.Bench); err != nil {
-			return fmt.Errorf("cluster: system %d: %w", i, err)
+			v.Reject(fmt.Sprintf("Systems[%d].Bench", i), s.Bench, "%v", err)
 		}
-		if sc := s.Config; sc != nil {
-			if err := sc.ValidateExternalController(); err != nil {
-				return fmt.Errorf("cluster: system %d: %w", i, err)
+		if s.Config != nil {
+			if err := s.Config.ValidateExternalController(); err != nil {
+				v.Merge(fmt.Sprintf("Systems[%d].Config", i), err)
 			}
 		}
 	}
 	if c.LinkLatency <= 0 {
-		return fmt.Errorf("cluster: LinkLatency must be positive, got %v", c.LinkLatency)
+		v.Reject("LinkLatency", c.LinkLatency, "must be positive")
 	}
-	return nil
+	return v.Err()
 }
 
 // fabric builds and validates the shared memory's configuration:

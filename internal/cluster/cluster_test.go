@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"memsim/internal/core"
 	"memsim/internal/dram"
+	"memsim/internal/harden"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 )
@@ -241,27 +244,52 @@ func member(mut func(*core.Config)) func(*Config) {
 	}
 }
 
-// TestValidate covers the cluster-level config rejections.
+// TestValidate covers the cluster-level config rejections: each
+// problem is one *harden.ConfigError field under its cluster path, and
+// a member's controller settings are named under that member.
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Config)
-		want string
+		want []string
 	}{
-		{"no systems", func(c *Config) { c.Systems = nil }, "no systems"},
-		{"unknown bench", func(c *Config) { c.Systems[0].Bench = "nope" }, "nope"},
-		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, "LinkLatency"},
-		{"member sched policy", member(func(sc *core.Config) { sc.SchedPolicy = "frfcfs" }), "SchedPolicy"},
-		{"member reorder window", member(func(sc *core.Config) { sc.ReorderWindow = 8 }), "ReorderWindow"},
-		{"member refresh", member(func(sc *core.Config) { sc.Refresh = true }), "Refresh"},
-		{"member counterfactual", member(func(sc *core.Config) { sc.Counterfactual = true }), "Counterfactual"},
+		{"no systems", func(c *Config) { c.Systems = nil }, []string{"Systems"}},
+		{"too many systems", func(c *Config) {
+			c.Systems = make([]SystemSpec, MaxSystems+1)
+			for i := range c.Systems {
+				c.Systems[i].Bench = "mcf"
+			}
+		}, []string{"Systems"}},
+		{"unknown bench", func(c *Config) { c.Systems[0].Bench = "nope" }, []string{"Systems[0].Bench"}},
+		{"bad link", func(c *Config) { c.LinkLatency = -sim.Nanosecond }, []string{"LinkLatency"}},
+		{"member sched policy", member(func(sc *core.Config) { sc.SchedPolicy = "frfcfs" }), []string{"Systems[1].Config.SchedPolicy"}},
+		{"member reorder window", member(func(sc *core.Config) { sc.ReorderWindow = 8 }), []string{"Systems[1].Config.ReorderWindow"}},
+		{"member refresh", member(func(sc *core.Config) { sc.Refresh = true }), []string{"Systems[1].Config.Refresh"}},
+		{"member counterfactual", member(func(sc *core.Config) { sc.Counterfactual = true }), []string{"Systems[1].Config.Counterfactual"}},
+		{"every member setting", member(func(sc *core.Config) {
+			sc.SchedPolicy, sc.ReorderWindow, sc.Refresh, sc.Counterfactual = "frfcfs-cap", 8, true, true
+		}), []string{"Systems[1].Config.SchedPolicy", "Systems[1].Config.ReorderWindow",
+			"Systems[1].Config.Refresh", "Systems[1].Config.Counterfactual"}},
+		{"every cluster field", func(c *Config) {
+			c.Systems[0].Bench = "nope"
+			member(func(sc *core.Config) { sc.Refresh = true })(c)
+			c.LinkLatency = 0
+		}, []string{"Systems[0].Bench", "Systems[1].Config.Refresh", "LinkLatency"}},
 	}
 	for _, tc := range cases {
 		cfg := testConfig().withDefaults()
 		tc.mut(&cfg)
-		err := cfg.Validate()
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
+		var ce *harden.ConfigError
+		if err := cfg.Validate(); !errors.As(err, &ce) {
+			t.Errorf("%s: got %v, want a *harden.ConfigError", tc.name, err)
+			continue
+		}
+		var got []string
+		for _, f := range ce.Fields {
+			got = append(got, f.Field)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: fields %v, want %v", tc.name, got, tc.want)
 		}
 	}
 	// A valid config checks without allocating: validation is the whole

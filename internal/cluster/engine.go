@@ -60,7 +60,7 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 func newRun(cfg Config) (*run, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	fabric, err := cfg.fabric()
 	if err != nil {

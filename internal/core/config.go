@@ -5,6 +5,8 @@
 package core
 
 import (
+	"math"
+
 	"memsim/internal/addrmap"
 	"memsim/internal/cache"
 	"memsim/internal/dram"
@@ -228,50 +230,49 @@ const (
 )
 
 // Validate checks the configuration for consistency, reporting every
-// violation at once as a *harden.ConfigError. The contract with New is
-// strict: a Config that validates always builds, so callers never see
-// a panic or a late constructor error for a config-shaped problem.
+// violation at once as a *harden.ConfigError, each under the one field
+// it concerns. The contract with New is strict: a Config that
+// validates always builds, so callers never see a panic or a late
+// constructor error for a config-shaped problem.
 func (c Config) Validate() error {
 	var v harden.Validator
 
-	// NaN fails every comparison, so these Checks also reject it.
-	v.Check(c.ClockHz >= minClockHz && c.ClockHz <= maxClockHz,
-		"ClockHz", c.ClockHz, "must be a finite rate in [%g, %g] Hz", float64(minClockHz), float64(maxClockHz))
+	v.FloatRange("ClockHz", c.ClockHz, minClockHz, maxClockHz)
 	v.Range("Width", int64(c.Width), 1, 64)
 	v.Range("ROBSize", int64(c.ROBSize), 1, 1<<20)
 	v.Range("StoreBuffer", int64(c.StoreBuffer), 1, 1<<20)
-	v.Check(c.SustainedIPC >= 0 && c.SustainedIPC <= 1024,
-		"SustainedIPC", c.SustainedIPC, "must be in [0, 1024]")
+	v.FloatRange("SustainedIPC", c.SustainedIPC, 0, 1024)
 
-	v.Pow2("L1Block", c.L1Block)
-	v.Pow2("L2Block", c.L2Block)
-	v.Check(c.L2Block >= c.L1Block, "L2Block", c.L2Block,
-		"must be >= L1Block (%d): an L1 line must fit inside the L2 line that backs it", c.L1Block)
-	v.Check(c.L2Size >= c.L1Size, "L2Size", c.L2Size,
-		"must be >= L1Size (%d) for the hierarchy's inclusion assumption", c.L1Size)
+	l1 := validateCache(&v, c.L1Size, c.L1Assoc, c.L1Block, "L1Size", "L1Assoc", "L1Block")
+	if validateCache(&v, c.L2Size, c.L2Assoc, c.L2Block, "L2Size", "L2Assoc", "L2Block") && l1 {
+		if c.L2Block < c.L1Block {
+			v.Reject("L2Block", c.L2Block,
+				"must be >= L1Block (%d): an L1 line must fit inside the L2 line that backs it", c.L1Block)
+		}
+		if c.L2Size < c.L1Size {
+			v.Reject("L2Size", c.L2Size, "must be >= L1Size (%d) for the hierarchy's inclusion assumption", c.L1Size)
+		}
+	}
 	v.Range("L1HitCycles", int64(c.L1HitCycles), 0, 1000)
 	v.Range("L2HitCycles", int64(c.L2HitCycles), 1, 10000)
 	v.Range("MSHRs", int64(c.MSHRs), 1, maxMSHRs)
-	validateCache(&v, "L1", cache.Config{Name: "L1", SizeBytes: c.L1Size, Assoc: c.L1Assoc, BlockBytes: c.L1Block})
-	validateCache(&v, "L2", cache.Config{Name: "L2", SizeBytes: c.L2Size, Assoc: c.L2Assoc, BlockBytes: c.L2Block})
 
-	v.Pow2("Channels", c.Channels)
-	v.Range("Channels", int64(c.Channels), 1, 64)
-	v.Pow2("DevicesPerChannel", c.DevicesPerChannel)
-	v.Range("DevicesPerChannel", int64(c.DevicesPerChannel), 1, 64)
+	v.Pow2Range("Channels", int64(c.Channels), 1, 64)
+	v.Pow2Range("DevicesPerChannel", int64(c.DevicesPerChannel), 1, 64)
 	v.Merge("", policy.Mappings.Validate(c.Mapping, c.geometry()))
-	v.Check(c.Timing.Packet > 0, "Timing", c.Timing.Name, "part has no packet time")
-	v.Check(c.Timing.PRER >= 0 && c.Timing.ACT >= 0 && c.Timing.CAC >= 0,
-		"Timing", c.Timing.Name, "part has a negative command latency")
+	if t := c.Timing; t.Packet <= 0 || t.PRER < 0 || t.ACT < 0 || t.CAC < 0 {
+		v.Reject("Timing", t.Name, "part needs a positive packet time and non-negative command latencies")
+	}
 	v.Merge("", policy.Interleavings.Validate(c.Interleaving, c.geometry()))
-	v.Range("ReorderWindow", int64(c.ReorderWindow), 0, 1024)
 	v.Merge("", policy.Sched.Validate(c.SchedPolicy, c.schedParams()))
 	v.Merge("", policy.Timings.Validate(c.BankTiming, policy.TimingParams{}))
-	v.Check(!c.Counterfactual || c.Obs.Trace, "Counterfactual", c.Counterfactual,
-		"requires Obs.Trace: decision tracing writes through the event tracer")
+	if c.Counterfactual && !c.Obs.Trace {
+		v.Reject("Counterfactual", true, "requires Obs.Trace: decision tracing writes through the event tracer")
+	}
 
-	v.Check(!(c.PerfectL2 && c.PerfectMem), "PerfectL2", c.PerfectL2,
-		"PerfectL2 and PerfectMem are mutually exclusive")
+	if c.PerfectL2 && c.PerfectMem {
+		v.Reject("PerfectL2", true, "PerfectL2 and PerfectMem are mutually exclusive")
+	}
 
 	if c.Prefetch.Enabled {
 		p := c.Prefetch
@@ -279,16 +280,38 @@ func (c Config) Validate() error {
 		v.Range("Prefetch.Insert", int64(p.Insert), int64(cache.MRU), int64(cache.LRU))
 		v.Range("Prefetch.BufferBlocks", int64(p.BufferBlocks), 0, policy.MaxQueueDepth)
 		v.Range("Prefetch.ThrottleWindow", int64(p.ThrottleWindow), 0, 1<<20)
-		v.Check(p.ThrottleAccuracy >= 0 && p.ThrottleAccuracy <= 1,
-			"Prefetch.ThrottleAccuracy", p.ThrottleAccuracy, "must be in [0, 1]")
+		v.FloatRange("Prefetch.ThrottleAccuracy", p.ThrottleAccuracy, 0, 1)
 	}
 
-	v.Check(c.Harden.WatchdogCycles >= 0, "Harden.WatchdogCycles", c.Harden.WatchdogCycles, "must be >= 0")
-	v.Check(c.Harden.ParanoidEvery >= 0, "Harden.ParanoidEvery", c.Harden.ParanoidEvery, "must be >= 0")
+	v.Range("Harden.WatchdogCycles", c.Harden.WatchdogCycles, 0, math.MaxInt64)
+	v.Range("Harden.ParanoidEvery", c.Harden.ParanoidEvery, 0, math.MaxInt64)
 
 	v.Range("Obs.TraceEvents", int64(c.Obs.TraceEvents), 0, 1<<28)
-	v.Check(c.Obs.SampleEvery >= 0, "Obs.SampleEvery", c.Obs.SampleEvery, "must be >= 0")
+	v.Range("Obs.SampleEvery", int64(c.Obs.SampleEvery), 0, math.MaxInt64)
 
+	return v.Err()
+}
+
+// ValidateExternalController reports, as a *harden.ConfigError, each
+// field that sets controller behaviour an external memory backend does
+// not take from the system: the issue policy (SchedPolicy, a
+// ReorderWindow above 1), Refresh and Counterfactual decision tracing.
+// The backend serves the requests on its own controllers and channels,
+// so a system built with any of these would run without it, silently.
+func (c *Config) ValidateExternalController() error {
+	var v harden.Validator
+	if c.SchedPolicy != "" {
+		v.Reject("SchedPolicy", c.SchedPolicy, "must be empty: external memory issues FCFS")
+	}
+	if c.ReorderWindow > 1 {
+		v.Reject("ReorderWindow", c.ReorderWindow, "must be 0 or 1: external memory issues FCFS")
+	}
+	if c.Refresh {
+		v.Reject("Refresh", true, "must be false: external memory models no refresh")
+	}
+	if c.Counterfactual {
+		v.Reject("Counterfactual", true, "must be false: external memory traces no decisions")
+	}
 	return v.Err()
 }
 
@@ -302,17 +325,26 @@ func (c Config) schedParams() policy.SchedParams {
 	return policy.SchedParams{Window: c.ReorderWindow}
 }
 
-// validateCache folds one cache shape's realizability into the pass and
-// bounds its allocation footprint.
-func validateCache(v *harden.Validator, prefix string, cc cache.Config) {
-	if err := cc.Validate(); err != nil {
-		v.Reject(prefix+"Size", cc.SizeBytes, "%v", err)
-		return
+// validateCache checks one cache level's shape, each problem under
+// its own field: the block, the associativity, and then the size the
+// other two must divide into a power-of-two number of sets within the
+// allocation bounds. It reports whether the shape builds.
+func validateCache(v *harden.Validator, size int64, assoc, block int, sizeField, assocField, blockField string) bool {
+	blockOK := v.Pow2Range(blockField, int64(block), int64(cache.MinBlockBytes), maxCacheBytes)
+	assocOK := v.Range(assocField, int64(assoc), 1, math.MaxUint16)
+	if !v.Range(sizeField, size, 1, maxCacheBytes) || !blockOK || !assocOK {
+		return false
 	}
-	if cc.SizeBytes > maxCacheBytes {
-		v.Reject(prefix+"Size", cc.SizeBytes, "exceeds %d bytes", int64(maxCacheBytes))
+	way := int64(assoc) * int64(block)
+	switch sets := size / way; {
+	case size%way != 0:
+		v.Reject(sizeField, size, "must be a multiple of %s*%s (%d)", assocField, blockField, way)
+	case sets&(sets-1) != 0:
+		v.Reject(sizeField, size, "implies %d sets, not a power of two", sets)
+	case sets > maxCacheSets:
+		v.Reject(sizeField, size, "implies %d sets; max %d", sets, maxCacheSets)
+	default:
+		return true
 	}
-	if sets := cc.NumSets(); sets > maxCacheSets {
-		v.Reject(prefix+"Size", cc.SizeBytes, "implies %d sets; max %d", sets, maxCacheSets)
-	}
+	return false
 }

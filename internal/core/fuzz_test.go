@@ -32,7 +32,7 @@ func configFieldPaths() map[string]bool {
 // FuzzConfigValidate drives Validate with arbitrary field values and
 // enforces the hardening contract: Validate never panics, every
 // rejection is a typed *harden.ConfigError naming Config field paths,
-// and any configuration that validates must build — New returning an
+// each at most once, and any configuration that validates must build — New returning an
 // error (or panicking) on a validated config is a bug in the
 // validator's coverage.
 func FuzzConfigValidate(f *testing.F) {
@@ -86,10 +86,15 @@ func FuzzConfigValidate(f *testing.F) {
 			if len(ce.Fields) == 0 {
 				t.Fatal("ConfigError with no field errors")
 			}
+			named := map[string]bool{}
 			for _, fe := range ce.Fields {
 				if !paths[fe.Field] {
 					t.Fatalf("field error names %q, not a Config field path: %v", fe.Field, fe)
 				}
+				if named[fe.Field] {
+					t.Fatalf("field %q named twice: %v", fe.Field, err)
+				}
+				named[fe.Field] = true
 			}
 			return
 		}

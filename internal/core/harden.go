@@ -19,7 +19,7 @@ const defaultParanoidEvery = 4096
 func (s *System) armHarden() {
 	h := s.cfg.Harden
 	if h.WatchdogCycles > 0 {
-		wd := harden.NewWatchdog()
+		var wd harden.Watchdog
 		window := s.clock.Cycles(h.WatchdogCycles)
 		s.sched.Every(window, func() bool {
 			if s.fatal != nil || s.core.Done() {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"memsim/internal/cache"
@@ -310,49 +309,18 @@ func New(cfg Config, gen trace.Generator) (*System, error) {
 // (Channels, DevicesPerChannel) still defines the physical address
 // space, so the fabric and the system agree on capacity.
 //
-// External-memory mode restricts the configuration to what the
-// backend can honor: scheduled and bank-aware prefetching read the
-// controller idle state and DRAM row state the backend owns, and the
-// hardening monitors (watchdog, paranoid checks) inspect local
-// controllers; all must be off, and so must the controller settings
-// ValidateExternalController rejects.
+// NewExternal validates cfg in full; the external-memory rules are
+// its caller's. Scheduled and bank-aware prefetching read controller
+// idle and row state the backend owns, and the hardening monitors
+// inspect local controllers, so cfg must leave them off (the cluster
+// turns them off for every member). The controller settings
+// ValidateExternalController names must be unset too; the cluster's
+// Config.Validate rejects them, naming the member.
 func NewExternal(cfg Config, gen trace.Generator, mem ExternalMemory, sched *sim.Scheduler) (*System, error) {
-	if mem == nil || sched == nil {
-		return nil, fmt.Errorf("core: NewExternal requires a memory backend and a scheduler")
-	}
-	if err := cfg.ValidateExternalController(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if cfg.Prefetch.Enabled && (cfg.Prefetch.Scheduled || cfg.Prefetch.BankAware) {
-		return nil, fmt.Errorf("core: external memory cannot serve scheduled or bank-aware prefetching (the backend owns channel idle and row state)")
-	}
-	if cfg.Harden.WatchdogCycles > 0 || cfg.Harden.Paranoid {
-		return nil, fmt.Errorf("core: hardening monitors inspect local controllers; disable Harden in external-memory mode")
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return newSystem(cfg, gen, &Memory{}, mem, sched)
-}
-
-// ValidateExternalController returns an error naming the first field
-// that sets controller behaviour an external memory backend does not
-// take from the system: the issue policy (SchedPolicy, a ReorderWindow
-// above 1), Refresh and Counterfactual decision tracing. The backend
-// serves the requests on its own controllers and channels, so a system
-// built with any of these would run without it, silently.
-func (c *Config) ValidateExternalController() error {
-	switch {
-	case c.SchedPolicy != "":
-		return fmt.Errorf("SchedPolicy %q: external memory issues FCFS", c.SchedPolicy)
-	case c.ReorderWindow > 1:
-		return fmt.Errorf("ReorderWindow %d: external memory issues FCFS", c.ReorderWindow)
-	case c.Refresh:
-		return errors.New("Refresh: external memory models no refresh")
-	case c.Counterfactual:
-		return errors.New("Counterfactual: external memory traces no decisions")
-	}
-	return nil
 }
 
 // newSystem wires a system for the validated cfg around mem, the

@@ -3,15 +3,12 @@ package core
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
 	"memsim/internal/cache"
 	"memsim/internal/channel"
-	"memsim/internal/memctrl"
 	"memsim/internal/prefetch"
-	"memsim/internal/sim"
 	"memsim/internal/workload"
 )
 
@@ -261,6 +258,43 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateOneEntryPerProblem: each problem is reported once, under
+// the one field it concerns, not again under a field it constrains.
+func TestValidateOneEntryPerProblem(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"Channels", func(c *Config) { c.Channels = -1 }},
+		{"DevicesPerChannel", func(c *Config) { c.DevicesPerChannel = -1 }},
+		{"L1Block", func(c *Config) { c.L1Block = 96 }},
+		{"L1Assoc", func(c *Config) { c.L1Assoc = 0 }},
+		{"L2Size", func(c *Config) { c.L2Size = 3 << 20 }},
+		{"ReorderWindow", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "frfcfs-cap", 4096 }},
+		{"Timing", func(c *Config) { c.Timing.Packet, c.Timing.ACT = 0, -1 }},
+	} {
+		cfg := Base()
+		tc.set(&cfg)
+		if got := rejectedFields(t, cfg.Validate()); len(got) != 1 || got[0] != tc.field {
+			t.Errorf("%s: fields %v, want exactly [%s]", tc.field, got, tc.field)
+		}
+	}
+}
+
+// TestValidateAllocatesNothing: a passing Validate builds no error
+// value, so the paper's configurations check without allocating.
+func TestValidateAllocatesNothing(t *testing.T) {
+	for name, cfg := range map[string]Config{"base": Base(), "tuned": Tuned()} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Validate made %v allocations, want 0", name, allocs)
+		}
+	}
+}
+
 func TestLargeBlocksRun(t *testing.T) {
 	// The Table 1 sweep reaches 8KB blocks; make sure the machinery
 	// holds together at the extreme.
@@ -363,49 +397,5 @@ func TestRunContextDeadline(t *testing.T) {
 	defer cancel()
 	if _, err := sys.RunContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
-// discardMemory is an ExternalMemory backend that accepts every request.
-type discardMemory struct{}
-
-func (discardMemory) Submit(*memctrl.Request) {}
-
-// TestNewExternalRejectsControllerSettings: NewExternal refuses each
-// controller setting an external backend does not take from the
-// system, with an error naming the field, and builds the config
-// without it.
-func TestNewExternalRejectsControllerSettings(t *testing.T) {
-	p, err := workload.ByName("swim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	build := func(cfg Config) error {
-		gen, err := p.Generator(0, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = NewExternal(cfg, gen, discardMemory{}, sim.NewScheduler())
-		return err
-	}
-	cases := []struct {
-		field string
-		set   func(*Config)
-	}{
-		{"SchedPolicy", func(c *Config) { c.SchedPolicy = "frfcfs" }},
-		{"ReorderWindow", func(c *Config) { c.SchedPolicy, c.ReorderWindow = "", 8 }},
-		{"Refresh", func(c *Config) { c.Refresh = true }},
-		{"Counterfactual", func(c *Config) { c.Counterfactual, c.Obs.Trace = true, true }},
-	}
-	for _, tc := range cases {
-		cfg := Base()
-		tc.set(&cfg)
-		err := build(cfg)
-		if err == nil || !strings.Contains(err.Error(), tc.field) || !strings.Contains(err.Error(), "external memory") {
-			t.Errorf("%s: NewExternal error %v, want the external-memory check naming the field", tc.field, err)
-		}
-	}
-	if err := build(Base()); err != nil {
-		t.Fatalf("the base config: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,8 +18,7 @@ import (
 )
 
 // orchOptions is the small-budget batch the orchestrator tests share:
-// three benchmarks with the forward-progress watchdog armed, as a batch
-// that retries watchdog aborts runs.
+// three benchmarks with the forward-progress watchdog armed.
 func orchOptions() Options {
 	return Options{
 		Instrs:     30_000,
@@ -28,7 +28,8 @@ func orchOptions() Options {
 	}
 }
 
-// wedged is the retryable abort a hung run ends in: the watchdog's.
+// wedged is the abort a hung run ends in: the watchdog's. It recurs
+// at the same simulated time on every attempt, so it is not retried.
 func wedged(sp spec) error {
 	return &harden.WatchdogError{WindowCycles: 50_000, Dump: sp.bench + " wedged"}
 }
@@ -39,6 +40,15 @@ func wedged(sp spec) error {
 func failMCF(sp spec) error {
 	if sp.bench == "mcf" {
 		return wedged(sp)
+	}
+	return nil
+}
+
+// timeoutMCF overruns the per-run deadline on every attempt of mcf,
+// the one failure a retry can cure.
+func timeoutMCF(sp spec) error {
+	if sp.bench == "mcf" {
+		return fmt.Errorf("%s: %w", sp.bench, context.DeadlineExceeded)
 	}
 	return nil
 }
@@ -67,7 +77,7 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 	opt := orchOptions()
 	opt.Retries = 2
 	opt.KeepGoing = true
-	opt.failFor = failMCF
+	opt.failFor = timeoutMCF
 	r, err := NewRunner(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -99,12 +109,35 @@ func TestOrchestratorRetryAndDegradedBatch(t *testing.T) {
 	if f.Bench != "mcf" || f.Attempts != 3 {
 		t.Errorf("failure = %+v, want mcf after 3 attempts", f)
 	}
-	var wd *harden.WatchdogError
-	if !errors.As(f.Err, &wd) {
-		t.Errorf("failure cause %v is not a watchdog abort", f.Err)
+	if !errors.Is(f.Err, context.DeadlineExceeded) {
+		t.Errorf("failure cause %v is not a per-run timeout", f.Err)
 	}
 	if got := r.DrainFailures(); len(got) != 0 {
 		t.Errorf("failures not drained: %+v", got)
+	}
+}
+
+// TestWatchdogAbortNotRetried: a watchdog abort is deterministic, so a
+// batch granted retries still tries the spec once.
+func TestWatchdogAbortNotRetried(t *testing.T) {
+	opt := orchOptions()
+	opt.Retries = 2
+	opt.KeepGoing = true
+	opt.failFor = failMCF
+	r, err := NewRunner(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunBenches(core.Base()); err != nil {
+		t.Fatalf("degraded batch returned error: %v", err)
+	}
+	if c := r.Counts(); c.Retried != 0 || c.Failed != 1 {
+		t.Errorf("counts = %+v, want Retried 0, Failed 1", c)
+	}
+	fails := r.DrainFailures()
+	var wd *harden.WatchdogError
+	if len(fails) != 1 || fails[0].Attempts != 1 || !errors.As(fails[0].Err, &wd) {
+		t.Fatalf("failures = %+v, want one watchdog abort after 1 attempt", fails)
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"memsim/internal/core"
-	"memsim/internal/harden"
 	"memsim/internal/obs"
 	"memsim/internal/sim"
 	"memsim/internal/workload"
@@ -74,9 +73,10 @@ type Options struct {
 	// overrunning spec aborts with context.DeadlineExceeded and is
 	// eligible for retry. Zero disables the deadline.
 	TimeoutPerRun time.Duration
-	// Retries is how many extra attempts a watchdog- or timeout-aborted
-	// run gets before it counts as failed. Other failures (config
-	// errors, corruption, panics) are deterministic and never retried.
+	// Retries is how many extra attempts a run aborted by TimeoutPerRun
+	// gets before it counts as failed. Other failures (watchdog aborts,
+	// config errors, corruption, panics) are deterministic and never
+	// retried.
 	Retries int
 	// RetryBackoff is the pause before the first retry, doubling per
 	// subsequent attempt; zero retries immediately.
@@ -163,7 +163,7 @@ type Counts struct {
 	// Reused counts specs satisfied without simulating: repeats of a
 	// spec this runner already ran and specs a loaded checkpoint held.
 	Reused uint64
-	// Retried counts re-attempts after watchdog or timeout aborts.
+	// Retried counts re-attempts after per-run timeout aborts.
 	Retried uint64
 	// Failed counts specs that exhausted their attempts in a KeepGoing
 	// batch and were recorded as FAILED cells.
@@ -417,14 +417,14 @@ func (r *Runner) runOnce(ctx context.Context, sp spec) (res core.Result, metrics
 	return res, sys.ObsMetricsDelta(), nil
 }
 
-// Retryable reports whether a run failure is worth re-attempting: a
-// forward-progress watchdog abort or a per-run wall-clock timeout,
-// both of which depend on host load and scheduling. Deterministic
-// failures (config rejection, invariant violations, corruption,
-// panics, batch cancellation) are not.
+// Retryable reports whether a run failure is worth re-attempting: only
+// a per-run wall-clock timeout, which depends on host load. Every other
+// failure is deterministic and recurs on a retry: a watchdog abort
+// fires at the same simulated time and progress each attempt, and so
+// do config rejections, invariant violations, corruption and panics.
+// Batch cancellation is never retried.
 func Retryable(err error) bool {
-	var wd *harden.WatchdogError
-	return errors.As(err, &wd) || errors.Is(err, context.DeadlineExceeded)
+	return errors.Is(err, context.DeadlineExceeded)
 }
 
 // maxRetryDelay caps the exponential backoff.

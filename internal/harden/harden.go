@@ -18,6 +18,7 @@ package harden
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"memsim/internal/sim"
@@ -50,17 +51,14 @@ type ConfigError struct {
 
 // Error implements error, listing every violation.
 func (e *ConfigError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "invalid config (%d problem", len(e.Fields))
-	if len(e.Fields) != 1 {
-		b.WriteString("s")
+	msg := fmt.Sprintf("invalid config (%d problems)", len(e.Fields))
+	if len(e.Fields) == 1 {
+		msg = "invalid config (1 problem)"
 	}
-	b.WriteString(")")
 	for _, f := range e.Fields {
-		b.WriteString("\n  - ")
-		b.WriteString(f.Error())
+		msg += "\n  - " + f.Error()
 	}
-	return b.String()
+	return msg
 }
 
 // Unwrap exposes the individual field errors to errors.Is/As.
@@ -73,12 +71,14 @@ func (e *ConfigError) Unwrap() []error {
 }
 
 // Validator accumulates field errors during a validation pass. The
-// zero value is ready to use.
+// zero value is ready to use; a pass whose checks hold allocates nothing.
 type Validator struct {
 	fields []*FieldError
 }
 
-// Reject records a violation for the named field.
+// Reject records a violation for the named field. It boxes its
+// arguments, so call it only once a check has failed; the range checks
+// take their values unboxed.
 func (v *Validator) Reject(field string, value any, format string, args ...any) {
 	v.fields = append(v.fields, &FieldError{
 		Field:  field,
@@ -87,24 +87,32 @@ func (v *Validator) Reject(field string, value any, format string, args ...any) 
 	})
 }
 
-// Check records a violation unless ok holds.
-func (v *Validator) Check(ok bool, field string, value any, format string, args ...any) {
-	if !ok {
-		v.Reject(field, value, format, args...)
-	}
-}
-
-// Pow2 requires value to be a positive power of two.
-func (v *Validator) Pow2(field string, value int) {
-	if value <= 0 || value&(value-1) != 0 {
-		v.Reject(field, value, "must be a positive power of two")
-	}
-}
-
-// Range requires lo <= value <= hi.
-func (v *Validator) Range(field string, value, lo, hi int64) {
-	if value < lo || value > hi {
+// Range requires lo <= value <= hi, reporting whether value passed; a
+// hi of math.MaxInt64 leaves it unbounded above.
+func (v *Validator) Range(field string, value, lo, hi int64) bool {
+	ok := value >= lo && value <= hi
+	switch {
+	case !ok && hi == math.MaxInt64:
+		v.Reject(field, value, "must be >= %d", lo)
+	case !ok:
 		v.Reject(field, value, "must be in [%d, %d]", lo, hi)
+	}
+	return ok
+}
+
+// Pow2Range requires a power of two in [lo, hi], lo >= 1, and reports whether it passed.
+func (v *Validator) Pow2Range(field string, value, lo, hi int64) bool {
+	ok := value >= lo && value <= hi && value&(value-1) == 0
+	if !ok {
+		v.Reject(field, value, "must be a power of two in [%d, %d]", lo, hi)
+	}
+	return ok
+}
+
+// FloatRange requires lo <= value <= hi; NaN fails it.
+func (v *Validator) FloatRange(field string, value, lo, hi float64) {
+	if !(value >= lo && value <= hi) {
+		v.Reject(field, value, "must be in [%g, %g]", lo, hi)
 	}
 }
 
@@ -209,26 +217,18 @@ type Progress struct {
 // Watchdog detects no-forward-progress windows. Observe is called at a
 // fixed cycle interval with the current progress snapshot; two
 // consecutive identical snapshots mean the window passed with no
-// retire, no issue, and no completion.
+// retire, no issue, and no completion. The zero value is unprimed: its
+// first observation only records a baseline.
 type Watchdog struct {
 	last   Progress
 	primed bool
 }
 
-// NewWatchdog returns an unprimed watchdog: the first observation only
-// records a baseline.
-func NewWatchdog() *Watchdog { return &Watchdog{} }
-
 // Observe records a snapshot and reports whether the system progressed
 // since the previous one. The first call always reports true.
 func (w *Watchdog) Observe(p Progress) bool {
-	if !w.primed {
-		w.primed = true
-		w.last = p
-		return true
-	}
-	ok := p != w.last
-	w.last = p
+	ok := !w.primed || p != w.last
+	w.primed, w.last = true, p
 	return ok
 }
 

@@ -2,16 +2,18 @@ package harden
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
 
 func TestValidatorAggregates(t *testing.T) {
 	var v Validator
-	v.Pow2("Block", 48)
+	v.Pow2Range("Block", 48, 1, 1<<20)
 	v.Range("MSHRs", 0, 1, 1024)
-	v.Check(false, "Mapping", "diag", "unknown mapping")
-	v.Check(true, "OK", 1, "never recorded")
+	v.FloatRange("ClockHz", math.NaN(), 1e3, 1e12)
+	v.Range("Watchdog", -1, 0, math.MaxInt64)
+	v.Reject("Mapping", "diag", "unknown mapping")
 
 	err := v.Err()
 	if err == nil {
@@ -21,29 +23,43 @@ func TestValidatorAggregates(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("error %T is not *ConfigError", err)
 	}
-	if len(ce.Fields) != 3 {
-		t.Fatalf("got %d field errors, want 3", len(ce.Fields))
+	if len(ce.Fields) != 5 {
+		t.Fatalf("got %d field errors, want 5", len(ce.Fields))
 	}
 	msg := err.Error()
-	for _, want := range []string{"3 problems", "Block", "MSHRs", "Mapping"} {
+	for _, want := range []string{"5 problems",
+		"Block = 48: must be a power of two in [1, 1048576]",
+		"MSHRs = 0: must be in [1, 1024]",
+		"ClockHz = NaN: must be in [1000, 1e+12]",
+		"Watchdog = -1: must be >= 0",
+		"Mapping = diag: unknown mapping"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("error message missing %q:\n%s", want, msg)
 		}
 	}
 }
 
+// TestValidatorClean: passing checks record nothing and, with their
+// values unboxed, allocate nothing.
 func TestValidatorClean(t *testing.T) {
-	var v Validator
-	v.Pow2("Block", 64)
-	v.Range("MSHRs", 8, 1, 1024)
-	if err := v.Err(); err != nil {
-		t.Fatalf("clean pass returned %v", err)
+	if allocs := testing.AllocsPerRun(10, func() {
+		var v Validator
+		if !v.Pow2Range("Block", 64, 1, 1<<20) || !v.Pow2Range("One", 1, 1, 1) ||
+			!v.Range("MSHRs", 8, 1, 1024) || !v.Range("Watchdog", 1<<40, 0, math.MaxInt64) {
+			t.Fatal("a passing check reported failure")
+		}
+		v.FloatRange("ClockHz", 1.6e9, 1e3, 1e12)
+		if err := v.Err(); err != nil {
+			t.Fatalf("clean pass returned %v", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("clean pass: %v allocations, want 0", allocs)
 	}
 }
 
 func TestValidatorMerge(t *testing.T) {
 	var inner Validator
-	inner.Pow2("BlockBytes", 3)
+	inner.Pow2Range("BlockBytes", 3, 1, 64)
 	var outer Validator
 	outer.Merge("Prefetch", inner.Err())
 	outer.Merge("L1", errors.New("size not divisible"))
@@ -75,7 +91,7 @@ func TestFieldErrorViaErrorsAs(t *testing.T) {
 }
 
 func TestWatchdogObserve(t *testing.T) {
-	w := NewWatchdog()
+	var w Watchdog
 	p := Progress{Retired: 10, Issued: 5, Completions: 3}
 	if !w.Observe(p) {
 		t.Fatal("first observation must prime, not trip")

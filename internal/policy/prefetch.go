@@ -69,11 +69,8 @@ func init() {
 		// config's own fields, checked there.
 		Check: func(p PrefetchParams) error {
 			var v harden.Validator
-			switch r := p.RegionBytes; {
-			case r <= 0 || r > maxRegionBytes || r&(r-1) != 0:
-				v.Reject("Prefetch.RegionBytes", r, "must be a power of two in [1, %d]", maxRegionBytes)
-			case p.BlockBytes > r:
-				v.Reject("Prefetch.RegionBytes", r, "must be >= L2Block (%d): a region holds whole blocks", p.BlockBytes)
+			if v.Pow2Range("Prefetch.RegionBytes", int64(p.RegionBytes), 1, maxRegionBytes) && p.BlockBytes > p.RegionBytes {
+				v.Reject("Prefetch.RegionBytes", p.RegionBytes, "must be >= L2Block (%d): a region holds whole blocks", p.BlockBytes)
 			}
 			v.Range("Prefetch.QueueDepth", int64(p.QueueDepth), 1, MaxQueueDepth)
 			return v.Err()

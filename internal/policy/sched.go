@@ -20,12 +20,12 @@ var Sched = NewRegistry[SchedParams, memctrl.IssuePolicy]("scheduling", "SchedPo
 
 type schedScheme = Scheme[SchedParams, memctrl.IssuePolicy]
 
-// unbounded is a scheme that reads no window, so rejects one above 1.
+// unbounded is a scheme that reads no window, so takes only 0 or 1.
 func unbounded(pol memctrl.IssuePolicy) schedScheme {
 	return schedScheme{
 		Check: func(p SchedParams) error {
-			if p.Window > 1 {
-				return reject("ReorderWindow", p.Window, "is read only by frfcfs-cap; %s has no scan bound", pol.Name())
+			if p.Window < 0 || p.Window > 1 {
+				return reject("ReorderWindow", p.Window, "must be 0 or 1: only frfcfs-cap reads a scan bound; %s has none", pol.Name())
 			}
 			return nil
 		},
@@ -38,8 +38,11 @@ func init() {
 	Sched.Register("frfcfs", unbounded(memctrl.FRFCFS{}))
 	Sched.Register("frfcfs-cap", schedScheme{
 		Check: func(p SchedParams) error {
-			if p.Window < 2 {
+			switch {
+			case p.Window < 2:
 				return reject("SchedPolicy", "frfcfs-cap", "needs ReorderWindow >= 2 as its scan bound, got %d", p.Window)
+			case p.Window > 1024:
+				return reject("ReorderWindow", p.Window, "must be in [2, 1024]")
 			}
 			return nil
 		},

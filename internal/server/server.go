@@ -381,7 +381,6 @@ func (s *Service) execute(ctx context.Context, job Job, rj *runningJob) (results
 	}
 	if s.cfg.WatchdogCycles > 0 {
 		opt.Harden.WatchdogCycles = s.cfg.WatchdogCycles
-		opt.Retries = 1 // watchdog and timeout aborts get one more try
 	}
 	runner, err := experiments.NewRunner(opt)
 	if err != nil {

@@ -984,7 +984,7 @@ func TestConfigSurfaces(t *testing.T) {
 		// A rejected config names each problem once, by its Config field.
 		{`{"config":{"channels":3}}`, http.StatusUnprocessableEntity, codeInvalidConfig, []string{"Channels"}},
 		{`{"preset":"tuned","config":{"l2_block_bytes":8192}}`, http.StatusUnprocessableEntity, codeInvalidConfig, []string{"Prefetch.RegionBytes"}},
-		{`{"preset":"tuned","config":{"l2_block_bytes":96}}`, http.StatusUnprocessableEntity, codeInvalidConfig, []string{"L2Block", "L2Size"}},
+		{`{"preset":"tuned","config":{"l2_block_bytes":96}}`, http.StatusUnprocessableEntity, codeInvalidConfig, []string{"L2Block"}},
 		{`{"benchmarks":["gzip"],"config":{"channels":null}}`, http.StatusAccepted, "", nil},
 		{`{"benchmarks":["gzip"],"config":null}`, http.StatusAccepted, "", nil},
 	} {
